@@ -18,6 +18,12 @@ inverted per update, so the cost per bin and frame stays linear in Q.
 
 Filter updates, PSD flooring, and the over-subtraction limiter all follow
 the frame order documented in :func:`process_frame`.
+
+:func:`drive_utterance` is the utterance driver of both adaptive filters,
+this one and the fixed-head variant in :mod:`convbeam.sdmvdr`.  It checks
+the steering and gain mask, looks up each bin's order, and runs the prior
+pass and the thread pool; each variant supplies only its per-bin state and
+per-frame step.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gains import apply_gain
+from .gains import apply_gain, clamp_gain
 from .stft import BandPlan, Spectrogram, StftConfig
 
 __all__ = [
@@ -41,6 +47,7 @@ __all__ = [
     "apa_update",
     "limited_output",
     "process_frame",
+    "drive_utterance",
     "process_utterance",
 ]
 
@@ -352,33 +359,33 @@ def process_frame(
 # ---------------------------------------------------------------------------
 
 
-def process_utterance(
+def drive_utterance(
     spec: Spectrogram,
     steering,
     params: ApaParams,
+    bind,
     gains: np.ndarray | None = None,
     prior_pass: bool = False,
     num_threads: int = 1,
-    shadows: list | None = None,
-    return_components: bool = False,
-):
-    """Run the adaptive beamformer over a whole utterance, bin by bin.
+    num_outputs: int = 1,
+) -> list:
+    """Run a per-bin adaptive filter over a whole utterance, bin by bin.
 
-    ``steering`` may be a SteeringVector or a raw (bins, M) array.  With
-    ``prior_pass`` the utterance is processed once to convergence, final
-    filters are kept, histories zeroed, and the utterance reprocessed.
+    The utterance driver of :func:`process_utterance` and
+    :func:`convbeam.sdmvdr.process_utterance_sdmvdr`.  It checks ``steering``
+    (a SteeringVector or a (bins, M) array) and the optional (bins, frames)
+    gain mask against the spectrogram, clamping the mask into [0, 1] with one
+    warning.  ``bind(vectors, orders)`` then gets the steering matrix and the
+    order of every bin and returns ``(init_bin, step)``: ``init_bin(k)``
+    builds the state of bin k, and ``step(state, y_now, a_k, params, gain)``
+    advances it by one frame, returning a tuple whose first ``num_outputs``
+    entries are recorded.  Returns those outputs as (bins, frames) arrays.
 
-    ``shadows`` is an optional list of (M, bins, frames) component arrays
-    (for instance the scene's reverb) that are pushed through the same filter
-    trajectory without the limiter, giving a linear decomposition of the
-    output; they are returned as a list of (bins, frames) arrays.
-
-    Bins are independent, so ``num_threads`` > 1 splits them across a thread
-    pool; outputs are written per bin and results are identical to the
-    single-threaded run.
+    With ``prior_pass`` each bin runs the utterance once, keeps its final
+    filter, zeroes its history and runs again.  ``num_threads`` > 1 splits
+    the independent bins across a thread pool without changing the result.
     """
-    vectors = getattr(steering, "vectors", steering)
-    vectors = np.asarray(vectors, dtype=np.complex128)
+    vectors = np.asarray(getattr(steering, "vectors", steering), dtype=np.complex128)
     data = spec.data
     num_ch, num_bins, num_frames = data.shape
     if vectors.shape != (num_bins, num_ch):
@@ -392,47 +399,21 @@ def process_utterance(
             raise ValueError(
                 f"gain mask shape {gains.shape} does not match ({num_bins}, {num_frames})"
             )
-    orders = params.band_plan.bin_orders(spec.config)
-    out = np.empty((num_bins, num_frames), dtype=np.complex128)
-    out_b = np.empty_like(out) if return_components else None
-    out_r = np.empty_like(out) if return_components else None
-    shadow_out = None
-    if shadows is not None:
-        shadow_out = [np.empty((num_bins, num_frames), dtype=np.complex128) for _ in shadows]
+        gains = clamp_gain(gains)
+    init_bin, step = bind(vectors, params.band_plan.bin_orders(spec.config))
+    outs = [np.empty((num_bins, num_frames), dtype=np.complex128) for _ in range(num_outputs)]
 
     def run(k: int) -> None:
+        state = init_bin(k)
         a_k = vectors[k]
-        state = init_state(a_k, int(orders[k]), params.delay)
         if prior_pass:
             for n in range(num_frames):
-                gain = None if gains is None else gains[k, n]
-                _step_bin(state, data[:, k, n], a_k, params, gain)
+                step(state, data[:, k, n], a_k, params, None if gains is None else gains[k, n])
             state.reset_history()
-        shadow_hists = (
-            [np.zeros_like(state.history) for _ in shadows] if shadows is not None else None
-        )
-        d = state.delay
         for n in range(num_frames):
-            gain = None if gains is None else gains[k, n]
-            stacked_shadows = None
-            if shadow_hists is not None:
-                stacked_shadows = []
-                for s, hist in enumerate(shadow_hists):
-                    y_s = shadows[s][:, k, n]
-                    if state.order > 0:
-                        stacked_shadows.append(np.concatenate([y_s, hist[d - 1 :].ravel()]))
-                        hist[1:] = hist[:-1]
-                        hist[0] = y_s
-                    else:
-                        stacked_shadows.append(y_s)
-            x_hat, x_b, x_r = _step_bin(state, data[:, k, n], a_k, params, gain)
-            out[k, n] = x_hat
-            if return_components:
-                out_b[k, n] = x_b
-                out_r[k, n] = x_r
-            if stacked_shadows is not None:
-                for s, y_s_tilde in enumerate(stacked_shadows):
-                    shadow_out[s][k, n] = np.vdot(state.w_hat, y_s_tilde)
+            values = step(state, data[:, k, n], a_k, params, None if gains is None else gains[k, n])
+            for out, value in zip(outs, values):
+                out[k, n] = value
 
     if num_threads <= 1:
         for k in range(num_bins):
@@ -442,14 +423,34 @@ def process_utterance(
 
         with ThreadPoolExecutor(max_workers=num_threads) as pool:
             list(pool.map(run, range(num_bins)))
+    return outs
 
-    result = Spectrogram(out, spec.config)
-    extras = {}
+
+def process_utterance(
+    spec: Spectrogram,
+    steering,
+    params: ApaParams,
+    gains: np.ndarray | None = None,
+    prior_pass: bool = False,
+    num_threads: int = 1,
+    return_components: bool = False,
+):
+    """Run the adaptive beamformer over a whole utterance; see :func:`drive_utterance`.
+
+    With ``return_components`` the beamformer branch and the reverberation
+    estimate come back too, as ``(output, {"x_b": ..., "x_r": ...})``.
+    """
+
+    def bind(vectors, orders):
+        def init_bin(k):
+            return init_state(vectors[k], int(orders[k]), params.delay)
+
+        return init_bin, _step_bin
+
+    outs = drive_utterance(
+        spec, steering, params, bind, gains, prior_pass, num_threads, 3 if return_components else 1
+    )
+    result = Spectrogram(outs[0], spec.config)
     if return_components:
-        extras["x_b"] = out_b
-        extras["x_r"] = out_r
-    if shadow_out is not None:
-        extras["shadows"] = shadow_out
-    if extras:
-        return result, extras
+        return result, {"x_b": outs[1], "x_r": outs[2]}
     return result

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import apa, sdmvdr
-from .fixedbf import apply_fixed, delay_and_sum, superdirective_mvdr
-from .geometry import circular_array, diffuse_coherence, plane_wave_steering
+from .geometry import circular_array, plane_wave_steering
+from .pipeline import METHODS, RUNNERS, RunConfig
 from .stft import BandPlan, StftConfig, stft
 
 __all__ = [
@@ -163,29 +163,8 @@ def reference_curves(
 # wall-clock sweep
 # ---------------------------------------------------------------------------
 
-_BENCH_METHODS = ("delay-sum", "sd-mvdr", "mpdr-apa", "conv-sdmvdr", "conv-mpdr-apa")
-
-
-def _time_method(method, spec, steering, gamma, params):
-    if method == "delay-sum":
-        return apply_fixed(delay_and_sum(steering), spec)
-    if method == "sd-mvdr":
-        return apply_fixed(superdirective_mvdr(steering, gamma), spec)
-    if method == "mpdr-apa":
-        flat = apa.ApaParams(
-            phi_b=params.phi_b,
-            phi_r=params.phi_r,
-            phi_a=params.phi_a,
-            eta=params.eta,
-            alpha_r=params.alpha_r,
-            band_plan=BandPlan((), (0,), params.band_plan.delay),
-        )
-        return apa.process_utterance(spec, steering, flat)
-    if method == "conv-mpdr-apa":
-        return apa.process_utterance(spec, steering, params)
-    if method == "conv-sdmvdr":
-        return sdmvdr.process_utterance_sdmvdr(spec, steering, gamma, params)
-    raise ValueError(f"unknown method {method!r}; expected one of {_BENCH_METHODS}")
+# every method of the pipeline's table that runs a beamformer, cheapest first
+_BENCH_METHODS = tuple(m for m in METHODS if m != "ref-mic")
 
 
 def wallclock_sweep(
@@ -200,7 +179,9 @@ def wallclock_sweep(
 ) -> list:
     """Median filtering time per second of audio for each method.
 
-    Times cover weight computation plus filtering on a prepared spectrogram
+    Each method runs through the pipeline's method table
+    (:data:`convbeam.pipeline.RUNNERS`) with the prior pass off.  Times cover
+    weight computation plus filtering on a prepared spectrogram
     (analysis/synthesis and localization excluded, since they are shared by
     every method).  Returns one row per method with the dimensions and MAC
     tally of its per-bin update.
@@ -215,23 +196,25 @@ def wallclock_sweep(
     spec = stft(samples, config)
     geom = circular_array(num_mics, radius)
     steering = plane_wave_steering(geom, 0.0, config)
-    gamma = diffuse_coherence(geom, config)
     max_order = int(max(band_plan.orders))
     rows = []
     for method in methods:
+        cfg = RunConfig(
+            method=method, geometry=geom, doa=0.0, params=params, stft_config=config,
+            prior_pass=False,
+        )
         times = []
         for _ in range(max(int(repeats), 1)):
             t0 = time.perf_counter()
-            _time_method(method, spec, steering, gamma, params)
+            RUNNERS[method](spec, steering, cfg, None)
             times.append(time.perf_counter() - t0)
-        if method in ("mpdr-apa", "conv-mpdr-apa"):
-            order = 0 if method == "mpdr-apa" else max_order
+        order = max_order if method.startswith("conv") else 0
+        if method.endswith("apa"):
             macs = count_apa_update(num_mics, order, band_plan.delay).total
         elif method == "conv-sdmvdr":
-            macs = count_rc_update(num_mics, max_order, band_plan.delay).total
+            macs = count_rc_update(num_mics, order, band_plan.delay).total
         else:
             macs = num_mics  # one w^H y dot per bin and frame
-        order = 0 if method in ("delay-sum", "sd-mvdr", "mpdr-apa") else max_order
         blocks = 0 if order == 0 else order - band_plan.delay + 1
         rows.append(
             {

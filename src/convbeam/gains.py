@@ -15,12 +15,9 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "GainProvider",
-    "IdentityGain",
-    "MaskFileGain",
     "apply_gain",
-    "identity_provider",
-    "mask_file_provider",
+    "clamp_gain",
+    "mask_for_utterance",
     "read_gain_mask",
     "write_gain_mask",
 ]
@@ -29,56 +26,36 @@ _MAGIC = b"GMSK"
 _HEADER = struct.Struct("<4sII")
 
 
-def apply_gain(phi_x, gain):
-    """Scale a PSD estimate by gain^2, clamping the gain into [0, 1] first.
+def clamp_gain(gain, what: str = "gain") -> np.ndarray:
+    """Gain as float64, clamped into [0, 1] with one warning if any value was outside.
 
-    Values outside [0, 1] trigger a warning; they usually mean a mask was
-    written with the wrong scale.
+    Values outside [0, 1] usually mean a mask was written with the wrong scale.
     """
     g = np.asarray(gain, dtype=np.float64)
     if np.any(g < 0.0) or np.any(g > 1.0):
-        warnings.warn("gain outside [0, 1]; clamping", stacklevel=2)
+        warnings.warn(f"{what} outside [0, 1]; clamping", stacklevel=3)
         g = np.clip(g, 0.0, 1.0)
+    return g
+
+
+def apply_gain(phi_x, gain):
+    """Scale a PSD estimate by gain^2, clamping the gain into [0, 1] first."""
+    g = clamp_gain(gain)
     return (g * g) * phi_x
 
 
-class GainProvider:
-    """Source of a (bins, frames) gain matrix for one utterance."""
+def mask_for_utterance(path, num_bins: int, num_frames: int) -> np.ndarray:
+    """Read a gain-mask file for an utterance of (num_bins, num_frames).
 
-    def gains(self, num_bins: int, num_frames: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class IdentityGain(GainProvider):
-    """All-ones mask; scaling by it leaves the PSD untouched."""
-
-    def gains(self, num_bins: int, num_frames: int) -> np.ndarray:
-        return np.ones((num_bins, num_frames))
-
-
-class MaskFileGain(GainProvider):
-    """Mask loaded from a gain-mask file; dimensions must match the utterance."""
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._mask = read_gain_mask(self.path)
-
-    def gains(self, num_bins: int, num_frames: int) -> np.ndarray:
-        k, n = self._mask.shape
-        if (k, n) != (num_bins, num_frames):
-            raise ValueError(
-                f"{self.path}: mask is {k}x{n} but utterance needs "
-                f"{num_bins}x{num_frames}"
-            )
-        return self._mask
-
-
-def identity_provider() -> GainProvider:
-    return IdentityGain()
-
-
-def mask_file_provider(path) -> GainProvider:
-    return MaskFileGain(path)
+    A mask of any other shape is rejected with an error naming the file.
+    """
+    mask = read_gain_mask(path)
+    k, n = mask.shape
+    if (k, n) != (num_bins, num_frames):
+        raise ValueError(
+            f"{path}: mask is {k}x{n} but utterance needs {num_bins}x{num_frames}"
+        )
+    return mask
 
 
 def write_gain_mask(path, gains: np.ndarray) -> None:
@@ -110,8 +87,4 @@ def read_gain_mask(path) -> np.ndarray:
             f"got {len(blob)}"
         )
     mask = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    mask = mask.reshape(num_bins, num_frames)
-    if np.any(mask < 0.0) or np.any(mask > 1.0):
-        warnings.warn(f"{path}: mask values outside [0, 1]; clamping", stacklevel=2)
-        mask = np.clip(mask, 0.0, 1.0)
-    return mask
+    return clamp_gain(mask.reshape(num_bins, num_frames), f"{path}: mask values")

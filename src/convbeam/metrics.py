@@ -24,12 +24,11 @@ _FRAME_SELECT_DB = 40.0  # frames within this of the loudest ref frame count
 
 @dataclass
 class MetricReport:
-    """Bundle of utterance-level scores; traces hold per-segment values."""
+    """Bundle of utterance-level scores."""
 
     fwsnr: float
     cd: float
     srr: float | None = None
-    traces: dict | None = None
 
 
 # ---------------------------------------------------------------------------

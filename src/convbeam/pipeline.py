@@ -3,28 +3,27 @@
 One call runs: level normalization to -20 dBFS at the reference mic, STFT,
 localization (unless a DOA is given), steering, the selected beamformer,
 synthesis, and de-normalization.  All randomness-free; identical inputs and
-configuration give bit-identical outputs.
+configuration give bit-identical outputs.  The method table :data:`RUNNERS`
+is the one dispatch of the pipeline, the bench sweep and the CLI.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .apa import ApaParams, process_utterance
 from .fixedbf import apply_fixed, delay_and_sum, superdirective_mvdr
-from .gains import mask_file_provider
+from .gains import mask_for_utterance
 from .geometry import ArrayGeometry, diffuse_coherence, plane_wave_steering, srp_phat_localize
 from .sdmvdr import process_utterance_sdmvdr
-from .stft import Spectrogram, StftConfig, istft, stft
+from .stft import BandPlan, Spectrogram, StftConfig, istft, stft
 from .wavio import AudioBuffer, resample_check
 
-__all__ = ["METHODS", "RunConfig", "enhance"]
-
-METHODS = ("ref-mic", "delay-sum", "sd-mvdr", "mpdr-apa", "conv-mpdr-apa", "conv-sdmvdr")
+__all__ = ["METHODS", "RUNNERS", "RunConfig", "enhance"]
 
 _TARGET_RMS = 10.0 ** (-20.0 / 20.0)  # -20 dBFS
 
@@ -42,7 +41,6 @@ class RunConfig:
     prior_pass: bool = True
     gain_mask: str | None = None
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -51,18 +49,55 @@ class RunConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
-def _flat_plan(params: ApaParams) -> ApaParams:
-    from .stft import BandPlan
+# Runners take (spec, steering, cfg, gains) and return the enhanced
+# single-channel spectrogram.  They call the layers through this module's
+# attributes at run time, so a caller that replaces one of those attributes
+# sees every method that uses it.
 
-    return ApaParams(
-        phi_b=params.phi_b,
-        phi_r=params.phi_r,
-        phi_a=params.phi_a,
-        eta=params.eta,
-        alpha_r=params.alpha_r,
-        band_plan=BandPlan((), (0,), params.band_plan.delay),
-        mean_floor=params.mean_floor,
+
+def _ref_mic(spec, steering, cfg, gains) -> Spectrogram:
+    return spec.channel(cfg.geometry.reference_mic)
+
+
+def _delay_sum(spec, steering, cfg, gains) -> Spectrogram:
+    return apply_fixed(delay_and_sum(steering), spec)
+
+
+def _sd_mvdr(spec, steering, cfg, gains) -> Spectrogram:
+    gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
+    return apply_fixed(superdirective_mvdr(steering, gamma, cfg.loading), spec)
+
+
+def _mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
+    # the convolutional filter with every band at order 0: beamforming head only
+    flat = replace(cfg.params, band_plan=BandPlan((), (0,), cfg.params.delay))
+    return _conv_mpdr_apa(spec, steering, replace(cfg, params=flat), gains)
+
+
+def _conv_mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
+    return process_utterance(
+        spec, steering, cfg.params, gains=gains, prior_pass=cfg.prior_pass, num_threads=cfg.threads
     )
+
+
+def _conv_sdmvdr(spec, steering, cfg, gains) -> Spectrogram:
+    gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
+    return process_utterance_sdmvdr(
+        spec, steering, gamma, cfg.params, loading=cfg.loading, gains=gains,
+        prior_pass=cfg.prior_pass, num_threads=cfg.threads,
+    )
+
+
+# in increasing order of cost, which is the row order of the bench sweep
+RUNNERS = {
+    "ref-mic": _ref_mic,
+    "delay-sum": _delay_sum,
+    "sd-mvdr": _sd_mvdr,
+    "mpdr-apa": _mpdr_apa,
+    "conv-sdmvdr": _conv_sdmvdr,
+    "conv-mpdr-apa": _conv_mpdr_apa,
+}
+METHODS = tuple(RUNNERS)
 
 
 def enhance(buf: AudioBuffer, cfg: RunConfig) -> tuple:
@@ -86,38 +121,10 @@ def enhance(buf: AudioBuffer, cfg: RunConfig) -> tuple:
 
     gains = None
     if cfg.gain_mask is not None:
-        gains = mask_file_provider(cfg.gain_mask).gains(spec.num_bins, spec.num_frames)
+        gains = mask_for_utterance(cfg.gain_mask, spec.num_bins, spec.num_frames)
 
     method = cfg.method
-    if method == "ref-mic":
-        out = spec.channel(ref)
-    elif method == "delay-sum":
-        out = apply_fixed(delay_and_sum(steering), spec)
-    elif method == "sd-mvdr":
-        gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
-        out = apply_fixed(superdirective_mvdr(steering, gamma, cfg.loading), spec)
-    elif method in ("mpdr-apa", "conv-mpdr-apa"):
-        params = _flat_plan(cfg.params) if method == "mpdr-apa" else cfg.params
-        out = process_utterance(
-            spec,
-            steering,
-            params,
-            gains=gains,
-            prior_pass=cfg.prior_pass,
-            num_threads=cfg.threads,
-        )
-    else:  # conv-sdmvdr
-        gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
-        out = process_utterance_sdmvdr(
-            spec,
-            steering,
-            gamma,
-            cfg.params,
-            loading=cfg.loading,
-            gains=gains,
-            prior_pass=cfg.prior_pass,
-            num_threads=cfg.threads,
-        )
+    out = RUNNERS[method](spec, steering, cfg, gains)
 
     samples = istft(out, length=buf.num_samples) / scale
     orders = cfg.params.band_plan.orders if method.startswith("conv") else (0,)

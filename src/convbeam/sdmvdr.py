@@ -6,6 +6,10 @@ prediction taps alone.  Dropping the constraint row turns the two-row affine
 projection step of :mod:`convbeam.apa` into a scalar-gain update (an NLMS
 recursion on the stacked delayed frames), which is why this variant runs
 cheaper than the fully adaptive filter.
+
+Only the per-bin state and the per-frame step live here; the utterance is
+driven by :func:`convbeam.apa.drive_utterance`, shared with the fully
+adaptive filter.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apa import ApaParams, limited_output, psd_floor
+from .apa import ApaParams, drive_utterance, limited_output, psd_floor
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -149,50 +153,26 @@ def process_utterance_sdmvdr(
 ) -> Spectrogram:
     """Run the fixed-beamformer variant over a whole utterance.
 
-    Mirrors :func:`convbeam.apa.process_utterance`; the band plan must give
-    every bin a nonzero order since this variant has no beamformer-only
-    degenerate case.
+    The head of every bin is the superdirective MVDR solution for
+    ``coherence`` and ``loading``; the gain mask, ``prior_pass`` and
+    ``num_threads`` behave as in :func:`convbeam.apa.drive_utterance`.  The
+    band plan must give every bin a nonzero order since this variant has no
+    beamformer-only degenerate case.
     """
-    data = spec.data
-    num_ch, num_bins, num_frames = data.shape
-    vectors = steering.vectors
-    if vectors.shape != (num_bins, num_ch):
-        raise ValueError(
-            f"steering shape {vectors.shape} does not match spectrogram "
-            f"({num_bins} bins, {num_ch} channels)"
-        )
-    if gains is not None:
-        gains = np.asarray(gains, dtype=np.float64)
-        if gains.shape != (num_bins, num_frames):
-            raise ValueError(
-                f"gain mask shape {gains.shape} does not match ({num_bins}, {num_frames})"
-            )
-    orders = params.band_plan.bin_orders(spec.config)
-    if np.any(orders == 0):
-        raise ValueError("band plan assigns order 0; this variant needs order > delay")
-    weights = superdirective_mvdr(steering, coherence, loading).weights
-    out = np.empty((num_bins, num_frames), dtype=np.complex128)
 
-    def run(k: int) -> None:
-        state = init_rc_state(weights[k], int(orders[k]), params.delay)
-        if prior_pass:
-            for n in range(num_frames):
-                gain = None if gains is None else gains[k, n]
-                phi = rc_speech_psd(state, data[:, k, n], params.eta, params.mean_floor, gain)
-                rc_update(state, data[:, k, n], phi, params.phi_r, params.alpha_r)
-            state.reset_history()
-        for n in range(num_frames):
-            gain = None if gains is None else gains[k, n]
-            phi = rc_speech_psd(state, data[:, k, n], params.eta, params.mean_floor, gain)
-            out[k, n] = rc_update(state, data[:, k, n], phi, params.phi_r, params.alpha_r)
+    def bind(vectors, orders):
+        if np.any(orders == 0):
+            raise ValueError("band plan assigns order 0; this variant needs order > delay")
+        weights = superdirective_mvdr(steering, coherence, loading).weights
 
-    if num_threads <= 1:
-        for k in range(num_bins):
-            run(k)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        def init_bin(k):
+            return init_rc_state(weights[k], int(orders[k]), params.delay)
 
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            list(pool.map(run, range(num_bins)))
+        def step(state, y_now, a_k, params, gain):
+            phi = rc_speech_psd(state, y_now, params.eta, params.mean_floor, gain)
+            return (rc_update(state, y_now, phi, params.phi_r, params.alpha_r),)
 
+        return init_bin, step
+
+    (out,) = drive_utterance(spec, steering, params, bind, gains, prior_pass, num_threads)
     return Spectrogram(out, spec.config)

@@ -18,7 +18,6 @@ __all__ = [
     "sqrt_hann",
     "stft",
     "istft",
-    "band_order",
 ]
 
 
@@ -140,15 +139,6 @@ class BandPlan:
         freqs = config.bin_freq(np.arange(config.num_bins))
         idx = np.searchsorted(np.asarray(self.transition_freqs, dtype=float), freqs, side="right")
         return np.asarray(self.orders, dtype=int)[idx]
-
-
-def band_order(k: int, plan: BandPlan, config: StftConfig) -> int:
-    """Prediction order for bin ``k`` under the given plan."""
-    if k < 0 or k >= config.num_bins:
-        raise ValueError(f"bin {k} out of range [0, {config.num_bins})")
-    freq = config.bin_freq(k)
-    idx = int(np.searchsorted(np.asarray(plan.transition_freqs, dtype=float), freq, side="right"))
-    return int(plan.orders[idx])
 
 
 # ---------------------------------------------------------------------------

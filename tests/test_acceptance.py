@@ -331,7 +331,6 @@ class TestAcceptance:
                 geometry=geom,
                 doa=math.radians(45.0),
                 threads=threads,
-                seed=10,
             )
             out, _ = enhance(buf, run_cfg)
             path = tmp_path / name

@@ -24,6 +24,7 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
+from convbeam.gains import apply_gain
 from convbeam.stft import BandPlan, Spectrogram, StftConfig
 
 
@@ -337,30 +338,39 @@ class TestDrivers:
         warm2 = process_utterance(spec, a, params, prior_pass=True)
         np.testing.assert_array_equal(warm.data, warm2.data)
 
-    def test_shadow_of_the_mixture_recovers_unlimited_output(self):
-        """Pushing the mixture itself through the shadow path must equal
-        x_b - x_r, the pre-limiter filter output, frame by frame."""
-        spec = _small_spec(num_frames=25, seed=7)
-        a = _flat_steering(spec.num_bins, 2)
-        params = ApaParams(band_plan=BandPlan((), (4,)))
-        _, extras = process_utterance(
-            spec, a, params, shadows=[spec.data], return_components=True
-        )
-        np.testing.assert_allclose(
-            extras["shadows"][0], extras["x_b"] - extras["x_r"], atol=1e-12
-        )
+    @pytest.mark.parametrize("prior_pass", [False, True])
+    def test_matches_manual_bin_loop(self, prior_pass):
+        """The utterance driver equals a loop of the public scalar functions,
+        bit for bit, over an order-0 band and an order-3 band with D=2, under
+        a gain mask."""
+        spec = _small_spec(num_mics=3, num_frames=25, seed=12)
+        a = _flat_steering(spec.num_bins, 3, seed=2)
+        params = ApaParams(band_plan=BandPlan((4000.0,), (0, 3), delay=2))
+        mask = np.random.default_rng(13).uniform(0.0, 1.0, (spec.num_bins, spec.num_frames))
+        got = process_utterance(spec, a, params, gains=mask, prior_pass=prior_pass).data[0]
 
-    def test_shadow_decomposition_is_linear(self):
-        """Component shadows add up to the shadow of their sum."""
-        spec = _small_spec(num_frames=15, seed=8)
-        rng = np.random.default_rng(9)
-        part = rng.standard_normal(spec.data.shape) + 1j * rng.standard_normal(spec.data.shape)
-        rest = spec.data - part
-        a = _flat_steering(spec.num_bins, 2)
-        params = ApaParams(band_plan=BandPlan((), (3,)))
-        _, extras = process_utterance(spec, a, params, shadows=[part, rest, spec.data])
-        s_part, s_rest, s_all = extras["shadows"]
-        np.testing.assert_allclose(s_part + s_rest, s_all, atol=1e-12)
+        def step(state, y_now, a_k, gain):
+            obs = stack_observation(state, y_now, a_k)
+            phi_x = float(apply_gain(speech_psd_estimate(state, obs), gain))
+            phi_x = psd_floor(phi_x, y_now, params.eta, params.mean_floor)
+            apa_update(state, obs, phi_x, params)
+            x_b = np.vdot(state.w_hat[:3], y_now)
+            x_r = x_b - np.vdot(state.w_hat, obs.y_tilde)
+            state.push(y_now)
+            return limited_output(x_b, x_r, params.alpha_r)
+
+        orders = params.band_plan.bin_orders(spec.config)
+        assert set(orders) == {0, 3}
+        want = np.empty_like(got)
+        for k in range(spec.num_bins):
+            state = init_state(a[k], int(orders[k]), 2)
+            if prior_pass:
+                for n in range(spec.num_frames):
+                    step(state, spec.data[:, k, n], a[k], mask[k, n])
+                state.reset_history()
+            for n in range(spec.num_frames):
+                want[k, n] = step(state, spec.data[:, k, n], a[k], mask[k, n])
+        np.testing.assert_array_equal(got, want)
 
     def test_steering_shape_mismatch_rejected(self):
         spec = _small_spec()

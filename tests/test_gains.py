@@ -5,15 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from convbeam.gains import (
-    IdentityGain,
-    MaskFileGain,
-    apply_gain,
-    identity_provider,
-    mask_file_provider,
-    read_gain_mask,
-    write_gain_mask,
-)
+from convbeam.gains import apply_gain, mask_for_utterance, read_gain_mask, write_gain_mask
 
 
 class TestApplyGain:
@@ -95,23 +87,14 @@ class TestMaskFile:
 
 
 class TestProviders:
-    def test_identity(self):
-        g = identity_provider().gains(4, 7)
-        assert g.shape == (4, 7)
-        assert np.all(g == 1.0)
-        assert isinstance(identity_provider(), IdentityGain)
-
     def test_mask_file_provider(self, tmp_path):
         path = tmp_path / "mask.gmsk"
         mask = np.full((5, 6), 0.25)
         write_gain_mask(path, mask)
-        provider = mask_file_provider(path)
-        assert isinstance(provider, MaskFileGain)
-        np.testing.assert_allclose(provider.gains(5, 6), mask, rtol=1e-7)
+        np.testing.assert_allclose(mask_for_utterance(path, 5, 6), mask, rtol=1e-7)
 
     def test_dimension_mismatch_names_file(self, tmp_path):
         path = tmp_path / "mask.gmsk"
         write_gain_mask(path, np.full((5, 6), 0.25))
-        provider = mask_file_provider(path)
         with pytest.raises(ValueError, match="mask.gmsk"):
-            provider.gains(5, 7)
+            mask_for_utterance(path, 5, 7)

@@ -6,6 +6,8 @@ pushed to infinity) must reproduce the scalar-gain canceller update exactly,
 step for step.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from convbeam.apa import (
     apa_update,
     init_state,
     limited_output,
+    process_utterance,
     psd_floor,
     stack_observation,
 )
+from convbeam.fixedbf import superdirective_mvdr
 from convbeam.geometry import circular_array, diffuse_coherence, plane_wave_steering
 from convbeam.sdmvdr import (
     RcState,
@@ -146,22 +150,65 @@ class TestUtteranceDriver:
         return spec, steer, diffuse_coherence(geom, cfg)
 
     def test_matches_manual_bin_loop(self):
+        """Bit for bit against a loop of the scalar functions, with and without
+        the prior pass and a gain mask."""
         spec, steer, coh = self._scene()
         params = ApaParams(band_plan=BandPlan((), (4,)))
-        got = process_utterance_sdmvdr(spec, steer, coh, params).data[0]
-
-        from convbeam.fixedbf import superdirective_mvdr
-
         weights = superdirective_mvdr(steer, coh, 0.01).weights
-        want = np.empty_like(got)
-        for k in range(spec.num_bins):
-            state = init_rc_state(weights[k], 4, 1)
-            for n in range(spec.num_frames):
-                phi = rc_speech_psd(state, spec.data[:, k, n], params.eta, params.mean_floor)
-                want[k, n] = rc_update(
-                    state, spec.data[:, k, n], phi, params.phi_r, params.alpha_r
+        mask = np.random.default_rng(3).uniform(0.0, 1.0, (spec.num_bins, spec.num_frames))
+        for prior_pass in (False, True):
+            for gains in (None, mask):
+                got = process_utterance_sdmvdr(
+                    spec, steer, coh, params, gains=gains, prior_pass=prior_pass
+                ).data[0]
+
+                def step(state, k, n):
+                    y_now = spec.data[:, k, n]
+                    gain = None if gains is None else gains[k, n]
+                    phi = rc_speech_psd(state, y_now, params.eta, params.mean_floor, gain)
+                    return rc_update(state, y_now, phi, params.phi_r, params.alpha_r)
+
+                want = np.empty_like(got)
+                for k in range(spec.num_bins):
+                    state = init_rc_state(weights[k], 4, 1)
+                    if prior_pass:
+                        for n in range(spec.num_frames):
+                            step(state, k, n)
+                        state.reset_history()
+                    for n in range(spec.num_frames):
+                        want[k, n] = step(state, k, n)
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"prior_pass={prior_pass}, mask={gains is not None}"
                 )
-        np.testing.assert_array_equal(got, want)
+
+    def test_steering_shape_mismatch_rejected(self):
+        spec, _, coh = self._scene()
+        wrong = plane_wave_steering(circular_array(2, 0.10), 0.4, spec.config)
+        with pytest.raises(ValueError, match="steering shape"):
+            process_utterance_sdmvdr(spec, wrong, coh, ApaParams(band_plan=BandPlan((), (4,))))
+
+    @pytest.mark.parametrize("driver", ["apa", "sdmvdr"])
+    def test_out_of_range_mask_clamped_once(self, driver):
+        """An out-of-range mask warns once per utterance, not once per
+        bin-frame, and acts as the mask clipped into [0, 1]."""
+        spec, steer, coh = self._scene(seed=7)
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        rng = np.random.default_rng(8)
+        hot = rng.uniform(-0.5, 1.5, (spec.num_bins, spec.num_frames))
+
+        def run(gains):
+            if driver == "apa":
+                return process_utterance(spec, steer, params, gains=gains, prior_pass=True)
+            return process_utterance_sdmvdr(spec, steer, coh, params, gains=gains, prior_pass=True)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run(hot)
+        assert [str(w.message) for w in caught] == ["gain outside [0, 1]; clamping"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = run(np.clip(hot, 0.0, 1.0))
+        np.testing.assert_array_equal(got.data, want.data)
 
     def test_zero_order_band_rejected(self):
         spec, steer, coh = self._scene()

@@ -11,7 +11,6 @@ from convbeam.stft import (
     BandPlan,
     Spectrogram,
     StftConfig,
-    band_order,
     istft,
     sqrt_hann,
     stft,
@@ -136,28 +135,28 @@ class TestRoundTrip:
 
 class TestBandPlan:
     def test_default_orders_by_bin(self):
-        cfg = StftConfig()
-        plan = BandPlan()
+        orders = BandPlan().bin_orders(StftConfig())
         # 500 Hz, 1000 Hz, 3000 Hz at 31.25 Hz per bin
-        assert band_order(16, plan, cfg) == 12
-        assert band_order(32, plan, cfg) == 8
-        assert band_order(96, plan, cfg) == 6
+        assert orders[16] == 12
+        assert orders[32] == 8
+        assert orders[96] == 6
 
     def test_transition_bin_belongs_to_upper_band(self):
         cfg = StftConfig()
-        plan = BandPlan()
+        orders = BandPlan().bin_orders(cfg)
         # bin 64 sits exactly on 2000 Hz
         assert cfg.bin_freq(64) == 2000.0
-        assert band_order(64, plan, cfg) == 6
-        assert band_order(63, plan, cfg) == 8
+        assert orders[64] == 6
+        assert orders[63] == 8
 
     def test_bin_orders_matches_scalar_lookup(self):
         cfg = StftConfig()
         plan = BandPlan((800.0, 2000.0), (12, 8, 6))
         orders = plan.bin_orders(cfg)
         assert orders.shape == (cfg.num_bins,)
-        for k in (0, 25, 26, 63, 64, 128, 256):
-            assert orders[k] == band_order(k, plan, cfg)
+        # 0, 781.25, 812.5, 1968.75, 2000, 4000 and 8000 Hz
+        bins = (0, 25, 26, 63, 64, 128, 256)
+        assert [orders[k] for k in bins] == [12, 12, 8, 8, 6, 6, 6]
 
     def test_single_band_plan(self):
         cfg = StftConfig()
@@ -177,7 +176,3 @@ class TestBandPlan:
     def test_zero_order_allowed(self):
         orders = BandPlan((), (0,)).bin_orders(StftConfig())
         assert np.all(orders == 0)
-
-    def test_out_of_range_bin_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            band_order(257, BandPlan(), StftConfig())
