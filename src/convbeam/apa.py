@@ -19,11 +19,11 @@ inverted per update, so the cost per bin and frame stays linear in Q.
 Filter updates, PSD flooring, and the over-subtraction limiter all follow
 the frame order documented in :func:`process_frame`.
 
-:func:`drive_utterance` is the utterance driver of both adaptive filters,
-this one and the fixed-head variant in :mod:`convbeam.sdmvdr`.  It checks
-the steering and gain mask, looks up each bin's order, and runs the prior
-pass and the thread pool; each variant supplies only its per-bin state and
-per-frame step.
+:func:`_advance`, the one per-frame loop of this filter and of the
+fixed-head variant in :mod:`convbeam.sdmvdr`, advances every bin by one
+frame through the variant's per-bin step.  :func:`process_frame` calls it
+for one streaming frame and :func:`drive_utterance` for each frame of an
+utterance.
 """
 
 from __future__ import annotations
@@ -312,14 +312,14 @@ def limited_output(x_b: complex, x_r: complex, alpha_r: float) -> complex:
     return x_b - step * (x_r / mag_r)
 
 
-def _step_bin(state, y_now, a, params, gain, counter=None):
+def _step_bin(state, y_now, a, params, gain):
     """Advance one bin by one frame; returns (x_hat, x_b, x_r)."""
     obs = stack_observation(state, y_now, a)
     phi_x = speech_psd_estimate(state, obs)
     if gain is not None:
         phi_x = float(apply_gain(phi_x, gain))
     phi_x = psd_floor(phi_x, y_now, params.eta, params.mean_floor)
-    apa_update(state, obs, phi_x, params, counter)
+    apa_update(state, obs, phi_x, params)
     m = state.num_mics
     x_full = np.vdot(state.w_hat, obs.y_tilde)
     x_b = np.vdot(state.w_hat[:m], y_now)
@@ -327,6 +327,17 @@ def _step_bin(state, y_now, a, params, gain, counter=None):
     x_hat = limited_output(x_b, x_r, params.alpha_r)
     state.push(y_now)
     return x_hat, x_b, x_r
+
+
+def _advance(states, frame, steering, params, gains, step) -> list:
+    """Advance every bin by one frame with ``step(state, y_now, a_k, params, gain)``.
+
+    ``frame`` and ``steering`` are (bins, M); ``gains`` is None or one gain per bin.
+    """
+    if gains is None:
+        gains = [None] * len(states)
+    rows = zip(states, frame, steering, gains, strict=True)
+    return [step(s, y, a, params, g) for s, y, a, g in rows]
 
 
 def process_frame(
@@ -347,11 +358,8 @@ def process_frame(
     num_bins = len(states)
     if frame.shape[0] != num_bins:
         raise ValueError(f"frame has {frame.shape[0]} bins, expected {num_bins}")
-    out = np.empty(num_bins, dtype=np.complex128)
-    for k in range(num_bins):
-        gain = None if gains is None else gains[k]
-        out[k], _, _ = _step_bin(states[k], frame[k], steering[k], params, gain)
-    return out
+    results = _advance(states, frame, steering, params, gains, _step_bin)
+    return np.array([x_hat for x_hat, _, _ in results], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -359,35 +367,10 @@ def process_frame(
 # ---------------------------------------------------------------------------
 
 
-def drive_utterance(
-    spec: Spectrogram,
-    steering,
-    params: ApaParams,
-    bind,
-    gains: np.ndarray | None = None,
-    prior_pass: bool = False,
-    num_threads: int = 1,
-    num_outputs: int = 1,
-) -> list:
-    """Run a per-bin adaptive filter over a whole utterance, bin by bin.
-
-    The utterance driver of :func:`process_utterance` and
-    :func:`convbeam.sdmvdr.process_utterance_sdmvdr`.  It checks ``steering``
-    (a SteeringVector or a (bins, M) array) and the optional (bins, frames)
-    gain mask against the spectrogram, clamping the mask into [0, 1] with one
-    warning.  ``bind(vectors, orders)`` then gets the steering matrix and the
-    order of every bin and returns ``(init_bin, step)``: ``init_bin(k)``
-    builds the state of bin k, and ``step(state, y_now, a_k, params, gain)``
-    advances it by one frame, returning a tuple whose first ``num_outputs``
-    entries are recorded.  Returns those outputs as (bins, frames) arrays.
-
-    With ``prior_pass`` each bin runs the utterance once, keeps its final
-    filter, zeroes its history and runs again.  ``num_threads`` > 1 splits
-    the independent bins across a thread pool without changing the result.
-    """
+def _check_inputs(spec: Spectrogram, steering, gains: np.ndarray | None) -> tuple:
+    """Check steering and gain mask against ``spec``; the mask is clamped into [0, 1]."""
     vectors = np.asarray(getattr(steering, "vectors", steering), dtype=np.complex128)
-    data = spec.data
-    num_ch, num_bins, num_frames = data.shape
+    num_ch, num_bins, num_frames = spec.data.shape
     if vectors.shape != (num_bins, num_ch):
         raise ValueError(
             f"steering shape {vectors.shape} does not match spectrogram "
@@ -400,30 +383,41 @@ def drive_utterance(
                 f"gain mask shape {gains.shape} does not match ({num_bins}, {num_frames})"
             )
         gains = clamp_gain(gains)
-    init_bin, step = bind(vectors, params.band_plan.bin_orders(spec.config))
-    outs = [np.empty((num_bins, num_frames), dtype=np.complex128) for _ in range(num_outputs)]
+    return vectors, gains
 
-    def run(k: int) -> None:
-        state = init_bin(k)
-        a_k = vectors[k]
-        if prior_pass:
-            for n in range(num_frames):
-                step(state, data[:, k, n], a_k, params, None if gains is None else gains[k, n])
+
+def drive_utterance(
+    spec: Spectrogram,
+    states: list,
+    vectors: np.ndarray,
+    params: ApaParams,
+    step,
+    out: np.ndarray,
+    gains: np.ndarray | None = None,
+    prior_pass: bool = False,
+) -> None:
+    """Advance one state per bin through the utterance, frame by frame.
+
+    ``step`` is the per-bin step of :func:`_advance`; ``vectors`` and
+    ``gains`` come from :func:`_check_inputs`.  The step results fill
+    ``out``, shaped (outputs, bins, frames).  With ``prior_pass`` every bin
+    first runs the utterance once and keeps its filter but not its history.
+    """
+    data = spec.data
+
+    def sweep():
+        for n in range(data.shape[2]):
+            frame = np.ascontiguousarray(data[:, :, n].T)
+            column = None if gains is None else gains[:, n]
+            yield _advance(states, frame, vectors, params, column, step)
+
+    if prior_pass:
+        for _ in sweep():
+            pass
+        for state in states:
             state.reset_history()
-        for n in range(num_frames):
-            values = step(state, data[:, k, n], a_k, params, None if gains is None else gains[k, n])
-            for out, value in zip(outs, values):
-                out[k, n] = value
-
-    if num_threads <= 1:
-        for k in range(num_bins):
-            run(k)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            list(pool.map(run, range(num_bins)))
-    return outs
+    for n, results in enumerate(sweep()):
+        out[:, :, n] = np.array(results).T
 
 
 def process_utterance(
@@ -432,7 +426,6 @@ def process_utterance(
     params: ApaParams,
     gains: np.ndarray | None = None,
     prior_pass: bool = False,
-    num_threads: int = 1,
     return_components: bool = False,
 ):
     """Run the adaptive beamformer over a whole utterance; see :func:`drive_utterance`.
@@ -440,17 +433,12 @@ def process_utterance(
     With ``return_components`` the beamformer branch and the reverberation
     estimate come back too, as ``(output, {"x_b": ..., "x_r": ...})``.
     """
-
-    def bind(vectors, orders):
-        def init_bin(k):
-            return init_state(vectors[k], int(orders[k]), params.delay)
-
-        return init_bin, _step_bin
-
-    outs = drive_utterance(
-        spec, steering, params, bind, gains, prior_pass, num_threads, 3 if return_components else 1
-    )
-    result = Spectrogram(outs[0], spec.config)
+    vectors, gains = _check_inputs(spec, steering, gains)
+    orders = params.band_plan.bin_orders(spec.config)
+    states = [init_state(a, int(order), params.delay) for a, order in zip(vectors, orders)]
+    out = np.empty((3,) + spec.data.shape[1:], dtype=np.complex128)
+    drive_utterance(spec, states, vectors, params, _step_bin, out, gains, prior_pass)
+    result = Spectrogram(out[0], spec.config)
     if return_components:
-        return result, {"x_b": outs[1], "x_r": outs[2]}
+        return result, {"x_b": out[1], "x_r": out[2]}
     return result

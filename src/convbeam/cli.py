@@ -122,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enh.add_argument("--alpha-r", type=float, default=1.0, help="over-subtraction factor")
     enh.add_argument("--prior-pass", type=_parse_bool, default=True, metavar="BOOL")
     enh.add_argument("--gain-mask", default=None, help="optional gain-mask file")
-    enh.add_argument("--threads", type=int, default=1, help="bins processed in parallel")
     enh.add_argument("--encoding", default="float32", choices=("float32", "pcm16"))
     enh.set_defaults(func=cmd_enhance)
 
@@ -183,7 +182,6 @@ def cmd_enhance(args) -> int:
         params=_params_from_args(args),
         prior_pass=args.prior_pass,
         gain_mask=args.gain_mask,
-        threads=args.threads,
     )
     out, summary = enhance(buf, cfg)
     write_wav(args.output, out, encoding=args.encoding)

@@ -209,7 +209,9 @@ def srp_phat_localize(
     """Estimate the source azimuth (radians) by steered response power.
 
     Every time-frequency cell is magnitude-normalized before steering, so the
-    estimate depends only on phase.  Ties go to the lowest grid index.
+    estimate depends only on phase.  Ties go to the lowest grid index.  A
+    spectrogram with no energy in ``freq_range`` is rejected rather than
+    localized to an arbitrary direction.
     """
     if geom.num_mics < 2:
         raise ValueError(f"localization requires at least 2 microphones, got {geom.num_mics}")
@@ -226,6 +228,8 @@ def srp_phat_localize(
         raise ValueError(f"no bins inside frequency range {freq_range}")
     data = spec.data[:, keep, :]
     mags = np.abs(data)
+    if not mags.any():
+        raise ValueError(f"no signal energy in {freq_range} Hz to localize; pass a DOA")
     phat = np.where(mags > 0, data / np.where(mags > 0, mags, 1.0), 0.0)
     # cross-power accumulated over frames; the grid search then only touches
     # (bins, M, M) instead of the full spectrogram

@@ -40,13 +40,10 @@ class RunConfig:
     loading: float = 0.01
     prior_pass: bool = True
     gain_mask: str | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 # Runners take (spec, steering, cfg, gains) and return the enhanced
@@ -75,16 +72,14 @@ def _mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
 
 
 def _conv_mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
-    return process_utterance(
-        spec, steering, cfg.params, gains=gains, prior_pass=cfg.prior_pass, num_threads=cfg.threads
-    )
+    return process_utterance(spec, steering, cfg.params, gains=gains, prior_pass=cfg.prior_pass)
 
 
 def _conv_sdmvdr(spec, steering, cfg, gains) -> Spectrogram:
     gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
     return process_utterance_sdmvdr(
         spec, steering, gamma, cfg.params, loading=cfg.loading, gains=gains,
-        prior_pass=cfg.prior_pass, num_threads=cfg.threads,
+        prior_pass=cfg.prior_pass,
     )
 
 
@@ -109,6 +104,10 @@ def enhance(buf: AudioBuffer, cfg: RunConfig) -> tuple:
             f"input has {buf.num_channels} channels but geometry has "
             f"{cfg.geometry.num_mics} microphones"
         )
+    finite = np.isfinite(buf.samples)
+    if not finite.all():
+        ch, idx = np.argwhere(~finite)[0]
+        raise ValueError(f"input channel {ch} has a non-finite sample at index {idx}")
     ref = cfg.geometry.reference_mic
     rms = float(np.sqrt(np.mean(buf.samples[ref] ** 2)))
     scale = _TARGET_RMS / rms if rms > 0.0 else 1.0

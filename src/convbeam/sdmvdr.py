@@ -7,9 +7,8 @@ projection step of :mod:`convbeam.apa` into a scalar-gain update (an NLMS
 recursion on the stacked delayed frames), which is why this variant runs
 cheaper than the fully adaptive filter.
 
-Only the per-bin state and the per-frame step live here; the utterance is
-driven by :func:`convbeam.apa.drive_utterance`, shared with the fully
-adaptive filter.
+Only the per-bin state and step live here; the utterance runs frame by
+frame through :func:`convbeam.apa.drive_utterance`, as the full filter does.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apa import ApaParams, drive_utterance, limited_output, psd_floor
+from .apa import ApaParams, _check_inputs, drive_utterance, limited_output, psd_floor
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -141,6 +140,12 @@ def rc_update(
     return x_hat
 
 
+def _step_rc(state, y_now, a, params, gain):
+    """Advance one bin by one frame; returns (x_hat,)."""
+    phi = rc_speech_psd(state, y_now, params.eta, params.mean_floor, gain)
+    return (rc_update(state, y_now, phi, params.phi_r, params.alpha_r),)
+
+
 def process_utterance_sdmvdr(
     spec: Spectrogram,
     steering: SteeringVector,
@@ -149,30 +154,21 @@ def process_utterance_sdmvdr(
     loading: float = 0.01,
     gains: np.ndarray | None = None,
     prior_pass: bool = False,
-    num_threads: int = 1,
 ) -> Spectrogram:
     """Run the fixed-beamformer variant over a whole utterance.
 
     The head of every bin is the superdirective MVDR solution for
-    ``coherence`` and ``loading``; the gain mask, ``prior_pass`` and
-    ``num_threads`` behave as in :func:`convbeam.apa.drive_utterance`.  The
-    band plan must give every bin a nonzero order since this variant has no
-    beamformer-only degenerate case.
+    ``coherence`` and ``loading``; the gain mask and ``prior_pass`` behave
+    as in :func:`convbeam.apa.drive_utterance`.  The band plan must give
+    every bin a nonzero order since this variant has no beamformer-only
+    degenerate case.
     """
-
-    def bind(vectors, orders):
-        if np.any(orders == 0):
-            raise ValueError("band plan assigns order 0; this variant needs order > delay")
-        weights = superdirective_mvdr(steering, coherence, loading).weights
-
-        def init_bin(k):
-            return init_rc_state(weights[k], int(orders[k]), params.delay)
-
-        def step(state, y_now, a_k, params, gain):
-            phi = rc_speech_psd(state, y_now, params.eta, params.mean_floor, gain)
-            return (rc_update(state, y_now, phi, params.phi_r, params.alpha_r),)
-
-        return init_bin, step
-
-    (out,) = drive_utterance(spec, steering, params, bind, gains, prior_pass, num_threads)
+    vectors, gains = _check_inputs(spec, steering, gains)
+    orders = params.band_plan.bin_orders(spec.config)
+    if np.any(orders == 0):
+        raise ValueError("band plan assigns order 0; this variant needs order > delay")
+    weights = superdirective_mvdr(steering, coherence, loading).weights
+    states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
+    out = np.empty((1,) + spec.data.shape[1:], dtype=np.complex128)
+    drive_utterance(spec, states, vectors, params, _step_rc, out, gains, prior_pass)
     return Spectrogram(out, spec.config)

@@ -177,11 +177,17 @@ class TestSrpPhat:
         scaled = Spectrogram(spec.data * 37.5, spec.config)
         assert srp_phat_localize(spec, geom) == srp_phat_localize(scaled, geom)
 
-    def test_silent_input_ties_to_first_grid_point(self):
+    def test_silent_input_rejected(self):
+        """A flat map has no peak; the grid's first point must not come back."""
         geom = circular_array(4, 0.10)
         cfg = StftConfig()
         spec = Spectrogram(np.zeros((4, cfg.num_bins, 10), dtype=complex), cfg)
-        assert srp_phat_localize(spec, geom) == 0.0
+        with pytest.raises(ValueError, match="pass a DOA"):
+            srp_phat_localize(spec, geom)
+        # energy outside the searched range counts as silence too
+        spec.data[:, cfg.num_bins - 1, :] = 1.0
+        with pytest.raises(ValueError, match="no signal energy"):
+            srp_phat_localize(spec, geom)
 
     def test_single_mic_rejected(self):
         geom = circular_array(1, 0.0)

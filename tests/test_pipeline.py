@@ -1,17 +1,19 @@
-"""Method table tests: one table behind enhance, the bench sweep and the CLI."""
+"""Pipeline tests: the method table behind enhance, the bench sweep and the
+CLI; the option surface; the input contract of enhance."""
 
 import argparse
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from convbeam import bench, cli, pipeline
+from convbeam import apa, bench, cli, pipeline, sdmvdr
 from convbeam.apa import ApaParams
 from convbeam.geometry import circular_array
 from convbeam.pipeline import METHODS, RUNNERS, RunConfig, enhance
 from convbeam.stft import BandPlan
-from convbeam.wavio import AudioBuffer
+from convbeam.wavio import AudioBuffer, write_wav
 
 
 class TestMethodTable:
@@ -77,3 +79,79 @@ class TestLayerAttributes:
         bench.wallclock_sweep(methods=("conv-mpdr-apa",), num_mics=2, audio_seconds=0.1, repeats=2)
         assert len(calls) == 2
         assert all(kwargs["prior_pass"] is False for _, kwargs in calls)
+
+
+def _enhance_parser():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["enhance"]
+
+
+class TestOptionSurface:
+    """Adding or removing an option is a deliberate act, and a change that
+    would break the benchmark's calls into convbeam fails here first."""
+
+    def test_options_and_benchmark_signatures(self):
+        assert {f.name for f in dataclasses.fields(RunConfig)} == {
+            "method", "geometry", "doa", "params", "stft_config", "loading", "prior_pass",
+            "gain_mask",
+        }
+        options = {opt for a in _enhance_parser()._actions for opt in a.option_strings}
+        assert options == {
+            "-h", "--help", "--input", "--output", "--method", "--geometry", "--doa", "--D",
+            "--bands", "--phi-b", "--phi-r", "--phi-a", "--eta", "--alpha-r", "--prior-pass",
+            "--gain-mask", "--encoding",
+        }
+
+        def names(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert names(apa.process_frame) == ["states", "frame", "steering", "params", "gains"]
+        assert names(pipeline.process_utterance) == [
+            "spec", "steering", "params", "gains", "prior_pass", "return_components",
+        ]
+        assert names(pipeline.process_utterance_sdmvdr) == [
+            "spec", "steering", "coherence", "params", "loading", "gains", "prior_pass",
+        ]
+        assert pipeline.process_utterance is apa.process_utterance
+        assert pipeline.process_utterance_sdmvdr is sdmvdr.process_utterance_sdmvdr
+
+
+class TestInputContract:
+    def _noise(self, num_mics=4, seconds=1.0):
+        rng = np.random.default_rng(21)
+        return 0.1 * rng.standard_normal((num_mics, int(16000 * seconds)))
+
+    def test_non_finite_sample_rejected(self, tmp_path, capsys):
+        """One NaN names its channel and sample, ahead of normalization and filtering."""
+        samples = self._noise()
+        samples[2, 1234] = np.nan
+        cfg = RunConfig(method="conv-mpdr-apa", geometry=circular_array(4, 0.10))
+        with pytest.raises(ValueError, match="channel 2 has a non-finite sample at index 1234"):
+            enhance(AudioBuffer(samples, 16000), cfg)
+
+        samples[2, 1234] = 0.0
+        samples[0, 99] = np.inf
+        path = tmp_path / "bad.wav"
+        write_wav(path, AudioBuffer(samples, 16000))
+        rc = cli.main(
+            ["enhance", "--input", str(path), "--output", str(tmp_path / "out.wav"),
+             "--geometry", "circular:4:0.10"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "channel 0 has a non-finite sample at index 99" in err
+        assert not (tmp_path / "out.wav").exists()
+
+    def test_silent_scene_needs_a_doa(self):
+        """All-zero input cannot be localized; with a given DOA it comes back as zeros."""
+        buf = AudioBuffer(np.zeros((4, 16000)), 16000)
+        geom = circular_array(4, 0.10)
+        with pytest.raises(ValueError, match="pass a DOA"):
+            enhance(buf, RunConfig(method="delay-sum", geometry=geom))
+        out, summary = enhance(buf, RunConfig(method="delay-sum", geometry=geom, doa=0.7))
+        assert out.samples.shape == (1, 16000)
+        assert np.all(np.isfinite(out.samples))
+        assert np.all(out.samples == 0.0)
+        assert summary["doa_deg"] == pytest.approx(np.degrees(0.7))

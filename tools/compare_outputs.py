@@ -1,0 +1,120 @@
+"""Compare convbeam's outputs between two source trees, array by array.
+
+    python3 tools/compare_outputs.py SRC_A SRC_B
+
+SRC_A and SRC_B are directories that each contain the ``convbeam`` package
+(for example ``src`` of two checkouts).  Each tree is imported in a fresh
+subprocess, which runs a fixed set of calls on a 1 s, 4-mic reverberant
+scene and saves every result to an ``.npz``:
+
+- ``enhance`` for every method x {no mask, gain-mask file} x {fixed DOA,
+  SRP-PHAT} x {prior pass on, off}: the output samples and the DOA;
+- ``process_utterance(..., return_components=True)`` on an order-0 +
+  order-3 band plan with D=2, a gain mask and the prior pass: the output,
+  ``x_b`` and ``x_r``;
+- the method, M, L, D, Q and MAC columns of ``bench.wallclock_sweep``
+  with ``num_mics=4``.
+
+The two files are then compared with ``np.array_equal``.  The names of the
+arrays that differ, or exist on one side only, are printed.  The exit
+status is 0 when every array is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def dump(src: str, out_file: str) -> None:
+    """Import convbeam from ``src`` and save every compared array to ``out_file`` (.npz)."""
+    sys.path.insert(0, src)
+    import convbeam
+    from convbeam.apa import ApaParams, process_utterance
+    from convbeam.bench import wallclock_sweep
+    from convbeam.gains import write_gain_mask
+    from convbeam.geometry import circular_array, plane_wave_steering
+    from convbeam.pipeline import METHODS, RunConfig, enhance
+    from convbeam.scenes import mclp_scene, random_mclp, synthetic_speech
+    from convbeam.stft import BandPlan, StftConfig, istft
+    from convbeam.wavio import AudioBuffer
+
+    if not str(Path(convbeam.__file__).resolve()).startswith(str(Path(src).resolve())):
+        raise SystemExit(f"imported convbeam from {convbeam.__file__}, not from {src}")
+
+    cfg = StftConfig()
+    geom = circular_array(4, 0.10)
+    doa = math.radians(45.0)
+    steering = plane_wave_steering(geom, doa, cfg)
+    dry = synthetic_speech(1.0, cfg.sample_rate, seed=3)
+    coeffs = random_mclp(4, 3, 1, cfg, seed=3)
+    scene = mclp_scene(dry, steering, coeffs, 1, snr_db=25.0, config=cfg, seed=3)
+    buf = AudioBuffer(istft(scene.mixture), cfg.sample_rate)
+    spec = scene.mixture
+    mask = np.random.default_rng(4).uniform(0.0, 1.0, (spec.num_bins, spec.num_frames))
+
+    arrays = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        mask_path = str(Path(tmp) / "mask.gmsk")
+        write_gain_mask(mask_path, mask)
+        for method in METHODS:
+            for mask_name, gain_mask in (("nomask", None), ("mask", mask_path)):
+                for doa_name, run_doa in (("doa45", doa), ("srp", None)):
+                    for prior_pass in (True, False):
+                        run_cfg = RunConfig(
+                            method=method, geometry=geom, doa=run_doa,
+                            prior_pass=prior_pass, gain_mask=gain_mask,
+                        )
+                        out, summary = enhance(buf, run_cfg)
+                        key = f"enhance/{method}/{mask_name}/{doa_name}/prior{int(prior_pass)}"
+                        arrays[f"{key}/samples"] = out.samples
+                        arrays[f"{key}/doa_deg"] = np.array(summary["doa_deg"])
+
+    params = ApaParams(band_plan=BandPlan((4000.0,), (0, 3), delay=2))
+    out, extras = process_utterance(
+        spec, steering, params, gains=mask, prior_pass=True, return_components=True
+    )
+    arrays["components/output"] = out.data
+    arrays["components/x_b"] = extras["x_b"]
+    arrays["components/x_r"] = extras["x_r"]
+
+    rows = wallclock_sweep(num_mics=4, audio_seconds=0.25, repeats=1)
+    for column in ("method", "M", "L", "D", "Q", "macs"):
+        arrays[f"sweep/{column}"] = np.array([row[column] for row in rows])
+    np.savez(out_file, **arrays)
+
+
+def compare(src_a: str, src_b: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = []
+        for tag, src in (("a", src_a), ("b", src_b)):
+            path = str(Path(tmp) / f"{tag}.npz")
+            subprocess.run([sys.executable, __file__, "--dump", src, path], check=True)
+            saved.append(np.load(path))
+        a, b = saved
+        names = sorted(set(a.files) | set(b.files))
+        differ = [n for n in names if n not in a.files or n not in b.files
+                  or not np.array_equal(a[n], b[n])]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(names)} arrays differ")
+    return 1 if differ else 0
+
+
+def main(argv: list) -> int:
+    if len(argv) == 4 and argv[1] == "--dump":
+        dump(argv[2], argv[3])
+        return 0
+    if len(argv) != 3:
+        print("usage: python3 tools/compare_outputs.py SRC_A SRC_B", file=sys.stderr)
+        return 2
+    return compare(argv[1], argv[2])
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
