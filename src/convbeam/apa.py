@@ -19,11 +19,15 @@ inverted per update, so the cost per bin and frame stays linear in Q.
 Filter updates, PSD flooring, and the over-subtraction limiter all follow
 the frame order documented in :func:`process_frame`.
 
-:func:`_advance`, the one per-frame loop of this filter and of the
-fixed-head variant in :mod:`convbeam.sdmvdr`, advances every bin by one
-frame through the variant's per-bin step.  :func:`process_frame` calls it
-for one streaming frame and :func:`drive_utterance` for each frame of an
-utterance.
+The scalar functions (:func:`init_state`, :func:`stack_observation`,
+:func:`apa_update`, ...) transcribe the update for one bin and are the
+oracle.  The engine runs the same arithmetic batched: bins with a common
+order form a band whose filters are one (K, Q) array, and one array kernel
+per variant (``_ApaBand`` here, ``_RcBand`` in :mod:`convbeam.sdmvdr`)
+advances a whole band by one frame.  :func:`process_frame` gathers the
+states into bands, runs one frame and writes them back;
+:func:`drive_utterance` gathers once and runs every frame of an utterance.
+Both give the scalar functions' output bit for bit.
 """
 
 from __future__ import annotations
@@ -312,32 +316,186 @@ def limited_output(x_b: complex, x_r: complex, alpha_r: float) -> complex:
     return x_b - step * (x_r / mag_r)
 
 
-def _step_bin(state, y_now, a, params, gain):
-    """Advance one bin by one frame; returns (x_hat, x_b, x_r)."""
-    obs = stack_observation(state, y_now, a)
-    phi_x = speech_psd_estimate(state, obs)
-    if gain is not None:
-        phi_x = float(apply_gain(phi_x, gain))
-    phi_x = psd_floor(phi_x, y_now, params.eta, params.mean_floor)
-    apa_update(state, obs, phi_x, params)
-    m = state.num_mics
-    x_full = np.vdot(state.w_hat, obs.y_tilde)
-    x_b = np.vdot(state.w_hat[:m], y_now)
-    x_r = x_b - x_full
-    x_hat = limited_output(x_b, x_r, params.alpha_r)
-    state.push(y_now)
-    return x_hat, x_b, x_r
+# ---------------------------------------------------------------------------
+# batched engine
+# ---------------------------------------------------------------------------
+#
+# A band is a contiguous run of bins that share one order, held as arrays so
+# that one frame of every bin in it costs a fixed number of numpy calls.  The
+# kernels repeat the scalar functions above operation for operation, so they
+# give the same bits: every np.vdot becomes np.vecdot on rows (the same BLAS
+# call), abs(z) becomes np.hypot, a scalar x ** 2 becomes np.float_power, and
+# products of two complex scalars are written out in real and imaginary parts
+# as numpy's scalar code evaluates them.  A complex scalar divided by a real
+# one is, in numpy, a multiplication by the reciprocal of the divisor.
 
 
-def _advance(states, frame, steering, params, gains, step) -> list:
-    """Advance every bin by one frame with ``step(state, y_now, a_k, params, gain)``.
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` as numpy evaluates it on one float64 scalar."""
+    return np.float_power(x, 2)
 
-    ``frame`` and ``steering`` are (bins, M); ``gains`` is None or one gain per bin.
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
+def _floored_psd(x: np.ndarray, y: np.ndarray, gains, params: ApaParams) -> np.ndarray:
+    """|x|^2, scaled by the gains squared, floored by :func:`psd_floor`; y is (K, M)."""
+    phi = _square(_abs(x))
+    if gains is not None:
+        phi = (gains * gains) * phi
+    power = np.sum(np.abs(y) ** 2, axis=1)
+    if params.mean_floor:
+        power /= y.shape[1]
+    return np.maximum(phi, params.eta * power)
+
+
+def _limited(x_b: np.ndarray, x_r: np.ndarray, alpha_r: float) -> np.ndarray:
+    """:func:`limited_output` of every bin."""
+    mag_r = _abs(x_r)
+    silent = mag_r == 0.0
+    any_silent = silent.any()
+    if any_silent:
+        mag_r = np.where(silent, 1.0, mag_r)
+    step = alpha_r * np.minimum(mag_r, _abs(x_b))
+    inv = 1.0 / mag_r
+    x_hat = _complex(x_b.real - step * (x_r.real * inv), x_b.imag - step * (x_r.imag * inv))
+    if any_silent:
+        x_hat[silent] = x_b[silent]
+    return x_hat
+
+
+class _Band:
+    """A band of K bins of order L: adapted filters ``w`` and frame history.
+
+    ``w`` stacks the state attribute named by ``weights``.  ``frames[:, 0]``
+    holds the current frame y(n) and ``frames[:, l]`` the frame y(n-l), so
+    ``frames[:, 1:]`` is every bin's ``history``.
     """
-    if gains is None:
-        gains = [None] * len(states)
-    rows = zip(states, frame, steering, gains, strict=True)
-    return [step(s, y, a, params, g) for s, y, a, g in rows]
+
+    weights = "w_hat"
+
+    def __init__(self, states: list, params: ApaParams) -> None:
+        first = states[0]
+        self.params = params
+        self.order, self.delay = first.order, first.delay
+        self.w = np.stack([getattr(s, self.weights) for s in states])
+        self.frames = np.zeros((len(states), first.order + 1, first.num_mics), np.complex128)
+        self.frames[:, 1:] = [s.history for s in states]
+
+    def store(self, states: list) -> None:
+        """Write the filters and histories back into ``states``."""
+        for state, w, frames in zip(states, self.w, self.frames):
+            getattr(state, self.weights)[:] = w
+            state.history[:] = frames[1:]
+
+    def load(self, y: np.ndarray) -> np.ndarray:
+        """Put the current frame in slot 0; returns it as (K, M)."""
+        self.frames[:, 0] = y
+        return self.frames[:, 0]
+
+    def tail(self) -> np.ndarray:
+        """The delayed frames y(n-D)..y(n-L) of every bin, as (K, M*(L-D+1))."""
+        return self.frames[:, self.delay :].reshape(len(self.frames), -1)
+
+    def push(self) -> None:
+        self.frames[:, 1:] = self.frames[:, :-1]
+
+    def reset_history(self) -> None:
+        self.frames[:] = 0.0
+
+
+class _ApaBand(_Band):
+    """Two-row update of a band of :class:`ApaState`; ``w`` is (K, Q)."""
+
+    def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
+        super().__init__(states, params)
+        m = states[0].num_mics
+        self.a = steering
+        self.s11 = params.phi_b * np.vecdot(steering, steering).real + params.phi_a
+        self.phi_w = np.full(self.w.shape[1], params.phi_r, dtype=np.complex128)
+        self.phi_w[:m] = params.phi_b
+
+    def advance(self, y_in: np.ndarray, gains) -> tuple:
+        """One frame of every bin; returns (x_hat, x_b, x_r), each (K,)."""
+        p, w, a, s11 = self.params, self.w, self.a, self.s11
+        y = self.load(y_in)
+        m = y.shape[1]
+        if self.order == 0:
+            y_tilde = y
+        elif self.delay == 1:
+            y_tilde = self.frames.reshape(len(y), -1)
+        else:
+            y_tilde = np.concatenate((y, self.tail()), axis=1)
+
+        phi_x = _floored_psd(np.vecdot(w, y_tilde), y_in, gains, p)
+        # apa_update
+        py = y_tilde * self.phi_w
+        s00 = np.vecdot(y_tilde, py).real + phi_x
+        s01 = p.phi_b * np.vecdot(y, a)
+        e0 = -np.vecdot(y_tilde, w)
+        e1 = 1.0 - np.vecdot(a, w[:, :m])
+        s01r, s01i = s01.real, s01.imag
+        e0r, e0i, e1r, e1i = e0.real, e0.imag, e1.real, e1.imag
+        det = s00 * s11 - (_square(s01r) + _square(s01i))
+        solved = det > 0.0
+        all_solved = solved.all()
+        if not all_solved:
+            alone = ~solved & (s00 == 0.0) & (s11 > 0.0)
+            if not (solved | alone).all():
+                raise np.linalg.LinAlgError(
+                    "singular 2x2 innovation covariance; all variances are zero"
+                )
+            det = np.where(solved, det, 1.0)
+        # g0 = (s11 e0 - s01 e1) / det, g1 = (s00 e1 - conj(s01) e0) / det
+        inv = 1.0 / det
+        g0 = _complex(
+            (s11 * e0r - (s01r * e1r - s01i * e1i)) * inv,
+            (s11 * e0i - (s01r * e1i + s01i * e1r)) * inv,
+        )
+        g1 = _complex(
+            (s00 * e1r - (s01r * e0r + s01i * e0i)) * inv,
+            (s00 * e1i - (s01r * e0i - s01i * e0r)) * inv,
+        )
+        if not all_solved:
+            # constraint row alone: g0 = 0, g1 = e1 / s11
+            inv11 = 1.0 / s11[alone]
+            g0[alone] = 0.0
+            g1[alone] = _complex(e1r[alone] * inv11, e1i[alone] * inv11)
+        w += py * g0[:, None]
+        w[:, :m] += (p.phi_b * g1)[:, None] * a
+
+        x_full = np.vecdot(w, y_tilde)
+        x_b = np.vecdot(w[:, :m], y)
+        x_r = x_b - x_full
+        x_hat = _limited(x_b, x_r, p.alpha_r)
+        self.push()
+        return x_hat, x_b, x_r
+
+
+def _bands(states: list, steering: np.ndarray, params: ApaParams, band) -> list:
+    """(lo, hi, band(states[lo:hi], steering[lo:hi], params)) for every run of
+    bins with equal order and delay."""
+    keys = [(s.order, s.delay) for s in states]
+    edges = [0] + [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]] + [len(keys)]
+    return [
+        (lo, hi, band(states[lo:hi], steering[lo:hi], params))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+
+
+def _run_frame(bands: list, frame: np.ndarray, gains, out: np.ndarray) -> None:
+    """Advance every band by one (bins, M) frame; the outputs fill ``out`` (outputs, bins)."""
+    for lo, hi, band in bands:
+        column = None if gains is None else gains[lo:hi]
+        out[:, lo:hi] = band.advance(frame[lo:hi], column)
 
 
 def process_frame(
@@ -353,13 +511,30 @@ def process_frame(
     scaled by an external gain), run the affine projection update, emit the
     limited output from the updated filter, then push the frame into the
     history.  ``steering`` is the (bins, M) steering matrix and ``gains`` an
-    optional per-bin gain column for this frame.
+    optional per-bin gain column for this frame, clamped into [0, 1].  The
+    states are gathered into bands, advanced by the batched kernel and
+    written back, so a stream gives :func:`process_utterance` bit for bit.
     """
     num_bins = len(states)
-    if frame.shape[0] != num_bins:
-        raise ValueError(f"frame has {frame.shape[0]} bins, expected {num_bins}")
-    results = _advance(states, frame, steering, params, gains, _step_bin)
-    return np.array([x_hat for x_hat, _, _ in results], dtype=np.complex128)
+    frame = np.ascontiguousarray(frame, dtype=np.complex128)
+    steering = np.asarray(steering, dtype=np.complex128)
+    checked = [("frame", frame, 2), ("steering", steering, 2)]
+    if gains is not None:
+        gains = np.asarray(gains, dtype=np.float64)
+        checked.append(("gains", gains, 1))
+    for name, value, ndim in checked:
+        if value.ndim != ndim or value.shape[0] != num_bins:
+            raise ValueError(
+                f"{name} has shape {value.shape}, expected {ndim}-d with {num_bins} bins"
+            )
+    if gains is not None:
+        gains = clamp_gain(gains)
+    bands = _bands(states, steering, params, _ApaBand)
+    out = np.empty((3, num_bins), dtype=np.complex128)
+    _run_frame(bands, frame, gains, out)
+    for lo, hi, band in bands:
+        band.store(states[lo:hi])
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +573,28 @@ def drive_utterance(
 ) -> None:
     """Advance one state per bin through the utterance, frame by frame.
 
-    ``step`` is the per-bin step of :func:`_advance`; ``vectors`` and
-    ``gains`` come from :func:`_check_inputs`.  The step results fill
-    ``out``, shaped (outputs, bins, frames).  With ``prior_pass`` every bin
-    first runs the utterance once and keeps its filter but not its history.
+    ``step`` is the variant's band kernel (``_ApaBand`` here); the states
+    are gathered into its bands once, and their final filters and histories
+    are written back at the end.  ``vectors`` and ``gains`` come from
+    :func:`_check_inputs`.  The band outputs fill ``out``, shaped (outputs,
+    bins, frames).  With ``prior_pass`` every bin first runs the utterance
+    once and keeps its filter but not its history.
     """
     data = spec.data
+    bands = _bands(states, vectors, params, step)
 
     def sweep():
         for n in range(data.shape[2]):
             frame = np.ascontiguousarray(data[:, :, n].T)
-            column = None if gains is None else gains[:, n]
-            yield _advance(states, frame, vectors, params, column, step)
+            _run_frame(bands, frame, None if gains is None else gains[:, n], out[:, :, n])
 
     if prior_pass:
-        for _ in sweep():
-            pass
-        for state in states:
-            state.reset_history()
-    for n, results in enumerate(sweep()):
-        out[:, :, n] = np.array(results).T
+        sweep()
+        for _, _, band in bands:
+            band.reset_history()
+    sweep()
+    for lo, hi, band in bands:
+        band.store(states[lo:hi])
 
 
 def process_utterance(
@@ -437,7 +614,7 @@ def process_utterance(
     orders = params.band_plan.bin_orders(spec.config)
     states = [init_state(a, int(order), params.delay) for a, order in zip(vectors, orders)]
     out = np.empty((3,) + spec.data.shape[1:], dtype=np.complex128)
-    drive_utterance(spec, states, vectors, params, _step_bin, out, gains, prior_pass)
+    drive_utterance(spec, states, vectors, params, _ApaBand, out, gains, prior_pass)
     result = Spectrogram(out[0], spec.config)
     if return_components:
         return result, {"x_b": out[1], "x_r": out[2]}

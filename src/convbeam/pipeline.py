@@ -1,8 +1,9 @@
 """Utterance-level enhancement pipeline shared by the command line and tests.
 
-One call runs: level normalization to -20 dBFS at the reference mic, STFT,
-localization (unless a DOA is given), steering, the selected beamformer,
-synthesis, and de-normalization.  All randomness-free; identical inputs and
+One call runs: level normalization to -20 dBFS at the reference mic (at the
+loudest channel when the reference mic is silent), STFT, localization
+(unless a DOA is given), steering, the selected beamformer, synthesis, and
+de-normalization.  All randomness-free; identical inputs and
 configuration give bit-identical outputs.  The method table :data:`RUNNERS`
 is the one dispatch of the pipeline, the bench sweep and the CLI.
 """
@@ -95,6 +96,22 @@ RUNNERS = {
 METHODS = tuple(RUNNERS)
 
 
+def _normalization(samples: np.ndarray, ref: int) -> tuple:
+    """(channel, scale) that brings the input to -20 dBFS RMS.
+
+    The reference mic sets the level; when it is silent the loudest channel
+    does, and when every channel is silent the scale is 1 with channel "none".
+    """
+    rms = float(np.sqrt(np.mean(samples[ref] ** 2)))
+    if rms == 0.0:
+        levels = np.sqrt(np.mean(samples**2, axis=1))
+        ref = int(np.argmax(levels))
+        rms = float(levels[ref])
+        if rms == 0.0:
+            return "none", 1.0
+    return ref, _TARGET_RMS / rms
+
+
 def enhance(buf: AudioBuffer, cfg: RunConfig) -> tuple:
     """Process one utterance; returns (AudioBuffer, summary dict)."""
     t0 = time.perf_counter()
@@ -108,9 +125,7 @@ def enhance(buf: AudioBuffer, cfg: RunConfig) -> tuple:
     if not finite.all():
         ch, idx = np.argwhere(~finite)[0]
         raise ValueError(f"input channel {ch} has a non-finite sample at index {idx}")
-    ref = cfg.geometry.reference_mic
-    rms = float(np.sqrt(np.mean(buf.samples[ref] ** 2)))
-    scale = _TARGET_RMS / rms if rms > 0.0 else 1.0
+    channel, scale = _normalization(buf.samples, cfg.geometry.reference_mic)
     spec = stft(buf.samples * scale, cfg.stft_config)
 
     doa = cfg.doa
@@ -132,6 +147,8 @@ def enhance(buf: AudioBuffer, cfg: RunConfig) -> tuple:
         "doa_deg": math.degrees(doa),
         "frames": spec.num_frames,
         "orders": ",".join(str(o) for o in orders),
+        "norm_channel": channel,
+        "norm_scale": scale,
         "elapsed_s": time.perf_counter() - t0,
     }
     return AudioBuffer(samples, buf.sample_rate), summary

@@ -7,8 +7,10 @@ projection step of :mod:`convbeam.apa` into a scalar-gain update (an NLMS
 recursion on the stacked delayed frames), which is why this variant runs
 cheaper than the fully adaptive filter.
 
-Only the per-bin state and step live here; the utterance runs frame by
-frame through :func:`convbeam.apa.drive_utterance`, as the full filter does.
+The scalar state and update (:func:`init_rc_state`, :func:`rc_speech_psd`,
+:func:`rc_update`) are the oracle.  ``_RcBand`` runs the same update on a
+band of bins as arrays, bit for bit, and the utterance runs frame by frame
+through :func:`convbeam.apa.drive_utterance`, as the full filter does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apa import ApaParams, _check_inputs, drive_utterance, limited_output, psd_floor
+from .apa import (
+    ApaParams,
+    _Band,
+    _check_inputs,
+    _complex,
+    _floored_psd,
+    _limited,
+    drive_utterance,
+    limited_output,
+    psd_floor,
+)
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -140,10 +152,35 @@ def rc_update(
     return x_hat
 
 
-def _step_rc(state, y_now, a, params, gain):
-    """Advance one bin by one frame; returns (x_hat,)."""
-    phi = rc_speech_psd(state, y_now, params.eta, params.mean_floor, gain)
-    return (rc_update(state, y_now, phi, params.phi_r, params.alpha_r),)
+class _RcBand(_Band):
+    """Canceller update of a band of :class:`RcState`; ``w`` is (K, M*(L-D+1))."""
+
+    weights = "w_rc"
+
+    def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
+        super().__init__(states, params)
+        self.w_sd = np.stack([s.w_sd for s in states])
+
+    def advance(self, y_in: np.ndarray, gains) -> tuple:
+        """One frame of every bin; returns (x_hat,), shaped (K,)."""
+        p, w = self.params, self.w
+        y = self.load(y_in)
+        f = self.tail()
+        # rc_speech_psd, then rc_update
+        d = np.vecdot(self.w_sd, y)
+        e = d - np.vecdot(w, f)
+        phi_x = _floored_psd(e, y_in, gains, p)
+        denom = p.phi_r * np.vecdot(f, f).real + phi_x
+        # a zero denominator (zero regressor, zero floor) means no update,
+        # which an infinite one gives: phi_r / inf is a zero step
+        moved = denom > 0.0
+        if not moved.all():
+            denom = np.where(moved, denom, np.inf)
+        scale = p.phi_r / denom
+        w += _complex(scale * e.real, scale * -e.imag)[:, None] * f
+        x_hat = _limited(d, np.vecdot(w, f), p.alpha_r)
+        self.push()
+        return (x_hat,)
 
 
 def process_utterance_sdmvdr(
@@ -170,5 +207,5 @@ def process_utterance_sdmvdr(
     weights = superdirective_mvdr(steering, coherence, loading).weights
     states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
     out = np.empty((1,) + spec.data.shape[1:], dtype=np.complex128)
-    drive_utterance(spec, states, vectors, params, _step_rc, out, gains, prior_pass)
+    drive_utterance(spec, states, vectors, params, _RcBand, out, gains, prior_pass)
     return Spectrogram(out, spec.config)

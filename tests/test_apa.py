@@ -7,6 +7,8 @@ one mic, no prediction taps, unit variances, y = 1, a = 1, w starting at 0
 gives S = [[2, 1], [1, 2]], K = [1/3, 1/3], and an updated filter of 1/3.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,41 @@ class TestDrivers:
             process_frame(states, frame, a[:-1], ApaParams())
         with pytest.raises(ValueError):
             process_frame(states, frame, a, ApaParams(), gains=np.ones(spec.num_bins - 1))
+
+    def test_process_frame_names_the_argument_at_fault(self):
+        spec = _small_spec()
+        a = _flat_steering(spec.num_bins, 2)
+        frame = spec.data[:, :, 0].T
+        states = [init_state(a[k], 3, 1) for k in range(spec.num_bins)]
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        with pytest.raises(ValueError, match="^frame has shape"):
+            process_frame(states, frame[:-1], a, params)
+        with pytest.raises(ValueError, match="^steering has shape"):
+            process_frame(states, frame, a[1:], params)
+        with pytest.raises(ValueError, match="^gains has shape"):
+            process_frame(states, frame, a, params, gains=np.ones((spec.num_bins, 2)))
+
+    def test_process_frame_clamps_gains_once(self):
+        """An out-of-range gain column warns once per call, not once per bin,
+        and acts as the column clipped into [0, 1]."""
+        spec = _small_spec(seed=5)
+        a = _flat_steering(spec.num_bins, 2)
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        hot = np.random.default_rng(6).uniform(-0.5, 1.5, spec.num_bins)
+        assert np.sum((hot < 0.0) | (hot > 1.0)) > 1
+
+        def run(gains):
+            states = [init_state(a[k], 3, 1) for k in range(spec.num_bins)]
+            return [process_frame(states, spec.data[:, :, n].T, a, params, gains) for n in range(3)]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = run(hot)
+        assert [str(w.message) for w in caught] == ["gain outside [0, 1]; clamping"] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = run(np.clip(hot, 0.0, 1.0))
+        np.testing.assert_array_equal(got, want)
 
     def test_order_zero_reverb_branch_is_exactly_zero(self):
         spec = _small_spec()

@@ -1,0 +1,209 @@
+"""The batched engine of both adaptive filters against loops of the scalar functions.
+
+``process_utterance``, ``process_frame`` and ``process_utterance_sdmvdr``
+advance whole bands of bins per frame with array kernels.  These property
+tests draw small scenes (1-4 mics, delay 1 or 2, band plans whose orders
+repeat in non-adjacent bands, order 0 for the full filter, gain columns with
+zeros, runs of all-zero frames) and require the engine to equal a per-bin
+loop of the public scalar functions bit for bit.  An all-zero frame after
+an all-zero history is where the two-row solve falls back to the constraint
+row alone (``s00 == 0``) and where the canceller skips its update
+(``denom == 0``).
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from convbeam.apa import (
+    ApaParams,
+    apa_update,
+    init_state,
+    limited_output,
+    process_frame,
+    process_utterance,
+    psd_floor,
+    speech_psd_estimate,
+    stack_observation,
+)
+from convbeam.fixedbf import superdirective_mvdr
+from convbeam.gains import apply_gain
+from convbeam.geometry import CoherenceMatrix, SteeringVector
+from convbeam.sdmvdr import init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update
+from convbeam.stft import BandPlan, Spectrogram, StftConfig
+
+CONFIG = StftConfig(window_len=32, hop=16, fft_len=32)  # 17 bins, 500 Hz apart
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def cases(draw, allow_order_zero: bool):
+    delay = draw(st.integers(1, 2))
+    choices = ([0] if allow_order_zero else []) + [delay + 1, delay + 2, delay + 4]
+    orders = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=4))
+    edges = draw(
+        st.lists(st.integers(1, CONFIG.num_bins - 1), min_size=len(orders) - 1,
+                 max_size=len(orders) - 1, unique=True)
+    )
+    num_frames = draw(st.integers(1, 16))
+    zero_start = draw(st.integers(0, num_frames))
+    return {
+        "num_mics": draw(st.integers(1, 4)),
+        "plan": BandPlan(tuple(500.0 * e for e in sorted(edges)), tuple(orders), delay),
+        "num_frames": num_frames,
+        "zeros": (zero_start, draw(st.integers(zero_start, num_frames))),
+        "gains": draw(st.sampled_from(["none", "mixed", "zero"])),
+        "alpha_r": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "mean_floor": draw(st.booleans()),
+        "prior_pass": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _scene(case):
+    """Spectrogram, steering and gain mask (or None) of one drawn case."""
+    rng = np.random.default_rng(case["seed"])
+    m, k, n = case["num_mics"], CONFIG.num_bins, case["num_frames"]
+    data = rng.standard_normal((m, k, n)) + 1j * rng.standard_normal((m, k, n))
+    data[:, :, slice(*case["zeros"])] = 0.0
+    a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (k, m)))
+    gains = None
+    if case["gains"] != "none":
+        gains = rng.uniform(0.0, 1.0, (k, n))
+        gains[rng.random((k, n)) < 0.3] = 0.0
+        gains[:, rng.integers(n)] = 0.0
+        if case["gains"] == "zero":
+            gains[:] = 0.0
+    return Spectrogram(data, CONFIG), a, gains
+
+
+def _params(case):
+    return ApaParams(
+        alpha_r=case["alpha_r"], mean_floor=case["mean_floor"], band_plan=case["plan"]
+    )
+
+
+def _apa_step(state, y_now, a, params, gain):
+    obs = stack_observation(state, y_now, a)
+    phi_x = speech_psd_estimate(state, obs)
+    if gain is not None:
+        phi_x = float(apply_gain(phi_x, gain))
+    phi_x = psd_floor(phi_x, y_now, params.eta, params.mean_floor)
+    apa_update(state, obs, phi_x, params)
+    m = state.num_mics
+    x_b = np.vdot(state.w_hat[:m], y_now)
+    x_r = x_b - np.vdot(state.w_hat, obs.y_tilde)
+    state.push(y_now)
+    return limited_output(x_b, x_r, params.alpha_r), x_b, x_r
+
+
+def _rc_step(state, y_now, params, gain):
+    phi_x = rc_speech_psd(state, y_now, params.eta, params.mean_floor, gain)
+    return rc_update(state, y_now, phi_x, params.phi_r, params.alpha_r)
+
+
+def _oracle(spec, states, gains, prior_pass, step):
+    """Run ``step(state, y_now, k, gain)`` bin by bin; returns (outputs, bins, frames)."""
+    rows = []
+    for k, state in enumerate(states):
+        inputs = [
+            (spec.data[:, k, n].copy(), None if gains is None else gains[k, n])
+            for n in range(spec.num_frames)
+        ]
+        if prior_pass:
+            for y_now, gain in inputs:
+                step(state, y_now, k, gain)
+            state.reset_history()
+        rows.append([np.atleast_1d(step(state, y_now, k, gain)) for y_now, gain in inputs])
+    return np.moveaxis(np.array(rows, dtype=np.complex128), 2, 0)
+
+
+@SETTINGS
+@given(case=cases(allow_order_zero=True))
+@example(
+    case={
+        "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 1), "num_frames": 12,
+        "zeros": (0, 4), "gains": "mixed", "alpha_r": 1.0, "mean_floor": True,
+        "prior_pass": True, "seed": 1,
+    }
+)
+def test_apa_engine_matches_scalar_loop(case):
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    orders = params.band_plan.bin_orders(CONFIG)
+    got, extras = process_utterance(
+        spec, a, params, gains=gains, prior_pass=case["prior_pass"], return_components=True
+    )
+    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    want = _oracle(
+        spec, states, gains, case["prior_pass"],
+        lambda state, y_now, k, gain: _apa_step(state, y_now, a[k], params, gain),
+    )
+    np.testing.assert_array_equal(got.data[0], want[0])
+    np.testing.assert_array_equal(extras["x_b"], want[1])
+    np.testing.assert_array_equal(extras["x_r"], want[2])
+
+
+@SETTINGS
+@given(case=cases(allow_order_zero=True))
+def test_apa_stream_matches_scalar_loop(case):
+    """process_frame gathers and writes back the states on every call:
+    outputs, final filters and histories all equal the scalar loop."""
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    orders = params.band_plan.bin_orders(CONFIG)
+
+    def fresh():
+        return [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+
+    streamed = fresh()
+    got = np.stack(
+        [
+            process_frame(
+                streamed, spec.data[:, :, n].T, a, params,
+                None if gains is None else gains[:, n],
+            )
+            for n in range(spec.num_frames)
+        ],
+        axis=1,
+    )
+    looped = fresh()
+    want = _oracle(
+        spec, looped, gains, False,
+        lambda state, y_now, k, gain: _apa_step(state, y_now, a[k], params, gain),
+    )
+    np.testing.assert_array_equal(got, want[0])
+    for s, t in zip(streamed, looped):
+        np.testing.assert_array_equal(s.w_hat, t.w_hat)
+        np.testing.assert_array_equal(s.history, t.history)
+
+
+@SETTINGS
+@given(case=cases(allow_order_zero=False))
+@example(
+    case={
+        "num_mics": 3, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 2), "num_frames": 12,
+        "zeros": (0, 5), "gains": "mixed", "alpha_r": 1.0, "mean_floor": True,
+        "prior_pass": True, "seed": 2,
+    }
+)
+def test_sdmvdr_engine_matches_scalar_loop(case):
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    m = case["num_mics"]
+    rng = np.random.default_rng(case["seed"] + 1)
+    # any symmetric positive semi-definite coherence will do
+    b = rng.standard_normal((CONFIG.num_bins, m, m))
+    coherence = CoherenceMatrix(b @ b.transpose(0, 2, 1) / m)
+    steering = SteeringVector(a, 0)
+    got = process_utterance_sdmvdr(
+        spec, steering, coherence, params, gains=gains, prior_pass=case["prior_pass"]
+    ).data[0]
+    heads = superdirective_mvdr(steering, coherence, 0.01).weights
+    orders = params.band_plan.bin_orders(CONFIG)
+    states = [init_rc_state(heads[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    want = _oracle(
+        spec, states, gains, case["prior_pass"],
+        lambda state, y_now, k, gain: _rc_step(state, y_now, params, gain),
+    )
+    np.testing.assert_array_equal(got, want[0])

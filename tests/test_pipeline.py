@@ -155,3 +155,25 @@ class TestInputContract:
         assert np.all(np.isfinite(out.samples))
         assert np.all(out.samples == 0.0)
         assert summary["doa_deg"] == pytest.approx(np.degrees(0.7))
+        assert (summary["norm_channel"], summary["norm_scale"]) == ("none", 1.0)
+
+    def test_silent_reference_mic_normalizes_from_loudest_channel(self):
+        """A silent reference mic hands the level to the loudest channel and
+        the summary names it; a live reference mic keeps the level."""
+        samples = self._noise()
+        samples[2] *= 3.0
+        samples[0] = 0.0
+        geom = circular_array(4, 0.10)
+        cfg = RunConfig(method="delay-sum", geometry=geom, doa=0.7)
+        out, summary = enhance(AudioBuffer(samples, 16000), cfg)
+        assert summary["norm_channel"] == 2
+        rms = np.sqrt(np.mean(samples[2] ** 2))
+        assert summary["norm_scale"] * rms == pytest.approx(0.1, rel=1e-12)
+        assert out.samples.shape == (1, 16000)
+        assert np.all(np.isfinite(out.samples))
+        assert np.max(np.abs(out.samples)) > 0.0
+
+        live = self._noise()
+        _, summary = enhance(AudioBuffer(live, 16000), cfg)
+        assert summary["norm_channel"] == geom.reference_mic
+        assert summary["norm_scale"] == 0.1 / float(np.sqrt(np.mean(live[0] ** 2)))

@@ -12,6 +12,12 @@ scene and saves every result to an ``.npz``:
 - ``process_utterance(..., return_components=True)`` on an order-0 +
   order-3 band plan with D=2, a gain mask and the prior pass: the output,
   ``x_b`` and ``x_r``;
+- a stream: ``process_frame`` on every frame with the default band plan
+  and a gain column, and the final filters and histories of every bin;
+- ``process_utterance_sdmvdr`` called directly with D=2, a gain mask and
+  the prior pass;
+- both adaptive filters on a band plan whose order repeats in non-adjacent
+  bands (orders 3, 6, 3), with a gain mask and the prior pass;
 - the method, M, L, D, Q and MAC columns of ``bench.wallclock_sweep``
   with ``num_mics=4``.
 
@@ -35,12 +41,13 @@ def dump(src: str, out_file: str) -> None:
     """Import convbeam from ``src`` and save every compared array to ``out_file`` (.npz)."""
     sys.path.insert(0, src)
     import convbeam
-    from convbeam.apa import ApaParams, process_utterance
+    from convbeam.apa import ApaParams, init_state, process_frame, process_utterance
     from convbeam.bench import wallclock_sweep
     from convbeam.gains import write_gain_mask
-    from convbeam.geometry import circular_array, plane_wave_steering
+    from convbeam.geometry import circular_array, diffuse_coherence, plane_wave_steering
     from convbeam.pipeline import METHODS, RunConfig, enhance
     from convbeam.scenes import mclp_scene, random_mclp, synthetic_speech
+    from convbeam.sdmvdr import process_utterance_sdmvdr
     from convbeam.stft import BandPlan, StftConfig, istft
     from convbeam.wavio import AudioBuffer
 
@@ -82,6 +89,36 @@ def dump(src: str, out_file: str) -> None:
     arrays["components/output"] = out.data
     arrays["components/x_b"] = extras["x_b"]
     arrays["components/x_r"] = extras["x_r"]
+
+    params = ApaParams()
+    orders = params.band_plan.bin_orders(cfg)
+    states = [init_state(a, int(o), params.delay) for a, o in zip(steering.vectors, orders)]
+    arrays["stream/output"] = np.stack(
+        [
+            process_frame(states, spec.data[:, :, n].T, steering.vectors, params, mask[:, n])
+            for n in range(spec.num_frames)
+        ],
+        axis=1,
+    )
+    arrays["stream/w_hat"] = np.concatenate([s.w_hat for s in states])
+    arrays["stream/history"] = np.concatenate([s.history.ravel() for s in states])
+
+    coherence = diffuse_coherence(geom, cfg)
+    params = ApaParams(band_plan=BandPlan((2000.0,), (5, 3), delay=2))
+    arrays["sdmvdr/D2"] = process_utterance_sdmvdr(
+        spec, steering, coherence, params, gains=mask, prior_pass=True
+    ).data
+
+    params = ApaParams(band_plan=BandPlan((1000.0, 3000.0), (3, 6, 3)))
+    out, extras = process_utterance(
+        spec, steering, params, gains=mask, prior_pass=True, return_components=True
+    )
+    arrays["repeated/apa/output"] = out.data
+    arrays["repeated/apa/x_b"] = extras["x_b"]
+    arrays["repeated/apa/x_r"] = extras["x_r"]
+    arrays["repeated/sdmvdr"] = process_utterance_sdmvdr(
+        spec, steering, coherence, params, gains=mask, prior_pass=True
+    ).data
 
     rows = wallclock_sweep(num_mics=4, audio_seconds=0.25, repeats=1)
     for column in ("method", "M", "L", "D", "Q", "macs"):
