@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gains import apply_gain, clamp_gain
+from .gains import clamp_gain
 from .stft import BandPlan, Spectrogram, StftConfig
 
 __all__ = [
@@ -192,7 +192,7 @@ def psd_floor(phi_x: float, y_now: np.ndarray, eta: float, mean_over_mics: bool 
     return max(phi_x, eta * power)
 
 
-def _gain_blocks(y_tilde, a_tilde, num_mics, phi_b, phi_r, phi_x, phi_a, counter=None):
+def _gain_blocks(y_tilde, a_tilde, num_mics, phi_b, phi_r, phi_x, phi_a):
     """Shared pieces of the gain computation.
 
     Returns (py, s00, s01, s11) where py = Phi_w ytilde (element-wise) and
@@ -206,13 +206,6 @@ def _gain_blocks(y_tilde, a_tilde, num_mics, phi_b, phi_r, phi_x, phi_a, counter
     s00 = np.vdot(y_tilde, py).real + phi_x
     s01 = phi_b * np.vdot(y_tilde[:m], a_tilde[:m])
     s11 = phi_b * np.vdot(a_tilde[:m], a_tilde[:m]).real + phi_a
-    if counter is not None:
-        q = y_tilde.shape[0]
-        counter.cmac(q)  # Phi_w * ytilde
-        counter.cmac(q)  # ytilde^H (Phi_w ytilde)
-        counter.cmac(m + 1)  # phi_b * (y^H a)
-        counter.cmac(m)  # ||a||^2
-        counter.rmac(2)  # adding phi_x, phi_a
     return py, s00, s01, s11
 
 
@@ -273,7 +266,6 @@ def apa_update(
     obs: Observation,
     phi_x: float,
     params: ApaParams,
-    counter=None,
 ) -> ApaState:
     """One two-row affine projection step; mutates and returns the state.
 
@@ -285,21 +277,13 @@ def apa_update(
     y_tilde, a_tilde = obs.y_tilde, obs.a_tilde
     m = state.num_mics
     py, s00, s01, s11 = _gain_blocks(
-        y_tilde, a_tilde, m, params.phi_b, params.phi_r, phi_x, params.phi_a, counter
+        y_tilde, a_tilde, m, params.phi_b, params.phi_r, phi_x, params.phi_a
     )
     e0 = -np.vdot(y_tilde, w)
     e1 = 1.0 - np.vdot(a_tilde[:m], w[:m])
     g0, g1 = _solve_two_rows(s00, s01, s11, e0, e1)
     w += py * g0
     w[:m] += (params.phi_b * g1) * a_tilde[:m]
-    if counter is not None:
-        q = y_tilde.shape[0]
-        counter.cmac(q)  # innovation row 0
-        counter.cmac(m)  # constraint residual
-        counter.cmac(6)  # 2x2 inversion
-        counter.div(2)
-        counter.cmac(q)  # correction along Phi_w ytilde
-        counter.cmac(m)  # correction along Phi_w atilde
     return state
 
 
@@ -511,26 +495,29 @@ def process_frame(
     scaled by an external gain), run the affine projection update, emit the
     limited output from the updated filter, then push the frame into the
     history.  ``steering`` is the (bins, M) steering matrix and ``gains`` an
-    optional per-bin gain column for this frame, clamped into [0, 1].  The
+    optional per-bin gain column for this frame, clamped into [0, 1]; a bad
+    shape or a non-finite frame value raises before any state changes.  The
     states are gathered into bands, advanced by the batched kernel and
     written back, so a stream gives :func:`process_utterance` bit for bit.
     """
-    num_bins = len(states)
+    shape = (len(states), states[0].num_mics)
     frame = np.ascontiguousarray(frame, dtype=np.complex128)
     steering = np.asarray(steering, dtype=np.complex128)
-    checked = [("frame", frame, 2), ("steering", steering, 2)]
+    checked = [("frame", frame, shape), ("steering", steering, shape)]
     if gains is not None:
         gains = np.asarray(gains, dtype=np.float64)
-        checked.append(("gains", gains, 1))
-    for name, value, ndim in checked:
-        if value.ndim != ndim or value.shape[0] != num_bins:
-            raise ValueError(
-                f"{name} has shape {value.shape}, expected {ndim}-d with {num_bins} bins"
-            )
+        checked.append(("gains", gains, shape[:1]))
+    for name, value, expected in checked:
+        if value.shape != expected:
+            raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
+    finite = np.isfinite(frame)
+    if not finite.all():
+        k, ch = np.argwhere(~finite)[0]
+        raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
     if gains is not None:
         gains = clamp_gain(gains)
     bands = _bands(states, steering, params, _ApaBand)
-    out = np.empty((3, num_bins), dtype=np.complex128)
+    out = np.empty((3, shape[0]), dtype=np.complex128)
     _run_frame(bands, frame, gains, out)
     for lo, hi, band in bands:
         band.store(states[lo:hi])

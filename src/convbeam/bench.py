@@ -1,18 +1,18 @@
-"""Complexity instrumentation: MAC tallies and wall-clock sweeps.
+"""Complexity accounting: closed-form MAC tallies and wall-clock sweeps.
 
-The MAC counter tallies the arithmetic the adaptive updates actually
-perform, using fixed conventions: one complex multiply-accumulate costs 1,
-scaling a complex number by a real costs 1, a 2x2 inversion costs 6 complex
-MACs plus 2 divisions.  Counts are deterministic functions of the filter
-dimensions, which is what lets a test pin the linear-in-Q scaling.
+A tally counts the arithmetic of one adaptive update, as written in
+:func:`convbeam.apa.apa_update` or :func:`convbeam.sdmvdr.rc_update`, from
+the filter dimensions alone: one complex multiply-accumulate costs 1,
+scaling a complex number by a real costs 1, and a 2x2 inversion costs 6
+complex MACs plus 2 divisions.  That is what lets a test pin the
+linear-in-Q scaling.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,94 +32,64 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MacCounter:
-    """Tally of complex MACs, real MACs, and divisions, with named scopes.
+    """Tally of complex MACs, real MACs and divisions of one update."""
 
-    Counts recorded inside a scope also land in every enclosing scope, so a
-    parent's totals are exactly the sum of its own direct counts and its
-    children's.
-    """
-
-    complex_macs: int = 0
-    real_macs: int = 0
-    divisions: int = 0
-    scopes: dict = field(default_factory=dict)
-    _stack: list = field(default_factory=list)
-
-    def _bump(self, kind: int, n: int) -> None:
-        for label in self._stack:
-            self.scopes[label][kind] += n
-
-    def cmac(self, n: int = 1) -> None:
-        self.complex_macs += n
-        self._bump(0, n)
-
-    def rmac(self, n: int = 1) -> None:
-        self.real_macs += n
-        self._bump(1, n)
-
-    def div(self, n: int = 1) -> None:
-        self.divisions += n
-        self._bump(2, n)
+    complex_macs: int
+    real_macs: int
+    divisions: int
 
     @property
     def total(self) -> int:
         """All multiply-accumulates, complex and real."""
         return self.complex_macs + self.real_macs
 
-    @contextmanager
-    def scope(self, label: str):
-        self.scopes.setdefault(label, [0, 0, 0])
-        self._stack.append(label)
-        try:
-            yield self
-        finally:
-            self._stack.pop()
-
-    def scope_totals(self, label: str) -> tuple:
-        """(complex_macs, real_macs, divisions) recorded under a scope."""
-        return tuple(self.scopes[label])
-
 
 # ---------------------------------------------------------------------------
-# instrumented updates
+# per-update tallies
 # ---------------------------------------------------------------------------
 
 
-def count_apa_update(num_mics: int, order: int, delay: int = 1, seed: int = 0) -> MacCounter:
-    """Run one instrumented adaptive update on random data and return the tally."""
-    rng = np.random.default_rng(seed)
-    a = np.exp(2j * np.pi * rng.random(num_mics))
-    state = apa.init_state(a, order, delay)
-    if order > 0:
-        state.history[:] = rng.standard_normal(state.history.shape) + 1j * rng.standard_normal(
-            state.history.shape
-        )
-    y_now = rng.standard_normal(num_mics) + 1j * rng.standard_normal(num_mics)
-    obs = apa.stack_observation(state, y_now, a)
-    phi_x = apa.psd_floor(apa.speech_psd_estimate(state, obs), y_now, 10.0**-2.5)
-    counter = MacCounter()
-    params = apa.ApaParams(band_plan=BandPlan((), (order,), delay) if order else BandPlan((), (0,)))
-    with counter.scope("apa_update"):
-        apa.apa_update(state, obs, phi_x, params, counter)
-    return counter
+def count_apa_update(num_mics: int, order: int, delay: int = 1) -> MacCounter:
+    """Tally of one two-row update: 4Q + 4M + 7 complex MACs, 2 real, 2 divisions.
+
+    Q = M*(L - D + 2) is the stacked length, or M at order 0.  Term by term,
+    in the order :func:`convbeam.apa.apa_update` computes them:
+
+    - Phi_w ytilde, the state variances times the regressor: Q;
+    - s00 = ytilde^H (Phi_w ytilde): Q, plus 1 real MAC to add phi_x;
+    - s01 = phi_b (y^H a), over the head only: M + 1;
+    - s11 = phi_b ||a||^2: M, plus 1 real MAC to add phi_a;
+    - the innovation e0 = -ytilde^H w: Q;
+    - the constraint residual e1 = 1 - a^H w, over the head: M;
+    - the cofactor solve of the 2x2 system: 6, plus 2 divisions by det;
+    - the correction along Phi_w ytilde: Q;
+    - the correction phi_b g1 a along the head: M.
+
+    Raises the ``ValueError`` of :func:`convbeam.apa.init_state` for dimensions it rejects.
+    """
+    q = apa.init_state(np.ones(num_mics), order, delay).stacked_len
+    return MacCounter(4 * q + 4 * num_mics + 7, 2, 2)
 
 
-def count_rc_update(num_mics: int, order: int, delay: int = 1, seed: int = 0) -> MacCounter:
-    """Instrumented tally for the fixed-beamformer variant's scalar update."""
-    rng = np.random.default_rng(seed)
-    w_sd = rng.standard_normal(num_mics) + 1j * rng.standard_normal(num_mics)
-    state = sdmvdr.init_rc_state(w_sd, order, delay)
-    state.history[:] = rng.standard_normal(state.history.shape) + 1j * rng.standard_normal(
-        state.history.shape
-    )
-    y_now = rng.standard_normal(num_mics) + 1j * rng.standard_normal(num_mics)
-    phi_x = sdmvdr.rc_speech_psd(state, y_now, 10.0**-2.5)
-    counter = MacCounter()
-    with counter.scope("rc_update"):
-        sdmvdr.rc_update(state, y_now, phi_x, 1e-4, counter=counter)
-    return counter
+def count_rc_update(num_mics: int, order: int, delay: int = 1) -> MacCounter:
+    """Tally of one canceller update: M + 4P + 1 complex MACs, 1 real, 1 division.
+
+    P = M*(L - D + 1) is the number of adaptive taps.  Term by term, in the
+    order :func:`convbeam.sdmvdr.rc_update` computes them:
+
+    - the fixed beamformer output d = w_sd^H y: M;
+    - the prior prediction w_rc^H f in e = d - w_rc^H f: P;
+    - ||f||^2: P, plus 1 real MAC for phi_r ||f||^2 + phi_x;
+    - the step gain phi_r / denom: 1 division;
+    - the tap correction (gain * conj(e)) f: P + 1;
+    - the updated prediction x_r = w_rc^H f: P.
+
+    Raises the ``ValueError`` of :func:`convbeam.sdmvdr.init_rc_state` for dimensions it rejects.
+    """
+    p = sdmvdr.init_rc_state(np.ones(num_mics), order, delay).w_rc.shape[0]
+    return MacCounter(num_mics + 4 * p + 1, 1, 1)
 
 
 def fit_power_law(sizes, counts) -> float:
@@ -130,26 +100,22 @@ def fit_power_law(sizes, counts) -> float:
     return float(slope)
 
 
-def reference_curves(
-    stacked_lens,
-    num_mics: int = 2,
-    delay: int = 1,
-) -> list:
-    """Measured MAC tallies next to quadratic and fast-inversion growth models.
+def reference_curves(stacked_lens, num_mics: int = 2) -> list:
+    """APA MAC tallies at delay 1 next to quadratic and fast-inversion growth models.
 
-    Both reference curves (c*Q^2 and c*Q^2.37) are anchored to the measured
-    tally at the smallest Q, so the comparison is about growth rate only.
-    Each Q must be reachable as num_mics * (L - delay + 2) for integer L.
+    Both reference curves (c*Q^2 and c*Q^2.37) are anchored to the tallied
+    MACs at the smallest Q, so the comparison is about growth rate only.
+    Each Q must be reachable as num_mics * (L + 1) for an integer L > 1.
     """
     qs = sorted(int(q) for q in stacked_lens)
     rows = []
     for q in qs:
         if q % num_mics != 0:
             raise ValueError(f"Q={q} is not a multiple of num_mics={num_mics}")
-        order = q // num_mics - 2 + delay
-        if order <= delay:
-            raise ValueError(f"Q={q} gives order {order} <= delay {delay}")
-        rows.append({"Q": q, "macs": count_apa_update(num_mics, order, delay).total})
+        order = q // num_mics - 1
+        if order <= 1:
+            raise ValueError(f"Q={q} gives order {order} <= delay 1")
+        rows.append({"Q": q, "macs": count_apa_update(num_mics, order).total})
     anchor = rows[0]["macs"]
     q0 = rows[0]["Q"]
     for row in rows:
@@ -170,12 +136,9 @@ _BENCH_METHODS = tuple(m for m in METHODS if m != "ref-mic")
 def wallclock_sweep(
     methods=_BENCH_METHODS,
     num_mics: int = 8,
-    radius: float = 0.10,
     band_plan: BandPlan | None = None,
     audio_seconds: float = 2.0,
     repeats: int = 5,
-    seed: int = 0,
-    config: StftConfig | None = None,
 ) -> list:
     """Median filtering time per second of audio for each method.
 
@@ -183,18 +146,18 @@ def wallclock_sweep(
     (:data:`convbeam.pipeline.RUNNERS`) with the prior pass off.  Times cover
     weight computation plus filtering on a prepared spectrogram
     (analysis/synthesis and localization excluded, since they are shared by
-    every method).  Returns one row per method with the dimensions and MAC
-    tally of its per-bin update.
+    every method).  The input is white noise (seed 0) on a circular array of
+    radius 0.10 m at the default STFT settings.  Returns one row per method
+    with the dimensions and MAC tally of its per-bin update.
     """
-    if config is None:
-        config = StftConfig()
+    config = StftConfig()
     if band_plan is None:
         band_plan = BandPlan()
     params = apa.ApaParams(band_plan=band_plan)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     samples = 0.05 * rng.standard_normal((num_mics, int(audio_seconds * config.sample_rate)))
     spec = stft(samples, config)
-    geom = circular_array(num_mics, radius)
+    geom = circular_array(num_mics, 0.10)
     steering = plane_wave_steering(geom, 0.0, config)
     max_order = int(max(band_plan.orders))
     rows = []

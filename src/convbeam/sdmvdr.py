@@ -117,7 +117,6 @@ def rc_update(
     phi_x: float,
     phi_r: float,
     alpha_r: float = 1.0,
-    counter=None,
 ) -> complex:
     """One scalar-gain canceller step; returns the limited output.
 
@@ -138,15 +137,6 @@ def rc_update(
     if denom > 0.0:
         state.w_rc += (phi_r / denom * np.conj(e)) * f
     x_r = np.vdot(state.w_rc, f)
-    if counter is not None:
-        p = f.shape[0]
-        counter.cmac(m)  # fixed beamformer output
-        counter.cmac(p)  # prior prediction
-        counter.cmac(p)  # ||f||^2
-        counter.rmac(1)
-        counter.div(1)
-        counter.cmac(p + 1)  # tap correction
-        counter.cmac(p)  # updated prediction
     x_hat = limited_output(d, x_r, alpha_r)
     state.push(y_now)
     return x_hat

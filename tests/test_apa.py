@@ -330,6 +330,33 @@ class TestDrivers:
             process_frame(states, frame, a[1:], params)
         with pytest.raises(ValueError, match="^gains has shape"):
             process_frame(states, frame, a, params, gains=np.ones((spec.num_bins, 2)))
+        # the states have 2 mics: one channel too few or too many
+        for wrong in (frame[:, :1], np.concatenate((frame, frame[:, :1]), axis=1)):
+            with pytest.raises(ValueError, match="^frame has shape"):
+                process_frame(states, wrong, a, params)
+            with pytest.raises(ValueError, match="^steering has shape"):
+                process_frame(states, frame, wrong, params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_process_frame_rejects_non_finite_frame(self, bad):
+        """A non-finite sample is named by bin and channel before it reaches
+        the update, and the states are left as they were."""
+        spec = _small_spec()
+        a = _flat_steering(spec.num_bins, 2)
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        states = [init_state(a[k], 3, 1) for k in range(spec.num_bins)]
+        process_frame(states, spec.data[:, :, 0].T, a, params)
+        before = [(s.w_hat.copy(), s.history.copy()) for s in states]
+        frame = spec.data[:, :, 1].T.copy()
+        frame[5, 1] = bad
+        message = "^frame has a non-finite value at bin 5, channel 1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                process_frame(states, frame, a, params)
+        for s, (w, history) in zip(states, before):
+            np.testing.assert_array_equal(s.w_hat, w)
+            np.testing.assert_array_equal(s.history, history)
 
     def test_process_frame_clamps_gains_once(self):
         """An out-of-range gain column warns once per call, not once per bin,

@@ -1,4 +1,4 @@
-"""MAC counter and complexity sweep tests.
+"""MAC tally and complexity sweep tests.
 
 The exact per-update tallies are pinned here so any change to the update's
 arithmetic shows up as a count change, not just a timing blip: the fused
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from convbeam.bench import (
-    MacCounter,
     count_apa_update,
     count_rc_update,
     fit_power_law,
@@ -22,61 +21,34 @@ from convbeam.bench import (
 )
 
 
-class TestMacCounter:
-    def test_accumulation(self):
-        c = MacCounter()
-        c.cmac(5)
-        c.rmac(2)
-        c.div()
-        assert (c.complex_macs, c.real_macs, c.divisions) == (5, 2, 1)
-        assert c.total == 7
-
-    def test_scopes_nest_additively(self):
-        c = MacCounter()
-        with c.scope("outer"):
-            c.cmac(1)
-            with c.scope("inner"):
-                c.cmac(2)
-                c.div(1)
-        assert c.scope_totals("inner") == (2, 0, 1)
-        assert c.scope_totals("outer") == (3, 0, 1)
-        assert c.complex_macs == 3
-
-    def test_outside_scope_still_counts_globally(self):
-        c = MacCounter()
-        c.cmac(4)
-        assert c.scopes == {}
-        assert c.complex_macs == 4
-
-
 class TestUpdateTallies:
     @pytest.mark.parametrize("m,order", [(1, 2), (2, 4), (4, 8), (8, 12)])
     def test_apa_update_exact_count(self, m, order):
         q = m * (order - 1 + 2)  # delay 1
         c = count_apa_update(m, order)
-        cm, rm, dv = c.scope_totals("apa_update")
-        assert cm == 4 * q + 4 * m + 7
-        assert rm == 2
-        assert dv == 2
+        assert c.complex_macs == 4 * q + 4 * m + 7
+        assert c.real_macs == 2
+        assert c.divisions == 2
 
     def test_apa_update_order_zero(self):
         c = count_apa_update(3, 0)
-        cm, _, _ = c.scope_totals("apa_update")
-        assert cm == 4 * 3 + 4 * 3 + 7
+        assert c.complex_macs == 4 * 3 + 4 * 3 + 7
 
     @pytest.mark.parametrize("m,order", [(2, 4), (4, 8)])
     def test_rc_update_exact_count(self, m, order):
         p = m * order  # delay 1
         c = count_rc_update(m, order)
-        cm, rm, dv = c.scope_totals("rc_update")
-        assert cm == m + 4 * p + 1
-        assert rm == 1
-        assert dv == 1
+        assert c.complex_macs == m + 4 * p + 1
+        assert c.real_macs == 1
+        assert c.divisions == 1
 
-    def test_update_cost_is_deterministic(self):
-        a = count_apa_update(4, 8, seed=0).total
-        b = count_apa_update(4, 8, seed=99).total
-        assert a == b
+    def test_dimensions_the_update_rejects(self):
+        with pytest.raises(ValueError, match="delay must be >= 1"):
+            count_apa_update(2, 3, delay=0)
+        with pytest.raises(ValueError, match="order must be 0 or > delay"):
+            count_apa_update(2, 2, delay=2)
+        with pytest.raises(ValueError, match="order must exceed delay"):
+            count_rc_update(2, 0)
 
 
 class TestScaling:

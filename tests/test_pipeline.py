@@ -1,5 +1,6 @@
 """Pipeline tests: the method table behind enhance, the bench sweep and the
-CLI; the option surface; the input contract of enhance."""
+CLI; the option surface; the input contract of enhance; its behaviour under
+scaling and extreme levels."""
 
 import argparse
 import dataclasses
@@ -7,12 +8,14 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convbeam import apa, bench, cli, pipeline, sdmvdr
 from convbeam.apa import ApaParams
 from convbeam.geometry import circular_array
 from convbeam.pipeline import METHODS, RUNNERS, RunConfig, enhance
-from convbeam.stft import BandPlan
+from convbeam.stft import BandPlan, StftConfig
 from convbeam.wavio import AudioBuffer, write_wav
 
 
@@ -177,3 +180,38 @@ class TestInputContract:
         _, summary = enhance(AudioBuffer(live, 16000), cfg)
         assert summary["norm_channel"] == geom.reference_mic
         assert summary["norm_scale"] == 0.1 / float(np.sqrt(np.mean(live[0] ** 2)))
+
+
+class TestLevels:
+    """``enhance`` is scale-equivariant: normalization hands every method the
+    same input level.  (The adaptive updates are also homogeneous in the
+    level, so it takes a fault in both to break this.)  No input level,
+    silence included, drives any method to a non-finite output."""
+
+    CFG = StftConfig(window_len=64, hop=32, fft_len=64)  # 33 bins, every default band
+
+    def _run(self, samples, method):
+        cfg = RunConfig(
+            method=method, geometry=circular_array(4, 0.10), doa=0.7, stft_config=self.CFG
+        )
+        return enhance(AudioBuffer(samples, 16000), cfg)[0].samples
+
+    @pytest.mark.parametrize("method", METHODS)
+    @settings(max_examples=10, deadline=None)
+    @given(log_c=st.floats(-6.0, 6.0))
+    def test_scaling_commutes(self, method, log_c):
+        c = 10.0**log_c
+        x = 0.1 * np.random.default_rng(8).standard_normal((4, 2000))
+        want = c * self._run(x, method)
+        got = self._run(c * x, method)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_extreme_levels_stay_finite(self, method):
+        noise = 0.1 * np.random.default_rng(9).standard_normal((4, 4000))
+        impulse = np.zeros((4, 4000))
+        impulse[1, 2000] = 1.0  # the reference mic is silent
+        step = noise.copy()
+        step[:, 2000:] *= 1e6  # 120 dB up halfway through
+        for x in (np.zeros((4, 4000)), impulse, step):
+            assert np.all(np.isfinite(self._run(x, method)))

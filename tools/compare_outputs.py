@@ -19,7 +19,10 @@ scene and saves every result to an ``.npz``:
 - both adaptive filters on a band plan whose order repeats in non-adjacent
   bands (orders 3, 6, 3), with a gain mask and the prior pass;
 - the method, M, L, D, Q and MAC columns of ``bench.wallclock_sweep``
-  with ``num_mics=4``.
+  with ``num_mics=4``;
+- the (complex MACs, real MACs, divisions) of ``bench.count_apa_update``
+  and ``bench.count_rc_update`` for M 1-16, D 1-3 and orders D+1 to D+19,
+  plus order 0 for the full filter, one row (M, D, L, tally) per call.
 
 The two files are then compared with ``np.array_equal``.  The names of the
 arrays that differ, or exist on one side only, are printed.  The exit
@@ -42,7 +45,7 @@ def dump(src: str, out_file: str) -> None:
     sys.path.insert(0, src)
     import convbeam
     from convbeam.apa import ApaParams, init_state, process_frame, process_utterance
-    from convbeam.bench import wallclock_sweep
+    from convbeam.bench import count_apa_update, count_rc_update, wallclock_sweep
     from convbeam.gains import write_gain_mask
     from convbeam.geometry import circular_array, diffuse_coherence, plane_wave_steering
     from convbeam.pipeline import METHODS, RunConfig, enhance
@@ -123,6 +126,15 @@ def dump(src: str, out_file: str) -> None:
     rows = wallclock_sweep(num_mics=4, audio_seconds=0.25, repeats=1)
     for column in ("method", "M", "L", "D", "Q", "macs"):
         arrays[f"sweep/{column}"] = np.array([row[column] for row in rows])
+
+    for name, count, first in (("apa", count_apa_update, [0]), ("rc", count_rc_update, [])):
+        tallies = []
+        for m in range(1, 17):
+            for d in range(1, 4):
+                for order in first + list(range(d + 1, d + 20)):
+                    c = count(m, order, d)
+                    tallies.append((m, d, order, c.complex_macs, c.real_macs, c.divisions))
+        arrays[f"counts/{name}"] = np.array(tallies)
     np.savez(out_file, **arrays)
 
 
