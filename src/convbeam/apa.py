@@ -24,15 +24,16 @@ The scalar functions (:func:`init_state`, :func:`stack_observation`,
 oracle.  The engine runs the same arithmetic batched: bins with a common
 order form a band whose filters are one (K, Q) array, and one array kernel
 per variant (``_ApaBand`` here, ``_RcBand`` in :mod:`convbeam.sdmvdr`)
-advances a whole band by one frame.  :func:`process_frame` gathers the
-states into bands, runs one frame and writes them back;
-:func:`drive_utterance` gathers once and runs every frame of an utterance.
+advances a whole band by one frame.  A band adopts the states gathered
+into it, so nothing is written back: :func:`drive_utterance` gathers once,
+:func:`process_frame` reuses the last frame's bands while that is exact.
 Both give the scalar functions' output bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -97,7 +98,8 @@ class ApaState:
     """Adaptive filter state of one frequency bin.
 
     ``history[l-1]`` holds the input frame y(n-l); for order 0 the history is
-    empty and the filter reduces to its beamforming head.
+    empty and the filter reduces to its beamforming head.  After a run or a
+    frame, ``w_hat`` and ``history`` are views of a band: hold the state, not them.
     """
 
     w_hat: np.ndarray
@@ -119,6 +121,9 @@ class ApaState:
 
     def reset_history(self) -> None:
         self.history[:] = 0.0
+
+    def __getstate__(self) -> dict:  # copies and pickles leave process_frame's bands behind
+        return {k: v for k, v in vars(self).items() if k != "_band"}
 
 
 @dataclass
@@ -359,26 +364,27 @@ def _limited(x_b: np.ndarray, x_r: np.ndarray, alpha_r: float) -> np.ndarray:
 class _Band:
     """A band of K bins of order L: adapted filters ``w`` and frame history.
 
-    ``w`` stacks the state attribute named by ``weights``.  ``frames[:, 0]``
-    holds the current frame y(n) and ``frames[:, l]`` the frame y(n-l), so
-    ``frames[:, 1:]`` is every bin's ``history``.
+    ``frames[:, 0]`` holds the current frame y(n), ``frames[:, l]`` y(n-l).  The
+    band adopts its states: the attribute named by ``weights`` becomes a view
+    of the state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.
     """
 
     weights = "w_hat"
 
-    def __init__(self, states: list, params: ApaParams) -> None:
+    def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
         first = states[0]
-        self.params = params
         self.order, self.delay = first.order, first.delay
         self.w = np.stack([getattr(s, self.weights) for s in states])
         self.frames = np.zeros((len(states), first.order + 1, first.num_mics), np.complex128)
         self.frames[:, 1:] = [s.history for s in states]
-
-    def store(self, states: list) -> None:
-        """Write the filters and histories back into ``states``."""
         for state, w, frames in zip(states, self.w, self.frames):
-            getattr(state, self.weights)[:] = w
-            state.history[:] = frames[1:]
+            setattr(state, self.weights, w)
+            state.history = frames[1:]
+        self.bind(steering, params)
+
+    def bind(self, steering: np.ndarray, params: ApaParams) -> None:
+        """Run the next frames with this steering (K, M) and these params."""
+        self.params = params
 
     def load(self, y: np.ndarray) -> np.ndarray:
         """Put the current frame in slot 0; returns it as (K, M)."""
@@ -399,13 +405,12 @@ class _Band:
 class _ApaBand(_Band):
     """Two-row update of a band of :class:`ApaState`; ``w`` is (K, Q)."""
 
-    def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
-        super().__init__(states, params)
-        m = states[0].num_mics
+    def bind(self, steering: np.ndarray, params: ApaParams) -> None:
+        self.params = params
         self.a = steering
         self.s11 = params.phi_b * np.vecdot(steering, steering).real + params.phi_a
         self.phi_w = np.full(self.w.shape[1], params.phi_r, dtype=np.complex128)
-        self.phi_w[:m] = params.phi_b
+        self.phi_w[: steering.shape[1]] = params.phi_b
 
     def advance(self, y_in: np.ndarray, gains) -> tuple:
         """One frame of every bin; returns (x_hat, x_b, x_r), each (K,)."""
@@ -496,9 +501,11 @@ def process_frame(
     limited output from the updated filter, then push the frame into the
     history.  ``steering`` is the (bins, M) steering matrix and ``gains`` an
     optional per-bin gain column for this frame, clamped into [0, 1]; a bad
-    shape or a non-finite frame value raises before any state changes.  The
-    states are gathered into bands, advanced by the batched kernel and
-    written back, so a stream gives :func:`process_utterance` bit for bit.
+    shape, a non-finite frame or steering value or a NaN gain raises before
+    any state changes.  The last call's bands, bound to this steering and params, are
+    reused if ``states`` are the same objects in the same order, each still
+    holding the ``w_hat`` and ``history`` views its band gave it; else new
+    bands adopt the states.  A stream equals :func:`process_utterance` bitwise.
     """
     shape = (len(states), states[0].num_mics)
     frame = np.ascontiguousarray(frame, dtype=np.complex128)
@@ -510,17 +517,29 @@ def process_frame(
     for name, value, expected in checked:
         if value.shape != expected:
             raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
-    finite = np.isfinite(frame)
-    if not finite.all():
-        k, ch = np.argwhere(~finite)[0]
-        raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
+    for name, value in (("frame", frame), ("steering", steering)):
+        finite = np.isfinite(value)
+        if not finite.all():
+            k, ch = np.argwhere(~finite)[0]
+            raise ValueError(f"{name} has a non-finite value at bin {k}, channel {ch}")
     if gains is not None:
         gains = clamp_gain(gains)
-    bands = _bands(states, steering, params, _ApaBand)
+    held = getattr(states[0], "_band", None)  # (bands, states, their w_hat, their history)
+    if held and len(held[1]) == len(states) and (
+        all(map(is_, states, held[1]))
+        and all(map(is_, map(attrgetter("w_hat"), states), held[2]))
+        and all(map(is_, map(attrgetter("history"), states), held[3]))
+    ):
+        bands = held[0]
+        for lo, hi, band in bands:
+            band.bind(steering[lo:hi], params)
+    else:
+        bands = _bands(states, steering, params, _ApaBand)
+        held = (bands, tuple(states), [s.w_hat for s in states], [s.history for s in states])
+        for state in states:
+            state._band = held
     out = np.empty((3, shape[0]), dtype=np.complex128)
     _run_frame(bands, frame, gains, out)
-    for lo, hi, band in bands:
-        band.store(states[lo:hi])
     return out[0]
 
 
@@ -560,12 +579,12 @@ def drive_utterance(
 ) -> None:
     """Advance one state per bin through the utterance, frame by frame.
 
-    ``step`` is the variant's band kernel (``_ApaBand`` here); the states
-    are gathered into its bands once, and their final filters and histories
-    are written back at the end.  ``vectors`` and ``gains`` come from
-    :func:`_check_inputs`.  The band outputs fill ``out``, shaped (outputs,
-    bins, frames).  With ``prior_pass`` every bin first runs the utterance
-    once and keeps its filter but not its history.
+    ``step`` is the variant's band kernel (``_ApaBand`` here); its bands
+    adopt the states, which end holding their final filters and histories.
+    ``vectors`` and ``gains`` come from :func:`_check_inputs`.  The band
+    outputs fill ``out``, shaped (outputs, bins, frames).  With ``prior_pass``
+    every bin first runs the utterance once and keeps its filter but not its
+    history.
     """
     data = spec.data
     bands = _bands(states, vectors, params, step)
@@ -580,8 +599,6 @@ def drive_utterance(
         for _, _, band in bands:
             band.reset_history()
     sweep()
-    for lo, hi, band in bands:
-        band.store(states[lo:hi])
 
 
 def process_utterance(

@@ -30,8 +30,13 @@ def clamp_gain(gain, what: str = "gain") -> np.ndarray:
     """Gain as float64, clamped into [0, 1] with one warning if any value was outside.
 
     Values outside [0, 1] usually mean a mask was written with the wrong scale.
+    A NaN raises ``ValueError`` naming its bin, and frame for a (bins, frames) mask.
     """
     g = np.asarray(gain, dtype=np.float64)
+    nan = np.argwhere(np.isnan(g))
+    if len(nan):
+        at = ", ".join(f"{axis} {i}" for axis, i in zip(("bin", "frame"), nan[0]))
+        raise ValueError(f"{what} is NaN" + (f" at {at}" if at else ""))
     if np.any(g < 0.0) or np.any(g > 1.0):
         warnings.warn(f"{what} outside [0, 1]; clamping", stacklevel=3)
         g = np.clip(g, 0.0, 1.0)
@@ -87,4 +92,4 @@ def read_gain_mask(path) -> np.ndarray:
             f"got {len(blob)}"
         )
     mask = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    return clamp_gain(mask.reshape(num_bins, num_frames), f"{path}: mask values")
+    return clamp_gain(mask.reshape(num_bins, num_frames), f"{path}: mask")

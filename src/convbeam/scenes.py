@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .geometry import (
     SPEED_OF_SOUND,
@@ -69,6 +68,7 @@ def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -
     tilted long-term spectrum and syllable-rate amplitude modulation.
     Normalized to RMS 0.1 (-20 dBFS).
     """
+    from scipy.signal import lfilter  # here, so enhancing never imports scipy
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
     rng = np.random.default_rng(seed)
@@ -257,6 +257,7 @@ def exp_decay_rir_scene(
     whatever the steered dry signal fails to explain, keeping the component
     sum exact.
     """
+    from scipy.signal import fftconvolve  # here, so enhancing never imports scipy
     if config is None:
         config = StftConfig()
     if t60 < 0:

@@ -10,7 +10,7 @@ cheaper than the fully adaptive filter.
 The scalar state and update (:func:`init_rc_state`, :func:`rc_speech_psd`,
 :func:`rc_update`) are the oracle.  ``_RcBand`` runs the same update on a
 band of bins as arrays, bit for bit, and the utterance runs frame by frame
-through :func:`convbeam.apa.drive_utterance`, as the full filter does.
+through :func:`convbeam.apa.drive_utterance`, whose bands adopt the states.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class RcState:
     """Reverb-canceller state of one bin: fixed head w_sd, adaptive taps w_rc.
 
     ``history[l-1]`` holds y(n-l); the stacked regressor is
-    f = [y(n-D); ...; y(n-L)] of length M*(L-D+1).
+    f = [y(n-D); ...; y(n-L)] of length M*(L-D+1).  After a run, ``w_rc``
+    and ``history`` are views of a band: hold the state, not them.
     """
 
     w_sd: np.ndarray
@@ -148,7 +149,7 @@ class _RcBand(_Band):
     weights = "w_rc"
 
     def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
-        super().__init__(states, params)
+        super().__init__(states, steering, params)
         self.w_sd = np.stack([s.w_sd for s in states])
 
     def advance(self, y_in: np.ndarray, gains) -> tuple:

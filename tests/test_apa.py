@@ -358,6 +358,23 @@ class TestDrivers:
             np.testing.assert_array_equal(s.w_hat, w)
             np.testing.assert_array_equal(s.history, history)
 
+    def test_process_frame_rejects_non_finite_steering(self):
+        """A non-finite steering value is named before any band advances; it
+        used to surface as a singular update."""
+        spec = _small_spec()
+        a = _flat_steering(spec.num_bins, 2)
+        params = ApaParams(band_plan=BandPlan((4000.0,), (3, 5)))
+        states = [init_state(a[k], 3 if k < 9 else 5, 1) for k in range(spec.num_bins)]
+        process_frame(states, spec.data[:, :, 0].T, a, params)
+        before = [(s.w_hat.copy(), s.history.copy()) for s in states]
+        bad = a.copy()
+        bad[12, 1] = np.nan
+        with pytest.raises(ValueError, match="^steering has a non-finite value at bin 12, channel 1"):
+            process_frame(states, spec.data[:, :, 1].T, bad, params)
+        for s, (w, history) in zip(states, before):
+            np.testing.assert_array_equal(s.w_hat, w)
+            np.testing.assert_array_equal(s.history, history)
+
     def test_process_frame_clamps_gains_once(self):
         """An out-of-range gain column warns once per call, not once per bin,
         and acts as the column clipped into [0, 1]."""
@@ -379,6 +396,27 @@ class TestDrivers:
             warnings.simplefilter("error")
             want = run(np.clip(hot, 0.0, 1.0))
         np.testing.assert_array_equal(got, want)
+
+    def test_nan_gain_is_named_before_any_state_changes(self):
+        """A NaN in a gain column (process_frame) or a gain mask
+        (process_utterance) is named by bin, and frame for a mask, instead
+        of surfacing as a singular update."""
+        spec = _small_spec()
+        a = _flat_steering(spec.num_bins, 2)
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        states = [init_state(a[k], 3, 1) for k in range(spec.num_bins)]
+        before = [(s.w_hat.copy(), s.history.copy()) for s in states]
+        column = np.full(spec.num_bins, 0.5)
+        column[4] = np.nan
+        with pytest.raises(ValueError, match="^gain is NaN at bin 4$"):
+            process_frame(states, spec.data[:, :, 0].T, a, params, column)
+        for s, (w, history) in zip(states, before):
+            np.testing.assert_array_equal(s.w_hat, w)
+            np.testing.assert_array_equal(s.history, history)
+        mask = np.full((spec.num_bins, spec.num_frames), 0.5)
+        mask[6, 2] = np.nan
+        with pytest.raises(ValueError, match="^gain is NaN at bin 6, frame 2$"):
+            process_utterance(spec, a, params, gains=mask)
 
     def test_order_zero_reverb_branch_is_exactly_zero(self):
         spec = _small_spec()

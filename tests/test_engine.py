@@ -8,8 +8,13 @@ zeros, runs of all-zero frames) and require the engine to equal a per-bin
 loop of the public scalar functions bit for bit.  An all-zero frame after
 an all-zero history is where the two-row solve falls back to the constraint
 row alone (``s00 == 0``) and where the canceller skips its update
-(``denom == 0``).
+(``denom == 0``).  A stream reuses its bands between frames; the stream
+tests also change the states, steering and params between frames and copy
+the states mid-stream.
 """
+
+import copy
+import dataclasses
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -17,7 +22,9 @@ from hypothesis import strategies as st
 
 from convbeam.apa import (
     ApaParams,
+    _ApaBand,
     apa_update,
+    drive_utterance,
     init_state,
     limited_output,
     process_frame,
@@ -147,8 +154,8 @@ def test_apa_engine_matches_scalar_loop(case):
 @SETTINGS
 @given(case=cases(allow_order_zero=True))
 def test_apa_stream_matches_scalar_loop(case):
-    """process_frame gathers and writes back the states on every call:
-    outputs, final filters and histories all equal the scalar loop."""
+    """A process_frame stream on one list of states: outputs, final filters
+    and histories all equal the scalar loop."""
     spec, a, gains = _scene(case)
     params = _params(case)
     orders = params.band_plan.bin_orders(CONFIG)
@@ -176,6 +183,110 @@ def test_apa_stream_matches_scalar_loop(case):
     for s, t in zip(streamed, looped):
         np.testing.assert_array_equal(s.w_hat, t.w_hat)
         np.testing.assert_array_equal(s.history, t.history)
+
+
+CHANGES = (
+    "none", "new_list", "fresh_state", "copy_w_hat", "copy_history",
+    "reset_history", "steering", "alpha_r",
+)
+
+
+@SETTINGS
+@given(case=cases(allow_order_zero=True), data=st.data())
+def test_apa_stream_survives_caller_changes(case, data):
+    """Between frames the caller may pass a new list of the same states,
+    swap in a fresh state, reassign a state's ``w_hat`` or ``history`` to a
+    copy, reset a history, switch the steering or change ``alpha_r``.  The
+    stream reuses its bands only while that stays exact: outputs, final
+    filters and histories equal the scalar loop given the same changes."""
+    spec, first, gains = _scene(case)
+    params = _params(case)
+    orders = params.band_plan.bin_orders(CONFIG)
+    second = np.exp(1j * np.random.default_rng(case["seed"] + 1).uniform(0.0, 6.0, first.shape))
+    changes = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(CHANGES), st.integers(0, CONFIG.num_bins - 1),
+                      st.sampled_from([0.0, 0.5, 1.0])),
+            min_size=spec.num_frames, max_size=spec.num_frames,
+        )
+    )
+
+    def fresh(k):
+        return init_state(a[k], int(orders[k]), params.delay)
+
+    a = first
+    streamed = [fresh(k) for k in range(CONFIG.num_bins)]
+    looped = [fresh(k) for k in range(CONFIG.num_bins)]
+    got, want = [], []
+    for n, (change, k, alpha_r) in enumerate(changes):
+        if change == "new_list":
+            streamed = list(streamed)
+        elif change == "fresh_state":
+            streamed[k], looped[k] = fresh(k), fresh(k)
+        elif change == "copy_w_hat":
+            streamed[k].w_hat = streamed[k].w_hat.copy()
+        elif change == "copy_history":
+            streamed[k].history = streamed[k].history.copy()
+        elif change == "reset_history":
+            streamed[k].reset_history()
+            looped[k].reset_history()
+        elif change == "steering":
+            a = second if a is first else first
+        elif change == "alpha_r":
+            params = dataclasses.replace(params, alpha_r=alpha_r)
+        column = None if gains is None else gains[:, n]
+        y = spec.data[:, :, n].T
+        got.append(process_frame(streamed, y, a, params, column))
+        want.append([
+            _apa_step(s, y[k].copy(), a[k], params, None if column is None else column[k])[0]
+            for k, s in enumerate(looped)
+        ])
+    np.testing.assert_array_equal(np.array(got), np.array(want))
+    for s, t in zip(streamed, looped):
+        np.testing.assert_array_equal(s.w_hat, t.w_hat)
+        np.testing.assert_array_equal(s.history, t.history)
+
+
+def test_stream_continues_an_utterance_run_and_its_copies():
+    """States that ``drive_utterance`` ran (with the prior pass) stream on
+    through ``process_frame`` from where the run left them; a deep copy
+    taken mid-stream owns its arrays and streams on by itself."""
+    case = {
+        "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 0, 4), 1), "num_frames": 12,
+        "zeros": (3, 5), "gains": "mixed", "alpha_r": 1.0, "mean_floor": True,
+        "prior_pass": True, "seed": 3,
+    }
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    orders = params.band_plan.bin_orders(CONFIG)
+
+    def fresh():
+        return [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+
+    def step(state, y_now, k, gain):
+        return _apa_step(state, y_now, a[k], params, gain)
+
+    def stream(states, frames):
+        return [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]) for n in frames]
+
+    streamed, looped = fresh(), fresh()
+    out = np.empty((3,) + spec.data.shape[1:], dtype=np.complex128)
+    drive_utterance(spec, streamed, a, params, _ApaBand, out, gains, prior_pass=True)
+    want = _oracle(spec, looped, gains, True, step)
+    np.testing.assert_array_equal(out, want)
+
+    half = spec.num_frames // 2
+    got = stream(streamed, range(half))
+    copied = copy.deepcopy(streamed)
+    got += stream(streamed, range(half, spec.num_frames))
+    got_copy = stream(copied, range(half, spec.num_frames))
+    rows = _oracle(spec, looped, gains, False, step)[0]
+    np.testing.assert_array_equal(np.array(got).T, rows)
+    np.testing.assert_array_equal(np.array(got_copy).T, rows[:, half:])
+    for s, c, t in zip(streamed, copied, looped):
+        for state in (s, c):
+            np.testing.assert_array_equal(state.w_hat, t.w_hat)
+            np.testing.assert_array_equal(state.history, t.history)
 
 
 @SETTINGS

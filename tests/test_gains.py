@@ -30,6 +30,10 @@ class TestApplyGain:
             out = apply_gain(2.0, -0.3)
         assert out == 0.0
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="^gain is NaN$"):
+            apply_gain(2.0, np.nan)
+
 
 class TestMaskFile:
     def test_round_trip_float32_exact(self, tmp_path):

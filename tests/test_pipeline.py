@@ -5,6 +5,10 @@ scaling and extreme levels."""
 import argparse
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from convbeam import apa, bench, cli, pipeline, sdmvdr
 from convbeam.apa import ApaParams
+from convbeam.gains import write_gain_mask
 from convbeam.geometry import circular_array
 from convbeam.pipeline import METHODS, RUNNERS, RunConfig, enhance
 from convbeam.stft import BandPlan, StftConfig
@@ -147,6 +152,21 @@ class TestInputContract:
         assert "channel 0 has a non-finite sample at index 99" in err
         assert not (tmp_path / "out.wav").exists()
 
+    @pytest.mark.parametrize("method", ["conv-mpdr-apa", "conv-sdmvdr"])
+    def test_nan_in_gain_mask_file_rejected(self, tmp_path, method):
+        """One NaN in a mask file is named by file, bin and frame, not met
+        as a singular update or a silent zero step."""
+        buf = AudioBuffer(self._noise(), 16000)
+        cfg = RunConfig(method=method, geometry=circular_array(4, 0.10), doa=0.7)
+        _, summary = enhance(buf, cfg)
+        mask = np.full((257, summary["frames"]), 0.5)
+        mask[40, 7] = np.nan
+        path = tmp_path / "mask.gmsk"
+        write_gain_mask(path, mask)
+        cfg = dataclasses.replace(cfg, gain_mask=str(path))
+        with pytest.raises(ValueError, match="mask.gmsk: mask is NaN at bin 40, frame 7$"):
+            enhance(buf, cfg)
+
     def test_silent_scene_needs_a_doa(self):
         """All-zero input cannot be localized; with a given DOA it comes back as zeros."""
         buf = AudioBuffer(np.zeros((4, 16000)), 16000)
@@ -180,6 +200,35 @@ class TestInputContract:
         _, summary = enhance(AudioBuffer(live, 16000), cfg)
         assert summary["norm_channel"] == geom.reference_mic
         assert summary["norm_scale"] == 0.1 / float(np.sqrt(np.mean(live[0] ** 2)))
+
+
+class TestImportCost:
+    def test_enhancing_and_streaming_load_no_scipy(self):
+        """scipy serves only the scene generators: importing convbeam, one
+        ``enhance`` and one ``process_frame`` leave it unloaded."""
+        script = """
+import sys
+import numpy as np
+import convbeam
+from convbeam import apa
+from convbeam.geometry import circular_array
+from convbeam.pipeline import RunConfig, enhance
+from convbeam.wavio import AudioBuffer
+
+x = 0.1 * np.random.default_rng(0).standard_normal((4, 4000))
+geom = circular_array(4, 0.10)
+enhance(AudioBuffer(x, 16000), RunConfig(method="conv-mpdr-apa", geometry=geom))
+a = np.ones((257, 4), dtype=complex)
+states = [apa.init_state(v, 3) for v in a]
+apa.process_frame(states, a, a, apa.ApaParams())
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"
 
 
 class TestLevels:

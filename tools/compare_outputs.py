@@ -14,6 +14,9 @@ scene and saves every result to an ``.npz``:
   ``x_b`` and ``x_r``;
 - a stream: ``process_frame`` on every frame with the default band plan
   and a gain column, and the final filters and histories of every bin;
+- the same stream with caller changes: bin 100's state replaced by a fresh
+  ``init_state`` at frame N/3 and the steering switched to a 120-degree
+  DOA at frame N/2; its outputs and final filters and histories;
 - ``process_utterance_sdmvdr`` called directly with D=2, a gain mask and
   the prior pass;
 - both adaptive filters on a band plan whose order repeats in non-adjacent
@@ -105,6 +108,20 @@ def dump(src: str, out_file: str) -> None:
     )
     arrays["stream/w_hat"] = np.concatenate([s.w_hat for s in states])
     arrays["stream/history"] = np.concatenate([s.history.ravel() for s in states])
+
+    turned = plane_wave_steering(geom, math.radians(120.0), cfg).vectors
+    vectors = steering.vectors
+    states = [init_state(a, int(o), params.delay) for a, o in zip(vectors, orders)]
+    outputs = []
+    for n in range(spec.num_frames):
+        if n == spec.num_frames // 3:
+            states[100] = init_state(vectors[100], int(orders[100]), params.delay)
+        if n == spec.num_frames // 2:
+            vectors = turned
+        outputs.append(process_frame(states, spec.data[:, :, n].T, vectors, params, mask[:, n]))
+    arrays["changed_stream/output"] = np.stack(outputs, axis=1)
+    arrays["changed_stream/w_hat"] = np.concatenate([s.w_hat for s in states])
+    arrays["changed_stream/history"] = np.concatenate([s.history.ravel() for s in states])
 
     coherence = diffuse_coherence(geom, cfg)
     params = ApaParams(band_plan=BandPlan((2000.0,), (5, 3), delay=2))
