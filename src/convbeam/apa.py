@@ -21,11 +21,9 @@ the frame order documented in :func:`process_frame`.
 
 The scalar functions (:func:`init_state`, :func:`stack_observation`,
 :func:`apa_update`, ...) transcribe the update for one bin and are the
-oracle.  The engine runs the same arithmetic batched: bins with a common
-order form a band whose filters are one (K, Q) array, and one array kernel
-per variant (``_ApaBand`` here, ``_RcBand`` in :mod:`convbeam.sdmvdr`)
-advances a whole band by one frame.  A band adopts the states gathered
-into it, so nothing is written back: :func:`drive_utterance` gathers once,
+oracle.  ``_ApaBand`` runs the same update on a band of bins of one order,
+whose filters are one (K, Q) array, on the engine of
+:mod:`convbeam.engine`: :func:`process_utterance` gathers the bands once,
 :func:`process_frame` reuses the last frame's bands while that is exact.
 Both give the scalar functions' output bit for bit.
 """
@@ -37,8 +35,10 @@ from operator import attrgetter, is_
 
 import numpy as np
 
-from .gains import clamp_gain
-from .stft import BandPlan, Spectrogram, StftConfig
+from .engine import (
+    Band, bands, check_inputs, complex_of, drive_utterance, floored_psd, limited, run_frame, square,
+)
+from .stft import BandPlan, Spectrogram
 
 __all__ = [
     "ApaParams",
@@ -52,7 +52,6 @@ __all__ = [
     "apa_update",
     "limited_output",
     "process_frame",
-    "drive_utterance",
     "process_utterance",
 ]
 
@@ -306,104 +305,14 @@ def limited_output(x_b: complex, x_r: complex, alpha_r: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# batched engine
+# band kernel and drivers
 # ---------------------------------------------------------------------------
-#
-# A band is a contiguous run of bins that share one order, held as arrays so
-# that one frame of every bin in it costs a fixed number of numpy calls.  The
-# kernels repeat the scalar functions above operation for operation, so they
-# give the same bits: every np.vdot becomes np.vecdot on rows (the same BLAS
-# call), abs(z) becomes np.hypot, a scalar x ** 2 becomes np.float_power, and
-# products of two complex scalars are written out in real and imaginary parts
-# as numpy's scalar code evaluates them.  A complex scalar divided by a real
-# one is, in numpy, a multiplication by the reciprocal of the divisor.
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` as numpy evaluates it on one float64 scalar."""
-    return np.float_power(x, 2)
-
-
-def _abs(z: np.ndarray) -> np.ndarray:
-    return np.hypot(z.real, z.imag)
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    z = np.empty(re.shape, dtype=np.complex128)
-    z.real = re
-    z.imag = im
-    return z
-
-
-def _floored_psd(x: np.ndarray, y: np.ndarray, gains, params: ApaParams) -> np.ndarray:
-    """|x|^2, scaled by the gains squared, floored by :func:`psd_floor`; y is (K, M)."""
-    phi = _square(_abs(x))
-    if gains is not None:
-        phi = (gains * gains) * phi
-    power = np.sum(np.abs(y) ** 2, axis=1)
-    if params.mean_floor:
-        power /= y.shape[1]
-    return np.maximum(phi, params.eta * power)
-
-
-def _limited(x_b: np.ndarray, x_r: np.ndarray, alpha_r: float) -> np.ndarray:
-    """:func:`limited_output` of every bin."""
-    mag_r = _abs(x_r)
-    silent = mag_r == 0.0
-    any_silent = silent.any()
-    if any_silent:
-        mag_r = np.where(silent, 1.0, mag_r)
-    step = alpha_r * np.minimum(mag_r, _abs(x_b))
-    inv = 1.0 / mag_r
-    x_hat = _complex(x_b.real - step * (x_r.real * inv), x_b.imag - step * (x_r.imag * inv))
-    if any_silent:
-        x_hat[silent] = x_b[silent]
-    return x_hat
-
-
-class _Band:
-    """A band of K bins of order L: adapted filters ``w`` and frame history.
-
-    ``frames[:, 0]`` holds the current frame y(n), ``frames[:, l]`` y(n-l).  The
-    band adopts its states: the attribute named by ``weights`` becomes a view
-    of the state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.
-    """
-
-    weights = "w_hat"
-
-    def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
-        first = states[0]
-        self.order, self.delay = first.order, first.delay
-        self.w = np.stack([getattr(s, self.weights) for s in states])
-        self.frames = np.zeros((len(states), first.order + 1, first.num_mics), np.complex128)
-        self.frames[:, 1:] = [s.history for s in states]
-        for state, w, frames in zip(states, self.w, self.frames):
-            setattr(state, self.weights, w)
-            state.history = frames[1:]
-        self.bind(steering, params)
-
-    def bind(self, steering: np.ndarray, params: ApaParams) -> None:
-        """Run the next frames with this steering (K, M) and these params."""
-        self.params = params
-
-    def load(self, y: np.ndarray) -> np.ndarray:
-        """Put the current frame in slot 0; returns it as (K, M)."""
-        self.frames[:, 0] = y
-        return self.frames[:, 0]
-
-    def tail(self) -> np.ndarray:
-        """The delayed frames y(n-D)..y(n-L) of every bin, as (K, M*(L-D+1))."""
-        return self.frames[:, self.delay :].reshape(len(self.frames), -1)
-
-    def push(self) -> None:
-        self.frames[:, 1:] = self.frames[:, :-1]
-
-    def reset_history(self) -> None:
-        self.frames[:] = 0.0
-
-
-class _ApaBand(_Band):
+class _ApaBand(Band):
     """Two-row update of a band of :class:`ApaState`; ``w`` is (K, Q)."""
+
+    outputs = 3
 
     def bind(self, steering: np.ndarray, params: ApaParams) -> None:
         self.params = params
@@ -424,7 +333,7 @@ class _ApaBand(_Band):
         else:
             y_tilde = np.concatenate((y, self.tail()), axis=1)
 
-        phi_x = _floored_psd(np.vecdot(w, y_tilde), y_in, gains, p)
+        phi_x = floored_psd(np.vecdot(w, y_tilde), y_in, gains, p)
         # apa_update
         py = y_tilde * self.phi_w
         s00 = np.vecdot(y_tilde, py).real + phi_x
@@ -433,7 +342,7 @@ class _ApaBand(_Band):
         e1 = 1.0 - np.vecdot(a, w[:, :m])
         s01r, s01i = s01.real, s01.imag
         e0r, e0i, e1r, e1i = e0.real, e0.imag, e1.real, e1.imag
-        det = s00 * s11 - (_square(s01r) + _square(s01i))
+        det = s00 * s11 - (square(s01r) + square(s01i))
         solved = det > 0.0
         all_solved = solved.all()
         if not all_solved:
@@ -445,11 +354,11 @@ class _ApaBand(_Band):
             det = np.where(solved, det, 1.0)
         # g0 = (s11 e0 - s01 e1) / det, g1 = (s00 e1 - conj(s01) e0) / det
         inv = 1.0 / det
-        g0 = _complex(
+        g0 = complex_of(
             (s11 * e0r - (s01r * e1r - s01i * e1i)) * inv,
             (s11 * e0i - (s01r * e1i + s01i * e1r)) * inv,
         )
-        g1 = _complex(
+        g1 = complex_of(
             (s00 * e1r - (s01r * e0r + s01i * e0i)) * inv,
             (s00 * e1i - (s01r * e0i - s01i * e0r)) * inv,
         )
@@ -457,34 +366,16 @@ class _ApaBand(_Band):
             # constraint row alone: g0 = 0, g1 = e1 / s11
             inv11 = 1.0 / s11[alone]
             g0[alone] = 0.0
-            g1[alone] = _complex(e1r[alone] * inv11, e1i[alone] * inv11)
+            g1[alone] = complex_of(e1r[alone] * inv11, e1i[alone] * inv11)
         w += py * g0[:, None]
         w[:, :m] += (p.phi_b * g1)[:, None] * a
 
         x_full = np.vecdot(w, y_tilde)
         x_b = np.vecdot(w[:, :m], y)
         x_r = x_b - x_full
-        x_hat = _limited(x_b, x_r, p.alpha_r)
+        x_hat = limited(x_b, x_r, p.alpha_r)
         self.push()
         return x_hat, x_b, x_r
-
-
-def _bands(states: list, steering: np.ndarray, params: ApaParams, band) -> list:
-    """(lo, hi, band(states[lo:hi], steering[lo:hi], params)) for every run of
-    bins with equal order and delay."""
-    keys = [(s.order, s.delay) for s in states]
-    edges = [0] + [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]] + [len(keys)]
-    return [
-        (lo, hi, band(states[lo:hi], steering[lo:hi], params))
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
-
-
-def _run_frame(bands: list, frame: np.ndarray, gains, out: np.ndarray) -> None:
-    """Advance every band by one (bins, M) frame; the outputs fill ``out`` (outputs, bins)."""
-    for lo, hi, band in bands:
-        column = None if gains is None else gains[lo:hi]
-        out[:, lo:hi] = band.advance(frame[lo:hi], column)
 
 
 def process_frame(
@@ -502,103 +393,30 @@ def process_frame(
     history.  ``steering`` is the (bins, M) steering matrix and ``gains`` an
     optional per-bin gain column for this frame, clamped into [0, 1]; a bad
     shape, a non-finite frame or steering value or a NaN gain raises before
-    any state changes.  The last call's bands, bound to this steering and params, are
-    reused if ``states`` are the same objects in the same order, each still
-    holding the ``w_hat`` and ``history`` views its band gave it; else new
-    bands adopt the states.  A stream equals :func:`process_utterance` bitwise.
+    any state changes.  The last call's bands, bound to this steering and
+    params, are reused if ``states`` are the same objects in the same order,
+    each still holding the ``w_hat`` and ``history`` views its band gave it;
+    else new bands adopt them.  A stream equals :func:`process_utterance` bitwise.
     """
-    shape = (len(states), states[0].num_mics)
-    frame = np.ascontiguousarray(frame, dtype=np.complex128)
-    steering = np.asarray(steering, dtype=np.complex128)
-    checked = [("frame", frame, shape), ("steering", steering, shape)]
-    if gains is not None:
-        gains = np.asarray(gains, dtype=np.float64)
-        checked.append(("gains", gains, shape[:1]))
-    for name, value, expected in checked:
-        if value.shape != expected:
-            raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
-    for name, value in (("frame", frame), ("steering", steering)):
-        finite = np.isfinite(value)
-        if not finite.all():
-            k, ch = np.argwhere(~finite)[0]
-            raise ValueError(f"{name} has a non-finite value at bin {k}, channel {ch}")
-    if gains is not None:
-        gains = clamp_gain(gains)
+    frame, steering, gains = check_inputs(
+        steering, gains, states[0].num_mics, (len(states),), frame
+    )
     held = getattr(states[0], "_band", None)  # (bands, states, their w_hat, their history)
     if held and len(held[1]) == len(states) and (
         all(map(is_, states, held[1]))
         and all(map(is_, map(attrgetter("w_hat"), states), held[2]))
         and all(map(is_, map(attrgetter("history"), states), held[3]))
     ):
-        bands = held[0]
-        for lo, hi, band in bands:
+        for lo, hi, band in held[0]:
             band.bind(steering[lo:hi], params)
     else:
-        bands = _bands(states, steering, params, _ApaBand)
-        held = (bands, tuple(states), [s.w_hat for s in states], [s.history for s in states])
+        made = bands(states, steering, params, _ApaBand)
+        held = (made, tuple(states), [s.w_hat for s in states], [s.history for s in states])
         for state in states:
             state._band = held
-    out = np.empty((3, shape[0]), dtype=np.complex128)
-    _run_frame(bands, frame, gains, out)
+    out = np.empty((_ApaBand.outputs, len(states)), dtype=np.complex128)
+    run_frame(held[0], frame, gains, out)
     return out[0]
-
-
-# ---------------------------------------------------------------------------
-# utterance-level driver
-# ---------------------------------------------------------------------------
-
-
-def _check_inputs(spec: Spectrogram, steering, gains: np.ndarray | None) -> tuple:
-    """Check steering and gain mask against ``spec``; the mask is clamped into [0, 1]."""
-    vectors = np.asarray(getattr(steering, "vectors", steering), dtype=np.complex128)
-    num_ch, num_bins, num_frames = spec.data.shape
-    if vectors.shape != (num_bins, num_ch):
-        raise ValueError(
-            f"steering shape {vectors.shape} does not match spectrogram "
-            f"({num_bins} bins, {num_ch} channels)"
-        )
-    if gains is not None:
-        gains = np.asarray(gains, dtype=np.float64)
-        if gains.shape != (num_bins, num_frames):
-            raise ValueError(
-                f"gain mask shape {gains.shape} does not match ({num_bins}, {num_frames})"
-            )
-        gains = clamp_gain(gains)
-    return vectors, gains
-
-
-def drive_utterance(
-    spec: Spectrogram,
-    states: list,
-    vectors: np.ndarray,
-    params: ApaParams,
-    step,
-    out: np.ndarray,
-    gains: np.ndarray | None = None,
-    prior_pass: bool = False,
-) -> None:
-    """Advance one state per bin through the utterance, frame by frame.
-
-    ``step`` is the variant's band kernel (``_ApaBand`` here); its bands
-    adopt the states, which end holding their final filters and histories.
-    ``vectors`` and ``gains`` come from :func:`_check_inputs`.  The band
-    outputs fill ``out``, shaped (outputs, bins, frames).  With ``prior_pass``
-    every bin first runs the utterance once and keeps its filter but not its
-    history.
-    """
-    data = spec.data
-    bands = _bands(states, vectors, params, step)
-
-    def sweep():
-        for n in range(data.shape[2]):
-            frame = np.ascontiguousarray(data[:, :, n].T)
-            _run_frame(bands, frame, None if gains is None else gains[:, n], out[:, :, n])
-
-    if prior_pass:
-        sweep()
-        for _, _, band in bands:
-            band.reset_history()
-    sweep()
 
 
 def process_utterance(
@@ -609,16 +427,18 @@ def process_utterance(
     prior_pass: bool = False,
     return_components: bool = False,
 ):
-    """Run the adaptive beamformer over a whole utterance; see :func:`drive_utterance`.
+    """Run the adaptive beamformer over a whole utterance.
 
-    With ``return_components`` the beamformer branch and the reverberation
+    ``steering`` (bins, M) and the optional (bins, frames) ``gains`` are
+    checked as in :func:`process_frame`; with ``prior_pass`` every bin first
+    runs the utterance once and keeps its filter but not its history.  With
+    ``return_components`` the beamformer branch and the reverberation
     estimate come back too, as ``(output, {"x_b": ..., "x_r": ...})``.
     """
-    vectors, gains = _check_inputs(spec, steering, gains)
+    _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:])
     orders = params.band_plan.bin_orders(spec.config)
     states = [init_state(a, int(order), params.delay) for a, order in zip(vectors, orders)]
-    out = np.empty((3,) + spec.data.shape[1:], dtype=np.complex128)
-    drive_utterance(spec, states, vectors, params, _ApaBand, out, gains, prior_pass)
+    out = drive_utterance(spec, states, vectors, params, _ApaBand, gains, prior_pass)
     result = Spectrogram(out[0], spec.config)
     if return_components:
         return result, {"x_b": out[1], "x_r": out[2]}

@@ -7,12 +7,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .apa import ApaParams
 from .bench import fit_power_law, reference_curves, wallclock_sweep, write_bench_csv
 from .geometry import ArrayGeometry, circular_array, load_geometry
-from .metrics import MetricReport, cepstral_distance, format_report, fw_seg_snr
+from .metrics import compute_metrics, format_report
 from .pipeline import METHODS, RunConfig, enhance
 from .scenes import (
     Scene,
@@ -256,11 +254,7 @@ def cmd_metrics(args) -> int:
         raise ValueError(
             f"sample rates differ: ref {ref.sample_rate} Hz, est {est.sample_rate} Hz"
         )
-    report = MetricReport(
-        fwsnr=fw_seg_snr(ref.samples[0], est.samples[0], ref.sample_rate),
-        cd=cepstral_distance(ref.samples[0], est.samples[0], ref.sample_rate),
-    )
-    print(format_report(report))
+    print(format_report(compute_metrics(ref.samples[0], est.samples[0], ref.sample_rate)))
     return 0
 
 

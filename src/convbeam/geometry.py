@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 SPEED_OF_SOUND = 343.0
+_SRP_GRID_STEP_DEG = 5.0
+_SRP_RANGE_HZ = (300.0, 4000.0)
 
 
 @dataclass(frozen=True)
@@ -142,44 +144,29 @@ def save_geometry(path, geom: ArrayGeometry) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _unit_direction(azimuth: float, elevation: float) -> np.ndarray:
-    """Unit vector pointing from the array toward the source."""
-    return np.array(
-        [
-            np.cos(elevation) * np.cos(azimuth),
-            np.cos(elevation) * np.sin(azimuth),
-            np.sin(elevation),
-        ]
-    )
+def _unit_direction(azimuth: float) -> np.ndarray:
+    """Unit vector in the array plane pointing from the array toward the source."""
+    return np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
 
 
 def plane_wave_steering(
-    geom: ArrayGeometry,
-    azimuth: float,
-    config: StftConfig | None = None,
-    elevation: float = 0.0,
-    c: float = SPEED_OF_SOUND,
+    geom: ArrayGeometry, azimuth: float, config: StftConfig | None = None
 ) -> SteeringVector:
-    """Far-field steering vectors for a plane wave from (azimuth, elevation).
+    """Far-field steering vectors for a plane wave from ``azimuth`` at zero elevation.
 
-    Angles in radians.  Phases are relative to the reference microphone, so
-    its entry is exactly 1+0j in every bin.
+    The angle is in radians.  Phases are relative to the reference
+    microphone, so its entry is exactly 1+0j in every bin.
     """
     if config is None:
         config = StftConfig()
-    direction = _unit_direction(azimuth, elevation)
-    delays = -(geom.positions @ direction) / c
+    delays = -(geom.positions @ _unit_direction(azimuth)) / SPEED_OF_SOUND
     delays = delays - delays[geom.reference_mic]
     freqs = config.bin_freq(np.arange(config.num_bins))
     vec = np.exp(-2j * np.pi * freqs[:, None] * delays[None, :])
     return SteeringVector(vec, geom.reference_mic)
 
 
-def diffuse_coherence(
-    geom: ArrayGeometry,
-    config: StftConfig | None = None,
-    c: float = SPEED_OF_SOUND,
-) -> CoherenceMatrix:
+def diffuse_coherence(geom: ArrayGeometry, config: StftConfig | None = None) -> CoherenceMatrix:
     """Spherically isotropic (diffuse) coherence sinc(2 pi f d / c) per bin.
 
     Here sinc is the unnormalized sin(x)/x, so np.sinc gets the argument
@@ -189,7 +176,7 @@ def diffuse_coherence(
         config = StftConfig()
     dists = geom.pairwise_distances()
     freqs = config.bin_freq(np.arange(config.num_bins))
-    gamma = np.sinc(2.0 * freqs[:, None, None] * dists[None, :, :] / c)
+    gamma = np.sinc(2.0 * freqs[:, None, None] * dists[None, :, :] / SPEED_OF_SOUND)
     return CoherenceMatrix(gamma)
 
 
@@ -198,20 +185,14 @@ def diffuse_coherence(
 # ---------------------------------------------------------------------------
 
 
-def srp_phat_localize(
-    spec: Spectrogram,
-    geom: ArrayGeometry,
-    grid_step_deg: float = 5.0,
-    freq_range: tuple = (300.0, 4000.0),
-    elevation: float = 0.0,
-    c: float = SPEED_OF_SOUND,
-) -> float:
+def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
     """Estimate the source azimuth (radians) by steered response power.
 
-    Every time-frequency cell is magnitude-normalized before steering, so the
-    estimate depends only on phase.  Ties go to the lowest grid index.  A
-    spectrogram with no energy in ``freq_range`` is rejected rather than
-    localized to an arbitrary direction.
+    The search runs over a 5-degree azimuth grid at zero elevation, on the
+    bins in 300-4000 Hz.  Every time-frequency cell is magnitude-normalized
+    before steering, so the estimate depends only on phase.  Ties go to the
+    lowest grid index.  A spectrogram with no energy in that range is
+    rejected rather than localized to an arbitrary direction.
     """
     if geom.num_mics < 2:
         raise ValueError(f"localization requires at least 2 microphones, got {geom.num_mics}")
@@ -219,25 +200,23 @@ def srp_phat_localize(
         raise ValueError(
             f"channel count {spec.num_channels} does not match geometry ({geom.num_mics})"
         )
-    if grid_step_deg <= 0:
-        raise ValueError(f"grid_step_deg must be positive, got {grid_step_deg}")
     cfg = spec.config
     freqs = cfg.bin_freq(np.arange(cfg.num_bins))
-    keep = (freqs >= freq_range[0]) & (freqs <= freq_range[1])
+    keep = (freqs >= _SRP_RANGE_HZ[0]) & (freqs <= _SRP_RANGE_HZ[1])
     if not np.any(keep):
-        raise ValueError(f"no bins inside frequency range {freq_range}")
+        raise ValueError(f"no bins inside frequency range {_SRP_RANGE_HZ}")
     data = spec.data[:, keep, :]
     mags = np.abs(data)
     if not mags.any():
-        raise ValueError(f"no signal energy in {freq_range} Hz to localize; pass a DOA")
+        raise ValueError(f"no signal energy in {_SRP_RANGE_HZ} Hz to localize; pass a DOA")
     phat = np.where(mags > 0, data / np.where(mags > 0, mags, 1.0), 0.0)
     # cross-power accumulated over frames; the grid search then only touches
     # (bins, M, M) instead of the full spectrogram
     cross = np.einsum("mkn,pkn->kmp", phat, np.conj(phat))
 
-    grid = np.deg2rad(np.arange(0.0, 360.0, grid_step_deg))
-    directions = np.stack([_unit_direction(az, elevation) for az in grid])
-    delays = -(directions @ geom.positions.T) / c  # (grid, M)
+    grid = np.deg2rad(np.arange(0.0, 360.0, _SRP_GRID_STEP_DEG))
+    directions = np.stack([_unit_direction(az) for az in grid])
+    delays = -(directions @ geom.positions.T) / SPEED_OF_SOUND  # (grid, M)
     steer = np.exp(-2j * np.pi * freqs[keep][None, :, None] * delays[:, None, :])
     power = np.einsum("gkm,kmp,gkp->g", np.conj(steer), cross, steer).real
     return float(grid[int(np.argmax(power))])

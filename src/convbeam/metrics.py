@@ -80,15 +80,10 @@ def _mel_filterbank(num_bands: int, fft_len: int, sample_rate: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def fw_seg_snr(
-    ref: np.ndarray,
-    est: np.ndarray,
-    sample_rate: int = 16000,
-    num_bands: int = _NUM_BANDS,
-) -> float:
+def fw_seg_snr(ref: np.ndarray, est: np.ndarray, sample_rate: int = 16000) -> float:
     """Mel-band weighted segmental SNR in dB, higher is better.
 
-    Per 32 ms half-overlapped segment, band SNRs compare reference and
+    Per 32 ms half-overlapped segment, 23 mel-band SNRs compare reference and
     estimate band magnitudes; bands are weighted by the reference magnitude
     raised to 0.2 and each segment's weighted average is clamped to
     [-10, 35] dB before averaging over segments.
@@ -98,7 +93,7 @@ def fw_seg_snr(
     hop = seg_len // 2
     window = np.hanning(seg_len)
     fft_len = int(2 ** math.ceil(math.log2(seg_len)))
-    fb = _mel_filterbank(num_bands, fft_len, sample_rate)
+    fb = _mel_filterbank(_NUM_BANDS, fft_len, sample_rate)
 
     ref_mag = np.abs(np.fft.rfft(_segments(ref, seg_len, hop) * window, n=fft_len, axis=1))
     est_mag = np.abs(np.fft.rfft(_segments(est, seg_len, hop) * window, n=fft_len, axis=1))
@@ -163,12 +158,7 @@ def _lpc_cepstrum(frame: np.ndarray, order: int) -> np.ndarray | None:
     return c[1:]
 
 
-def cepstral_distance(
-    ref: np.ndarray,
-    est: np.ndarray,
-    sample_rate: int = 16000,
-    order: int = _LPC_ORDER,
-) -> float:
+def cepstral_distance(ref: np.ndarray, est: np.ndarray, sample_rate: int = 16000) -> float:
     """Mean LPC-cepstral distance in dB, lower is better.
 
     Per 32 ms half-overlapped frame within 40 dB of the loudest reference
@@ -188,8 +178,8 @@ def cepstral_distance(
     keep = energies >= np.max(energies) * 10.0 ** (-_FRAME_SELECT_DB / 10.0)
     scores = []
     for rf, ef in zip(ref_frames[keep], est_frames[keep]):
-        c_ref = _lpc_cepstrum(rf, order)
-        c_est = _lpc_cepstrum(ef, order)
+        c_ref = _lpc_cepstrum(rf, _LPC_ORDER)
+        c_est = _lpc_cepstrum(ef, _LPC_ORDER)
         if c_ref is None or c_est is None:
             continue
         dist = (10.0 / math.log(10.0)) * math.sqrt(2.0 * float(np.sum((c_ref - c_est) ** 2)))

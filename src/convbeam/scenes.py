@@ -36,6 +36,11 @@ __all__ = [
     "measure_srr",
 ]
 
+_MCLP_LAG_DECAY = 0.7  # per-lag magnitude decay of random_mclp's draws
+_MCLP_TRIES = 10
+_NOISE_LOADING = 0.01  # diagonal loading of the coherence behind diffuse noise
+_SRR_CAP_DB = 60.0
+
 
 @dataclass
 class Scene:
@@ -118,16 +123,14 @@ def random_mclp(
     delay: int = 1,
     config: StftConfig | None = None,
     seed: int = 0,
-    decay: float = 0.7,
     target_radius: float = 0.9,
-    max_tries: int = 10,
 ) -> np.ndarray:
     """Draw per-bin recursion coefficients with geometrically decaying lags.
 
-    Entry magnitudes fall off as decay**(l - delay); each bin is rescaled by
+    Entry magnitudes fall off as 0.7**(l - delay); each bin is rescaled by
     s**l (which scales every recursion eigenvalue by exactly s) so its
     spectral radius lands on ``target_radius``.  A draw that still fails the
-    stability check retries with the next seed, up to ``max_tries``.
+    stability check retries with the next seed, up to 10 times.
     """
     if config is None:
         config = StftConfig()
@@ -138,9 +141,9 @@ def random_mclp(
     blocks = order - delay + 1
     k = config.num_bins
     lags = np.arange(delay, order + 1)
-    for attempt in range(max_tries):
+    for attempt in range(_MCLP_TRIES):
         rng = np.random.default_rng(seed + attempt)
-        scale = decay ** (lags - delay) / (2.0 * math.sqrt(num_mics * blocks))
+        scale = _MCLP_LAG_DECAY ** (lags - delay) / (2.0 * math.sqrt(num_mics * blocks))
         c = rng.standard_normal((k, blocks, num_mics, num_mics)) + 1j * rng.standard_normal(
             (k, blocks, num_mics, num_mics)
         )
@@ -153,7 +156,7 @@ def random_mclp(
         radius = mclp_spectral_radius(c, delay)
         if np.all(radius < 1.0):
             return c
-    raise RuntimeError(f"no stable coefficient draw in {max_tries} attempts from seed {seed}")
+    raise RuntimeError(f"no stable coefficient draw in {_MCLP_TRIES} attempts from seed {seed}")
 
 
 def mclp_scene(
@@ -245,7 +248,6 @@ def exp_decay_rir_scene(
     snr_db: float = math.inf,
     config: StftConfig | None = None,
     seed: int = 0,
-    c: float = SPEED_OF_SOUND,
 ) -> Scene:
     """Scene from per-mic impulse responses: direct delta plus decaying tail.
 
@@ -268,7 +270,7 @@ def exp_decay_rir_scene(
     fs = config.sample_rate
     rng = np.random.default_rng(seed)
 
-    direction_delays = -(geom.positions @ _unit_vec(azimuth)) / c
+    direction_delays = -(geom.positions @ _unit_vec(azimuth)) / SPEED_OF_SOUND
     direction_delays -= direction_delays[geom.reference_mic]
     half = 16
     offset = half + int(np.ceil(np.max(np.abs(direction_delays)) * fs))
@@ -306,7 +308,7 @@ def exp_decay_rir_scene(
     )
     dry_at_ref = direct_sig[geom.reference_mic]
 
-    steering = plane_wave_steering(geom, azimuth, config, c=c)
+    steering = plane_wave_steering(geom, azimuth, config)
     dry_spec = stft(dry_at_ref, config)
     clean_spec = stft(direct_sig + tail_sig, config)
     a = steering.vectors
@@ -356,14 +358,13 @@ def diffuse_noise_frames(
     config: StftConfig,
     num_frames: int,
     seed: int = 0,
-    loading: float = 0.01,
 ) -> np.ndarray:
     """(M, bins, frames) noise with the array's diffuse coherence, unit-ish power."""
     if num_frames < 1:
         raise ValueError(f"num_frames must be >= 1, got {num_frames}")
     gamma = diffuse_coherence(geom, config).gamma
     m = geom.num_mics
-    chol = np.linalg.cholesky(gamma + loading * np.eye(m)[None, :, :])
+    chol = np.linalg.cholesky(gamma + _NOISE_LOADING * np.eye(m)[None, :, :])
     rng = np.random.default_rng(seed)
     shape = (config.num_bins, m, num_frames)
     white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
@@ -376,7 +377,6 @@ def diffuse_noise(
     config: StftConfig | None = None,
     duration: float = 1.0,
     seed: int = 0,
-    loading: float = 0.01,
 ) -> Spectrogram:
     """Spectrogram of spherically diffuse noise for ``duration`` seconds.
 
@@ -387,7 +387,7 @@ def diffuse_noise(
     if config is None:
         config = StftConfig()
     num_frames = config.num_frames(int(round(duration * config.sample_rate)))
-    data = diffuse_noise_frames(geom, config, num_frames, seed, loading)
+    data = diffuse_noise_frames(geom, config, num_frames, seed)
     return Spectrogram(data, config)
 
 
@@ -396,12 +396,12 @@ def diffuse_noise(
 # ---------------------------------------------------------------------------
 
 
-def measure_srr(scene: Scene, estimate, cap_db: float = 60.0) -> float:
+def measure_srr(scene: Scene, estimate) -> float:
     """Signal-to-residual ratio of an estimate against the scene's dry signal.
 
     The estimate is projected onto the dry spectrogram (one complex scale
     over all bins and frames); the ratio of projected to residual power is
-    returned in dB, capped at ``cap_db`` so a perfect estimate stays finite.
+    returned in dB, capped at 60 dB so a perfect estimate stays finite.
     """
     est = estimate.data[0] if isinstance(estimate, Spectrogram) else np.asarray(estimate)
     dry = scene.dry.data[0]
@@ -414,7 +414,7 @@ def measure_srr(scene: Scene, estimate, cap_db: float = 60.0) -> float:
     p_proj = float(abs(alpha) ** 2 * denom)
     p_res = float(np.sum(np.abs(est - alpha * dry) ** 2))
     if p_res == 0.0:
-        return cap_db
+        return _SRR_CAP_DB
     if p_proj == 0.0:
         return -math.inf
-    return min(cap_db, 10.0 * math.log10(p_proj / p_res))
+    return min(_SRR_CAP_DB, 10.0 * math.log10(p_proj / p_res))

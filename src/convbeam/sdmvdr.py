@@ -9,8 +9,8 @@ cheaper than the fully adaptive filter.
 
 The scalar state and update (:func:`init_rc_state`, :func:`rc_speech_psd`,
 :func:`rc_update`) are the oracle.  ``_RcBand`` runs the same update on a
-band of bins as arrays, bit for bit, and the utterance runs frame by frame
-through :func:`convbeam.apa.drive_utterance`, whose bands adopt the states.
+band of bins as arrays, bit for bit, on the engine of
+:mod:`convbeam.engine`, whose bands adopt the states.
 """
 
 from __future__ import annotations
@@ -19,17 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apa import (
-    ApaParams,
-    _Band,
-    _check_inputs,
-    _complex,
-    _floored_psd,
-    _limited,
-    drive_utterance,
-    limited_output,
-    psd_floor,
-)
+from .apa import ApaParams, limited_output, psd_floor
+from .engine import Band, check_inputs, complex_of, drive_utterance, floored_psd, limited
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -143,10 +134,11 @@ def rc_update(
     return x_hat
 
 
-class _RcBand(_Band):
+class _RcBand(Band):
     """Canceller update of a band of :class:`RcState`; ``w`` is (K, M*(L-D+1))."""
 
     weights = "w_rc"
+    outputs = 1
 
     def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
         super().__init__(states, steering, params)
@@ -160,7 +152,7 @@ class _RcBand(_Band):
         # rc_speech_psd, then rc_update
         d = np.vecdot(self.w_sd, y)
         e = d - np.vecdot(w, f)
-        phi_x = _floored_psd(e, y_in, gains, p)
+        phi_x = floored_psd(e, y_in, gains, p)
         denom = p.phi_r * np.vecdot(f, f).real + phi_x
         # a zero denominator (zero regressor, zero floor) means no update,
         # which an infinite one gives: phi_r / inf is a zero step
@@ -168,8 +160,8 @@ class _RcBand(_Band):
         if not moved.all():
             denom = np.where(moved, denom, np.inf)
         scale = p.phi_r / denom
-        w += _complex(scale * e.real, scale * -e.imag)[:, None] * f
-        x_hat = _limited(d, np.vecdot(w, f), p.alpha_r)
+        w += complex_of(scale * e.real, scale * -e.imag)[:, None] * f
+        x_hat = limited(d, np.vecdot(w, f), p.alpha_r)
         self.push()
         return (x_hat,)
 
@@ -186,17 +178,16 @@ def process_utterance_sdmvdr(
     """Run the fixed-beamformer variant over a whole utterance.
 
     The head of every bin is the superdirective MVDR solution for
-    ``coherence`` and ``loading``; the gain mask and ``prior_pass`` behave
-    as in :func:`convbeam.apa.drive_utterance`.  The band plan must give
-    every bin a nonzero order since this variant has no beamformer-only
-    degenerate case.
+    ``coherence`` and ``loading``; the steering, the gain mask and
+    ``prior_pass`` behave as in :func:`convbeam.apa.process_utterance`.
+    The band plan must give every bin a nonzero order since this variant
+    has no beamformer-only degenerate case.
     """
-    vectors, gains = _check_inputs(spec, steering, gains)
+    _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:])
     orders = params.band_plan.bin_orders(spec.config)
     if np.any(orders == 0):
         raise ValueError("band plan assigns order 0; this variant needs order > delay")
     weights = superdirective_mvdr(steering, coherence, loading).weights
     states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
-    out = np.empty((1,) + spec.data.shape[1:], dtype=np.complex128)
-    drive_utterance(spec, states, vectors, params, _RcBand, out, gains, prior_pass)
+    out = drive_utterance(spec, states, vectors, params, _RcBand, gains, prior_pass)
     return Spectrogram(out, spec.config)

@@ -187,18 +187,12 @@ def stft(signal: np.ndarray, config: StftConfig | None = None) -> Spectrogram:
     return Spectrogram(np.ascontiguousarray(spec.transpose(0, 2, 1)), config)
 
 
-def istft(
-    spec: Spectrogram,
-    config: StftConfig | None = None,
-    length: int | None = None,
-) -> np.ndarray:
+def istft(spec: Spectrogram, *, length: int | None = None) -> np.ndarray:
     """Overlap-add synthesis back to a (channels, samples) float array.
 
-    ``config``, when given, must equal the config the spectrogram was made
-    with.  ``length`` trims or zero-pads the result to an exact sample count.
+    The spectrogram's own config sets the synthesis.  ``length`` trims or
+    zero-pads the result to an exact sample count.
     """
-    if config is not None and config != spec.config:
-        raise ValueError(f"config mismatch: {config} != {spec.config}")
     cfg = spec.config
     win = sqrt_hann(cfg.window_len)
     frames = np.fft.irfft(spec.data, n=cfg.fft_len, axis=1)

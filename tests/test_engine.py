@@ -24,7 +24,6 @@ from convbeam.apa import (
     ApaParams,
     _ApaBand,
     apa_update,
-    drive_utterance,
     init_state,
     limited_output,
     process_frame,
@@ -33,6 +32,7 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
+from convbeam.engine import drive_utterance
 from convbeam.fixedbf import superdirective_mvdr
 from convbeam.gains import apply_gain
 from convbeam.geometry import CoherenceMatrix, SteeringVector
@@ -270,8 +270,7 @@ def test_stream_continues_an_utterance_run_and_its_copies():
         return [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]) for n in frames]
 
     streamed, looped = fresh(), fresh()
-    out = np.empty((3,) + spec.data.shape[1:], dtype=np.complex128)
-    drive_utterance(spec, streamed, a, params, _ApaBand, out, gains, prior_pass=True)
+    out = drive_utterance(spec, streamed, a, params, _ApaBand, gains, prior_pass=True)
     want = _oracle(spec, looped, gains, True, step)
     np.testing.assert_array_equal(out, want)
 

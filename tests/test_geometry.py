@@ -166,7 +166,7 @@ class TestSrpPhat:
     def test_recovers_off_grid_azimuth_within_one_step(self):
         geom = circular_array(8, 0.10)
         spec = _plane_wave_spec(geom, np.deg2rad(123.0), seed=3)
-        est = srp_phat_localize(spec, geom, grid_step_deg=5.0)
+        est = srp_phat_localize(spec, geom)
         err = abs(np.rad2deg(est) - 123.0)
         assert min(err, 360.0 - err) <= 5.0
 

@@ -3,6 +3,7 @@ CLI; the option surface; the input contract of enhance; its behaviour under
 scaling and extreme levels."""
 
 import argparse
+import ast
 import dataclasses
 import inspect
 import os
@@ -15,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convbeam import apa, bench, cli, pipeline, sdmvdr
+from convbeam import apa, bench, cli, geometry, pipeline, sdmvdr
 from convbeam.apa import ApaParams
 from convbeam.gains import write_gain_mask
-from convbeam.geometry import circular_array
+from convbeam.geometry import CoherenceMatrix, SteeringVector, circular_array
 from convbeam.pipeline import METHODS, RUNNERS, RunConfig, enhance
-from convbeam.stft import BandPlan, StftConfig
+from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft
 from convbeam.wavio import AudioBuffer, write_wav
 
 
@@ -123,6 +124,24 @@ class TestOptionSurface:
         ]
         assert pipeline.process_utterance is apa.process_utterance
         assert pipeline.process_utterance_sdmvdr is sdmvdr.process_utterance_sdmvdr
+        assert names(geometry.srp_phat_localize) == ["spec", "geom"]
+        assert names(geometry.plane_wave_steering) == ["geom", "azimuth", "config"]
+        assert names(geometry.diffuse_coherence) == ["geom", "config"]
+        assert names(istft) == ["spec", "length"]
+
+
+class TestStructure:
+    def test_no_module_imports_a_private_name_from_another(self):
+        """What two modules share is public in the module that holds it."""
+        package = Path(pipeline.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("convbeam")
+                ):
+                    found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+        assert found == []
 
 
 class TestInputContract:
@@ -166,6 +185,23 @@ class TestInputContract:
         cfg = dataclasses.replace(cfg, gain_mask=str(path))
         with pytest.raises(ValueError, match="mask.gmsk: mask is NaN at bin 40, frame 7$"):
             enhance(buf, cfg)
+
+    @pytest.mark.parametrize("driver", ["apa", "sdmvdr"])
+    def test_non_finite_steering_rejected_by_the_utterance_drivers(self, driver):
+        """A NaN in the steering is named by bin and channel before any
+        weights are computed, not met as a singular update or NaN output."""
+        cfg = StftConfig(window_len=32, hop=16, fft_len=32)  # 17 bins
+        rng = np.random.default_rng(4)
+        spec = Spectrogram(rng.standard_normal((2, 17, 6)) + 0j, cfg)
+        a = np.ones((17, 2), dtype=complex)
+        a[5, 1] = np.nan
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        with pytest.raises(ValueError, match="^steering has a non-finite value at bin 5, channel"):
+            if driver == "apa":
+                apa.process_utterance(spec, a, params)
+            else:
+                coherence = CoherenceMatrix(np.broadcast_to(np.eye(2), (17, 2, 2)))
+                sdmvdr.process_utterance_sdmvdr(spec, SteeringVector(a, 0), coherence, params)
 
     def test_silent_scene_needs_a_doa(self):
         """All-zero input cannot be localized; with a given DOA it comes back as zeros."""

@@ -184,7 +184,7 @@ class TestUtteranceDriver:
     def test_steering_shape_mismatch_rejected(self):
         spec, _, coh = self._scene()
         wrong = plane_wave_steering(circular_array(2, 0.10), 0.4, spec.config)
-        with pytest.raises(ValueError, match="steering shape"):
+        with pytest.raises(ValueError, match="^steering has shape"):
             process_utterance_sdmvdr(spec, wrong, coh, ApaParams(band_plan=BandPlan((), (4,))))
 
     @pytest.mark.parametrize("driver", ["apa", "sdmvdr"])
