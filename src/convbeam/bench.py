@@ -19,7 +19,7 @@ import numpy as np
 from . import apa, sdmvdr
 from .geometry import circular_array, plane_wave_steering
 from .pipeline import METHODS, RUNNERS, RunConfig
-from .stft import BandPlan, StftConfig, stft
+from .stft import StftConfig, stft
 
 __all__ = [
     "MacCounter",
@@ -101,10 +101,8 @@ def fit_power_law(sizes, counts) -> float:
 
 
 def reference_curves(stacked_lens, num_mics: int = 2) -> list:
-    """APA MAC tallies at delay 1 next to quadratic and fast-inversion growth models.
+    """APA MAC tallies at delay 1, one ``{"Q", "macs"}`` row per stacked length.
 
-    Both reference curves (c*Q^2 and c*Q^2.37) are anchored to the tallied
-    MACs at the smallest Q, so the comparison is about growth rate only.
     Each Q must be reachable as num_mics * (L + 1) for an integer L > 1.
     """
     qs = sorted(int(q) for q in stacked_lens)
@@ -116,12 +114,6 @@ def reference_curves(stacked_lens, num_mics: int = 2) -> list:
         if order <= 1:
             raise ValueError(f"Q={q} gives order {order} <= delay 1")
         rows.append({"Q": q, "macs": count_apa_update(num_mics, order).total})
-    anchor = rows[0]["macs"]
-    q0 = rows[0]["Q"]
-    for row in rows:
-        ratio = row["Q"] / q0
-        row["quadratic"] = anchor * ratio**2
-        row["fast_inverse"] = anchor * ratio**2.37
     return rows
 
 
@@ -136,7 +128,6 @@ _BENCH_METHODS = tuple(m for m in METHODS if m != "ref-mic")
 def wallclock_sweep(
     methods=_BENCH_METHODS,
     num_mics: int = 8,
-    band_plan: BandPlan | None = None,
     audio_seconds: float = 2.0,
     repeats: int = 5,
 ) -> list:
@@ -147,13 +138,12 @@ def wallclock_sweep(
     weight computation plus filtering on a prepared spectrogram
     (analysis/synthesis and localization excluded, since they are shared by
     every method).  The input is white noise (seed 0) on a circular array of
-    radius 0.10 m at the default STFT settings.  Returns one row per method
-    with the dimensions and MAC tally of its per-bin update.
+    radius 0.10 m at the default STFT settings and band plan.  Returns one
+    row per method with the dimensions and MAC tally of its per-bin update.
     """
     config = StftConfig()
-    if band_plan is None:
-        band_plan = BandPlan()
-    params = apa.ApaParams(band_plan=band_plan)
+    params = apa.ApaParams()
+    band_plan = params.band_plan
     rng = np.random.default_rng(0)
     samples = 0.05 * rng.standard_normal((num_mics, int(audio_seconds * config.sample_rate)))
     spec = stft(samples, config)

@@ -46,13 +46,11 @@ def complex_of(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def floored_psd(x: np.ndarray, y: np.ndarray, gains, params) -> np.ndarray:
-    """|x|^2, scaled by the gains squared, floored by ``apa.psd_floor``; y is (K, M)."""
+    """|x|^2, scaled by the gains squared, floored as ``apa.psd_floor``; y is (K, M)."""
     phi = square(_abs(x))
     if gains is not None:
         phi = (gains * gains) * phi
-    power = np.sum(np.abs(y) ** 2, axis=1)
-    if params.mean_floor:
-        power /= y.shape[1]
+    power = np.sum(np.abs(y) ** 2, axis=1) / y.shape[1]
     return np.maximum(phi, params.eta * power)
 
 
@@ -133,11 +131,12 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
 
     ``frame`` (when given) and ``steering`` must be finite and (bins, M),
     with bins = ``gain_shape[0]`` and M = ``num_mics``; ``gains`` must be of
-    ``gain_shape`` and is clamped into [0, 1].  Anything else raises
-    ``ValueError`` naming the argument, and for a non-finite value its bin
-    and channel.
+    ``gain_shape`` and is clamped into [0, 1].  An utterance driver passes its
+    Spectrogram as ``frame``; that must be finite.  Anything else raises
+    ``ValueError`` naming the argument, and for a non-finite value where it is.
     """
     steering = np.asarray(getattr(steering, "vectors", steering), dtype=np.complex128)
+    spec, frame = (frame.data, None) if isinstance(frame, Spectrogram) else (None, frame)
     if frame is not None:
         frame = np.ascontiguousarray(frame, dtype=np.complex128)
     if gains is not None:
@@ -152,6 +151,9 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
         if not np.all(finite):
             k, ch = np.argwhere(~finite)[0]
             raise ValueError(f"{name} has a non-finite value at bin {k}, channel {ch}")
+    if spec is not None and not np.isfinite(spec).all():
+        ch, k, n = np.argwhere(~np.isfinite(spec))[0]
+        raise ValueError(f"spectrogram has a non-finite value at channel {ch}, bin {k}, frame {n}")
     return frame, steering, None if gains is None else clamp_gain(gains)
 
 

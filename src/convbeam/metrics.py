@@ -28,7 +28,6 @@ class MetricReport:
 
     fwsnr: float
     cd: float
-    srr: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +188,14 @@ def cepstral_distance(ref: np.ndarray, est: np.ndarray, sample_rate: int = 16000
     return float(np.mean(scores))
 
 
-def compute_metrics(ref, est, sample_rate: int = 16000, srr: float | None = None) -> MetricReport:
+def compute_metrics(ref, est, sample_rate: int = 16000) -> MetricReport:
     """Convenience bundle of both metrics over one signal pair."""
     return MetricReport(
         fwsnr=fw_seg_snr(ref, est, sample_rate),
         cd=cepstral_distance(ref, est, sample_rate),
-        srr=srr,
     )
 
 
 def format_report(report: MetricReport) -> str:
     """Plain key=value lines for easy machine parsing."""
-    lines = [f"fwsnr={report.fwsnr:.4f}", f"cd={report.cd:.4f}"]
-    if report.srr is not None:
-        lines.append(f"srr={report.srr:.4f}")
-    return "\n".join(lines)
+    return f"fwsnr={report.fwsnr:.4f}\ncd={report.cd:.4f}"

@@ -38,7 +38,6 @@ class RunConfig:
     doa: float | None = None  # radians; None means estimate
     params: ApaParams = field(default_factory=ApaParams)
     stft_config: StftConfig = field(default_factory=StftConfig)
-    loading: float = 0.01
     prior_pass: bool = True
     gain_mask: str | None = None
 
@@ -63,7 +62,7 @@ def _delay_sum(spec, steering, cfg, gains) -> Spectrogram:
 
 def _sd_mvdr(spec, steering, cfg, gains) -> Spectrogram:
     gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
-    return apply_fixed(superdirective_mvdr(steering, gamma, cfg.loading), spec)
+    return apply_fixed(superdirective_mvdr(steering, gamma), spec)
 
 
 def _mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
@@ -79,8 +78,7 @@ def _conv_mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
 def _conv_sdmvdr(spec, steering, cfg, gains) -> Spectrogram:
     gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
     return process_utterance_sdmvdr(
-        spec, steering, gamma, cfg.params, loading=cfg.loading, gains=gains,
-        prior_pass=cfg.prior_pass,
+        spec, steering, gamma, cfg.params, gains=gains, prior_pass=cfg.prior_pass
     )
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "mclp_spectral_radius",
     "mclp_scene",
     "exp_decay_rir_scene",
-    "diffuse_noise",
     "measure_srr",
 ]
 
@@ -96,13 +95,10 @@ def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -
 def mclp_spectral_radius(c_lags: np.ndarray, delay: int) -> np.ndarray:
     """Spectral radius of the frame recursion y(n) = sum_l C_l y(n-l) per bin.
 
-    ``c_lags`` has shape (bins, L-D+1, M, M) (a single bin may drop the
-    leading axis).  Radius < 1 keeps the recursion stable.
+    ``c_lags`` has shape (bins, L-D+1, M, M).  Radius < 1 keeps the recursion
+    stable.
     """
     c = np.asarray(c_lags, dtype=np.complex128)
-    single = c.ndim == 3
-    if single:
-        c = c[None]
     num_bins, blocks, m, m2 = c.shape
     if m != m2:
         raise ValueError(f"coefficients must be square, got shape {c.shape}")
@@ -113,8 +109,7 @@ def mclp_spectral_radius(c_lags: np.ndarray, delay: int) -> np.ndarray:
     if order > 1:
         idx = np.arange(m * (order - 1))
         companion[:, m + idx, idx] = 1.0
-    radius = np.max(np.abs(np.linalg.eigvals(companion)), axis=1)
-    return radius[0] if single else radius
+    return np.max(np.abs(np.linalg.eigvals(companion)), axis=1)
 
 
 def random_mclp(
@@ -370,25 +365,6 @@ def diffuse_noise_frames(
     white = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
     colored = np.einsum("kij,kjn->kin", chol, white)
     return np.ascontiguousarray(colored.transpose(1, 0, 2))
-
-
-def diffuse_noise(
-    geom: ArrayGeometry,
-    config: StftConfig | None = None,
-    duration: float = 1.0,
-    seed: int = 0,
-) -> Spectrogram:
-    """Spectrogram of spherically diffuse noise for ``duration`` seconds.
-
-    Each bin colors an independent white complex Gaussian by the Cholesky
-    factor of the loaded coherence matrix, so the sample coherence converges
-    to the model as frames accumulate.
-    """
-    if config is None:
-        config = StftConfig()
-    num_frames = config.num_frames(int(round(duration * config.sample_rate)))
-    data = diffuse_noise_frames(geom, config, num_frames, seed)
-    return Spectrogram(data, config)
 
 
 # ---------------------------------------------------------------------------

@@ -171,23 +171,22 @@ def process_utterance_sdmvdr(
     steering: SteeringVector,
     coherence: CoherenceMatrix,
     params: ApaParams,
-    loading: float = 0.01,
     gains: np.ndarray | None = None,
     prior_pass: bool = False,
 ) -> Spectrogram:
     """Run the fixed-beamformer variant over a whole utterance.
 
     The head of every bin is the superdirective MVDR solution for
-    ``coherence`` and ``loading``; the steering, the gain mask and
-    ``prior_pass`` behave as in :func:`convbeam.apa.process_utterance`.
+    ``coherence`` at its default diagonal loading; the steering, the gain
+    mask and ``prior_pass`` behave as in :func:`convbeam.apa.process_utterance`.
     The band plan must give every bin a nonzero order since this variant
     has no beamformer-only degenerate case.
     """
-    _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:])
+    _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     orders = params.band_plan.bin_orders(spec.config)
     if np.any(orders == 0):
         raise ValueError("band plan assigns order 0; this variant needs order > delay")
-    weights = superdirective_mvdr(steering, coherence, loading).weights
+    weights = superdirective_mvdr(steering, coherence).weights
     states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
     out = drive_utterance(spec, states, vectors, params, _RcBand, gains, prior_pass)
     return Spectrogram(out, spec.config)

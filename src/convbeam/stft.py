@@ -32,7 +32,6 @@ class StftConfig:
 
     sample_rate: int = 16000
     window_len: int = 512
-    hop: int = 256
     fft_len: int = 512
 
     def __post_init__(self) -> None:
@@ -40,14 +39,15 @@ class StftConfig:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.window_len <= 0 or self.window_len % 2 != 0:
             raise ValueError(f"window_len must be even and positive, got {self.window_len}")
-        if self.hop * 2 != self.window_len:
-            raise ValueError(
-                f"hop must be window_len/2, got hop={self.hop} window_len={self.window_len}"
-            )
         if self.fft_len < self.window_len:
             raise ValueError(
                 f"fft_len must be >= window_len, got {self.fft_len} < {self.window_len}"
             )
+
+    @property
+    def hop(self) -> int:
+        """Frame advance in samples: half the window."""
+        return self.window_len // 2
 
     @property
     def num_bins(self) -> int:

@@ -7,10 +7,13 @@ one mic, no prediction taps, unit variances, y = 1, a = 1, w starting at 0
 gives S = [[2, 1], [1, 2]], K = [1/3, 1/3], and an updated filter of 1/3.
 """
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convbeam.apa import (
     ApaParams,
@@ -27,7 +30,9 @@ from convbeam.apa import (
     stack_observation,
 )
 from convbeam.gains import apply_gain
-from convbeam.stft import BandPlan, Spectrogram, StftConfig
+from convbeam.geometry import circular_array, plane_wave_steering
+from convbeam.scenes import exp_decay_rir_scene, synthetic_speech
+from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft
 
 
 def _unit_params(**kw):
@@ -276,7 +281,7 @@ class TestLimiter:
 
 
 def _small_spec(num_mics=2, num_frames=20, seed=0, config=None):
-    cfg = config or StftConfig(window_len=32, hop=16, fft_len=32)
+    cfg = config or StftConfig(window_len=32, fft_len=32)
     rng = np.random.default_rng(seed)
     shape = (num_mics, cfg.num_bins, num_frames)
     return Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg)
@@ -524,3 +529,43 @@ class TestParams:
 
     def test_delay_comes_from_band_plan(self):
         assert ApaParams(band_plan=BandPlan((), (5,), delay=2)).delay == 2
+
+
+@functools.lru_cache(maxsize=1)
+def _reverberant_stream():
+    """A 1 s, 4-mic reverberant scene at -20 dBFS on a 64-point STFT, as
+    (frames (N, bins, M), steering (bins, M), band orders)."""
+    cfg = StftConfig(window_len=64, fft_len=64)  # 33 bins, every default band
+    geom = circular_array(4, 0.10)
+    doa = 0.7
+    dry = synthetic_speech(1.0, cfg.sample_rate, seed=5)
+    scene = exp_decay_rir_scene(dry, geom, doa, 0.5, 0.0, 20.0, cfg, seed=5)
+    ref = istft(scene.mixture)[0]
+    mixture = scene.mixture.data * (0.1 / np.sqrt(np.mean(ref**2)))
+    steering = plane_wave_steering(geom, doa, cfg).vectors
+    return mixture.transpose(2, 1, 0), steering, ApaParams().band_plan.bin_orders(cfg)
+
+
+def _db(lo, hi):
+    return st.floats(lo, hi).map(lambda db: 10.0 ** (db / 10.0))
+
+
+class TestConstraintResidual:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        phi_b=_db(-60.0, -10.0), phi_r=_db(-60.0, -10.0), phi_a=_db(-140.0, -100.0),
+        eta=_db(-40.0, -10.0), alpha_r=st.floats(0.0, 1.0),
+    )
+    def test_stream_holds_the_distortionless_constraint(self, phi_b, phi_r, phi_a, eta, alpha_r):
+        """Across the variance ranges of the command line, a stream keeps
+        max |1 - a^H w_head| over every bin and frame within acceptance
+        test 02's bound."""
+        frames, a, orders = _reverberant_stream()
+        params = ApaParams(phi_b=phi_b, phi_r=phi_r, phi_a=phi_a, eta=eta, alpha_r=alpha_r)
+        states = [init_state(a_k, int(order), params.delay) for a_k, order in zip(a, orders)]
+        worst = 0.0
+        for frame in frames:
+            process_frame(states, frame, a, params)
+            heads = np.array([s.w_hat[: s.num_mics] for s in states])
+            worst = max(worst, float(np.max(np.abs(1.0 - np.vecdot(a, heads)))))
+        assert worst < 1e-3

@@ -60,11 +60,7 @@ class TestScaling:
     def test_reference_curves_structure(self):
         rows = reference_curves([26, 52, 104], num_mics=2)
         assert [r["Q"] for r in rows] == [26, 52, 104]
-        assert rows[0]["quadratic"] == rows[0]["macs"]
-        assert rows[0]["fast_inverse"] == rows[0]["macs"]
-        # growth models overtake the measured linear-ish tally
-        assert rows[-1]["quadratic"] > rows[-1]["macs"]
-        assert rows[-1]["fast_inverse"] > rows[-1]["quadratic"]
+        assert all(set(r) == {"Q", "macs"} for r in rows)
 
     def test_reference_curves_validation(self):
         with pytest.raises(ValueError, match="multiple"):
@@ -83,7 +79,6 @@ class TestWallclock:
         rows = wallclock_sweep(
             methods=("delay-sum", "conv-sdmvdr"),
             num_mics=2,
-            band_plan=None,
             audio_seconds=0.3,
             repeats=1,
         )

@@ -39,7 +39,7 @@ from convbeam.geometry import CoherenceMatrix, SteeringVector
 from convbeam.sdmvdr import init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update
 from convbeam.stft import BandPlan, Spectrogram, StftConfig
 
-CONFIG = StftConfig(window_len=32, hop=16, fft_len=32)  # 17 bins, 500 Hz apart
+CONFIG = StftConfig(window_len=32, fft_len=32)  # 17 bins, 500 Hz apart
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -61,7 +61,6 @@ def cases(draw, allow_order_zero: bool):
         "zeros": (zero_start, draw(st.integers(zero_start, num_frames))),
         "gains": draw(st.sampled_from(["none", "mixed", "zero"])),
         "alpha_r": draw(st.sampled_from([0.0, 0.5, 1.0])),
-        "mean_floor": draw(st.booleans()),
         "prior_pass": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
     }
@@ -85,9 +84,7 @@ def _scene(case):
 
 
 def _params(case):
-    return ApaParams(
-        alpha_r=case["alpha_r"], mean_floor=case["mean_floor"], band_plan=case["plan"]
-    )
+    return ApaParams(alpha_r=case["alpha_r"], band_plan=case["plan"])
 
 
 def _apa_step(state, y_now, a, params, gain):
@@ -130,7 +127,7 @@ def _oracle(spec, states, gains, prior_pass, step):
 @example(
     case={
         "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 1), "num_frames": 12,
-        "zeros": (0, 4), "gains": "mixed", "alpha_r": 1.0, "mean_floor": True,
+        "zeros": (0, 4), "gains": "mixed", "alpha_r": 1.0,
         "prior_pass": True, "seed": 1,
     }
 )
@@ -253,7 +250,7 @@ def test_stream_continues_an_utterance_run_and_its_copies():
     taken mid-stream owns its arrays and streams on by itself."""
     case = {
         "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 0, 4), 1), "num_frames": 12,
-        "zeros": (3, 5), "gains": "mixed", "alpha_r": 1.0, "mean_floor": True,
+        "zeros": (3, 5), "gains": "mixed", "alpha_r": 1.0,
         "prior_pass": True, "seed": 3,
     }
     spec, a, gains = _scene(case)
@@ -293,7 +290,7 @@ def test_stream_continues_an_utterance_run_and_its_copies():
 @example(
     case={
         "num_mics": 3, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 2), "num_frames": 12,
-        "zeros": (0, 5), "gains": "mixed", "alpha_r": 1.0, "mean_floor": True,
+        "zeros": (0, 5), "gains": "mixed", "alpha_r": 1.0,
         "prior_pass": True, "seed": 2,
     }
 )

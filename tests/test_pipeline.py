@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convbeam import apa, bench, cli, geometry, pipeline, sdmvdr
+from convbeam import apa, bench, cli, geometry, metrics, pipeline, sdmvdr
 from convbeam.apa import ApaParams
 from convbeam.gains import write_gain_mask
 from convbeam.geometry import CoherenceMatrix, SteeringVector, circular_array
@@ -81,7 +81,11 @@ class TestLayerAttributes:
         assert kwargs["prior_pass"] is True
         if attr == "process_utterance_sdmvdr":
             assert hasattr(args[2], "gamma")
-            assert kwargs["loading"] == cfg.loading
+            # the superdirective head uses the default loading, the value a
+            # caller that captures these inputs assumes
+            assert "loading" not in kwargs
+            loading = inspect.signature(pipeline.superdirective_mvdr).parameters["loading"]
+            assert loading.default == 0.01
 
     def test_bench_sweep_is_intercepted(self, monkeypatch):
         calls = _tap(monkeypatch, "process_utterance")
@@ -102,9 +106,16 @@ class TestOptionSurface:
 
     def test_options_and_benchmark_signatures(self):
         assert {f.name for f in dataclasses.fields(RunConfig)} == {
-            "method", "geometry", "doa", "params", "stft_config", "loading", "prior_pass",
-            "gain_mask",
+            "method", "geometry", "doa", "params", "stft_config", "prior_pass", "gain_mask",
         }
+        assert [f.name for f in dataclasses.fields(ApaParams)] == [
+            "phi_b", "phi_r", "phi_a", "eta", "alpha_r", "band_plan",
+        ]
+        # a class constant, not a field: the benchmark's oracle reads it
+        assert ApaParams.mean_floor is True and "mean_floor" not in vars(ApaParams())
+        assert [f.name for f in dataclasses.fields(StftConfig)] == [
+            "sample_rate", "window_len", "fft_len",
+        ]
         options = {opt for a in _enhance_parser()._actions for opt in a.option_strings}
         assert options == {
             "-h", "--help", "--input", "--output", "--method", "--geometry", "--doa", "--D",
@@ -120,8 +131,10 @@ class TestOptionSurface:
             "spec", "steering", "params", "gains", "prior_pass", "return_components",
         ]
         assert names(pipeline.process_utterance_sdmvdr) == [
-            "spec", "steering", "coherence", "params", "loading", "gains", "prior_pass",
+            "spec", "steering", "coherence", "params", "gains", "prior_pass",
         ]
+        assert names(metrics.compute_metrics) == ["ref", "est", "sample_rate"]
+        assert names(bench.wallclock_sweep) == ["methods", "num_mics", "audio_seconds", "repeats"]
         assert pipeline.process_utterance is apa.process_utterance
         assert pipeline.process_utterance_sdmvdr is sdmvdr.process_utterance_sdmvdr
         assert names(geometry.srp_phat_localize) == ["spec", "geom"]
@@ -190,13 +203,32 @@ class TestInputContract:
     def test_non_finite_steering_rejected_by_the_utterance_drivers(self, driver):
         """A NaN in the steering is named by bin and channel before any
         weights are computed, not met as a singular update or NaN output."""
-        cfg = StftConfig(window_len=32, hop=16, fft_len=32)  # 17 bins
+        cfg = StftConfig(window_len=32, fft_len=32)  # 17 bins
         rng = np.random.default_rng(4)
         spec = Spectrogram(rng.standard_normal((2, 17, 6)) + 0j, cfg)
         a = np.ones((17, 2), dtype=complex)
         a[5, 1] = np.nan
         params = ApaParams(band_plan=BandPlan((), (3,)))
         with pytest.raises(ValueError, match="^steering has a non-finite value at bin 5, channel"):
+            if driver == "apa":
+                apa.process_utterance(spec, a, params)
+            else:
+                coherence = CoherenceMatrix(np.broadcast_to(np.eye(2), (17, 2, 2)))
+                sdmvdr.process_utterance_sdmvdr(spec, SteeringVector(a, 0), coherence, params)
+
+    @pytest.mark.parametrize("driver", ["apa", "sdmvdr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrogram_rejected_by_the_utterance_drivers(self, driver, bad):
+        """A non-finite spectrogram value is named by channel, bin and frame,
+        not met as a singular update or passed through as NaN output."""
+        cfg = StftConfig(window_len=32, fft_len=32)  # 17 bins
+        data = np.random.default_rng(4).standard_normal((2, 17, 6)) + 0j
+        data[1, 5, 2] = bad
+        spec = Spectrogram(data, cfg)
+        a = np.ones((17, 2), dtype=complex)
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        message = "^spectrogram has a non-finite value at channel 1, bin 5, frame 2$"
+        with pytest.raises(ValueError, match=message):
             if driver == "apa":
                 apa.process_utterance(spec, a, params)
             else:
@@ -273,7 +305,7 @@ class TestLevels:
     level, so it takes a fault in both to break this.)  No input level,
     silence included, drives any method to a non-finite output."""
 
-    CFG = StftConfig(window_len=64, hop=32, fft_len=64)  # 33 bins, every default band
+    CFG = StftConfig(window_len=64, fft_len=64)  # 33 bins, every default band
 
     def _run(self, samples, method):
         cfg = RunConfig(

@@ -141,7 +141,7 @@ class TestEquivalenceLimit:
 
 class TestUtteranceDriver:
     def _scene(self, num_mics=3, num_frames=30, seed=0):
-        cfg = StftConfig(window_len=32, hop=16, fft_len=32)
+        cfg = StftConfig(window_len=32, fft_len=32)
         rng = np.random.default_rng(seed)
         shape = (num_mics, cfg.num_bins, num_frames)
         spec = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg)

@@ -25,7 +25,14 @@ scene and saves every result to an ``.npz``:
   with ``num_mics=4``;
 - the (complex MACs, real MACs, divisions) of ``bench.count_apa_update``
   and ``bench.count_rc_update`` for M 1-16, D 1-3 and orders D+1 to D+19,
-  plus order 0 for the full filter, one row (M, D, L, tally) per call.
+  plus order 0 for the full filter, one row (M, D, L, tally) per call;
+- the ``Q`` and ``macs`` columns of ``bench.reference_curves``;
+- scenes: the ``random_mclp`` draw behind the scene and its
+  ``mclp_spectral_radius``, every component of a 1 s, 4-mic
+  ``exp_decay_rir_scene`` (T60 0.5 s, DRR 0 dB, SNR 20 dB), and a
+  20-frame ``diffuse_noise_frames`` block;
+- ``fw_seg_snr`` and ``cepstral_distance`` of the ``conv-mpdr-apa`` output
+  (fixed DOA, no mask, prior pass) against the scene's dry signal.
 
 The two files are then compared with ``np.array_equal``.  The names of the
 arrays that differ, or exist on one side only, are printed.  The exit
@@ -48,11 +55,15 @@ def dump(src: str, out_file: str) -> None:
     sys.path.insert(0, src)
     import convbeam
     from convbeam.apa import ApaParams, init_state, process_frame, process_utterance
-    from convbeam.bench import count_apa_update, count_rc_update, wallclock_sweep
+    from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
     from convbeam.gains import write_gain_mask
     from convbeam.geometry import circular_array, diffuse_coherence, plane_wave_steering
+    from convbeam.metrics import cepstral_distance, fw_seg_snr
     from convbeam.pipeline import METHODS, RunConfig, enhance
-    from convbeam.scenes import mclp_scene, random_mclp, synthetic_speech
+    from convbeam.scenes import (
+        diffuse_noise_frames, exp_decay_rir_scene, mclp_scene, mclp_spectral_radius, random_mclp,
+        synthetic_speech,
+    )
     from convbeam.sdmvdr import process_utterance_sdmvdr
     from convbeam.stft import BandPlan, StftConfig, istft
     from convbeam.wavio import AudioBuffer
@@ -152,6 +163,22 @@ def dump(src: str, out_file: str) -> None:
                     c = count(m, order, d)
                     tallies.append((m, d, order, c.complex_macs, c.real_macs, c.divisions))
         arrays[f"counts/{name}"] = np.array(tallies)
+
+    rows = reference_curves([26, 52, 104, 208], num_mics=2)
+    for column in ("Q", "macs"):
+        arrays[f"curves/{column}"] = np.array([row[column] for row in rows])
+
+    arrays["scenes/mclp"] = coeffs
+    arrays["scenes/mclp_radius"] = mclp_spectral_radius(coeffs, 1)
+    rir = exp_decay_rir_scene(dry, geom, doa, 0.5, 0.0, 20.0, cfg, seed=5)
+    for part in ("mixture", "dry", "reverb", "noise"):
+        arrays[f"scenes/rir/{part}"] = getattr(rir, part).data
+    arrays["scenes/diffuse"] = diffuse_noise_frames(geom, cfg, 20, seed=6)
+
+    ref = istft(scene.dry, length=buf.num_samples)[0]
+    est = arrays["enhance/conv-mpdr-apa/nomask/doa45/prior1/samples"][0]
+    arrays["metrics/fwsnr"] = np.array(fw_seg_snr(ref, est, cfg.sample_rate))
+    arrays["metrics/cd"] = np.array(cepstral_distance(ref, est, cfg.sample_rate))
     np.savez(out_file, **arrays)
 
 
