@@ -21,22 +21,20 @@ the frame order documented in :func:`process_frame`.
 
 The scalar functions (:func:`init_state`, :func:`stack_observation`,
 :func:`apa_update`, ...) transcribe the update for one bin and are the
-oracle.  ``_ApaBand`` runs the same update on a band of bins of one order,
-whose filters are one (K, Q) array, on the engine of
-:mod:`convbeam.engine`: :func:`process_utterance` gathers the bands once,
-:func:`process_frame` reuses the last frame's bands while that is exact.
-Both give the scalar functions' output bit for bit.
+oracle.  ``_ApaBand`` runs the same update bit for bit on the engine of
+:mod:`convbeam.engine`: its bands do the products with their (K, Q)
+filters, and its ``frame`` the 2x2 solves of all bins at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, is_
+from operator import is_
 
 import numpy as np
 
 from .engine import (
-    Band, bands, check_inputs, complex_of, drive_utterance, floored_psd, limited, run_frame, square,
+    Band, bands, check_inputs, complex_of, drive_utterance, floored_psd, limited, run_block, square,
 )
 from .stft import BandPlan, Spectrogram
 
@@ -315,32 +313,50 @@ class _ApaBand(Band):
     outputs = 3
 
     def bind(self, steering: np.ndarray, params: ApaParams) -> None:
-        self.params = params
         self.a = steering
-        self.s11 = params.phi_b * np.vecdot(steering, steering).real + params.phi_a
         self.phi_w = np.full(self.w.shape[1], params.phi_r, dtype=np.complex128)
         self.phi_w[: steering.shape[1]] = params.phi_b
 
-    def advance(self, y_in: np.ndarray, gains) -> tuple:
-        """One frame of every bin; returns (x_hat, x_b, x_r), each (K,)."""
-        p, w, a, s11 = self.params, self.w, self.a, self.s11
+    def dots(self, y_in: np.ndarray, rows: np.ndarray) -> None:
+        """Load the frame; rows = (w^H ytilde, ytilde^H Phi_w ytilde, a^H w_head)."""
         y = self.load(y_in)
-        m = y.shape[1]
         if self.delay == 1:
-            y_tilde = self.frames.reshape(len(y), -1)
+            self.y_tilde = self.frames.reshape(len(y), -1)
         else:
-            y_tilde = np.concatenate((y, self.tail()), axis=1)
+            self.y_tilde = np.concatenate((y, self.tail()), axis=1)
+        py = np.multiply(self.y_tilde, self.phi_w, out=self.work)
+        np.vecdot(self.w, self.y_tilde, out=rows[0])
+        np.vecdot(self.y_tilde, py, out=rows[1])
+        np.vecdot(self.a, self.w[:, : y.shape[1]], out=rows[2])
 
-        phi_x = floored_psd(np.vecdot(w, y_tilde), y_in, gains, p)
-        # apa_update
-        py = y_tilde * self.phi_w
-        s00 = np.vecdot(y_tilde, py).real + phi_x
-        s01 = p.phi_b * np.vecdot(y, a)
-        e0 = -np.vecdot(y_tilde, w)
-        e1 = 1.0 - np.vecdot(a, w[:, :m])
-        s01r, s01i = s01.real, s01.imag
-        e0r, e0i, e1r, e1i = e0.real, e0.imag, e1.real, e1.imag
-        det = s00 * s11 - (square(s01r) + square(s01i))
+    def correct(self, g0: np.ndarray, g1: np.ndarray, rows: np.ndarray) -> None:
+        """w += Phi_w ytilde g0 + a g1 (g1 scaled by phi_b); rows = (w_head^H y, w^H ytilde)."""
+        w, m = self.w, self.a.shape[1]
+        w += np.multiply(self.work, g0[:, None], out=self.work)
+        w[:, :m] += g1[:, None] * self.a
+        np.vecdot(w[:, :m], self.frames[:, 0], out=rows[0])
+        np.vecdot(w, self.y_tilde, out=rows[1])
+        self.push()
+
+    @staticmethod
+    def inputs(ys: np.ndarray, steering: np.ndarray, params: ApaParams) -> tuple:
+        """(s01, |s01|^2, s11) of every frame and bin."""
+        s01 = params.phi_b * np.vecdot(ys, steering)
+        s11 = params.phi_b * np.vecdot(steering, steering).real + params.phi_a
+        return s01, square(s01.real) + square(s01.imag), np.broadcast_to(s11, s01.shape)
+
+    @staticmethod
+    def frame(held, p, y, terms, out) -> None:
+        """apa_update of every bin; out = (x_hat, x_b, x_r), each (bins,)."""
+        floor, gains_sq, s01, s01_sq, s11 = terms
+        dots = np.empty((3, len(y)), dtype=np.complex128)
+        for lo, hi, band in held:
+            band.dots(y[lo:hi], dots[:, lo:hi])
+        s00 = dots[1].real + floored_psd(dots[0], gains_sq, floor)
+        e1 = 1.0 - dots[2]
+        s01r, s01i, e1r, e1i = s01.real, s01.imag, e1.real, e1.imag
+        e0r, e0i = -dots[0].real, dots[0].imag  # e0 = -ytilde^H w = -conj(w^H ytilde)
+        det = s00 * s11 - s01_sq
         solved = det > 0.0
         all_solved = solved.all()
         if not all_solved:
@@ -365,15 +381,11 @@ class _ApaBand(Band):
             inv11 = 1.0 / s11[alone]
             g0[alone] = 0.0
             g1[alone] = complex_of(e1r[alone] * inv11, e1i[alone] * inv11)
-        w += py * g0[:, None]
-        w[:, :m] += (p.phi_b * g1)[:, None] * a
-
-        x_full = np.vecdot(w, y_tilde)
-        x_b = np.vecdot(w[:, :m], y)
-        x_r = x_b - x_full
-        x_hat = limited(x_b, x_r, p.alpha_r)
-        self.push()
-        return x_hat, x_b, x_r
+        g1 = p.phi_b * g1
+        for lo, hi, band in held:
+            band.correct(g0[lo:hi], g1[lo:hi], out[1:, lo:hi])
+        np.subtract(out[1], out[2], out=out[2])  # x_r = x_b - w^H ytilde
+        out[0] = limited(out[1], out[2], p.alpha_r)
 
 
 def process_frame(
@@ -388,33 +400,35 @@ def process_frame(
     Per bin: stack the observation, estimate and floor the PSD (optionally
     scaled by an external gain), run the affine projection update, emit the
     limited output from the updated filter, then push the frame into the
-    history.  ``steering`` is the (bins, M) steering matrix and ``gains`` an
-    optional per-bin gain column for this frame, clamped into [0, 1]; a bad
-    shape, a non-finite frame or steering value or a NaN gain raises before
-    any state changes.  The last call's bands, bound to this steering and
-    params, are reused if ``states`` are the same objects in the same order,
-    each still holding the ``w_hat`` and ``history`` views its band gave it;
-    else new bands adopt them.  A stream equals :func:`process_utterance` bitwise.
+    history.  The frame runs on the engine as a block of one, so every
+    bin's 2x2 solve, singular check included, runs before any filter moves.
+    ``steering`` is the (bins, M) steering matrix and ``gains`` an optional
+    per-bin gain column, clamped into [0, 1]; a bad shape, a non-finite
+    frame or steering value, a zero-norm steering row or a NaN gain raises
+    before any state changes.  The last call's bands, bound to this steering
+    and params, are reused while ``states`` are the same objects in the same
+    order, each holding the ``w_hat`` and ``history`` views its band gave
+    it; else new bands adopt them.  A stream equals process_utterance bitwise.
     """
     frame, steering, gains = check_inputs(
         steering, gains, states[0].num_mics, (len(states),), frame
     )
-    held = getattr(states[0], "_band", None)  # (bands, states, their w_hat, their history)
-    if held and len(held[1]) == len(states) and (
-        all(map(is_, states, held[1]))
-        and all(map(is_, map(attrgetter("w_hat"), states), held[2]))
-        and all(map(is_, map(attrgetter("history"), states), held[3]))
-    ):
+    def views():
+        return [x for s in states for x in (s, s.w_hat, s.history)]
+
+    held = getattr(states[0], "_band", None)  # (bands, the views they gave)
+    if held and len(held[1]) == 3 * len(states) and all(map(is_, views(), held[1])):
         for lo, hi, band in held[0]:
             band.bind(steering[lo:hi], params)
     else:
         made = bands(states, steering, params, _ApaBand)
-        held = (made, tuple(states), [s.w_hat for s in states], [s.history for s in states])
+        held = (made, views())
         for state in states:
             state._band = held
-    out = np.empty((_ApaBand.outputs, len(states)), dtype=np.complex128)
-    run_frame(held[0], frame, gains, out)
-    return out[0]
+    out = np.empty((_ApaBand.outputs, len(states), 1), dtype=np.complex128)
+    column = None if gains is None else gains[None]
+    run_block(held[0], _ApaBand, frame[None], steering, params, column, out)
+    return out[0, :, 0]
 
 
 def process_utterance(

@@ -1,13 +1,15 @@
 """The batched engine behind both adaptive filters.
 
 A band is a contiguous run of bins that share one order and delay, held as
-arrays so that one frame of every bin in it costs a fixed number of numpy
-calls.  Each variant has one band kernel (``apa._ApaBand``,
-``sdmvdr._RcBand``) that advances its band by one frame; this module holds
-what they share: the band's filters and frame history (:class:`Band`), the
-grouping of bins into bands, the frame and utterance drivers, and the one
-input check.  A band adopts the states gathered into it, so nothing is
-written back.
+arrays.  A frame step has two parts.  The bands (:class:`Band`, with the
+kernels ``apa._ApaBand`` and ``sdmvdr._RcBand``) do only the Q-length work,
+the products with their (K, Q) filters and history, the filter corrections
+and the history push, writing per-bin results into slices of frame-wide
+arrays.  The per-bin scalar algebra (PSD floor, gain or step, masks,
+limiter) runs once per frame over all bins, in the kernel's ``frame``.
+Terms of the input alone are computed once per block of frames: the
+utterance drivers pass blocks of :data:`BLOCK` frames, ``apa.process_frame``
+a block of one.  A band adopts the states gathered into it.
 
 The kernels repeat the scalar oracle functions of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr` operation for operation, so they give the same bits:
@@ -25,8 +27,11 @@ import numpy as np
 from .gains import clamp_gain
 from .stft import Spectrogram
 
-__all__ = ["Band", "bands", "check_inputs", "complex_of", "drive_utterance", "floored_psd",
-           "limited", "run_frame", "square"]
+__all__ = ["BLOCK", "Band", "bands", "check_inputs", "complex_of", "drive_utterance",
+           "floored_psd", "limited", "run_block", "square"]
+
+# frames per input block of the utterance drivers; bounds the block's copy of the input
+BLOCK = 8
 
 
 def square(x: np.ndarray) -> np.ndarray:
@@ -45,28 +50,19 @@ def complex_of(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def floored_psd(x: np.ndarray, y: np.ndarray, gains, params) -> np.ndarray:
-    """|x|^2, scaled by the gains squared, floored as ``apa.psd_floor``; y is (K, M)."""
-    phi = square(_abs(x))
-    if gains is not None:
-        phi = (gains * gains) * phi
-    power = np.sum(np.abs(y) ** 2, axis=1) / y.shape[1]
-    return np.maximum(phi, params.eta * power)
+def floored_psd(x: np.ndarray, gains_sq: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """|x|^2, scaled by the squared gains, floored as ``apa.psd_floor``."""
+    return np.maximum(gains_sq * square(_abs(x)), floor)
 
 
 def limited(x_b: np.ndarray, x_r: np.ndarray, alpha_r: float) -> np.ndarray:
     """``apa.limited_output`` of every bin."""
     mag_r = _abs(x_r)
     silent = mag_r == 0.0
-    any_silent = silent.any()
-    if any_silent:
-        mag_r = np.where(silent, 1.0, mag_r)
+    inv = 1.0 / np.where(silent, 1.0, mag_r)
     step = alpha_r * np.minimum(mag_r, _abs(x_b))
-    inv = 1.0 / mag_r
     x_hat = complex_of(x_b.real - step * (x_r.real * inv), x_b.imag - step * (x_r.imag * inv))
-    if any_silent:
-        x_hat[silent] = x_b[silent]
-    return x_hat
+    return np.where(silent, x_b, x_hat)
 
 
 class Band:
@@ -75,7 +71,10 @@ class Band:
     ``frames[:, 0]`` holds the current frame y(n), ``frames[:, l]`` y(n-l).  The
     band adopts its states: the attribute named by ``weights`` becomes a view
     of the state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.  A
-    kernel subclass sets ``outputs``, the number of arrays ``advance`` returns.
+    kernel subclass does the band's Q-length work and sets ``outputs``; its
+    static ``inputs(ys, steering, params)`` gives the input-only terms of a
+    block, one row per frame, and ``frame(held, params, y, terms, out)``
+    runs the all-bin scalar step of one frame on that frame's rows.
     """
 
     weights = "w_hat"
@@ -84,6 +83,7 @@ class Band:
         first = states[0]
         self.order, self.delay = first.order, first.delay
         self.w = np.stack([getattr(s, self.weights) for s in states])
+        self.work = np.empty_like(self.w)  # a (K, Q) product, formed in place
         self.frames = np.zeros((len(states), first.order + 1, first.num_mics), np.complex128)
         self.frames[:, 1:] = [s.history for s in states]
         for state, w, frames in zip(states, self.w, self.frames):
@@ -93,7 +93,6 @@ class Band:
 
     def bind(self, steering: np.ndarray, params) -> None:
         """Run the next frames with this steering (K, M) and these params."""
-        self.params = params
 
     def load(self, y: np.ndarray) -> np.ndarray:
         """Put the current frame in slot 0; returns it as (K, M)."""
@@ -119,21 +118,30 @@ def bands(states: list, steering: np.ndarray, params, band) -> list:
     ]
 
 
-def run_frame(bands: list, frame: np.ndarray, gains, out: np.ndarray) -> None:
-    """Advance every band by one (bins, M) frame; the outputs fill ``out`` (outputs, bins)."""
-    for lo, hi, band in bands:
-        column = None if gains is None else gains[lo:hi]
-        out[:, lo:hi] = band.advance(frame[lo:hi], column)
+def run_block(held: list, band, ys: np.ndarray, steering: np.ndarray, params, gains,
+              out: np.ndarray) -> None:
+    """Advance the bands ``held`` through the frames ``ys`` (B, bins, M).
+
+    ``gains`` is None or (B, bins); the outputs fill ``out`` (outputs, bins, B).
+    The input-only terms of the whole block come first: the PSD floor
+    eta * ||y||^2 / M, the squared gains and the kernel's ``inputs``.
+    """
+    floor = params.eta * (np.sum(np.abs(ys) ** 2, axis=2) / ys.shape[2])
+    gains_sq = np.ones(floor.shape) if gains is None else gains * gains
+    terms = (floor, gains_sq) + band.inputs(ys, steering, params)
+    for n, y in enumerate(ys):
+        band.frame(held, params, y, [t[n] for t in terms], out[:, :, n])
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
     """(frame, steering, gains) as arrays, checked before any state changes.
 
     ``frame`` (when given) and ``steering`` must be finite and (bins, M),
-    with bins = ``gain_shape[0]`` and M = ``num_mics``; ``gains`` must be of
-    ``gain_shape`` and is clamped into [0, 1].  An utterance driver passes its
-    Spectrogram as ``frame``; that must be finite.  Anything else raises
-    ``ValueError`` naming the argument, and for a non-finite value where it is.
+    with bins = ``gain_shape[0]`` and M = ``num_mics``, and no steering row
+    may have zero norm; ``gains`` must be of ``gain_shape`` and is clamped
+    into [0, 1].  An utterance driver passes its Spectrogram as ``frame``;
+    that must be finite.  Anything else raises ``ValueError`` naming the
+    argument, and for a bad value where it is.
     """
     steering = np.asarray(getattr(steering, "vectors", steering), dtype=np.complex128)
     spec, frame = (frame.data, None) if isinstance(frame, Spectrogram) else (None, frame)
@@ -151,6 +159,9 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
         if not np.all(finite):
             k, ch = np.argwhere(~finite)[0]
             raise ValueError(f"{name} has a non-finite value at bin {k}, channel {ch}")
+    zero = np.sum(np.abs(steering) ** 2, axis=1) == 0.0
+    if zero.any():
+        raise ValueError(f"steering vector of bin {np.argmax(zero)} has zero norm")
     if spec is not None and not np.isfinite(spec).all():
         ch, k, n = np.argwhere(~np.isfinite(spec))[0]
         raise ValueError(f"spectrogram has a non-finite value at channel {ch}, bin {k}, frame {n}")
@@ -166,22 +177,27 @@ def drive_utterance(
     gains: np.ndarray | None = None,
     prior_pass: bool = False,
 ) -> np.ndarray:
-    """Advance one state per bin through the utterance, frame by frame.
+    """Advance one state per bin through the utterance, a block of frames at a time.
 
     ``band`` is the variant's kernel class; its bands adopt the states,
-    which end holding their final filters and histories.  ``steering`` and
-    ``gains`` come from :func:`check_inputs`.  Returns the band outputs,
-    shaped (``band.outputs``, bins, frames).  With ``prior_pass`` every bin
-    first runs the utterance once and keeps its filter but not its history.
+    which end holding their final filters and histories.  ``steering`` is
+    the (bins, M) matrix the kernel's ``inputs`` read, and ``gains`` comes
+    from :func:`check_inputs`.  Each block of :data:`BLOCK` frames is copied
+    once into (frames, bins, M) rows and run by :func:`run_block`.  Returns
+    the band outputs, shaped (``band.outputs``, bins, frames).  With
+    ``prior_pass`` every bin first runs the utterance once and keeps its
+    filter but not its history.
     """
     data = spec.data
     held = bands(states, steering, params, band)
     out = np.empty((band.outputs,) + data.shape[1:], dtype=np.complex128)
 
     def sweep():
-        for n in range(data.shape[2]):
-            frame = np.ascontiguousarray(data[:, :, n].T)
-            run_frame(held, frame, None if gains is None else gains[:, n], out[:, :, n])
+        for n in range(0, data.shape[2], BLOCK):
+            block = slice(n, n + BLOCK)
+            ys = np.ascontiguousarray(data[:, :, block].transpose(2, 1, 0))
+            column = None if gains is None else gains[:, block].T
+            run_block(held, band, ys, steering, params, column, out[:, :, block])
 
     if prior_pass:
         sweep()

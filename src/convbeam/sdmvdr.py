@@ -140,30 +140,40 @@ class _RcBand(Band):
     weights = "w_rc"
     outputs = 1
 
-    def __init__(self, states: list, steering: np.ndarray, params: ApaParams) -> None:
-        super().__init__(states, steering, params)
-        self.w_sd = np.stack([s.w_sd for s in states])
+    def dots(self, y_in: np.ndarray, rows: np.ndarray) -> None:
+        """Load the frame; rows = (w_rc^H f, f^H f)."""
+        self.load(y_in)
+        self.f = self.tail()
+        np.vecdot(self.w, self.f, out=rows[0])
+        np.vecdot(self.f, self.f, out=rows[1])
 
-    def advance(self, y_in: np.ndarray, gains) -> tuple:
-        """One frame of every bin; returns (x_hat,), shaped (K,)."""
-        p, w = self.params, self.w
-        y = self.load(y_in)
-        f = self.tail()
-        # rc_speech_psd, then rc_update
-        d = np.vecdot(self.w_sd, y)
-        e = d - np.vecdot(w, f)
-        phi_x = floored_psd(e, y_in, gains, p)
-        denom = p.phi_r * np.vecdot(f, f).real + phi_x
+    def correct(self, step: np.ndarray, x_r: np.ndarray) -> None:
+        """w_rc += step f; x_r = w_rc^H f, then push."""
+        self.w += np.multiply(step[:, None], self.f, out=self.work)
+        np.vecdot(self.w, self.f, out=x_r)
+        self.push()
+
+    @staticmethod
+    def inputs(ys: np.ndarray, w_sd: np.ndarray, params: ApaParams) -> tuple:
+        """(d,) = (w_sd^H y,) of every frame and bin; the heads stand in for the steering."""
+        return (np.vecdot(w_sd, ys),)
+
+    @staticmethod
+    def frame(held, p, y, terms, out) -> None:
+        """rc_speech_psd, then rc_update, of every bin; out = (x_hat,)."""
+        floor, gains_sq, d = terms
+        dots = np.empty((2, len(y)), dtype=np.complex128)
+        for lo, hi, band in held:
+            band.dots(y[lo:hi], dots[:, lo:hi])
+        e = d - dots[0]
+        denom = p.phi_r * dots[1].real + floored_psd(e, gains_sq, floor)
         # a zero denominator (zero regressor, zero floor) means no update,
         # which an infinite one gives: phi_r / inf is a zero step
-        moved = denom > 0.0
-        if not moved.all():
-            denom = np.where(moved, denom, np.inf)
-        scale = p.phi_r / denom
-        w += complex_of(scale * e.real, scale * -e.imag)[:, None] * f
-        x_hat = limited(d, np.vecdot(w, f), p.alpha_r)
-        self.push()
-        return (x_hat,)
+        scale = p.phi_r / np.where(denom > 0.0, denom, np.inf)
+        step = complex_of(scale * e.real, scale * -e.imag)
+        for lo, hi, band in held:
+            band.correct(step[lo:hi], out[0, lo:hi])  # x_r
+        out[0] = limited(d, out[0], p.alpha_r)
 
 
 def process_utterance_sdmvdr(
@@ -188,5 +198,5 @@ def process_utterance_sdmvdr(
         raise ValueError("band plan assigns order 0; this variant needs order > delay")
     weights = superdirective_mvdr(steering, coherence).weights
     states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
-    out = drive_utterance(spec, states, vectors, params, _RcBand, gains, prior_pass)
+    out = drive_utterance(spec, states, weights, params, _RcBand, gains, prior_pass)
     return Spectrogram(out, spec.config)

@@ -4,13 +4,15 @@
 advance whole bands of bins per frame with array kernels.  These property
 tests draw small scenes (1-4 mics, delay 1 or 2, band plans whose orders
 repeat in non-adjacent bands, order 0 for the full filter, gain columns with
-zeros, runs of all-zero frames) and require the engine to equal a per-bin
-loop of the public scalar functions bit for bit.  An all-zero frame after
-an all-zero history is where the two-row solve falls back to the constraint
-row alone (``s00 == 0``) and where the canceller skips its update
-(``denom == 0``).  A stream reuses its bands between frames; the stream
-tests also change the states, steering and params between frames and copy
-the states mid-stream.
+zeros, runs of all-zero frames, and a subset of bins silent over a run of
+frames) and require the engine to equal a per-bin loop of the public scalar
+functions bit for bit.  An all-zero frame after an all-zero history is
+where the two-row solve falls back to the constraint row alone
+(``s00 == 0``), where the limiter passes x_b through (``|x_r| == 0``) and
+where the canceller skips its update (``denom == 0``); silent bins take
+those branches in the same frames as live ones.  A stream reuses its bands
+between frames; the stream tests also change the states, steering and
+params between frames and copy the states mid-stream.
 """
 
 import copy
@@ -54,16 +56,30 @@ def cases(draw, allow_order_zero: bool):
     )
     num_frames = draw(st.integers(1, 16))
     zero_start = draw(st.integers(0, num_frames))
+    quiet_start = draw(st.integers(0, num_frames))
     return {
         "num_mics": draw(st.integers(1, 4)),
         "plan": BandPlan(tuple(500.0 * e for e in sorted(edges)), tuple(orders), delay),
         "num_frames": num_frames,
         "zeros": (zero_start, draw(st.integers(zero_start, num_frames))),
+        "quiet_bins": draw(st.lists(st.integers(0, CONFIG.num_bins - 1), unique=True)),
+        "quiet": (quiet_start, draw(st.integers(quiet_start, num_frames))),
         "gains": draw(st.sampled_from(["none", "mixed", "zero"])),
         "alpha_r": draw(st.sampled_from([0.0, 0.5, 1.0])),
         "prior_pass": draw(st.booleans()),
         "seed": draw(st.integers(0, 2**16)),
     }
+
+
+# Bins on both sides of both band edges (bins 4 and 10) fall silent for
+# frames 1-12 while the others carry on: from frame 4 (frame 7 at order 6)
+# those bins take the constraint-row-only solve, the limiter's |x_r| == 0
+# branch and the canceller's denom == 0 branch in the same frames as live bins.
+PARTLY_SILENT = {
+    "num_mics": 3, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 1), "num_frames": 16,
+    "zeros": (0, 0), "quiet_bins": [2, 3, 4, 5, 9, 10, 11], "quiet": (1, 13),
+    "gains": "mixed", "alpha_r": 0.5, "prior_pass": True, "seed": 5,
+}
 
 
 def _scene(case):
@@ -72,6 +88,7 @@ def _scene(case):
     m, k, n = case["num_mics"], CONFIG.num_bins, case["num_frames"]
     data = rng.standard_normal((m, k, n)) + 1j * rng.standard_normal((m, k, n))
     data[:, :, slice(*case["zeros"])] = 0.0
+    data[:, case["quiet_bins"], slice(*case["quiet"])] = 0.0
     a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (k, m)))
     gains = None
     if case["gains"] != "none":
@@ -124,10 +141,11 @@ def _oracle(spec, states, gains, prior_pass, step):
 
 @SETTINGS
 @given(case=cases(allow_order_zero=True))
+@example(case=PARTLY_SILENT)
 @example(
     case={
         "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 1), "num_frames": 12,
-        "zeros": (0, 4), "gains": "mixed", "alpha_r": 1.0,
+        "zeros": (0, 4), "quiet_bins": [], "quiet": (0, 0), "gains": "mixed", "alpha_r": 1.0,
         "prior_pass": True, "seed": 1,
     }
 )
@@ -150,6 +168,7 @@ def test_apa_engine_matches_scalar_loop(case):
 
 @SETTINGS
 @given(case=cases(allow_order_zero=True))
+@example(case=PARTLY_SILENT)
 def test_apa_stream_matches_scalar_loop(case):
     """A process_frame stream on one list of states: outputs, final filters
     and histories all equal the scalar loop."""
@@ -180,6 +199,23 @@ def test_apa_stream_matches_scalar_loop(case):
     for s, t in zip(streamed, looped):
         np.testing.assert_array_equal(s.w_hat, t.w_hat)
         np.testing.assert_array_equal(s.history, t.history)
+
+
+def test_stream_keeps_its_bands():
+    """States left as the last call left them run on the same bands, with
+    no regrouping; a state given a new ``w_hat`` regroups them."""
+    spec, a, _ = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    orders = params.band_plan.bin_orders(CONFIG)
+    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    process_frame(states, spec.data[:, :, 0].T, a, params)
+    held = states[0]._band
+    for n in range(1, 4):
+        process_frame(list(states), spec.data[:, :, n].T, a, params)
+    assert all(s._band is held for s in states)
+    states[3].w_hat = states[3].w_hat.copy()
+    process_frame(states, spec.data[:, :, 4].T, a, params)
+    assert states[0]._band is not held
 
 
 CHANGES = (
@@ -250,7 +286,7 @@ def test_stream_continues_an_utterance_run_and_its_copies():
     taken mid-stream owns its arrays and streams on by itself."""
     case = {
         "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 0, 4), 1), "num_frames": 12,
-        "zeros": (3, 5), "gains": "mixed", "alpha_r": 1.0,
+        "zeros": (3, 5), "quiet_bins": [], "quiet": (0, 0), "gains": "mixed", "alpha_r": 1.0,
         "prior_pass": True, "seed": 3,
     }
     spec, a, gains = _scene(case)
@@ -287,10 +323,11 @@ def test_stream_continues_an_utterance_run_and_its_copies():
 
 @SETTINGS
 @given(case=cases(allow_order_zero=False))
+@example(case=PARTLY_SILENT)
 @example(
     case={
         "num_mics": 3, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 2), "num_frames": 12,
-        "zeros": (0, 5), "gains": "mixed", "alpha_r": 1.0,
+        "zeros": (0, 5), "quiet_bins": [], "quiet": (0, 0), "gains": "mixed", "alpha_r": 1.0,
         "prior_pass": True, "seed": 2,
     }
 )

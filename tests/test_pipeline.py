@@ -235,6 +235,36 @@ class TestInputContract:
                 coherence = CoherenceMatrix(np.broadcast_to(np.eye(2), (17, 2, 2)))
                 sdmvdr.process_utterance_sdmvdr(spec, SteeringVector(a, 0), coherence, params)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", ["process_frame", "apa", "sdmvdr"])
+    def test_zero_norm_steering_row_rejected(self, entry):
+        """A steering row of zero norm is named by bin before any state
+        changes or weights are computed: not run silently, raised without
+        the bin, or turned into NaN output."""
+        cfg = StftConfig(window_len=32, fft_len=32)  # 17 bins
+        spec = Spectrogram(np.random.default_rng(4).standard_normal((4, 17, 6)) + 0j, cfg)
+        a = np.ones((17, 4), dtype=complex)
+        a[5] = 0.0
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        message = "^steering vector of bin 5 has zero norm$"
+        if entry == "process_frame":
+            states = [apa.init_state(np.ones(4, complex), 3) for _ in range(17)]
+            apa.process_frame(states, spec.data[:, :, 0].T, np.ones((17, 4)), params)
+            w_hat = [s.w_hat.copy() for s in states]
+            history = [s.history.copy() for s in states]
+            with pytest.raises(ValueError, match=message):
+                apa.process_frame(states, spec.data[:, :, 1].T, a, params)
+            for state, w, h in zip(states, w_hat, history):
+                np.testing.assert_array_equal(state.w_hat, w)
+                np.testing.assert_array_equal(state.history, h)
+        elif entry == "apa":
+            with pytest.raises(ValueError, match=message):
+                apa.process_utterance(spec, a, params)
+        else:
+            coherence = CoherenceMatrix(np.broadcast_to(np.eye(4), (17, 4, 4)))
+            with pytest.raises(ValueError, match=message):
+                sdmvdr.process_utterance_sdmvdr(spec, SteeringVector(a, 0), coherence, params)
+
     def test_silent_scene_needs_a_doa(self):
         """All-zero input cannot be localized; with a given DOA it comes back as zeros."""
         buf = AudioBuffer(np.zeros((4, 16000)), 16000)

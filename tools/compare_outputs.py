@@ -21,6 +21,11 @@ scene and saves every result to an ``.npz``:
   the prior pass;
 - both adaptive filters on a band plan whose order repeats in non-adjacent
   bands (orders 3, 6, 3), with a gain mask and the prior pass;
+- both adaptive filters with the default band plan, a gain mask and the
+  prior pass on the first 61 frames of the scene (a prime count, so the
+  utterance spans several of the engine's input blocks and ends in a
+  partial one), with bins 20-39 and 120-129 silent on every channel over
+  frames 15-34: the output, and ``x_b`` and ``x_r`` of the full filter;
 - the method, M, L, D, Q and MAC columns of ``bench.wallclock_sweep``
   with ``num_mics=4``;
 - the (complex MACs, real MACs, divisions) of ``bench.count_apa_update``
@@ -65,7 +70,7 @@ def dump(src: str, out_file: str) -> None:
         synthetic_speech,
     )
     from convbeam.sdmvdr import process_utterance_sdmvdr
-    from convbeam.stft import BandPlan, StftConfig, istft
+    from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft
     from convbeam.wavio import AudioBuffer
 
     if not str(Path(convbeam.__file__).resolve()).startswith(str(Path(src).resolve())):
@@ -149,6 +154,21 @@ def dump(src: str, out_file: str) -> None:
     arrays["repeated/apa/x_r"] = extras["x_r"]
     arrays["repeated/sdmvdr"] = process_utterance_sdmvdr(
         spec, steering, coherence, params, gains=mask, prior_pass=True
+    ).data
+
+    quiet = spec.data[:, :, :61].copy()
+    quiet[:, 20:40, 15:35] = 0.0
+    quiet[:, 120:130, 15:35] = 0.0
+    quiet = Spectrogram(quiet, cfg)
+    params = ApaParams()
+    out, extras = process_utterance(
+        quiet, steering, params, gains=mask[:, :61], prior_pass=True, return_components=True
+    )
+    arrays["blocks/apa/output"] = out.data
+    arrays["blocks/apa/x_b"] = extras["x_b"]
+    arrays["blocks/apa/x_r"] = extras["x_r"]
+    arrays["blocks/sdmvdr"] = process_utterance_sdmvdr(
+        quiet, steering, coherence, params, gains=mask[:, :61], prior_pass=True
     ).data
 
     rows = wallclock_sweep(num_mics=4, audio_seconds=0.25, repeats=1)
