@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .apa import ApaParams
 from .bench import fit_power_law, reference_curves, wallclock_sweep, write_bench_csv
-from .geometry import ArrayGeometry, circular_array, load_geometry
+from .geometry import ArrayGeometry, circular_array, load_geometry, plane_wave_steering
 from .metrics import compute_metrics, format_report
 from .pipeline import METHODS, RunConfig, enhance
 from .scenes import (
@@ -86,6 +86,14 @@ def _parse_bool(text: str) -> bool:
 
 def _db_to_power(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _read_mono(path) -> AudioBuffer:
+    """Read a WAV that must hold one channel; a multichannel file is refused, not cut."""
+    buf = read_wav(path)
+    if buf.num_channels != 1:
+        raise ValueError(f"{path}: expected a single-channel WAV, got {buf.num_channels} channels")
+    return buf
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -213,15 +221,12 @@ def _write_scene(scene: Scene, out_dir: Path) -> None:
 def cmd_simulate(args) -> int:
     config = StftConfig()
     if args.input is not None:
-        dry_buf = resample_check(read_wav(args.input), config.sample_rate)
-        dry = dry_buf.samples[0]
+        dry = resample_check(_read_mono(args.input), config.sample_rate).samples[0]
     else:
         dry = synthetic_speech(args.duration, config.sample_rate, seed=args.seed)
     geom = args.geometry
     azimuth = math.radians(args.doa)
     if args.scene_type == "mclp":
-        from .geometry import plane_wave_steering
-
         steering = plane_wave_steering(geom, azimuth, config)
         coeffs = random_mclp(
             geom.num_mics, args.order, args.delay, config, seed=args.seed
@@ -248,8 +253,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    ref = read_wav(args.ref)
-    est = read_wav(args.est)
+    ref = _read_mono(args.ref)
+    est = _read_mono(args.est)
     if ref.sample_rate != est.sample_rate:
         raise ValueError(
             f"sample rates differ: ref {ref.sample_rate} Hz, est {est.sample_rate} Hz"

@@ -159,7 +159,7 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
         if not np.all(finite):
             k, ch = np.argwhere(~finite)[0]
             raise ValueError(f"{name} has a non-finite value at bin {k}, channel {ch}")
-    zero = np.sum(np.abs(steering) ** 2, axis=1) == 0.0
+    zero = np.vecdot(steering, steering).real == 0.0
     if zero.any():
         raise ValueError(f"steering vector of bin {np.argmax(zero)} has zero norm")
     if spec is not None and not np.isfinite(spec).all():

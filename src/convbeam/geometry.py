@@ -17,6 +17,7 @@ __all__ = [
     "circular_array",
     "load_geometry",
     "save_geometry",
+    "plane_wave_delays",
     "plane_wave_steering",
     "diffuse_coherence",
     "srp_phat_localize",
@@ -71,14 +72,6 @@ class SteeringVector:
         if vec.ndim != 2:
             raise ValueError(f"vectors must have shape (bins, M), got {vec.shape}")
         object.__setattr__(self, "vectors", vec)
-
-    @property
-    def num_bins(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def num_mics(self) -> int:
-        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -149,34 +142,37 @@ def _unit_direction(azimuth: float) -> np.ndarray:
     return np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
 
 
+def plane_wave_delays(geom: ArrayGeometry, azimuth: float) -> np.ndarray:
+    """Delay in seconds at each mic of a far-field plane wave from ``azimuth``.
+
+    The angle is in radians, at zero elevation.  Delays are relative to the
+    reference microphone, so its entry is exactly 0.
+    """
+    delays = -(geom.positions @ _unit_direction(azimuth)) / SPEED_OF_SOUND
+    return delays - delays[geom.reference_mic]
+
+
 def plane_wave_steering(
-    geom: ArrayGeometry, azimuth: float, config: StftConfig | None = None
+    geom: ArrayGeometry, azimuth: float, config: StftConfig = StftConfig()
 ) -> SteeringVector:
     """Far-field steering vectors for a plane wave from ``azimuth`` at zero elevation.
 
     The angle is in radians.  Phases are relative to the reference
     microphone, so its entry is exactly 1+0j in every bin.
     """
-    if config is None:
-        config = StftConfig()
-    delays = -(geom.positions @ _unit_direction(azimuth)) / SPEED_OF_SOUND
-    delays = delays - delays[geom.reference_mic]
-    freqs = config.bin_freq(np.arange(config.num_bins))
-    vec = np.exp(-2j * np.pi * freqs[:, None] * delays[None, :])
+    delays = plane_wave_delays(geom, azimuth)
+    vec = np.exp(-2j * np.pi * config.freqs[:, None] * delays[None, :])
     return SteeringVector(vec, geom.reference_mic)
 
 
-def diffuse_coherence(geom: ArrayGeometry, config: StftConfig | None = None) -> CoherenceMatrix:
+def diffuse_coherence(geom: ArrayGeometry, config: StftConfig = StftConfig()) -> CoherenceMatrix:
     """Spherically isotropic (diffuse) coherence sinc(2 pi f d / c) per bin.
 
     Here sinc is the unnormalized sin(x)/x, so np.sinc gets the argument
     without the pi factor.
     """
-    if config is None:
-        config = StftConfig()
     dists = geom.pairwise_distances()
-    freqs = config.bin_freq(np.arange(config.num_bins))
-    gamma = np.sinc(2.0 * freqs[:, None, None] * dists[None, :, :] / SPEED_OF_SOUND)
+    gamma = np.sinc(2.0 * config.freqs[:, None, None] * dists[None, :, :] / SPEED_OF_SOUND)
     return CoherenceMatrix(gamma)
 
 
@@ -200,8 +196,7 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
         raise ValueError(
             f"channel count {spec.num_channels} does not match geometry ({geom.num_mics})"
         )
-    cfg = spec.config
-    freqs = cfg.bin_freq(np.arange(cfg.num_bins))
+    freqs = spec.config.freqs
     keep = (freqs >= _SRP_RANGE_HZ[0]) & (freqs <= _SRP_RANGE_HZ[1])
     if not np.any(keep):
         raise ValueError(f"no bins inside frequency range {_SRP_RANGE_HZ}")

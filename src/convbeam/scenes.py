@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    SPEED_OF_SOUND,
     ArrayGeometry,
     SteeringVector,
     diffuse_coherence,
+    plane_wave_delays,
     plane_wave_steering,
 )
 from .stft import Spectrogram, StftConfig, stft
@@ -116,7 +116,7 @@ def random_mclp(
     num_mics: int,
     order: int,
     delay: int = 1,
-    config: StftConfig | None = None,
+    config: StftConfig = StftConfig(),
     seed: int = 0,
     target_radius: float = 0.9,
 ) -> np.ndarray:
@@ -127,8 +127,6 @@ def random_mclp(
     spectral radius lands on ``target_radius``.  A draw that still fails the
     stability check retries with the next seed, up to 10 times.
     """
-    if config is None:
-        config = StftConfig()
     if order <= delay:
         raise ValueError(f"order must exceed delay ({delay}), got {order}")
     if not 0.0 < target_radius < 1.0:
@@ -160,7 +158,7 @@ def mclp_scene(
     coeffs: np.ndarray,
     delay: int = 1,
     snr_db: float = math.inf,
-    config: StftConfig | None = None,
+    config: StftConfig = StftConfig(),
     seed: int = 0,
 ) -> Scene:
     """Scene whose reverb obeys the frame recursion the canceller models.
@@ -170,8 +168,6 @@ def mclp_scene(
     linear function of the *already mixed* past frames.  Spatially white
     noise is then added at ``snr_db`` (inf for noiseless).
     """
-    if config is None:
-        config = StftConfig()
     dry_spec = stft(np.asarray(dry, dtype=np.float64), config)
     x = dry_spec.data[0]
     num_bins, num_frames = x.shape
@@ -241,7 +237,7 @@ def exp_decay_rir_scene(
     t60: float,
     drr_db: float = 0.0,
     snr_db: float = math.inf,
-    config: StftConfig | None = None,
+    config: StftConfig = StftConfig(),
     seed: int = 0,
 ) -> Scene:
     """Scene from per-mic impulse responses: direct delta plus decaying tail.
@@ -255,8 +251,6 @@ def exp_decay_rir_scene(
     sum exact.
     """
     from scipy.signal import fftconvolve  # here, so enhancing never imports scipy
-    if config is None:
-        config = StftConfig()
     if t60 < 0:
         raise ValueError(f"t60 must be >= 0, got {t60}")
     dry = np.asarray(dry, dtype=np.float64)
@@ -265,8 +259,7 @@ def exp_decay_rir_scene(
     fs = config.sample_rate
     rng = np.random.default_rng(seed)
 
-    direction_delays = -(geom.positions @ _unit_vec(azimuth)) / SPEED_OF_SOUND
-    direction_delays -= direction_delays[geom.reference_mic]
+    direction_delays = plane_wave_delays(geom, azimuth)
     half = 16
     offset = half + int(np.ceil(np.max(np.abs(direction_delays)) * fs))
     frac_delays = direction_delays * fs + offset
@@ -337,10 +330,6 @@ def exp_decay_rir_scene(
             "rir_tail": rirs_tail,
         },
     )
-
-
-def _unit_vec(azimuth: float) -> np.ndarray:
-    return np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
 
 
 # ---------------------------------------------------------------------------

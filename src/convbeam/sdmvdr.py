@@ -178,7 +178,7 @@ class _RcBand(Band):
 
 def process_utterance_sdmvdr(
     spec: Spectrogram,
-    steering: SteeringVector,
+    steering,
     coherence: CoherenceMatrix,
     params: ApaParams,
     gains: np.ndarray | None = None,
@@ -196,7 +196,7 @@ def process_utterance_sdmvdr(
     orders = params.band_plan.bin_orders(spec.config)
     if np.any(orders == 0):
         raise ValueError("band plan assigns order 0; this variant needs order > delay")
-    weights = superdirective_mvdr(steering, coherence).weights
+    weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
     states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
     out = drive_utterance(spec, states, weights, params, _RcBand, gains, prior_pass)
     return Spectrogram(out, spec.config)

@@ -28,21 +28,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Framing parameters shared by every stage of the toolkit."""
+    """Framing shared by every stage: an FFT as long as the window, at 16 kHz."""
 
-    sample_rate: int = 16000
     window_len: int = 512
-    fft_len: int = 512
+    sample_rate = 16000  # a class constant: the one rate the toolkit runs at
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.window_len <= 0 or self.window_len % 2 != 0:
             raise ValueError(f"window_len must be even and positive, got {self.window_len}")
-        if self.fft_len < self.window_len:
-            raise ValueError(
-                f"fft_len must be >= window_len, got {self.fft_len} < {self.window_len}"
-            )
 
     @property
     def hop(self) -> int:
@@ -52,11 +45,12 @@ class StftConfig:
     @property
     def num_bins(self) -> int:
         """Number of one-sided spectrum bins."""
-        return self.fft_len // 2 + 1
+        return self.window_len // 2 + 1
 
-    def bin_freq(self, k) -> float:
-        """Center frequency in Hz of bin ``k``."""
-        return np.asarray(k) * (self.sample_rate / self.fft_len)
+    @property
+    def freqs(self) -> np.ndarray:
+        """Center frequency in Hz of every bin."""
+        return np.arange(self.num_bins) * (self.sample_rate / self.window_len)
 
     def num_frames(self, num_samples: int) -> int:
         """Frame count produced by :func:`stft` for a signal of given length."""
@@ -136,8 +130,8 @@ class BandPlan:
 
     def bin_orders(self, config: StftConfig) -> np.ndarray:
         """Array of length ``config.num_bins`` with the order of every bin."""
-        freqs = config.bin_freq(np.arange(config.num_bins))
-        idx = np.searchsorted(np.asarray(self.transition_freqs, dtype=float), freqs, side="right")
+        edges = np.asarray(self.transition_freqs, dtype=float)
+        idx = np.searchsorted(edges, config.freqs, side="right")
         return np.asarray(self.orders, dtype=int)[idx]
 
 
@@ -160,14 +154,12 @@ def sqrt_hann(window_len: int) -> np.ndarray:
     return np.sqrt(hann)
 
 
-def stft(signal: np.ndarray, config: StftConfig | None = None) -> Spectrogram:
+def stft(signal: np.ndarray, config: StftConfig = StftConfig()) -> Spectrogram:
     """Analyze a (channels, samples) or (samples,) signal into a Spectrogram.
 
     Frame n covers samples [n*hop, n*hop + window_len); the tail is
     zero-padded so every input sample is covered by at least one frame.
     """
-    if config is None:
-        config = StftConfig()
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -183,7 +175,7 @@ def stft(signal: np.ndarray, config: StftConfig | None = None) -> Spectrogram:
     win = sqrt_hann(config.window_len)
     frames = np.lib.stride_tricks.sliding_window_view(x, config.window_len, axis=1)
     frames = frames[:, :: config.hop, :][:, :n_frames, :]
-    spec = np.fft.rfft(frames * win, n=config.fft_len, axis=2)
+    spec = np.fft.rfft(frames * win, axis=2)
     return Spectrogram(np.ascontiguousarray(spec.transpose(0, 2, 1)), config)
 
 
@@ -195,8 +187,7 @@ def istft(spec: Spectrogram, *, length: int | None = None) -> np.ndarray:
     """
     cfg = spec.config
     win = sqrt_hann(cfg.window_len)
-    frames = np.fft.irfft(spec.data, n=cfg.fft_len, axis=1)
-    frames = frames[:, : cfg.window_len, :] * win[None, :, None]
+    frames = np.fft.irfft(spec.data, n=cfg.window_len, axis=1) * win[None, :, None]
     num_ch, _, n_frames = frames.shape
     out_len = (n_frames - 1) * cfg.hop + cfg.window_len
     out = np.zeros((num_ch, out_len))

@@ -281,7 +281,7 @@ class TestLimiter:
 
 
 def _small_spec(num_mics=2, num_frames=20, seed=0, config=None):
-    cfg = config or StftConfig(window_len=32, fft_len=32)
+    cfg = config or StftConfig(window_len=32)
     rng = np.random.default_rng(seed)
     shape = (num_mics, cfg.num_bins, num_frames)
     return Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg)
@@ -535,7 +535,7 @@ class TestParams:
 def _reverberant_stream():
     """A 1 s, 4-mic reverberant scene at -20 dBFS on a 64-point STFT, as
     (frames (N, bins, M), steering (bins, M), band orders)."""
-    cfg = StftConfig(window_len=64, fft_len=64)  # 33 bins, every default band
+    cfg = StftConfig(window_len=64)  # 33 bins, every default band
     geom = circular_array(4, 0.10)
     doa = 0.7
     dry = synthetic_speech(1.0, cfg.sample_rate, seed=5)

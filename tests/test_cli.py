@@ -149,6 +149,45 @@ class TestPipelineSmoke:
         out = capsys.readouterr().out
         assert "fwsnr=" in out and "cd=" in out
 
+    def test_simulate_rir_from_input(self, tmp_path, capsys):
+        dry = tmp_path / "dry.wav"
+        write_wav(dry, AudioBuffer(0.1 * np.random.default_rng(5).standard_normal(8000), 16000))
+        out = tmp_path / "scene"
+        rc = main(
+            ["simulate", "--type", "rir", "--input", str(dry), "--output-dir", str(out),
+             "--geometry", "circular:3:0.05", "--t60", "0.2", "--seed", "2"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "scene=rir"
+        channels = {"mixture": 3, "dry": 1, "reverb": 3, "noise": 3}
+        for name, count in channels.items():
+            buf = read_wav(out / f"{name}.wav")
+            assert (buf.sample_rate, buf.num_channels) == (16000, count)
+            assert buf.num_samples >= 8000
+        lines = (out / "scene.txt").read_text().splitlines()
+        meta = dict(line.split("=", 1) for line in lines)
+        assert set(meta) == {"doa_deg", "snr_db", "t60_s", "seed", "kind", "drr_db"}
+        assert (meta["kind"], meta["t60_s"], meta["seed"]) == ("rir", "0.2", "2")
+
+    def test_simulate_rejects_multichannel_input(self, scene_dir, tmp_path, capsys):
+        """A multichannel dry WAV is refused, not reduced to its channel 0."""
+        path = scene_dir / "mixture.wav"
+        rc = main(["simulate", "--input", str(path), "--output-dir", str(tmp_path / "s")])
+        assert rc == 1
+        assert f"{path}: expected a single-channel WAV, got 3 channels" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("flag", ["--ref", "--est"])
+    def test_metrics_rejects_multichannel_input(self, scene_dir, flag, capsys):
+        """Either side of the score must be one channel; a mixture is refused."""
+        mixture, dry = str(scene_dir / "mixture.wav"), str(scene_dir / "dry.wav")
+        args = {"--ref": dry, "--est": dry, flag: mixture}
+        rc = main(["metrics", "--ref", args["--ref"], "--est", args["--est"]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{mixture}: expected a single-channel WAV, got 3 channels" in captured.err
+
     def test_metrics_rate_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.wav"
         b = tmp_path / "b.wav"

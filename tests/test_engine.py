@@ -41,7 +41,7 @@ from convbeam.geometry import CoherenceMatrix, SteeringVector
 from convbeam.sdmvdr import init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update
 from convbeam.stft import BandPlan, Spectrogram, StftConfig
 
-CONFIG = StftConfig(window_len=32, fft_len=32)  # 17 bins, 500 Hz apart
+CONFIG = StftConfig(window_len=32)  # 17 bins, 500 Hz apart
 SETTINGS = settings(max_examples=40, deadline=None)
 
 

@@ -104,7 +104,7 @@ class TestApplyFixed:
             apply_fixed(FixedWeights(np.zeros((cfg.num_bins, 4), dtype=complex)), spec)
 
     def test_applies_hermitian(self):
-        cfg = StftConfig(window_len=32, fft_len=32)
+        cfg = StftConfig(window_len=32)
         w = np.full((17, 2), 1j, dtype=complex)
         spec = Spectrogram(np.ones((2, 17, 3), dtype=complex), cfg)
         out = apply_fixed(FixedWeights(w), spec)

@@ -112,8 +112,6 @@ class TestSteering:
     def test_shape(self):
         steer = plane_wave_steering(circular_array(5, 0.08), 0.0)
         assert steer.vectors.shape == (257, 5)
-        assert steer.num_bins == 257
-        assert steer.num_mics == 5
 
 
 class TestDiffuseCoherence:

@@ -113,9 +113,9 @@ class TestOptionSurface:
         ]
         # a class constant, not a field: the benchmark's oracle reads it
         assert ApaParams.mean_floor is True and "mean_floor" not in vars(ApaParams())
-        assert [f.name for f in dataclasses.fields(StftConfig)] == [
-            "sample_rate", "window_len", "fft_len",
-        ]
+        assert [f.name for f in dataclasses.fields(StftConfig)] == ["window_len"]
+        # a class constant, not a field: the benchmark reads config.sample_rate
+        assert StftConfig.sample_rate == 16000 and "sample_rate" not in vars(StftConfig())
         options = {opt for a in _enhance_parser()._actions for opt in a.option_strings}
         assert options == {
             "-h", "--help", "--input", "--output", "--method", "--geometry", "--doa", "--D",
@@ -184,6 +184,12 @@ class TestInputContract:
         assert "channel 0 has a non-finite sample at index 99" in err
         assert not (tmp_path / "out.wav").exists()
 
+    def test_channel_count_must_match_geometry(self):
+        cfg = RunConfig(method="delay-sum", geometry=circular_array(4, 0.10))
+        message = "^input has 3 channels but geometry has 4 microphones$"
+        with pytest.raises(ValueError, match=message):
+            enhance(AudioBuffer(self._noise(num_mics=3), 16000), cfg)
+
     @pytest.mark.parametrize("method", ["conv-mpdr-apa", "conv-sdmvdr"])
     def test_nan_in_gain_mask_file_rejected(self, tmp_path, method):
         """One NaN in a mask file is named by file, bin and frame, not met
@@ -203,7 +209,7 @@ class TestInputContract:
     def test_non_finite_steering_rejected_by_the_utterance_drivers(self, driver):
         """A NaN in the steering is named by bin and channel before any
         weights are computed, not met as a singular update or NaN output."""
-        cfg = StftConfig(window_len=32, fft_len=32)  # 17 bins
+        cfg = StftConfig(window_len=32)  # 17 bins
         rng = np.random.default_rng(4)
         spec = Spectrogram(rng.standard_normal((2, 17, 6)) + 0j, cfg)
         a = np.ones((17, 2), dtype=complex)
@@ -221,7 +227,7 @@ class TestInputContract:
     def test_non_finite_spectrogram_rejected_by_the_utterance_drivers(self, driver, bad):
         """A non-finite spectrogram value is named by channel, bin and frame,
         not met as a singular update or passed through as NaN output."""
-        cfg = StftConfig(window_len=32, fft_len=32)  # 17 bins
+        cfg = StftConfig(window_len=32)  # 17 bins
         data = np.random.default_rng(4).standard_normal((2, 17, 6)) + 0j
         data[1, 5, 2] = bad
         spec = Spectrogram(data, cfg)
@@ -241,7 +247,7 @@ class TestInputContract:
         """A steering row of zero norm is named by bin before any state
         changes or weights are computed: not run silently, raised without
         the bin, or turned into NaN output."""
-        cfg = StftConfig(window_len=32, fft_len=32)  # 17 bins
+        cfg = StftConfig(window_len=32)  # 17 bins
         spec = Spectrogram(np.random.default_rng(4).standard_normal((4, 17, 6)) + 0j, cfg)
         a = np.ones((17, 4), dtype=complex)
         a[5] = 0.0
@@ -335,7 +341,7 @@ class TestLevels:
     level, so it takes a fault in both to break this.)  No input level,
     silence included, drives any method to a non-finite output."""
 
-    CFG = StftConfig(window_len=64, fft_len=64)  # 33 bins, every default band
+    CFG = StftConfig(window_len=64)  # 33 bins, every default band
 
     def _run(self, samples, method):
         cfg = RunConfig(

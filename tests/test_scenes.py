@@ -15,7 +15,7 @@ from convbeam.scenes import (
 )
 from convbeam.stft import Spectrogram, StftConfig
 
-SMALL = StftConfig(window_len=64, fft_len=64)
+SMALL = StftConfig(window_len=64)
 
 
 class TestSyntheticSpeech:

@@ -141,13 +141,22 @@ class TestEquivalenceLimit:
 
 class TestUtteranceDriver:
     def _scene(self, num_mics=3, num_frames=30, seed=0):
-        cfg = StftConfig(window_len=32, fft_len=32)
+        cfg = StftConfig(window_len=32)
         rng = np.random.default_rng(seed)
         shape = (num_mics, cfg.num_bins, num_frames)
         spec = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg)
         geom = circular_array(num_mics, 0.10)
         steer = plane_wave_steering(geom, 0.4, cfg)
         return spec, steer, diffuse_coherence(geom, cfg)
+
+    def test_array_steering_matches_steering_vector(self):
+        """A plain (bins, M) steering array runs bit for bit as its
+        SteeringVector does; process_utterance takes both forms too."""
+        spec, steer, coh = self._scene(num_mics=4)
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        want = process_utterance_sdmvdr(spec, steer, coh, params).data
+        got = process_utterance_sdmvdr(spec, steer.vectors, coh, params).data
+        np.testing.assert_array_equal(got, want)
 
     def test_matches_manual_bin_loop(self):
         """Bit for bit against a loop of the scalar functions, with and without

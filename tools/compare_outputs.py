@@ -17,6 +17,10 @@ scene and saves every result to an ``.npz``:
 - the same stream with caller changes: bin 100's state replaced by a fresh
   ``init_state`` at frame N/3 and the steering switched to a 120-degree
   DOA at frame N/2; its outputs and final filters and histories;
+- a stream that turns the steering to 120 degrees at frame 30 while bins
+  20-39 and 120-129 are silent on every channel (frames 15-40, longer
+  than the largest order, so their whole stacked regressor is zero and
+  the constraint row acts alone): its outputs and final filters;
 - ``process_utterance_sdmvdr`` called directly with D=2, a gain mask and
   the prior pass;
 - both adaptive filters on a band plan whose order repeats in non-adjacent
@@ -138,6 +142,17 @@ def dump(src: str, out_file: str) -> None:
     arrays["changed_stream/output"] = np.stack(outputs, axis=1)
     arrays["changed_stream/w_hat"] = np.concatenate([s.w_hat for s in states])
     arrays["changed_stream/history"] = np.concatenate([s.history.ravel() for s in states])
+
+    silent = spec.data.copy()
+    silent[:, 20:40, 15:41] = 0.0
+    silent[:, 120:130, 15:41] = 0.0
+    states = [init_state(a, int(o), params.delay) for a, o in zip(steering.vectors, orders)]
+    outputs = []
+    for n in range(spec.num_frames):
+        vectors = turned if n >= 30 else steering.vectors
+        outputs.append(process_frame(states, silent[:, :, n].T, vectors, params, mask[:, n]))
+    arrays["silent_turn/output"] = np.stack(outputs, axis=1)
+    arrays["silent_turn/w_hat"] = np.concatenate([s.w_hat for s in states])
 
     coherence = diffuse_coherence(geom, cfg)
     params = ApaParams(band_plan=BandPlan((2000.0,), (5, 3), delay=2))
