@@ -312,28 +312,26 @@ class _ApaBand(Band):
 
     outputs = 3
 
-    def bind(self, steering: np.ndarray, params: ApaParams) -> None:
-        self.a = steering
-        self.phi_w = np.full(self.w.shape[1], params.phi_r, dtype=np.complex128)
-        self.phi_w[: steering.shape[1]] = params.phi_b
-
-    def dots(self, y_in: np.ndarray, rows: np.ndarray) -> None:
+    def dots(self, y_in: np.ndarray, a: np.ndarray, p: ApaParams, rows: np.ndarray) -> None:
         """Load the frame; rows = (w^H ytilde, ytilde^H Phi_w ytilde, a^H w_head)."""
         y = self.load(y_in)
         if self.delay == 1:
             self.y_tilde = self.frames.reshape(len(y), -1)
         else:
             self.y_tilde = np.concatenate((y, self.tail()), axis=1)
-        py = np.multiply(self.y_tilde, self.phi_w, out=self.work)
+        # Phi_w ytilde: phi_r on the tail, phi_b on the head, as _gain_blocks forms it
+        py = np.multiply(self.y_tilde, p.phi_r, out=self.work)
+        np.multiply(y, p.phi_b, out=py[:, : y.shape[1]])
         np.vecdot(self.w, self.y_tilde, out=rows[0])
         np.vecdot(self.y_tilde, py, out=rows[1])
-        np.vecdot(self.a, self.w[:, : y.shape[1]], out=rows[2])
+        np.vecdot(a, self.w[:, : y.shape[1]], out=rows[2])
 
-    def correct(self, g0: np.ndarray, g1: np.ndarray, rows: np.ndarray) -> None:
+    def correct(self, g0: np.ndarray, g1: np.ndarray, a: np.ndarray, rows: np.ndarray) -> None:
         """w += Phi_w ytilde g0 + a g1 (g1 scaled by phi_b); rows = (w_head^H y, w^H ytilde)."""
-        w, m = self.w, self.a.shape[1]
-        w += np.multiply(self.work, g0[:, None], out=self.work)
-        w[:, :m] += g1[:, None] * self.a
+        w, m = self.w, a.shape[1]
+        # in place, save one element: numpy multiplies that without the FMA of the oracle's py * g0
+        w += np.multiply(self.work, g0[:, None], out=self.work if self.work.size > 1 else None)
+        w[:, :m] += g1[:, None] * a
         np.vecdot(w[:, :m], self.frames[:, 0], out=rows[0])
         np.vecdot(w, self.y_tilde, out=rows[1])
         self.push()
@@ -346,12 +344,12 @@ class _ApaBand(Band):
         return s01, square(s01.real) + square(s01.imag), np.broadcast_to(s11, s01.shape)
 
     @staticmethod
-    def frame(held, p, y, terms, out) -> None:
+    def frame(held, steering, p, y, terms, out) -> None:
         """apa_update of every bin; out = (x_hat, x_b, x_r), each (bins,)."""
         floor, gains_sq, s01, s01_sq, s11 = terms
         dots = np.empty((3, len(y)), dtype=np.complex128)
         for lo, hi, band in held:
-            band.dots(y[lo:hi], dots[:, lo:hi])
+            band.dots(y[lo:hi], steering[lo:hi], p, dots[:, lo:hi])
         s00 = dots[1].real + floored_psd(dots[0], gains_sq, floor)
         e1 = 1.0 - dots[2]
         s01r, s01i, e1r, e1i = s01.real, s01.imag, e1.real, e1.imag
@@ -383,7 +381,7 @@ class _ApaBand(Band):
             g1[alone] = complex_of(e1r[alone] * inv11, e1i[alone] * inv11)
         g1 = p.phi_b * g1
         for lo, hi, band in held:
-            band.correct(g0[lo:hi], g1[lo:hi], out[1:, lo:hi])
+            band.correct(g0[lo:hi], g1[lo:hi], steering[lo:hi], out[1:, lo:hi])
         np.subtract(out[1], out[2], out=out[2])  # x_r = x_b - w^H ytilde
         out[0] = limited(out[1], out[2], p.alpha_r)
 
@@ -405,10 +403,10 @@ def process_frame(
     ``steering`` is the (bins, M) steering matrix and ``gains`` an optional
     per-bin gain column, clamped into [0, 1]; a bad shape, a non-finite
     frame or steering value, a zero-norm steering row or a NaN gain raises
-    before any state changes.  The last call's bands, bound to this steering
-    and params, are reused while ``states`` are the same objects in the same
-    order, each holding the ``w_hat`` and ``history`` views its band gave
-    it; else new bands adopt them.  A stream equals process_utterance bitwise.
+    before any state changes.  Steering and params are taken from each call;
+    the last call's bands are reused while ``states`` are the same objects
+    in the same order, each holding the ``w_hat`` and ``history`` views its
+    band gave it, else new bands adopt them.  A stream equals process_utterance bitwise.
     """
     frame, steering, gains = check_inputs(
         steering, gains, states[0].num_mics, (len(states),), frame
@@ -417,12 +415,8 @@ def process_frame(
         return [x for s in states for x in (s, s.w_hat, s.history)]
 
     held = getattr(states[0], "_band", None)  # (bands, the views they gave)
-    if held and len(held[1]) == 3 * len(states) and all(map(is_, views(), held[1])):
-        for lo, hi, band in held[0]:
-            band.bind(steering[lo:hi], params)
-    else:
-        made = bands(states, steering, params, _ApaBand)
-        held = (made, views())
+    if not (held and len(held[1]) == 3 * len(states) and all(map(is_, views(), held[1]))):
+        held = (bands(states, _ApaBand), views())
         for state in states:
             state._band = held
     out = np.empty((_ApaBand.outputs, len(states), 1), dtype=np.complex128)

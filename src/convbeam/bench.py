@@ -168,14 +168,13 @@ def wallclock_sweep(
             macs = count_rc_update(num_mics, order, band_plan.delay).total
         else:
             macs = num_mics  # one w^H y dot per bin and frame
-        blocks = 0 if order == 0 else order - band_plan.delay + 1
         rows.append(
             {
                 "method": method,
                 "M": num_mics,
                 "L": order,
                 "D": band_plan.delay,
-                "Q": num_mics * (blocks + 1),
+                "Q": apa.init_state(np.ones(num_mics), order, band_plan.delay).stacked_len,
                 "macs": macs,
                 "seconds_per_audio_second": float(np.median(times)) / audio_seconds,
             }

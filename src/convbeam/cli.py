@@ -196,7 +196,7 @@ def cmd_enhance(args) -> int:
     return 0
 
 
-def _write_scene(scene: Scene, out_dir: Path) -> None:
+def _write_scene(scene: Scene, out_dir: Path, length: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = scene.mixture.config
     fs = cfg.sample_rate
@@ -206,7 +206,7 @@ def _write_scene(scene: Scene, out_dir: Path) -> None:
         ("reverb", scene.reverb),
         ("noise", scene.noise),
     ):
-        write_wav(out_dir / f"{name}.wav", AudioBuffer(istft(spec), fs))
+        write_wav(out_dir / f"{name}.wav", AudioBuffer(istft(spec, length=length), fs))
     meta = dict(scene.metadata)
     lines = []
     for key in ("doa_deg", "snr_db", "t60_s", "seed"):
@@ -246,7 +246,7 @@ def cmd_simulate(args) -> int:
             config=config,
             seed=args.seed,
         )
-    _write_scene(scene, Path(args.output_dir))
+    _write_scene(scene, Path(args.output_dir), dry.shape[0])
     print(f"scene={args.scene_type}")
     print(f"frames={scene.mixture.num_frames}")
     return 0

@@ -1,15 +1,15 @@
 """The batched engine behind both adaptive filters.
 
-A band is a contiguous run of bins that share one order and delay, held as
-arrays.  A frame step has two parts.  The bands (:class:`Band`, with the
-kernels ``apa._ApaBand`` and ``sdmvdr._RcBand``) do only the Q-length work,
-the products with their (K, Q) filters and history, the filter corrections
-and the history push, writing per-bin results into slices of frame-wide
-arrays.  The per-bin scalar algebra (PSD floor, gain or step, masks,
-limiter) runs once per frame over all bins, in the kernel's ``frame``.
-Terms of the input alone are computed once per block of frames: the
-utterance drivers pass blocks of :data:`BLOCK` frames, ``apa.process_frame``
-a block of one.  A band adopts the states gathered into it.
+A band is a contiguous run of bins that share one order and delay; it holds
+their filters, frame history and delay as arrays, and adopts their states.
+Steering and params reach every frame step as arguments.  A frame step has
+two parts.  The bands (:class:`Band`, with the kernels ``apa._ApaBand`` and
+``sdmvdr._RcBand``) do only the Q-length work, the products with their
+(K, Q) filters and history, the filter corrections and the history push,
+writing per-bin results into slices of frame-wide arrays.  The per-bin
+scalar algebra (PSD floor, gain or step, masks, limiter) runs once per frame
+over all bins, in the kernel's ``frame``.  Terms of the input alone come once
+per block: :data:`BLOCK` frames in the utterance drivers, one in ``apa.process_frame``.
 
 The kernels repeat the scalar oracle functions of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr` operation for operation, so they give the same bits:
@@ -68,20 +68,22 @@ def limited(x_b: np.ndarray, x_r: np.ndarray, alpha_r: float) -> np.ndarray:
 class Band:
     """A band of K bins of order L: adapted filters ``w`` and frame history.
 
-    ``frames[:, 0]`` holds the current frame y(n), ``frames[:, l]`` y(n-l).  The
-    band adopts its states: the attribute named by ``weights`` becomes a view
-    of the state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.  A
+    A band holds these, its delay and a scratch array, and nothing of the
+    steering or params, which reach every frame step.  ``frames[:, 0]``
+    holds the current frame y(n), ``frames[:, l]`` y(n-l).  The band adopts
+    its states: the attribute named by ``weights`` becomes a view of the
+    state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.  A
     kernel subclass does the band's Q-length work and sets ``outputs``; its
     static ``inputs(ys, steering, params)`` gives the input-only terms of a
-    block, one row per frame, and ``frame(held, params, y, terms, out)``
-    runs the all-bin scalar step of one frame on that frame's rows.
+    block, one row per frame, and ``frame(held, steering, params, y, terms,
+    out)`` runs the all-bin scalar step of one frame on that frame's rows.
     """
 
     weights = "w_hat"
 
-    def __init__(self, states: list, steering: np.ndarray, params) -> None:
+    def __init__(self, states: list) -> None:
         first = states[0]
-        self.order, self.delay = first.order, first.delay
+        self.delay = first.delay
         self.w = np.stack([getattr(s, self.weights) for s in states])
         self.work = np.empty_like(self.w)  # a (K, Q) product, formed in place
         self.frames = np.zeros((len(states), first.order + 1, first.num_mics), np.complex128)
@@ -89,10 +91,6 @@ class Band:
         for state, w, frames in zip(states, self.w, self.frames):
             setattr(state, self.weights, w)
             state.history = frames[1:]
-        self.bind(steering, params)
-
-    def bind(self, steering: np.ndarray, params) -> None:
-        """Run the next frames with this steering (K, M) and these params."""
 
     def load(self, y: np.ndarray) -> np.ndarray:
         """Put the current frame in slot 0; returns it as (K, M)."""
@@ -107,20 +105,17 @@ class Band:
         self.frames[:, 1:] = self.frames[:, :-1]
 
 
-def bands(states: list, steering: np.ndarray, params, band) -> list:
-    """(lo, hi, band(states[lo:hi], steering[lo:hi], params)) for every run of
-    bins with equal order and delay."""
+def bands(states: list, band) -> list:
+    """(lo, hi, band(states[lo:hi])) for every run of bins with equal order and delay."""
     keys = [(s.order, s.delay) for s in states]
     edges = [0] + [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]] + [len(keys)]
-    return [
-        (lo, hi, band(states[lo:hi], steering[lo:hi], params))
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
+    return [(lo, hi, band(states[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def run_block(held: list, band, ys: np.ndarray, steering: np.ndarray, params, gains,
               out: np.ndarray) -> None:
-    """Advance the bands ``held`` through the frames ``ys`` (B, bins, M).
+    """Advance the bands ``held`` through the frames ``ys`` (B, bins, M) with
+    this (bins, M) ``steering`` and these ``params``.
 
     ``gains`` is None or (B, bins); the outputs fill ``out`` (outputs, bins, B).
     The input-only terms of the whole block come first: the PSD floor
@@ -130,7 +125,7 @@ def run_block(held: list, band, ys: np.ndarray, steering: np.ndarray, params, ga
     gains_sq = np.ones(floor.shape) if gains is None else gains * gains
     terms = (floor, gains_sq) + band.inputs(ys, steering, params)
     for n, y in enumerate(ys):
-        band.frame(held, params, y, [t[n] for t in terms], out[:, :, n])
+        band.frame(held, steering, params, y, [t[n] for t in terms], out[:, :, n])
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
@@ -181,7 +176,7 @@ def drive_utterance(
 
     ``band`` is the variant's kernel class; its bands adopt the states,
     which end holding their final filters and histories.  ``steering`` is
-    the (bins, M) matrix the kernel's ``inputs`` read, and ``gains`` comes
+    the (bins, M) matrix the kernel's ``inputs`` and ``frame`` read, and ``gains`` comes
     from :func:`check_inputs`.  Each block of :data:`BLOCK` frames is copied
     once into (frames, bins, M) rows and run by :func:`run_block`.  Returns
     the band outputs, shaped (``band.outputs``, bins, frames).  With
@@ -189,7 +184,7 @@ def drive_utterance(
     filter but not its history.
     """
     data = spec.data
-    held = bands(states, steering, params, band)
+    held = bands(states, band)
     out = np.empty((band.outputs,) + data.shape[1:], dtype=np.complex128)
 
     def sweep():

@@ -288,12 +288,8 @@ def exp_decay_rir_scene(
             rirs_tail[m, start : start + n_tail] = gain * tail
 
     n_samples = dry.shape[0]
-    direct_sig = np.stack(
-        [fftconvolve(dry, rirs_direct[m])[:n_samples] for m in range(geom.num_mics)]
-    )
-    tail_sig = np.stack(
-        [fftconvolve(dry, rirs_tail[m])[:n_samples] for m in range(geom.num_mics)]
-    )
+    direct_sig = fftconvolve(dry[None, :], rirs_direct, axes=1)[:, :n_samples]
+    tail_sig = fftconvolve(dry[None, :], rirs_tail, axes=1)[:, :n_samples]
     dry_at_ref = direct_sig[geom.reference_mic]
 
     steering = plane_wave_steering(geom, azimuth, config)

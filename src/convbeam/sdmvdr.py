@@ -159,7 +159,7 @@ class _RcBand(Band):
         return (np.vecdot(w_sd, ys),)
 
     @staticmethod
-    def frame(held, p, y, terms, out) -> None:
+    def frame(held, w_sd, p, y, terms, out) -> None:
         """rc_speech_psd, then rc_update, of every bin; out = (x_hat,)."""
         floor, gains_sq, d = terms
         dots = np.empty((2, len(y)), dtype=np.complex128)

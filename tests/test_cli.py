@@ -169,6 +169,18 @@ class TestPipelineSmoke:
         assert set(meta) == {"doa_deg", "snr_db", "t60_s", "seed", "kind", "drr_db"}
         assert (meta["kind"], meta["t60_s"], meta["seed"]) == ("rir", "0.2", "2")
 
+    @pytest.mark.parametrize("scene_type", ["mclp", "rir"])
+    def test_simulate_keeps_the_dry_length(self, scene_type, tmp_path, capsys):
+        """Every scene WAV has the dry signal's sample count, not a whole number of hops."""
+        out = tmp_path / "scene"
+        rc = main(
+            ["simulate", "--type", scene_type, "--duration", "0.5", "--output-dir", str(out),
+             "--geometry", "circular:3:0.05", "--order", "3", "--t60", "0.2"]
+        )
+        assert rc == 0
+        for name in ("mixture", "dry", "reverb", "noise"):
+            assert read_wav(out / f"{name}.wav").num_samples == 8000
+
     def test_simulate_rejects_multichannel_input(self, scene_dir, tmp_path, capsys):
         """A multichannel dry WAV is refused, not reduced to its channel 0."""
         path = scene_dir / "mixture.wav"

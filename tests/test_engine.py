@@ -149,6 +149,14 @@ def _oracle(spec, states, gains, prior_pass, step):
         "prior_pass": True, "seed": 1,
     }
 )
+# one mic and a band of one bin at order 0: a (1, 1) filter update
+@example(
+    case={
+        "num_mics": 1, "plan": BandPlan((500.0, 1000.0, 8000.0), (0, 0, 2, 0), 1),
+        "num_frames": 12, "zeros": (0, 0), "quiet_bins": [], "quiet": (0, 0), "gains": "mixed",
+        "alpha_r": 0.0, "prior_pass": False, "seed": 0,
+    }
+)
 def test_apa_engine_matches_scalar_loop(case):
     spec, a, gains = _scene(case)
     params = _params(case)
@@ -220,7 +228,7 @@ def test_stream_keeps_its_bands():
 
 CHANGES = (
     "none", "new_list", "fresh_state", "copy_w_hat", "copy_history",
-    "reset_history", "steering", "alpha_r",
+    "reset_history", "steering", "alpha_r", "variances",
 )
 
 
@@ -229,7 +237,8 @@ CHANGES = (
 def test_apa_stream_survives_caller_changes(case, data):
     """Between frames the caller may pass a new list of the same states,
     swap in a fresh state, reassign a state's ``w_hat`` or ``history`` to a
-    copy, reset a history, switch the steering or change ``alpha_r``.  The
+    copy, reset a history, switch the steering, change ``alpha_r`` or give
+    ``phi_b``, ``phi_r``, ``phi_a`` and ``eta`` new values.  The
     stream reuses its bands only while that stays exact: outputs, final
     filters and histories equal the scalar loop given the same changes."""
     spec, first, gains = _scene(case)
@@ -267,6 +276,10 @@ def test_apa_stream_survives_caller_changes(case, data):
             a = second if a is first else first
         elif change == "alpha_r":
             params = dataclasses.replace(params, alpha_r=alpha_r)
+        elif change == "variances":
+            db = data.draw(st.lists(st.integers(-120, -10), min_size=4, max_size=4))
+            names = ("phi_b", "phi_r", "phi_a", "eta")
+            params = dataclasses.replace(params, **{x: 10.0 ** (d / 10.0) for x, d in zip(names, db)})
         column = None if gains is None else gains[:, n]
         y = spec.data[:, :, n].T
         got.append(process_frame(streamed, y, a, params, column))

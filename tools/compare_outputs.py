@@ -15,8 +15,9 @@ scene and saves every result to an ``.npz``:
 - a stream: ``process_frame`` on every frame with the default band plan
   and a gain column, and the final filters and histories of every bin;
 - the same stream with caller changes: bin 100's state replaced by a fresh
-  ``init_state`` at frame N/3 and the steering switched to a 120-degree
-  DOA at frame N/2; its outputs and final filters and histories;
+  ``init_state`` at frame N/3, the steering switched to a 120-degree DOA
+  at frame N/2 and the params switched to ``phi_b`` and ``phi_r`` 10 dB
+  higher at frame 2N/3; its outputs and final filters and histories;
 - a stream that turns the steering to 120 degrees at frame 30 while bins
   20-39 and 120-129 are silent on every channel (frames 15-40, longer
   than the largest order, so their whole stacked regressor is zero and
@@ -138,11 +139,14 @@ def dump(src: str, out_file: str) -> None:
             states[100] = init_state(vectors[100], int(orders[100]), params.delay)
         if n == spec.num_frames // 2:
             vectors = turned
+        if n == 2 * spec.num_frames // 3:
+            params = ApaParams(phi_b=10.0 * params.phi_b, phi_r=10.0 * params.phi_r)
         outputs.append(process_frame(states, spec.data[:, :, n].T, vectors, params, mask[:, n]))
     arrays["changed_stream/output"] = np.stack(outputs, axis=1)
     arrays["changed_stream/w_hat"] = np.concatenate([s.w_hat for s in states])
     arrays["changed_stream/history"] = np.concatenate([s.history.ravel() for s in states])
 
+    params = ApaParams()
     silent = spec.data.copy()
     silent[:, 20:40, 15:41] = 0.0
     silent[:, 120:130, 15:41] = 0.0
