@@ -329,8 +329,7 @@ class _ApaBand(Band):
     def correct(self, g0: np.ndarray, g1: np.ndarray, a: np.ndarray, rows: np.ndarray) -> None:
         """w += Phi_w ytilde g0 + a g1 (g1 scaled by phi_b); rows = (w_head^H y, w^H ytilde)."""
         w, m = self.w, a.shape[1]
-        # in place, save one element: numpy multiplies that without the FMA of the oracle's py * g0
-        w += np.multiply(self.work, g0[:, None], out=self.work if self.work.size > 1 else None)
+        w += self.work * g0[:, None]
         w[:, :m] += g1[:, None] * a
         np.vecdot(w[:, :m], self.frames[:, 0], out=rows[0])
         np.vecdot(w, self.y_tilde, out=rows[1])
