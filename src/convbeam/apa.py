@@ -34,7 +34,8 @@ from operator import is_
 import numpy as np
 
 from .engine import (
-    Band, bands, check_inputs, complex_of, drive_utterance, floored_psd, limited, run_block, square,
+    Band, bands, block_terms, check_inputs, complex_of, drive_utterance, floored_psd, limited,
+    run_block, square,
 )
 from .stft import BandPlan, Spectrogram
 
@@ -326,13 +327,15 @@ class _ApaBand(Band):
         np.vecdot(self.y_tilde, py, out=rows[1])
         np.vecdot(a, self.w[:, : y.shape[1]], out=rows[2])
 
-    def correct(self, g0: np.ndarray, g1: np.ndarray, a: np.ndarray, rows: np.ndarray) -> None:
-        """w += Phi_w ytilde g0 + a g1 (g1 scaled by phi_b); rows = (w_head^H y, w^H ytilde)."""
+    def correct(self, g0: np.ndarray, g1: np.ndarray, a: np.ndarray, rows) -> None:
+        """w += Phi_w ytilde g0 + a g1 (g1 scaled by phi_b); rows, unless None,
+        = (w_head^H y, w^H ytilde)."""
         w, m = self.w, a.shape[1]
         w += self.work * g0[:, None]
         w[:, :m] += g1[:, None] * a
-        np.vecdot(w[:, :m], self.frames[:, 0], out=rows[0])
-        np.vecdot(w, self.y_tilde, out=rows[1])
+        if rows is not None:
+            np.vecdot(w[:, :m], self.frames[:, 0], out=rows[0])
+            np.vecdot(w, self.y_tilde, out=rows[1])
         self.push()
 
     @staticmethod
@@ -344,7 +347,7 @@ class _ApaBand(Band):
 
     @staticmethod
     def frame(held, steering, p, y, terms, out) -> None:
-        """apa_update of every bin; out = (x_hat, x_b, x_r), each (bins,)."""
+        """apa_update of every bin; out, unless None, gets (x_b, w^H ytilde) in rows 1 and 2."""
         floor, gains_sq, s01, s01_sq, s11 = terms
         dots = np.empty((3, len(y)), dtype=np.complex128)
         for lo, hi, band in held:
@@ -380,7 +383,12 @@ class _ApaBand(Band):
             g1[alone] = complex_of(e1r[alone] * inv11, e1i[alone] * inv11)
         g1 = p.phi_b * g1
         for lo, hi, band in held:
-            band.correct(g0[lo:hi], g1[lo:hi], steering[lo:hi], out[1:, lo:hi])
+            rows = None if out is None else out[1:, lo:hi]
+            band.correct(g0[lo:hi], g1[lo:hi], steering[lo:hi], rows)
+
+    @staticmethod
+    def finish(terms, p, out) -> None:
+        """out = (x_hat, x_b, x_r) of a block, each (bins, B), from the rows its frames left."""
         np.subtract(out[1], out[2], out=out[2])  # x_r = x_b - w^H ytilde
         out[0] = limited(out[1], out[2], p.alpha_r)
 
@@ -420,7 +428,8 @@ def process_frame(
             state._band = held
     out = np.empty((_ApaBand.outputs, len(states), 1), dtype=np.complex128)
     column = None if gains is None else gains[None]
-    run_block(held[0], _ApaBand, frame[None], steering, params, column, out)
+    terms = block_terms(_ApaBand, frame[None], steering, params, column)
+    run_block(held[0], _ApaBand, frame[None], steering, params, terms, out)
     return out[0, :, 0]
 
 

@@ -7,9 +7,13 @@ two parts.  The bands (:class:`Band`, with the kernels ``apa._ApaBand`` and
 ``sdmvdr._RcBand``) do only the Q-length work, the products with their
 (K, Q) filters and history, the filter corrections and the history push,
 writing per-bin results into slices of frame-wide arrays.  The per-bin
-scalar algebra (PSD floor, gain or step, masks, limiter) runs once per frame
-over all bins, in the kernel's ``frame``.  Terms of the input alone come once
-per block: :data:`BLOCK` frames in the utterance drivers, one in ``apa.process_frame``.
+scalar algebra (PSD floor, gain or step, masks) runs once per frame over all
+bins, in the kernel's ``frame``.  The output stage (the x_r subtraction and
+the limiter) runs once per block, in the kernel's ``finish``, and not at all
+where no output is kept.  Terms of the input alone are formed once per block
+(:func:`block_terms`): :data:`BLOCK` frames in the utterance drivers, one in
+``apa.process_frame``.  The prior pass of :func:`drive_utterance` forms no
+outputs, and the filter pass reuses the terms it formed.
 
 The kernels repeat the scalar oracle functions of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr` operation for operation, so they give the same bits:
@@ -27,8 +31,8 @@ import numpy as np
 from .gains import clamp_gain
 from .stft import Spectrogram
 
-__all__ = ["BLOCK", "Band", "bands", "check_inputs", "complex_of", "drive_utterance",
-           "floored_psd", "limited", "run_block", "square"]
+__all__ = ["BLOCK", "Band", "bands", "block_terms", "check_inputs", "complex_of",
+           "drive_utterance", "floored_psd", "limited", "run_block", "square"]
 
 # frames per input block of the utterance drivers; bounds the block's copy of the input
 BLOCK = 8
@@ -75,8 +79,10 @@ class Band:
     state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.  A
     kernel subclass does the band's Q-length work and sets ``outputs``; its
     static ``inputs(ys, steering, params)`` gives the input-only terms of a
-    block, one row per frame, and ``frame(held, steering, params, y, terms,
-    out)`` runs the all-bin scalar step of one frame on that frame's rows.
+    block, one row per frame, ``frame(held, steering, params, y, terms,
+    out)`` runs the all-bin scalar step of one frame on that frame's rows and
+    leaves its output rows in ``out`` unless that is None, and
+    ``finish(terms, params, out)`` turns a block's rows into its outputs.
     """
 
     weights = "w_hat"
@@ -112,20 +118,33 @@ def bands(states: list, band) -> list:
     return [(lo, hi, band(states[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def run_block(held: list, band, ys: np.ndarray, steering: np.ndarray, params, gains,
-              out: np.ndarray) -> None:
-    """Advance the bands ``held`` through the frames ``ys`` (B, bins, M) with
-    this (bins, M) ``steering`` and these ``params``.
+def block_terms(band, ys: np.ndarray, steering: np.ndarray, params, gains) -> tuple:
+    """The input-only terms of the frames ``ys`` (B, bins, M), one row per frame.
 
-    ``gains`` is None or (B, bins); the outputs fill ``out`` (outputs, bins, B).
-    The input-only terms of the whole block come first: the PSD floor
+    ``gains`` is None or (B, bins).  The terms are the PSD floor
     eta * ||y||^2 / M, the squared gains and the kernel's ``inputs``.
     """
     floor = params.eta * (np.sum(np.abs(ys) ** 2, axis=2) / ys.shape[2])
     gains_sq = np.ones(floor.shape) if gains is None else gains * gains
-    terms = (floor, gains_sq) + band.inputs(ys, steering, params)
+    return (floor, gains_sq) + band.inputs(ys, steering, params)
+
+
+def run_block(held: list, band, ys: np.ndarray, steering: np.ndarray, params, terms: tuple,
+              out: np.ndarray | None = None) -> None:
+    """Advance the bands ``held`` through the frames ``ys`` (B, bins, M) with
+    this (bins, M) ``steering``, these ``params`` and the block's
+    :func:`block_terms`.
+
+    The outputs fill ``out`` (outputs, bins, B): each frame leaves its rows
+    there, and the kernel's ``finish`` forms the outputs of the whole block
+    from them once, after the last frame.  With ``out`` None no output is
+    formed at all, only the filters and histories move.
+    """
     for n, y in enumerate(ys):
-        band.frame(held, steering, params, y, [t[n] for t in terms], out[:, :, n])
+        band.frame(held, steering, params, y, [t[n] for t in terms],
+                   None if out is None else out[:, :, n])
+    if out is not None:
+        band.finish(terms, params, out)
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
@@ -181,22 +200,32 @@ def drive_utterance(
     once into (frames, bins, M) rows and run by :func:`run_block`.  Returns
     the band outputs, shaped (``band.outputs``, bins, frames).  With
     ``prior_pass`` every bin first runs the utterance once and keeps its
-    filter but not its history.
+    filter but not its history.  That pass forms no outputs; it keeps each
+    block's :func:`block_terms`, which the filter pass reuses, so the terms
+    are formed once either way and are kept only with the prior pass.
     """
     data = spec.data
     held = bands(states, band)
     out = np.empty((band.outputs,) + data.shape[1:], dtype=np.complex128)
+    blocks = [slice(n, n + BLOCK) for n in range(0, data.shape[2], BLOCK)]
 
-    def sweep():
-        for n in range(0, data.shape[2], BLOCK):
-            block = slice(n, n + BLOCK)
-            ys = np.ascontiguousarray(data[:, :, block].transpose(2, 1, 0))
-            column = None if gains is None else gains[:, block].T
-            run_block(held, band, ys, steering, params, column, out[:, :, block])
+    def rows(block: slice) -> np.ndarray:
+        return np.ascontiguousarray(data[:, :, block].transpose(2, 1, 0))
 
+    def terms_of(block: slice, ys: np.ndarray) -> tuple:
+        column = None if gains is None else gains[:, block].T
+        return block_terms(band, ys, steering, params, column)
+
+    kept = []  # each block's terms, from the prior pass
     if prior_pass:
-        sweep()
+        for block in blocks:
+            ys = rows(block)
+            kept.append(terms_of(block, ys))
+            run_block(held, band, ys, steering, params, kept[-1])
         for _, _, b in held:
             b.frames[:] = 0.0
-    sweep()
+    for k, block in enumerate(blocks):
+        ys = rows(block)
+        run_block(held, band, ys, steering, params, kept[k] if kept else terms_of(block, ys),
+                  out[:, :, block])
     return out

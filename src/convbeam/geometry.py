@@ -146,8 +146,11 @@ def plane_wave_delays(geom: ArrayGeometry, azimuth: float) -> np.ndarray:
     """Delay in seconds at each mic of a far-field plane wave from ``azimuth``.
 
     The angle is in radians, at zero elevation.  Delays are relative to the
-    reference microphone, so its entry is exactly 0.
+    reference microphone, so its entry is exactly 0.  A non-finite azimuth
+    raises ``ValueError``.
     """
+    if not np.isfinite(azimuth):
+        raise ValueError(f"azimuth must be finite, got {azimuth}")
     delays = -(geom.positions @ _unit_direction(azimuth)) / SPEED_OF_SOUND
     return delays - delays[geom.reference_mic]
 

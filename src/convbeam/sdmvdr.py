@@ -147,10 +147,11 @@ class _RcBand(Band):
         np.vecdot(self.w, self.f, out=rows[0])
         np.vecdot(self.f, self.f, out=rows[1])
 
-    def correct(self, step: np.ndarray, x_r: np.ndarray) -> None:
-        """w_rc += step f; x_r = w_rc^H f, then push."""
+    def correct(self, step: np.ndarray, x_r) -> None:
+        """w_rc += step f; x_r = w_rc^H f unless x_r is None, then push."""
         self.w += np.multiply(step[:, None], self.f, out=self.work)
-        np.vecdot(self.w, self.f, out=x_r)
+        if x_r is not None:
+            np.vecdot(self.w, self.f, out=x_r)
         self.push()
 
     @staticmethod
@@ -160,7 +161,7 @@ class _RcBand(Band):
 
     @staticmethod
     def frame(held, w_sd, p, y, terms, out) -> None:
-        """rc_speech_psd, then rc_update, of every bin; out = (x_hat,)."""
+        """rc_speech_psd, then rc_update, of every bin; out, unless None, gets (x_r,)."""
         floor, gains_sq, d = terms
         dots = np.empty((2, len(y)), dtype=np.complex128)
         for lo, hi, band in held:
@@ -172,8 +173,12 @@ class _RcBand(Band):
         scale = p.phi_r / np.where(denom > 0.0, denom, np.inf)
         step = complex_of(scale * e.real, scale * -e.imag)
         for lo, hi, band in held:
-            band.correct(step[lo:hi], out[0, lo:hi])  # x_r
-        out[0] = limited(d, out[0], p.alpha_r)
+            band.correct(step[lo:hi], None if out is None else out[0, lo:hi])
+
+    @staticmethod
+    def finish(terms, p, out) -> None:
+        """out = (x_hat,) of a block, (bins, B), from the x_r its frames left and d."""
+        out[0] = limited(terms[2].T, out[0], p.alpha_r)
 
 
 def process_utterance_sdmvdr(

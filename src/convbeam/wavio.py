@@ -57,7 +57,8 @@ class AudioBuffer:
 
 def read_wav(path) -> AudioBuffer:
     """Read a PCM16 or float32 WAV file."""
-    blob = open(path, "rb").read()
+    with open(path, "rb") as f:
+        blob = f.read()
     if len(blob) < 12:
         raise WavError(f"{path}: file too short for a RIFF header ({len(blob)} bytes)")
     if blob[0:4] != b"RIFF":

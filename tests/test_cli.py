@@ -149,6 +149,39 @@ class TestPipelineSmoke:
         out = capsys.readouterr().out
         assert "fwsnr=" in out and "cd=" in out
 
+    @pytest.mark.parametrize("method", ["delay-sum", "conv-mpdr-apa"])
+    def test_enhance_rejects_a_non_finite_doa(self, method, scene_dir, tmp_path, capsys):
+        out_wav = tmp_path / "enhanced.wav"
+        rc = main(
+            [
+                "enhance",
+                "--input",
+                str(scene_dir / "mixture.wav"),
+                "--output",
+                str(out_wav),
+                "--geometry",
+                "circular:3:0.05",
+                "--method",
+                method,
+                "--doa",
+                "nan",
+            ]
+        )
+        assert rc == 1
+        assert "azimuth must be finite, got nan" in capsys.readouterr().err
+        assert not out_wav.exists()
+
+    @pytest.mark.parametrize("scene_type", ["mclp", "rir"])
+    def test_simulate_rejects_a_non_finite_doa(self, scene_type, tmp_path, capsys):
+        out = tmp_path / "scene"
+        rc = main(
+            ["simulate", "--type", scene_type, "--output-dir", str(out), "--duration", "0.5",
+             "--geometry", "circular:3:0.05", "--doa", "nan"]
+        )
+        assert rc == 1
+        assert "azimuth must be finite, got nan" in capsys.readouterr().err
+        assert not (out / "mixture.wav").exists()
+
     def test_simulate_rir_from_input(self, tmp_path, capsys):
         dry = tmp_path / "dry.wav"
         write_wav(dry, AudioBuffer(0.1 * np.random.default_rng(5).standard_normal(8000), 16000))

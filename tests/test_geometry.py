@@ -11,6 +11,7 @@ from convbeam.geometry import (
     circular_array,
     diffuse_coherence,
     load_geometry,
+    plane_wave_delays,
     plane_wave_steering,
     save_geometry,
     srp_phat_localize,
@@ -112,6 +113,12 @@ class TestSteering:
     def test_shape(self):
         steer = plane_wave_steering(circular_array(5, 0.08), 0.0)
         assert steer.vectors.shape == (257, 5)
+
+    @pytest.mark.parametrize("azimuth", [np.nan, np.inf, -np.inf])
+    def test_non_finite_azimuth_rejected(self, azimuth):
+        """The one plane-wave formula behind steering and RIR scenes names the bad angle."""
+        with pytest.raises(ValueError, match=f"azimuth must be finite, got {azimuth}"):
+            plane_wave_delays(circular_array(4, 0.05), azimuth)
 
 
 class TestDiffuseCoherence:

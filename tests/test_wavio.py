@@ -1,6 +1,8 @@
 """WAV container round trips and malformed-file error reporting."""
 
+import gc
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +109,16 @@ class TestRoundTrips:
     def test_bad_encoding_name(self, tmp_path):
         with pytest.raises(ValueError, match="pcm16"):
             write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 8000), encoding="mp3")
+
+
+class TestFileHandling:
+    def test_read_closes_the_file(self, tmp_path):
+        path = _pcm16_file(tmp_path / "a.wav", np.arange(8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            read_wav(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestParserErrors:
