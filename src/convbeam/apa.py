@@ -33,10 +33,7 @@ from operator import is_
 
 import numpy as np
 
-from .engine import (
-    Band, bands, block_terms, check_inputs, complex_of, drive_utterance, floored_psd, limited,
-    run_block, square,
-)
+from .engine import Band, bands, check_inputs, complex_of, drive, floored_psd, limited, square
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -81,8 +78,8 @@ class ApaParams:
     def __post_init__(self) -> None:
         for name in ("phi_b", "phi_r", "phi_a", "eta"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 <= self.alpha_r <= 1.0:
             raise ValueError(f"alpha_r must be in [0, 1], got {self.alpha_r}")
 
@@ -405,15 +402,16 @@ def process_frame(
     Per bin: stack the observation, estimate and floor the PSD (optionally
     scaled by an external gain), run the affine projection update, emit the
     limited output from the updated filter, then push the frame into the
-    history.  The frame runs on the engine as a block of one, so every
-    bin's 2x2 solve, singular check included, runs before any filter moves.
-    ``steering`` is the (bins, M) steering matrix and ``gains`` an optional
-    per-bin gain column, clamped into [0, 1]; a bad shape, a non-finite
-    frame or steering value, a zero-norm steering row or a NaN gain raises
-    before any state changes.  Steering and params are taken from each call;
-    the last call's bands are reused while ``states`` are the same objects
-    in the same order, each holding the ``w_hat`` and ``history`` views its
-    band gave it, else new bands adopt them.  A stream equals process_utterance bitwise.
+    history.  The frame runs through :func:`convbeam.engine.drive` as an
+    utterance of one frame, so every bin's 2x2 solve, singular check
+    included, runs before any filter moves.  ``steering`` is the (bins, M)
+    steering matrix and ``gains`` an optional per-bin gain column, clamped
+    into [0, 1]; a bad shape, a non-finite frame or steering value, a
+    zero-norm steering row or a NaN gain raises before any state changes.
+    Steering and params are taken from each call; the last call's bands are
+    reused while ``states`` are the same objects in the same order, each
+    holding the ``w_hat`` and ``history`` views its band gave it, else new
+    bands adopt them.  A stream equals process_utterance bitwise.
     """
     frame, steering, gains = check_inputs(
         steering, gains, states[0].num_mics, (len(states),), frame
@@ -426,11 +424,8 @@ def process_frame(
         held = (bands(states, _ApaBand), views())
         for state in states:
             state._band = held
-    out = np.empty((_ApaBand.outputs, len(states), 1), dtype=np.complex128)
-    column = None if gains is None else gains[None]
-    terms = block_terms(_ApaBand, frame[None], steering, params, column)
-    run_block(held[0], _ApaBand, frame[None], steering, params, terms, out)
-    return out[0, :, 0]
+    column = None if gains is None else gains[:, None]
+    return drive(frame.T[:, :, None], held[0], steering, params, column)[0, :, 0]
 
 
 def process_utterance(
@@ -452,7 +447,7 @@ def process_utterance(
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     orders = params.band_plan.bin_orders(spec.config)
     states = [init_state(a, int(order), params.delay) for a, order in zip(vectors, orders)]
-    out = drive_utterance(spec, states, vectors, params, _ApaBand, gains, prior_pass)
+    out = drive(spec.data, bands(states, _ApaBand), vectors, params, gains, prior_pass)
     result = Spectrogram(out[0], spec.config)
     if return_components:
         return result, {"x_b": out[1], "x_r": out[2]}

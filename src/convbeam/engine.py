@@ -10,10 +10,13 @@ writing per-bin results into slices of frame-wide arrays.  The per-bin
 scalar algebra (PSD floor, gain or step, masks) runs once per frame over all
 bins, in the kernel's ``frame``.  The output stage (the x_r subtraction and
 the limiter) runs once per block, in the kernel's ``finish``, and not at all
-where no output is kept.  Terms of the input alone are formed once per block
-(:func:`block_terms`): :data:`BLOCK` frames in the utterance drivers, one in
-``apa.process_frame``.  The prior pass of :func:`drive_utterance` forms no
-outputs, and the filter pass reuses the terms it formed.
+where no output is kept.
+
+One driver, :func:`drive`, runs every call: an utterance in blocks of
+:data:`BLOCK` frames, and a stream (``apa.process_frame``) as an utterance
+of one frame, so a stream equals the offline run by construction.  Terms of
+the input alone are formed once per block; the prior pass forms no outputs,
+and the filter pass reuses the terms it formed.
 
 The kernels repeat the scalar oracle functions of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr` operation for operation, so they give the same bits:
@@ -31,10 +34,10 @@ import numpy as np
 from .gains import clamp_gain
 from .stft import Spectrogram
 
-__all__ = ["BLOCK", "Band", "bands", "block_terms", "check_inputs", "complex_of",
-           "drive_utterance", "floored_psd", "limited", "run_block", "square"]
+__all__ = ["BLOCK", "Band", "bands", "check_inputs", "complex_of", "drive", "floored_psd",
+           "limited", "square"]
 
-# frames per input block of the utterance drivers; bounds the block's copy of the input
+# frames per input block of the driver; bounds the block's copy of the input
 BLOCK = 8
 
 
@@ -77,12 +80,13 @@ class Band:
     holds the current frame y(n), ``frames[:, l]`` y(n-l).  The band adopts
     its states: the attribute named by ``weights`` becomes a view of the
     state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.  A
-    kernel subclass does the band's Q-length work and sets ``outputs``; its
-    static ``inputs(ys, steering, params)`` gives the input-only terms of a
-    block, one row per frame, ``frame(held, steering, params, y, terms,
-    out)`` runs the all-bin scalar step of one frame on that frame's rows and
-    leaves its output rows in ``out`` unless that is None, and
-    ``finish(terms, params, out)`` turns a block's rows into its outputs.
+    kernel subclass does the band's Q-length work and sets ``outputs``.  Its
+    three static methods are what :func:`drive` calls: ``inputs(ys,
+    steering, params)`` gives the kernel's input-only terms of a block, one
+    row per frame; ``frame(held, steering, params, y, terms, out)`` runs the
+    all-bin scalar step of one frame on that frame's rows and leaves its
+    output rows in ``out`` unless that is None; and ``finish(terms, params,
+    out)`` turns a block's rows into its outputs.
     """
 
     weights = "w_hat"
@@ -116,35 +120,6 @@ def bands(states: list, band) -> list:
     keys = [(s.order, s.delay) for s in states]
     edges = [0] + [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]] + [len(keys)]
     return [(lo, hi, band(states[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
-
-
-def block_terms(band, ys: np.ndarray, steering: np.ndarray, params, gains) -> tuple:
-    """The input-only terms of the frames ``ys`` (B, bins, M), one row per frame.
-
-    ``gains`` is None or (B, bins).  The terms are the PSD floor
-    eta * ||y||^2 / M, the squared gains and the kernel's ``inputs``.
-    """
-    floor = params.eta * (np.sum(np.abs(ys) ** 2, axis=2) / ys.shape[2])
-    gains_sq = np.ones(floor.shape) if gains is None else gains * gains
-    return (floor, gains_sq) + band.inputs(ys, steering, params)
-
-
-def run_block(held: list, band, ys: np.ndarray, steering: np.ndarray, params, terms: tuple,
-              out: np.ndarray | None = None) -> None:
-    """Advance the bands ``held`` through the frames ``ys`` (B, bins, M) with
-    this (bins, M) ``steering``, these ``params`` and the block's
-    :func:`block_terms`.
-
-    The outputs fill ``out`` (outputs, bins, B): each frame leaves its rows
-    there, and the kernel's ``finish`` forms the outputs of the whole block
-    from them once, after the last frame.  With ``out`` None no output is
-    formed at all, only the filters and histories move.
-    """
-    for n, y in enumerate(ys):
-        band.frame(held, steering, params, y, [t[n] for t in terms],
-                   None if out is None else out[:, :, n])
-    if out is not None:
-        band.finish(terms, params, out)
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
@@ -182,50 +157,43 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
     return frame, steering, None if gains is None else clamp_gain(gains)
 
 
-def drive_utterance(
-    spec: Spectrogram,
-    states: list,
-    steering: np.ndarray,
-    params,
-    band,
-    gains: np.ndarray | None = None,
-    prior_pass: bool = False,
-) -> np.ndarray:
-    """Advance one state per bin through the utterance, a block of frames at a time.
+def drive(data: np.ndarray, held: list, steering: np.ndarray, params, gains=None,
+          prior_pass: bool = False) -> np.ndarray:
+    """Advance the bands ``held`` (from :func:`bands`) through ``data``
+    (M, bins, frames); returns the outputs, (``outputs``, bins, frames).
 
-    ``band`` is the variant's kernel class; its bands adopt the states,
-    which end holding their final filters and histories.  ``steering`` is
-    the (bins, M) matrix the kernel's ``inputs`` and ``frame`` read, and ``gains`` comes
-    from :func:`check_inputs`.  Each block of :data:`BLOCK` frames is copied
-    once into (frames, bins, M) rows and run by :func:`run_block`.  Returns
-    the band outputs, shaped (``band.outputs``, bins, frames).  With
-    ``prior_pass`` every bin first runs the utterance once and keeps its
-    filter but not its history.  That pass forms no outputs; it keeps each
-    block's :func:`block_terms`, which the filter pass reuses, so the terms
-    are formed once either way and are kept only with the prior pass.
+    The bands' class is the kernel; they end holding the final filters and
+    histories.  ``steering`` is the (bins, M) matrix the kernel reads, and
+    ``gains`` None or (bins, frames) from :func:`check_inputs`.  Each block
+    of :data:`BLOCK` frames is copied once into (frames, bins, M) rows, and
+    its terms (the PSD floor eta * ||y||^2 / M, the squared gains and the
+    kernel's ``inputs``) are formed once.  With ``prior_pass`` every bin
+    first runs the whole input once and keeps its filter but not its
+    history; that pass forms no outputs and keeps each block's terms, which
+    the filter pass reuses.
     """
-    data = spec.data
-    held = bands(states, band)
-    out = np.empty((band.outputs,) + data.shape[1:], dtype=np.complex128)
+    kernel = type(held[0][2])
+    out = np.empty((kernel.outputs,) + data.shape[1:], dtype=np.complex128)
     blocks = [slice(n, n + BLOCK) for n in range(0, data.shape[2], BLOCK)]
-
-    def rows(block: slice) -> np.ndarray:
-        return np.ascontiguousarray(data[:, :, block].transpose(2, 1, 0))
-
-    def terms_of(block: slice, ys: np.ndarray) -> tuple:
-        column = None if gains is None else gains[:, block].T
-        return block_terms(band, ys, steering, params, column)
-
     kept = []  # each block's terms, from the prior pass
-    if prior_pass:
-        for block in blocks:
-            ys = rows(block)
-            kept.append(terms_of(block, ys))
-            run_block(held, band, ys, steering, params, kept[-1])
-        for _, _, b in held:
-            b.frames[:] = 0.0
-    for k, block in enumerate(blocks):
-        ys = rows(block)
-        run_block(held, band, ys, steering, params, kept[k] if kept else terms_of(block, ys),
-                  out[:, :, block])
+    for sweep in ([None, out] if prior_pass else [out]):
+        for k, block in enumerate(blocks):
+            ys = np.ascontiguousarray(data[:, :, block].transpose(2, 1, 0))
+            rows = None if sweep is None else sweep[:, :, block]
+            if rows is not None and kept:
+                terms = kept[k]
+            else:
+                floor = params.eta * (np.sum(np.abs(ys) ** 2, axis=2) / ys.shape[2])
+                gains_sq = np.ones(floor.shape) if gains is None else np.square(gains[:, block].T)
+                terms = (floor, gains_sq) + kernel.inputs(ys, steering, params)
+                if rows is None:
+                    kept.append(terms)
+            for n, y in enumerate(ys):
+                kernel.frame(held, steering, params, y, [t[n] for t in terms],
+                             None if rows is None else rows[:, :, n])
+            if rows is not None:
+                kernel.finish(terms, params, rows)
+        if sweep is None:
+            for _, _, band in held:
+                band.frames[:] = 0.0
     return out

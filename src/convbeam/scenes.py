@@ -73,8 +73,8 @@ def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -
     Normalized to RMS 0.1 (-20 dBFS).
     """
     from scipy.signal import lfilter  # here, so enhancing never imports scipy
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration}")
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
     x = rng.standard_normal(n)
@@ -85,6 +85,12 @@ def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -
     )
     x *= env
     return 0.1 * x / np.sqrt(np.mean(x**2))
+
+
+def _check_db(name: str, value: float) -> None:
+    """A level in dB may be +inf, which means none of that component, but not NaN or -inf."""
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError(f"{name} must be finite or +inf, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +174,7 @@ def mclp_scene(
     linear function of the *already mixed* past frames.  Spatially white
     noise is then added at ``snr_db`` (inf for noiseless).
     """
+    _check_db("snr_db", snr_db)
     dry_spec = stft(np.asarray(dry, dtype=np.float64), config)
     x = dry_spec.data[0]
     num_bins, num_frames = x.shape
@@ -251,8 +258,10 @@ def exp_decay_rir_scene(
     sum exact.
     """
     from scipy.signal import fftconvolve  # here, so enhancing never imports scipy
-    if t60 < 0:
-        raise ValueError(f"t60 must be >= 0, got {t60}")
+    if not 0 <= t60 < math.inf:
+        raise ValueError(f"t60 must be finite and >= 0, got {t60}")
+    _check_db("drr_db", drr_db)
+    _check_db("snr_db", snr_db)
     dry = np.asarray(dry, dtype=np.float64)
     if dry.ndim != 1:
         raise ValueError(f"dry signal must be 1-d, got shape {dry.shape}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apa import ApaParams, limited_output, psd_floor
-from .engine import Band, check_inputs, complex_of, drive_utterance, floored_psd, limited
+from .engine import Band, bands, check_inputs, complex_of, drive, floored_psd, limited
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -203,5 +203,5 @@ def process_utterance_sdmvdr(
         raise ValueError("band plan assigns order 0; this variant needs order > delay")
     weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
     states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
-    out = drive_utterance(spec, states, weights, params, _RcBand, gains, prior_pass)
+    out = drive(spec.data, bands(states, _RcBand), weights, params, gains, prior_pass)
     return Spectrogram(out, spec.config)

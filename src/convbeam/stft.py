@@ -120,6 +120,8 @@ class BandPlan:
         if self.delay < 1:
             raise ValueError(f"delay must be >= 1, got {self.delay}")
         freqs = tuple(float(f) for f in self.transition_freqs)
+        if not np.isfinite(freqs).all():
+            raise ValueError(f"transition frequencies must be finite, got {freqs}")
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValueError(f"transition frequencies must be ascending, got {freqs}")
         for order in self.orders:

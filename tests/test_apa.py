@@ -8,6 +8,7 @@ gives S = [[2, 1], [1, 2]], K = [1/3, 1/3], and an updated filter of 1/3.
 """
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -526,6 +527,12 @@ class TestParams:
             ApaParams(eta=-1.0)
         with pytest.raises(ValueError):
             ApaParams(alpha_r=1.5)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["phi_b", "phi_r", "phi_a", "eta"])
+    def test_variances_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+            ApaParams(**{name: value})
 
     def test_delay_comes_from_band_plan(self):
         assert ApaParams(band_plan=BandPlan((), (5,), delay=2)).delay == 2

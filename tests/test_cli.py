@@ -182,6 +182,47 @@ class TestPipelineSmoke:
         assert "azimuth must be finite, got nan" in capsys.readouterr().err
         assert not (out / "mixture.wav").exists()
 
+    @pytest.mark.parametrize(
+        "method, flag", [("conv-sdmvdr", "--phi-r"), ("conv-mpdr-apa", "--eta")]
+    )
+    def test_enhance_rejects_an_infinite_variance(self, method, flag, scene_dir, tmp_path, capsys):
+        out_wav = tmp_path / "enhanced.wav"
+        rc = main(
+            ["enhance", "--input", str(scene_dir / "mixture.wav"), "--output", str(out_wav),
+             "--geometry", "circular:3:0.05", "--method", method, "--doa", "45", flag, "inf"]
+        )
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out_wav.exists()
+
+    @pytest.mark.parametrize(
+        "scene_type, flag, value, name",
+        [
+            ("mclp", "--snr", "nan", "snr_db"),
+            ("rir", "--snr", "nan", "snr_db"),
+            ("mclp", "--snr", "-inf", "snr_db"),
+            ("rir", "--snr", "-inf", "snr_db"),
+            ("rir", "--drr", "nan", "drr_db"),
+            ("rir", "--drr", "-inf", "drr_db"),
+            ("rir", "--t60", "nan", "t60"),
+            ("rir", "--t60", "inf", "t60"),
+            ("mclp", "--duration", "nan", "duration"),
+        ],
+    )
+    def test_simulate_rejects_a_non_finite_setting(self, scene_type, flag, value, name, tmp_path,
+                                                   capsys):
+        out = tmp_path / "scene"
+        args = {"--duration": "0.5", flag: value}
+        rc = main(
+            ["simulate", "--type", scene_type, "--output-dir", str(out), "--geometry",
+             "circular:3:0.05", "--order", "3"] + [f"{k}={v}" for k, v in args.items()]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite") and f"got {value}" in err
+        assert not list(tmp_path.rglob("*.wav"))
+
     def test_simulate_rir_from_input(self, tmp_path, capsys):
         dry = tmp_path / "dry.wav"
         write_wav(dry, AudioBuffer(0.1 * np.random.default_rng(5).standard_normal(8000), 16000))

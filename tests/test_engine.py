@@ -10,7 +10,8 @@ functions bit for bit.  An all-zero frame after an all-zero history is
 where the two-row solve falls back to the constraint row alone
 (``s00 == 0``), where the limiter passes x_b through (``|x_r| == 0``) and
 where the canceller skips its update (``denom == 0``); silent bins take
-those branches in the same frames as live ones.  A stream reuses its bands
+those branches in the same frames as live ones.  One driver runs every
+call, so a run split in two must equal one run.  A stream reuses its bands
 between frames; the stream tests also change the states, steering and
 params between frames and copy the states mid-stream.
 """
@@ -34,11 +35,13 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
-from convbeam.engine import drive_utterance
+from convbeam.engine import bands, drive
 from convbeam.fixedbf import superdirective_mvdr
 from convbeam.gains import apply_gain
 from convbeam.geometry import CoherenceMatrix, SteeringVector
-from convbeam.sdmvdr import init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update
+from convbeam.sdmvdr import (
+    _RcBand, init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update,
+)
 from convbeam.stft import BandPlan, Spectrogram, StftConfig
 
 CONFIG = StftConfig(window_len=32)  # 17 bins, 500 Hz apart
@@ -294,7 +297,7 @@ def test_apa_stream_survives_caller_changes(case, data):
 
 
 def test_stream_continues_an_utterance_run_and_its_copies():
-    """States that ``drive_utterance`` ran (with the prior pass) stream on
+    """States that ``drive`` ran (with the prior pass) stream on
     through ``process_frame`` from where the run left them; a deep copy
     taken mid-stream owns its arrays and streams on by itself."""
     case = {
@@ -316,7 +319,7 @@ def test_stream_continues_an_utterance_run_and_its_copies():
         return [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]) for n in frames]
 
     streamed, looped = fresh(), fresh()
-    out = drive_utterance(spec, streamed, a, params, _ApaBand, gains, prior_pass=True)
+    out = drive(spec.data, bands(streamed, _ApaBand), a, params, gains, prior_pass=True)
     want = _oracle(spec, looped, gains, True, step)
     np.testing.assert_array_equal(out, want)
 
@@ -364,3 +367,33 @@ def test_sdmvdr_engine_matches_scalar_loop(case):
         lambda state, y_now, k, gain: _rc_step(state, y_now, params, gain),
     )
     np.testing.assert_array_equal(got, want[0])
+
+
+@SETTINGS
+@given(data=st.data())
+def test_a_run_split_in_two_equals_one_run(data):
+    """``drive`` over frames [0, k) and then [k, N) on the same bands equals
+    one ``drive`` over [0, N) bit for bit, for both kernels: outputs, final
+    filters and histories.  A stream is this split taken at every frame."""
+    kernel = data.draw(st.sampled_from([_ApaBand, _RcBand]))
+    case = data.draw(cases(allow_order_zero=kernel is _ApaBand))
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    split = data.draw(st.integers(0, spec.num_frames))
+    orders = params.band_plan.bin_orders(CONFIG)
+    init = init_state if kernel is _ApaBand else init_rc_state  # a stands in for the heads
+
+    def fresh():
+        return bands([init(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)],
+                     kernel)
+
+    whole, halves = fresh(), fresh()
+    want = drive(spec.data, whole, a, params, gains)
+    got = np.concatenate([
+        drive(spec.data[:, :, part], halves, a, params, None if gains is None else gains[:, part])
+        for part in (slice(0, split), slice(split, None))
+    ], axis=2)
+    np.testing.assert_array_equal(got, want)
+    for (_, _, b), (_, _, c) in zip(halves, whole):
+        np.testing.assert_array_equal(b.w, c.w)
+        np.testing.assert_array_equal(b.frames, c.frames)

@@ -159,6 +159,9 @@ class TestBandPlan:
             BandPlan((800.0,), (12, 8, 6))
         with pytest.raises(ValueError, match="ascending"):
             BandPlan((2000.0, 800.0), (12, 8, 6))
+        for bad in ("nan", "inf"):
+            with pytest.raises(ValueError, match=f"must be finite, got \\(800.0, {bad}\\)"):
+                BandPlan((800.0, float(bad)), (12, 8, 6))
         with pytest.raises(ValueError, match="delay"):
             BandPlan((), (1,), delay=1)
         with pytest.raises(ValueError):

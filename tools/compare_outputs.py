@@ -14,6 +14,9 @@ scene and saves every result to an ``.npz``:
   ``x_b`` and ``x_r``;
 - a stream: ``process_frame`` on every frame with the default band plan
   and a gain column, and the final filters and histories of every bin;
+- the stream without a gain column (as perfbench streams), once at the
+  default band plan and once on the order-0 + order-3 plan with D=2: the
+  outputs and the final filters of every bin;
 - the same stream with caller changes: bin 100's state replaced by a fresh
   ``init_state`` at frame N/3, the steering switched to a 120-degree DOA
   at frame N/2 and the params switched to ``phi_b`` and ``phi_r`` 10 dB
@@ -130,6 +133,18 @@ def dump(src: str, out_file: str) -> None:
     arrays["stream/w_hat"] = np.concatenate([s.w_hat for s in states])
     arrays["stream/history"] = np.concatenate([s.history.ravel() for s in states])
 
+    for name, plan in (("default", BandPlan()), ("D2", BandPlan((4000.0,), (0, 3), delay=2))):
+        params = ApaParams(band_plan=plan)
+        states = [init_state(a, int(o), params.delay)
+                  for a, o in zip(steering.vectors, plan.bin_orders(cfg))]
+        arrays[f"stream_nogain/{name}/output"] = np.stack(
+            [process_frame(states, spec.data[:, :, n].T, steering.vectors, params)
+             for n in range(spec.num_frames)],
+            axis=1,
+        )
+        arrays[f"stream_nogain/{name}/w_hat"] = np.concatenate([s.w_hat for s in states])
+
+    params = ApaParams()
     turned = plane_wave_steering(geom, math.radians(120.0), cfg).vectors
     vectors = steering.vectors
     states = [init_state(a, int(o), params.delay) for a, o in zip(vectors, orders)]
