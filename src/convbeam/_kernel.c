@@ -1,0 +1,160 @@
+/* Per-bin kernels of both adaptive filters, loaded by convbeam.engine.
+
+Each entry point runs the bins lo..hi-1 of one band (one order L and delay D)
+through nf frames, one bin at a time, so a bin's filter and frame history
+stay in cache for the whole call.  The arithmetic is that of the scalar
+oracle in convbeam.apa and convbeam.sdmvdr, step for step; only the order
+of the sums in a dot product differs.  Complex arrays are interleaved
+(re, im) doubles in C order:
+
+  w       (hi-lo, Q)         the band's filters, updated in place
+  frames  (hi-lo, L+1, M)    slot l holds y(n-l); pushed after every frame
+  ys      (bins, nf, M)      the input, one row of frames per bin
+  gsq     (bins, nf)         squared gains that scale the PSD estimate
+  a       (bins, M)          steering (apa) or fixed heads (rc)
+  out     (R, bins, nf)      output rows, written only when keep is nonzero
+  p       phi_b, phi_r, phi_a, eta, alpha_r
+
+apa_band returns 0, or 1 + k*nf + n for the first singular 2x2 solve, at
+bin k and frame n, where the call stops; rc_band, which solves none, 0. */
+
+#include <math.h>
+#include <string.h>
+
+/* s += x^H y over n complex entries */
+static void dotc(double s[2], const double *x, const double *y, long n)
+{
+    for (long i = 0; i < 2 * n; i += 2) {
+        s[0] += x[i] * y[i] + x[i + 1] * y[i + 1];
+        s[1] += x[i] * y[i + 1] - x[i + 1] * y[i];
+    }
+}
+
+/* w += (c x) g over n complex entries */
+static void axpy(double *w, const double *x, double c, const double g[2], long n)
+{
+    for (long i = 0; i < 2 * n; i += 2) {
+        const double xr = c * x[i], xi = c * x[i + 1];
+        w[i] += xr * g[0] - xi * g[1];
+        w[i + 1] += xr * g[1] + xi * g[0];
+    }
+}
+
+/* Copy a frame into slot 0; returns the PSD floor eta * ||y||^2 / M. */
+static double load(double *frames, const double *y, long m, double eta)
+{
+    double power = 0.0;
+    memcpy(frames, y, 2 * m * sizeof(double));
+    for (long i = 0; i < 2 * m; i++)
+        power += y[i] * y[i];
+    return eta * (power / m);
+}
+
+/* apa.limited_output: x_b less alpha * min(|x_r|, |x_b|) along x_r. */
+static void limited(double *x, const double xb[2], const double xr[2], double alpha)
+{
+    const double mag_r = hypot(xr[0], xr[1]);
+    const double step = alpha * fmin(mag_r, hypot(xb[0], xb[1]));
+    for (int i = 0; i < 2; i++)
+        x[i] = mag_r == 0.0 ? xb[i] : xb[i] - step * (xr[i] / mag_r);
+}
+
+/* apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b, x_r). */
+long apa_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
+              const double *p, const double *gsq, double *w, double *frames,
+              const double *ys, const double *a, double *out)
+{
+    const double phi_b = p[0], phi_r = p[1], phi_a = p[2], eta = p[3], alpha = p[4];
+    const long tail = l ? (l - d + 1) * m : 0, q = m + tail, row = 2 * bins * nf;
+    for (long k = lo; k < hi; k++, w += 2 * q, frames += 2 * (l + 1) * m) {
+        const double *ak = a + 2 * k * m, *t = frames + (tail ? 2 * d * m : 0);
+        double aa[2] = {0.0, 0.0};
+        dotc(aa, ak, ak, m);
+        const double s11 = phi_b * aa[0] + phi_a;
+        for (long n = 0; n < nf; n++) {
+            const double floor = load(frames, ys + 2 * (k * nf + n) * m, m, eta);
+            double wy[2] = {0.0, 0.0}, ya[2] = {0.0, 0.0}, aw[2] = {0.0, 0.0}, s00 = 0.0;
+            dotc(wy, w, frames, m);
+            dotc(wy, w + 2 * m, t, tail);
+            dotc(ya, frames, ak, m);
+            dotc(aw, ak, w, m);
+            for (long i = 0; i < 2 * m; i++)
+                s00 += frames[i] * (phi_b * frames[i]);
+            for (long i = 0; i < 2 * tail; i++)
+                s00 += t[i] * (phi_r * t[i]);
+            const double phi_x = gsq[k * nf + n] * (wy[0] * wy[0] + wy[1] * wy[1]);
+            s00 += phi_x > floor ? phi_x : floor;
+            /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
+            const double s01r = phi_b * ya[0], s01i = phi_b * ya[1];
+            const double e0r = -wy[0], e0i = wy[1], e1r = 1.0 - aw[0], e1i = 0.0 - aw[1];
+            const double det = s00 * s11 - (s01r * s01r + s01i * s01i);
+            double g0[2] = {0.0, 0.0}, g1[2];
+            if (det > 0.0) {
+                g0[0] = (s11 * e0r - (s01r * e1r - s01i * e1i)) / det;
+                g0[1] = (s11 * e0i - (s01r * e1i + s01i * e1r)) / det;
+                g1[0] = (s00 * e1r - (s01r * e0r + s01i * e0i)) / det;
+                g1[1] = (s00 * e1i - (s01r * e0i - s01i * e0r)) / det;
+            } else if (s00 == 0.0 && s11 > 0.0) { /* the constraint row alone */
+                g1[0] = e1r / s11;
+                g1[1] = e1i / s11;
+            } else {
+                return 1 + k * nf + n;
+            }
+            const double b[2] = {phi_b * g1[0], phi_b * g1[1]};
+            axpy(w, frames, phi_b, g0, m);
+            axpy(w, ak, 1.0, b, m);
+            axpy(w + 2 * m, t, phi_r, g0, tail);
+            if (keep) { /* x_b = w_head^H y, x_r = x_b - w^H ytilde */
+                double xb[2] = {0.0, 0.0}, *o = out + 2 * (k * nf + n);
+                dotc(xb, w, frames, m);
+                double xr[2] = {xb[0], xb[1]};
+                dotc(xr, w + 2 * m, t, tail);
+                xr[0] = xb[0] - xr[0];
+                xr[1] = xb[1] - xr[1];
+                limited(o, xb, xr, alpha);
+                memcpy(o + row, xb, sizeof xb);
+                memcpy(o + 2 * row, xr, sizeof xr);
+            }
+            memmove(frames + 2 * m, frames, 2 * l * m * sizeof(double));
+        }
+    }
+    return 0;
+}
+
+/* sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
+long rc_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
+             const double *p, const double *gsq, double *w, double *frames,
+             const double *ys, const double *a, double *out)
+{
+    const double phi_r = p[1], eta = p[3], alpha = p[4];
+    const long q = (l - d + 1) * m;
+    (void)bins;
+    for (long k = lo; k < hi; k++, w += 2 * q, frames += 2 * (l + 1) * m) {
+        const double *head = a + 2 * k * m, *f = frames + 2 * d * m;
+        for (long n = 0; n < nf; n++) {
+            const double floor = load(frames, ys + 2 * (k * nf + n) * m, m, eta);
+            double x_d[2] = {0.0, 0.0}, wf[2] = {0.0, 0.0}, ff = 0.0;
+            dotc(x_d, head, frames, m);
+            for (long i = 0; i < 2 * q; i += 2) { /* w_rc^H f and f^H f in one pass */
+                wf[0] += w[i] * f[i] + w[i + 1] * f[i + 1];
+                wf[1] += w[i] * f[i + 1] - w[i + 1] * f[i];
+                ff += f[i] * f[i] + f[i + 1] * f[i + 1];
+            }
+            const double e[2] = {x_d[0] - wf[0], x_d[1] - wf[1]};
+            const double phi_x = gsq[k * nf + n] * (e[0] * e[0] + e[1] * e[1]);
+            /* a zero denominator (zero regressor, zero floor) means no update */
+            const double denom = phi_r * ff + (phi_x > floor ? phi_x : floor);
+            if (denom > 0.0) {
+                const double c = phi_r / denom, step[2] = {c * e[0], c * -e[1]};
+                axpy(w, f, 1.0, step, q);
+            }
+            if (keep) {
+                double xr[2] = {0.0, 0.0};
+                dotc(xr, w, f, q);
+                limited(out + 2 * (k * nf + n), x_d, xr, alpha);
+            }
+            memmove(frames + 2 * m, frames, 2 * l * m * sizeof(double));
+        }
+    }
+    return 0;
+}

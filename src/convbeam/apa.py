@@ -21,9 +21,9 @@ the frame order documented in :func:`process_frame`.
 
 The scalar functions (:func:`init_state`, :func:`stack_observation`,
 :func:`apa_update`, ...) transcribe the update for one bin and are the
-oracle.  ``_ApaBand`` runs the same update bit for bit on the engine of
-:mod:`convbeam.engine`: its bands do the products with their (K, Q)
-filters, and its ``frame`` the 2x2 solves of all bins at once.
+oracle.  The drivers run the same update on the compiled kernel of
+:mod:`convbeam.engine`, which matches the oracle to rounding: the order of
+the sums in a dot product differs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import is_
 
 import numpy as np
 
-from .engine import Band, bands, check_inputs, complex_of, drive, floored_psd, limited, square
+from .engine import APA, bands, check_inputs, drive
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -146,8 +146,7 @@ def init_state(a: np.ndarray, order: int, delay: int = 1) -> ApaState:
     if norm_sq == 0.0:
         raise ValueError("steering vector has zero norm")
     num_mics = a.shape[0]
-    blocks = 0 if order == 0 else order - delay + 1
-    w_hat = np.zeros(num_mics * (blocks + 1), dtype=np.complex128)
+    w_hat = np.zeros(APA.taps(num_mics, order, delay), dtype=np.complex128)
     w_hat[:num_mics] = a / norm_sq
     history = np.zeros((order, num_mics), dtype=np.complex128)
     return ApaState(w_hat, history, order, delay, num_mics)
@@ -301,93 +300,8 @@ def limited_output(x_b: complex, x_r: complex, alpha_r: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# band kernel and drivers
+# drivers
 # ---------------------------------------------------------------------------
-
-
-class _ApaBand(Band):
-    """Two-row update of a band of :class:`ApaState`; ``w`` is (K, Q)."""
-
-    outputs = 3
-
-    def dots(self, y_in: np.ndarray, a: np.ndarray, p: ApaParams, rows: np.ndarray) -> None:
-        """Load the frame; rows = (w^H ytilde, ytilde^H Phi_w ytilde, a^H w_head)."""
-        y = self.load(y_in)
-        if self.delay == 1:
-            self.y_tilde = self.frames.reshape(len(y), -1)
-        else:
-            self.y_tilde = np.concatenate((y, self.tail()), axis=1)
-        # Phi_w ytilde: phi_r on the tail, phi_b on the head, as _gain_blocks forms it
-        py = np.multiply(self.y_tilde, p.phi_r, out=self.work)
-        np.multiply(y, p.phi_b, out=py[:, : y.shape[1]])
-        np.vecdot(self.w, self.y_tilde, out=rows[0])
-        np.vecdot(self.y_tilde, py, out=rows[1])
-        np.vecdot(a, self.w[:, : y.shape[1]], out=rows[2])
-
-    def correct(self, g0: np.ndarray, g1: np.ndarray, a: np.ndarray, rows) -> None:
-        """w += Phi_w ytilde g0 + a g1 (g1 scaled by phi_b); rows, unless None,
-        = (w_head^H y, w^H ytilde)."""
-        w, m = self.w, a.shape[1]
-        w += self.work * g0[:, None]
-        w[:, :m] += g1[:, None] * a
-        if rows is not None:
-            np.vecdot(w[:, :m], self.frames[:, 0], out=rows[0])
-            np.vecdot(w, self.y_tilde, out=rows[1])
-        self.push()
-
-    @staticmethod
-    def inputs(ys: np.ndarray, steering: np.ndarray, params: ApaParams) -> tuple:
-        """(s01, |s01|^2, s11) of every frame and bin."""
-        s01 = params.phi_b * np.vecdot(ys, steering)
-        s11 = params.phi_b * np.vecdot(steering, steering).real + params.phi_a
-        return s01, square(s01.real) + square(s01.imag), np.broadcast_to(s11, s01.shape)
-
-    @staticmethod
-    def frame(held, steering, p, y, terms, out) -> None:
-        """apa_update of every bin; out, unless None, gets (x_b, w^H ytilde) in rows 1 and 2."""
-        floor, gains_sq, s01, s01_sq, s11 = terms
-        dots = np.empty((3, len(y)), dtype=np.complex128)
-        for lo, hi, band in held:
-            band.dots(y[lo:hi], steering[lo:hi], p, dots[:, lo:hi])
-        s00 = dots[1].real + floored_psd(dots[0], gains_sq, floor)
-        e1 = 1.0 - dots[2]
-        s01r, s01i, e1r, e1i = s01.real, s01.imag, e1.real, e1.imag
-        e0r, e0i = -dots[0].real, dots[0].imag  # e0 = -ytilde^H w = -conj(w^H ytilde)
-        det = s00 * s11 - s01_sq
-        solved = det > 0.0
-        all_solved = solved.all()
-        if not all_solved:
-            alone = ~solved & (s00 == 0.0) & (s11 > 0.0)
-            if not (solved | alone).all():
-                raise np.linalg.LinAlgError(
-                    "singular 2x2 innovation covariance; all variances are zero"
-                )
-            det = np.where(solved, det, 1.0)
-        # g0 = (s11 e0 - s01 e1) / det, g1 = (s00 e1 - conj(s01) e0) / det
-        inv = 1.0 / det
-        g0 = complex_of(
-            (s11 * e0r - (s01r * e1r - s01i * e1i)) * inv,
-            (s11 * e0i - (s01r * e1i + s01i * e1r)) * inv,
-        )
-        g1 = complex_of(
-            (s00 * e1r - (s01r * e0r + s01i * e0i)) * inv,
-            (s00 * e1i - (s01r * e0i - s01i * e0r)) * inv,
-        )
-        if not all_solved:
-            # constraint row alone: g0 = 0, g1 = e1 / s11
-            inv11 = 1.0 / s11[alone]
-            g0[alone] = 0.0
-            g1[alone] = complex_of(e1r[alone] * inv11, e1i[alone] * inv11)
-        g1 = p.phi_b * g1
-        for lo, hi, band in held:
-            rows = None if out is None else out[1:, lo:hi]
-            band.correct(g0[lo:hi], g1[lo:hi], steering[lo:hi], rows)
-
-    @staticmethod
-    def finish(terms, p, out) -> None:
-        """out = (x_hat, x_b, x_r) of a block, each (bins, B), from the rows its frames left."""
-        np.subtract(out[1], out[2], out=out[2])  # x_r = x_b - w^H ytilde
-        out[0] = limited(out[1], out[2], p.alpha_r)
 
 
 def process_frame(
@@ -403,8 +317,8 @@ def process_frame(
     scaled by an external gain), run the affine projection update, emit the
     limited output from the updated filter, then push the frame into the
     history.  The frame runs through :func:`convbeam.engine.drive` as an
-    utterance of one frame, so every bin's 2x2 solve, singular check
-    included, runs before any filter moves.  ``steering`` is the (bins, M)
+    utterance of one frame; a singular 2x2 solve raises ``LinAlgError``
+    naming its bin, and the bins run before it have moved.  ``steering`` is the (bins, M)
     steering matrix and ``gains`` an optional per-bin gain column, clamped
     into [0, 1]; a bad shape, a non-finite frame or steering value, a
     zero-norm steering row or a NaN gain raises before any state changes.
@@ -421,7 +335,7 @@ def process_frame(
 
     held = getattr(states[0], "_band", None)  # (bands, the views they gave)
     if not (held and len(held[1]) == 3 * len(states) and all(map(is_, views(), held[1]))):
-        held = (bands(states, _ApaBand), views())
+        held = (bands(states, APA), views())
         for state in states:
             state._band = held
     column = None if gains is None else gains[:, None]
@@ -447,7 +361,7 @@ def process_utterance(
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     orders = params.band_plan.bin_orders(spec.config)
     states = [init_state(a, int(order), params.delay) for a, order in zip(vectors, orders)]
-    out = drive(spec.data, bands(states, _ApaBand), vectors, params, gains, prior_pass)
+    out = drive(spec.data, bands(states, APA), vectors, params, gains, prior_pass)
     result = Spectrogram(out[0], spec.config)
     if return_components:
         return result, {"x_b": out[1], "x_r": out[2]}

@@ -219,6 +219,8 @@ def _write_scene(scene: Scene, out_dir: Path, length: int) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = StftConfig()
     if args.input is not None:
         dry = resample_check(_read_mono(args.input), config.sample_rate).samples[0]

@@ -1,125 +1,122 @@
-"""The batched engine behind both adaptive filters.
+"""The engine behind both adaptive filters: bands, one compiled kernel, one driver.
 
 A band is a contiguous run of bins that share one order and delay; it holds
-their filters, frame history and delay as arrays, and adopts their states.
-Steering and params reach every frame step as arguments.  A frame step has
-two parts.  The bands (:class:`Band`, with the kernels ``apa._ApaBand`` and
-``sdmvdr._RcBand``) do only the Q-length work, the products with their
-(K, Q) filters and history, the filter corrections and the history push,
-writing per-bin results into slices of frame-wide arrays.  The per-bin
-scalar algebra (PSD floor, gain or step, masks) runs once per frame over all
-bins, in the kernel's ``frame``.  The output stage (the x_r subtraction and
-the limiter) runs once per block, in the kernel's ``finish``, and not at all
-where no output is kept.
-
-One driver, :func:`drive`, runs every call: an utterance in blocks of
-:data:`BLOCK` frames, and a stream (``apa.process_frame``) as an utterance
-of one frame, so a stream equals the offline run by construction.  Terms of
-the input alone are formed once per block; the prior pass forms no outputs,
-and the filter pass reuses the terms it formed.
-
-The kernels repeat the scalar oracle functions of :mod:`convbeam.apa` and
-:mod:`convbeam.sdmvdr` operation for operation, so they give the same bits:
-every np.vdot becomes np.vecdot on rows (the same BLAS call), abs(z) becomes
-np.hypot, a scalar x ** 2 becomes np.float_power, and products of two
-complex scalars are written out in real and imaginary parts as numpy's
-scalar code evaluates them.  A complex scalar divided by a real one is, in
-numpy, a multiplication by the reciprocal of the divisor.
+their filters and frame history as arrays and adopts their states.  The
+kernel, ``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin
+recursion of either filter over a band, one bin at a time through every
+frame, with the arithmetic of the scalar oracle of :mod:`convbeam.apa` and
+:mod:`convbeam.sdmvdr`.  One driver, :func:`drive`, runs every call: an
+utterance, and a stream (``apa.process_frame``) as an utterance of one
+frame, so a stream equals the offline run by construction.  The library is
+built, once per source, when this module is imported; a host without ``cc``
+imports it all the same and gets the build's ``ImportError`` from the first
+run of an adaptive filter.
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .gains import clamp_gain
 from .stft import Spectrogram
 
-__all__ = ["BLOCK", "Band", "bands", "check_inputs", "complex_of", "drive", "floored_psd",
-           "limited", "square"]
+__all__ = ["APA", "RC", "Band", "Kernel", "bands", "check_inputs", "drive", "load_kernel"]
 
-# frames per input block of the driver; bounds the block's copy of the input
-BLOCK = 8
-
-
-def square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` as numpy evaluates it on one float64 scalar."""
-    return np.float_power(x, 2)
+SOURCE = Path(__file__).with_name("_kernel.c")
+# no -march=native, so a cached library runs on any host of its architecture;
+# no contraction into fused multiply-adds, so every product rounds as the oracle's
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
-def _abs(z: np.ndarray) -> np.ndarray:
-    return np.hypot(z.real, z.imag)
+def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache__"):
+    """The library built from ``source`` with ``cc``, as ``cache/<stem>-<sha16>.so``.
+
+    The name hashes the source and flags, so only a changed source is built.
+    A build is renamed into place, so processes that build at once never
+    load a partial library.  A failed build, a missing ``cc`` or a cache
+    that cannot be written raises ``ImportError`` with the command and the
+    compiler's or the file system's message.  ctypes refuses a call with an
+    array that is not C-contiguous or not of its dtype before it runs.
+    """
+    digest = hashlib.sha256(source.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()[:16]
+    lib = cache / f"{source.stem}-{digest}.so"
+    if not lib.exists():
+        import subprocess  # only on a miss: importing it costs about 3 ms
+
+        tmp = lib.with_suffix(f".{os.getpid()}.tmp")
+        cmd = ["cc", *CFLAGS, str(source), "-o", str(tmp), "-lm"]
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            done = subprocess.run(cmd, capture_output=True, text=True)
+            if done.returncode:
+                raise OSError(done.stderr)
+            os.replace(tmp, lib)
+        except OSError as exc:  # a failed build, no compiler, or a cache it cannot write
+            if tmp.is_file():
+                tmp.unlink()
+            raise ImportError(f"building the kernel failed: {' '.join(cmd)}\n{exc}") from None
+    kernel = ctypes.CDLL(str(lib))
+    arrays = [np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64,) * 2
+              + (np.complex128,) * 5]
+    for fn in (kernel.apa_band, kernel.rc_band):
+        fn.argtypes = [ctypes.c_long] * 8 + arrays
+        fn.restype = ctypes.c_long
+    return kernel
 
 
-def complex_of(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    z = np.empty(re.shape, dtype=np.complex128)
-    z.real = re
-    z.imag = im
-    return z
+class Kernel(NamedTuple):
+    """An entry point of ``_kernel.c`` and the filter it runs."""
+
+    entry: str  # the function's name in the library
+    weights: str  # the state attribute that holds a bin's filter
+    outputs: int  # output rows per bin and frame
+    head: int  # 1 when the filter has a beamforming head of M taps before its M*(L-D+1)
+
+    def taps(self, num_mics: int, order: int, delay: int) -> int:
+        """Q of a bin: the head, then M taps per frame y(n-D)..y(n-L) (none at order 0)."""
+        return num_mics * (self.head + (order - delay + 1 if order else 0))
 
 
-def floored_psd(x: np.ndarray, gains_sq: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """|x|^2, scaled by the squared gains, floored as ``apa.psd_floor``."""
-    return np.maximum(gains_sq * square(_abs(x)), floor)
-
-
-def limited(x_b: np.ndarray, x_r: np.ndarray, alpha_r: float) -> np.ndarray:
-    """``apa.limited_output`` of every bin."""
-    mag_r = _abs(x_r)
-    silent = mag_r == 0.0
-    inv = 1.0 / np.where(silent, 1.0, mag_r)
-    step = alpha_r * np.minimum(mag_r, _abs(x_b))
-    x_hat = complex_of(x_b.real - step * (x_r.real * inv), x_b.imag - step * (x_r.imag * inv))
-    return np.where(silent, x_b, x_hat)
+try:  # built at import, so a first build falls in set-up rather than in a run
+    LIBRARY = load_kernel()
+except ImportError as exc:  # raised by drive instead, so other paths need no cc
+    LIBRARY = exc
+APA = Kernel("apa_band", "w_hat", 3, 1)
+RC = Kernel("rc_band", "w_rc", 1, 0)
 
 
 class Band:
-    """A band of K bins of order L: adapted filters ``w`` and frame history.
+    """A band of K bins of order L, run by ``kernel``: filters and frame history.
 
-    A band holds these, its delay and a scratch array, and nothing of the
-    steering or params, which reach every frame step.  ``frames[:, 0]``
-    holds the current frame y(n), ``frames[:, l]`` y(n-l).  The band adopts
-    its states: the attribute named by ``weights`` becomes a view of the
-    state's row of ``w``, and ``history`` one of ``frames[:, 1:]``.  A
-    kernel subclass does the band's Q-length work and sets ``outputs``.  Its
-    three static methods are what :func:`drive` calls: ``inputs(ys,
-    steering, params)`` gives the kernel's input-only terms of a block, one
-    row per frame; ``frame(held, steering, params, y, terms, out)`` runs the
-    all-bin scalar step of one frame on that frame's rows and leaves its
-    output rows in ``out`` unless that is None; and ``finish(terms, params,
-    out)`` turns a block's rows into its outputs.
+    ``w`` is (K, Q) and ``frames`` (K, L+1, M), with ``frames[:, l]`` the
+    frame y(n-l).  The band adopts its states: the attribute named by
+    ``kernel.weights`` becomes a view of the state's row of ``w``, and
+    ``history`` one of ``frames[:, 1:]``, so the kernel moves the states in
+    place.  Steering and params reach every call of the kernel instead.
     """
 
-    weights = "w_hat"
-
-    def __init__(self, states: list) -> None:
+    def __init__(self, states: list, kernel: Kernel) -> None:
         first = states[0]
-        self.delay = first.delay
-        self.w = np.stack([getattr(s, self.weights) for s in states])
-        self.work = np.empty_like(self.w)  # a (K, Q) product, formed in place
+        self.kernel, self.order, self.delay = kernel, first.order, first.delay
+        self.w = np.array([getattr(s, kernel.weights) for s in states], dtype=np.complex128)
         self.frames = np.zeros((len(states), first.order + 1, first.num_mics), np.complex128)
         self.frames[:, 1:] = [s.history for s in states]
         for state, w, frames in zip(states, self.w, self.frames):
-            setattr(state, self.weights, w)
+            setattr(state, kernel.weights, w)
             state.history = frames[1:]
 
-    def load(self, y: np.ndarray) -> np.ndarray:
-        """Put the current frame in slot 0; returns it as (K, M)."""
-        self.frames[:, 0] = y
-        return self.frames[:, 0]
 
-    def tail(self) -> np.ndarray:
-        """The delayed frames y(n-D)..y(n-L) of every bin, as (K, M*(L-D+1))."""
-        return self.frames[:, self.delay :].reshape(len(self.frames), -1)
-
-    def push(self) -> None:
-        self.frames[:, 1:] = self.frames[:, :-1]
-
-
-def bands(states: list, band) -> list:
-    """(lo, hi, band(states[lo:hi])) for every run of bins with equal order and delay."""
+def bands(states: list, kernel: Kernel) -> list:
+    """(lo, hi, Band(states[lo:hi], kernel)) for every run of bins with equal order and delay."""
     keys = [(s.order, s.delay) for s in states]
     edges = [0] + [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]] + [len(keys)]
-    return [(lo, hi, band(states[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
+    return [(lo, hi, Band(states[lo:hi], kernel)) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
@@ -132,7 +129,7 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
     that must be finite.  Anything else raises ``ValueError`` naming the
     argument, and for a bad value where it is.
     """
-    steering = np.asarray(getattr(steering, "vectors", steering), dtype=np.complex128)
+    steering = np.ascontiguousarray(getattr(steering, "vectors", steering), np.complex128)
     spec, frame = (frame.data, None) if isinstance(frame, Spectrogram) else (None, frame)
     if frame is not None:
         frame = np.ascontiguousarray(frame, dtype=np.complex128)
@@ -162,38 +159,45 @@ def drive(data: np.ndarray, held: list, steering: np.ndarray, params, gains=None
     """Advance the bands ``held`` (from :func:`bands`) through ``data``
     (M, bins, frames); returns the outputs, (``outputs``, bins, frames).
 
-    The bands' class is the kernel; they end holding the final filters and
-    histories.  ``steering`` is the (bins, M) matrix the kernel reads, and
-    ``gains`` None or (bins, frames) from :func:`check_inputs`.  Each block
-    of :data:`BLOCK` frames is copied once into (frames, bins, M) rows, and
-    its terms (the PSD floor eta * ||y||^2 / M, the squared gains and the
-    kernel's ``inputs``) are formed once.  With ``prior_pass`` every bin
-    first runs the whole input once and keeps its filter but not its
-    history; that pass forms no outputs and keeps each block's terms, which
-    the filter pass reuses.
+    The bands end holding the final filters and histories.  ``steering`` is
+    the C-contiguous (bins, M) matrix the kernel reads (the fixed heads, for
+    the canceller), and ``gains`` None or (bins, frames) from
+    :func:`check_inputs`; any that do not fit the data or the bands raise
+    ``ValueError``.  The input is copied once into (bins, frames, M), and
+    each band runs in one kernel call per pass.  With ``prior_pass`` every
+    bin first runs the whole input once, forming no outputs, and keeps its
+    filter but not its history.  A singular 2x2 solve raises
+    ``LinAlgError`` naming its bin and frame; by then the bins before it, in
+    its band and in the bands run before, have moved.
     """
-    kernel = type(held[0][2])
-    out = np.empty((kernel.outputs,) + data.shape[1:], dtype=np.complex128)
-    blocks = [slice(n, n + BLOCK) for n in range(0, data.shape[2], BLOCK)]
-    kept = []  # each block's terms, from the prior pass
-    for sweep in ([None, out] if prior_pass else [out]):
-        for k, block in enumerate(blocks):
-            ys = np.ascontiguousarray(data[:, :, block].transpose(2, 1, 0))
-            rows = None if sweep is None else sweep[:, :, block]
-            if rows is not None and kept:
-                terms = kept[k]
-            else:
-                floor = params.eta * (np.sum(np.abs(ys) ** 2, axis=2) / ys.shape[2])
-                gains_sq = np.ones(floor.shape) if gains is None else np.square(gains[:, block].T)
-                terms = (floor, gains_sq) + kernel.inputs(ys, steering, params)
-                if rows is None:
-                    kept.append(terms)
-            for n, y in enumerate(ys):
-                kernel.frame(held, steering, params, y, [t[n] for t in terms],
-                             None if rows is None else rows[:, :, n])
-            if rows is not None:
-                kernel.finish(terms, params, rows)
-        if sweep is None:
+    if isinstance(LIBRARY, ImportError):  # the build at import failed
+        raise ImportError(*LIBRARY.args)
+    kernel, (m, num_bins, num_frames) = held[0][2].kernel, data.shape
+    run = getattr(LIBRARY, kernel.entry)
+    want, got = ((num_bins, m), data.shape[1:]), (steering.shape, getattr(gains, "shape", None))
+    if held[-1][1] != num_bins or got[0] != want[0] or got[1] not in (None, want[1]):
+        raise ValueError(f"bands over {held[-1][1]} bins, steering {got[0]} and gains {got[1]} "
+                         f"do not fit data {data.shape}: it needs {num_bins} bins, steering "
+                         f"{want[0]} and gains None or {want[1]}")
+    for lo, hi, band in held:
+        taps = kernel.taps(m, band.order, band.delay)
+        if 0 < band.order <= band.delay or band.w.shape != (hi - lo, taps) \
+                or band.frames.shape != (hi - lo, band.order + 1, m):
+            raise ValueError(f"bins {lo}-{hi - 1} hold {band.w.shape[1]} taps for "
+                             f"{band.frames.shape[2]} mics at order {band.order}, delay "
+                             f"{band.delay}; {m} mics need order 0 or > delay and {taps} taps")
+    ys = np.ascontiguousarray(data.transpose(1, 2, 0), np.complex128)
+    gains_sq = np.ones((num_bins, num_frames)) if gains is None else np.square(gains, order="C")
+    p = np.array([params.phi_b, params.phi_r, params.phi_a, params.eta, params.alpha_r])
+    out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
+    for keep in ((0, 1) if prior_pass else (1,)):
+        for lo, hi, band in held:
+            status = run(lo, hi, num_bins, num_frames, m, band.order, band.delay, keep, p,
+                         gains_sq, band.w, band.frames, ys, steering, out)
+            if status:
+                k, n = divmod(status - 1, num_frames)
+                raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
+        if not keep:
             for _, _, band in held:
                 band.frames[:] = 0.0
     return out

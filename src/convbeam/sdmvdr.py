@@ -8,9 +8,9 @@ recursion on the stacked delayed frames), which is why this variant runs
 cheaper than the fully adaptive filter.
 
 The scalar state and update (:func:`init_rc_state`, :func:`rc_speech_psd`,
-:func:`rc_update`) are the oracle.  ``_RcBand`` runs the same update on a
-band of bins as arrays, bit for bit, on the engine of
-:mod:`convbeam.engine`, whose bands adopt the states.
+:func:`rc_update`) are the oracle.  The utterance driver runs the same
+update on the compiled kernel of :mod:`convbeam.engine`, which matches the
+oracle to rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apa import ApaParams, limited_output, psd_floor
-from .engine import Band, bands, check_inputs, complex_of, drive, floored_psd, limited
+from .engine import RC, bands, check_inputs, drive
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -72,10 +72,9 @@ def init_rc_state(w_sd: np.ndarray, order: int, delay: int = 1) -> RcState:
     if order <= delay:
         raise ValueError(f"order must exceed delay ({delay}), got {order}")
     num_mics = w_sd.shape[0]
-    taps = num_mics * (order - delay + 1)
     return RcState(
         w_sd=w_sd,
-        w_rc=np.zeros(taps, dtype=np.complex128),
+        w_rc=np.zeros(RC.taps(num_mics, order, delay), dtype=np.complex128),
         history=np.zeros((order, num_mics), dtype=np.complex128),
         order=order,
         delay=delay,
@@ -134,53 +133,6 @@ def rc_update(
     return x_hat
 
 
-class _RcBand(Band):
-    """Canceller update of a band of :class:`RcState`; ``w`` is (K, M*(L-D+1))."""
-
-    weights = "w_rc"
-    outputs = 1
-
-    def dots(self, y_in: np.ndarray, rows: np.ndarray) -> None:
-        """Load the frame; rows = (w_rc^H f, f^H f)."""
-        self.load(y_in)
-        self.f = self.tail()
-        np.vecdot(self.w, self.f, out=rows[0])
-        np.vecdot(self.f, self.f, out=rows[1])
-
-    def correct(self, step: np.ndarray, x_r) -> None:
-        """w_rc += step f; x_r = w_rc^H f unless x_r is None, then push."""
-        self.w += np.multiply(step[:, None], self.f, out=self.work)
-        if x_r is not None:
-            np.vecdot(self.w, self.f, out=x_r)
-        self.push()
-
-    @staticmethod
-    def inputs(ys: np.ndarray, w_sd: np.ndarray, params: ApaParams) -> tuple:
-        """(d,) = (w_sd^H y,) of every frame and bin; the heads stand in for the steering."""
-        return (np.vecdot(w_sd, ys),)
-
-    @staticmethod
-    def frame(held, w_sd, p, y, terms, out) -> None:
-        """rc_speech_psd, then rc_update, of every bin; out, unless None, gets (x_r,)."""
-        floor, gains_sq, d = terms
-        dots = np.empty((2, len(y)), dtype=np.complex128)
-        for lo, hi, band in held:
-            band.dots(y[lo:hi], dots[:, lo:hi])
-        e = d - dots[0]
-        denom = p.phi_r * dots[1].real + floored_psd(e, gains_sq, floor)
-        # a zero denominator (zero regressor, zero floor) means no update,
-        # which an infinite one gives: phi_r / inf is a zero step
-        scale = p.phi_r / np.where(denom > 0.0, denom, np.inf)
-        step = complex_of(scale * e.real, scale * -e.imag)
-        for lo, hi, band in held:
-            band.correct(step[lo:hi], None if out is None else out[0, lo:hi])
-
-    @staticmethod
-    def finish(terms, p, out) -> None:
-        """out = (x_hat,) of a block, (bins, B), from the x_r its frames left and d."""
-        out[0] = limited(terms[2].T, out[0], p.alpha_r)
-
-
 def process_utterance_sdmvdr(
     spec: Spectrogram,
     steering,
@@ -203,5 +155,5 @@ def process_utterance_sdmvdr(
         raise ValueError("band plan assigns order 0; this variant needs order > delay")
     weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
     states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
-    out = drive(spec.data, bands(states, _RcBand), weights, params, gains, prior_pass)
+    out = drive(spec.data, bands(states, RC), weights, params, gains, prior_pass)
     return Spectrogram(out, spec.config)

@@ -122,6 +122,9 @@ class BandPlan:
         freqs = tuple(float(f) for f in self.transition_freqs)
         if not np.isfinite(freqs).all():
             raise ValueError(f"transition frequencies must be finite, got {freqs}")
+        nyquist = StftConfig.sample_rate / 2
+        if not all(0.0 < f <= nyquist for f in freqs):
+            raise ValueError(f"transition frequencies must lie in (0, {nyquist:g}] Hz, got {freqs}")
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValueError(f"transition frequencies must be ascending, got {freqs}")
         for order in self.orders:

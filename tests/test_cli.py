@@ -196,6 +196,27 @@ class TestPipelineSmoke:
         assert f"{name} must be finite and > 0, got inf" in capsys.readouterr().err
         assert not out_wav.exists()
 
+    @pytest.mark.parametrize("bands", ["12,8@9000", "12,8@0", "12,8@-100", "12,8,6@800,20000"])
+    def test_enhance_rejects_a_band_edge_past_nyquist(self, bands, scene_dir, tmp_path, capsys):
+        """A transition outside (0, 8000] Hz would leave a band no bin runs in."""
+        out_wav = tmp_path / "enhanced.wav"
+        rc = main(
+            ["enhance", "--input", str(scene_dir / "mixture.wav"), "--output", str(out_wav),
+             "--geometry", "circular:3:0.05", "--doa", "45", f"--bands={bands}"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "transition frequencies must lie in (0, 8000] Hz" in err
+        assert bands.split("@")[1].split(",")[-1] in err
+        assert not out_wav.exists()
+
+    def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
+        rc = main(["simulate", "--output-dir", str(tmp_path / "scene"), "--duration", "0.5",
+                   "--seed=-1"])
+        assert rc == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*"))
+
     @pytest.mark.parametrize(
         "scene_type, flag, value, name",
         [

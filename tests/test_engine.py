@@ -1,31 +1,45 @@
-"""The batched engine of both adaptive filters against loops of the scalar functions.
+"""The engine of both adaptive filters against loops of the scalar functions.
 
 ``process_utterance``, ``process_frame`` and ``process_utterance_sdmvdr``
-advance whole bands of bins per frame with array kernels.  These property
-tests draw small scenes (1-4 mics, delay 1 or 2, band plans whose orders
-repeat in non-adjacent bands, order 0 for the full filter, gain columns with
-zeros, runs of all-zero frames, and a subset of bins silent over a run of
-frames) and require the engine to equal a per-bin loop of the public scalar
-functions bit for bit.  An all-zero frame after an all-zero history is
+run bands of bins on the compiled kernel.  These property tests draw small
+scenes (1-4 mics, delay 1 or 2, band plans whose orders repeat in
+non-adjacent bands, order 0 for the full filter, gain columns with zeros,
+runs of all-zero frames, and a subset of bins silent over a run of frames)
+and require the engine to equal a per-bin loop of the public scalar
+functions to ``conftest.REL_TOL`` of the largest reference value (the
+kernel sums its dot products in another order), with x_r measured against
+the scale of x_b and the histories, which copy the input, equal bit for
+bit.  An all-zero frame after an all-zero history is
 where the two-row solve falls back to the constraint row alone
 (``s00 == 0``), where the limiter passes x_b through (``|x_r| == 0``) and
 where the canceller skips its update (``denom == 0``); silent bins take
 those branches in the same frames as live ones.  One driver runs every
-call, so a run split in two must equal one run.  A stream reuses its bands
-between frames; the stream tests also change the states, steering and
-params between frames and copy the states mid-stream.
+call, so a run split in two must equal one run bit for bit.  A stream
+reuses its bands between frames; the stream tests also change the states,
+steering and params between frames and copy the states mid-stream.  The
+last tests cover the kernel's library cache, its build failures, a
+singular solve and the arrays ctypes refuses.
 """
 
 import copy
+import ctypes
 import dataclasses
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+from conftest import assert_close
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convbeam import engine
 from convbeam.apa import (
     ApaParams,
-    _ApaBand,
+    ApaState,
     apa_update,
     init_state,
     limited_output,
@@ -35,13 +49,11 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
-from convbeam.engine import bands, drive
+from convbeam.engine import APA, RC, bands, drive, load_kernel
 from convbeam.fixedbf import superdirective_mvdr
 from convbeam.gains import apply_gain
 from convbeam.geometry import CoherenceMatrix, SteeringVector
-from convbeam.sdmvdr import (
-    _RcBand, init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update,
-)
+from convbeam.sdmvdr import init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update
 from convbeam.stft import BandPlan, Spectrogram, StftConfig
 
 CONFIG = StftConfig(window_len=32)  # 17 bins, 500 Hz apart
@@ -172,9 +184,9 @@ def test_apa_engine_matches_scalar_loop(case):
         spec, states, gains, case["prior_pass"],
         lambda state, y_now, k, gain: _apa_step(state, y_now, a[k], params, gain),
     )
-    np.testing.assert_array_equal(got.data[0], want[0])
-    np.testing.assert_array_equal(extras["x_b"], want[1])
-    np.testing.assert_array_equal(extras["x_r"], want[2])
+    assert_close(got.data[0], want[0])
+    assert_close(extras["x_b"], want[1])
+    assert_close(extras["x_r"], want[2], scale=want[1])
 
 
 @SETTINGS
@@ -206,9 +218,9 @@ def test_apa_stream_matches_scalar_loop(case):
         spec, looped, gains, False,
         lambda state, y_now, k, gain: _apa_step(state, y_now, a[k], params, gain),
     )
-    np.testing.assert_array_equal(got, want[0])
+    assert_close(got, want[0])
     for s, t in zip(streamed, looped):
-        np.testing.assert_array_equal(s.w_hat, t.w_hat)
+        assert_close(s.w_hat, t.w_hat)
         np.testing.assert_array_equal(s.history, t.history)
 
 
@@ -241,9 +253,18 @@ def test_apa_stream_survives_caller_changes(case, data):
     """Between frames the caller may pass a new list of the same states,
     swap in a fresh state, reassign a state's ``w_hat`` or ``history`` to a
     copy, reset a history, switch the steering, change ``alpha_r`` or give
-    ``phi_b``, ``phi_r``, ``phi_a`` and ``eta`` new values.  The
-    stream reuses its bands only while that stays exact: outputs, final
-    filters and histories equal the scalar loop given the same changes."""
+    ``phi_b``, ``phi_r``, ``phi_a`` and ``eta`` new values.  The stream
+    reuses its bands only while that stays exact: outputs, final filters and
+    histories equal, bit for bit, the kernel run on new bands every frame
+    given the same changes, and match the scalar loop to ``REL_TOL``.
+
+    The last match is asserted only for streams that keep the default
+    variances.  The PSD floor keeps phi_x >= eta * ||y||^2 / M, so the
+    condition of the 2x2 solve grows with phi_b / eta, which variances drawn
+    from -120 to -10 dB take up to 1e11; two roundings of the same recursion
+    then part by up to 1e-6 of the largest value (5,000 random draws), and
+    no fixed bound both holds there and means anything.  The bitwise check
+    is what catches a stream that keeps stale params."""
     spec, first, gains = _scene(case)
     params = _params(case)
     orders = params.band_plan.bin_orders(CONFIG)
@@ -260,21 +281,21 @@ def test_apa_stream_survives_caller_changes(case, data):
         return init_state(a[k], int(orders[k]), params.delay)
 
     a = first
-    streamed = [fresh(k) for k in range(CONFIG.num_bins)]
-    looped = [fresh(k) for k in range(CONFIG.num_bins)]
-    got, want = [], []
+    streamed, rebuilt, looped = ([fresh(k) for k in range(CONFIG.num_bins)] for _ in range(3))
+    got, again, want = [], [], []
+    varied = False
     for n, (change, k, alpha_r) in enumerate(changes):
         if change == "new_list":
             streamed = list(streamed)
         elif change == "fresh_state":
-            streamed[k], looped[k] = fresh(k), fresh(k)
+            streamed[k], rebuilt[k], looped[k] = fresh(k), fresh(k), fresh(k)
         elif change == "copy_w_hat":
             streamed[k].w_hat = streamed[k].w_hat.copy()
         elif change == "copy_history":
             streamed[k].history = streamed[k].history.copy()
         elif change == "reset_history":
-            streamed[k].reset_history()
-            looped[k].reset_history()
+            for states in (streamed, rebuilt, looped):
+                states[k].reset_history()
         elif change == "steering":
             a = second if a is first else first
         elif change == "alpha_r":
@@ -283,17 +304,25 @@ def test_apa_stream_survives_caller_changes(case, data):
             db = data.draw(st.lists(st.integers(-120, -10), min_size=4, max_size=4))
             names = ("phi_b", "phi_r", "phi_a", "eta")
             params = dataclasses.replace(params, **{x: 10.0 ** (d / 10.0) for x, d in zip(names, db)})
+            varied = True
         column = None if gains is None else gains[:, n]
         y = spec.data[:, :, n].T
         got.append(process_frame(streamed, y, a, params, column))
+        again.append(drive(y.T[:, :, None], bands(rebuilt, APA), a, params,
+                           None if column is None else column[:, None])[0, :, 0])
         want.append([
             _apa_step(s, y[k].copy(), a[k], params, None if column is None else column[k])[0]
             for k, s in enumerate(looped)
         ])
-    np.testing.assert_array_equal(np.array(got), np.array(want))
-    for s, t in zip(streamed, looped):
-        np.testing.assert_array_equal(s.w_hat, t.w_hat)
+    np.testing.assert_array_equal(got, again)
+    for s, r, t in zip(streamed, rebuilt, looped):
+        np.testing.assert_array_equal(s.w_hat, r.w_hat)
+        np.testing.assert_array_equal(s.history, r.history)
         np.testing.assert_array_equal(s.history, t.history)
+        if not varied:
+            assert_close(s.w_hat, t.w_hat)
+    if not varied:
+        assert_close(np.array(got), np.array(want))
 
 
 def test_stream_continues_an_utterance_run_and_its_copies():
@@ -319,9 +348,10 @@ def test_stream_continues_an_utterance_run_and_its_copies():
         return [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]) for n in frames]
 
     streamed, looped = fresh(), fresh()
-    out = drive(spec.data, bands(streamed, _ApaBand), a, params, gains, prior_pass=True)
+    out = drive(spec.data, bands(streamed, APA), a, params, gains, prior_pass=True)
     want = _oracle(spec, looped, gains, True, step)
-    np.testing.assert_array_equal(out, want)
+    for got_row, want_row, scale in zip(out, want, (want[0], want[1], want[1])):
+        assert_close(got_row, want_row, scale)
 
     half = spec.num_frames // 2
     got = stream(streamed, range(half))
@@ -329,11 +359,11 @@ def test_stream_continues_an_utterance_run_and_its_copies():
     got += stream(streamed, range(half, spec.num_frames))
     got_copy = stream(copied, range(half, spec.num_frames))
     rows = _oracle(spec, looped, gains, False, step)[0]
-    np.testing.assert_array_equal(np.array(got).T, rows)
-    np.testing.assert_array_equal(np.array(got_copy).T, rows[:, half:])
+    assert_close(np.array(got).T, rows)
+    assert_close(np.array(got_copy).T, rows[:, half:])
     for s, c, t in zip(streamed, copied, looped):
         for state in (s, c):
-            np.testing.assert_array_equal(state.w_hat, t.w_hat)
+            assert_close(state.w_hat, t.w_hat)
             np.testing.assert_array_equal(state.history, t.history)
 
 
@@ -366,7 +396,7 @@ def test_sdmvdr_engine_matches_scalar_loop(case):
         spec, states, gains, case["prior_pass"],
         lambda state, y_now, k, gain: _rc_step(state, y_now, params, gain),
     )
-    np.testing.assert_array_equal(got, want[0])
+    assert_close(got, want[0])
 
 
 @SETTINGS
@@ -375,13 +405,13 @@ def test_a_run_split_in_two_equals_one_run(data):
     """``drive`` over frames [0, k) and then [k, N) on the same bands equals
     one ``drive`` over [0, N) bit for bit, for both kernels: outputs, final
     filters and histories.  A stream is this split taken at every frame."""
-    kernel = data.draw(st.sampled_from([_ApaBand, _RcBand]))
-    case = data.draw(cases(allow_order_zero=kernel is _ApaBand))
+    kernel = data.draw(st.sampled_from([APA, RC]))
+    case = data.draw(cases(allow_order_zero=kernel is APA))
     spec, a, gains = _scene(case)
     params = _params(case)
     split = data.draw(st.integers(0, spec.num_frames))
     orders = params.band_plan.bin_orders(CONFIG)
-    init = init_state if kernel is _ApaBand else init_rc_state  # a stands in for the heads
+    init = init_state if kernel is APA else init_rc_state  # a stands in for the heads
 
     def fresh():
         return bands([init(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)],
@@ -397,3 +427,132 @@ def test_a_run_split_in_two_equals_one_run(data):
     for (_, _, b), (_, _, c) in zip(halves, whole):
         np.testing.assert_array_equal(b.w, c.w)
         np.testing.assert_array_equal(b.frames, c.frames)
+
+
+def test_kernel_library_is_cached_by_source(tmp_path, monkeypatch):
+    """A second load reuses the library the first one built; a changed
+    source is built afresh under a new name."""
+    source, cache = tmp_path / "_kernel.c", tmp_path / "cache"
+    source.write_bytes(engine.SOURCE.read_bytes())
+    load_kernel(source, cache)
+    built = sorted(cache.iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_kernel-") and built[0].suffix == ".so"
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a cached kernel was built again")
+
+    monkeypatch.setattr(subprocess, "run", no_build)
+    load_kernel(source, cache)
+    assert sorted(cache.iterdir()) == built
+    monkeypatch.undo()
+    source.write_bytes(source.read_bytes() + b"/* changed */\n")
+    load_kernel(source, cache)
+    names = {p.name for p in cache.iterdir()}
+    assert len(names) == 2 and built[0].name in names and all(n.endswith(".so") for n in names)
+
+
+@pytest.mark.parametrize("fault", ["compile error", "no compiler", "unwritable cache"])
+def test_a_failed_build_raises_import_error(fault, tmp_path, monkeypatch):
+    """The error names the command and gives the compiler's messages; no
+    library, whole or partial, is left in the cache."""
+    def fake_run(cmd, **kwargs):
+        if fault == "no compiler":
+            raise FileNotFoundError(2, "No such file or directory", cmd[0])
+        return subprocess.CompletedProcess(cmd, 1, "", "_kernel.c:9: error: expected ';'")
+
+    cache = tmp_path
+    if fault == "unwritable cache":  # a file where the cache directory should be
+        (tmp_path / "file").touch()
+        cache = tmp_path / "file" / "cache"
+    else:
+        monkeypatch.setattr(subprocess, "run", fake_run)
+    with pytest.raises(ImportError) as info:
+        load_kernel(engine.SOURCE, cache)
+    message = str(info.value)
+    assert "cc -O2 -shared -fPIC -ffp-contract=off " in message
+    assert {"compile error": "expected ';'", "no compiler": "No such file or directory",
+            "unwritable cache": "Not a directory"}[fault] in message
+    assert [p.name for p in tmp_path.iterdir()] == (["file"] if fault == "unwritable cache" else [])
+
+
+def test_a_host_without_cc_runs_all_but_the_adaptive_filters(tmp_path):
+    """A package whose kernel cannot be built imports, and its fixed
+    beamformers run; the first adaptive run raises the build's ImportError."""
+    shutil.copytree(Path(engine.__file__).parent, tmp_path / "convbeam",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    script = """
+import numpy as np
+from convbeam import (ApaParams, Spectrogram, SteeringVector, StftConfig, apply_fixed,
+                      delay_and_sum, process_utterance)
+spec = Spectrogram(np.ones((2, StftConfig().num_bins, 3), complex), StftConfig())
+a = np.ones((StftConfig().num_bins, 2), complex)
+assert np.array_equal(apply_fixed(delay_and_sum(SteeringVector(a, 0)), spec).data, spec.data[:1])
+try:
+    process_utterance(spec, a, ApaParams())
+except ImportError as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PATH": str(tmp_path / "no-bin"), "PYTHONPATH": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("building the kernel failed: cc -O2 ")
+    assert not list((tmp_path / "convbeam" / "__pycache__").glob("_kernel-*"))
+
+
+def test_a_singular_solve_names_its_bin():
+    """phi_b = 1e300 overflows |s01|^2, so the first live bin's 2x2 solve
+    is singular; it is bin 0, so no filter has moved."""
+    spec, a, _ = _scene(PARTLY_SILENT)
+    params = dataclasses.replace(_params(PARTLY_SILENT), phi_b=1e300, phi_a=1e-300)
+    orders = params.band_plan.bin_orders(CONFIG)
+    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    with pytest.raises(np.linalg.LinAlgError, match="singular 2x2 innovation covariance at bin 0"):
+        process_frame(states, spec.data[:, :, 0].T, a, params)
+    for k, state in enumerate(states):
+        np.testing.assert_array_equal(state.w_hat, init_state(a[k], int(orders[k])).w_hat)
+
+
+@pytest.mark.parametrize("fault", ["strided", "complex64"])
+def test_the_kernel_refuses_a_bad_array(fault):
+    """ctypes checks the dtype and layout of every array before the kernel runs."""
+    spec, a, _ = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    orders = params.band_plan.bin_orders(CONFIG)
+    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    lo, hi, band = bands(states, APA)[0]
+    w, frames = band.w.copy(), band.frames.copy()
+    ys = np.ascontiguousarray(spec.data.transpose(1, 2, 0))
+    ys = ys[:, ::2] if fault == "strided" else ys.astype(np.complex64)
+    p = np.array([params.phi_b, params.phi_r, params.phi_a, params.eta, params.alpha_r])
+    shape = (CONFIG.num_bins, spec.num_frames)
+    with pytest.raises(ctypes.ArgumentError):
+        engine.LIBRARY.apa_band(lo, hi, *shape, spec.num_channels, band.order, band.delay, 1, p,
+                                np.ones(shape), band.w, band.frames, ys, a,
+                                np.empty((3,) + shape, complex))
+    np.testing.assert_array_equal(band.w, w)
+    np.testing.assert_array_equal(band.frames, frames)
+
+
+def test_a_band_that_does_not_fit_the_kernel_is_refused():
+    """Filters of the wrong length for their order, delay and mics, an order
+    at or below the delay, and data, steering or gains with other bins than
+    the bands, never reach the kernel."""
+    fresh = [init_state(np.ones(2), 3) for _ in range(4)]
+    held = bands(fresh, APA)
+    w = held[0][2].w.copy()
+    for data, steering, gains, message in (
+        (np.ones((2, 3, 1)), np.ones((3, 2)), None, "bands over 4 bins, steering \\(3, 2\\)"),
+        (np.ones((2, 4, 1)), np.ones((3, 2)), None, "steering \\(3, 2\\) and gains None"),
+        (np.ones((2, 4, 1)), np.ones((4, 2)), np.ones((4, 2)), "gains \\(4, 2\\) do not fit"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            drive(data.astype(complex), held, steering.astype(complex), ApaParams(), gains)
+    np.testing.assert_array_equal(held[0][2].w, w)
+    short = [init_state(np.ones(2), 3) for _ in range(4)]
+    for state in short:
+        state.w_hat = state.w_hat[:6]
+    below = [ApaState(np.zeros(0, complex), np.zeros((1, 2), complex), 1, 3, 2) for _ in range(4)]
+    for states, message in ((short, "hold 6 taps for 2 mics at order 3, delay 1; .* 8 taps"),
+                            (below, "hold 0 taps for 2 mics at order 1, delay 3; .* 0 taps")):
+        with pytest.raises(ValueError, match=f"bins 0-3 {message}"):
+            process_frame(states, np.ones((4, 2)), np.ones((4, 2)), ApaParams())

@@ -162,6 +162,11 @@ class TestBandPlan:
         for bad in ("nan", "inf"):
             with pytest.raises(ValueError, match=f"must be finite, got \\(800.0, {bad}\\)"):
                 BandPlan((800.0, float(bad)), (12, 8, 6))
+        for edges in ((800.0, 9000.0), (0.0, 800.0), (-100.0, 800.0), (800.0, 20000.0)):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 8000\] Hz") as info:
+                BandPlan(edges, (12, 8, 6))
+            assert str(edges) in str(info.value)
+        assert BandPlan((800.0, 8000.0), (12, 8, 6)).bin_orders(StftConfig())[-1] == 6
         with pytest.raises(ValueError, match="delay"):
             BandPlan((), (1,), delay=1)
         with pytest.raises(ValueError):

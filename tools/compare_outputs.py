@@ -30,10 +30,9 @@ scene and saves every result to an ``.npz``:
 - both adaptive filters on a band plan whose order repeats in non-adjacent
   bands (orders 3, 6, 3), with a gain mask and the prior pass;
 - both adaptive filters with the default band plan, a gain mask and the
-  prior pass on the first 61 frames of the scene (a prime count, so the
-  utterance spans several of the engine's input blocks and ends in a
-  partial one), with bins 20-39 and 120-129 silent on every channel over
-  frames 15-34: the output, and ``x_b`` and ``x_r`` of the full filter;
+  prior pass on the first 61 frames of the scene (a prime count), with
+  bins 20-39 and 120-129 silent on every channel over frames 15-34: the
+  output, and ``x_b`` and ``x_r`` of the full filter;
 - the method, M, L, D, Q and MAC columns of ``bench.wallclock_sweep``
   with ``num_mics=4``;
 - the (complex MACs, real MACs, divisions) of ``bench.count_apa_update``
@@ -48,8 +47,11 @@ scene and saves every result to an ``.npz``:
   (fixed DOA, no mask, prior pass) against the scene's dry signal.
 
 The two files are then compared with ``np.array_equal``.  The names of the
-arrays that differ, or exist on one side only, are printed.  The exit
-status is 0 when every array is identical and 1 otherwise.
+arrays that differ, or exist on one side only, are printed, each numeric
+one of equal shape with the size of its difference, max|d| / max|ref| with
+SRC_A's array as the reference (the rule of perfbench's ``checks.rel_err``),
+and then the largest of these.  The exit status is 0 when every array is
+identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -247,10 +249,28 @@ def compare(src_a: str, src_b: str) -> int:
         names = sorted(set(a.files) | set(b.files))
         differ = [n for n in names if n not in a.files or n not in b.files
                   or not np.array_equal(a[n], b[n])]
+        sizes = {n: rel_diff(a[n], b[n]) for n in differ if n in a.files and n in b.files}
     for name in differ:
-        print(f"differs: {name}")
+        size = sizes.get(name)
+        print(f"differs: {name}" + ("" if size is None else f"  max|d|/max|ref| = {size:.3g}"))
     print(f"{len(differ)} of {len(names)} arrays differ")
+    sized = {n: v for n, v in sizes.items() if v is not None}
+    if sized:
+        worst = max(sized, key=sized.get)
+        print(f"largest max|d|/max|ref| = {sized[worst]:.3g} ({worst})")
     return 1 if differ else 0
+
+
+def rel_diff(ref: np.ndarray, x: np.ndarray, scale=None):
+    """max|x - ref| / max|scale| (max|x - ref| when the scale is all zero),
+    with ``ref`` as the scale by default, or None for arrays of other
+    shapes or of no numeric type."""
+    ref, x = np.asarray(ref), np.asarray(x)
+    if ref.shape != x.shape or ref.dtype.kind not in "biufc" or x.dtype.kind not in "biufc":
+        return None
+    top = float(np.max(np.abs(ref if scale is None else scale), initial=0.0))
+    err = float(np.max(np.abs(x - ref), initial=0.0))
+    return err / top if top > 0.0 else err
 
 
 def main(argv: list) -> int:
