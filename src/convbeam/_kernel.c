@@ -4,8 +4,11 @@ Each entry point runs the bins lo..hi-1 of one band (one order L and delay D)
 through nf frames, one bin at a time, so a bin's filter and frame history
 stay in cache for the whole call.  The arithmetic is that of the scalar
 oracle in convbeam.apa and convbeam.sdmvdr, step for step; only the order
-of the sums in a dot product differs.  Complex arrays are interleaved
-(re, im) doubles in C order:
+of the sums in a dot product or norm differs.  Each such sum runs in 8
+lanes, 4 complex entries a step, which are added in a fixed tree at the
+end, so a build that maps the lanes onto SSE2 or AVX2 registers rounds as
+a scalar one: every clone and every vector width gives the same bits.
+Complex arrays are interleaved (re, im) doubles in C order:
 
   w       (hi-lo, Q)         the band's filters, updated in place
   frames  (hi-lo, L+1, M)    slot l holds y(n-l); pushed after every frame
@@ -21,13 +24,50 @@ bin k and frame n, where the call stops; rc_band, which solves none, 0. */
 #include <math.h>
 #include <string.h>
 
-/* s += x^H y over n complex entries */
+/* apa_band and rc_band also get an AVX2 clone on x86-64; not one with FMA */
+#if !defined(CLONES) && defined(__x86_64__) && defined(__GNUC__)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#elif !defined(CLONES)
+#define CLONES
+#endif
+
+/* the sum of 8 lanes, in a fixed tree */
+static double tree(const double l[8])
+{
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
+
+/* s += x^H y over n complex entries; im's odd lanes sum Im(x) Re(y), negated at the end */
 static void dotc(double s[2], const double *x, const double *y, long n)
 {
-    for (long i = 0; i < 2 * n; i += 2) {
-        s[0] += x[i] * y[i] + x[i + 1] * y[i + 1];
-        s[1] += x[i] * y[i + 1] - x[i + 1] * y[i];
+    double re[8] = {0.0}, im[8] = {0.0};
+    long i = 0;
+    for (; i + 8 <= 2 * n; i += 8)
+        for (int j = 0; j < 8; j++) {
+            re[j] += x[i + j] * y[i + j];
+            im[j] += x[i + j] * y[i + (j ^ 1)];
+        }
+    for (; i < 2 * n; i++) {
+        re[i & 1] += x[i] * y[i];
+        im[i & 1] += x[i] * y[i ^ 1];
     }
+    for (int j = 1; j < 8; j += 2)
+        im[j] = -im[j];
+    s[0] += tree(re);
+    s[1] += tree(im);
+}
+
+/* ||x||^2 over n complex entries */
+static double norm2(const double *x, long n)
+{
+    double r[8] = {0.0};
+    long i = 0;
+    for (; i + 8 <= 2 * n; i += 8)
+        for (int j = 0; j < 8; j++)
+            r[j] += x[i + j] * x[i + j];
+    for (; i < 2 * n; i++)
+        r[i & 1] += x[i] * x[i];
+    return tree(r);
 }
 
 /* w += (c x) g over n complex entries */
@@ -43,11 +83,8 @@ static void axpy(double *w, const double *x, double c, const double g[2], long n
 /* Copy a frame into slot 0; returns the PSD floor eta * ||y||^2 / M. */
 static double load(double *frames, const double *y, long m, double eta)
 {
-    double power = 0.0;
     memcpy(frames, y, 2 * m * sizeof(double));
-    for (long i = 0; i < 2 * m; i++)
-        power += y[i] * y[i];
-    return eta * (power / m);
+    return eta * (norm2(y, m) / m);
 }
 
 /* apa.limited_output: x_b less alpha * min(|x_r|, |x_b|) along x_r. */
@@ -60,30 +97,25 @@ static void limited(double *x, const double xb[2], const double xr[2], double al
 }
 
 /* apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b, x_r). */
-long apa_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
-              const double *p, const double *gsq, double *w, double *frames,
-              const double *ys, const double *a, double *out)
+CLONES long apa_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
+                     const double *p, const double *gsq, double *w, double *frames,
+                     const double *ys, const double *a, double *out)
 {
     const double phi_b = p[0], phi_r = p[1], phi_a = p[2], eta = p[3], alpha = p[4];
     const long tail = l ? (l - d + 1) * m : 0, q = m + tail, row = 2 * bins * nf;
     for (long k = lo; k < hi; k++, w += 2 * q, frames += 2 * (l + 1) * m) {
         const double *ak = a + 2 * k * m, *t = frames + (tail ? 2 * d * m : 0);
-        double aa[2] = {0.0, 0.0};
-        dotc(aa, ak, ak, m);
-        const double s11 = phi_b * aa[0] + phi_a;
+        const double s11 = phi_b * norm2(ak, m) + phi_a;
         for (long n = 0; n < nf; n++) {
             const double floor = load(frames, ys + 2 * (k * nf + n) * m, m, eta);
-            double wy[2] = {0.0, 0.0}, ya[2] = {0.0, 0.0}, aw[2] = {0.0, 0.0}, s00 = 0.0;
+            double wy[2] = {0.0, 0.0}, ya[2] = {0.0, 0.0}, aw[2] = {0.0, 0.0};
             dotc(wy, w, frames, m);
             dotc(wy, w + 2 * m, t, tail);
             dotc(ya, frames, ak, m);
             dotc(aw, ak, w, m);
-            for (long i = 0; i < 2 * m; i++)
-                s00 += frames[i] * (phi_b * frames[i]);
-            for (long i = 0; i < 2 * tail; i++)
-                s00 += t[i] * (phi_r * t[i]);
             const double phi_x = gsq[k * nf + n] * (wy[0] * wy[0] + wy[1] * wy[1]);
-            s00 += phi_x > floor ? phi_x : floor;
+            const double s00 = phi_b * norm2(frames, m) + phi_r * norm2(t, tail)
+                               + (phi_x > floor ? phi_x : floor);
             /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
             const double s01r = phi_b * ya[0], s01i = phi_b * ya[1];
             const double e0r = -wy[0], e0i = wy[1], e1r = 1.0 - aw[0], e1i = 0.0 - aw[1];
@@ -122,9 +154,9 @@ long apa_band(long lo, long hi, long bins, long nf, long m, long l, long d, long
 }
 
 /* sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
-long rc_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
-             const double *p, const double *gsq, double *w, double *frames,
-             const double *ys, const double *a, double *out)
+CLONES long rc_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
+                    const double *p, const double *gsq, double *w, double *frames,
+                    const double *ys, const double *a, double *out)
 {
     const double phi_r = p[1], eta = p[3], alpha = p[4];
     const long q = (l - d + 1) * m;
@@ -133,17 +165,13 @@ long rc_band(long lo, long hi, long bins, long nf, long m, long l, long d, long 
         const double *head = a + 2 * k * m, *f = frames + 2 * d * m;
         for (long n = 0; n < nf; n++) {
             const double floor = load(frames, ys + 2 * (k * nf + n) * m, m, eta);
-            double x_d[2] = {0.0, 0.0}, wf[2] = {0.0, 0.0}, ff = 0.0;
+            double x_d[2] = {0.0, 0.0}, wf[2] = {0.0, 0.0};
             dotc(x_d, head, frames, m);
-            for (long i = 0; i < 2 * q; i += 2) { /* w_rc^H f and f^H f in one pass */
-                wf[0] += w[i] * f[i] + w[i + 1] * f[i + 1];
-                wf[1] += w[i] * f[i + 1] - w[i + 1] * f[i];
-                ff += f[i] * f[i] + f[i + 1] * f[i + 1];
-            }
+            dotc(wf, w, f, q);
             const double e[2] = {x_d[0] - wf[0], x_d[1] - wf[1]};
             const double phi_x = gsq[k * nf + n] * (e[0] * e[0] + e[1] * e[1]);
             /* a zero denominator (zero regressor, zero floor) means no update */
-            const double denom = phi_r * ff + (phi_x > floor ? phi_x : floor);
+            const double denom = phi_r * norm2(f, q) + (phi_x > floor ? phi_x : floor);
             if (denom > 0.0) {
                 const double c = phi_r / denom, step[2] = {c * e[0], c * -e[1]};
                 axpy(w, f, 1.0, step, q);

@@ -134,12 +134,13 @@ def wallclock_sweep(
     """Median filtering time per second of audio for each method.
 
     Each method runs through the pipeline's method table
-    (:data:`convbeam.pipeline.RUNNERS`) with the prior pass off.  Times cover
-    weight computation plus filtering on a prepared spectrogram
-    (analysis/synthesis and localization excluded, since they are shared by
-    every method).  The input is white noise (seed 0) on a circular array of
-    radius 0.10 m at the default STFT settings and band plan.  Returns one
-    row per method with the dimensions and MAC tally of its per-bin update.
+    (:data:`convbeam.pipeline.RUNNERS`) with the prior pass off, one repeat
+    of each per round, so host contention hits every method alike.  Times
+    cover weights and filtering on a prepared spectrogram, not analysis,
+    synthesis or localization, which every method shares.  The input is
+    white noise (seed 0) on a circular array of radius 0.10 m at the default
+    STFT settings and band plan.  Returns one row per method with the
+    dimensions and MAC tally of its per-bin update.
     """
     config = StftConfig()
     params = apa.ApaParams()
@@ -150,17 +151,18 @@ def wallclock_sweep(
     geom = circular_array(num_mics, 0.10)
     steering = plane_wave_steering(geom, 0.0, config)
     max_order = int(max(band_plan.orders))
-    rows = []
-    for method in methods:
-        cfg = RunConfig(
-            method=method, geometry=geom, doa=0.0, params=params, stft_config=config,
-            prior_pass=False,
-        )
-        times = []
-        for _ in range(max(int(repeats), 1)):
+    times = {method: [] for method in methods}
+    for _ in range(max(int(repeats), 1)):
+        for method in methods:
+            cfg = RunConfig(
+                method=method, geometry=geom, doa=0.0, params=params, stft_config=config,
+                prior_pass=False,
+            )
             t0 = time.perf_counter()
             RUNNERS[method](spec, steering, cfg, None)
-            times.append(time.perf_counter() - t0)
+            times[method].append(time.perf_counter() - t0)
+    rows = []
+    for method in methods:
         order = max_order if method.startswith("conv") else 0
         if method.endswith("apa"):
             macs = count_apa_update(num_mics, order, band_plan.delay).total
@@ -168,17 +170,10 @@ def wallclock_sweep(
             macs = count_rc_update(num_mics, order, band_plan.delay).total
         else:
             macs = num_mics  # one w^H y dot per bin and frame
-        rows.append(
-            {
-                "method": method,
-                "M": num_mics,
-                "L": order,
-                "D": band_plan.delay,
-                "Q": apa.init_state(np.ones(num_mics), order, band_plan.delay).stacked_len,
-                "macs": macs,
-                "seconds_per_audio_second": float(np.median(times)) / audio_seconds,
-            }
-        )
+        q = apa.init_state(np.ones(num_mics), order, band_plan.delay).stacked_len
+        rows.append({"method": method, "M": num_mics, "L": order, "D": band_plan.delay, "Q": q,
+                     "macs": macs,
+                     "seconds_per_audio_second": float(np.median(times[method])) / audio_seconds})
     return rows
 
 

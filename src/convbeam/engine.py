@@ -16,8 +16,8 @@ run of an adaptive filter.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
+import zlib
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,23 +29,24 @@ from .stft import Spectrogram
 __all__ = ["APA", "RC", "Band", "Kernel", "bands", "check_inputs", "drive", "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-# no -march=native, so a cached library runs on any host of its architecture;
-# no contraction into fused multiply-adds, so every product rounds as the oracle's
-CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
+# library runs on any host of its architecture and every product rounds as the oracle's
+CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache__"):
-    """The library built from ``source`` with ``cc``, as ``cache/<stem>-<sha16>.so``.
+    """The library built from ``source`` with ``cc``, as ``cache/<stem>-<crc>-<size>.so``.
 
-    The name hashes the source and flags, so only a changed source is built.
-    A build is renamed into place, so processes that build at once never
-    load a partial library.  A failed build, a missing ``cc`` or a cache
-    that cannot be written raises ``ImportError`` with the command and the
-    compiler's or the file system's message.  ctypes refuses a call with an
-    array that is not C-contiguous or not of its dtype before it runs.
+    The name holds the CRC-32 of the source and flags, and the source's
+    length, so only a changed source is built.  A build is renamed into
+    place, so processes that build at once never load a partial library.
+    A failed build, a missing ``cc`` or a cache that cannot be written
+    raises ``ImportError`` with the command and the compiler's or the file
+    system's message.  ctypes refuses a call with an array that is not
+    C-contiguous or not of its dtype before it runs.
     """
-    digest = hashlib.sha256(source.read_bytes() + " ".join(CFLAGS).encode()).hexdigest()[:16]
-    lib = cache / f"{source.stem}-{digest}.so"
+    text = source.read_bytes()
+    lib = cache / f"{source.stem}-{zlib.crc32(text + ' '.join(CFLAGS).encode()):08x}-{len(text)}.so"
     if not lib.exists():
         import subprocess  # only on a miss: importing it costs about 3 ms
 

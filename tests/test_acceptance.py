@@ -253,7 +253,7 @@ class TestAcceptance:
 
     def test_07_runtime_ordering(self):
         methods = ("delay-sum", "sd-mvdr", "conv-sdmvdr", "conv-mpdr-apa")
-        rows = wallclock_sweep(methods=methods, num_mics=8, audio_seconds=2.0, repeats=5)
+        rows = wallclock_sweep(methods=methods, num_mics=8, audio_seconds=2.0, repeats=11)
         secs = {row["method"]: row["seconds_per_audio_second"] for row in rows}
         ordered = (
             secs["delay-sum"] < secs["sd-mvdr"] < secs["conv-sdmvdr"] < secs["conv-mpdr-apa"]

@@ -2,14 +2,14 @@
 
 ``process_utterance``, ``process_frame`` and ``process_utterance_sdmvdr``
 run bands of bins on the compiled kernel.  These property tests draw small
-scenes (1-4 mics, delay 1 or 2, band plans whose orders repeat in
-non-adjacent bands, order 0 for the full filter, gain columns with zeros,
-runs of all-zero frames, and a subset of bins silent over a run of frames)
-and require the engine to equal a per-bin loop of the public scalar
-functions to ``conftest.REL_TOL`` of the largest reference value (the
-kernel sums its dot products in another order), with x_r measured against
-the scale of x_b and the histories, which copy the input, equal bit for
-bit.  An all-zero frame after an all-zero history is
+scenes (1-4 mics, with examples at 6 and 8, delay 1 or 2, band plans
+whose orders repeat in non-adjacent bands, order 0 for the full filter,
+gain columns with zeros, runs of all-zero frames, and a subset of bins
+silent over a run of frames) and require the engine to equal a per-bin
+loop of the public scalar functions to ``conftest.REL_TOL`` of the largest
+reference value (the kernel sums its dot products in another order), with
+x_r measured against the scale of x_b and the histories, which copy the
+input, equal bit for bit.  An all-zero frame after an all-zero history is
 where the two-row solve falls back to the constraint row alone
 (``s00 == 0``), where the limiter passes x_b through (``|x_r| == 0``) and
 where the canceller skips its update (``denom == 0``); silent bins take
@@ -17,14 +17,16 @@ those branches in the same frames as live ones.  One driver runs every
 call, so a run split in two must equal one run bit for bit.  A stream
 reuses its bands between frames; the stream tests also change the states,
 steering and params between frames and copy the states mid-stream.  The
-last tests cover the kernel's library cache, its build failures, a
-singular solve and the arrays ctypes refuses.
+last tests cover the kernel's library cache, the same bits from builds
+of every vector width, its build failures, a singular solve and the arrays
+ctypes refuses.
 """
 
 import copy
 import ctypes
 import dataclasses
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -162,6 +164,22 @@ def _oracle(spec, states, gains, prior_pass, step):
         "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 6, 3), 1), "num_frames": 12,
         "zeros": (0, 4), "quiet_bins": [], "quiet": (0, 0), "gains": "mixed", "alpha_r": 1.0,
         "prior_pass": True, "seed": 1,
+    }
+)
+# 6 mics: the kernel's sums over the head and the tails run steps of 4
+# complex entries and a remainder; 8 mics: whole steps only
+@example(
+    case={
+        "num_mics": 6, "plan": BandPlan((2000.0, 5000.0), (0, 3, 6), 1), "num_frames": 10,
+        "zeros": (0, 2), "quiet_bins": [3, 4, 5], "quiet": (3, 7), "gains": "mixed",
+        "alpha_r": 0.5, "prior_pass": True, "seed": 6,
+    }
+)
+@example(
+    case={
+        "num_mics": 8, "plan": BandPlan((3000.0,), (4, 0), 2), "num_frames": 10, "zeros": (8, 10),
+        "quiet_bins": [], "quiet": (0, 0), "gains": "none", "alpha_r": 1.0, "prior_pass": True,
+        "seed": 8,
     }
 )
 # one mic and a band of one bin at order 0: a (1, 1) filter update
@@ -377,6 +395,21 @@ def test_stream_continues_an_utterance_run_and_its_copies():
         "prior_pass": True, "seed": 2,
     }
 )
+# 6 and 8 mics, as in the APA test
+@example(
+    case={
+        "num_mics": 6, "plan": BandPlan((2000.0, 5000.0), (2, 5, 2), 1), "num_frames": 10,
+        "zeros": (0, 2), "quiet_bins": [3, 4, 5], "quiet": (3, 7), "gains": "mixed",
+        "alpha_r": 0.5, "prior_pass": True, "seed": 6,
+    }
+)
+@example(
+    case={
+        "num_mics": 8, "plan": BandPlan((3000.0,), (4, 6), 2), "num_frames": 10, "zeros": (8, 10),
+        "quiet_bins": [], "quiet": (0, 0), "gains": "none", "alpha_r": 1.0, "prior_pass": True,
+        "seed": 8,
+    }
+)
 def test_sdmvdr_engine_matches_scalar_loop(case):
     spec, a, gains = _scene(case)
     params = _params(case)
@@ -451,6 +484,41 @@ def test_kernel_library_is_cached_by_source(tmp_path, monkeypatch):
     assert len(names) == 2 and built[0].name in names and all(n.endswith(".so") for n in names)
 
 
+CPUINFO = Path("/proc/cpuinfo")
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64"
+                    or (CPUINFO.exists() and " avx2" not in CPUINFO.read_text()),
+                    reason="the AVX2 build needs an x86-64 host with AVX2")
+def test_every_vector_width_gives_the_same_bits(tmp_path, monkeypatch):
+    """The kernel built without clones at ``CFLAGS``, built again with
+    ``-mavx2``, and the library the engine loaded (with its AVX2 clone) run
+    both filters over 8 mics to the same outputs, filters and histories, bit
+    for bit: each sum runs in fixed lanes, whatever the vector width."""
+    case = {**PARTLY_SILENT, "num_mics": 8}
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    orders = params.band_plan.bin_orders(CONFIG)
+    flags, libraries = engine.CFLAGS, [engine.LIBRARY]
+    for extra in ((), ("-mavx2",)):
+        monkeypatch.setattr(engine, "CFLAGS", (*flags, *extra, "-DCLONES="))
+        libraries.append(load_kernel(engine.SOURCE, tmp_path))
+    assert len(list(tmp_path.glob("*.so"))) == 2
+    for kernel, init in ((APA, init_state), (RC, init_rc_state)):
+        runs = []
+        for library in libraries:
+            monkeypatch.setattr(engine, "LIBRARY", library)
+            held = bands([init(a[k], int(orders[k]), params.delay)
+                          for k in range(CONFIG.num_bins)], kernel)
+            runs.append((drive(spec.data, held, a, params, gains, prior_pass=True), held))
+        (want, first), *others = runs
+        for got, held in others:
+            np.testing.assert_array_equal(got, want)
+            for (_, _, b), (_, _, c) in zip(held, first):
+                np.testing.assert_array_equal(b.w, c.w)
+                np.testing.assert_array_equal(b.frames, c.frames)
+
+
 @pytest.mark.parametrize("fault", ["compile error", "no compiler", "unwritable cache"])
 def test_a_failed_build_raises_import_error(fault, tmp_path, monkeypatch):
     """The error names the command and gives the compiler's messages; no
@@ -469,7 +537,7 @@ def test_a_failed_build_raises_import_error(fault, tmp_path, monkeypatch):
     with pytest.raises(ImportError) as info:
         load_kernel(engine.SOURCE, cache)
     message = str(info.value)
-    assert "cc -O2 -shared -fPIC -ffp-contract=off " in message
+    assert f"cc {' '.join(engine.CFLAGS)} " in message
     assert {"compile error": "expected ';'", "no compiler": "No such file or directory",
             "unwritable cache": "Not a directory"}[fault] in message
     assert [p.name for p in tmp_path.iterdir()] == (["file"] if fault == "unwritable cache" else [])
@@ -495,7 +563,7 @@ except ImportError as exc:
     env = {**os.environ, "PATH": str(tmp_path / "no-bin"), "PYTHONPATH": str(tmp_path)}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("building the kernel failed: cc -O2 ")
+    assert done.stdout.startswith(f"building the kernel failed: cc {' '.join(engine.CFLAGS)} ")
     assert not list((tmp_path / "convbeam" / "__pycache__").glob("_kernel-*"))
 
 
