@@ -1,30 +1,31 @@
 /* Per-bin kernels of both adaptive filters, loaded by convbeam.engine.
 
-Each entry point runs the bins lo..hi-1 of one band (one order L and delay D)
-through nf frames, one bin at a time, so a bin's filter and frame history
-stay in cache for the whole call.  The arithmetic is that of the scalar
-oracle in convbeam.apa and convbeam.sdmvdr, step for step; only the order
-of the sums in a dot product or norm differs.  Each such sum runs in 8
-lanes, 4 complex entries a step, which are added in a fixed tree at the
-end, so a build that maps the lanes onto SSE2 or AVX2 registers rounds as
-a scalar one: every clone and every vector width gives the same bits.
-Complex arrays are interleaved (re, im) doubles in C order:
+Each entry point runs every bin through nf frames, one bin at a time, so a
+bin's filter and frame history stay in cache for the whole call; bin k has
+its own order L_k = orders[k] and all share the delay D.  The arithmetic is
+that of the scalar oracle in convbeam.apa and convbeam.sdmvdr, step for
+step; only the order of the sums in a dot product or norm differs.  Each
+such sum runs in 8 lanes, 4 complex entries a step, which are added in a
+fixed tree at the end, so a build that maps the lanes onto SSE2 or AVX2
+registers rounds as a scalar one: every clone and every vector width gives
+the same bits.  Complex arrays are interleaved (re, im) doubles in C order,
+with rows ws and fs complex entries apart:
 
-  w       (hi-lo, Q)         the band's filters, updated in place
-  frames  (hi-lo, L+1, M)    slot l holds y(n-l); pushed after every frame
+  w       (bins, ws)         filters, bin k's Q_k taps first; updated in place
+  frames  (bins, fs / M, M)  slot l <= L_k holds y(n-l); pushed after every frame
   ys      (bins, nf, M)      the input, one row of frames per bin
   gsq     (bins, nf)         squared gains that scale the PSD estimate
   a       (bins, M)          steering (apa) or fixed heads (rc)
   out     (R, bins, nf)      output rows, written only when keep is nonzero
   p       phi_b, phi_r, phi_a, eta, alpha_r
 
-apa_band returns 0, or 1 + k*nf + n for the first singular 2x2 solve, at
-bin k and frame n, where the call stops; rc_band, which solves none, 0. */
+apa_run returns 0, or 1 + k*nf + n for the first singular 2x2 solve, at
+bin k and frame n, where the call stops; rc_run, which solves none, 0. */
 
 #include <math.h>
 #include <string.h>
 
-/* apa_band and rc_band also get an AVX2 clone on x86-64; not one with FMA */
+/* apa_run and rc_run also get an AVX2 clone on x86-64; not one with FMA */
 #if !defined(CLONES) && defined(__x86_64__) && defined(__GNUC__)
 #define CLONES __attribute__((target_clones("avx2", "default")))
 #elif !defined(CLONES)
@@ -97,13 +98,14 @@ static void limited(double *x, const double xb[2], const double xr[2], double al
 }
 
 /* apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b, x_r). */
-CLONES long apa_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
-                     const double *p, const double *gsq, double *w, double *frames,
-                     const double *ys, const double *a, double *out)
+CLONES long apa_run(long bins, long nf, long m, long d, long ws, long fs, long keep,
+                    const long *orders, const double *p, const double *gsq, double *w,
+                    double *frames, const double *ys, const double *a, double *out)
 {
     const double phi_b = p[0], phi_r = p[1], phi_a = p[2], eta = p[3], alpha = p[4];
-    const long tail = l ? (l - d + 1) * m : 0, q = m + tail, row = 2 * bins * nf;
-    for (long k = lo; k < hi; k++, w += 2 * q, frames += 2 * (l + 1) * m) {
+    const long row = 2 * bins * nf;
+    for (long k = 0; k < bins; k++, w += 2 * ws, frames += 2 * fs) {
+        const long l = orders[k], tail = l ? (l - d + 1) * m : 0;
         const double *ak = a + 2 * k * m, *t = frames + (tail ? 2 * d * m : 0);
         const double s11 = phi_b * norm2(ak, m) + phi_a;
         for (long n = 0; n < nf; n++) {
@@ -154,14 +156,13 @@ CLONES long apa_band(long lo, long hi, long bins, long nf, long m, long l, long 
 }
 
 /* sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
-CLONES long rc_band(long lo, long hi, long bins, long nf, long m, long l, long d, long keep,
-                    const double *p, const double *gsq, double *w, double *frames,
-                    const double *ys, const double *a, double *out)
+CLONES long rc_run(long bins, long nf, long m, long d, long ws, long fs, long keep,
+                   const long *orders, const double *p, const double *gsq, double *w,
+                   double *frames, const double *ys, const double *a, double *out)
 {
     const double phi_r = p[1], eta = p[3], alpha = p[4];
-    const long q = (l - d + 1) * m;
-    (void)bins;
-    for (long k = lo; k < hi; k++, w += 2 * q, frames += 2 * (l + 1) * m) {
+    for (long k = 0; k < bins; k++, w += 2 * ws, frames += 2 * fs) {
+        const long l = orders[k], q = (l - d + 1) * m;
         const double *head = a + 2 * k * m, *f = frames + 2 * d * m;
         for (long n = 0; n < nf; n++) {
             const double floor = load(frames, ys + 2 * (k * nf + n) * m, m, eta);

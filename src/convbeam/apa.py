@@ -33,7 +33,7 @@ from operator import is_
 
 import numpy as np
 
-from .engine import APA, bands, check_inputs, drive
+from .engine import APA, Filters, check_inputs, drive
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -93,8 +93,8 @@ class ApaState:
     """Adaptive filter state of one frequency bin.
 
     ``history[l-1]`` holds the input frame y(n-l); for order 0 the history is
-    empty and the filter reduces to its beamforming head.  After a run or a
-    frame, ``w_hat`` and ``history`` are views of a band: hold the state, not them.
+    empty and the filter reduces to its beamforming head.  After a stream's
+    frame, ``w_hat`` and ``history`` are views of its filters: hold the state, not them.
     """
 
     w_hat: np.ndarray
@@ -117,8 +117,8 @@ class ApaState:
     def reset_history(self) -> None:
         self.history[:] = 0.0
 
-    def __getstate__(self) -> dict:  # copies and pickles leave process_frame's bands behind
-        return {k: v for k, v in vars(self).items() if k != "_band"}
+    def __getstate__(self) -> dict:  # copies and pickles leave process_frame's filters behind
+        return {k: v for k, v in vars(self).items() if k != "_filters"}
 
 
 @dataclass
@@ -138,15 +138,11 @@ def init_state(a: np.ndarray, order: int, delay: int = 1) -> ApaState:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 1 or a.shape[0] < 1:
         raise ValueError(f"steering vector must be 1-d and non-empty, got shape {a.shape}")
-    if delay < 1:
-        raise ValueError(f"delay must be >= 1, got {delay}")
-    if order != 0 and order <= delay:
-        raise ValueError(f"order must be 0 or > delay ({delay}), got {order}")
+    num_mics = a.shape[0]
+    w_hat = np.zeros(APA.taps(num_mics, order, delay), dtype=np.complex128)
     norm_sq = float(np.sum(np.abs(a) ** 2))
     if norm_sq == 0.0:
         raise ValueError("steering vector has zero norm")
-    num_mics = a.shape[0]
-    w_hat = np.zeros(APA.taps(num_mics, order, delay), dtype=np.complex128)
     w_hat[:num_mics] = a / norm_sq
     history = np.zeros((order, num_mics), dtype=np.complex128)
     return ApaState(w_hat, history, order, delay, num_mics)
@@ -318,14 +314,15 @@ def process_frame(
     limited output from the updated filter, then push the frame into the
     history.  The frame runs through :func:`convbeam.engine.drive` as an
     utterance of one frame; a singular 2x2 solve raises ``LinAlgError``
-    naming its bin, and the bins run before it have moved.  ``steering`` is the (bins, M)
-    steering matrix and ``gains`` an optional per-bin gain column, clamped
-    into [0, 1]; a bad shape, a non-finite frame or steering value, a
-    zero-norm steering row or a NaN gain raises before any state changes.
-    Steering and params are taken from each call; the last call's bands are
-    reused while ``states`` are the same objects in the same order, each
-    holding the ``w_hat`` and ``history`` views its band gave it, else new
-    bands adopt them.  A stream equals process_utterance bitwise.
+    naming its bin, and the bins run before it have moved.  ``steering`` is
+    the (bins, M) steering matrix and ``gains`` an optional per-bin gain
+    column, clamped into [0, 1]; a bad shape, a non-finite frame or steering
+    value, a zero-norm steering row, a NaN gain, or a state whose order,
+    delay (one for all states) or arrays do not fit raises before any state
+    changes.  Steering and params are taken from each call.  The states are
+    stacked into :class:`~convbeam.engine.Filters`, each state's ``w_hat``
+    and ``history`` made views of its rows, and restacked only when they
+    change.  A stream equals process_utterance bitwise.
     """
     frame, steering, gains = check_inputs(
         steering, gains, states[0].num_mics, (len(states),), frame
@@ -333,13 +330,25 @@ def process_frame(
     def views():
         return [x for s in states for x in (s, s.w_hat, s.history)]
 
-    held = getattr(states[0], "_band", None)  # (bands, the views they gave)
+    held = getattr(states[0], "_filters", None)  # (filters, the views they gave)
     if not (held and len(held[1]) == 3 * len(states) and all(map(is_, views(), held[1]))):
-        held = (bands(states, APA), views())
-        for state in states:
-            state._band = held
+        m, delay = states[0].num_mics, states[0].delay
+        for k, s in enumerate(states):  # every check before any state changes
+            try:
+                q = APA.taps(m, s.order, delay)
+                if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (s.order, m):
+                    raise ValueError(f"at order {s.order} it needs delay {delay}, {q} taps and "
+                                     f"history ({s.order}, {m}); it has {s.delay}, "
+                                     f"{s.w_hat.shape} and {s.history.shape}")
+            except ValueError as exc:
+                raise ValueError(f"bin {k}: {exc}") from None
+        held = (Filters.start(APA, steering, [s.order for s in states], delay), [])
+        for s, w, frames in zip(states, held[0].w, held[0].frames):
+            w[: s.w_hat.size], frames[1 : s.order + 1] = s.w_hat, s.history
+            s.w_hat, s.history, s._filters = w[: s.w_hat.size], frames[1 : s.order + 1], held
+        held[1].extend(views())  # the views just given, for the next call to check
     column = None if gains is None else gains[:, None]
-    return drive(frame.T[:, :, None], held[0], steering, params, column)[0, :, 0]
+    return drive(APA, frame.T[:, :, None], held[0], steering, params, column)[0, :, 0]
 
 
 def process_utterance(
@@ -359,9 +368,8 @@ def process_utterance(
     estimate come back too, as ``(output, {"x_b": ..., "x_r": ...})``.
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
-    orders = params.band_plan.bin_orders(spec.config)
-    states = [init_state(a, int(order), params.delay) for a, order in zip(vectors, orders)]
-    out = drive(spec.data, bands(states, APA), vectors, params, gains, prior_pass)
+    filters = Filters.start(APA, vectors, params.band_plan.bin_orders(spec.config), params.delay)
+    out = drive(APA, spec.data, filters, vectors, params, gains, prior_pass)
     result = Spectrogram(out[0], spec.config)
     if return_components:
         return result, {"x_b": out[1], "x_r": out[2]}

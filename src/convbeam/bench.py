@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import apa, sdmvdr
+from . import apa, engine
 from .geometry import circular_array, plane_wave_steering
 from .pipeline import METHODS, RUNNERS, RunConfig
 from .stft import StftConfig, stft
@@ -67,9 +67,9 @@ def count_apa_update(num_mics: int, order: int, delay: int = 1) -> MacCounter:
     - the correction along Phi_w ytilde: Q;
     - the correction phi_b g1 a along the head: M.
 
-    Raises the ``ValueError`` of :func:`convbeam.apa.init_state` for dimensions it rejects.
+    Raises the ``ValueError`` of :meth:`convbeam.engine.Kernel.taps` for dimensions it rejects.
     """
-    q = apa.init_state(np.ones(num_mics), order, delay).stacked_len
+    q = engine.APA.taps(num_mics, order, delay)
     return MacCounter(4 * q + 4 * num_mics + 7, 2, 2)
 
 
@@ -86,9 +86,9 @@ def count_rc_update(num_mics: int, order: int, delay: int = 1) -> MacCounter:
     - the tap correction (gain * conj(e)) f: P + 1;
     - the updated prediction x_r = w_rc^H f: P.
 
-    Raises the ``ValueError`` of :func:`convbeam.sdmvdr.init_rc_state` for dimensions it rejects.
+    Raises the ``ValueError`` of :meth:`convbeam.engine.Kernel.taps` for dimensions it rejects.
     """
-    p = sdmvdr.init_rc_state(np.ones(num_mics), order, delay).w_rc.shape[0]
+    p = engine.RC.taps(num_mics, order, delay)
     return MacCounter(num_mics + 4 * p + 1, 1, 1)
 
 
@@ -170,7 +170,7 @@ def wallclock_sweep(
             macs = count_rc_update(num_mics, order, band_plan.delay).total
         else:
             macs = num_mics  # one w^H y dot per bin and frame
-        q = apa.init_state(np.ones(num_mics), order, band_plan.delay).stacked_len
+        q = engine.APA.taps(num_mics, order, band_plan.delay)
         rows.append({"method": method, "M": num_mics, "L": order, "D": band_plan.delay, "Q": q,
                      "macs": macs,
                      "seconds_per_audio_second": float(np.median(times[method])) / audio_seconds})

@@ -1,11 +1,11 @@
-"""The engine behind both adaptive filters: bands, one compiled kernel, one driver.
+"""The engine behind both adaptive filters: per-bin filter arrays, one compiled kernel, one driver.
 
-A band is a contiguous run of bins that share one order and delay; it holds
-their filters and frame history as arrays and adopts their states.  The
-kernel, ``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin
-recursion of either filter over a band, one bin at a time through every
-frame, with the arithmetic of the scalar oracle of :mod:`convbeam.apa` and
-:mod:`convbeam.sdmvdr`.  One driver, :func:`drive`, runs every call: an
+:class:`Filters` holds the filter and frame history of every bin as
+arrays, each bin at its own order.  The kernel, ``_kernel.c`` (built by
+:func:`load_kernel`), runs the per-bin recursion of either filter over every
+bin, one bin at a time through every frame, with the arithmetic of the
+scalar oracle of :mod:`convbeam.apa` and :mod:`convbeam.sdmvdr`.  One
+driver, :func:`drive`, runs every call, one kernel call per pass: an
 utterance, and a stream (``apa.process_frame``) as an utterance of one
 frame, so a stream equals the offline run by construction.  The library is
 built, once per source, when this module is imported; a host without ``cc``
@@ -26,7 +26,7 @@ import numpy as np
 from .gains import clamp_gain
 from .stft import Spectrogram
 
-__all__ = ["APA", "RC", "Band", "Kernel", "bands", "check_inputs", "drive", "load_kernel"]
+__all__ = ["APA", "RC", "Filters", "Kernel", "check_inputs", "drive", "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
@@ -63,10 +63,10 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
                 tmp.unlink()
             raise ImportError(f"building the kernel failed: {' '.join(cmd)}\n{exc}") from None
     kernel = ctypes.CDLL(str(lib))
-    arrays = [np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64,) * 2
-              + (np.complex128,) * 5]
-    for fn in (kernel.apa_band, kernel.rc_band):
-        fn.argtypes = [ctypes.c_long] * 8 + arrays
+    arrays = [np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (ctypes.c_long,)
+              + (np.float64,) * 2 + (np.complex128,) * 5]
+    for fn in (kernel.apa_run, kernel.rc_run):
+        fn.argtypes = [ctypes.c_long] * 7 + arrays
         fn.restype = ctypes.c_long
     return kernel
 
@@ -75,49 +75,52 @@ class Kernel(NamedTuple):
     """An entry point of ``_kernel.c`` and the filter it runs."""
 
     entry: str  # the function's name in the library
-    weights: str  # the state attribute that holds a bin's filter
     outputs: int  # output rows per bin and frame
     head: int  # 1 when the filter has a beamforming head of M taps before its M*(L-D+1)
 
     def taps(self, num_mics: int, order: int, delay: int) -> int:
-        """Q of a bin: the head, then M taps per frame y(n-D)..y(n-L) (none at order 0)."""
+        """Q of a bin: the head, then M taps per frame y(n-D)..y(n-L) (none at order 0).
+
+        The one rule for valid pairs: delay >= 1, and order > delay or, with a head, 0.
+        """
+        if delay < 1:
+            raise ValueError(f"delay must be >= 1, got {delay}")
+        if order <= delay and (order or not self.head):
+            rule = "be 0 or >" if self.head else "exceed"
+            raise ValueError(f"order must {rule} delay ({delay}), got {order}")
         return num_mics * (self.head + (order - delay + 1 if order else 0))
+
+    def widest(self, num_mics: int, orders: np.ndarray, delay: int) -> int:
+        """Q_max over ``orders``, each checked by :meth:`taps`."""
+        return max(self.taps(num_mics, order, delay) for order in np.unique(orders).tolist())
 
 
 try:  # built at import, so a first build falls in set-up rather than in a run
     LIBRARY = load_kernel()
 except ImportError as exc:  # raised by drive instead, so other paths need no cc
     LIBRARY = exc
-APA = Kernel("apa_band", "w_hat", 3, 1)
-RC = Kernel("rc_band", "w_rc", 1, 0)
+APA = Kernel("apa_run", 3, 1)
+RC = Kernel("rc_run", 1, 0)
 
 
-class Band:
-    """A band of K bins of order L, run by ``kernel``: filters and frame history.
+class Filters(NamedTuple):
+    """Every bin's filter and frame history: bin k, of order ``orders[k]``, holds its Q_k
+    taps (:meth:`Kernel.taps`) in ``w[k, :Q_k]`` and y(n-l) in ``frames[k, l]``, l <= L_k."""
 
-    ``w`` is (K, Q) and ``frames`` (K, L+1, M), with ``frames[:, l]`` the
-    frame y(n-l).  The band adopts its states: the attribute named by
-    ``kernel.weights`` becomes a view of the state's row of ``w``, and
-    ``history`` one of ``frames[:, 1:]``, so the kernel moves the states in
-    place.  Steering and params reach every call of the kernel instead.
-    """
+    orders: np.ndarray  # (bins,) of C long
+    delay: int
+    w: np.ndarray  # (bins, Q_max)
+    frames: np.ndarray  # (bins, L_max + 1, M)
 
-    def __init__(self, states: list, kernel: Kernel) -> None:
-        first = states[0]
-        self.kernel, self.order, self.delay = kernel, first.order, first.delay
-        self.w = np.array([getattr(s, kernel.weights) for s in states], dtype=np.complex128)
-        self.frames = np.zeros((len(states), first.order + 1, first.num_mics), np.complex128)
-        self.frames[:, 1:] = [s.history for s in states]
-        for state, w, frames in zip(states, self.w, self.frames):
-            setattr(state, kernel.weights, w)
-            state.history = frames[1:]
-
-
-def bands(states: list, kernel: Kernel) -> list:
-    """(lo, hi, Band(states[lo:hi], kernel)) for every run of bins with equal order and delay."""
-    keys = [(s.order, s.delay) for s in states]
-    edges = [0] + [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]] + [len(keys)]
-    return [(lo, hi, Band(states[lo:hi], kernel)) for lo, hi in zip(edges[:-1], edges[1:])]
+    @classmethod
+    def start(cls, kernel: Kernel, steering: np.ndarray, orders, delay: int) -> "Filters":
+        """Fresh filters for the (bins, M) ``steering`` rows: a head a/||a||^2, rounded as
+        ``apa.init_state`` rounds it, if ``kernel`` has one, and zero taps and history."""
+        orders, (bins, m) = np.asarray(orders, dtype=ctypes.c_long), steering.shape
+        w = np.zeros((bins, kernel.widest(m, orders, delay)), dtype=np.complex128)
+        if kernel.head:
+            w[:, :m] = steering / np.sum(np.abs(steering) ** 2, axis=1)[:, None]
+        return cls(orders, delay, w, np.zeros((bins, orders.max() + 1, m), np.complex128))
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
@@ -155,50 +158,41 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
     return frame, steering, None if gains is None else clamp_gain(gains)
 
 
-def drive(data: np.ndarray, held: list, steering: np.ndarray, params, gains=None,
-          prior_pass: bool = False) -> np.ndarray:
-    """Advance the bands ``held`` (from :func:`bands`) through ``data``
-    (M, bins, frames); returns the outputs, (``outputs``, bins, frames).
+def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarray, params,
+          gains=None, prior_pass: bool = False) -> np.ndarray:
+    """Advance ``filters`` through ``data`` (M, bins, frames) on ``kernel``;
+    returns the outputs, (``kernel.outputs``, bins, frames).
 
-    The bands end holding the final filters and histories.  ``steering`` is
+    The filters end holding the final taps and histories.  ``steering`` is
     the C-contiguous (bins, M) matrix the kernel reads (the fixed heads, for
     the canceller), and ``gains`` None or (bins, frames) from
-    :func:`check_inputs`; any that do not fit the data or the bands raise
-    ``ValueError``.  The input is copied once into (bins, frames, M), and
-    each band runs in one kernel call per pass.  With ``prior_pass`` every
-    bin first runs the whole input once, forming no outputs, and keeps its
-    filter but not its history.  A singular 2x2 solve raises
-    ``LinAlgError`` naming its bin and frame; by then the bins before it, in
-    its band and in the bands run before, have moved.
+    :func:`check_inputs`; an array that does not fit the data and orders
+    raises ``ValueError``, as does :meth:`Kernel.taps`.  Every bin runs in
+    one kernel call per pass; with ``prior_pass``, a first pass forms no
+    outputs and keeps each filter but not its history.  A singular 2x2 solve
+    raises ``LinAlgError`` naming its bin and frame; the bins before it have moved.
     """
     if isinstance(LIBRARY, ImportError):  # the build at import failed
         raise ImportError(*LIBRARY.args)
-    kernel, (m, num_bins, num_frames) = held[0][2].kernel, data.shape
-    run = getattr(LIBRARY, kernel.entry)
-    want, got = ((num_bins, m), data.shape[1:]), (steering.shape, getattr(gains, "shape", None))
-    if held[-1][1] != num_bins or got[0] != want[0] or got[1] not in (None, want[1]):
-        raise ValueError(f"bands over {held[-1][1]} bins, steering {got[0]} and gains {got[1]} "
-                         f"do not fit data {data.shape}: it needs {num_bins} bins, steering "
-                         f"{want[0]} and gains None or {want[1]}")
-    for lo, hi, band in held:
-        taps = kernel.taps(m, band.order, band.delay)
-        if 0 < band.order <= band.delay or band.w.shape != (hi - lo, taps) \
-                or band.frames.shape != (hi - lo, band.order + 1, m):
-            raise ValueError(f"bins {lo}-{hi - 1} hold {band.w.shape[1]} taps for "
-                             f"{band.frames.shape[2]} mics at order {band.order}, delay "
-                             f"{band.delay}; {m} mics need order 0 or > delay and {taps} taps")
+    (m, num_bins, num_frames), (orders, delay, w, frames) = data.shape, filters
+    need = {"orders": (num_bins,), "w": (num_bins, kernel.widest(m, orders, delay)),
+            "frames": (num_bins, int(orders.max()) + 1, m), "steering": (num_bins, m),
+            "gains": (num_bins, num_frames)}
+    for (name, shape), array in zip(need.items(), (orders, w, frames, steering, gains)):
+        if array is not None and array.shape != shape:
+            raise ValueError(f"{name} has shape {array.shape}, expected {shape} for data "
+                             f"of shape {data.shape}")
     ys = np.ascontiguousarray(data.transpose(1, 2, 0), np.complex128)
     gains_sq = np.ones((num_bins, num_frames)) if gains is None else np.square(gains, order="C")
     p = np.array([params.phi_b, params.phi_r, params.phi_a, params.eta, params.alpha_r])
     out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
+    run = getattr(LIBRARY, kernel.entry)
     for keep in ((0, 1) if prior_pass else (1,)):
-        for lo, hi, band in held:
-            status = run(lo, hi, num_bins, num_frames, m, band.order, band.delay, keep, p,
-                         gains_sq, band.w, band.frames, ys, steering, out)
-            if status:
-                k, n = divmod(status - 1, num_frames)
-                raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
+        status = run(num_bins, num_frames, m, delay, w.shape[1], frames.shape[1] * m, keep, orders,
+                     p, gains_sq, w, frames, ys, steering, out)
+        if status:
+            k, n = divmod(status - 1, num_frames)
+            raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
         if not keep:
-            for _, _, band in held:
-                band.frames[:] = 0.0
+            frames[:] = 0.0
     return out

@@ -190,8 +190,8 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
     The search runs over a 5-degree azimuth grid at zero elevation, on the
     bins in 300-4000 Hz.  Every time-frequency cell is magnitude-normalized
     before steering, so the estimate depends only on phase.  Ties go to the
-    lowest grid index.  A spectrogram with no energy in that range is
-    rejected rather than localized to an arbitrary direction.
+    lowest grid index.  A spectrogram with no energy in that range, or on
+    one channel only, is rejected rather than localized to an arbitrary direction.
     """
     if geom.num_mics < 2:
         raise ValueError(f"localization requires at least 2 microphones, got {geom.num_mics}")
@@ -207,6 +207,8 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
     mags = np.abs(data)
     if not mags.any():
         raise ValueError(f"no signal energy in {_SRP_RANGE_HZ} Hz to localize; pass a DOA")
+    if (live := np.flatnonzero(mags.any(axis=(1, 2)))).size == 1:  # a flat map
+        raise ValueError(f"only channel {live[0]} has energy in {_SRP_RANGE_HZ} Hz; pass a DOA")
     phat = np.where(mags > 0, data / np.where(mags > 0, mags, 1.0), 0.0)
     # cross-power accumulated over frames; the grid search then only touches
     # (bins, M, M) instead of the full spectrogram

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apa import ApaParams, limited_output, psd_floor
-from .engine import RC, bands, check_inputs, drive
+from .engine import RC, Filters, check_inputs, drive
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -40,8 +40,7 @@ class RcState:
     """Reverb-canceller state of one bin: fixed head w_sd, adaptive taps w_rc.
 
     ``history[l-1]`` holds y(n-l); the stacked regressor is
-    f = [y(n-D); ...; y(n-L)] of length M*(L-D+1).  After a run, ``w_rc``
-    and ``history`` are views of a band: hold the state, not them.
+    f = [y(n-D); ...; y(n-L)] of length M*(L-D+1).
     """
 
     w_sd: np.ndarray
@@ -67,10 +66,6 @@ def init_rc_state(w_sd: np.ndarray, order: int, delay: int = 1) -> RcState:
     w_sd = np.asarray(w_sd, dtype=np.complex128)
     if w_sd.ndim != 1:
         raise ValueError(f"w_sd must be 1-d, got shape {w_sd.shape}")
-    if delay < 1:
-        raise ValueError(f"delay must be >= 1, got {delay}")
-    if order <= delay:
-        raise ValueError(f"order must exceed delay ({delay}), got {order}")
     num_mics = w_sd.shape[0]
     return RcState(
         w_sd=w_sd,
@@ -153,7 +148,7 @@ def process_utterance_sdmvdr(
     orders = params.band_plan.bin_orders(spec.config)
     if np.any(orders == 0):
         raise ValueError("band plan assigns order 0; this variant needs order > delay")
+    filters = Filters.start(RC, vectors, orders, params.delay)
     weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
-    states = [init_rc_state(w, int(order), params.delay) for w, order in zip(weights, orders)]
-    out = drive(spec.data, bands(states, RC), weights, params, gains, prior_pass)
+    out = drive(RC, spec.data, filters, weights, params, gains, prior_pass)
     return Spectrogram(out, spec.config)

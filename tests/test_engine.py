@@ -1,7 +1,7 @@
 """The engine of both adaptive filters against loops of the scalar functions.
 
 ``process_utterance``, ``process_frame`` and ``process_utterance_sdmvdr``
-run bands of bins on the compiled kernel.  These property tests draw small
+run every bin on the compiled kernel, one call per pass.  These property tests draw small
 scenes (1-4 mics, with examples at 6 and 8, delay 1 or 2, band plans
 whose orders repeat in non-adjacent bands, order 0 for the full filter,
 gain columns with zeros, runs of all-zero frames, and a subset of bins
@@ -15,11 +15,12 @@ where the two-row solve falls back to the constraint row alone
 where the canceller skips its update (``denom == 0``); silent bins take
 those branches in the same frames as live ones.  One driver runs every
 call, so a run split in two must equal one run bit for bit.  A stream
-reuses its bands between frames; the stream tests also change the states,
+reuses its filters between frames; the stream tests also change the states,
 steering and params between frames and copy the states mid-stream.  The
-last tests cover the kernel's library cache, the same bits from builds
-of every vector width, its build failures, a singular solve and the arrays
-ctypes refuses.
+last tests cover fresh filters against the scalar states, the kernel's
+library cache and its argument types, the same bits from builds of every
+vector width, its build failures, a singular solve and the arrays ctypes
+refuses.
 """
 
 import copy
@@ -27,6 +28,7 @@ import ctypes
 import dataclasses
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -38,7 +40,7 @@ from conftest import assert_close
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convbeam import engine
+from convbeam import apa, engine, sdmvdr
 from convbeam.apa import (
     ApaParams,
     ApaState,
@@ -51,7 +53,7 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
-from convbeam.engine import APA, RC, bands, drive, load_kernel
+from convbeam.engine import APA, RC, Filters, drive, load_kernel
 from convbeam.fixedbf import superdirective_mvdr
 from convbeam.gains import apply_gain
 from convbeam.geometry import CoherenceMatrix, SteeringVector
@@ -242,21 +244,21 @@ def test_apa_stream_matches_scalar_loop(case):
         np.testing.assert_array_equal(s.history, t.history)
 
 
-def test_stream_keeps_its_bands():
-    """States left as the last call left them run on the same bands, with
-    no regrouping; a state given a new ``w_hat`` regroups them."""
+def test_stream_keeps_its_filters():
+    """States left as the last call left them run on the same filters, with
+    no restacking; a state given a new ``w_hat`` restacks them."""
     spec, a, _ = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     orders = params.band_plan.bin_orders(CONFIG)
     states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
     process_frame(states, spec.data[:, :, 0].T, a, params)
-    held = states[0]._band
+    held = states[0]._filters
     for n in range(1, 4):
         process_frame(list(states), spec.data[:, :, n].T, a, params)
-    assert all(s._band is held for s in states)
+    assert all(s._filters is held for s in states)
     states[3].w_hat = states[3].w_hat.copy()
     process_frame(states, spec.data[:, :, 4].T, a, params)
-    assert states[0]._band is not held
+    assert states[0]._filters is not held
 
 
 CHANGES = (
@@ -272,9 +274,9 @@ def test_apa_stream_survives_caller_changes(case, data):
     swap in a fresh state, reassign a state's ``w_hat`` or ``history`` to a
     copy, reset a history, switch the steering, change ``alpha_r`` or give
     ``phi_b``, ``phi_r``, ``phi_a`` and ``eta`` new values.  The stream
-    reuses its bands only while that stays exact: outputs, final filters and
-    histories equal, bit for bit, the kernel run on new bands every frame
-    given the same changes, and match the scalar loop to ``REL_TOL``.
+    reuses its filters only while that stays exact: outputs, final filters
+    and histories equal, bit for bit, a stream restacked every frame given
+    the same changes, and match the scalar loop to ``REL_TOL``.
 
     The last match is asserted only for streams that keep the default
     variances.  The PSD floor keeps phi_x >= eta * ||y||^2 / M, so the
@@ -326,8 +328,9 @@ def test_apa_stream_survives_caller_changes(case, data):
         column = None if gains is None else gains[:, n]
         y = spec.data[:, :, n].T
         got.append(process_frame(streamed, y, a, params, column))
-        again.append(drive(y.T[:, :, None], bands(rebuilt, APA), a, params,
-                           None if column is None else column[:, None])[0, :, 0])
+        for s in rebuilt:  # drop the stacked filters, so this frame stacks them anew
+            vars(s).pop("_filters", None)
+        again.append(process_frame(rebuilt, y, a, params, column))
         want.append([
             _apa_step(s, y[k].copy(), a[k], params, None if column is None else column[k])[0]
             for k, s in enumerate(looped)
@@ -344,9 +347,9 @@ def test_apa_stream_survives_caller_changes(case, data):
 
 
 def test_stream_continues_an_utterance_run_and_its_copies():
-    """States that ``drive`` ran (with the prior pass) stream on
-    through ``process_frame`` from where the run left them; a deep copy
-    taken mid-stream owns its arrays and streams on by itself."""
+    """States holding the rows of filters that ``drive`` ran (with the prior
+    pass) stream on through ``process_frame`` from where the run left them;
+    a deep copy taken mid-stream owns its arrays and streams on by itself."""
     case = {
         "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 0, 4), 1), "num_frames": 12,
         "zeros": (3, 5), "quiet_bins": [], "quiet": (0, 0), "gains": "mixed", "alpha_r": 1.0,
@@ -365,9 +368,14 @@ def test_stream_continues_an_utterance_run_and_its_copies():
     def stream(states, frames):
         return [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]) for n in frames]
 
-    streamed, looped = fresh(), fresh()
-    out = drive(spec.data, bands(streamed, APA), a, params, gains, prior_pass=True)
+    filters, looped = Filters.start(APA, a, orders, params.delay), fresh()
+    out = drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
     want = _oracle(spec, looped, gains, True, step)
+    m = case["num_mics"]
+    streamed = [
+        ApaState(w[: APA.taps(m, int(o), params.delay)], frames[1 : o + 1], int(o), params.delay, m)
+        for o, w, frames in zip(orders, filters.w, filters.frames)
+    ]
     for got_row, want_row, scale in zip(out, want, (want[0], want[1], want[1])):
         assert_close(got_row, want_row, scale)
 
@@ -444,22 +452,118 @@ def test_a_run_split_in_two_equals_one_run(data):
     params = _params(case)
     split = data.draw(st.integers(0, spec.num_frames))
     orders = params.band_plan.bin_orders(CONFIG)
-    init = init_state if kernel is APA else init_rc_state  # a stands in for the heads
-
-    def fresh():
-        return bands([init(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)],
-                     kernel)
-
-    whole, halves = fresh(), fresh()
-    want = drive(spec.data, whole, a, params, gains)
+    # a stands in for the heads
+    whole, halves = (Filters.start(kernel, a, orders, params.delay) for _ in range(2))
+    want = drive(kernel, spec.data, whole, a, params, gains)
     got = np.concatenate([
-        drive(spec.data[:, :, part], halves, a, params, None if gains is None else gains[:, part])
+        drive(kernel, spec.data[:, :, part], halves, a, params,
+              None if gains is None else gains[:, part])
         for part in (slice(0, split), slice(split, None))
     ], axis=2)
     np.testing.assert_array_equal(got, want)
-    for (_, _, b), (_, _, c) in zip(halves, whole):
-        np.testing.assert_array_equal(b.w, c.w)
-        np.testing.assert_array_equal(b.frames, c.frames)
+    np.testing.assert_array_equal(halves.w, whole.w)
+    np.testing.assert_array_equal(halves.frames, whole.frames)
+
+
+@pytest.mark.parametrize("num_mics", [1, 3, 6, 8])
+@pytest.mark.parametrize("plan", [BandPlan((2000.0, 4000.0, 6000.0), (3, 0, 6, 0), 1),
+                                  BandPlan((2000.0, 5000.0), (4, 6, 4), 2)])
+def test_fresh_filters_equal_the_scalar_states(num_mics, plan):
+    """``Filters.start`` gives every bin the bits of ``init_state`` (or,
+    with no head, ``init_rc_state``) in its row, and zeros past its taps
+    and in every frame slot, on plans with order 0 and with one order in
+    bands that do not touch."""
+    rng = np.random.default_rng(num_mics)
+    a = rng.standard_normal((CONFIG.num_bins, num_mics)) * rng.uniform(0.1, 10.0, (1, num_mics))
+    a = a + 1j * rng.standard_normal(a.shape)
+    orders = plan.bin_orders(CONFIG)
+    for kernel, init, name in ((APA, init_state, "w_hat"), (RC, init_rc_state, "w_rc")):
+        if kernel is RC:
+            orders = np.where(orders == 0, plan.delay + 1, orders)
+        filters = Filters.start(kernel, a, orders, plan.delay)
+        assert filters.frames.shape == (CONFIG.num_bins, orders.max() + 1, num_mics)
+        assert not filters.frames.any()
+        np.testing.assert_array_equal(filters.orders, orders)
+        for k, row in enumerate(filters.w):
+            w = getattr(init(a[k], int(orders[k]), plan.delay), name)
+            np.testing.assert_array_equal(row[: w.size], w)
+            assert not row[w.size :].any()
+
+
+def test_the_utterance_drivers_make_no_states(monkeypatch):
+    """Neither utterance driver builds a per-bin state: both run with the
+    state constructors replaced by ones that raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an utterance driver built a per-bin state")
+
+    for module, name in ((apa, "init_state"), (apa, "ApaState"), (sdmvdr, "init_rc_state"),
+                         (sdmvdr, "RcState")):
+        monkeypatch.setattr(module, name, refuse)
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    got = process_utterance(spec, a, params, gains=gains, prior_pass=True)
+    coherence = CoherenceMatrix(np.broadcast_to(np.eye(3), (CONFIG.num_bins, 3, 3)))
+    canceled = process_utterance_sdmvdr(spec, SteeringVector(a, 0), coherence, params, gains,
+                                        prior_pass=True)
+    assert np.isfinite(got.data).all() and np.isfinite(canceled.data).all()
+
+
+class CountingLibrary:
+    """The kernel library, recording the name of every entry point called."""
+
+    def __init__(self, library):
+        self.library, self.calls = library, []
+
+    def __getattr__(self, name):
+        def call(*args):
+            self.calls.append(name)
+            return getattr(self.library, name)(*args)
+        return call
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=cases(allow_order_zero=True))
+@example(case=PARTLY_SILENT)
+def test_drive_calls_the_kernel_once_per_pass(case):
+    """Whatever the band plan, an utterance makes one kernel call per pass
+    (two with the prior pass) for either filter (the canceller on plans
+    without order 0), and a frame one."""
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    m = case["num_mics"]
+    coherence = CoherenceMatrix(np.broadcast_to(np.eye(m), (CONFIG.num_bins, m, m)))
+    passes = 2 if case["prior_pass"] else 1
+    orders = params.band_plan.bin_orders(CONFIG)
+    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    with pytest.MonkeyPatch.context() as patch:
+        counting = CountingLibrary(engine.LIBRARY)
+        patch.setattr(engine, "LIBRARY", counting)
+        process_utterance(spec, a, params, gains=gains, prior_pass=case["prior_pass"])
+        assert counting.calls == [APA.entry] * passes
+        if orders.all():
+            del counting.calls[:]
+            process_utterance_sdmvdr(spec, SteeringVector(a, 0), coherence, params, gains,
+                                     prior_pass=case["prior_pass"])
+            assert counting.calls == [RC.entry] * passes
+        del counting.calls[:]
+        process_frame(states, spec.data[:, :, 0].T, a, params)
+        assert counting.calls == [APA.entry]
+
+
+def test_the_kernel_signatures_match_the_loader():
+    """Both entry points of ``_kernel.c`` take, in order, the C types that
+    ``load_kernel`` declares: a drift between them would corrupt memory
+    instead of raising."""
+    source = engine.SOURCE.read_text()
+    kinds = {ctypes.c_long: "long", np.dtype(ctypes.c_long): "long *",
+             np.dtype(np.float64): "double *", np.dtype(np.complex128): "double *"}
+    for kernel in (APA, RC):
+        params = re.search(rf"\blong {kernel.entry}\(([^)]*)\)", source).group(1)
+        declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
+        argtypes = getattr(engine.LIBRARY, kernel.entry).argtypes
+        loaded = [kinds[getattr(t, "_dtype_", t)] for t in argtypes]
+        assert [" ".join(d) for d in declared] == loaded
+        assert len(loaded) == 15
 
 
 def test_kernel_library_is_cached_by_source(tmp_path, monkeypatch):
@@ -504,19 +608,18 @@ def test_every_vector_width_gives_the_same_bits(tmp_path, monkeypatch):
         monkeypatch.setattr(engine, "CFLAGS", (*flags, *extra, "-DCLONES="))
         libraries.append(load_kernel(engine.SOURCE, tmp_path))
     assert len(list(tmp_path.glob("*.so"))) == 2
-    for kernel, init in ((APA, init_state), (RC, init_rc_state)):
+    for kernel in (APA, RC):
         runs = []
         for library in libraries:
             monkeypatch.setattr(engine, "LIBRARY", library)
-            held = bands([init(a[k], int(orders[k]), params.delay)
-                          for k in range(CONFIG.num_bins)], kernel)
-            runs.append((drive(spec.data, held, a, params, gains, prior_pass=True), held))
+            filters = Filters.start(kernel, a, orders, params.delay)
+            runs.append((drive(kernel, spec.data, filters, a, params, gains, prior_pass=True),
+                         filters))
         (want, first), *others = runs
-        for got, held in others:
+        for got, filters in others:
             np.testing.assert_array_equal(got, want)
-            for (_, _, b), (_, _, c) in zip(held, first):
-                np.testing.assert_array_equal(b.w, c.w)
-                np.testing.assert_array_equal(b.frames, c.frames)
+            np.testing.assert_array_equal(filters.w, first.w)
+            np.testing.assert_array_equal(filters.frames, first.frames)
 
 
 @pytest.mark.parametrize("fault", ["compile error", "no compiler", "unwritable cache"])
@@ -580,47 +683,70 @@ def test_a_singular_solve_names_its_bin():
         np.testing.assert_array_equal(state.w_hat, init_state(a[k], int(orders[k])).w_hat)
 
 
-@pytest.mark.parametrize("fault", ["strided", "complex64"])
+@pytest.mark.parametrize("fault", ["strided", "complex64", "int32 orders"])
 def test_the_kernel_refuses_a_bad_array(fault):
     """ctypes checks the dtype and layout of every array before the kernel runs."""
     spec, a, _ = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
-    orders = params.band_plan.bin_orders(CONFIG)
-    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
-    lo, hi, band = bands(states, APA)[0]
-    w, frames = band.w.copy(), band.frames.copy()
+    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
+    w, frames = filters.w.copy(), filters.frames.copy()
     ys = np.ascontiguousarray(spec.data.transpose(1, 2, 0))
-    ys = ys[:, ::2] if fault == "strided" else ys.astype(np.complex64)
+    orders = filters.orders.astype(np.int32) if fault == "int32 orders" else filters.orders
+    if fault != "int32 orders":
+        ys = ys[:, ::2] if fault == "strided" else ys.astype(np.complex64)
     p = np.array([params.phi_b, params.phi_r, params.phi_a, params.eta, params.alpha_r])
     shape = (CONFIG.num_bins, spec.num_frames)
     with pytest.raises(ctypes.ArgumentError):
-        engine.LIBRARY.apa_band(lo, hi, *shape, spec.num_channels, band.order, band.delay, 1, p,
-                                np.ones(shape), band.w, band.frames, ys, a,
-                                np.empty((3,) + shape, complex))
-    np.testing.assert_array_equal(band.w, w)
-    np.testing.assert_array_equal(band.frames, frames)
+        engine.LIBRARY.apa_run(*shape, spec.num_channels, params.delay, w.shape[1],
+                               frames.shape[1] * spec.num_channels, 1, orders, p, np.ones(shape),
+                               filters.w, filters.frames, ys, a, np.empty((3,) + shape, complex))
+    np.testing.assert_array_equal(filters.w, w)
+    np.testing.assert_array_equal(filters.frames, frames)
 
 
-def test_a_band_that_does_not_fit_the_kernel_is_refused():
-    """Filters of the wrong length for their order, delay and mics, an order
-    at or below the delay, and data, steering or gains with other bins than
-    the bands, never reach the kernel."""
-    fresh = [init_state(np.ones(2), 3) for _ in range(4)]
-    held = bands(fresh, APA)
-    w = held[0][2].w.copy()
+def test_filters_that_do_not_fit_the_kernel_are_refused():
+    """Orders, filters or frame rows of the wrong shape for the data, an
+    order at or below the delay, and steering or gains with other bins than
+    the data never reach the kernel; a stream refuses a state whose filter
+    or history does not fit its order, or whose delay is not bin 0's,
+    before any state changes."""
+    fresh = Filters.start(APA, np.ones((4, 2)), [3] * 4, 1)
+    w = fresh.w.copy()
     for data, steering, gains, message in (
-        (np.ones((2, 3, 1)), np.ones((3, 2)), None, "bands over 4 bins, steering \\(3, 2\\)"),
-        (np.ones((2, 4, 1)), np.ones((3, 2)), None, "steering \\(3, 2\\) and gains None"),
-        (np.ones((2, 4, 1)), np.ones((4, 2)), np.ones((4, 2)), "gains \\(4, 2\\) do not fit"),
+        (np.ones((2, 3, 1)), np.ones((3, 2)), None, "orders has shape \\(4,\\), expected \\(3,"),
+        (np.ones((2, 4, 1)), np.ones((3, 2)), None, "steering has shape \\(3, 2\\), expected \\(4"),
+        (np.ones((2, 4, 1)), np.ones((4, 2)), np.ones((4, 2)),
+         "gains has shape \\(4, 2\\), expected \\(4, 1\\) for data of shape \\(2, 4, 1\\)"),
     ):
         with pytest.raises(ValueError, match=message):
-            drive(data.astype(complex), held, steering.astype(complex), ApaParams(), gains)
-    np.testing.assert_array_equal(held[0][2].w, w)
+            drive(APA, data.astype(complex), fresh, steering.astype(complex), ApaParams(), gains)
+    np.testing.assert_array_equal(fresh.w, w)
+    data, ones = np.ones((2, 4, 1), complex), np.ones((4, 2), complex)
+    for filters, message in (
+        (fresh._replace(w=fresh.w[:, :6].copy()), "w has shape \\(4, 6\\), expected \\(4, 8\\)"),
+        (fresh._replace(frames=fresh.frames[:, :3].copy()),
+         "frames has shape \\(4, 3, 2\\), expected \\(4, 4, 2\\)"),
+        (fresh._replace(delay=3), "order must be 0 or > delay \\(3\\), got 3"),
+        (fresh._replace(orders=fresh.orders - 4), "order must be 0 or > delay \\(1\\), got -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            drive(APA, data, filters, ones, ApaParams())
+        np.testing.assert_array_equal(filters.w[:, :6], w[:, :6])
     short = [init_state(np.ones(2), 3) for _ in range(4)]
-    for state in short:
-        state.w_hat = state.w_hat[:6]
+    short[2].w_hat = short[2].w_hat[:6]
     below = [ApaState(np.zeros(0, complex), np.zeros((1, 2), complex), 1, 3, 2) for _ in range(4)]
-    for states, message in ((short, "hold 6 taps for 2 mics at order 3, delay 1; .* 8 taps"),
-                            (below, "hold 0 taps for 2 mics at order 1, delay 3; .* 0 taps")):
-        with pytest.raises(ValueError, match=f"bins 0-3 {message}"):
+    mixed = [init_state(np.ones(2), 3) for _ in range(3)] + [init_state(np.ones(2), 4, 2)]
+    for states, message in (
+        (short, "bin 2: at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
+                "it has 1, \\(6,\\) and \\(3, 2\\)$"),
+        (below, "bin 0: order must be 0 or > delay \\(3\\), got 1$"),
+        (mixed, "bin 3: at order 4 it needs delay 1, 10 taps and history \\(4, 2\\); "
+                "it has 2, \\(8,\\) and \\(4, 2\\)$"),
+    ):
+        before = copy.deepcopy(states)
+        with pytest.raises(ValueError, match=f"^{message}"):
             process_frame(states, np.ones((4, 2)), np.ones((4, 2)), ApaParams())
+        for state, kept in zip(states, before):
+            assert not hasattr(state, "_filters")
+            np.testing.assert_array_equal(state.w_hat, kept.w_hat)
+            np.testing.assert_array_equal(state.history, kept.history)

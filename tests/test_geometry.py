@@ -193,6 +193,13 @@ class TestSrpPhat:
         spec.data[:, cfg.num_bins - 1, :] = 1.0
         with pytest.raises(ValueError, match="no signal energy"):
             srp_phat_localize(spec, geom)
+        # so does energy on one channel alone: every direction steers it alike
+        noise = np.random.default_rng(0).standard_normal((cfg.num_bins, 10)) + 0j
+        for live in (0, 3):
+            spec.data[:] = 0.0
+            spec.data[live] = noise
+            with pytest.raises(ValueError, match=f"only channel {live} has energy.*pass a DOA"):
+                srp_phat_localize(spec, geom)
 
     def test_single_mic_rejected(self):
         geom = circular_array(1, 0.0)

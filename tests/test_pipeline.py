@@ -284,6 +284,15 @@ class TestInputContract:
         assert summary["doa_deg"] == pytest.approx(np.degrees(0.7))
         assert (summary["norm_channel"], summary["norm_scale"]) == ("none", 1.0)
 
+    def test_one_live_channel_needs_a_doa(self):
+        """With sound on one channel of 8 the SRP-PHAT map is flat, so
+        ``doa=None`` asks for a DOA instead of returning the grid's first point."""
+        samples = np.zeros((8, 16000))
+        samples[5] = self._noise()[0]
+        cfg = RunConfig(method="conv-mpdr-apa", geometry=circular_array(8, 0.10))
+        with pytest.raises(ValueError, match="only channel 5 has energy.*pass a DOA"):
+            enhance(AudioBuffer(samples, 16000), cfg)
+
     def test_silent_reference_mic_normalizes_from_loudest_channel(self):
         """A silent reference mic hands the level to the loudest channel and
         the summary names it; a live reference mic keeps the level."""
