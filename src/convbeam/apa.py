@@ -316,14 +316,16 @@ def process_frame(
     utterance of one frame; a singular 2x2 solve raises ``LinAlgError``
     naming its bin, and the bins run before it have moved.  ``steering`` is
     the (bins, M) steering matrix and ``gains`` an optional per-bin gain
-    column, clamped into [0, 1]; a bad shape, a non-finite frame or steering
-    value, a zero-norm steering row, a NaN gain, or a state whose order,
-    delay (one for all states) or arrays do not fit raises before any state
-    changes.  Steering and params are taken from each call.  The states are
-    stacked into :class:`~convbeam.engine.Filters`, each state's ``w_hat``
-    and ``history`` made views of its rows, and restacked only when they
-    change.  A stream equals process_utterance bitwise.
+    column, clamped into [0, 1]; an empty state list, a bad shape, a
+    non-finite frame or steering value, a zero-norm steering row, a NaN gain,
+    or a state whose order, delay (one for all states) or arrays do not fit
+    raises before any state changes.  Steering and params are taken from
+    each call.  The states are stacked into :class:`~convbeam.engine.Filters`,
+    each state's ``w_hat`` and ``history`` made views of its rows, and
+    restacked only when they change.  A stream equals process_utterance bitwise.
     """
+    if not states:
+        raise ValueError("states is empty: process_frame needs one state per bin")
     frame, steering, gains = check_inputs(
         steering, gains, states[0].num_mics, (len(states),), frame
     )

@@ -140,8 +140,13 @@ def wallclock_sweep(
     synthesis or localization, which every method shares.  The input is
     white noise (seed 0) on a circular array of radius 0.10 m at the default
     STFT settings and band plan.  Returns one row per method with the
-    dimensions and MAC tally of its per-bin update.
+    dimensions and MAC tally of its per-bin update.  ``repeats`` < 1 or an
+    ``audio_seconds`` not finite and > 0 raises ``ValueError``.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not 0 < audio_seconds < np.inf:
+        raise ValueError(f"audio_seconds must be finite and > 0, got {audio_seconds}")
     config = StftConfig()
     params = apa.ApaParams()
     band_plan = params.band_plan
@@ -151,13 +156,11 @@ def wallclock_sweep(
     geom = circular_array(num_mics, 0.10)
     steering = plane_wave_steering(geom, 0.0, config)
     max_order = int(max(band_plan.orders))
+    cfgs = {method: RunConfig(method=method, geometry=geom, doa=0.0, params=params,
+                              stft_config=config, prior_pass=False) for method in methods}
     times = {method: [] for method in methods}
-    for _ in range(max(int(repeats), 1)):
-        for method in methods:
-            cfg = RunConfig(
-                method=method, geometry=geom, doa=0.0, params=params, stft_config=config,
-                prior_pass=False,
-            )
+    for _ in range(repeats):
+        for method, cfg in cfgs.items():
             t0 = time.perf_counter()
             RUNNERS[method](spec, steering, cfg, None)
             times[method].append(time.perf_counter() - t0)
@@ -183,5 +186,4 @@ def write_bench_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -137,11 +137,6 @@ def save_geometry(path, geom: ArrayGeometry) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _unit_direction(azimuth: float) -> np.ndarray:
-    """Unit vector in the array plane pointing from the array toward the source."""
-    return np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
-
-
 def plane_wave_delays(geom: ArrayGeometry, azimuth: float) -> np.ndarray:
     """Delay in seconds at each mic of a far-field plane wave from ``azimuth``.
 
@@ -151,7 +146,8 @@ def plane_wave_delays(geom: ArrayGeometry, azimuth: float) -> np.ndarray:
     """
     if not np.isfinite(azimuth):
         raise ValueError(f"azimuth must be finite, got {azimuth}")
-    delays = -(geom.positions @ _unit_direction(azimuth)) / SPEED_OF_SOUND
+    toward_source = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+    delays = -(geom.positions @ toward_source) / SPEED_OF_SOUND
     return delays - delays[geom.reference_mic]
 
 
@@ -190,8 +186,8 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
     The search runs over a 5-degree azimuth grid at zero elevation, on the
     bins in 300-4000 Hz.  Every time-frequency cell is magnitude-normalized
     before steering, so the estimate depends only on phase.  Ties go to the
-    lowest grid index.  A spectrogram with no energy in that range, or on
-    one channel only, is rejected rather than localized to an arbitrary direction.
+    lowest grid index.  A flat map, where no cell in that range holds two
+    live channels, is rejected with a message naming the live channels.
     """
     if geom.num_mics < 2:
         raise ValueError(f"localization requires at least 2 microphones, got {geom.num_mics}")
@@ -205,18 +201,17 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
         raise ValueError(f"no bins inside frequency range {_SRP_RANGE_HZ}")
     data = spec.data[:, keep, :]
     mags = np.abs(data)
-    if not mags.any():
-        raise ValueError(f"no signal energy in {_SRP_RANGE_HZ} Hz to localize; pass a DOA")
-    if (live := np.flatnonzero(mags.any(axis=(1, 2)))).size == 1:  # a flat map
-        raise ValueError(f"only channel {live[0]} has energy in {_SRP_RANGE_HZ} Hz; pass a DOA")
-    phat = np.where(mags > 0, data / np.where(mags > 0, mags, 1.0), 0.0)
+    phat = np.divide(data, mags, out=np.zeros_like(data), where=mags > 0)
     # cross-power accumulated over frames; the grid search then only touches
     # (bins, M, M) instead of the full spectrogram
     cross = np.einsum("mkn,pkn->kmp", phat, np.conj(phat))
+    if not cross[:, ~np.eye(geom.num_mics, dtype=bool)].any():  # every direction steers alike
+        live = np.flatnonzero(mags.any(axis=(1, 2))).tolist()
+        raise ValueError(f"flat SRP-PHAT map: channels {live} have energy in {_SRP_RANGE_HZ} Hz "
+                         "but no two of them share a cell; pass a DOA")
 
     grid = np.deg2rad(np.arange(0.0, 360.0, _SRP_GRID_STEP_DEG))
-    directions = np.stack([_unit_direction(az) for az in grid])
-    delays = -(directions @ geom.positions.T) / SPEED_OF_SOUND  # (grid, M)
+    delays = np.stack([plane_wave_delays(geom, az) for az in grid])  # (grid, M)
     steer = np.exp(-2j * np.pi * freqs[keep][None, :, None] * delays[:, None, :])
     power = np.einsum("gkm,kmp,gkp->g", np.conj(steer), cross, steer).real
     return float(grid[int(np.argmax(power))])

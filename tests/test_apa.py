@@ -313,6 +313,12 @@ class TestDrivers:
         )
         np.testing.assert_array_equal(got, want)
 
+    def test_process_frame_rejects_empty_states(self):
+        spec = _small_spec()
+        a = _flat_steering(spec.num_bins, 2)
+        with pytest.raises(ValueError, match="states is empty"):
+            process_frame([], spec.data[:, :, 0].T, a, ApaParams())
+
     def test_process_frame_rejects_short_steering_or_gains(self):
         """A steering matrix or gain column with too few bins is an error,
         never a silently shorter output."""

@@ -94,6 +94,21 @@ class TestWallclock:
         assert back[0]["method"] == "delay-sum"
         assert int(back[1]["Q"]) == rows[1]["Q"]
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"repeats": 0}, "repeats"),
+        ({"repeats": -2}, "repeats"),
+        ({"audio_seconds": -1.0}, "audio_seconds"),
+        ({"audio_seconds": 0.0}, "audio_seconds"),
+        ({"audio_seconds": float("nan")}, "audio_seconds"),
+        ({"audio_seconds": float("inf")}, "audio_seconds"),
+    ])
+    def test_bad_repeats_or_duration_rejected(self, kwargs, name):
+        """``repeats=0`` must not silently run one repeat, and a bad duration
+        is named rather than failing inside numpy."""
+        args = {"methods": ("delay-sum",), "num_mics": 2, "audio_seconds": 0.3, "repeats": 1}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            wallclock_sweep(**{**args, **kwargs})
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             wallclock_sweep(methods=("nope",), num_mics=2, audio_seconds=0.3, repeats=1)

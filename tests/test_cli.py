@@ -352,3 +352,10 @@ class TestBenchCommand:
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["method"] for r in rows} >= {"delay-sum", "conv-mpdr-apa"}
+
+    def test_bench_zero_repeats_is_an_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "bench.csv"
+        rc = main(["bench", "--csv", str(csv_path), "--mics", "2", "--repeats", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: repeats must be >= 1")
+        assert not csv_path.exists()

@@ -187,19 +187,44 @@ class TestSrpPhat:
         geom = circular_array(4, 0.10)
         cfg = StftConfig()
         spec = Spectrogram(np.zeros((4, cfg.num_bins, 10), dtype=complex), cfg)
-        with pytest.raises(ValueError, match="pass a DOA"):
+        with pytest.raises(ValueError, match=r"channels \[\] .*pass a DOA$"):
             srp_phat_localize(spec, geom)
         # energy outside the searched range counts as silence too
         spec.data[:, cfg.num_bins - 1, :] = 1.0
-        with pytest.raises(ValueError, match="no signal energy"):
+        with pytest.raises(ValueError, match=r"channels \[\] .*pass a DOA$"):
             srp_phat_localize(spec, geom)
         # so does energy on one channel alone: every direction steers it alike
         noise = np.random.default_rng(0).standard_normal((cfg.num_bins, 10)) + 0j
         for live in (0, 3):
             spec.data[:] = 0.0
             spec.data[live] = noise
-            with pytest.raises(ValueError, match=f"only channel {live} has energy.*pass a DOA"):
+            with pytest.raises(ValueError, match=rf"channels \[{live}\] .*pass a DOA$"):
                 srp_phat_localize(spec, geom)
+
+    def test_live_channels_in_disjoint_cells_rejected(self):
+        """Two live channels that never share a time-frequency cell give no
+        cross-power, so the map is as flat as with one channel."""
+        geom = circular_array(4, 0.10)
+        cfg = StftConfig()
+        noise = np.random.default_rng(1).standard_normal((2, cfg.num_bins, 10)) + 0j
+        by_frame = np.zeros((4, cfg.num_bins, 10), dtype=complex)
+        by_frame[0, :, :5], by_frame[1, :, 5:] = noise[0, :, :5], noise[1, :, 5:]
+        by_bin = np.zeros_like(by_frame)
+        by_bin[0, 0::2], by_bin[2, 1::2] = noise[0, 0::2], noise[1, 1::2]
+        for data, live in ((by_frame, "0, 1"), (by_bin, "0, 2")):
+            with pytest.raises(ValueError, match=rf"channels \[{live}\] .*pass a DOA$"):
+                srp_phat_localize(Spectrogram(data, cfg), geom)
+
+    def test_two_live_channels_sharing_cells_localize(self):
+        """Two live channels of 8 that share cells still give a peak: the one
+        whose pair delay matches the source's (or its mirror about the pair)."""
+        geom = circular_array(8, 0.10)
+        spec = _plane_wave_spec(geom, np.deg2rad(90.0))
+        spec.data[[0, 1, 3, 4, 6, 7]] = 0.0
+        est = srp_phat_localize(spec, geom)
+        pair_delay = [plane_wave_delays(geom, az) @ [0, 0, -1, 0, 0, 1, 0, 0]
+                      for az in (est, np.deg2rad(90.0))]
+        assert pair_delay[0] == pytest.approx(pair_delay[1], abs=1e-12)
 
     def test_single_mic_rejected(self):
         geom = circular_array(1, 0.0)
