@@ -18,7 +18,7 @@ import numpy as np
 
 from . import apa, engine
 from .geometry import circular_array, plane_wave_steering
-from .pipeline import METHODS, RUNNERS, RunConfig
+from .pipeline import METHODS, TABLE, RunConfig
 from .stft import StftConfig, stft
 
 __all__ = [
@@ -94,10 +94,8 @@ def count_rc_update(num_mics: int, order: int, delay: int = 1) -> MacCounter:
 
 def fit_power_law(sizes, counts) -> float:
     """Least-squares exponent of counts ~ sizes**p in log-log space."""
-    logq = np.log(np.asarray(sizes, dtype=np.float64))
-    logc = np.log(np.asarray(counts, dtype=np.float64))
-    slope, _ = np.polyfit(logq, logc, 1)
-    return float(slope)
+    logq, logc = (np.log(np.asarray(x, dtype=np.float64)) for x in (sizes, counts))
+    return float(np.polyfit(logq, logc, 1)[0])
 
 
 def reference_curves(stacked_lens, num_mics: int = 2) -> list:
@@ -121,6 +119,8 @@ def reference_curves(stacked_lens, num_mics: int = 2) -> list:
 # wall-clock sweep
 # ---------------------------------------------------------------------------
 
+# the tally of one update of each adaptive kernel; a fixed beamformer's is M, one w^H y dot
+_TALLIES = {engine.APA: count_apa_update, engine.RC: count_rc_update}
 # every method of the pipeline's table that runs a beamformer, cheapest first
 _BENCH_METHODS = tuple(m for m in METHODS if m != "ref-mic")
 
@@ -134,7 +134,7 @@ def wallclock_sweep(
     """Median filtering time per second of audio for each method.
 
     Each method runs through the pipeline's method table
-    (:data:`convbeam.pipeline.RUNNERS`) with the prior pass off, one repeat
+    (:data:`convbeam.pipeline.TABLE`) with the prior pass off, one repeat
     of each per round, so host contention hits every method alike.  Times
     cover weights and filtering on a prepared spectrogram, not analysis,
     synthesis or localization, which every method shares.  The input is
@@ -147,35 +147,27 @@ def wallclock_sweep(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if not 0 < audio_seconds < np.inf:
         raise ValueError(f"audio_seconds must be finite and > 0, got {audio_seconds}")
-    config = StftConfig()
-    params = apa.ApaParams()
-    band_plan = params.band_plan
+    config, params = StftConfig(), apa.ApaParams()
     rng = np.random.default_rng(0)
     samples = 0.05 * rng.standard_normal((num_mics, int(audio_seconds * config.sample_rate)))
     spec = stft(samples, config)
     geom = circular_array(num_mics, 0.10)
     steering = plane_wave_steering(geom, 0.0, config)
-    max_order = int(max(band_plan.orders))
     cfgs = {method: RunConfig(method=method, geometry=geom, doa=0.0, params=params,
                               stft_config=config, prior_pass=False) for method in methods}
     times = {method: [] for method in methods}
     for _ in range(repeats):
         for method, cfg in cfgs.items():
             t0 = time.perf_counter()
-            RUNNERS[method](spec, steering, cfg, None)
+            TABLE[method].runner(spec, steering, cfg, None)
             times[method].append(time.perf_counter() - t0)
     rows = []
     for method in methods:
-        order = max_order if method.startswith("conv") else 0
-        if method.endswith("apa"):
-            macs = count_apa_update(num_mics, order, band_plan.delay).total
-        elif method == "conv-sdmvdr":
-            macs = count_rc_update(num_mics, order, band_plan.delay).total
-        else:
-            macs = num_mics  # one w^H y dot per bin and frame
-        q = engine.APA.taps(num_mics, order, band_plan.delay)
-        rows.append({"method": method, "M": num_mics, "L": order, "D": band_plan.delay, "Q": q,
-                     "macs": macs,
+        row, delay = TABLE[method], params.delay
+        order = int(max(row.plan(params).orders))
+        macs = _TALLIES[row.kernel](num_mics, order, delay).total if row.kernel else num_mics
+        rows.append({"method": method, "M": num_mics, "L": order, "D": delay,
+                     "Q": engine.APA.taps(num_mics, order, delay), "macs": macs,
                      "seconds_per_audio_second": float(np.median(times[method])) / audio_seconds})
     return rows
 

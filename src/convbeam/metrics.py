@@ -5,6 +5,7 @@ Both metrics compare magnitude behavior of short frames, so they are
 insensitive to a global sign flip of the estimate but respond to additive
 noise and spectral coloration.  Absolute values depend on the band and frame
 constants fixed here; comparisons are meaningful within this implementation.
+A non-finite sample in either signal raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def _check_pair(ref, est):
         raise ValueError("metrics take single-channel signals")
     if ref.shape != est.shape:
         raise ValueError(f"length mismatch: ref {ref.shape[0]}, est {est.shape[0]}")
+    for name, x in (("ref", ref), ("est", est)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} has a non-finite sample at index {np.argmin(np.isfinite(x))}")
     return ref, est
 
 

@@ -4,8 +4,8 @@ One call runs: level normalization to -20 dBFS at the reference mic (at the
 loudest channel when the reference mic is silent), STFT, localization
 (unless a DOA is given), steering, the selected beamformer, synthesis, and
 de-normalization.  All randomness-free; identical inputs and
-configuration give bit-identical outputs.  The method table :data:`RUNNERS`
-is the one dispatch of the pipeline, the bench sweep and the CLI.
+configuration give bit-identical outputs.  The method table :data:`TABLE` says
+what each method runs; the pipeline, the bench sweep and the CLI read it.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .apa import ApaParams, process_utterance
+from .engine import APA, RC, Kernel
 from .fixedbf import apply_fixed, delay_and_sum, superdirective_mvdr
 from .gains import mask_for_utterance
 from .geometry import ArrayGeometry, diffuse_coherence, plane_wave_steering, srp_phat_localize
@@ -24,7 +26,7 @@ from .sdmvdr import process_utterance_sdmvdr
 from .stft import BandPlan, Spectrogram, StftConfig, istft, stft
 from .wavio import AudioBuffer, resample_check
 
-__all__ = ["METHODS", "RUNNERS", "RunConfig", "enhance"]
+__all__ = ["METHODS", "RUNNERS", "TABLE", "Method", "RunConfig", "enhance"]
 
 _TARGET_RMS = 10.0 ** (-20.0 / 20.0)  # -20 dBFS
 
@@ -65,33 +67,40 @@ def _sd_mvdr(spec, steering, cfg, gains) -> Spectrogram:
     return apply_fixed(superdirective_mvdr(steering, gamma), spec)
 
 
-def _mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
-    # the convolutional filter with every band at order 0: beamforming head only
-    flat = replace(cfg.params, band_plan=BandPlan((), (0,), cfg.params.delay))
-    return _conv_mpdr_apa(spec, steering, replace(cfg, params=flat), gains)
-
-
-def _conv_mpdr_apa(spec, steering, cfg, gains) -> Spectrogram:
-    return process_utterance(spec, steering, cfg.params, gains=gains, prior_pass=cfg.prior_pass)
+def _apa(spec, steering, cfg, gains) -> Spectrogram:
+    params = replace(cfg.params, band_plan=TABLE[cfg.method].plan(cfg.params))
+    return process_utterance(spec, steering, params, gains=gains, prior_pass=cfg.prior_pass)
 
 
 def _conv_sdmvdr(spec, steering, cfg, gains) -> Spectrogram:
     gamma = diffuse_coherence(cfg.geometry, cfg.stft_config)
-    return process_utterance_sdmvdr(
-        spec, steering, gamma, cfg.params, gains=gains, prior_pass=cfg.prior_pass
-    )
+    return process_utterance_sdmvdr(spec, steering, gamma, cfg.params, gains=gains,
+                                    prior_pass=cfg.prior_pass)
+
+
+class Method(NamedTuple):
+    """A row of the method table: what one method runs."""
+
+    runner: Callable  # (spec, steering, cfg, gains) -> Spectrogram
+    kernel: Kernel | None  # the adaptive filter it drives; None for a fixed beamformer
+    banded: bool  # runs the band plan's orders; False runs every bin at order 0
+
+    def plan(self, params: ApaParams) -> BandPlan:
+        """The band plan the method runs: that of ``params``, or every bin at order 0."""
+        return params.band_plan if self.banded else BandPlan((), (0,), params.delay)
 
 
 # in increasing order of cost, which is the row order of the bench sweep
-RUNNERS = {
-    "ref-mic": _ref_mic,
-    "delay-sum": _delay_sum,
-    "sd-mvdr": _sd_mvdr,
-    "mpdr-apa": _mpdr_apa,
-    "conv-sdmvdr": _conv_sdmvdr,
-    "conv-mpdr-apa": _conv_mpdr_apa,
+TABLE = {
+    "ref-mic": Method(_ref_mic, None, False),
+    "delay-sum": Method(_delay_sum, None, False),
+    "sd-mvdr": Method(_sd_mvdr, None, False),
+    "mpdr-apa": Method(_apa, APA, False),  # the convolutional filter's beamforming head only
+    "conv-sdmvdr": Method(_conv_sdmvdr, RC, True),
+    "conv-mpdr-apa": Method(_apa, APA, True),
 }
-METHODS = tuple(RUNNERS)
+RUNNERS = {method: row.runner for method, row in TABLE.items()}
+METHODS = tuple(TABLE)
 
 
 def _normalization(samples: np.ndarray, ref: int) -> tuple:
@@ -135,16 +144,14 @@ def enhance(buf: AudioBuffer, cfg: RunConfig) -> tuple:
     if cfg.gain_mask is not None:
         gains = mask_for_utterance(cfg.gain_mask, spec.num_bins, spec.num_frames)
 
-    method = cfg.method
-    out = RUNNERS[method](spec, steering, cfg, gains)
+    out = TABLE[cfg.method].runner(spec, steering, cfg, gains)
 
     samples = istft(out, length=buf.num_samples) / scale
-    orders = cfg.params.band_plan.orders if method.startswith("conv") else (0,)
     summary = {
-        "method": method,
+        "method": cfg.method,
         "doa_deg": math.degrees(doa),
         "frames": spec.num_frames,
-        "orders": ",".join(str(o) for o in orders),
+        "orders": ",".join(str(o) for o in TABLE[cfg.method].plan(cfg.params).orders),
         "norm_channel": channel,
         "norm_scale": scale,
         "elapsed_s": time.perf_counter() - t0,

@@ -371,12 +371,16 @@ def measure_srr(scene: Scene, estimate) -> float:
 
     The estimate is projected onto the dry spectrogram (one complex scale
     over all bins and frames); the ratio of projected to residual power is
-    returned in dB, capped at 60 dB so a perfect estimate stays finite.
+    returned in dB, capped at 60 dB so a perfect estimate stays finite.  A
+    non-finite estimate raises ``ValueError`` naming its bin and frame.
     """
     est = estimate.data[0] if isinstance(estimate, Spectrogram) else np.asarray(estimate)
     dry = scene.dry.data[0]
     if est.shape != dry.shape:
         raise ValueError(f"estimate shape {est.shape} does not match dry {dry.shape}")
+    if not np.isfinite(est).all():
+        k, n = np.argwhere(~np.isfinite(est))[0]
+        raise ValueError(f"estimate has a non-finite value at bin {k}, frame {n}")
     denom = np.vdot(dry, dry).real
     if denom == 0.0:
         raise ValueError("dry reference is identically zero")

@@ -117,6 +117,9 @@ class BandPlan:
                 f"need len(transition_freqs)+1 orders, got {len(self.orders)} orders "
                 f"for {len(self.transition_freqs)} transitions"
             )
+        for name, value in (("delay", self.delay), *(("order", o) for o in self.orders)):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.delay < 1:
             raise ValueError(f"delay must be >= 1, got {self.delay}")
         freqs = tuple(float(f) for f in self.transition_freqs)
@@ -187,21 +190,23 @@ def stft(signal: np.ndarray, config: StftConfig = StftConfig()) -> Spectrogram:
 def istft(spec: Spectrogram, *, length: int | None = None) -> np.ndarray:
     """Overlap-add synthesis back to a (channels, samples) float array.
 
-    The spectrogram's own config sets the synthesis.  ``length`` trims or
-    zero-pads the result to an exact sample count.
+    The spectrogram's own config sets the synthesis; each hop of output adds
+    two half frames.  ``length``, which must be >= 0, trims or zero-pads the
+    result to an exact sample count.
     """
+    if length is not None and length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
     cfg = spec.config
     win = sqrt_hann(cfg.window_len)
     frames = np.fft.irfft(spec.data, n=cfg.window_len, axis=1) * win[None, :, None]
     num_ch, _, n_frames = frames.shape
-    out_len = (n_frames - 1) * cfg.hop + cfg.window_len
-    out = np.zeros((num_ch, out_len))
-    for n in range(n_frames):
-        start = n * cfg.hop
-        out[:, start : start + cfg.window_len] += frames[:, :, n]
+    out = np.zeros((num_ch, n_frames + 1, cfg.hop))
+    out[:, :-1] += frames[:, : cfg.hop].transpose(0, 2, 1)
+    out[:, 1:] += frames[:, cfg.hop :].transpose(0, 2, 1)
+    out = out.reshape(num_ch, -1)
     if length is not None:
-        if length <= out_len:
+        if length <= out.shape[1]:
             out = out[:, :length]
         else:
-            out = np.pad(out, ((0, 0), (0, length - out_len)))
+            out = np.pad(out, ((0, 0), (0, length - out.shape[1])))
     return out

@@ -295,6 +295,18 @@ class TestPipelineSmoke:
         assert captured.out == ""
         assert f"{mixture}: expected a single-channel WAV, got 3 channels" in captured.err
 
+    def test_metrics_refuses_non_finite_input(self, tmp_path, capsys):
+        """A float32 WAV holding a NaN is refused with its index, not scored."""
+        ref, est = tmp_path / "ref.wav", tmp_path / "est.wav"
+        samples = 0.1 * np.random.default_rng(5).standard_normal(8000)
+        write_wav(ref, AudioBuffer(samples, 16000))
+        samples[777] = np.nan
+        write_wav(est, AudioBuffer(samples, 16000))
+        assert main(["metrics", "--ref", str(ref), "--est", str(est)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: est has a non-finite sample at index 777")
+
     def test_metrics_rate_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.wav"
         b = tmp_path / "b.wav"

@@ -180,6 +180,21 @@ class TestCepstralDistance:
             cepstral_distance(np.zeros(8000), np.zeros(8001))
 
 
+class TestNonFiniteInput:
+    """One NaN or infinity is refused, naming the signal and the sample: left
+    in, it made fw_seg_snr nan and cepstral_distance skip its frames and
+    score a perfect 0.0."""
+
+    @pytest.mark.parametrize("metric", [fw_seg_snr, cepstral_distance, compute_metrics])
+    @pytest.mark.parametrize("side", ["ref", "est"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_with_signal_and_index(self, metric, side, bad):
+        pair = {"ref": _speechish(8000, seed=1), "est": _speechish(8000, seed=2)}
+        pair[side][4321] = bad
+        with pytest.raises(ValueError, match=f"^{side} has a non-finite sample at index 4321$"):
+            metric(pair["ref"], pair["est"])
+
+
 class TestReports:
     def test_compute_and_format(self):
         ref = _speechish(16000, seed=14)

@@ -42,6 +42,45 @@ class TestMethodTable:
         assert default == ("delay-sum", "sd-mvdr", "mpdr-apa", "conv-sdmvdr", "conv-mpdr-apa")
 
 
+class TestMethodFacts:
+    """What each row of the table runs, as numbers: the orders ``enhance``
+    reports, and the dimensions and MAC tally of each bench sweep row at
+    M=2, D=1 and the default band plan (L=12 at most)."""
+
+    ORDERS = {"ref-mic": "0", "delay-sum": "0", "sd-mvdr": "0", "mpdr-apa": "0",
+              "conv-sdmvdr": "12,8,6", "conv-mpdr-apa": "12,8,6"}
+    # (L, Q, macs): a fixed beamformer's tally is M; Q is the APA stacked
+    # length M*(L - D + 2), or M at order 0; conv-sdmvdr's tally is M + 4P + 2
+    # with P = M*(L - D + 1), and the APA's 4Q + 4M + 9
+    SWEEP = {"ref-mic": (0, 2, 2), "delay-sum": (0, 2, 2), "sd-mvdr": (0, 2, 2),
+             "mpdr-apa": (0, 2, 25), "conv-sdmvdr": (12, 26, 100),
+             "conv-mpdr-apa": (12, 26, 121)}
+
+    def test_enhance_reports_each_methods_orders(self):
+        samples = 0.1 * np.random.default_rng(0).standard_normal((2, 3200))
+        got = {}
+        for method in METHODS:
+            cfg = RunConfig(method=method, geometry=circular_array(2, 0.05), doa=0.3)
+            got[method] = enhance(AudioBuffer(samples, 16000), cfg)[1]["orders"]
+        assert got == self.ORDERS
+
+    def test_sweep_rows(self):
+        rows = bench.wallclock_sweep(methods=METHODS, num_mics=2, audio_seconds=0.1, repeats=1)
+        assert [(r["method"], r["M"], r["D"]) for r in rows] == [(m, 2, 1) for m in METHODS]
+        assert {r["method"]: (r["L"], r["Q"], r["macs"]) for r in rows} == self.SWEEP
+
+    def test_a_new_row_is_read_not_its_name(self, monkeypatch):
+        """A method named against every old pattern runs, reports and is
+        tallied as its row says."""
+        monkeypatch.setitem(pipeline.TABLE, "rc-x", pipeline.TABLE["conv-sdmvdr"])
+        monkeypatch.setattr(pipeline, "METHODS", (*METHODS, "rc-x"))
+        samples = 0.1 * np.random.default_rng(0).standard_normal((2, 3200))
+        cfg = RunConfig(method="rc-x", geometry=circular_array(2, 0.05), doa=0.3)
+        assert enhance(AudioBuffer(samples, 16000), cfg)[1]["orders"] == "12,8,6"
+        (row,) = bench.wallclock_sweep(methods=("rc-x",), num_mics=2, audio_seconds=0.1, repeats=1)
+        assert (row["L"], row["Q"], row["macs"]) == self.SWEEP["conv-sdmvdr"]
+
+
 def _tap(monkeypatch, attr):
     """Replace ``convbeam.pipeline.<attr>`` by a pass-through that records each call."""
     calls = []

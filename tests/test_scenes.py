@@ -278,3 +278,12 @@ class TestMeasureSrr:
         scene = self._scene()
         with pytest.raises(ValueError, match="estimate shape"):
             measure_srr(scene, np.zeros((3, 3), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_estimate_rejected(self, bad):
+        """A NaN or infinity is refused by bin and frame, not scored at the 60 dB cap."""
+        scene = self._scene()
+        est = scene.dry.data[0].copy()
+        est[5, 7] = bad
+        with pytest.raises(ValueError, match="^estimate has a non-finite value at bin 5, frame 7$"):
+            measure_srr(scene, est)

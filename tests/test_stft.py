@@ -109,6 +109,25 @@ class TestRoundTrip:
         assert istft(spec, length=1000).shape == (1, 1000)
         assert istft(spec, length=2000).shape == (1, 2000)
 
+    def test_negative_length_rejected(self):
+        spec = stft(np.random.default_rng(1).standard_normal(4096))
+        with pytest.raises(ValueError, match="^length must be >= 0, got -1$"):
+            istft(spec, length=-1)
+        assert istft(spec, length=0).shape == (1, 0)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_overlap_add_equals_the_frame_loop(self, channels):
+        """The block overlap-add gives the bits of adding frame after frame."""
+        spec = stft(np.random.default_rng(3).standard_normal((channels, 5000)))
+        cfg = spec.config
+        win = sqrt_hann(cfg.window_len)[:, None]
+        frames = np.fft.irfft(spec.data, n=cfg.window_len, axis=1) * win
+        want = np.zeros((channels, (spec.num_frames + 1) * cfg.hop))
+        for n in range(spec.num_frames):
+            want[:, n * cfg.hop : n * cfg.hop + cfg.window_len] += frames[:, :, n]
+        got = istft(spec)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_tail_samples_are_covered(self):
         """A signal that is not a whole number of hops still round-trips."""
         rng = np.random.default_rng(2)
@@ -171,6 +190,17 @@ class TestBandPlan:
             BandPlan((), (1,), delay=1)
         with pytest.raises(ValueError):
             BandPlan((), (4,), delay=0)
+
+    def test_non_integer_order_or_delay_rejected(self):
+        """A float order would run truncated and a float delay fail deep in the kernel."""
+        with pytest.raises(ValueError, match=r"^order must be an integer, got 2\.5$"):
+            BandPlan((800.0,), (12, 2.5), delay=1)
+        with pytest.raises(ValueError, match=r"^delay must be an integer, got 1\.5$"):
+            BandPlan((), (4,), delay=1.5)
+        with pytest.raises(ValueError, match=r"^order must be an integer, got '4'$"):
+            BandPlan((), ("4",))
+        plan = BandPlan((800.0,), (np.int64(6), 3), delay=np.int32(2))
+        assert plan.bin_orders(StftConfig())[0] == 6
 
     def test_zero_order_allowed(self):
         orders = BandPlan((), (0,)).bin_orders(StftConfig())

@@ -8,7 +8,9 @@ subprocess, which runs a fixed set of calls on a 1 s, 4-mic reverberant
 scene and saves every result to an ``.npz``:
 
 - ``enhance`` for every method x {no mask, gain-mask file} x {fixed DOA,
-  SRP-PHAT} x {prior pass on, off}: the output samples and the DOA;
+  SRP-PHAT} x {prior pass on, off}: the output samples, the DOA, and the
+  summary without ``elapsed_s``, one ``key=value`` string per field, so a
+  change to what a method reports counts as a differing array;
 - ``process_utterance(..., return_components=True)`` on an order-0 +
   order-3 band plan with D=2, a gain mask and the prior pass: the output,
   ``x_b`` and ``x_r``;
@@ -113,6 +115,8 @@ def dump(src: str, out_file: str) -> None:
                         key = f"enhance/{method}/{mask_name}/{doa_name}/prior{int(prior_pass)}"
                         arrays[f"{key}/samples"] = out.samples
                         arrays[f"{key}/doa_deg"] = np.array(summary["doa_deg"])
+                        arrays[f"{key}/summary"] = np.array(
+                            [f"{k}={v!r}" for k, v in summary.items() if k != "elapsed_s"])
 
     params = ApaParams(band_plan=BandPlan((4000.0,), (0, 3), delay=2))
     out, extras = process_utterance(
