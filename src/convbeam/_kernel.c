@@ -81,11 +81,11 @@ static void axpy(double *w, const double *x, double c, const double g[2], long n
     }
 }
 
-/* Copy a frame into slot 0; returns the PSD floor eta * ||y||^2 / M. */
-static double load(double *frames, const double *y, long m, double eta)
+/* Copy a frame into slot 0; returns its ||y||^2, which sets the PSD floor eta ||y||^2 / M. */
+static double load(double *frames, const double *y, long m)
 {
     memcpy(frames, y, 2 * m * sizeof(double));
-    return eta * (norm2(y, m) / m);
+    return norm2(y, m);
 }
 
 /* apa.limited_output: x_b less alpha * min(|x_r|, |x_b|) along x_r. */
@@ -109,14 +109,14 @@ CLONES long apa_run(long bins, long nf, long m, long d, long ws, long fs, long k
         const double *ak = a + 2 * k * m, *t = frames + (tail ? 2 * d * m : 0);
         const double s11 = phi_b * norm2(ak, m) + phi_a;
         for (long n = 0; n < nf; n++) {
-            const double floor = load(frames, ys + 2 * (k * nf + n) * m, m, eta);
+            const double ny = load(frames, ys + 2 * (k * nf + n) * m, m), floor = eta * (ny / m);
             double wy[2] = {0.0, 0.0}, ya[2] = {0.0, 0.0}, aw[2] = {0.0, 0.0};
             dotc(wy, w, frames, m);
             dotc(wy, w + 2 * m, t, tail);
             dotc(ya, frames, ak, m);
             dotc(aw, ak, w, m);
             const double phi_x = gsq[k * nf + n] * (wy[0] * wy[0] + wy[1] * wy[1]);
-            const double s00 = phi_b * norm2(frames, m) + phi_r * norm2(t, tail)
+            const double s00 = phi_b * ny + phi_r * norm2(t, tail)
                                + (phi_x > floor ? phi_x : floor);
             /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
             const double s01r = phi_b * ya[0], s01i = phi_b * ya[1];
@@ -165,7 +165,7 @@ CLONES long rc_run(long bins, long nf, long m, long d, long ws, long fs, long ke
         const long l = orders[k], q = (l - d + 1) * m;
         const double *head = a + 2 * k * m, *f = frames + 2 * d * m;
         for (long n = 0; n < nf; n++) {
-            const double floor = load(frames, ys + 2 * (k * nf + n) * m, m, eta);
+            const double floor = eta * (load(frames, ys + 2 * (k * nf + n) * m, m) / m);
             double x_d[2] = {0.0, 0.0}, wf[2] = {0.0, 0.0};
             dotc(x_d, head, frames, m);
             dotc(wf, w, f, q);

@@ -165,9 +165,9 @@ def wallclock_sweep(
     for method in methods:
         row, delay = TABLE[method], params.delay
         order = int(max(row.plan(params).orders))
+        q = row.kernel.taps(num_mics, order, delay) if row.kernel else num_mics
         macs = _TALLIES[row.kernel](num_mics, order, delay).total if row.kernel else num_mics
-        rows.append({"method": method, "M": num_mics, "L": order, "D": delay,
-                     "Q": engine.APA.taps(num_mics, order, delay), "macs": macs,
+        rows.append({"method": method, "M": num_mics, "L": order, "D": delay, "Q": q, "macs": macs,
                      "seconds_per_audio_second": float(np.median(times[method])) / audio_seconds})
     return rows
 

@@ -166,8 +166,9 @@ def cepstral_distance(ref: np.ndarray, est: np.ndarray, sample_rate: int = 16000
 
     Per 32 ms half-overlapped frame within 40 dB of the loudest reference
     frame, order-16 LPC cepstra of both signals are compared:
-    (10/ln 10) * sqrt(2 * sum_i (dc_i)^2), clamped to [0, 10] dB.  Frames
-    where either LPC solve is degenerate are skipped.
+    (10/ln 10) * sqrt(2 * sum_i (dc_i)^2), clamped to [0, 10] dB.  A frame
+    whose reference LPC solve is degenerate is skipped; one where only the
+    estimate's is (a dropout, say) scores the 10 dB clamp.
     """
     ref, est = _check_pair(ref, est)
     seg_len = int(round(_SEGMENT_SECONDS * sample_rate))
@@ -182,10 +183,11 @@ def cepstral_distance(ref: np.ndarray, est: np.ndarray, sample_rate: int = 16000
     scores = []
     for rf, ef in zip(ref_frames[keep], est_frames[keep]):
         c_ref = _lpc_cepstrum(rf, _LPC_ORDER)
-        c_est = _lpc_cepstrum(ef, _LPC_ORDER)
-        if c_ref is None or c_est is None:
+        if c_ref is None:
             continue
-        dist = (10.0 / math.log(10.0)) * math.sqrt(2.0 * float(np.sum((c_ref - c_est) ** 2)))
+        c_est = _lpc_cepstrum(ef, _LPC_ORDER)
+        dist = math.inf if c_est is None else (
+            (10.0 / math.log(10.0)) * math.sqrt(2.0 * float(np.sum((c_ref - c_est) ** 2))))
         scores.append(min(max(dist, 0.0), 10.0))
     if not scores:
         raise ValueError("no usable frames for cepstral distance")

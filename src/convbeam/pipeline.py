@@ -26,7 +26,7 @@ from .sdmvdr import process_utterance_sdmvdr
 from .stft import BandPlan, Spectrogram, StftConfig, istft, stft
 from .wavio import AudioBuffer, resample_check
 
-__all__ = ["METHODS", "RUNNERS", "TABLE", "Method", "RunConfig", "enhance"]
+__all__ = ["METHODS", "TABLE", "Method", "RunConfig", "enhance"]
 
 _TARGET_RMS = 10.0 ** (-20.0 / 20.0)  # -20 dBFS
 
@@ -99,7 +99,6 @@ TABLE = {
     "conv-sdmvdr": Method(_conv_sdmvdr, RC, True),
     "conv-mpdr-apa": Method(_apa, APA, True),
 }
-RUNNERS = {method: row.runner for method, row in TABLE.items()}
 METHODS = tuple(TABLE)
 
 

@@ -279,22 +279,16 @@ def exp_decay_rir_scene(
     n_rir = int(np.ceil(np.max(frac_delays))) + half + n_tail + 3
     rirs_direct = np.zeros((geom.num_mics, n_rir))
     rirs_tail = np.zeros((geom.num_mics, n_rir))
-    sinc_win = np.hanning(2 * half + 1)
-    for m in range(geom.num_mics):
-        center = int(round(frac_delays[m]))
-        taps = np.arange(center - half, center + half + 1)
-        rirs_direct[m, taps] = np.sinc(taps - frac_delays[m]) * sinc_win
-        if n_tail > 0:
-            start = int(np.ceil(frac_delays[m])) + 2
-            t_idx = np.arange(n_tail)
-            tail = rng.standard_normal(n_tail) * np.exp(-6.9 * t_idx / (t60 * fs))
-            e_direct = np.sum(rirs_direct[m] ** 2)
-            e_tail = np.sum(tail**2)
-            if math.isinf(drr_db):
-                gain = 0.0
-            else:
-                gain = math.sqrt(e_direct / (e_tail * 10.0 ** (drr_db / 10.0)))
-            rirs_tail[m, start : start + n_tail] = gain * tail
+    rows = np.arange(geom.num_mics)[:, None]
+    taps = np.round(frac_delays).astype(int)[:, None] + np.arange(-half, half + 1)
+    rirs_direct[rows, taps] = np.sinc(taps - frac_delays[:, None]) * np.hanning(2 * half + 1)
+    if n_tail > 0:
+        decay = np.exp(-6.9 * np.arange(n_tail) / (t60 * fs))
+        tails = rng.standard_normal((geom.num_mics, n_tail)) * decay
+        e_direct, e_tail = np.sum(rirs_direct**2, axis=1), np.sum(tails**2, axis=1)
+        gains = np.sqrt(e_direct / (e_tail * 10.0 ** (drr_db / 10.0)))  # 0 at a DRR of +inf
+        starts = np.ceil(frac_delays).astype(int)[:, None] + 2
+        rirs_tail[rows, starts + np.arange(n_tail)] = gains[:, None] * tails
 
     n_samples = dry.shape[0]
     direct_sig = fftconvolve(dry[None, :], rirs_direct, axes=1)[:, :n_samples]

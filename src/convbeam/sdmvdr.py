@@ -141,13 +141,11 @@ def process_utterance_sdmvdr(
     The head of every bin is the superdirective MVDR solution for
     ``coherence`` at its default diagonal loading; the steering, the gain
     mask and ``prior_pass`` behave as in :func:`convbeam.apa.process_utterance`.
-    The band plan must give every bin a nonzero order since this variant
-    has no beamformer-only degenerate case.
+    This variant has no beamformer-only case: :meth:`convbeam.engine.Kernel.taps`
+    refuses, with ``ValueError``, any order not above the delay, order 0 included.
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     orders = params.band_plan.bin_orders(spec.config)
-    if np.any(orders == 0):
-        raise ValueError("band plan assigns order 0; this variant needs order > delay")
     filters = Filters.start(RC, vectors, orders, params.delay)
     weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
     out = drive(RC, spec.data, filters, weights, params, gains, prior_pass)

@@ -175,6 +175,16 @@ class TestCepstralDistance:
         )
         assert padded == base
 
+    def test_estimate_dropout_scores_the_clamp(self):
+        """A kept reference frame whose estimate has no LPC fit scores the
+        10 dB clamp rather than being skipped, so a dropout ranks below a
+        present, noisy copy."""
+        ref = _speechish(16000, seed=0)
+        dropout = np.where(np.arange(16000) < 1024, ref, 0.0)
+        noisy = ref + 0.3 * np.random.default_rng(1).standard_normal(16000)
+        assert cepstral_distance(ref, dropout) > 9.0 > 1.0 > cepstral_distance(ref, noisy)
+        assert cepstral_distance(ref, np.zeros(16000)) == 10.0
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cepstral_distance(np.zeros(8000), np.zeros(8001))

@@ -20,14 +20,14 @@ from convbeam import apa, bench, cli, geometry, metrics, pipeline, sdmvdr
 from convbeam.apa import ApaParams
 from convbeam.gains import write_gain_mask
 from convbeam.geometry import CoherenceMatrix, SteeringVector, circular_array
-from convbeam.pipeline import METHODS, RUNNERS, RunConfig, enhance
+from convbeam.pipeline import METHODS, TABLE, RunConfig, enhance
 from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft
 from convbeam.wavio import AudioBuffer, write_wav
 
 
 class TestMethodTable:
     def test_methods_come_from_the_table(self):
-        assert METHODS == tuple(RUNNERS)
+        assert METHODS == tuple(TABLE)
 
     def test_cli_choices_come_from_the_table(self):
         parser = cli._build_parser()
@@ -49,11 +49,12 @@ class TestMethodFacts:
 
     ORDERS = {"ref-mic": "0", "delay-sum": "0", "sd-mvdr": "0", "mpdr-apa": "0",
               "conv-sdmvdr": "12,8,6", "conv-mpdr-apa": "12,8,6"}
-    # (L, Q, macs): a fixed beamformer's tally is M; Q is the APA stacked
-    # length M*(L - D + 2), or M at order 0; conv-sdmvdr's tally is M + 4P + 2
-    # with P = M*(L - D + 1), and the APA's 4Q + 4M + 9
+    # (L, Q, macs): Q is the stacked length of the row's kernel (APA's
+    # M*(L - D + 2), or M at order 0; the canceller's P = M*(L - D + 1)), or
+    # M for a fixed beamformer; the tally is M for a fixed beamformer,
+    # M + 4P + 2 for conv-sdmvdr and 4Q + 4M + 9 for the APA
     SWEEP = {"ref-mic": (0, 2, 2), "delay-sum": (0, 2, 2), "sd-mvdr": (0, 2, 2),
-             "mpdr-apa": (0, 2, 25), "conv-sdmvdr": (12, 26, 100),
+             "mpdr-apa": (0, 2, 25), "conv-sdmvdr": (12, 24, 100),
              "conv-mpdr-apa": (12, 26, 121)}
 
     def test_enhance_reports_each_methods_orders(self):

@@ -220,7 +220,7 @@ class TestUtteranceDriver:
 
     def test_zero_order_band_rejected(self):
         spec, steer, coh = self._scene()
-        with pytest.raises(ValueError, match="order 0"):
+        with pytest.raises(ValueError, match=r"order must exceed delay \(1\), got 0"):
             process_utterance_sdmvdr(spec, steer, coh, ApaParams(band_plan=BandPlan((), (0,))))
 
     def test_prior_pass_deterministic_and_different(self):

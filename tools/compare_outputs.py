@@ -46,7 +46,10 @@ scene and saves every result to an ``.npz``:
   ``exp_decay_rir_scene`` (T60 0.5 s, DRR 0 dB, SNR 20 dB), and a
   20-frame ``diffuse_noise_frames`` block;
 - ``fw_seg_snr`` and ``cepstral_distance`` of the ``conv-mpdr-apa`` output
-  (fixed DOA, no mask, prior pass) against the scene's dry signal.
+  (fixed DOA, no mask, prior pass) against the scene's dry signal;
+- both metrics of a dropout: a 1 s AR(1) reference (pole 0.9, seed 0)
+  against an estimate equal to it for 1,024 samples and silent after, so
+  a change to how an estimate frame with no LPC fit scores shows.
 
 The two files are then compared with ``np.array_equal``.  The names of the
 arrays that differ, or exist on one side only, are printed, each numeric
@@ -70,6 +73,8 @@ import numpy as np
 def dump(src: str, out_file: str) -> None:
     """Import convbeam from ``src`` and save every compared array to ``out_file`` (.npz)."""
     sys.path.insert(0, src)
+    from scipy.signal import lfilter
+
     import convbeam
     from convbeam.apa import ApaParams, init_state, process_frame, process_utterance
     from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
@@ -239,6 +244,10 @@ def dump(src: str, out_file: str) -> None:
     est = arrays["enhance/conv-mpdr-apa/nomask/doa45/prior1/samples"][0]
     arrays["metrics/fwsnr"] = np.array(fw_seg_snr(ref, est, cfg.sample_rate))
     arrays["metrics/cd"] = np.array(cepstral_distance(ref, est, cfg.sample_rate))
+    ref = lfilter([1.0], [1.0, -0.9], np.random.default_rng(0).standard_normal(cfg.sample_rate))
+    est = np.where(np.arange(ref.size) < 1024, ref, 0.0)
+    arrays["metrics/dropout/fwsnr"] = np.array(fw_seg_snr(ref, est, cfg.sample_rate))
+    arrays["metrics/dropout/cd"] = np.array(cepstral_distance(ref, est, cfg.sample_rate))
     np.savez(out_file, **arrays)
 
 
