@@ -233,26 +233,21 @@ def kalman_gain(
     """Explicit (Q, 2) gain K = Phi_w F^H (F Phi_w F^H + Phi_eps)^-1.
 
     F stacks the observation row ytilde^H and the constraint row atilde^H.
-    This form exists for verification; :func:`apa_update` fuses the same
-    algebra without materializing K.
+    Phi_w F^H has the columns Phi_w ytilde and Phi_w atilde, so column j of K
+    is Phi_w F^H times the 2x2 solve of :func:`apa_update` on e = (1, 0) or
+    (0, 1), its cases and its error included.  This form exists for
+    verification; :func:`apa_update` fuses the same algebra without
+    materializing K.
     """
     y_tilde = np.asarray(y_tilde, dtype=np.complex128)
     a_tilde = np.asarray(a_tilde, dtype=np.complex128)
     py, s00, s01, s11 = _gain_blocks(y_tilde, a_tilde, num_mics, phi_b, phi_r, phi_x, phi_a)
     pa = np.zeros_like(a_tilde)
     pa[:num_mics] = phi_b * a_tilde[:num_mics]
-    det = s00 * s11 - (s01.real**2 + s01.imag**2)
     gain = np.empty((y_tilde.shape[0], 2), dtype=np.complex128)
-    if det > 0.0:
-        gain[:, 0] = (py * s11 - pa * np.conj(s01)) / det
-        gain[:, 1] = (pa * s00 - py * s01) / det
-    elif s00 == 0.0 and s11 > 0.0:
-        gain[:, 0] = 0.0
-        gain[:, 1] = pa / s11
-    else:
-        raise np.linalg.LinAlgError(
-            "singular 2x2 innovation covariance; all variances are zero"
-        )
+    for j, e in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        g0, g1 = _solve_two_rows(s00, s01, s11, *e)
+        gain[:, j] = py * g0 + pa * g1
     return gain
 
 

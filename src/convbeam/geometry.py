@@ -30,10 +30,10 @@ _SRP_RANGE_HZ = (300.0, 4000.0)
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Microphone positions in meters, shape (M, 3); one mic is the reference."""
+    """Microphone positions in meters, shape (M, 3); mic 0 is the reference."""
 
     positions: np.ndarray
-    reference_mic: int = 0
+    reference_mic = 0  # a class constant: the first mic is always the reference
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -41,10 +41,6 @@ class ArrayGeometry:
             raise ValueError(f"positions must have shape (M, 3) with M >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if not 0 <= self.reference_mic < pos.shape[0]:
-            raise ValueError(
-                f"reference_mic {self.reference_mic} out of range for {pos.shape[0]} mics"
-            )
         object.__setattr__(self, "positions", pos)
 
     @property
@@ -100,7 +96,7 @@ def circular_array(num_mics: int, radius: float) -> ArrayGeometry:
         raise ValueError(f"radius must be >= 0, got {radius}")
     angles = 2.0 * np.pi * np.arange(num_mics) / num_mics
     pos = np.stack([radius * np.cos(angles), radius * np.sin(angles), np.zeros(num_mics)], axis=1)
-    return ArrayGeometry(pos, reference_mic=0)
+    return ArrayGeometry(pos)
 
 
 def load_geometry(path) -> ArrayGeometry:
@@ -122,7 +118,7 @@ def load_geometry(path) -> ArrayGeometry:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no microphone positions found")
-    return ArrayGeometry(np.asarray(rows), reference_mic=0)
+    return ArrayGeometry(np.asarray(rows))
 
 
 def save_geometry(path, geom: ArrayGeometry) -> None:
@@ -186,8 +182,9 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
     The search runs over a 5-degree azimuth grid at zero elevation, on the
     bins in 300-4000 Hz.  Every time-frequency cell is magnitude-normalized
     before steering, so the estimate depends only on phase.  Ties go to the
-    lowest grid index.  A flat map, where no cell in that range holds two
-    live channels, is rejected with a message naming the live channels.
+    lowest grid index.  A flat map is rejected: an array whose mics share one
+    (x, y), and a scene where no cell in that range holds two live channels,
+    the latter with a message naming the live channels.
     """
     if geom.num_mics < 2:
         raise ValueError(f"localization requires at least 2 microphones, got {geom.num_mics}")
@@ -195,6 +192,9 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
         raise ValueError(
             f"channel count {spec.num_channels} does not match geometry ({geom.num_mics})"
         )
+    if not np.ptp(geom.positions[:, :2], axis=0).any():  # every azimuth steers alike
+        raise ValueError("the mics share one (x, y), so the array has no horizontal aperture "
+                         "and SRP-PHAT cannot tell azimuths apart; pass a DOA")
     freqs = spec.config.freqs
     keep = (freqs >= _SRP_RANGE_HZ[0]) & (freqs <= _SRP_RANGE_HZ[1])
     if not np.any(keep):

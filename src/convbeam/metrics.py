@@ -5,7 +5,8 @@ Both metrics compare magnitude behavior of short frames, so they are
 insensitive to a global sign flip of the estimate but respond to additive
 noise and spectral coloration.  Absolute values depend on the band and frame
 constants fixed here; comparisons are meaningful within this implementation.
-A non-finite sample in either signal raises ``ValueError`` naming it.
+A non-finite sample in either signal, or a rate below 516 Hz (a segment no
+longer than the LPC order), raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _segments(x: np.ndarray, seg_len: int, hop: int) -> np.ndarray:
-    if x.shape[0] < seg_len:
-        raise ValueError(f"signal too short for one {seg_len}-sample segment")
-    n_seg = 1 + (x.shape[0] - seg_len) // hop
-    view = np.lib.stride_tricks.sliding_window_view(x, seg_len)
-    return view[:: hop][:n_seg]
+def _frames(ref, est, sample_rate: int, window) -> tuple[np.ndarray, np.ndarray]:
+    """Check a signal pair and cut both into windowed 32 ms half-overlapped frames.
 
-
-def _check_pair(ref, est):
+    ``window`` maps a length to its window (``np.hanning``, say).  A rate whose
+    segment holds no more samples than the LPC order (below 516 Hz) is refused.
+    """
     ref = np.asarray(ref, dtype=np.float64)
     est = np.asarray(est, dtype=np.float64)
     if ref.ndim != 1 or est.ndim != 1:
@@ -54,7 +52,15 @@ def _check_pair(ref, est):
     for name, x in (("ref", ref), ("est", est)):
         if not np.isfinite(x).all():
             raise ValueError(f"{name} has a non-finite sample at index {np.argmin(np.isfinite(x))}")
-    return ref, est
+    seg_len = int(round(_SEGMENT_SECONDS * sample_rate))
+    if seg_len <= _LPC_ORDER:
+        raise ValueError(f"sample_rate {sample_rate} Hz gives a {seg_len}-sample segment; "
+                         f"the metrics need more than {_LPC_ORDER}")
+    if ref.shape[0] < seg_len:
+        raise ValueError(f"signal too short for one {seg_len}-sample segment")
+    w = window(seg_len)
+    return tuple(np.lib.stride_tricks.sliding_window_view(x, seg_len)[:: seg_len // 2] * w
+                 for x in (ref, est))
 
 
 def _mel_filterbank(num_bands: int, fft_len: int, sample_rate: int) -> np.ndarray:
@@ -91,17 +97,10 @@ def fw_seg_snr(ref: np.ndarray, est: np.ndarray, sample_rate: int = 16000) -> fl
     raised to 0.2 and each segment's weighted average is clamped to
     [-10, 35] dB before averaging over segments.
     """
-    ref, est = _check_pair(ref, est)
-    seg_len = int(round(_SEGMENT_SECONDS * sample_rate))
-    hop = seg_len // 2
-    window = np.hanning(seg_len)
-    fft_len = int(2 ** math.ceil(math.log2(seg_len)))
+    frames = _frames(ref, est, sample_rate, np.hanning)
+    fft_len = int(2 ** math.ceil(math.log2(frames[0].shape[1])))
     fb = _mel_filterbank(_NUM_BANDS, fft_len, sample_rate)
-
-    ref_mag = np.abs(np.fft.rfft(_segments(ref, seg_len, hop) * window, n=fft_len, axis=1))
-    est_mag = np.abs(np.fft.rfft(_segments(est, seg_len, hop) * window, n=fft_len, axis=1))
-    p_ref = ref_mag**2 @ fb.T
-    p_est = est_mag**2 @ fb.T
+    p_ref, p_est = (np.abs(np.fft.rfft(f, n=fft_len, axis=1)) ** 2 @ fb.T for f in frames)
     scores = []
     for seg_ref, seg_est in zip(p_ref, p_est):
         valid = seg_ref > 0.0
@@ -170,12 +169,7 @@ def cepstral_distance(ref: np.ndarray, est: np.ndarray, sample_rate: int = 16000
     whose reference LPC solve is degenerate is skipped; one where only the
     estimate's is (a dropout, say) scores the 10 dB clamp.
     """
-    ref, est = _check_pair(ref, est)
-    seg_len = int(round(_SEGMENT_SECONDS * sample_rate))
-    hop = seg_len // 2
-    window = np.hamming(seg_len)
-    ref_frames = _segments(ref, seg_len, hop) * window
-    est_frames = _segments(est, seg_len, hop) * window
+    ref_frames, est_frames = _frames(ref, est, sample_rate, np.hamming)
     energies = np.sum(ref_frames**2, axis=1)
     if np.max(energies) <= 0.0:
         raise ValueError("reference has no energy in any frame")

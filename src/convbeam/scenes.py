@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _MCLP_LAG_DECAY = 0.7  # per-lag magnitude decay of random_mclp's draws
-_MCLP_TRIES = 10
 _NOISE_LOADING = 0.01  # diagonal loading of the coherence behind diffuse noise
 _SRR_CAP_DB = 60.0
 
@@ -128,34 +127,26 @@ def random_mclp(
 ) -> np.ndarray:
     """Draw per-bin recursion coefficients with geometrically decaying lags.
 
-    Entry magnitudes fall off as 0.7**(l - delay); each bin is rescaled by
-    s**l (which scales every recursion eigenvalue by exactly s) so its
-    spectral radius lands on ``target_radius``.  A draw that still fails the
-    stability check retries with the next seed, up to 10 times.
+    Entry magnitudes fall off as 0.7**(l - delay); each bin is then rescaled
+    by s**l, which scales every recursion eigenvalue by exactly s, so its
+    spectral radius lands on ``target_radius`` up to rounding.  One draw is
+    made and not checked again: a target within rounding of 1 can land at or
+    above 1, and :func:`mclp_scene` refuses such a recursion.
     """
     if order <= delay:
         raise ValueError(f"order must exceed delay ({delay}), got {order}")
     if not 0.0 < target_radius < 1.0:
         raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
     blocks = order - delay + 1
-    k = config.num_bins
+    shape = (config.num_bins, blocks, num_mics, num_mics)
     lags = np.arange(delay, order + 1)
-    for attempt in range(_MCLP_TRIES):
-        rng = np.random.default_rng(seed + attempt)
-        scale = _MCLP_LAG_DECAY ** (lags - delay) / (2.0 * math.sqrt(num_mics * blocks))
-        c = rng.standard_normal((k, blocks, num_mics, num_mics)) + 1j * rng.standard_normal(
-            (k, blocks, num_mics, num_mics)
-        )
-        c *= scale[None, :, None, None] / math.sqrt(2.0)
-        radius = mclp_spectral_radius(c, delay)
-        if np.any(radius == 0.0) or not np.all(np.isfinite(radius)):
-            continue
-        s = target_radius / radius
-        c *= (s[:, None] ** lags[None, :])[:, :, None, None]
-        radius = mclp_spectral_radius(c, delay)
-        if np.all(radius < 1.0):
-            return c
-    raise RuntimeError(f"no stable coefficient draw in {_MCLP_TRIES} attempts from seed {seed}")
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scale = _MCLP_LAG_DECAY ** (lags - delay) / (2.0 * math.sqrt(num_mics * blocks))
+    c *= scale[None, :, None, None] / math.sqrt(2.0)
+    s = target_radius / mclp_spectral_radius(c, delay)
+    c *= (s[:, None] ** lags[None, :])[:, :, None, None]
+    return c
 
 
 def mclp_scene(
@@ -191,7 +182,7 @@ def mclp_scene(
     radius = mclp_spectral_radius(c, delay)
     worst = float(np.max(radius))
     if worst >= 1.0:
-        raise ValueError(f"unstable recursion: spectral radius {worst:.4f} >= 1")
+        raise ValueError(f"unstable recursion: spectral radius {worst!r} >= 1")
 
     direct = a.T[:, :, None] * x[None, :, :]
     reverb = np.zeros((num_mics, num_bins, num_frames), dtype=np.complex128)

@@ -307,6 +307,31 @@ class TestPipelineSmoke:
         assert captured.out == ""
         assert captured.err.startswith("error: est has a non-finite sample at index 777")
 
+    def test_enhance_refuses_to_localize_without_horizontal_aperture(self, scene_dir, tmp_path,
+                                                                      capsys):
+        """A zero-radius circle steers every azimuth alike, so --doa auto must
+        not report the grid's first point as the source's direction."""
+        out_wav = tmp_path / "enhanced.wav"
+        rc = main(["enhance", "--input", str(scene_dir / "mixture.wav"), "--output", str(out_wav),
+                   "--geometry", "circular:3:0", "--doa", "auto"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no horizontal aperture" in captured.err
+        assert captured.err.rstrip().endswith("pass a DOA")
+        assert not out_wav.exists()
+
+    def test_metrics_refuses_a_rate_too_low_for_a_segment(self, tmp_path, capsys):
+        """At 200 Hz a 32 ms segment holds 6 samples, fewer than the LPC order."""
+        ref, est = tmp_path / "ref.wav", tmp_path / "est.wav"
+        samples = 0.1 * np.random.default_rng(6).standard_normal(1000)
+        write_wav(ref, AudioBuffer(samples, 200))
+        write_wav(est, AudioBuffer(0.5 * samples, 200))
+        assert main(["metrics", "--ref", str(ref), "--est", str(est)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sample_rate 200 Hz gives a 6-sample segment")
+
     def test_metrics_rate_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.wav"
         b = tmp_path / "b.wav"

@@ -25,7 +25,7 @@ class TestGeometryTypes:
             ArrayGeometry(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             ArrayGeometry(np.array([[0.0, 0.0, np.inf]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the first mic is always the reference
             ArrayGeometry(np.zeros((2, 3)), reference_mic=2)
 
     def test_circular_array_layout(self):
@@ -225,6 +225,25 @@ class TestSrpPhat:
         pair_delay = [plane_wave_delays(geom, az) @ [0, 0, -1, 0, 0, 1, 0, 0]
                       for az in (est, np.deg2rad(90.0))]
         assert pair_delay[0] == pytest.approx(pair_delay[1], abs=1e-12)
+
+    @pytest.mark.parametrize("positions", [
+        np.zeros((4, 3)),  # circular:4:0
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.05], [0.0, 0.0, 0.1]],  # stacked on the z axis
+        [[0.1, -0.2, 0.0], [0.1, -0.2, 0.3]],
+    ])
+    def test_array_without_horizontal_aperture_rejected(self, positions):
+        """Mics that share one (x, y) steer every azimuth alike: the map is
+        flat however live the channels are, so no azimuth may come back."""
+        geom = ArrayGeometry(np.asarray(positions, dtype=float))
+        spec = _plane_wave_spec(geom, np.deg2rad(90.0))
+        with pytest.raises(ValueError, match=r"no horizontal aperture.*pass a DOA$"):
+            srp_phat_localize(spec, geom)
+
+    def test_any_horizontal_aperture_localizes(self):
+        """Two mics apart in y alone still tell +y from -y sources."""
+        geom = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]]))
+        est = srp_phat_localize(_plane_wave_spec(geom, np.deg2rad(90.0)), geom)
+        assert np.rad2deg(est) == pytest.approx(90.0, abs=1e-9)
 
     def test_single_mic_rejected(self):
         geom = circular_array(1, 0.0)

@@ -90,6 +90,21 @@ class TestFwSegSnr:
             fw_seg_snr(np.zeros(8000), _speechish(8000))
 
 
+@pytest.mark.parametrize("metric", [fw_seg_snr, cepstral_distance])
+class TestMinimumRate:
+    """A 32 ms segment must hold more samples than the LPC order (16)."""
+
+    @pytest.mark.parametrize("rate", [1, 47, 200, 515])
+    def test_low_rate_refused_by_name(self, metric, rate):
+        x = _speechish(1000)
+        with pytest.raises(ValueError, match=rf"^sample_rate {rate} Hz gives a \d+-sample segment"):
+            metric(x, x + 0.1 * _speechish(1000, seed=1), rate)
+
+    def test_lowest_rate_scores(self, metric):
+        x = _speechish(1000)
+        assert np.isfinite(metric(x, x + 0.1 * _speechish(1000, seed=1), 516))
+
+
 # ---------------------------------------------------------------------------
 # LPC machinery
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scene generator tests: exact decompositions, stability, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,20 @@ class TestMclpScene:
                     continue
                 want += np.einsum("kij,jk->ik", c[:, lag - delay], clean[:, :, n - lag])
             np.testing.assert_allclose(scene.reverb.data[:, :, n], want, atol=1e-10)
+
+    def test_target_within_rounding_of_one_is_refused(self):
+        """random_mclp rescales once and lands on its target only up to
+        rounding, so a target just below 1 can come back at or above 1:
+        mclp_scene is the one stability check, and prints the full radius."""
+        c = random_mclp(2, 4, 1, SMALL, seed=0, target_radius=np.nextafter(1.0, 0.0))
+        radius = mclp_spectral_radius(c, 1)
+        assert np.any(radius >= 1.0)
+        np.testing.assert_allclose(radius, 1.0, rtol=1e-13)
+        dry = synthetic_speech(0.3, SMALL.sample_rate)
+        steer = plane_wave_steering(circular_array(2, 0.1), 0.0, SMALL)
+        worst = float(np.max(radius))
+        with pytest.raises(ValueError, match=re.escape(f"spectral radius {worst!r} >= 1")):
+            mclp_scene(dry, steer, c, 1, config=SMALL)
 
     def test_unstable_coefficients_rejected(self):
         dry = synthetic_speech(0.3, SMALL.sample_rate)

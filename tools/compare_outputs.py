@@ -42,14 +42,20 @@ scene and saves every result to an ``.npz``:
   plus order 0 for the full filter, one row (M, D, L, tally) per call;
 - the ``Q`` and ``macs`` columns of ``bench.reference_curves``;
 - scenes: the ``random_mclp`` draw behind the scene and its
-  ``mclp_spectral_radius``, every component of a 1 s, 4-mic
-  ``exp_decay_rir_scene`` (T60 0.5 s, DRR 0 dB, SNR 20 dB), and a
+  ``mclp_spectral_radius``, six more draws (2 mics, order 4, 33 bins,
+  seeds 0-4, and 3 mics, order 5, delay 2, 257 bins), every component of
+  a 1 s, 4-mic ``exp_decay_rir_scene`` (T60 0.5 s, DRR 0 dB, SNR 20 dB), and a
   20-frame ``diffuse_noise_frames`` block;
 - ``fw_seg_snr`` and ``cepstral_distance`` of the ``conv-mpdr-apa`` output
   (fixed DOA, no mask, prior pass) against the scene's dry signal;
 - both metrics of a dropout: a 1 s AR(1) reference (pole 0.9, seed 0)
   against an estimate equal to it for 1,024 samples and silent after, so
   a change to how an estimate frame with no LPC fit scores shows.
+- both metrics of that output at ``sample_rate=8000``, so the rate's path
+  through the segment length, window and filterbank is pinned too;
+- ``apa.kalman_gain`` on 204 fixed random instances: M 1, 2, 4 and 8 with
+  Q = 3M, unit-modulus steering heads, variances log-uniform in 1e-8..10,
+  and per M one silent regressor with phi_x = 0 (the constraint row alone).
 
 The two files are then compared with ``np.array_equal``.  The names of the
 arrays that differ, or exist on one side only, are printed, each numeric
@@ -76,7 +82,7 @@ def dump(src: str, out_file: str) -> None:
     from scipy.signal import lfilter
 
     import convbeam
-    from convbeam.apa import ApaParams, init_state, process_frame, process_utterance
+    from convbeam.apa import ApaParams, init_state, kalman_gain, process_frame, process_utterance
     from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
     from convbeam.gains import write_gain_mask
     from convbeam.geometry import circular_array, diffuse_coherence, plane_wave_steering
@@ -235,6 +241,9 @@ def dump(src: str, out_file: str) -> None:
 
     arrays["scenes/mclp"] = coeffs
     arrays["scenes/mclp_radius"] = mclp_spectral_radius(coeffs, 1)
+    for seed in range(5):
+        arrays[f"scenes/mclp_small/{seed}"] = random_mclp(2, 4, 1, StftConfig(64), seed=seed)
+    arrays["scenes/mclp_D2"] = random_mclp(3, 5, 2, cfg, seed=11)
     rir = exp_decay_rir_scene(dry, geom, doa, 0.5, 0.0, 20.0, cfg, seed=5)
     for part in ("mixture", "dry", "reverb", "noise"):
         arrays[f"scenes/rir/{part}"] = getattr(rir, part).data
@@ -244,10 +253,25 @@ def dump(src: str, out_file: str) -> None:
     est = arrays["enhance/conv-mpdr-apa/nomask/doa45/prior1/samples"][0]
     arrays["metrics/fwsnr"] = np.array(fw_seg_snr(ref, est, cfg.sample_rate))
     arrays["metrics/cd"] = np.array(cepstral_distance(ref, est, cfg.sample_rate))
+    arrays["metrics/8k/fwsnr"] = np.array(fw_seg_snr(ref, est, 8000))
+    arrays["metrics/8k/cd"] = np.array(cepstral_distance(ref, est, 8000))
     ref = lfilter([1.0], [1.0, -0.9], np.random.default_rng(0).standard_normal(cfg.sample_rate))
     est = np.where(np.arange(ref.size) < 1024, ref, 0.0)
     arrays["metrics/dropout/fwsnr"] = np.array(fw_seg_snr(ref, est, cfg.sample_rate))
     arrays["metrics/dropout/cd"] = np.array(cepstral_distance(ref, est, cfg.sample_rate))
+
+    rng = np.random.default_rng(7)
+    gains = []
+    for m in (1, 2, 4, 8):
+        for n in range(51):
+            y = rng.standard_normal(3 * m) + 1j * rng.standard_normal(3 * m)
+            a = np.zeros(3 * m, dtype=complex)
+            a[:m] = np.exp(2j * np.pi * rng.uniform(size=m))
+            phi_b, phi_r, phi_x, phi_a = 10.0 ** rng.uniform(-8.0, 1.0, 4)
+            if n == 50:  # a silent regressor with phi_x = 0: the constraint row alone
+                y, phi_x = np.zeros_like(y), 0.0
+            gains.append(kalman_gain(y, a, m, phi_b, phi_r, phi_x, phi_a))
+    arrays["kalman_gain"] = np.concatenate(gains)
     np.savez(out_file, **arrays)
 
 
