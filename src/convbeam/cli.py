@@ -84,8 +84,16 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _db_to_power(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _db_to_power(name: str, db: float) -> float:
+    """``db`` as a power; one not finite and > 0 is refused, naming the option and ``db``."""
+    try:
+        power = 10.0 ** (db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"--{name.replace('_', '-')}: {name} must be finite and > 0, "
+                         f"got {power} from {db} dB")
+    return power
 
 
 def _read_mono(path) -> AudioBuffer:
@@ -170,10 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _params_from_args(args) -> ApaParams:
     orders, freqs = args.bands
     return ApaParams(
-        phi_b=_db_to_power(args.phi_b),
-        phi_r=_db_to_power(args.phi_r),
-        phi_a=_db_to_power(args.phi_a),
-        eta=_db_to_power(args.eta),
+        **{v: _db_to_power(v, getattr(args, v)) for v in ("phi_b", "phi_r", "phi_a", "eta")},
         alpha_r=args.alpha_r,
         band_plan=BandPlan(freqs, orders, args.delay),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ __all__ = [
 ]
 
 SPEED_OF_SOUND = 343.0
-_SRP_GRID_STEP_DEG = 5.0
+_SRP_GRID = np.deg2rad(np.arange(0.0, 360.0, 5.0))  # azimuths searched, in radians
 _SRP_RANGE_HZ = (300.0, 4000.0)
 
 
@@ -176,16 +177,20 @@ def diffuse_coherence(geom: ArrayGeometry, config: StftConfig = StftConfig()) ->
 # ---------------------------------------------------------------------------
 
 
-def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
-    """Estimate the source azimuth (radians) by steered response power.
+@functools.lru_cache(maxsize=16)
+def _srp_grid(positions: bytes, config: StftConfig) -> tuple:
+    """The band's bin slice and the grid's read-only steering, shaped (bins, grid, M)."""
+    geom = ArrayGeometry(np.frombuffer(positions).reshape(-1, 3))
+    lo, hi = _SRP_RANGE_HZ
+    band = slice(np.searchsorted(config.freqs, lo), np.searchsorted(config.freqs, hi, "right"))
+    delays = np.stack([plane_wave_delays(geom, az) for az in _SRP_GRID])  # (grid, M)
+    steer = np.exp(-2j * np.pi * config.freqs[band, None, None] * delays[None, :, :])
+    steer.flags.writeable = False  # every caller shares it
+    return band, steer
 
-    The search runs over a 5-degree azimuth grid at zero elevation, on the
-    bins in 300-4000 Hz.  Every time-frequency cell is magnitude-normalized
-    before steering, so the estimate depends only on phase.  Ties go to the
-    lowest grid index.  A flat map is rejected: an array whose mics share one
-    (x, y), and a scene where no cell in that range holds two live channels,
-    the latter with a message naming the live channels.
-    """
+
+def _srp_map(spec: Spectrogram, geom: ArrayGeometry) -> np.ndarray:
+    """The steered response power at each azimuth of the grid; see :func:`srp_phat_localize`."""
     if geom.num_mics < 2:
         raise ValueError(f"localization requires at least 2 microphones, got {geom.num_mics}")
     if spec.num_channels != geom.num_mics:
@@ -195,23 +200,30 @@ def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
     if not np.ptp(geom.positions[:, :2], axis=0).any():  # every azimuth steers alike
         raise ValueError("the mics share one (x, y), so the array has no horizontal aperture "
                          "and SRP-PHAT cannot tell azimuths apart; pass a DOA")
-    freqs = spec.config.freqs
-    keep = (freqs >= _SRP_RANGE_HZ[0]) & (freqs <= _SRP_RANGE_HZ[1])
-    if not np.any(keep):
-        raise ValueError(f"no bins inside frequency range {_SRP_RANGE_HZ}")
-    data = spec.data[:, keep, :]
+    band, steer = _srp_grid(geom.positions.tobytes(), spec.config)
+    data = spec.data[:, band, :]
     mags = np.abs(data)
-    phat = np.divide(data, mags, out=np.zeros_like(data), where=mags > 0)
+    phat = (data / np.where(mags > 0, mags, 1.0)).transpose(1, 0, 2)  # (bins, M, frames)
     # cross-power accumulated over frames; the grid search then only touches
     # (bins, M, M) instead of the full spectrogram
-    cross = np.einsum("mkn,pkn->kmp", phat, np.conj(phat))
+    cross = phat @ np.conj(phat).transpose(0, 2, 1)
     if not cross[:, ~np.eye(geom.num_mics, dtype=bool)].any():  # every direction steers alike
         live = np.flatnonzero(mags.any(axis=(1, 2))).tolist()
         raise ValueError(f"flat SRP-PHAT map: channels {live} have energy in {_SRP_RANGE_HZ} Hz "
                          "but no two of them share a cell; pass a DOA")
+    return np.einsum("kgp,kgp->g", np.conj(steer) @ cross, steer).real
 
-    grid = np.deg2rad(np.arange(0.0, 360.0, _SRP_GRID_STEP_DEG))
-    delays = np.stack([plane_wave_delays(geom, az) for az in grid])  # (grid, M)
-    steer = np.exp(-2j * np.pi * freqs[keep][None, :, None] * delays[:, None, :])
-    power = np.einsum("gkm,kmp,gkp->g", np.conj(steer), cross, steer).real
-    return float(grid[int(np.argmax(power))])
+
+def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:
+    """Estimate the source azimuth (radians) by steered response power.
+
+    The search runs over a 5-degree azimuth grid at zero elevation, on the
+    bins in 300-4000 Hz.  Every time-frequency cell is magnitude-normalized
+    before steering, so the estimate depends only on phase.  Ties go to the
+    lowest grid index.  A flat map is rejected: an array whose mics share one
+    (x, y), and a scene where no cell in that range holds two live channels,
+    the latter with a message naming the live channels.  The grid's steering
+    is kept in a bounded cache keyed by the bytes of ``geom.positions`` and by
+    ``spec.config``, so an in-place edit of the positions builds it afresh.
+    """
+    return float(_SRP_GRID[int(np.argmax(_srp_map(spec, geom)))])

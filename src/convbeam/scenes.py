@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import RC
 from .geometry import (
     ArrayGeometry,
     SteeringVector,
@@ -133,8 +134,9 @@ def random_mclp(
     made and not checked again: a target within rounding of 1 can land at or
     above 1, and :func:`mclp_scene` refuses such a recursion.
     """
-    if order <= delay:
-        raise ValueError(f"order must exceed delay ({delay}), got {order}")
+    if num_mics < 1:
+        raise ValueError(f"num_mics must be >= 1, got {num_mics}")
+    RC.taps(num_mics, order, delay)  # the canceller's rule: delay >= 1 and order > delay
     if not 0.0 < target_radius < 1.0:
         raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
     blocks = order - delay + 1

@@ -177,14 +177,16 @@ def stft(signal: np.ndarray, config: StftConfig = StftConfig()) -> Spectrogram:
         )
     num_ch, num_samples = x.shape
     n_frames = config.num_frames(num_samples)
-    padded_len = (n_frames - 1) * config.hop + config.window_len
-    if padded_len > num_samples:
-        x = np.pad(x, ((0, 0), (0, padded_len - num_samples)))
     win = sqrt_hann(config.window_len)
     frames = np.lib.stride_tricks.sliding_window_view(x, config.window_len, axis=1)
-    frames = frames[:, :: config.hop, :][:, :n_frames, :]
-    spec = np.fft.rfft(frames * win, axis=2)
-    return Spectrogram(np.ascontiguousarray(spec.transpose(0, 2, 1)), config)
+    frames = frames[:, :: config.hop, :]  # every frame that fits in the signal
+    windowed = np.zeros((num_ch, n_frames, config.window_len))
+    np.multiply(frames, win, out=windowed[:, : frames.shape[1]])
+    if frames.shape[1] < n_frames:  # at 50% overlap only the last frame runs past the end
+        tail = x[:, (n_frames - 1) * config.hop :]
+        windowed[:, -1, : tail.shape[1]] = tail * win[: tail.shape[1]]
+    spec = np.empty((num_ch, config.num_bins, n_frames), complex)  # rfft fills it in place
+    return Spectrogram(np.fft.rfft(windowed.transpose(0, 2, 1), axis=1, out=spec), config)
 
 
 def istft(spec: Spectrogram, *, length: int | None = None) -> np.ndarray:

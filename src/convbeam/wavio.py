@@ -72,7 +72,7 @@ def read_wav(path) -> AudioBuffer:
     while pos + 8 <= len(blob):
         cid = blob[pos : pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = blob[pos + 8 : pos + 8 + size]
+        body = memoryview(blob)[pos + 8 : pos + 8 + size]  # a view, not a copy
         if len(body) < size:
             raise WavError(
                 f"{path}: offset {pos}: chunk {cid!r} claims {size} bytes, "
@@ -98,19 +98,18 @@ def read_wav(path) -> AudioBuffer:
         raise WavError(f"{path}: fmt declares {num_channels} channels")
     offset, body = data
 
-    if audio_format == _FMT_PCM and bits == 16:
-        raw = np.frombuffer(body[: len(body) - len(body) % (2 * num_channels)], dtype="<i2")
-        samples = raw.astype(np.float64) / _PCM16_SCALE
-    elif audio_format == _FMT_FLOAT and bits == 32:
-        raw = np.frombuffer(body[: len(body) - len(body) % (4 * num_channels)], dtype="<f4")
-        samples = raw.astype(np.float64)
-    else:
+    dtype = {(_FMT_PCM, 16): "<i2", (_FMT_FLOAT, 32): "<f4"}.get((audio_format, bits))
+    if dtype is None:
         raise WavError(
             f"{path}: offset {offset}: unsupported encoding "
             f"(format {audio_format}, {bits} bits); only PCM16 and float32 are readable"
         )
-    samples = samples.reshape(-1, num_channels).T
-    return AudioBuffer(np.ascontiguousarray(samples), sample_rate)
+    raw = np.frombuffer(body[: len(body) - len(body) % (bits // 8 * num_channels)], dtype=dtype)
+    # one cast into (channels, samples) order; a power-of-two scale rounds as a division would
+    samples = np.empty((num_channels, raw.size // num_channels))
+    np.multiply(raw.reshape(-1, num_channels).T, 1.0 / _PCM16_SCALE if bits == 16 else 1.0,
+                out=samples)
+    return AudioBuffer(samples, sample_rate)
 
 
 def write_wav(path, buf: AudioBuffer, encoding: str = "float32") -> None:

@@ -196,6 +196,33 @@ class TestPipelineSmoke:
         assert f"{name} must be finite and > 0, got inf" in capsys.readouterr().err
         assert not out_wav.exists()
 
+    @pytest.mark.parametrize("flag", ["--phi-b", "--phi-r", "--phi-a", "--eta"])
+    @pytest.mark.parametrize("value, power", [("1e308", "inf"), ("-inf", "0.0"), ("-4000", "0.0")])
+    def test_enhance_names_a_db_value_without_a_finite_power(self, flag, value, power, scene_dir,
+                                                             tmp_path, capsys):
+        """A dB value whose power overflows or vanishes is refused with the
+        option and the dB value given, not the conversion's own error."""
+        out_wav = tmp_path / "enhanced.wav"
+        rc = main(
+            ["enhance", "--input", str(scene_dir / "mixture.wav"), "--output", str(out_wav),
+             "--geometry", "circular:3:0.05", "--doa", "45", f"{flag}={value}"]
+        )
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        given = float(value)
+        assert capsys.readouterr().err == (
+            f"error: {flag}: {name} must be finite and > 0, got {power} from {given} dB\n"
+        )
+        assert not out_wav.exists()
+
+    @pytest.mark.parametrize("delay", ["0", "-1"])
+    def test_simulate_rejects_a_delay_below_one(self, delay, tmp_path, capsys):
+        rc = main(["simulate", "--output-dir", str(tmp_path / "scene"), "--duration", "0.5",
+                   "--geometry", "circular:2:0.05", "--order", "3", f"--D={delay}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: delay must be >= 1, got {delay}\n"
+        assert not list(tmp_path.rglob("*.wav"))
+
     @pytest.mark.parametrize("bands", ["12,8@9000", "12,8@0", "12,8@-100", "12,8,6@800,20000"])
     def test_enhance_rejects_a_band_edge_past_nyquist(self, bands, scene_dir, tmp_path, capsys):
         """A transition outside (0, 8000] Hz would leave a band no bin runs in."""

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import assert_close
+from convbeam import geometry
 from convbeam.geometry import (
     SPEED_OF_SOUND,
     ArrayGeometry,
@@ -200,6 +202,10 @@ class TestSrpPhat:
             spec.data[live] = noise
             with pytest.raises(ValueError, match=rf"channels \[{live}\] .*pass a DOA$"):
                 srp_phat_localize(spec, geom)
+        # a framing with no bin in the range leaves every map flat too
+        coarse = Spectrogram(np.ones((4, 2, 10), dtype=complex), StftConfig(window_len=2))
+        with pytest.raises(ValueError, match=r"channels \[\] .*pass a DOA$"):
+            srp_phat_localize(coarse, geom)
 
     def test_live_channels_in_disjoint_cells_rejected(self):
         """Two live channels that never share a time-frequency cell give no
@@ -244,6 +250,59 @@ class TestSrpPhat:
         geom = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]]))
         est = srp_phat_localize(_plane_wave_spec(geom, np.deg2rad(90.0)), geom)
         assert np.rad2deg(est) == pytest.approx(90.0, abs=1e-9)
+
+    def test_grid_power_equals_the_per_azimuth_quadratic_form(self):
+        """Each grid point scores sum_k a_k^H C_k a_k, with C_k the PHAT
+        cross-power of bin k summed over frames, to rounding."""
+        geom = circular_array(6, 0.10)
+        spec = _plane_wave_spec(geom, np.deg2rad(123.0), seed=3)
+        spec.data[:, :, 5] *= np.exp(1j * np.linspace(0.0, 2.0, 6))[:, None]  # not rank one
+        spec.data[2, 40:60, 7] = 0.0  # a cell with no magnitude adds nothing
+        grid, power = geometry._SRP_GRID, geometry._srp_map(spec, geom)
+        band = (spec.config.freqs >= 300.0) & (spec.config.freqs <= 4000.0)
+        data = spec.data[:, band, :]
+        mags = np.abs(data)
+        phat = np.divide(data, mags, out=np.zeros_like(data), where=mags > 0)
+        cross = [phat[:, k] @ phat[:, k].conj().T for k in range(phat.shape[1])]
+        want = []
+        for az in grid:
+            a = plane_wave_steering(geom, az, spec.config).vectors[band]
+            want.append(sum((a[k].conj() @ cross[k] @ a[k]).real for k in range(len(a))))
+        np.testing.assert_array_equal(grid, np.deg2rad(np.arange(0.0, 360.0, 5.0)))
+        assert_close(power, np.array(want))
+
+    def test_exact_tie_goes_to_the_lowest_grid_index(self):
+        """Two mics on the x axis steer 60 and 300 degrees to the same bits,
+        so both score alike; 60 degrees, the lower index, comes back."""
+        geom = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]))
+        grid = geometry._SRP_GRID
+        power = geometry._srp_map(_plane_wave_spec(geom, np.deg2rad(60.0)), geom)
+        low, high = 12, 60  # 60 and 300 degrees
+        assert plane_wave_delays(geom, grid[low]).tobytes() == \
+            plane_wave_delays(geom, grid[high]).tobytes()
+        assert power[low] == power[high] == power.max()
+        assert srp_phat_localize(_plane_wave_spec(geom, np.deg2rad(60.0)), geom) == grid[low]
+
+    def test_cached_grid_gives_the_uncached_doa(self):
+        """The grid cache is keyed by value: geometries called in turn, and
+        one edited in place, each give the DOA of a call on an empty cache."""
+        first = circular_array(6, 0.10)
+        second = ArrayGeometry(np.array(
+            [[0.0, 0.0, 0.0], [0.07, 0.0, 0.0], [0.0, 0.09, 0.0], [-0.05, -0.05, 0.01]]))
+        cases = [(first, _plane_wave_spec(first, np.deg2rad(80.0), seed=1)),
+                 (second, _plane_wave_spec(second, np.deg2rad(200.0), seed=2))]
+
+        def uncached(geom, spec):
+            geometry._srp_grid.cache_clear()
+            return srp_phat_localize(spec, geom)
+
+        want = [uncached(geom, spec) for geom, spec in cases]
+        assert np.rad2deg(want) == pytest.approx([80.0, 200.0])
+        for (geom, spec), doa in 2 * list(zip(cases, want)):
+            assert srp_phat_localize(spec, geom) == doa
+        first.positions[:, :2] = first.positions[:, 1::-1].copy()  # mirror about y = x
+        edited = srp_phat_localize(cases[0][1], first)
+        assert edited == uncached(*cases[0]) and np.rad2deg(edited) == pytest.approx(10.0)
 
     def test_single_mic_rejected(self):
         geom = circular_array(1, 0.0)

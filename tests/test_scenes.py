@@ -87,6 +87,16 @@ class TestRandomMclp:
         with pytest.raises(ValueError):
             random_mclp(2, order=4, delay=1, config=SMALL, target_radius=1.5)
 
+    @pytest.mark.parametrize("delay", [0, -1])
+    def test_delay_below_one_rejected_by_name(self, delay):
+        with pytest.raises(ValueError, match=rf"^delay must be >= 1, got {delay}$"):
+            random_mclp(2, order=3, delay=delay, config=SMALL)
+
+    @pytest.mark.parametrize("num_mics", [0, -2])
+    def test_no_mics_rejected_by_name(self, num_mics):
+        with pytest.raises(ValueError, match=rf"^num_mics must be >= 1, got {num_mics}$"):
+            random_mclp(num_mics, order=4, delay=1, config=SMALL)
+
 
 # ---------------------------------------------------------------------------
 # frame-recursive scenes

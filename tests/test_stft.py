@@ -128,6 +128,23 @@ class TestRoundTrip:
         got = istft(spec)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("channels", [1, 8])
+    @pytest.mark.parametrize("length", [512 + 256 * 4, 512 + 256 * 4 + 100, 512])
+    def test_each_frame_equals_its_own_transform(self, channels, length):
+        """Every frame's bins are the bits of rfft(frame * window), with the
+        last frame zero-padded when the signal is not a whole number of hops."""
+        x = np.random.default_rng(6).standard_normal((channels, length))
+        spec = stft(x)
+        cfg = spec.config
+        win = sqrt_hann(cfg.window_len)
+        padded = np.zeros((channels, (spec.num_frames - 1) * cfg.hop + cfg.window_len))
+        padded[:, :length] = x
+        assert spec.data.flags.c_contiguous
+        for m in range(channels):
+            for n in range(spec.num_frames):
+                frame = padded[m, n * cfg.hop : n * cfg.hop + cfg.window_len]
+                assert spec.data[m, :, n].tobytes() == np.fft.rfft(frame * win).tobytes()
+
     def test_tail_samples_are_covered(self):
         """A signal that is not a whole number of hops still round-trips."""
         rng = np.random.default_rng(2)

@@ -106,6 +106,21 @@ class TestRoundTrips:
         back = read_wav(path)
         assert back.samples.shape == (1, 0)
 
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_decode_equals_the_cast_transpose_copy(self, encoding, tmp_path):
+        """The one-cast decode gives the bits of casting the interleaved
+        samples, scaling PCM16, transposing and copying to C order."""
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, (3, 1001))
+        x[:, :3] = [[-1.0, 0.0, 32767.0 / 32768.0]] * 3
+        path = tmp_path / f"{encoding}.wav"
+        write_wav(path, AudioBuffer(x, 16000), encoding=encoding)
+        raw = np.frombuffer(path.read_bytes()[44:], dtype="<i2" if encoding == "pcm16" else "<f4")
+        old = raw.astype(np.float64) / 32768.0 if encoding == "pcm16" else raw.astype(np.float64)
+        want = np.ascontiguousarray(old.reshape(-1, 3).T)
+        got = read_wav(path).samples
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_bad_encoding_name(self, tmp_path):
         with pytest.raises(ValueError, match="pcm16"):
             write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 8000), encoding="mp3")

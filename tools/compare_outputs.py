@@ -55,7 +55,15 @@ scene and saves every result to an ``.npz``:
   through the segment length, window and filterbank is pinned too;
 - ``apa.kalman_gain`` on 204 fixed random instances: M 1, 2, 4 and 8 with
   Q = 3M, unit-modulus steering heads, variances log-uniform in 1e-8..10,
-  and per M one silent regressor with phi_x = 0 (the constraint row alone).
+  and per M one silent regressor with phi_x = 0 (the constraint row alone);
+- ``srp_phat_localize`` on 72 ``exp_decay_rir_scene`` mixtures (2 s of
+  ``synthetic_speech``, M 4, 6 and 8 on a 0.10 m circle, seeds 0-11,
+  T60 0.3 and 0.9 s, DRR 0 dB, SNR 20 dB, an off-grid source direction per
+  seed and M), one array per scene, so a DOA that flips shows as a differing
+  array; the geometries are called in turn, so the grid cache is exercised;
+- ``stft`` of a 3-channel signal of odd length (16,001 samples, so the last
+  frame is zero-padded), and ``read_wav`` of that signal written as PCM16
+  and as float32.
 
 The two files are then compared with ``np.array_equal``.  The names of the
 arrays that differ, or exist on one side only, are printed, each numeric
@@ -85,7 +93,9 @@ def dump(src: str, out_file: str) -> None:
     from convbeam.apa import ApaParams, init_state, kalman_gain, process_frame, process_utterance
     from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
     from convbeam.gains import write_gain_mask
-    from convbeam.geometry import circular_array, diffuse_coherence, plane_wave_steering
+    from convbeam.geometry import (
+        circular_array, diffuse_coherence, plane_wave_steering, srp_phat_localize,
+    )
     from convbeam.metrics import cepstral_distance, fw_seg_snr
     from convbeam.pipeline import METHODS, RunConfig, enhance
     from convbeam.scenes import (
@@ -93,8 +103,8 @@ def dump(src: str, out_file: str) -> None:
         synthetic_speech,
     )
     from convbeam.sdmvdr import process_utterance_sdmvdr
-    from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft
-    from convbeam.wavio import AudioBuffer
+    from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft, stft
+    from convbeam.wavio import AudioBuffer, read_wav, write_wav
 
     if not str(Path(convbeam.__file__).resolve()).startswith(str(Path(src).resolve())):
         raise SystemExit(f"imported convbeam from {convbeam.__file__}, not from {src}")
@@ -272,6 +282,25 @@ def dump(src: str, out_file: str) -> None:
                 y, phi_x = np.zeros_like(y), 0.0
             gains.append(kalman_gain(y, a, m, phi_b, phi_r, phi_x, phi_a))
     arrays["kalman_gain"] = np.concatenate(gains)
+
+    for seed in range(12):
+        dry = synthetic_speech(2.0, cfg.sample_rate, seed=seed)
+        for t60 in (0.3, 0.9):
+            for m in (4, 6, 8):
+                srp_geom = circular_array(m, 0.10)
+                azimuth = math.radians((37.0 * seed + 11.0 * m + 2.5) % 360.0)
+                mixture = exp_decay_rir_scene(
+                    dry, srp_geom, azimuth, t60, 0.0, 20.0, cfg, seed=seed).mixture
+                arrays[f"srp/M{m}/t60_{t60}/seed{seed}"] = np.array(
+                    srp_phat_localize(mixture, srp_geom))
+
+    signal = np.random.default_rng(9).uniform(-1.0, 1.0, (3, 16001))
+    arrays["stft/odd"] = stft(signal, cfg).data
+    with tempfile.TemporaryDirectory() as tmp:
+        for encoding in ("pcm16", "float32"):
+            path = Path(tmp) / f"{encoding}.wav"
+            write_wav(path, AudioBuffer(signal, cfg.sample_rate), encoding=encoding)
+            arrays[f"wavio/{encoding}"] = read_wav(path).samples
     np.savez(out_file, **arrays)
 
 
