@@ -140,18 +140,18 @@ def wallclock_sweep(
     synthesis or localization, which every method shares.  The input is
     white noise (seed 0) on a circular array of radius 0.10 m at the default
     STFT settings and band plan.  Returns one row per method with the
-    dimensions and MAC tally of its per-bin update.  ``repeats`` < 1 or an
-    ``audio_seconds`` not finite and > 0 raises ``ValueError``.
+    dimensions and MAC tally of its per-bin update.  ``repeats`` or ``num_mics``
+    < 1, or an ``audio_seconds`` not finite and > 0, raises ``ValueError``.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if not 0 < audio_seconds < np.inf:
-        raise ValueError(f"audio_seconds must be finite and > 0, got {audio_seconds}")
     config, params = StftConfig(), apa.ApaParams()
+    if not 0 < audio_seconds * config.sample_rate < np.inf:  # 1e308 s overflows the count
+        raise ValueError(f"audio_seconds must be finite and > 0, got {audio_seconds}")
+    geom = circular_array(num_mics, 0.10)  # refuses num_mics < 1 by name
     rng = np.random.default_rng(0)
     samples = 0.05 * rng.standard_normal((num_mics, int(audio_seconds * config.sample_rate)))
     spec = stft(samples, config)
-    geom = circular_array(num_mics, 0.10)
     steering = plane_wave_steering(geom, 0.0, config)
     cfgs = {method: RunConfig(method=method, geometry=geom, doa=0.0, params=params,
                               stft_config=config, prior_pass=False) for method in methods}

@@ -49,12 +49,13 @@ def _parse_geometry(text: str) -> ArrayGeometry:
 
 
 def _parse_doa(text: str):
-    if text == "auto":
-        return None
     try:
-        return math.radians(float(text))
+        azimuth = None if text == "auto" else math.radians(float(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--doa takes 'auto' or degrees, got {text!r}") from None
+        azimuth = math.nan
+    if azimuth is not None and not math.isfinite(azimuth):
+        raise argparse.ArgumentTypeError(f"--doa takes 'auto' or finite degrees, got {text!r}")
+    return azimuth
 
 
 def _parse_bands(text: str) -> tuple:
@@ -226,6 +227,8 @@ def _write_scene(scene: Scene, out_dir: Path, length: int) -> None:
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if not math.isfinite(args.doa):
+        raise ValueError(f"--doa must be finite, got {args.doa}")
     config = StftConfig()
     if args.input is not None:
         dry = resample_check(_read_mono(args.input), config.sample_rate).samples[0]

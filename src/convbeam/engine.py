@@ -23,8 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fixedbf import delay_and_sum
 from .gains import clamp_gain
-from .stft import Spectrogram
+from .geometry import SteeringVector
+from .stft import Spectrogram, check_order
 
 __all__ = ["APA", "RC", "Filters", "Kernel", "check_inputs", "drive", "load_kernel"]
 
@@ -79,15 +81,9 @@ class Kernel(NamedTuple):
     head: int  # 1 when the filter has a beamforming head of M taps before its M*(L-D+1)
 
     def taps(self, num_mics: int, order: int, delay: int) -> int:
-        """Q of a bin: the head, then M taps per frame y(n-D)..y(n-L) (none at order 0).
-
-        The one rule for valid pairs: delay >= 1, and order > delay or, with a head, 0.
-        """
-        if delay < 1:
-            raise ValueError(f"delay must be >= 1, got {delay}")
-        if order <= delay and (order or not self.head):
-            rule = "be 0 or >" if self.head else "exceed"
-            raise ValueError(f"order must {rule} delay ({delay}), got {order}")
+        """Q of a bin: the head, then M taps per frame y(n-D)..y(n-L) (none at order 0);
+        the pair must pass :func:`~convbeam.stft.check_order`."""
+        check_order(order, delay, bool(self.head))
         return num_mics * (self.head + (order - delay + 1 if order else 0))
 
     def widest(self, num_mics: int, orders: np.ndarray, delay: int) -> int:
@@ -114,44 +110,38 @@ class Filters(NamedTuple):
 
     @classmethod
     def start(cls, kernel: Kernel, steering: np.ndarray, orders, delay: int) -> "Filters":
-        """Fresh filters for the (bins, M) ``steering`` rows: a head a/||a||^2, rounded as
-        ``apa.init_state`` rounds it, if ``kernel`` has one, and zero taps and history."""
+        """Fresh filters for the (bins, M) ``steering`` rows: the head of ``delay_and_sum``,
+        if ``kernel`` has one, and zero taps and history."""
         orders, (bins, m) = np.asarray(orders, dtype=ctypes.c_long), steering.shape
         w = np.zeros((bins, kernel.widest(m, orders, delay)), dtype=np.complex128)
         if kernel.head:
-            w[:, :m] = steering / np.sum(np.abs(steering) ** 2, axis=1)[:, None]
+            w[:, :m] = delay_and_sum(SteeringVector(steering, 0)).weights
         return cls(orders, delay, w, np.zeros((bins, orders.max() + 1, m), np.complex128))
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
     """(frame, steering, gains) as arrays, checked before any state changes.
 
-    ``frame`` (when given) and ``steering`` must be finite and (bins, M),
-    with bins = ``gain_shape[0]`` and M = ``num_mics``, and no steering row
-    may have zero norm; ``gains`` must be of ``gain_shape`` and is clamped
-    into [0, 1].  An utterance driver passes its Spectrogram as ``frame``;
-    that must be finite.  Anything else raises ``ValueError`` naming the
-    argument, and for a bad value where it is.
+    ``frame`` (when given) must be finite and ``steering`` a valid
+    :class:`~convbeam.geometry.SteeringVector`, both (bins, M), with bins =
+    ``gain_shape[0]`` and M = ``num_mics``; ``gains`` must be of
+    ``gain_shape`` and is clamped into [0, 1].  An utterance driver passes
+    its Spectrogram as ``frame``; that must be finite.  Anything else
+    raises ``ValueError`` naming the argument, and for a bad value where it is.
     """
     steering = np.ascontiguousarray(getattr(steering, "vectors", steering), np.complex128)
     spec, frame = (frame.data, None) if isinstance(frame, Spectrogram) else (None, frame)
-    if frame is not None:
-        frame = np.ascontiguousarray(frame, dtype=np.complex128)
-    if gains is not None:
-        gains = np.asarray(gains, dtype=np.float64)
+    frame = None if frame is None else np.ascontiguousarray(frame, dtype=np.complex128)
+    gains = None if gains is None else np.asarray(gains, dtype=np.float64)
     shape = (gain_shape[0], num_mics)
     named = (("frame", frame, shape), ("steering", steering, shape), ("gains", gains, gain_shape))
     for name, value, expected in named:
         if value is not None and value.shape != expected:
             raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
-    for name, value, _ in named[:2]:
-        finite = np.isfinite(value) if value is not None else True
-        if not np.all(finite):
-            k, ch = np.argwhere(~finite)[0]
-            raise ValueError(f"{name} has a non-finite value at bin {k}, channel {ch}")
-    zero = np.vecdot(steering, steering).real == 0.0
-    if zero.any():
-        raise ValueError(f"steering vector of bin {np.argmax(zero)} has zero norm")
+    if frame is not None and not np.isfinite(frame).all():
+        k, ch = np.argwhere(~np.isfinite(frame))[0]
+        raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
+    SteeringVector(steering, 0)  # checked on every call: a caller may edit it in place
     if spec is not None and not np.isfinite(spec).all():
         ch, k, n = np.argwhere(~np.isfinite(spec))[0]
         raise ValueError(f"spectrogram has a non-finite value at channel {ch}, bin {k}, frame {n}")

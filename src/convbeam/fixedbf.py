@@ -36,10 +36,7 @@ class FixedWeights:
 def delay_and_sum(steering: SteeringVector) -> FixedWeights:
     """Phase-aligned averaging, w = a / ||a||^2, distortionless by construction."""
     a = steering.vectors
-    norms = np.sum(np.abs(a) ** 2, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("steering vector has zero norm in at least one bin")
-    return FixedWeights(a / norms[:, None])
+    return FixedWeights(a / np.sum(np.abs(a) ** 2, axis=1)[:, None])
 
 
 def superdirective_mvdr(

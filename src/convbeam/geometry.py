@@ -56,10 +56,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class SteeringVector:
-    """Relative plane-wave transfer functions, shape (bins, M).
-
-    The reference-microphone entry is exactly 1 in every bin.
-    """
+    """Relative plane-wave transfer functions, shape (bins, M), finite and with no row of zero
+    norm; the reference-microphone entry is exactly 1 in every bin."""
 
     vectors: np.ndarray
     reference_mic: int
@@ -68,6 +66,12 @@ class SteeringVector:
         vec = np.asarray(self.vectors, dtype=np.complex128)
         if vec.ndim != 2:
             raise ValueError(f"vectors must have shape (bins, M), got {vec.shape}")
+        if not np.isfinite(vec).all():
+            k, ch = np.argwhere(~np.isfinite(vec))[0]
+            raise ValueError(f"steering has a non-finite value at bin {k}, channel {ch}")
+        zero = np.vecdot(vec, vec).real == 0.0
+        if zero.any():
+            raise ValueError(f"steering vector of bin {np.argmax(zero)} has zero norm")
         object.__setattr__(self, "vectors", vec)
 
 

@@ -73,8 +73,8 @@ def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -
     Normalized to RMS 0.1 (-20 dBFS).
     """
     from scipy.signal import lfilter  # here, so enhancing never imports scipy
-    if not 0 < duration < math.inf:
-        raise ValueError(f"duration must be finite and positive, got {duration}")
+    if not 0 < duration * sample_rate < math.inf:  # 1e308 s overflows the sample count
+        raise ValueError(f"duration must be finite and positive, in samples too, got {duration}")
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
     x = rng.standard_normal(n)
@@ -87,10 +87,15 @@ def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -
     return 0.1 * x / np.sqrt(np.mean(x**2))
 
 
-def _check_db(name: str, value: float) -> None:
-    """A level in dB may be +inf, which means none of that component, but not NaN or -inf."""
-    if math.isnan(value) or value == -math.inf:
-        raise ValueError(f"{name} must be finite or +inf, got {value}")
+def _db_power(name: str, value: float) -> float:
+    """A level in dB as a power; +inf (or one that overflows) means none, NaN or 0 raises."""
+    try:
+        power = 10.0 ** (value / 10.0)
+    except OverflowError:
+        return math.inf
+    if not power > 0.0:
+        raise ValueError(f"{name} must be finite or +inf, with a power above 0, got {value}")
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +172,7 @@ def mclp_scene(
     linear function of the *already mixed* past frames.  Spatially white
     noise is then added at ``snr_db`` (inf for noiseless).
     """
-    _check_db("snr_db", snr_db)
+    snr = _db_power("snr_db", snr_db)
     dry_spec = stft(np.asarray(dry, dtype=np.float64), config)
     x = dry_spec.data[0]
     num_bins, num_frames = x.shape
@@ -198,11 +203,11 @@ def mclp_scene(
 
     clean = direct + reverb
     rng = np.random.default_rng(seed)
-    if math.isinf(snr_db):
+    if math.isinf(snr):
         noise = np.zeros_like(clean)
     else:
         p_clean = float(np.mean(np.abs(clean) ** 2))
-        sigma = math.sqrt(p_clean / 10.0 ** (snr_db / 10.0))
+        sigma = math.sqrt(p_clean / snr)
         noise = (
             rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
         ) * (sigma / math.sqrt(2.0))
@@ -251,10 +256,9 @@ def exp_decay_rir_scene(
     sum exact.
     """
     from scipy.signal import fftconvolve  # here, so enhancing never imports scipy
-    if not 0 <= t60 < math.inf:
-        raise ValueError(f"t60 must be finite and >= 0, got {t60}")
-    _check_db("drr_db", drr_db)
-    _check_db("snr_db", snr_db)
+    if not 0 <= t60 * config.sample_rate < math.inf:  # 1e308 s overflows the tail's length
+        raise ValueError(f"t60 must be finite and >= 0, in samples too, got {t60}")
+    drr, snr = _db_power("drr_db", drr_db), _db_power("snr_db", snr_db)
     dry = np.asarray(dry, dtype=np.float64)
     if dry.ndim != 1:
         raise ValueError(f"dry signal must be 1-d, got shape {dry.shape}")
@@ -279,7 +283,7 @@ def exp_decay_rir_scene(
         decay = np.exp(-6.9 * np.arange(n_tail) / (t60 * fs))
         tails = rng.standard_normal((geom.num_mics, n_tail)) * decay
         e_direct, e_tail = np.sum(rirs_direct**2, axis=1), np.sum(tails**2, axis=1)
-        gains = np.sqrt(e_direct / (e_tail * 10.0 ** (drr_db / 10.0)))  # 0 at a DRR of +inf
+        gains = np.sqrt(e_direct / (e_tail * drr))  # 0 at a DRR of +inf
         starts = np.ceil(frac_delays).astype(int)[:, None] + 2
         rirs_tail[rows, starts + np.arange(n_tail)] = gains[:, None] * tails
 
@@ -296,13 +300,13 @@ def exp_decay_rir_scene(
     reverb_data = clean_spec.data - steered_dry
 
     num_frames = dry_spec.num_frames
-    if math.isinf(snr_db):
+    if math.isinf(snr):
         noise_data = np.zeros_like(clean_spec.data)
     else:
         noise = diffuse_noise_frames(geom, config, num_frames, seed=seed + 1)
         p_clean = float(np.mean(np.abs(clean_spec.data) ** 2))
         p_noise = float(np.mean(np.abs(noise) ** 2))
-        noise_data = noise * math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
+        noise_data = noise * math.sqrt(p_clean / (p_noise * snr))
     mixture = clean_spec.data + noise_data
     return Scene(
         mixture=Spectrogram(mixture, config),

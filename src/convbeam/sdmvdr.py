@@ -145,8 +145,7 @@ def process_utterance_sdmvdr(
     refuses, with ``ValueError``, any order not above the delay, order 0 included.
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
-    orders = params.band_plan.bin_orders(spec.config)
-    filters = Filters.start(RC, vectors, orders, params.delay)
+    filters = Filters.start(RC, vectors, params.band_plan.bin_orders(spec.config), params.delay)
     weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
     out = drive(RC, spec.data, filters, weights, params, gains, prior_pass)
     return Spectrogram(out, spec.config)

@@ -15,6 +15,7 @@ __all__ = [
     "StftConfig",
     "Spectrogram",
     "BandPlan",
+    "check_order",
     "sqrt_hann",
     "stft",
     "istft",
@@ -120,8 +121,8 @@ class BandPlan:
         for name, value in (("delay", self.delay), *(("order", o) for o in self.orders)):
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.delay < 1:
-            raise ValueError(f"delay must be >= 1, got {self.delay}")
+        for order in self.orders:
+            check_order(order, self.delay)
         freqs = tuple(float(f) for f in self.transition_freqs)
         if not np.isfinite(freqs).all():
             raise ValueError(f"transition frequencies must be finite, got {freqs}")
@@ -130,17 +131,21 @@ class BandPlan:
             raise ValueError(f"transition frequencies must lie in (0, {nyquist:g}] Hz, got {freqs}")
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValueError(f"transition frequencies must be ascending, got {freqs}")
-        for order in self.orders:
-            if order != 0 and order <= self.delay:
-                raise ValueError(
-                    f"each order must be 0 or > delay ({self.delay}), got {order}"
-                )
 
     def bin_orders(self, config: StftConfig) -> np.ndarray:
         """Array of length ``config.num_bins`` with the order of every bin."""
         edges = np.asarray(self.transition_freqs, dtype=float)
         idx = np.searchsorted(edges, config.freqs, side="right")
         return np.asarray(self.orders, dtype=int)[idx]
+
+
+def check_order(order: int, delay: int, head: bool = True) -> None:
+    """Refuse a pair outside the one rule: delay >= 1, order > delay or, with a head, 0."""
+    if delay < 1:
+        raise ValueError(f"delay must be >= 1, got {delay}")
+    if order <= delay and (order or not head):
+        rule = "be 0 or >" if head else "exceed"
+        raise ValueError(f"order must {rule} delay ({delay}), got {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +160,7 @@ def sqrt_hann(window_len: int) -> np.ndarray:
     window products sum to one at 50% hop, which is what guarantees perfect
     reconstruction.
     """
-    if window_len <= 0 or window_len % 2 != 0:
-        raise ValueError(f"window_len must be even and positive, got {window_len}")
-    n = np.arange(window_len)
+    n = np.arange(StftConfig(window_len).window_len)  # StftConfig refuses an odd or <= 0 length
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window_len)
     return np.sqrt(hann)
 

@@ -32,7 +32,7 @@ from convbeam.apa import (
     stack_observation,
 )
 from convbeam.gains import apply_gain
-from convbeam.geometry import circular_array, plane_wave_steering
+from convbeam.geometry import SteeringVector, circular_array, plane_wave_steering
 from convbeam.scenes import exp_decay_rir_scene, synthetic_speech
 from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft
 
@@ -387,6 +387,21 @@ class TestDrivers:
         for s, (w, history) in zip(states, before):
             np.testing.assert_array_equal(s.w_hat, w)
             np.testing.assert_array_equal(s.history, history)
+
+    def test_process_frame_rechecks_a_steering_edited_in_place(self):
+        """A SteeringVector valid when it was built and edited in place
+        between frames is checked again, and refused, on the next frame."""
+        spec = _small_spec()
+        steering = SteeringVector(_flat_steering(spec.num_bins, 2), 0)
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        states = [init_state(steering.vectors[k], 3, 1) for k in range(spec.num_bins)]
+        process_frame(states, spec.data[:, :, 0].T, steering, params)
+        steering.vectors[7] = 0.0
+        with pytest.raises(ValueError, match="^steering vector of bin 7 has zero norm$"):
+            process_frame(states, spec.data[:, :, 1].T, steering, params)
+        steering.vectors[7, 1] = np.inf
+        with pytest.raises(ValueError, match="^steering has a non-finite value at bin 7, channel 1$"):
+            process_frame(states, spec.data[:, :, 1].T, steering, params)
 
     def test_process_frame_clamps_gains_once(self):
         """An out-of-range gain column warns once per call, not once per bin,

@@ -101,10 +101,12 @@ class TestWallclock:
         ({"audio_seconds": 0.0}, "audio_seconds"),
         ({"audio_seconds": float("nan")}, "audio_seconds"),
         ({"audio_seconds": float("inf")}, "audio_seconds"),
+        ({"audio_seconds": 1e308}, "audio_seconds"),  # its sample count overflows
+        ({"num_mics": -1}, "num_mics"),
     ])
     def test_bad_repeats_or_duration_rejected(self, kwargs, name):
         """``repeats=0`` must not silently run one repeat, and a bad duration
-        is named rather than failing inside numpy."""
+        or mic count is named rather than failing inside numpy."""
         args = {"methods": ("delay-sum",), "num_mics": 2, "audio_seconds": 0.3, "repeats": 1}
         with pytest.raises(ValueError, match=f"^{name} must be"):
             wallclock_sweep(**{**args, **kwargs})

@@ -6,7 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from convbeam.cli import _parse_bands, _parse_bool, _parse_doa, _parse_geometry, main
+from convbeam.cli import (
+    _build_parser,
+    _parse_bands,
+    _parse_bool,
+    _parse_doa,
+    _parse_geometry,
+    main,
+)
 from convbeam.geometry import save_geometry, circular_array
 from convbeam.wavio import AudioBuffer, read_wav, write_wav
 
@@ -152,23 +159,24 @@ class TestPipelineSmoke:
     @pytest.mark.parametrize("method", ["delay-sum", "conv-mpdr-apa"])
     def test_enhance_rejects_a_non_finite_doa(self, method, scene_dir, tmp_path, capsys):
         out_wav = tmp_path / "enhanced.wav"
-        rc = main(
-            [
-                "enhance",
-                "--input",
-                str(scene_dir / "mixture.wav"),
-                "--output",
-                str(out_wav),
-                "--geometry",
-                "circular:3:0.05",
-                "--method",
-                method,
-                "--doa",
-                "nan",
-            ]
-        )
-        assert rc == 1
-        assert "azimuth must be finite, got nan" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:  # a usage error: --doa refuses it as it parses
+            main(
+                [
+                    "enhance",
+                    "--input",
+                    str(scene_dir / "mixture.wav"),
+                    "--output",
+                    str(out_wav),
+                    "--geometry",
+                    "circular:3:0.05",
+                    "--method",
+                    method,
+                    "--doa",
+                    "nan",
+                ]
+            )
+        assert info.value.code == 2
+        assert "--doa takes 'auto' or finite degrees, got 'nan'" in capsys.readouterr().err
         assert not out_wav.exists()
 
     @pytest.mark.parametrize("scene_type", ["mclp", "rir"])
@@ -179,7 +187,7 @@ class TestPipelineSmoke:
              "--geometry", "circular:3:0.05", "--doa", "nan"]
         )
         assert rc == 1
-        assert "azimuth must be finite, got nan" in capsys.readouterr().err
+        assert "--doa must be finite, got nan" in capsys.readouterr().err
         assert not (out / "mixture.wav").exists()
 
     @pytest.mark.parametrize(
@@ -423,3 +431,48 @@ class TestBenchCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: repeats must be >= 1")
         assert not csv_path.exists()
+
+
+def _numeric_options():
+    """(command, option, dest) of every option of the parser that takes a number."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.type in (int, float, _parse_doa)]
+
+
+@pytest.fixture(scope="module")
+def two_mic_wav(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wav") / "mix.wav"
+    noise = 0.05 * np.random.default_rng(0).standard_normal((2, 8000))
+    write_wav(path, AudioBuffer(noise, 16000))
+    return path
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308"])
+@pytest.mark.parametrize("command, option, dest", _numeric_options())
+def test_every_numeric_option_refuses_a_bad_value_by_name(
+    command, option, dest, value, two_mic_wav, tmp_path, capsys
+):
+    """Each numeric option, given a value at or past the edge of its range,
+    either runs cleanly or exits 1 naming the option and the value; text
+    the option's type cannot parse ("nan" for an int) is argparse's usage
+    error, exit 2, which names both too.  Scenes are simulated as both types."""
+    base = {
+        "enhance": ["--input", str(two_mic_wav), "--output", str(tmp_path / "out.wav"),
+                    "--doa", "45"],
+        "simulate": ["--output-dir", str(tmp_path / "scene"), "--duration", "0.5"],
+        "bench": ["--csv", str(tmp_path / "b.csv"), "--mics", "2", "--audio-seconds", "0.5",
+                  "--repeats", "1"],
+    }[command]
+    geometry = [] if command == "bench" else ["--geometry", "circular:2:0.05"]
+    for scene_type in (("--type", "mclp"), ("--type", "rir")) if command == "simulate" else ((),):
+        try:
+            code = main([command, *base, *geometry, *scene_type, f"{option}={value}"])
+        except SystemExit as exc:  # argparse's usage error, exit 2
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), err
+        if code:
+            assert option.lstrip("-") in err or dest in err, err
+            assert value in err or str(float(value)) in err, err

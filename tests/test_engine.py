@@ -556,7 +556,7 @@ def test_the_kernel_signatures_match_the_loader():
     instead of raising."""
     source = engine.SOURCE.read_text()
     kinds = {ctypes.c_long: "long", np.dtype(ctypes.c_long): "long *",
-             np.dtype(np.float64): "double *", np.dtype(np.complex128): "double *"}
+             np.dtype(np.float64): "double *", np.dtype(np.complex128): "double complex *"}
     for kernel in (APA, RC):
         params = re.search(rf"\blong {kernel.entry}\(([^)]*)\)", source).group(1)
         declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
@@ -750,3 +750,16 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
             assert not hasattr(state, "_filters")
             np.testing.assert_array_equal(state.w_hat, kept.w_hat)
             np.testing.assert_array_equal(state.history, kept.history)
+
+
+@pytest.mark.parametrize("order, delay", [(1, 1), (2, 3), (-1, 1), (0, 0), (5, 0), (3, -2)])
+def test_band_plan_and_kernel_taps_refuse_a_pair_with_one_message(order, delay):
+    """One rule decides which (order, delay) pairs a filter with a head
+    takes, so a band plan, even one whose band holds no bin, refuses a bad
+    pair with exactly the message of ``APA.taps``."""
+    with pytest.raises(ValueError) as taps:
+        APA.taps(2, order, delay)
+    for orders, edges in (((order,), ()), ((12, order, 6), (800.0, 801.0))):
+        with pytest.raises(ValueError) as plan:
+            BandPlan(edges, orders, delay)
+        assert str(plan.value) == str(taps.value)

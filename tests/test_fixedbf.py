@@ -42,9 +42,26 @@ class TestDelayAndSum:
         np.testing.assert_allclose(out.data[0], src, atol=1e-12)
 
     def test_zero_norm_rejected(self):
-        steer = SteeringVector(np.zeros((3, 2), dtype=complex), 0)
         with pytest.raises(ValueError, match="zero norm"):
-            delay_and_sum(steer)
+            delay_and_sum(SteeringVector(np.zeros((3, 2), dtype=complex), 0))
+
+
+def _bad_rows():
+    """A zero row at bin 1 and a NaN at bin 2, channel 1, each with its message."""
+    zero, nan = np.ones((3, 2), dtype=complex), np.ones((3, 2), dtype=complex)
+    zero[1], nan[2, 1] = 0.0, np.nan
+    return [(zero, "^steering vector of bin 1 has zero norm$"),
+            (nan, "^steering has a non-finite value at bin 2, channel 1$")]
+
+
+@pytest.mark.parametrize("a, message", _bad_rows())
+def test_a_zero_or_non_finite_steering_row_raises_instead_of_nan_weights(a, message):
+    """Neither fixed beamformer returns NaN weights for a row it cannot
+    steer: the steering is refused, by bin, before any weight is formed."""
+    gamma = CoherenceMatrix(np.broadcast_to(np.eye(2), (3, 2, 2)).copy())
+    for weights in (delay_and_sum, lambda steer: superdirective_mvdr(steer, gamma)):
+        with pytest.raises(ValueError, match=message):
+            weights(SteeringVector(a, 0))
 
 
 class TestSuperdirective:

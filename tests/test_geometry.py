@@ -320,3 +320,16 @@ class TestSrpPhat:
     def test_steering_vector_type(self):
         with pytest.raises(ValueError):
             SteeringVector(np.zeros(5), 0)
+
+    @pytest.mark.parametrize("row, message", [
+        ([1.0, np.nan], "^steering has a non-finite value at bin 3, channel 1$"),
+        ([1.0, np.inf], "^steering has a non-finite value at bin 3, channel 1$"),
+        ([0.0, 0.0], "^steering vector of bin 3 has zero norm$"),
+    ])
+    def test_steering_vector_refuses_what_it_cannot_steer(self, row, message):
+        """A non-finite entry is named by bin and channel, a zero row by bin,
+        when the steering is built."""
+        vectors = np.ones((5, 2), dtype=complex)
+        vectors[3] = row
+        with pytest.raises(ValueError, match=message):
+            SteeringVector(vectors, 0)

@@ -41,6 +41,11 @@ class TestSyntheticSpeech:
         with pytest.raises(ValueError):
             synthetic_speech(0.0)
 
+    def test_a_duration_whose_sample_count_overflows_is_refused_by_name(self):
+        message = r"^duration must be finite and positive, in samples too, got 1e\+308$"
+        with pytest.raises(ValueError, match=message):
+            synthetic_speech(1e308)
+
 
 class TestSpectralRadius:
     def test_single_lag_radius_is_coefficient_magnitude(self):
@@ -145,6 +150,12 @@ class TestMclpScene:
         with pytest.raises(ValueError, match=re.escape(f"spectral radius {worst!r} >= 1")):
             mclp_scene(dry, steer, c, 1, config=SMALL)
 
+    def test_a_snr_whose_power_overflows_runs_as_no_noise(self):
+        """1e308 dB is the documented +inf: no noise, the noiseless scene bit for bit."""
+        loud, quiet = self._scene(snr_db=1e308), self._scene(snr_db=np.inf)
+        assert not np.any(loud.noise.data)
+        np.testing.assert_array_equal(loud.mixture.data, quiet.mixture.data)
+
     def test_unstable_coefficients_rejected(self):
         dry = synthetic_speech(0.3, SMALL.sample_rate)
         steer = plane_wave_steering(circular_array(2, 0.1), 0.0, SMALL)
@@ -211,6 +222,24 @@ class TestRirScene:
         p_rev = np.mean(np.abs(scene.reverb.data) ** 2)
         p_dir = np.mean(np.abs(scene.dry.data) ** 2)
         assert p_rev < 2e-3 * p_dir
+
+    @pytest.mark.parametrize("name", ["drr_db", "snr_db"])
+    def test_a_level_whose_power_overflows_runs_as_plus_inf(self, name):
+        """1e308 dB is the documented +inf: no tail for the DRR, no noise for
+        the SNR, so the scene equals the one at +inf bit for bit."""
+        loud, inf = self._scene(**{name: 1e308}), self._scene(**{name: np.inf})
+        np.testing.assert_array_equal(loud.mixture.data, inf.mixture.data)
+        np.testing.assert_array_equal(loud.metadata["rir_tail"], inf.metadata["rir_tail"])
+
+    @pytest.mark.parametrize("name", ["drr_db", "snr_db"])
+    def test_a_level_whose_power_underflows_is_refused_by_name(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite or \\+inf, .*got -1e\\+308$"):
+            self._scene(**{name: -1e308})
+
+    def test_a_t60_whose_tail_length_overflows_is_refused_by_name(self):
+        message = r"^t60 must be finite and >= 0, in samples too, got 1e\+308$"
+        with pytest.raises(ValueError, match=message):
+            self._scene(t60=1e308)
 
     def test_zero_t60_is_anechoic(self):
         scene = self._scene(t60=0.0, drr_db=0.0)
