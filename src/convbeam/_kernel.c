@@ -8,11 +8,11 @@ step; only the order of the sums in a dot product or norm differs.  Each
 such sum runs over the (re, im) doubles in 8 lanes added in a fixed tree,
 so a build that maps the lanes onto SSE2 or AVX2 registers rounds as a
 scalar one: every clone and vector width gives the same bits.  Values are
-C99 double complex, in C order with rows ws and fs complex entries apart:
+C99 double complex, in C order with rows ws and hs complex entries apart:
 
   w       (bins, ws)         filters, bin k's Q_k taps first; updated in place
-  frames  (bins, fs / M, M)  slot l <= L_k holds y(n-l); pushed after every frame
-  ys      (bins, nf, M)      the input, one row of frames per bin
+  hist    (bins, hs / M, M)  slot l-1 holds y(n-l), l <= L_k, as the scalar states' history
+  ys      (bins, nf, M)      the input, one row of frames per bin; y(n) is read in place
   gsq     (bins, nf)         squared gains that scale the PSD estimate
   a       (bins, M)          steering (apa) or fixed heads (rc)
   out     (R, bins, nf)      output rows, written only when keep is nonzero
@@ -85,13 +85,6 @@ static void axpy(double complex *cw, const double complex *cx, double c, double 
     }
 }
 
-/* Copy a frame into slot 0; returns its ||y||^2, which sets the PSD floor eta ||y||^2 / M. */
-static double load(double complex *frames, const double complex *y, long m)
-{
-    memcpy(frames, y, m * sizeof *y);
-    return norm2(y, m);
-}
-
 /* apa.limited_output: x_b less alpha * min(|x_r|, |x_b|) along x_r. */
 static double complex limited(double complex xb, double complex xr, double alpha)
 {
@@ -100,23 +93,24 @@ static double complex limited(double complex xb, double complex xr, double alpha
 }
 
 /* apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b, x_r). */
-CLONES long apa_run(long bins, long nf, long m, long d, long ws, long fs, long keep,
+CLONES long apa_run(long bins, long nf, long m, long d, long ws, long hs, long keep,
                     const long *orders, const double *p, const double *gsq, double complex *w,
-                    double complex *frames, const double complex *ys, const double complex *a,
+                    double complex *hist, const double complex *ys, const double complex *a,
                     double complex *out)
 {
     const double phi_b = p[0], phi_r = p[1], phi_a = p[2], eta = p[3], alpha = p[4];
-    for (long k = 0; k < bins; k++, w += ws, frames += fs) {
+    for (long k = 0; k < bins; k++, w += ws, hist += hs) {
         const long l = orders[k], tail = l ? (l - d + 1) * m : 0;
-        const double complex *ak = a + k * m, *t = frames + (tail ? d * m : 0);
+        const double complex *ak = a + k * m, *t = hist + (tail ? (d - 1) * m : 0);
         const double s11 = phi_b * norm2(ak, m) + phi_a;
         for (long n = 0; n < nf; n++) {
-            const double ny = load(frames, ys + (k * nf + n) * m, m), floor = eta * (ny / m);
-            const double complex wy = dotc(dotc(0.0, w, frames, m), w + m, t, tail);
+            const double complex *y = ys + (k * nf + n) * m;
+            const double ny = norm2(y, m), floor = eta * (ny / m);
+            const double complex wy = dotc(dotc(0.0, w, y, m), w + m, t, tail);
             const double phi_x = gsq[k * nf + n] * norm2(&wy, 1);
             const double s00 = phi_b * ny + phi_r * norm2(t, tail)
                                + (phi_x > floor ? phi_x : floor);
-            const double complex s01 = phi_b * dotc(0.0, frames, ak, m);
+            const double complex s01 = phi_b * dotc(0.0, y, ak, m);
             /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
             const double complex e0 = -conj(wy), e1 = CMPLX(1.0, 0.0) - dotc(0.0, ak, w, m);
             const double det = s00 * s11 - norm2(&s01, 1);
@@ -129,35 +123,39 @@ CLONES long apa_run(long bins, long nf, long m, long d, long ws, long fs, long k
             } else {
                 return 1 + k * nf + n;
             }
-            axpy(w, frames, phi_b, g0, m);
+            axpy(w, y, phi_b, g0, m);
             axpy(w, ak, 1.0, phi_b * g1, m);
             axpy(w + m, t, phi_r, g0, tail);
             if (keep) { /* x_b = w_head^H y, x_r = x_b - w^H ytilde */
-                const double complex xb = dotc(0.0, w, frames, m);
+                const double complex xb = dotc(0.0, w, y, m);
                 const double complex xr = xb - dotc(xb, w + m, t, tail);
                 out[k * nf + n] = limited(xb, xr, alpha);
                 out[(bins + k) * nf + n] = xb;
                 out[(2 * bins + k) * nf + n] = xr;
             }
-            memmove(frames + m, frames, l * m * sizeof *frames);
+            if (l) { /* apa.ApaState.push */
+                memmove(hist + m, hist, (l - 1) * m * sizeof *hist);
+                memcpy(hist, y, m * sizeof *y);
+            }
         }
     }
     return 0;
 }
 
 /* sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
-CLONES long rc_run(long bins, long nf, long m, long d, long ws, long fs, long keep,
+CLONES long rc_run(long bins, long nf, long m, long d, long ws, long hs, long keep,
                    const long *orders, const double *p, const double *gsq, double complex *w,
-                   double complex *frames, const double complex *ys, const double complex *a,
+                   double complex *hist, const double complex *ys, const double complex *a,
                    double complex *out)
 {
     const double phi_r = p[1], eta = p[3], alpha = p[4];
-    for (long k = 0; k < bins; k++, w += ws, frames += fs) {
+    for (long k = 0; k < bins; k++, w += ws, hist += hs) {
         const long l = orders[k], q = (l - d + 1) * m;
-        const double complex *head = a + k * m, *f = frames + d * m;
+        const double complex *head = a + k * m, *f = hist + (d - 1) * m;
         for (long n = 0; n < nf; n++) {
-            const double floor = eta * (load(frames, ys + (k * nf + n) * m, m) / m);
-            const double complex x_d = dotc(0.0, head, frames, m), e = x_d - dotc(0.0, w, f, q);
+            const double complex *y = ys + (k * nf + n) * m;
+            const double floor = eta * (norm2(y, m) / m);
+            const double complex x_d = dotc(0.0, head, y, m), e = x_d - dotc(0.0, w, f, q);
             const double phi_x = gsq[k * nf + n] * norm2(&e, 1);
             /* a zero denominator (zero regressor, zero floor) means no update */
             const double denom = phi_r * norm2(f, q) + (phi_x > floor ? phi_x : floor);
@@ -165,7 +163,8 @@ CLONES long rc_run(long bins, long nf, long m, long d, long ws, long fs, long ke
                 axpy(w, f, 1.0, phi_r / denom * conj(e), q);
             if (keep)
                 out[k * nf + n] = limited(x_d, dotc(0.0, w, f, q), alpha);
-            memmove(frames + m, frames, l * m * sizeof *frames);
+            memmove(hist + m, hist, (l - 1) * m * sizeof *hist); /* sdmvdr.RcState.push */
+            memcpy(hist, y, m * sizeof *y);
         }
     }
     return 0;

@@ -340,9 +340,9 @@ def process_frame(
             except ValueError as exc:
                 raise ValueError(f"bin {k}: {exc}") from None
         held = (Filters.start(APA, steering, [s.order for s in states], delay), [])
-        for s, w, frames in zip(states, held[0].w, held[0].frames):
-            w[: s.w_hat.size], frames[1 : s.order + 1] = s.w_hat, s.history
-            s.w_hat, s.history, s._filters = w[: s.w_hat.size], frames[1 : s.order + 1], held
+        for s, w, history in zip(states, held[0].w, held[0].history):
+            w[: s.w_hat.size], history[: s.order] = s.w_hat, s.history
+            s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[: s.order], held
         held[1].extend(views())  # the views just given, for the next call to check
     column = None if gains is None else gains[:, None]
     return drive(APA, frame.T[:, :, None], held[0], steering, params, column)[0, :, 0]

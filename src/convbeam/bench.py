@@ -19,7 +19,7 @@ import numpy as np
 from . import apa, engine
 from .geometry import circular_array, plane_wave_steering
 from .pipeline import METHODS, TABLE, RunConfig
-from .stft import StftConfig, stft
+from .stft import StftConfig, seconds_to_samples, stft
 
 __all__ = [
     "MacCounter",
@@ -141,16 +141,16 @@ def wallclock_sweep(
     white noise (seed 0) on a circular array of radius 0.10 m at the default
     STFT settings and band plan.  Returns one row per method with the
     dimensions and MAC tally of its per-bin update.  ``repeats`` or ``num_mics``
-    < 1, or an ``audio_seconds`` not finite and > 0, raises ``ValueError``.
+    < 1, or an ``audio_seconds`` shorter than one STFT frame or too long for
+    one array (:func:`~convbeam.stft.seconds_to_samples`), raises ``ValueError``.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     config, params = StftConfig(), apa.ApaParams()
-    if not 0 < audio_seconds * config.sample_rate < np.inf:  # 1e308 s overflows the count
-        raise ValueError(f"audio_seconds must be finite and > 0, got {audio_seconds}")
+    n = seconds_to_samples("audio_seconds", audio_seconds, config.sample_rate, config.window_len)
     geom = circular_array(num_mics, 0.10)  # refuses num_mics < 1 by name
     rng = np.random.default_rng(0)
-    samples = 0.05 * rng.standard_normal((num_mics, int(audio_seconds * config.sample_rate)))
+    samples = 0.05 * rng.standard_normal((num_mics, n))
     spec = stft(samples, config)
     steering = plane_wave_steering(geom, 0.0, config)
     cfgs = {method: RunConfig(method=method, geometry=geom, doa=0.0, params=params,

@@ -19,7 +19,7 @@ from .scenes import (
     random_mclp,
     synthetic_speech,
 )
-from .stft import BandPlan, StftConfig, istft
+from .stft import BandPlan, StftConfig, istft, seconds_to_samples
 from .wavio import AudioBuffer, read_wav, resample_check, write_wav
 
 __all__ = ["main", "cmd_enhance", "cmd_simulate", "cmd_metrics", "cmd_bench"]
@@ -232,7 +232,8 @@ def cmd_simulate(args) -> int:
     config = StftConfig()
     if args.input is not None:
         dry = resample_check(_read_mono(args.input), config.sample_rate).samples[0]
-    else:
+    else:  # at least one STFT frame
+        seconds_to_samples("duration", args.duration, config.sample_rate, config.window_len)
         dry = synthetic_speech(args.duration, config.sample_rate, seed=args.seed)
     geom = args.geometry
     azimuth = math.radians(args.doa)

@@ -1,16 +1,16 @@
 """The engine behind both adaptive filters: per-bin filter arrays, one compiled kernel, one driver.
 
-:class:`Filters` holds the filter and frame history of every bin as
-arrays, each bin at its own order.  The kernel, ``_kernel.c`` (built by
-:func:`load_kernel`), runs the per-bin recursion of either filter over every
-bin, one bin at a time through every frame, with the arithmetic of the
-scalar oracle of :mod:`convbeam.apa` and :mod:`convbeam.sdmvdr`.  One
-driver, :func:`drive`, runs every call, one kernel call per pass: an
-utterance, and a stream (``apa.process_frame``) as an utterance of one
-frame, so a stream equals the offline run by construction.  The library is
-built, once per source, when this module is imported; a host without ``cc``
-imports it all the same and gets the build's ``ImportError`` from the first
-run of an adaptive filter.
+:class:`Filters` holds the filter and frame history of every bin as arrays,
+each bin at its own order, in the layout of the scalar states.  The kernel,
+``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin recursion of
+either filter over every bin, one bin at a time through every frame, with the
+arithmetic of the scalar oracle of :mod:`convbeam.apa` and
+:mod:`convbeam.sdmvdr`.  One driver, :func:`drive`, runs every call, one kernel
+call per pass: an utterance, and a stream (``apa.process_frame``) as an
+utterance of one frame, so a stream equals the offline run by construction.
+The library is built, once per source, when this module is imported; a host
+without ``cc`` imports it all the same and gets the build's ``ImportError``
+from the first run of an adaptive filter.
 """
 
 from __future__ import annotations
@@ -100,13 +100,13 @@ RC = Kernel("rc_run", 1, 0)
 
 
 class Filters(NamedTuple):
-    """Every bin's filter and frame history: bin k, of order ``orders[k]``, holds its Q_k
-    taps (:meth:`Kernel.taps`) in ``w[k, :Q_k]`` and y(n-l) in ``frames[k, l]``, l <= L_k."""
+    """Every bin's filter and frame history: bin k, of order L_k = ``orders[k]``, holds its Q_k
+    taps (:meth:`Kernel.taps`) in ``w[k, :Q_k]`` and y(n-l) in ``history[k, l-1]``, l <= L_k."""
 
     orders: np.ndarray  # (bins,) of C long
     delay: int
     w: np.ndarray  # (bins, Q_max)
-    frames: np.ndarray  # (bins, L_max + 1, M)
+    history: np.ndarray  # (bins, L_max, M)
 
     @classmethod
     def start(cls, kernel: Kernel, steering: np.ndarray, orders, delay: int) -> "Filters":
@@ -116,7 +116,7 @@ class Filters(NamedTuple):
         w = np.zeros((bins, kernel.widest(m, orders, delay)), dtype=np.complex128)
         if kernel.head:
             w[:, :m] = delay_and_sum(SteeringVector(steering, 0)).weights
-        return cls(orders, delay, w, np.zeros((bins, orders.max() + 1, m), np.complex128))
+        return cls(orders, delay, w, np.zeros((bins, orders.max(), m), np.complex128))
 
 
 def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
@@ -164,11 +164,11 @@ def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarr
     """
     if isinstance(LIBRARY, ImportError):  # the build at import failed
         raise ImportError(*LIBRARY.args)
-    (m, num_bins, num_frames), (orders, delay, w, frames) = data.shape, filters
+    (m, num_bins, num_frames), (orders, delay, w, history) = data.shape, filters
     need = {"orders": (num_bins,), "w": (num_bins, kernel.widest(m, orders, delay)),
-            "frames": (num_bins, int(orders.max()) + 1, m), "steering": (num_bins, m),
+            "history": (num_bins, int(orders.max()), m), "steering": (num_bins, m),
             "gains": (num_bins, num_frames)}
-    for (name, shape), array in zip(need.items(), (orders, w, frames, steering, gains)):
+    for (name, shape), array in zip(need.items(), (orders, w, history, steering, gains)):
         if array is not None and array.shape != shape:
             raise ValueError(f"{name} has shape {array.shape}, expected {shape} for data "
                              f"of shape {data.shape}")
@@ -178,11 +178,11 @@ def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarr
     out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
     run = getattr(LIBRARY, kernel.entry)
     for keep in ((0, 1) if prior_pass else (1,)):
-        status = run(num_bins, num_frames, m, delay, w.shape[1], frames.shape[1] * m, keep, orders,
-                     p, gains_sq, w, frames, ys, steering, out)
+        status = run(num_bins, num_frames, m, delay, w.shape[1], history.shape[1] * m, keep,
+                     orders, p, gains_sq, w, history, ys, steering, out)
         if status:
             k, n = divmod(status - 1, num_frames)
             raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
         if not keep:
-            frames[:] = 0.0
+            history[:] = 0.0
     return out

@@ -119,6 +119,8 @@ def load_geometry(path) -> ArrayGeometry:
             raise ValueError(f"{path}:{lineno}: expected 3 coordinates, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
+            if not np.isfinite(rows[-1]).all():
+                raise ValueError(f"coordinates must be finite, got {line!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:

@@ -24,7 +24,7 @@ from .geometry import (
     plane_wave_delays,
     plane_wave_steering,
 )
-from .stft import Spectrogram, StftConfig, stft
+from .stft import Spectrogram, StftConfig, seconds_to_samples, stft
 
 __all__ = [
     "Scene",
@@ -73,10 +73,8 @@ def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -
     Normalized to RMS 0.1 (-20 dBFS).
     """
     from scipy.signal import lfilter  # here, so enhancing never imports scipy
-    if not 0 < duration * sample_rate < math.inf:  # 1e308 s overflows the sample count
-        raise ValueError(f"duration must be finite and positive, in samples too, got {duration}")
+    n = seconds_to_samples("duration", duration, sample_rate, 1)
     rng = np.random.default_rng(seed)
-    n = int(round(duration * sample_rate))
     x = rng.standard_normal(n)
     x = lfilter([1.0], [1.0, -0.92], x)
     t = np.arange(n) / sample_rate
@@ -256,8 +254,7 @@ def exp_decay_rir_scene(
     sum exact.
     """
     from scipy.signal import fftconvolve  # here, so enhancing never imports scipy
-    if not 0 <= t60 * config.sample_rate < math.inf:  # 1e308 s overflows the tail's length
-        raise ValueError(f"t60 must be finite and >= 0, in samples too, got {t60}")
+    n_tail = seconds_to_samples("t60", t60, config.sample_rate)
     drr, snr = _db_power("drr_db", drr_db), _db_power("snr_db", snr_db)
     dry = np.asarray(dry, dtype=np.float64)
     if dry.ndim != 1:
@@ -270,7 +267,6 @@ def exp_decay_rir_scene(
     offset = half + int(np.ceil(np.max(np.abs(direction_delays)) * fs))
     frac_delays = direction_delays * fs + offset
 
-    n_tail = int(round(t60 * fs))
     # the farthest direct tap sits at ceil(max frac delay) + half; the tail,
     # when present, runs from ceil(frac) + 2 for n_tail samples
     n_rir = int(np.ceil(np.max(frac_delays))) + half + n_tail + 3

@@ -39,16 +39,14 @@ __all__ = [
 class RcState:
     """Reverb-canceller state of one bin: fixed head w_sd, adaptive taps w_rc.
 
-    ``history[l-1]`` holds y(n-l); the stacked regressor is
-    f = [y(n-D); ...; y(n-L)] of length M*(L-D+1).
+    ``history[l-1]`` holds y(n-l) for l up to L, its length; the stacked
+    regressor is f = [y(n-D); ...; y(n-L)] of length M*(L-D+1).
     """
 
     w_sd: np.ndarray
     w_rc: np.ndarray
     history: np.ndarray
-    order: int
     delay: int
-    num_mics: int
 
     def stack(self) -> np.ndarray:
         return self.history[self.delay - 1 :].ravel()
@@ -71,9 +69,7 @@ def init_rc_state(w_sd: np.ndarray, order: int, delay: int = 1) -> RcState:
         w_sd=w_sd,
         w_rc=np.zeros(RC.taps(num_mics, order, delay), dtype=np.complex128),
         history=np.zeros((order, num_mics), dtype=np.complex128),
-        order=order,
         delay=delay,
-        num_mics=num_mics,
     )
 
 
@@ -111,9 +107,8 @@ def rc_update(
     phi_r ||f||^2 + phi_x.  The output subtracts the updated prediction and
     passes through the over-subtraction limiter; the history then advances.
     """
-    m = state.num_mics
-    if y_now.shape != (m,):
-        raise ValueError(f"expected frame of shape ({m},), got {y_now.shape}")
+    if y_now.shape != state.w_sd.shape:
+        raise ValueError(f"expected frame of shape {state.w_sd.shape}, got {y_now.shape}")
     f = state.stack()
     d = np.vdot(state.w_sd, y_now)
     e = d - np.vdot(state.w_rc, f)

@@ -16,6 +16,7 @@ __all__ = [
     "Spectrogram",
     "BandPlan",
     "check_order",
+    "seconds_to_samples",
     "sqrt_hann",
     "stft",
     "istft",
@@ -146,6 +147,16 @@ def check_order(order: int, delay: int, head: bool = True) -> None:
     if order <= delay and (order or not head):
         rule = "be 0 or >" if head else "exceed"
         raise ValueError(f"order must {rule} delay ({delay}), got {order}")
+
+
+def seconds_to_samples(name: str, seconds: float, sample_rate: int, minimum: int = 0) -> int:
+    """``seconds`` at ``sample_rate`` as a rounded sample count; one that is NaN, negative,
+    below ``minimum`` or more than one float64 array holds raises, naming ``name``."""
+    count, limit = seconds * sample_rate, np.iinfo(np.intp).max // 8
+    if not 0 <= count <= limit or round(count) < minimum:
+        raise ValueError(f"{name} must be finite and give {minimum} to {limit} samples at "
+                         f"{sample_rate} Hz, got {seconds}")
+    return round(count)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,9 @@ class TestWallclock:
         ({"audio_seconds": 0.0}, "audio_seconds"),
         ({"audio_seconds": float("nan")}, "audio_seconds"),
         ({"audio_seconds": float("inf")}, "audio_seconds"),
+        ({"audio_seconds": 0.01}, "audio_seconds"),  # shorter than one STFT frame
+        ({"audio_seconds": 1e15}, "audio_seconds"),  # more samples than one array holds
+        ({"audio_seconds": 1e300}, "audio_seconds"),
         ({"audio_seconds": 1e308}, "audio_seconds"),  # its sample count overflows
         ({"num_mics": -1}, "num_mics"),
     ])

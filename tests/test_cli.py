@@ -449,7 +449,7 @@ def two_mic_wav(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e308"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "0.01", "1e15", "1e308"])
 @pytest.mark.parametrize("command, option, dest", _numeric_options())
 def test_every_numeric_option_refuses_a_bad_value_by_name(
     command, option, dest, value, two_mic_wav, tmp_path, capsys

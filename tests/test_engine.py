@@ -373,8 +373,8 @@ def test_stream_continues_an_utterance_run_and_its_copies():
     want = _oracle(spec, looped, gains, True, step)
     m = case["num_mics"]
     streamed = [
-        ApaState(w[: APA.taps(m, int(o), params.delay)], frames[1 : o + 1], int(o), params.delay, m)
-        for o, w, frames in zip(orders, filters.w, filters.frames)
+        ApaState(w[: APA.taps(m, int(o), params.delay)], history[:o], int(o), params.delay, m)
+        for o, w, history in zip(orders, filters.w, filters.history)
     ]
     for got_row, want_row, scale in zip(out, want, (want[0], want[1], want[1])):
         assert_close(got_row, want_row, scale)
@@ -462,7 +462,34 @@ def test_a_run_split_in_two_equals_one_run(data):
     ], axis=2)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(halves.w, whole.w)
-    np.testing.assert_array_equal(halves.frames, whole.frames)
+    np.testing.assert_array_equal(halves.history, whole.history)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_drive_leaves_each_bin_its_scalar_state_history(data):
+    """After ``drive``, with or without the prior pass, ``history[k, :L_k]``
+    is, bit for bit, the ``history`` of bin k's scalar state run through the
+    same frames, for both kernels (the canceller has no stream to pin it),
+    and the slots past L_k stay zero."""
+    kernel = data.draw(st.sampled_from([APA, RC]))
+    case = data.draw(cases(allow_order_zero=kernel is APA))
+    spec, a, gains = _scene(case)
+    params = _params(case)
+    orders = params.band_plan.bin_orders(CONFIG)
+    filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
+    drive(kernel, spec.data, filters, a, params, gains, case["prior_pass"])
+    if kernel is APA:
+        states = [init_state(a[k], int(o), params.delay) for k, o in enumerate(orders)]
+        _oracle(spec, states, gains, case["prior_pass"],
+                lambda state, y_now, k, gain: _apa_step(state, y_now, a[k], params, gain))
+    else:
+        states = [init_rc_state(a[k], int(o), params.delay) for k, o in enumerate(orders)]
+        _oracle(spec, states, gains, case["prior_pass"],
+                lambda state, y_now, k, gain: _rc_step(state, y_now, params, gain))
+    for order, row, state in zip(orders, filters.history, states):
+        np.testing.assert_array_equal(row[:order], state.history)
+        assert not row[order:].any()
 
 
 @pytest.mark.parametrize("num_mics", [1, 3, 6, 8])
@@ -471,7 +498,7 @@ def test_a_run_split_in_two_equals_one_run(data):
 def test_fresh_filters_equal_the_scalar_states(num_mics, plan):
     """``Filters.start`` gives every bin the bits of ``init_state`` (or,
     with no head, ``init_rc_state``) in its row, and zeros past its taps
-    and in every frame slot, on plans with order 0 and with one order in
+    and in every history slot, on plans with order 0 and with one order in
     bands that do not touch."""
     rng = np.random.default_rng(num_mics)
     a = rng.standard_normal((CONFIG.num_bins, num_mics)) * rng.uniform(0.1, 10.0, (1, num_mics))
@@ -481,8 +508,8 @@ def test_fresh_filters_equal_the_scalar_states(num_mics, plan):
         if kernel is RC:
             orders = np.where(orders == 0, plan.delay + 1, orders)
         filters = Filters.start(kernel, a, orders, plan.delay)
-        assert filters.frames.shape == (CONFIG.num_bins, orders.max() + 1, num_mics)
-        assert not filters.frames.any()
+        assert filters.history.shape == (CONFIG.num_bins, orders.max(), num_mics)
+        assert not filters.history.any()
         np.testing.assert_array_equal(filters.orders, orders)
         for k, row in enumerate(filters.w):
             w = getattr(init(a[k], int(orders[k]), plan.delay), name)
@@ -619,7 +646,7 @@ def test_every_vector_width_gives_the_same_bits(tmp_path, monkeypatch):
         for got, filters in others:
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(filters.w, first.w)
-            np.testing.assert_array_equal(filters.frames, first.frames)
+            np.testing.assert_array_equal(filters.history, first.history)
 
 
 @pytest.mark.parametrize("fault", ["compile error", "no compiler", "unwritable cache"])
@@ -689,7 +716,7 @@ def test_the_kernel_refuses_a_bad_array(fault):
     spec, a, _ = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
-    w, frames = filters.w.copy(), filters.frames.copy()
+    w, history = filters.w.copy(), filters.history.copy()
     ys = np.ascontiguousarray(spec.data.transpose(1, 2, 0))
     orders = filters.orders.astype(np.int32) if fault == "int32 orders" else filters.orders
     if fault != "int32 orders":
@@ -698,10 +725,10 @@ def test_the_kernel_refuses_a_bad_array(fault):
     shape = (CONFIG.num_bins, spec.num_frames)
     with pytest.raises(ctypes.ArgumentError):
         engine.LIBRARY.apa_run(*shape, spec.num_channels, params.delay, w.shape[1],
-                               frames.shape[1] * spec.num_channels, 1, orders, p, np.ones(shape),
-                               filters.w, filters.frames, ys, a, np.empty((3,) + shape, complex))
+                               history.shape[1] * spec.num_channels, 1, orders, p, np.ones(shape),
+                               filters.w, filters.history, ys, a, np.empty((3,) + shape, complex))
     np.testing.assert_array_equal(filters.w, w)
-    np.testing.assert_array_equal(filters.frames, frames)
+    np.testing.assert_array_equal(filters.history, history)
 
 
 def test_filters_that_do_not_fit_the_kernel_are_refused():
@@ -724,8 +751,8 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
     data, ones = np.ones((2, 4, 1), complex), np.ones((4, 2), complex)
     for filters, message in (
         (fresh._replace(w=fresh.w[:, :6].copy()), "w has shape \\(4, 6\\), expected \\(4, 8\\)"),
-        (fresh._replace(frames=fresh.frames[:, :3].copy()),
-         "frames has shape \\(4, 3, 2\\), expected \\(4, 4, 2\\)"),
+        (fresh._replace(history=fresh.history[:, :2].copy()),
+         "history has shape \\(4, 2, 2\\), expected \\(4, 3, 2\\)"),
         (fresh._replace(delay=3), "order must be 0 or > delay \\(3\\), got 3"),
         (fresh._replace(orders=fresh.orders - 4), "order must be 0 or > delay \\(1\\), got -1"),
     ):

@@ -1,5 +1,7 @@
 """Array geometry, steering, coherence, and localization tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,10 +68,16 @@ class TestGeometryIO:
         assert geom.num_mics == 2
         np.testing.assert_allclose(geom.positions[1], [0.1, 0.0, 0.0])
 
-    def test_bad_line_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("0.1 0", "expected 3 coordinates, got 2"),
+        ("nan 0 0", "coordinates must be finite, got 'nan 0 0'"),
+        ("0 inf 0", "coordinates must be finite, got '0 inf 0'"),
+        ("0 0 -inf", "coordinates must be finite, got '0 0 -inf'"),
+    ], ids=["two", "nan", "inf", "-inf"])
+    def test_bad_line_reports_line_number(self, tmp_path, line, message):
         path = tmp_path / "mics.txt"
-        path.write_text("0 0 0\n0.1 0\n")
-        with pytest.raises(ValueError, match=":2:"):
+        path.write_text(f"0 0 0\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
             load_geometry(path)
 
     def test_empty_file_rejected(self, tmp_path):

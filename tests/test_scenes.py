@@ -18,6 +18,7 @@ from convbeam.scenes import (
 from convbeam.stft import Spectrogram, StftConfig
 
 SMALL = StftConfig(window_len=64)
+LIMIT = np.iinfo(np.intp).max // 8  # the most samples one float64 array holds
 
 
 class TestSyntheticSpeech:
@@ -41,10 +42,13 @@ class TestSyntheticSpeech:
         with pytest.raises(ValueError):
             synthetic_speech(0.0)
 
-    def test_a_duration_whose_sample_count_overflows_is_refused_by_name(self):
-        message = r"^duration must be finite and positive, in samples too, got 1e\+308$"
-        with pytest.raises(ValueError, match=message):
-            synthetic_speech(1e308)
+    @pytest.mark.parametrize("duration", [1e15, 1e300, 1e308], ids=["1e15", "1e300", "1e308"])
+    def test_a_duration_whose_sample_count_overflows_is_refused_by_name(self, duration):
+        """Past what one float64 array holds, before any allocation."""
+        message = (f"duration must be finite and give 1 to {LIMIT} samples at 16000 Hz, "
+                   f"got {duration}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synthetic_speech(duration)
 
 
 class TestSpectralRadius:
@@ -236,10 +240,11 @@ class TestRirScene:
         with pytest.raises(ValueError, match=f"^{name} must be finite or \\+inf, .*got -1e\\+308$"):
             self._scene(**{name: -1e308})
 
-    def test_a_t60_whose_tail_length_overflows_is_refused_by_name(self):
-        message = r"^t60 must be finite and >= 0, in samples too, got 1e\+308$"
-        with pytest.raises(ValueError, match=message):
-            self._scene(t60=1e308)
+    @pytest.mark.parametrize("t60", [1e15, 1e300, 1e308], ids=["1e15", "1e300", "1e308"])
+    def test_a_t60_whose_tail_length_overflows_is_refused_by_name(self, t60):
+        message = f"t60 must be finite and give 0 to {LIMIT} samples at 16000 Hz, got {t60}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self._scene(t60=t60)
 
     def test_zero_t60_is_anechoic(self):
         scene = self._scene(t60=0.0, drr_db=0.0)
