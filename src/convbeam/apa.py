@@ -33,7 +33,7 @@ from operator import is_
 
 import numpy as np
 
-from .engine import APA, Filters, check_inputs, drive
+from .engine import APA, Filters, Stream, check_inputs, drive
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -116,6 +116,11 @@ class ApaState:
 
     def reset_history(self) -> None:
         self.history[:] = 0.0
+
+    def __setattr__(self, name: str, value) -> None:
+        if "_filters" in self.__dict__:  # a reassigned field: its stream holds the states no more
+            self._filters.states = ()
+        object.__setattr__(self, name, value)
 
     def __getstate__(self) -> dict:  # copies and pickles leave process_frame's filters behind
         return {k: v for k, v in vars(self).items() if k != "_filters"}
@@ -307,45 +312,27 @@ def process_frame(
     Per bin: stack the observation, estimate and floor the PSD (optionally
     scaled by an external gain), run the affine projection update, emit the
     limited output from the updated filter, then push the frame into the
-    history.  The frame runs through :func:`convbeam.engine.drive` as an
-    utterance of one frame; a singular 2x2 solve raises ``LinAlgError``
-    naming its bin, and the bins run before it have moved.  ``steering`` is
-    the (bins, M) steering matrix and ``gains`` an optional per-bin gain
-    column, clamped into [0, 1]; an empty state list, a bad shape, a
-    non-finite frame or steering value, a zero-norm steering row, a NaN gain,
-    or a state whose order, delay (one for all states) or arrays do not fit
-    raises before any state changes.  Steering and params are taken from
-    each call.  The states are stacked into :class:`~convbeam.engine.Filters`,
-    each state's ``w_hat`` and ``history`` made views of its rows, and
-    restacked only when they change.  A stream equals process_utterance bitwise.
+    history.  The frame runs on the kernel as an utterance of one frame; a
+    singular 2x2 solve raises ``LinAlgError`` naming its bin, and the bins
+    run before it have moved.  ``steering`` is the (bins, M) steering matrix
+    and ``gains`` an optional per-bin gain column, clamped into [0, 1]; an
+    empty state list, a bad shape, a non-finite frame or steering value, a
+    zero-norm steering row, a NaN gain, or a state whose order, delay (one
+    for all states) or arrays do not fit raises before any state changes.
+    Steering and params are taken from each call.  The states are bound
+    once to a :class:`~convbeam.engine.Stream`, and again when the list
+    holds other states or a state reassigns a field.  A stream equals
+    process_utterance bitwise; each call returns a new array.
     """
     if not states:
         raise ValueError("states is empty: process_frame needs one state per bin")
     frame, steering, gains = check_inputs(
         steering, gains, states[0].num_mics, (len(states),), frame
     )
-    def views():
-        return [x for s in states for x in (s, s.w_hat, s.history)]
-
-    held = getattr(states[0], "_filters", None)  # (filters, the views they gave)
-    if not (held and len(held[1]) == 3 * len(states) and all(map(is_, views(), held[1]))):
-        m, delay = states[0].num_mics, states[0].delay
-        for k, s in enumerate(states):  # every check before any state changes
-            try:
-                q = APA.taps(m, s.order, delay)
-                if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (s.order, m):
-                    raise ValueError(f"at order {s.order} it needs delay {delay}, {q} taps and "
-                                     f"history ({s.order}, {m}); it has {s.delay}, "
-                                     f"{s.w_hat.shape} and {s.history.shape}")
-            except ValueError as exc:
-                raise ValueError(f"bin {k}: {exc}") from None
-        held = (Filters.start(APA, steering, [s.order for s in states], delay), [])
-        for s, w, history in zip(states, held[0].w, held[0].history):
-            w[: s.w_hat.size], history[: s.order] = s.w_hat, s.history
-            s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[: s.order], held
-        held[1].extend(views())  # the views just given, for the next call to check
-    column = None if gains is None else gains[:, None]
-    return drive(APA, frame.T[:, :, None], held[0], steering, params, column)[0, :, 0]
+    held = getattr(states[0], "_filters", None)  # an engine.Stream
+    if not (held and len(held.states) == len(states) and all(map(is_, states, held.states))):
+        held = Stream(APA, states, steering)
+    return held(frame, steering, gains, params)
 
 
 def process_utterance(

@@ -5,8 +5,9 @@ each bin at its own order, in the layout of the scalar states.  The kernel,
 ``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin recursion of
 either filter over every bin, one bin at a time through every frame, with the
 arithmetic of the scalar oracle of :mod:`convbeam.apa` and
-:mod:`convbeam.sdmvdr`.  One driver, :func:`drive`, runs every call, one kernel
-call per pass: an utterance, and a stream (``apa.process_frame``) as an
+:mod:`convbeam.sdmvdr`.  :func:`bind` checks every array it points the kernel
+at; :func:`drive` runs an utterance, one kernel call per pass, and a
+:class:`Stream` (``apa.process_frame``), bound once, each frame as an
 utterance of one frame, so a stream equals the offline run by construction.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
@@ -18,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import os
 import zlib
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,12 +30,17 @@ from .gains import clamp_gain
 from .geometry import SteeringVector
 from .stft import Spectrogram, check_order
 
-__all__ = ["APA", "RC", "Filters", "Kernel", "check_inputs", "drive", "load_kernel"]
+__all__ = ["APA", "RC", "Filters", "Kernel", "Stream", "bind", "check_inputs", "drive",
+           "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
 # library runs on any host of its architecture and every product rounds as the oracle's
 CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+# the kernel's params array, and its array arguments in order by name and dtype
+PARAMS = attrgetter("phi_b", "phi_r", "phi_a", "eta", "alpha_r")
+ARRAYS = tuple(zip(("orders", "params", "gains", "w", "history", "ys", "steering", "out"),
+                   map(np.dtype, (ctypes.c_long, np.float64, np.float64) + (np.complex128,) * 5)))
 
 
 def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache__"):
@@ -44,8 +51,8 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
     place, so processes that build at once never load a partial library.
     A failed build, a missing ``cc`` or a cache that cannot be written
     raises ``ImportError`` with the command and the compiler's or the file
-    system's message.  ctypes refuses a call with an array that is not
-    C-contiguous or not of its dtype before it runs.
+    system's message.  The entry points take their arrays as bare pointers,
+    so only :func:`bind` may build their arguments.
     """
     text = source.read_bytes()
     lib = cache / f"{source.stem}-{zlib.crc32(text + ' '.join(CFLAGS).encode()):08x}-{len(text)}.so"
@@ -65,10 +72,8 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
                 tmp.unlink()
             raise ImportError(f"building the kernel failed: {' '.join(cmd)}\n{exc}") from None
     kernel = ctypes.CDLL(str(lib))
-    arrays = [np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (ctypes.c_long,)
-              + (np.float64,) * 2 + (np.complex128,) * 5]
     for fn in (kernel.apa_run, kernel.rc_run):
-        fn.argtypes = [ctypes.c_long] * 7 + arrays
+        fn.argtypes = [ctypes.c_long] * 7 + [ctypes.c_void_p] * len(ARRAYS)
         fn.restype = ctypes.c_long
     return kernel
 
@@ -148,6 +153,29 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
     return frame, steering, None if gains is None else clamp_gain(gains)
 
 
+def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
+         gains_sq: np.ndarray, params: np.ndarray, out: np.ndarray, keep: int = 1) -> tuple:
+    """(entry, args) of ``kernel`` on the frames ``ys`` (bins, frames, M): its scalars, then a
+    pointer to each array of :data:`ARRAYS`, taken once all have the dtype, C order and shape
+    that ``ys`` and ``filters`` give (orders by :meth:`Kernel.widest`); the first that has not
+    raises ``ValueError`` naming it.  The arrays must outlive the args, which do not hold them."""
+    if isinstance(LIBRARY, ImportError):  # the build at import failed
+        raise ImportError(*LIBRARY.args)
+    (bins, frames, m), (orders, delay, w, history) = ys.shape, filters
+    arrays = (orders, params, gains_sq, w, history, ys, steering, out)
+    shapes = ((bins,), (5,), (bins, frames), (bins, kernel.widest(m, orders, delay)),
+              (bins, int(orders.max()), m), ys.shape, (bins, m), (kernel.outputs, bins, frames))
+    for (name, dtype), shape, array in zip(ARRAYS, shapes, arrays):
+        fault = (f"has dtype {array.dtype}, expected {dtype}" if array.dtype != dtype
+                 else "is not C-contiguous" if not array.flags.c_contiguous
+                 else f"has shape {array.shape}, expected {shape}" if array.shape != shape
+                 else None)
+        if fault:
+            raise ValueError(f"{name} {fault} for data of shape {(m, bins, frames)}")
+    scalars = (bins, frames, m, delay, w.shape[1], history.shape[1] * m, keep)
+    return getattr(LIBRARY, kernel.entry), scalars + tuple(a.ctypes.data for a in arrays)
+
+
 def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarray, params,
           gains=None, prior_pass: bool = False) -> np.ndarray:
     """Advance ``filters`` through ``data`` (M, bins, frames) on ``kernel``;
@@ -157,32 +185,59 @@ def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarr
     the C-contiguous (bins, M) matrix the kernel reads (the fixed heads, for
     the canceller), and ``gains`` None or (bins, frames) from
     :func:`check_inputs`; an array that does not fit the data and orders
-    raises ``ValueError``, as does :meth:`Kernel.taps`.  Every bin runs in
-    one kernel call per pass; with ``prior_pass``, a first pass forms no
-    outputs and keeps each filter but not its history.  A singular 2x2 solve
-    raises ``LinAlgError`` naming its bin and frame; the bins before it have moved.
+    raises the ``ValueError`` of :func:`bind`.  Every bin runs in one kernel
+    call per pass; with ``prior_pass``, a first pass forms no outputs and
+    keeps each filter but not its history.  A singular 2x2 solve raises
+    ``LinAlgError`` naming its bin and frame; the bins before it have moved.
     """
-    if isinstance(LIBRARY, ImportError):  # the build at import failed
-        raise ImportError(*LIBRARY.args)
-    (m, num_bins, num_frames), (orders, delay, w, history) = data.shape, filters
-    need = {"orders": (num_bins,), "w": (num_bins, kernel.widest(m, orders, delay)),
-            "history": (num_bins, int(orders.max()), m), "steering": (num_bins, m),
-            "gains": (num_bins, num_frames)}
-    for (name, shape), array in zip(need.items(), (orders, w, history, steering, gains)):
-        if array is not None and array.shape != shape:
-            raise ValueError(f"{name} has shape {array.shape}, expected {shape} for data "
-                             f"of shape {data.shape}")
+    m, num_bins, num_frames = data.shape
     ys = np.ascontiguousarray(data.transpose(1, 2, 0), np.complex128)
     gains_sq = np.ones((num_bins, num_frames)) if gains is None else np.square(gains, order="C")
-    p = np.array([params.phi_b, params.phi_r, params.phi_a, params.eta, params.alpha_r])
+    p = np.array(PARAMS(params))
     out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
-    run = getattr(LIBRARY, kernel.entry)
     for keep in ((0, 1) if prior_pass else (1,)):
-        status = run(num_bins, num_frames, m, delay, w.shape[1], history.shape[1] * m, keep,
-                     orders, p, gains_sq, w, history, ys, steering, out)
+        run, args = bind(kernel, filters, ys, steering, gains_sq, p, out, keep)
+        status = run(*args)
         if status:
             k, n = divmod(status - 1, num_frames)
             raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
         if not keep:
-            history[:] = 0.0
+            filters.history[:] = 0.0
     return out
+
+
+class Stream:
+    """A stream's kernel call, bound once per list of ``states`` to its own :class:`Filters`
+    (whose rows their ``w_hat`` and ``history`` become) and buffers.  A state that does not fit
+    raises ``ValueError`` naming its bin before any state changes."""
+
+    def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
+        m, delay, bins = states[0].num_mics, states[0].delay, len(states)
+        for k, s in enumerate(states):
+            try:
+                q = kernel.taps(m, s.order, delay)
+                if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (s.order, m):
+                    raise ValueError(f"at order {s.order} it needs delay {delay}, {q} taps and "
+                                     f"history ({s.order}, {m}); it has {s.delay}, "
+                                     f"{s.w_hat.shape} and {s.history.shape}")
+            except ValueError as exc:
+                raise ValueError(f"bin {k}: {exc}") from None
+        self.filters = Filters.start(kernel, steering, [s.order for s in states], delay)
+        self.ys, self.steering = np.empty((bins, 1, m), complex), np.empty((bins, m), complex)
+        self.gains_sq, self.params = np.empty((bins, 1)), np.empty(5)
+        self.out = np.empty((kernel.outputs, bins, 1), complex)
+        self.run, self.args = bind(kernel, self.filters, self.ys, self.steering, self.gains_sq,
+                                   self.params, self.out)
+        for s, w, history in zip(states, self.filters.w, self.filters.history):
+            w[: s.w_hat.size], history[: s.order] = s.w_hat, s.history
+            s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[: s.order], self
+        self.states = tuple(states)  # emptied when a state reassigns a field
+
+    def __call__(self, frame: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:
+        """One frame, as :func:`check_inputs` returns it; a copy of output row 0."""
+        self.ys[:, 0], self.steering[:], self.params[:] = frame, steering, PARAMS(params)
+        np.square(1.0 if gains is None else gains, out=self.gains_sq[:, 0])
+        status = self.run(*self.args)
+        if status:
+            raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {status - 1}")
+        return self.out[0, :, 0].copy()

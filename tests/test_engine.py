@@ -15,12 +15,13 @@ where the two-row solve falls back to the constraint row alone
 where the canceller skips its update (``denom == 0``); silent bins take
 those branches in the same frames as live ones.  One driver runs every
 call, so a run split in two must equal one run bit for bit.  A stream
-reuses its filters between frames; the stream tests also change the states,
-steering and params between frames and copy the states mid-stream.  The
-last tests cover fresh filters against the scalar states, the kernel's
-library cache and its argument types, the same bits from builds of every
-vector width, its build failures, a singular solve and the arrays ctypes
-refuses.
+reuses its filters and buffers between frames; the stream tests also change
+the states, steering, params and gains between frames, rebind a state's
+fields and copy the states mid-stream, and check that an output stays as it
+was returned.  The last tests cover fresh filters against the scalar states,
+the kernel's library cache and its argument types, the same bits from builds
+of every vector width, its build failures, a singular solve and the arrays
+``engine.bind`` refuses.
 """
 
 import copy
@@ -261,9 +262,94 @@ def test_stream_keeps_its_filters():
     assert states[0]._filters is not held
 
 
+def _stream_states(num_bins=4):
+    return [init_state(np.exp(0.3j * np.arange(2) * k), 3) for k in range(num_bins)]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("order", 5, "at order 5 it needs delay 1, 12 taps and history \\(5, 2\\); "
+                 "it has 1, \\(8,\\) and \\(3, 2\\)"),
+    ("delay", 2, "at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
+                 "it has 2, \\(8,\\) and \\(3, 2\\)"),
+    ("w_hat", np.zeros(6, complex), "at order 3 it needs delay 1, 8 taps and history "
+                                    "\\(3, 2\\); it has 1, \\(6,\\) and \\(3, 2\\)"),
+    ("history", np.zeros((2, 2), complex), "at order 3 it needs delay 1, 8 taps and history "
+                                           "\\(3, 2\\); it has 1, \\(8,\\) and \\(2, 2\\)"),
+])
+def test_a_field_rebound_mid_stream_is_checked_again(field, value, message):
+    """A held stream notices a state field reassigned between frames: a
+    value that does not fit is refused naming its bin, before any state
+    changes, and with the old value back the stream runs on as one that
+    was never touched."""
+    frames = np.random.default_rng(1).standard_normal((3, 4, 2)) + 0j
+    states, untouched = _stream_states(), _stream_states()
+    for n in range(2):
+        process_frame(states, frames[n], np.ones((4, 2)), ApaParams())
+        process_frame(untouched, frames[n], np.ones((4, 2)), ApaParams())
+    before, kept = copy.deepcopy(states), getattr(states[1], field)
+    setattr(states[1], field, value)
+    with pytest.raises(ValueError, match=f"^bin 1: {message}$"):
+        process_frame(states, frames[2], np.ones((4, 2)), ApaParams())
+    setattr(states[1], field, kept)
+    for state, old in zip(states, before):
+        np.testing.assert_array_equal(state.w_hat, old.w_hat)
+        np.testing.assert_array_equal(state.history, old.history)
+    got = process_frame(states, frames[2], np.ones((4, 2)), ApaParams())
+    np.testing.assert_array_equal(got, process_frame(untouched, frames[2], np.ones((4, 2)),
+                                                     ApaParams()))
+    for state, other in zip(states, untouched):
+        np.testing.assert_array_equal(state.w_hat, other.w_hat)
+        np.testing.assert_array_equal(state.history, other.history)
+
+
+def test_a_singular_solve_later_in_a_stream_names_its_bin_only():
+    """A stream names the bin of a singular solve and no frame: each call
+    runs one frame, whatever the stream's position.  Frame 3 switches to
+    phi_b = 1e300 with bins 0-2 (order 0) silent, so those take the
+    constraint row alone and bin 3 is the first singular one; the bins
+    after it have not moved."""
+    case = {**PARTLY_SILENT, "plan": BandPlan((2000.0,), (0, 3), 1), "quiet_bins": [0, 1, 2],
+            "quiet": (3, 4)}
+    spec, a, _ = _scene(case)
+    params = _params(case)
+    orders = params.band_plan.bin_orders(CONFIG)
+    assert not orders[:4].any()
+    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    for n in range(3):
+        process_frame(states, spec.data[:, :, n].T, a, params)
+    before = copy.deepcopy(states)
+    singular = dataclasses.replace(params, phi_b=1e300, phi_a=1e-300)
+    with pytest.raises(np.linalg.LinAlgError, match="^singular 2x2 innovation covariance at bin 3$"):
+        process_frame(states, spec.data[:, :, 3].T, a, singular)
+    for state, old in zip(states[4:], before[4:]):
+        np.testing.assert_array_equal(state.w_hat, old.w_hat)
+        np.testing.assert_array_equal(state.history, old.history)
+
+
+def test_an_output_is_not_overwritten_by_later_frames():
+    """Each call returns a new array: the outputs of earlier frames keep
+    their values while the stream runs on, and after it restacks."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    orders = params.band_plan.bin_orders(CONFIG)
+    states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+    got = []
+    for n in range(spec.num_frames):
+        if n == spec.num_frames // 2:
+            states[3].w_hat = states[3].w_hat.copy()
+        got.append(process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]))
+        if n == 0:
+            first = got[0].copy()
+        np.testing.assert_array_equal(got[0], first)
+    kept = [x.copy() for x in got]
+    process_frame(states, spec.data[:, :, 0].T, a, params)
+    for x, y in zip(got, kept):
+        np.testing.assert_array_equal(x, y)
+
+
 CHANGES = (
     "none", "new_list", "fresh_state", "copy_w_hat", "copy_history",
-    "reset_history", "steering", "alpha_r", "variances",
+    "reset_history", "steering", "alpha_r", "variances", "gains_off",
 )
 
 
@@ -272,8 +358,9 @@ CHANGES = (
 def test_apa_stream_survives_caller_changes(case, data):
     """Between frames the caller may pass a new list of the same states,
     swap in a fresh state, reassign a state's ``w_hat`` or ``history`` to a
-    copy, reset a history, switch the steering, change ``alpha_r`` or give
-    ``phi_b``, ``phi_r``, ``phi_a`` and ``eta`` new values.  The stream
+    copy, reset a history, switch the steering, change ``alpha_r``, give
+    ``phi_b``, ``phi_r``, ``phi_a`` and ``eta`` new values or switch between
+    the gain column and none.  The stream
     reuses its filters only while that stays exact: outputs, final filters
     and histories equal, bit for bit, a stream restacked every frame given
     the same changes, and match the scalar loop to ``REL_TOL``.
@@ -303,7 +390,7 @@ def test_apa_stream_survives_caller_changes(case, data):
     a = first
     streamed, rebuilt, looped = ([fresh(k) for k in range(CONFIG.num_bins)] for _ in range(3))
     got, again, want = [], [], []
-    varied = False
+    varied = gains_off = False
     for n, (change, k, alpha_r) in enumerate(changes):
         if change == "new_list":
             streamed = list(streamed)
@@ -325,7 +412,9 @@ def test_apa_stream_survives_caller_changes(case, data):
             names = ("phi_b", "phi_r", "phi_a", "eta")
             params = dataclasses.replace(params, **{x: 10.0 ** (d / 10.0) for x, d in zip(names, db)})
             varied = True
-        column = None if gains is None else gains[:, n]
+        elif change == "gains_off":
+            gains_off = not gains_off
+        column = None if gains is None or gains_off else gains[:, n]
         y = spec.data[:, :, n].T
         got.append(process_frame(streamed, y, a, params, column))
         for s in rebuilt:  # drop the stacked filters, so this frame stacks them anew
@@ -578,19 +667,21 @@ def test_drive_calls_the_kernel_once_per_pass(case):
 
 
 def test_the_kernel_signatures_match_the_loader():
-    """Both entry points of ``_kernel.c`` take, in order, the C types that
-    ``load_kernel`` declares: a drift between them would corrupt memory
-    instead of raising."""
+    """Both entry points of ``_kernel.c`` take, in order, the seven ``long``
+    scalars that ``load_kernel`` declares and then pointers to the dtypes
+    that ``bind`` checks, in its order: a drift between them would corrupt
+    memory instead of raising."""
     source = engine.SOURCE.read_text()
-    kinds = {ctypes.c_long: "long", np.dtype(ctypes.c_long): "long *",
-             np.dtype(np.float64): "double *", np.dtype(np.complex128): "double complex *"}
+    kinds = {np.dtype(ctypes.c_long): "long *", np.dtype(np.float64): "double *",
+             np.dtype(np.complex128): "double complex *"}
     for kernel in (APA, RC):
         params = re.search(rf"\blong {kernel.entry}\(([^)]*)\)", source).group(1)
         declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
         argtypes = getattr(engine.LIBRARY, kernel.entry).argtypes
-        loaded = [kinds[getattr(t, "_dtype_", t)] for t in argtypes]
-        assert [" ".join(d) for d in declared] == loaded
-        assert len(loaded) == 15
+        assert argtypes == [ctypes.c_long] * 7 + [ctypes.c_void_p] * len(engine.ARRAYS)
+        built = ["long"] * 7 + [kinds[dtype] for _, dtype in engine.ARRAYS]
+        assert [" ".join(d) for d in declared] == built
+        assert len(built) == 15
 
 
 def test_kernel_library_is_cached_by_source(tmp_path, monkeypatch):
@@ -712,23 +803,59 @@ def test_a_singular_solve_names_its_bin():
 
 @pytest.mark.parametrize("fault", ["strided", "complex64", "int32 orders"])
 def test_the_kernel_refuses_a_bad_array(fault):
-    """ctypes checks the dtype and layout of every array before the kernel runs."""
+    """``bind`` checks the dtype and layout of every array before it takes a
+    pointer: a bad one raises ``ValueError`` naming it, the kernel never runs
+    and the filters are unchanged."""
     spec, a, _ = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
     w, history = filters.w.copy(), filters.history.copy()
     ys = np.ascontiguousarray(spec.data.transpose(1, 2, 0))
-    orders = filters.orders.astype(np.int32) if fault == "int32 orders" else filters.orders
-    if fault != "int32 orders":
+    if fault == "int32 orders":
+        filters = filters._replace(orders=filters.orders.astype(np.int32))
+    else:
         ys = ys[:, ::2] if fault == "strided" else ys.astype(np.complex64)
     p = np.array([params.phi_b, params.phi_r, params.phi_a, params.eta, params.alpha_r])
-    shape = (CONFIG.num_bins, spec.num_frames)
-    with pytest.raises(ctypes.ArgumentError):
-        engine.LIBRARY.apa_run(*shape, spec.num_channels, params.delay, w.shape[1],
-                               history.shape[1] * spec.num_channels, 1, orders, p, np.ones(shape),
-                               filters.w, filters.history, ys, a, np.empty((3,) + shape, complex))
+    shape = (CONFIG.num_bins, ys.shape[1])
+    message = {"strided": "ys is not C-contiguous", "complex64": "ys has dtype complex64",
+               "int32 orders": "orders has dtype int32"}[fault]
+    with pytest.MonkeyPatch.context() as patch:
+        counting = CountingLibrary(engine.LIBRARY)
+        patch.setattr(engine, "LIBRARY", counting)
+        with pytest.raises(ValueError, match=f"^{message}(, expected .*)? for data of shape "):
+            engine.bind(APA, filters, ys, a, np.ones(shape), p, np.empty((3,) + shape, complex))
+        assert counting.calls == []
     np.testing.assert_array_equal(filters.w, w)
     np.testing.assert_array_equal(filters.history, history)
+
+
+@pytest.mark.parametrize("fault", ["dtype", "layout", "shape"])
+def test_bind_checks_every_array_before_any_pointer(fault):
+    """Each of the kernel's eight arrays, given another dtype, a strided
+    layout or (all but the frames, whose shape sets the others') one more
+    row, is refused by ``bind`` with a ``ValueError`` naming it."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
+    ys = np.ascontiguousarray(spec.data.transpose(1, 2, 0))
+    good = dict(zip([name for name, _ in engine.ARRAYS], (
+        filters.orders, np.array(engine.PARAMS(params)), gains ** 2, filters.w, filters.history,
+        ys, a, np.zeros((3,) + gains.shape, complex))))
+    for name, array in good.items():
+        if fault == "shape" and name == "ys":
+            continue
+        if fault == "dtype":
+            bad = array.astype({"i": np.int32, "f": np.float32, "c": np.complex64}[array.dtype.kind])
+        elif fault == "layout":
+            bad = np.empty(array.shape + (2,), array.dtype)[..., 0]
+            bad[...] = array
+        else:
+            bad = np.concatenate([array, array[:1]])
+        args = {**good, name: bad}
+        bound = filters._replace(orders=args["orders"], w=args["w"], history=args["history"])
+        with pytest.raises(ValueError, match=f"^{name} (has dtype|is not C-contiguous|has shape)"):
+            engine.bind(APA, bound, args["ys"], args["steering"], args["gains"], args["params"],
+                        args["out"])
 
 
 def test_filters_that_do_not_fit_the_kernel_are_refused():

@@ -27,6 +27,11 @@ scene and saves every result to an ``.npz``:
   20-39 and 120-129 are silent on every channel (frames 15-40, longer
   than the largest order, so their whole stacked regressor is zero and
   the constraint row acts alone): its outputs and final filters;
+- a stream that reuses its buffers through caller changes: the gain
+  column on odd frames and none on even ones, the steering switched between
+  the 45- and 120-degree DOAs every 5 frames, and bin 60's ``w_hat``
+  reassigned to a copy of itself every 7th frame: its outputs and final
+  filters and histories;
 - ``process_utterance_sdmvdr`` called directly with D=2, a gain mask and
   the prior pass;
 - both adaptive filters on a band plan whose order repeats in non-adjacent
@@ -199,6 +204,18 @@ def dump(src: str, out_file: str) -> None:
         outputs.append(process_frame(states, silent[:, :, n].T, vectors, params, mask[:, n]))
     arrays["silent_turn/output"] = np.stack(outputs, axis=1)
     arrays["silent_turn/w_hat"] = np.concatenate([s.w_hat for s in states])
+
+    states = [init_state(a, int(o), params.delay) for a, o in zip(steering.vectors, orders)]
+    outputs = []
+    for n in range(spec.num_frames):
+        if n % 7 == 3:
+            states[60].w_hat = states[60].w_hat.copy()
+        vectors = turned if n % 10 >= 5 else steering.vectors
+        column = mask[:, n] if n % 2 else None
+        outputs.append(process_frame(states, spec.data[:, :, n].T, vectors, params, column))
+    arrays["reused_stream/output"] = np.stack(outputs, axis=1)
+    arrays["reused_stream/w_hat"] = np.concatenate([s.w_hat for s in states])
+    arrays["reused_stream/history"] = np.concatenate([s.history.ravel() for s in states])
 
     coherence = diffuse_coherence(geom, cfg)
     params = ApaParams(band_plan=BandPlan((2000.0,), (5, 3), delay=2))
