@@ -88,39 +88,49 @@ class ApaParams:
         return self.band_plan.delay
 
 
-@dataclass
-class ApaState:
-    """Adaptive filter state of one frequency bin.
+class FrameHistory:
+    """The frame history of both filters' scalar states: ``history[l-1]`` holds the input
+    frame y(n-l) for l up to L, its length, so ``history`` is (L, M)."""
 
-    ``history[l-1]`` holds the input frame y(n-l); for order 0 the history is
-    empty and the filter reduces to its beamforming head.  After a stream's
-    frame, ``w_hat`` and ``history`` are views of its filters: hold the state, not them.
+    def push(self, y_now: np.ndarray) -> None:
+        """Advance the frame history by one step (nothing to move at order 0)."""
+        self.history[1:] = self.history[:-1]
+        self.history[:1] = y_now
+
+    def reset_history(self) -> None:
+        self.history[:] = 0.0
+
+    def stack(self) -> np.ndarray:
+        """The stacked delayed frames [y(n-D); ...; y(n-L)], empty at order 0."""
+        return self.history[self.delay - 1 :].ravel()
+
+
+@dataclass
+class ApaState(FrameHistory):
+    """Adaptive filter state of one frequency bin, of order L = ``len(history)``.
+
+    For order 0 the history is empty and the filter reduces to its beamforming
+    head.  After a stream's frame, ``w_hat`` and ``history`` are views of its
+    filters: hold the state, not them.
     """
 
     w_hat: np.ndarray
     history: np.ndarray
-    order: int
     delay: int
-    num_mics: int
+
+    @property
+    def num_mics(self) -> int:
+        return self.history.shape[-1]
 
     @property
     def stacked_len(self) -> int:
         """Q = M*(L - D + 2), or M when the order is zero."""
         return self.w_hat.shape[0]
 
-    def push(self, y_now: np.ndarray) -> None:
-        """Advance the frame history by one step."""
-        if self.order > 0:
-            self.history[1:] = self.history[:-1]
-            self.history[0] = y_now
-
-    def reset_history(self) -> None:
-        self.history[:] = 0.0
-
     def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
         if "_filters" in self.__dict__:  # a reassigned field: its stream holds the states no more
             self._filters.states = ()
-        object.__setattr__(self, name, value)
 
     def __getstate__(self) -> dict:  # copies and pickles leave process_frame's filters behind
         return {k: v for k, v in vars(self).items() if k != "_filters"}
@@ -150,7 +160,7 @@ def init_state(a: np.ndarray, order: int, delay: int = 1) -> ApaState:
         raise ValueError("steering vector has zero norm")
     w_hat[:num_mics] = a / norm_sq
     history = np.zeros((order, num_mics), dtype=np.complex128)
-    return ApaState(w_hat, history, order, delay, num_mics)
+    return ApaState(w_hat, history, delay)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +175,8 @@ def stack_observation(state: ApaState, y_now: np.ndarray, a: np.ndarray) -> Obse
         raise ValueError(f"expected frame of shape ({m},), got {y_now.shape}")
     if a.shape != (m,):
         raise ValueError(f"expected steering of shape ({m},), got {a.shape}")
-    q = state.stacked_len
-    y_tilde = np.empty(q, dtype=np.complex128)
-    y_tilde[:m] = y_now
-    if state.order > 0:
-        y_tilde[m:] = state.history[state.delay - 1 :].ravel()
-    a_tilde = np.zeros(q, dtype=np.complex128)
+    y_tilde = np.concatenate((y_now, state.stack()))  # complex128, as the history is
+    a_tilde = np.zeros_like(y_tilde)
     a_tilde[:m] = a
     return Observation(y_tilde, a_tilde)
 
@@ -317,11 +323,12 @@ def process_frame(
     run before it have moved.  ``steering`` is the (bins, M) steering matrix
     and ``gains`` an optional per-bin gain column, clamped into [0, 1]; an
     empty state list, a bad shape, a non-finite frame or steering value, a
-    zero-norm steering row, a NaN gain, or a state whose order, delay (one
-    for all states) or arrays do not fit raises before any state changes.
-    Steering and params are taken from each call.  The states are bound
-    once to a :class:`~convbeam.engine.Stream`, and again when the list
-    holds other states or a state reassigns a field.  A stream equals
+    zero-norm steering row, a NaN gain, a state listed at two bins, or one
+    whose delay (one for all states) or arrays do not fit its order,
+    ``len(history)``, raises before any state changes.  Steering and params
+    are taken from each call.  The states are bound once to a
+    :class:`~convbeam.engine.Stream`, and again when the list holds other
+    states or a state reassigns a field.  A stream equals
     process_utterance bitwise; each call returns a new array.
     """
     if not states:

@@ -41,6 +41,7 @@ CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 PARAMS = attrgetter("phi_b", "phi_r", "phi_a", "eta", "alpha_r")
 ARRAYS = tuple(zip(("orders", "params", "gains", "w", "history", "ys", "steering", "out"),
                    map(np.dtype, (ctypes.c_long, np.float64, np.float64) + (np.complex128,) * 5)))
+WRITTEN = ("w", "history", "out")  # the arrays the kernel writes through its pointers
 
 
 def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache__"):
@@ -157,8 +158,9 @@ def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
          gains_sq: np.ndarray, params: np.ndarray, out: np.ndarray, keep: int = 1) -> tuple:
     """(entry, args) of ``kernel`` on the frames ``ys`` (bins, frames, M): its scalars, then a
     pointer to each array of :data:`ARRAYS`, taken once all have the dtype, C order and shape
-    that ``ys`` and ``filters`` give (orders by :meth:`Kernel.widest`); the first that has not
-    raises ``ValueError`` naming it.  The arrays must outlive the args, which do not hold them."""
+    that ``ys`` and ``filters`` give (orders by :meth:`Kernel.widest`) and those of
+    :data:`WRITTEN` are writable; the first that is not raises ``ValueError`` naming it.  The
+    arrays must outlive the args, which do not hold them."""
     if isinstance(LIBRARY, ImportError):  # the build at import failed
         raise ImportError(*LIBRARY.args)
     (bins, frames, m), (orders, delay, w, history) = ys.shape, filters
@@ -169,6 +171,7 @@ def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
         fault = (f"has dtype {array.dtype}, expected {dtype}" if array.dtype != dtype
                  else "is not C-contiguous" if not array.flags.c_contiguous
                  else f"has shape {array.shape}, expected {shape}" if array.shape != shape
+                 else "is read-only" if name in WRITTEN and not array.flags.writeable
                  else None)
         if fault:
             raise ValueError(f"{name} {fault} for data of shape {(m, bins, frames)}")
@@ -208,29 +211,33 @@ def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarr
 
 class Stream:
     """A stream's kernel call, bound once per list of ``states`` to its own :class:`Filters`
-    (whose rows their ``w_hat`` and ``history`` become) and buffers.  A state that does not fit
-    raises ``ValueError`` naming its bin before any state changes."""
+    (whose rows their ``w_hat`` and ``history`` become) and buffers.  A state listed at an earlier
+    bin too, or one that does not fit its order, ``len(history)``, raises ``ValueError`` naming
+    its bin before any state changes."""
 
     def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
         m, delay, bins = states[0].num_mics, states[0].delay, len(states)
-        for k, s in enumerate(states):
+        orders, first = [len(s.history) for s in states], {}
+        for k, (s, order) in enumerate(zip(states, orders)):
             try:
-                q = kernel.taps(m, s.order, delay)
-                if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (s.order, m):
-                    raise ValueError(f"at order {s.order} it needs delay {delay}, {q} taps and "
-                                     f"history ({s.order}, {m}); it has {s.delay}, "
+                if first.setdefault(id(s), k) != k:
+                    raise ValueError(f"its state is bin {first[id(s)]}'s too")
+                q = kernel.taps(m, order, delay)
+                if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (order, m):
+                    raise ValueError(f"at order {order} it needs delay {delay}, {q} taps and "
+                                     f"history ({order}, {m}); it has {s.delay}, "
                                      f"{s.w_hat.shape} and {s.history.shape}")
             except ValueError as exc:
                 raise ValueError(f"bin {k}: {exc}") from None
-        self.filters = Filters.start(kernel, steering, [s.order for s in states], delay)
+        self.filters = Filters.start(kernel, steering, orders, delay)
         self.ys, self.steering = np.empty((bins, 1, m), complex), np.empty((bins, m), complex)
         self.gains_sq, self.params = np.empty((bins, 1)), np.empty(5)
         self.out = np.empty((kernel.outputs, bins, 1), complex)
         self.run, self.args = bind(kernel, self.filters, self.ys, self.steering, self.gains_sq,
                                    self.params, self.out)
-        for s, w, history in zip(states, self.filters.w, self.filters.history):
-            w[: s.w_hat.size], history[: s.order] = s.w_hat, s.history
-            s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[: s.order], self
+        for s, order, w, history in zip(states, orders, self.filters.w, self.filters.history):
+            w[: s.w_hat.size], history[:order] = s.w_hat, s.history
+            s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], self
         self.states = tuple(states)  # emptied when a state reassigns a field
 
     def __call__(self, frame: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:

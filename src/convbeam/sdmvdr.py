@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apa import ApaParams, limited_output, psd_floor
+from .apa import ApaParams, FrameHistory, limited_output, psd_floor
 from .engine import RC, Filters, check_inputs, drive
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
@@ -36,27 +36,17 @@ __all__ = [
 
 
 @dataclass
-class RcState:
+class RcState(FrameHistory):
     """Reverb-canceller state of one bin: fixed head w_sd, adaptive taps w_rc.
 
-    ``history[l-1]`` holds y(n-l) for l up to L, its length; the stacked
-    regressor is f = [y(n-D); ...; y(n-L)] of length M*(L-D+1).
+    The stacked regressor is f = ``stack()`` = [y(n-D); ...; y(n-L)], of
+    length M*(L-D+1).
     """
 
     w_sd: np.ndarray
     w_rc: np.ndarray
     history: np.ndarray
     delay: int
-
-    def stack(self) -> np.ndarray:
-        return self.history[self.delay - 1 :].ravel()
-
-    def push(self, y_now: np.ndarray) -> None:
-        self.history[1:] = self.history[:-1]
-        self.history[0] = y_now
-
-    def reset_history(self) -> None:
-        self.history[:] = 0.0
 
 
 def init_rc_state(w_sd: np.ndarray, order: int, delay: int = 1) -> RcState:

@@ -267,14 +267,12 @@ def _stream_states(num_bins=4):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("order", 5, "at order 5 it needs delay 1, 12 taps and history \\(5, 2\\); "
-                 "it has 1, \\(8,\\) and \\(3, 2\\)"),
     ("delay", 2, "at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
                  "it has 2, \\(8,\\) and \\(3, 2\\)"),
     ("w_hat", np.zeros(6, complex), "at order 3 it needs delay 1, 8 taps and history "
                                     "\\(3, 2\\); it has 1, \\(6,\\) and \\(3, 2\\)"),
-    ("history", np.zeros((2, 2), complex), "at order 3 it needs delay 1, 8 taps and history "
-                                           "\\(3, 2\\); it has 1, \\(8,\\) and \\(2, 2\\)"),
+    ("history", np.zeros((2, 2), complex), "at order 2 it needs delay 1, 6 taps and history "
+                                           "\\(2, 2\\); it has 1, \\(8,\\) and \\(2, 2\\)"),
 ])
 def test_a_field_rebound_mid_stream_is_checked_again(field, value, message):
     """A held stream notices a state field reassigned between frames: a
@@ -300,6 +298,20 @@ def test_a_field_rebound_mid_stream_is_checked_again(field, value, message):
     for state, other in zip(states, untouched):
         np.testing.assert_array_equal(state.w_hat, other.w_hat)
         np.testing.assert_array_equal(state.history, other.history)
+
+
+def test_a_state_has_no_order_or_width_but_its_history():
+    """A state's order and M are its history's length and width: it stores
+    neither, and setting ``num_mics`` raises and leaves a held stream held."""
+    states = _stream_states()
+    process_frame(states, np.ones((4, 2)), np.ones((4, 2)), ApaParams())
+    held = states[1]._filters
+    assert [f.name for f in dataclasses.fields(ApaState)] == ["w_hat", "history", "delay"]
+    assert states[1].num_mics == states[1].history.shape[1] == 2
+    assert init_state(np.ones(3), 0).num_mics == 3
+    with pytest.raises(AttributeError):
+        states[1].num_mics = 3
+    assert held.states and states[1].num_mics == 2
 
 
 def test_a_singular_solve_later_in_a_stream_names_its_bin_only():
@@ -462,7 +474,7 @@ def test_stream_continues_an_utterance_run_and_its_copies():
     want = _oracle(spec, looped, gains, True, step)
     m = case["num_mics"]
     streamed = [
-        ApaState(w[: APA.taps(m, int(o), params.delay)], history[:o], int(o), params.delay, m)
+        ApaState(w[: APA.taps(m, int(o), params.delay)], history[:o], params.delay)
         for o, w, history in zip(orders, filters.w, filters.history)
     ]
     for got_row, want_row, scale in zip(out, want, (want[0], want[1], want[1])):
@@ -829,11 +841,12 @@ def test_the_kernel_refuses_a_bad_array(fault):
     np.testing.assert_array_equal(filters.history, history)
 
 
-@pytest.mark.parametrize("fault", ["dtype", "layout", "shape"])
+@pytest.mark.parametrize("fault", ["dtype", "layout", "shape", "read-only"])
 def test_bind_checks_every_array_before_any_pointer(fault):
     """Each of the kernel's eight arrays, given another dtype, a strided
     layout or (all but the frames, whose shape sets the others') one more
-    row, is refused by ``bind`` with a ``ValueError`` naming it."""
+    row, and each array the kernel writes, made read-only, is refused by
+    ``bind`` with a ``ValueError`` naming it."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
@@ -842,9 +855,13 @@ def test_bind_checks_every_array_before_any_pointer(fault):
         filters.orders, np.array(engine.PARAMS(params)), gains ** 2, filters.w, filters.history,
         ys, a, np.zeros((3,) + gains.shape, complex))))
     for name, array in good.items():
-        if fault == "shape" and name == "ys":
+        if (fault == "shape" and name == "ys") or (fault == "read-only"
+                                                   and name not in ("w", "history", "out")):
             continue
-        if fault == "dtype":
+        if fault == "read-only":
+            bad = array.copy()
+            bad.flags.writeable = False
+        elif fault == "dtype":
             bad = array.astype({"i": np.int32, "f": np.float32, "c": np.complex64}[array.dtype.kind])
         elif fault == "layout":
             bad = np.empty(array.shape + (2,), array.dtype)[..., 0]
@@ -853,7 +870,8 @@ def test_bind_checks_every_array_before_any_pointer(fault):
             bad = np.concatenate([array, array[:1]])
         args = {**good, name: bad}
         bound = filters._replace(orders=args["orders"], w=args["w"], history=args["history"])
-        with pytest.raises(ValueError, match=f"^{name} (has dtype|is not C-contiguous|has shape)"):
+        with pytest.raises(ValueError,
+                           match=f"^{name} (has dtype|is not C-contiguous|has shape|is read-only)"):
             engine.bind(APA, bound, args["ys"], args["steering"], args["gains"], args["params"],
                         args["out"])
 
@@ -863,7 +881,8 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
     order at or below the delay, and steering or gains with other bins than
     the data never reach the kernel; a stream refuses a state whose filter
     or history does not fit its order, or whose delay is not bin 0's,
-    before any state changes."""
+    before any state changes, as it does a state listed at two bins or a
+    history that is not (order, M)."""
     fresh = Filters.start(APA, np.ones((4, 2)), [3] * 4, 1)
     w = fresh.w.copy()
     for data, steering, gains, message in (
@@ -888,14 +907,20 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
         np.testing.assert_array_equal(filters.w[:, :6], w[:, :6])
     short = [init_state(np.ones(2), 3) for _ in range(4)]
     short[2].w_hat = short[2].w_hat[:6]
-    below = [ApaState(np.zeros(0, complex), np.zeros((1, 2), complex), 1, 3, 2) for _ in range(4)]
+    below = [ApaState(np.zeros(0, complex), np.zeros((1, 2), complex), 3) for _ in range(4)]
     mixed = [init_state(np.ones(2), 3) for _ in range(3)] + [init_state(np.ones(2), 4, 2)]
+    twice = [init_state(np.ones(2), 3) for _ in range(3)]
+    flat = [init_state(np.ones(2), 3) for _ in range(4)]
+    flat[1].history = flat[1].history.ravel()[:3]
     for states, message in (
         (short, "bin 2: at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
                 "it has 1, \\(6,\\) and \\(3, 2\\)$"),
         (below, "bin 0: order must be 0 or > delay \\(3\\), got 1$"),
         (mixed, "bin 3: at order 4 it needs delay 1, 10 taps and history \\(4, 2\\); "
                 "it has 2, \\(8,\\) and \\(4, 2\\)$"),
+        (twice + twice[:1], "bin 3: its state is bin 0's too$"),
+        (flat, "bin 1: at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
+               "it has 1, \\(8,\\) and \\(3,\\)$"),
     ):
         before = copy.deepcopy(states)
         with pytest.raises(ValueError, match=f"^{message}"):

@@ -61,6 +61,15 @@ scene and saves every result to an ``.npz``:
 - ``apa.kalman_gain`` on 204 fixed random instances: M 1, 2, 4 and 8 with
   Q = 3M, unit-modulus steering heads, variances log-uniform in 1e-8..10,
   and per M one silent regressor with phi_x = 0 (the constraint row alone);
+- the scalar oracle, bin by bin, composed of the public per-frame functions
+  as perfbench's reference loops compose them (``stack_observation``,
+  ``speech_psd_estimate``, ``psd_floor``, ``apa_update``,
+  ``limited_output`` and ``push`` for the full filter; ``rc_speech_psd``
+  and ``rc_update`` for the canceller): the full filter at orders 0 and 3
+  and the canceller at order 3, for M 2 and 3 and D 1 and 2, on 40 random
+  frames with every fourth gain zero and a run of silent frames longer
+  than the order, with and without a prior pass (``reset_history``
+  between passes): the outputs, the final filter and the final history;
 - ``srp_phat_localize`` on 72 ``exp_decay_rir_scene`` mixtures (2 s of
   ``synthetic_speech``, M 4, 6 and 8 on a 0.10 m circle, seeds 0-11,
   T60 0.3 and 0.9 s, DRR 0 dB, SNR 20 dB, an off-grid source direction per
@@ -95,9 +104,12 @@ def dump(src: str, out_file: str) -> None:
     from scipy.signal import lfilter
 
     import convbeam
-    from convbeam.apa import ApaParams, init_state, kalman_gain, process_frame, process_utterance
+    from convbeam.apa import (
+        ApaParams, apa_update, init_state, kalman_gain, limited_output, process_frame,
+        process_utterance, psd_floor, speech_psd_estimate, stack_observation,
+    )
     from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
-    from convbeam.gains import write_gain_mask
+    from convbeam.gains import apply_gain, write_gain_mask
     from convbeam.geometry import (
         circular_array, diffuse_coherence, plane_wave_steering, srp_phat_localize,
     )
@@ -107,7 +119,9 @@ def dump(src: str, out_file: str) -> None:
         diffuse_noise_frames, exp_decay_rir_scene, mclp_scene, mclp_spectral_radius, random_mclp,
         synthetic_speech,
     )
-    from convbeam.sdmvdr import process_utterance_sdmvdr
+    from convbeam.sdmvdr import (
+        init_rc_state, process_utterance_sdmvdr, rc_speech_psd, rc_update,
+    )
     from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft, stft
     from convbeam.wavio import AudioBuffer, read_wav, write_wav
 
@@ -299,6 +313,46 @@ def dump(src: str, out_file: str) -> None:
                 y, phi_x = np.zeros_like(y), 0.0
             gains.append(kalman_gain(y, a, m, phi_b, phi_r, phi_x, phi_a))
     arrays["kalman_gain"] = np.concatenate(gains)
+
+    params = ApaParams()
+
+    def apa_step(state, y_now, a, gain):
+        obs = stack_observation(state, y_now, a)
+        phi_x = float(apply_gain(speech_psd_estimate(state, obs), gain))
+        phi_x = psd_floor(phi_x, y_now, params.eta, params.mean_floor)
+        apa_update(state, obs, phi_x, params)
+        m = state.num_mics
+        x_b = np.vdot(state.w_hat[:m], y_now)
+        x_r = x_b - np.vdot(state.w_hat, obs.y_tilde)
+        state.push(y_now)
+        return limited_output(x_b, x_r, params.alpha_r)
+
+    def rc_step(state, y_now, a, gain):
+        phi_x = rc_speech_psd(state, y_now, params.eta, params.mean_floor, gain)
+        return rc_update(state, y_now, phi_x, params.phi_r, params.alpha_r)
+
+    rng = np.random.default_rng(8)
+    for name, init, step, order in (("apa", init_state, apa_step, 0),
+                                    ("apa", init_state, apa_step, 3),
+                                    ("rc", init_rc_state, rc_step, 3)):
+        for m in (2, 3):
+            for d in (1, 2):
+                y = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
+                y[12:17] = 0.0  # longer than the order: the whole regressor falls silent
+                a = np.exp(2j * np.pi * rng.uniform(size=m))
+                gains = rng.uniform(0.0, 1.0, 40)
+                gains[::4] = 0.0
+                for prior in (0, 1):
+                    state = init(a if name == "apa" else a / m, order, d)
+                    for _ in range(prior):
+                        for y_now, gain in zip(y, gains):
+                            step(state, y_now, a, gain)
+                        state.reset_history()
+                    key = f"oracle/{name}/L{order}/M{m}/D{d}/prior{prior}"
+                    arrays[f"{key}/output"] = np.array(
+                        [step(state, y_now, a, gain) for y_now, gain in zip(y, gains)])
+                    arrays[f"{key}/w"] = state.w_hat if name == "apa" else state.w_rc
+                    arrays[f"{key}/history"] = state.history
 
     for seed in range(12):
         dry = synthetic_speech(2.0, cfg.sample_rate, seed=seed)
