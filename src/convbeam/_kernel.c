@@ -1,14 +1,16 @@
 /* Per-bin kernels of both adaptive filters, loaded by convbeam.engine.
 
-Each entry point runs every bin through nf frames, one bin at a time, so a
-bin's filter and frame history stay in cache for the whole call; bin k has
-its own order L_k = orders[k] and all share the delay D.  The arithmetic is
-that of the scalar oracle in convbeam.apa and convbeam.sdmvdr, step for
-step; only the order of the sums in a dot product or norm differs.  Each
-such sum runs over the (re, im) doubles in 8 lanes added in a fixed tree,
-so a build that maps the lanes onto SSE2 or AVX2 registers rounds as a
-scalar one: every clone and vector width gives the same bits.  Values are
-C99 double complex, in C order with rows ws and hs complex entries apart:
+Each entry point runs bins k0 <= k < k1 of the arrays' bins through nf
+frames, one bin at a time, so a bin's filter and frame history stay in cache
+for the whole call; bin k has its own order L_k = orders[k] and all share
+the delay D.  Bins share no value, so calls on disjoint ranges may run at
+once.  The arithmetic is that of the scalar oracle in convbeam.apa and
+convbeam.sdmvdr, step for step; only the order of the sums in a dot product
+or norm differs.  Each such sum runs over the (re, im) doubles in 8 lanes
+added in a fixed tree, so a build that maps the lanes onto SSE2 or AVX2
+registers rounds as a scalar one: every clone and vector width gives the
+same bits.  Values are C99 double complex, in C order with rows ws and hs
+complex entries apart:
 
   w       (bins, ws)         filters, bin k's Q_k taps first; updated in place
   hist    (bins, hs / M, M)  slot l-1 holds y(n-l), l <= L_k, as the scalar states' history
@@ -93,13 +95,14 @@ static double complex limited(double complex xb, double complex xr, double alpha
 }
 
 /* apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b, x_r). */
-CLONES long apa_run(long bins, long nf, long m, long d, long ws, long hs, long keep,
-                    const long *orders, const double *p, const double *gsq, double complex *w,
-                    double complex *hist, const double complex *ys, const double complex *a,
-                    double complex *out)
+CLONES long apa_run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
+                    long keep, const long *orders, const double *p, const double *gsq,
+                    double complex *w, double complex *hist, const double complex *ys,
+                    const double complex *a, double complex *out)
 {
     const double phi_b = p[0], phi_r = p[1], phi_a = p[2], eta = p[3], alpha = p[4];
-    for (long k = 0; k < bins; k++, w += ws, hist += hs) {
+    w += k0 * ws, hist += k0 * hs;
+    for (long k = k0; k < k1; k++, w += ws, hist += hs) {
         const long l = orders[k], tail = l ? (l - d + 1) * m : 0;
         const double complex *ak = a + k * m, *t = hist + (tail ? (d - 1) * m : 0);
         const double s11 = phi_b * norm2(ak, m) + phi_a;
@@ -143,13 +146,14 @@ CLONES long apa_run(long bins, long nf, long m, long d, long ws, long hs, long k
 }
 
 /* sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
-CLONES long rc_run(long bins, long nf, long m, long d, long ws, long hs, long keep,
-                   const long *orders, const double *p, const double *gsq, double complex *w,
-                   double complex *hist, const double complex *ys, const double complex *a,
-                   double complex *out)
+CLONES long rc_run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
+                   long keep, const long *orders, const double *p, const double *gsq,
+                   double complex *w, double complex *hist, const double complex *ys,
+                   const double complex *a, double complex *out)
 {
     const double phi_r = p[1], eta = p[3], alpha = p[4];
-    for (long k = 0; k < bins; k++, w += ws, hist += hs) {
+    w += k0 * ws, hist += k0 * hs;
+    for (long k = k0; k < k1; k++, w += ws, hist += hs) {
         const long l = orders[k], q = (l - d + 1) * m;
         const double complex *head = a + k * m, *f = hist + (d - 1) * m;
         for (long n = 0; n < nf; n++) {

@@ -122,11 +122,6 @@ class ApaState(FrameHistory):
     def num_mics(self) -> int:
         return self.history.shape[-1]
 
-    @property
-    def stacked_len(self) -> int:
-        """Q = M*(L - D + 2), or M when the order is zero."""
-        return self.w_hat.shape[0]
-
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
         if "_filters" in self.__dict__:  # a reassigned field: its stream holds the states no more
@@ -325,19 +320,18 @@ def process_frame(
     empty state list, a bad shape, a non-finite frame or steering value, a
     zero-norm steering row, a NaN gain, a state listed at two bins, or one
     whose delay (one for all states) or arrays do not fit its order,
-    ``len(history)``, raises before any state changes.  Steering and params
-    are taken from each call.  The states are bound once to a
-    :class:`~convbeam.engine.Stream`, and again when the list holds other
-    states or a state reassigns a field.  A stream equals
-    process_utterance bitwise; each call returns a new array.
+    ``len(history)``, and M, the steering's width, raises before any state
+    changes.  Steering and params are taken from each call.  The states are
+    bound once to a :class:`~convbeam.engine.Stream`, and again when the list
+    holds other states, a state reassigns a field or M changes.  A stream
+    equals process_utterance bitwise; each call returns a new array.
     """
     if not states:
         raise ValueError("states is empty: process_frame needs one state per bin")
-    frame, steering, gains = check_inputs(
-        steering, gains, states[0].num_mics, (len(states),), frame
-    )
+    frame, steering, gains = check_inputs(steering, gains, None, (len(states),), frame)
     held = getattr(states[0], "_filters", None)  # an engine.Stream
-    if not (held and len(held.states) == len(states) and all(map(is_, states, held.states))):
+    if not (held and len(held.states) == len(states) and held.steering.shape == steering.shape
+            and all(map(is_, states, held.states))):
         held = Stream(APA, states, steering)
     return held(frame, steering, gains, params)
 

@@ -6,9 +6,9 @@ each bin at its own order, in the layout of the scalar states.  The kernel,
 either filter over every bin, one bin at a time through every frame, with the
 arithmetic of the scalar oracle of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr`.  :func:`bind` checks every array it points the kernel
-at; :func:`drive` runs an utterance, one kernel call per pass, and a
-:class:`Stream` (``apa.process_frame``), bound once, each frame as an
-utterance of one frame, so a stream equals the offline run by construction.
+at; :func:`drive` runs an utterance, one call per pass on each span of bins in
+threads at once, and a :class:`Stream` (``apa.process_frame``), bound once,
+each frame as an utterance of one frame, so it equals the offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 import zlib
 from operator import attrgetter
 from pathlib import Path
@@ -74,7 +75,7 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
             raise ImportError(f"building the kernel failed: {' '.join(cmd)}\n{exc}") from None
     kernel = ctypes.CDLL(str(lib))
     for fn in (kernel.apa_run, kernel.rc_run):
-        fn.argtypes = [ctypes.c_long] * 7 + [ctypes.c_void_p] * len(ARRAYS)
+        fn.argtypes = [ctypes.c_long] * 9 + [ctypes.c_void_p] * len(ARRAYS)
         fn.restype = ctypes.c_long
     return kernel
 
@@ -125,21 +126,21 @@ class Filters(NamedTuple):
         return cls(orders, delay, w, np.zeros((bins, orders.max(), m), np.complex128))
 
 
-def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) -> tuple:
+def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None) -> tuple:
     """(frame, steering, gains) as arrays, checked before any state changes.
 
     ``frame`` (when given) must be finite and ``steering`` a valid
     :class:`~convbeam.geometry.SteeringVector`, both (bins, M), with bins =
-    ``gain_shape[0]`` and M = ``num_mics``; ``gains`` must be of
-    ``gain_shape`` and is clamped into [0, 1].  An utterance driver passes
-    its Spectrogram as ``frame``; that must be finite.  Anything else
+    ``gain_shape[0]`` and M = ``num_mics`` (None: the steering's width); ``gains``
+    must be of ``gain_shape`` and is clamped into [0, 1].  An utterance driver
+    passes its Spectrogram as ``frame``; that must be finite.  Anything else
     raises ``ValueError`` naming the argument, and for a bad value where it is.
     """
     steering = np.ascontiguousarray(getattr(steering, "vectors", steering), np.complex128)
     spec, frame = (frame.data, None) if isinstance(frame, Spectrogram) else (None, frame)
     frame = None if frame is None else np.ascontiguousarray(frame, dtype=np.complex128)
     gains = None if gains is None else np.asarray(gains, dtype=np.float64)
-    shape = (gain_shape[0], num_mics)
+    shape = (gain_shape[0], steering.shape[-1] if num_mics is None else num_mics)
     named = (("frame", frame, shape), ("steering", steering, shape), ("gains", gains, gain_shape))
     for name, value, expected in named:
         if value is not None and value.shape != expected:
@@ -156,11 +157,11 @@ def check_inputs(steering, gains, num_mics: int, gain_shape: tuple, frame=None) 
 
 def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
          gains_sq: np.ndarray, params: np.ndarray, out: np.ndarray, keep: int = 1) -> tuple:
-    """(entry, args) of ``kernel`` on the frames ``ys`` (bins, frames, M): its scalars, then a
-    pointer to each array of :data:`ARRAYS`, taken once all have the dtype, C order and shape
-    that ``ys`` and ``filters`` give (orders by :meth:`Kernel.widest`) and those of
-    :data:`WRITTEN` are writable; the first that is not raises ``ValueError`` naming it.  The
-    arrays must outlive the args, which do not hold them."""
+    """(entry, args) of ``kernel`` on the frames ``ys`` (bins, frames, M): its scalars, whose
+    bin range ``args[1:3]`` is every bin, then a pointer to each array of :data:`ARRAYS`, taken
+    once all have the dtype, C order and shape that ``ys`` and ``filters`` give (orders by
+    :meth:`Kernel.widest`) and those of :data:`WRITTEN` are writable; the first that is not
+    raises ``ValueError`` naming it.  The arrays must outlive the args, which do not hold them."""
     if isinstance(LIBRARY, ImportError):  # the build at import failed
         raise ImportError(*LIBRARY.args)
     (bins, frames, m), (orders, delay, w, history) = ys.shape, filters
@@ -175,8 +176,20 @@ def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
                  else None)
         if fault:
             raise ValueError(f"{name} {fault} for data of shape {(m, bins, frames)}")
-    scalars = (bins, frames, m, delay, w.shape[1], history.shape[1] * m, keep)
+    scalars = (bins, 0, bins, frames, m, delay, w.shape[1], history.shape[1] * m, keep)
     return getattr(LIBRARY, kernel.entry), scalars + tuple(a.ctypes.data for a in arrays)
+
+
+def _spans(kernel: Kernel, filters: Filters, num_mics: int, count: int) -> list:
+    """At most ``count`` contiguous bin ranges ``(k0, k1)``, in order and covering each bin once,
+    of near-equal cost: bin k costs its Q_k (:meth:`Kernel.taps`) + M, and goes to the span
+    in which the middle of its cost falls."""
+    orders, index = np.unique(filters.orders, return_inverse=True)
+    taps = np.array([kernel.taps(num_mics, order, filters.delay) for order in orders.tolist()])
+    cost = taps[index] + num_mics
+    shares = np.arange(count + 1) * cost.sum() / count
+    edges = np.unique(np.searchsorted(np.cumsum(cost) - cost / 2, shares)).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarray, params,
@@ -188,35 +201,56 @@ def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarr
     the C-contiguous (bins, M) matrix the kernel reads (the fixed heads, for
     the canceller), and ``gains`` None or (bins, frames) from
     :func:`check_inputs`; an array that does not fit the data and orders
-    raises the ``ValueError`` of :func:`bind`.  Every bin runs in one kernel
-    call per pass; with ``prior_pass``, a first pass forms no outputs and
-    keeps each filter but not its history.  A singular 2x2 solve raises
-    ``LinAlgError`` naming its bin and frame; the bins before it have moved.
+    raises the ``ValueError`` of :func:`bind` before the kernel runs.  Each
+    span of bins (:func:`_spans`), one per CPU in the affinity set, runs in
+    its own thread, one kernel call per pass, to the bits of one span; with ``prior_pass``, a
+    first pass forms no outputs and keeps each filter but not its history.
+    A singular 2x2 solve raises ``LinAlgError`` naming the bin and frame of
+    the lowest failing bin in the first pass with one, as one span would;
+    the bins before it, and those of other spans, may have moved.
     """
     m, num_bins, num_frames = data.shape
     ys = np.ascontiguousarray(data.transpose(1, 2, 0), np.complex128)
     gains_sq = np.ones((num_bins, num_frames)) if gains is None else np.square(gains, order="C")
     p = np.array(PARAMS(params))
     out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
-    for keep in ((0, 1) if prior_pass else (1,)):
-        run, args = bind(kernel, filters, ys, steering, gains_sq, p, out, keep)
-        status = run(*args)
-        if status:
-            k, n = divmod(status - 1, num_frames)
-            raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
-        if not keep:
-            filters.history[:] = 0.0
+    keeps = (0, 1) if prior_pass else (1,)
+    bound = [bind(kernel, filters, ys, steering, gains_sq, p, out, keep) for keep in keeps]
+    failed = []  # (pass, status) of each span that met a singular solve
+
+    def run(k0: int, k1: int) -> None:  # every pass over bins [k0, k1), in this thread
+        for n, (entry, (bins, _, _, *args)) in enumerate(bound):
+            status = entry(bins, k0, k1, *args)
+            if status:
+                failed.append((n, status))
+                return
+            if not keeps[n]:
+                filters.history[k0:k1] = 0.0
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    first, *others = _spans(kernel, filters, m, cpus or 1)
+    threads = [threading.Thread(target=run, args=span) for span in others]
+    for thread in threads:
+        thread.start()
+    try:
+        run(*first)
+    finally:  # the other spans write the filters and out until they end
+        for thread in threads:
+            thread.join()
+    if failed:
+        k, n = divmod(min(failed)[1] - 1, num_frames)
+        raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
     return out
 
 
 class Stream:
     """A stream's kernel call, bound once per list of ``states`` to its own :class:`Filters`
     (whose rows their ``w_hat`` and ``history`` become) and buffers.  A state listed at an earlier
-    bin too, or one that does not fit its order, ``len(history)``, raises ``ValueError`` naming
-    its bin before any state changes."""
+    bin too, or one that does not fit its order, ``len(history)``, and the steering's width M,
+    raises ``ValueError`` naming its bin before any state changes."""
 
     def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
-        m, delay, bins = states[0].num_mics, states[0].delay, len(states)
+        (bins, m), delay = steering.shape, states[0].delay
         orders, first = [len(s.history) for s in states], {}
         for k, (s, order) in enumerate(zip(states, orders)):
             try:

@@ -17,7 +17,6 @@ __all__ = [
     "CoherenceMatrix",
     "circular_array",
     "load_geometry",
-    "save_geometry",
     "plane_wave_delays",
     "plane_wave_steering",
     "diffuse_coherence",
@@ -126,13 +125,6 @@ def load_geometry(path) -> ArrayGeometry:
     if not rows:
         raise ValueError(f"{path}: no microphone positions found")
     return ArrayGeometry(np.asarray(rows))
-
-
-def save_geometry(path, geom: ArrayGeometry) -> None:
-    """Write positions in the format accepted by :func:`load_geometry`."""
-    lines = ["# microphone positions, one 'x y z' line per mic (meters)"]
-    lines += [" ".join(f"{v:.9g}" for v in row) for row in geom.positions]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -58,12 +58,6 @@ class Scene:
     true_mclp: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
 
-    def components_sum(self) -> np.ndarray:
-        """Recompute steering * dry + reverb + noise for invariant checks."""
-        a = self.steering.vectors
-        direct = a.T[:, :, None] * self.dry.data[0][None, :, :]
-        return direct + self.reverb.data + self.noise.data
-
 
 def synthetic_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -> np.ndarray:
     """Deterministic speech-shaped test signal: modulated warm noise.

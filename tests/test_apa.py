@@ -57,13 +57,13 @@ class TestState:
         rng = np.random.default_rng(0)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         state = init_state(a, order=6, delay=2)
-        assert state.stacked_len == 4 * (6 - 2 + 2)
+        assert state.w_hat.size == 4 * (6 - 2 + 2)
         assert np.vdot(a, state.w_hat[:4]) == pytest.approx(1.0, abs=1e-14)
         assert np.all(state.w_hat[4:] == 0.0)
 
     def test_order_zero_is_head_only(self):
         state = init_state(np.ones(3, dtype=complex), order=0)
-        assert state.stacked_len == 3
+        assert state.w_hat.size == 3
         assert state.history.shape == (0, 3)
 
     def test_invalid_orders_rejected(self):
@@ -187,8 +187,8 @@ class TestApaUpdate:
         for _ in range(20):
             state, obs, _, _ = _random_obs(rng, 3, 5)
             state.w_hat += 0.1 * (
-                rng.standard_normal(state.stacked_len)
-                + 1j * rng.standard_normal(state.stacked_len)
+                rng.standard_normal(state.w_hat.size)
+                + 1j * rng.standard_normal(state.w_hat.size)
             )
             w_before = state.w_hat.copy()
             phi_x = float(rng.uniform(0.01, 1.0))
@@ -343,12 +343,17 @@ class TestDrivers:
             process_frame(states, frame, a[1:], params)
         with pytest.raises(ValueError, match="^gains has shape"):
             process_frame(states, frame, a, params, gains=np.ones((spec.num_bins, 2)))
-        # the states have 2 mics: one channel too few or too many
+        # the states have 2 mics: one channel too few or too many; M is the
+        # steering's width, so a frame must match the steering, and the
+        # states, bin 0's first, must match both
         for wrong in (frame[:, :1], np.concatenate((frame, frame[:, :1]), axis=1)):
+            m = wrong.shape[1]
             with pytest.raises(ValueError, match="^frame has shape"):
                 process_frame(states, wrong, a, params)
-            with pytest.raises(ValueError, match="^steering has shape"):
+            with pytest.raises(ValueError, match=f"^frame has shape .*, expected \\(17, {m}\\)$"):
                 process_frame(states, frame, wrong, params)
+            with pytest.raises(ValueError, match=f"^bin 0: .* history \\(3, {m}\\);"):
+                process_frame(states, wrong, wrong, params)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_process_frame_rejects_non_finite_frame(self, bad):

@@ -14,7 +14,7 @@ from convbeam.cli import (
     _parse_geometry,
     main,
 )
-from convbeam.geometry import save_geometry, circular_array
+from convbeam.geometry import circular_array
 from convbeam.wavio import AudioBuffer, read_wav, write_wav
 
 import argparse
@@ -28,7 +28,8 @@ class TestParsers:
 
     def test_geometry_file(self, tmp_path):
         path = tmp_path / "array.txt"
-        save_geometry(path, circular_array(4, 0.1))
+        path.write_text("".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in
+                                circular_array(4, 0.1).positions))
         geom = _parse_geometry(str(path))
         assert geom.num_mics == 4
 

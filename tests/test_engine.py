@@ -1,7 +1,8 @@
 """The engine of both adaptive filters against loops of the scalar functions.
 
 ``process_utterance``, ``process_frame`` and ``process_utterance_sdmvdr``
-run every bin on the compiled kernel, one call per pass.  These property tests draw small
+run every bin on the compiled kernel: an utterance one call per pass on each
+span of bins, a frame one call.  These property tests draw small
 scenes (1-4 mics, with examples at 6 and 8, delay 1 or 2, band plans
 whose orders repeat in non-adjacent bands, order 0 for the full filter,
 gain columns with zeros, runs of all-zero frames, and a subset of bins
@@ -21,7 +22,10 @@ fields and copy the states mid-stream, and check that an output stays as it
 was returned.  The last tests cover fresh filters against the scalar states,
 the kernel's library cache and its argument types, the same bits from builds
 of every vector width, its build failures, a singular solve and the arrays
-``engine.bind`` refuses.
+``engine.bind`` refuses.  The last cover the split of an utterance's bins into
+spans run in threads at once, which must give the bits of one span whatever
+the count, name the lowest failing bin and refuse a bad array before any
+thread starts.
 """
 
 import copy
@@ -33,6 +37,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +303,28 @@ def test_a_field_rebound_mid_stream_is_checked_again(field, value, message):
     for state, other in zip(states, untouched):
         np.testing.assert_array_equal(state.w_hat, other.w_hat)
         np.testing.assert_array_equal(state.history, other.history)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_held_stream_refuses_another_width(m):
+    """A held stream given a frame and steering one channel narrower or
+    wider than its states refuses them naming bin 0, before any state
+    changes, and with the old width back runs on as one never refused."""
+    frames = np.random.default_rng(2).standard_normal((3, 4, 2)) + 0j
+    states, untouched = _stream_states(), _stream_states()
+    for n in range(2):
+        process_frame(states, frames[n], np.ones((4, 2)), ApaParams())
+        process_frame(untouched, frames[n], np.ones((4, 2)), ApaParams())
+    before = copy.deepcopy(states)
+    with pytest.raises(ValueError, match=f"^bin 0: .* history \\(3, {m}\\); it has 1, "
+                                         "\\(8,\\) and \\(3, 2\\)$"):
+        process_frame(states, np.ones((4, m)), np.ones((4, m)), ApaParams())
+    for state, old in zip(states, before):
+        np.testing.assert_array_equal(state.w_hat, old.w_hat)
+        np.testing.assert_array_equal(state.history, old.history)
+    got = process_frame(states, frames[2], np.ones((4, 2)), ApaParams())
+    np.testing.assert_array_equal(got, process_frame(untouched, frames[2], np.ones((4, 2)),
+                                                     ApaParams()))
 
 
 def test_a_state_has_no_order_or_width_but_its_history():
@@ -654,8 +681,8 @@ class CountingLibrary:
 @example(case=PARTLY_SILENT)
 def test_drive_calls_the_kernel_once_per_pass(case):
     """Whatever the band plan, an utterance makes one kernel call per pass
-    (two with the prior pass) for either filter (the canceller on plans
-    without order 0), and a frame one."""
+    (two with the prior pass) on each of its spans, here at most 3, for
+    either filter (the canceller on plans without order 0), and a frame one."""
     spec, a, gains = _scene(case)
     params = _params(case)
     m = case["num_mics"]
@@ -663,23 +690,29 @@ def test_drive_calls_the_kernel_once_per_pass(case):
     passes = 2 if case["prior_pass"] else 1
     orders = params.band_plan.bin_orders(CONFIG)
     states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+
+    def calls(kernel):
+        filters = Filters.start(kernel, a, orders, params.delay)
+        return [kernel.entry] * passes * len(engine._spans(kernel, filters, m, 3))
+
     with pytest.MonkeyPatch.context() as patch:
         counting = CountingLibrary(engine.LIBRARY)
         patch.setattr(engine, "LIBRARY", counting)
+        patch.setattr(os, "sched_getaffinity", lambda pid: range(3))
         process_utterance(spec, a, params, gains=gains, prior_pass=case["prior_pass"])
-        assert counting.calls == [APA.entry] * passes
+        assert counting.calls == calls(APA)
         if orders.all():
             del counting.calls[:]
             process_utterance_sdmvdr(spec, SteeringVector(a, 0), coherence, params, gains,
                                      prior_pass=case["prior_pass"])
-            assert counting.calls == [RC.entry] * passes
+            assert counting.calls == calls(RC)
         del counting.calls[:]
         process_frame(states, spec.data[:, :, 0].T, a, params)
         assert counting.calls == [APA.entry]
 
 
 def test_the_kernel_signatures_match_the_loader():
-    """Both entry points of ``_kernel.c`` take, in order, the seven ``long``
+    """Both entry points of ``_kernel.c`` take, in order, the nine ``long``
     scalars that ``load_kernel`` declares and then pointers to the dtypes
     that ``bind`` checks, in its order: a drift between them would corrupt
     memory instead of raising."""
@@ -690,10 +723,10 @@ def test_the_kernel_signatures_match_the_loader():
         params = re.search(rf"\blong {kernel.entry}\(([^)]*)\)", source).group(1)
         declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
         argtypes = getattr(engine.LIBRARY, kernel.entry).argtypes
-        assert argtypes == [ctypes.c_long] * 7 + [ctypes.c_void_p] * len(engine.ARRAYS)
-        built = ["long"] * 7 + [kinds[dtype] for _, dtype in engine.ARRAYS]
+        assert argtypes == [ctypes.c_long] * 9 + [ctypes.c_void_p] * len(engine.ARRAYS)
+        built = ["long"] * 9 + [kinds[dtype] for _, dtype in engine.ARRAYS]
         assert [" ".join(d) for d in declared] == built
-        assert len(built) == 15
+        assert len(built) == 17
 
 
 def test_kernel_library_is_cached_by_source(tmp_path, monkeypatch):
@@ -882,7 +915,8 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
     the data never reach the kernel; a stream refuses a state whose filter
     or history does not fit its order, or whose delay is not bin 0's,
     before any state changes, as it does a state listed at two bins or a
-    history that is not (order, M)."""
+    history that is not (order, M), with M the steering's width, bin 0's as
+    any other's."""
     fresh = Filters.start(APA, np.ones((4, 2)), [3] * 4, 1)
     w = fresh.w.copy()
     for data, steering, gains, message in (
@@ -912,6 +946,8 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
     twice = [init_state(np.ones(2), 3) for _ in range(3)]
     flat = [init_state(np.ones(2), 3) for _ in range(4)]
     flat[1].history = flat[1].history.ravel()[:3]
+    flat0, wide0 = ([init_state(np.ones(2), 3) for _ in range(4)] for _ in range(2))
+    flat0[0].history, wide0[0].history = flat0[0].history.ravel()[:3], np.zeros((3, 5), complex)
     for states, message in (
         (short, "bin 2: at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
                 "it has 1, \\(6,\\) and \\(3, 2\\)$"),
@@ -921,6 +957,10 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
         (twice + twice[:1], "bin 3: its state is bin 0's too$"),
         (flat, "bin 1: at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
                "it has 1, \\(8,\\) and \\(3,\\)$"),
+        (flat0, "bin 0: at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
+                "it has 1, \\(8,\\) and \\(3,\\)$"),
+        (wide0, "bin 0: at order 3 it needs delay 1, 8 taps and history \\(3, 2\\); "
+                "it has 1, \\(8,\\) and \\(3, 5\\)$"),
     ):
         before = copy.deepcopy(states)
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -942,3 +982,132 @@ def test_band_plan_and_kernel_taps_refuse_a_pair_with_one_message(order, delay):
         with pytest.raises(ValueError) as plan:
             BandPlan(edges, orders, delay)
         assert str(plan.value) == str(taps.value)
+
+
+SPLIT_PLAN = BandPlan((2000.0, 4000.0, 6000.0), (3, 0, 6, 0), 1)
+
+
+def _split_run(kernel, count, prior_pass, monkeypatch):
+    """``drive`` on PARTLY_SILENT's data and ``SPLIT_PLAN`` (order 0 raised to 2 for the
+    canceller) with at most ``count`` spans; the filters and outputs it leaves."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = ApaParams(band_plan=SPLIT_PLAN)
+    orders = SPLIT_PLAN.bin_orders(CONFIG)
+    if kernel is RC:
+        orders = np.where(orders == 0, SPLIT_PLAN.delay + 1, orders)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+    filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
+    out = drive(kernel, spec.data, filters, a, params, gains, prior_pass)
+    return out, filters
+
+
+@pytest.mark.parametrize("prior_pass", [False, True])
+@pytest.mark.parametrize("kernel", [APA, RC])
+def test_any_split_of_the_bins_gives_the_same_bits(kernel, prior_pass, monkeypatch):
+    """One span, 2, 3 and more spans than bins (one a bin) give the same
+    outputs, final filters and histories, bit for bit, on a plan with order 0,
+    and so does a repeat run at each count."""
+    (want, first), bins = _split_run(kernel, 1, prior_pass, monkeypatch), CONFIG.num_bins
+    for count in (1, 2, 3, bins + 5):
+        for _ in range(2):
+            got, filters = _split_run(kernel, count, prior_pass, monkeypatch)
+            assert got.tobytes() == want.tobytes()
+            assert filters.w.tobytes() == first.w.tobytes()
+            assert filters.history.tobytes() == first.history.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [APA, RC])
+@pytest.mark.parametrize("num_mics, plan, config", [
+    (8, BandPlan(), StftConfig()), (3, SPLIT_PLAN, CONFIG),
+    (1, BandPlan((500.0,), (8, 2), 1), CONFIG),
+])
+def test_spans_cover_each_bin_once_at_near_equal_cost(kernel, num_mics, plan, config):
+    """At every count the spans are contiguous, in order, cover each bin once
+    and number at most the count and the bins; when they number the count,
+    each costs its share of the bins' Q_k + M to within one bin's cost."""
+    orders = plan.bin_orders(config)
+    if kernel is RC:
+        orders = np.where(orders == 0, plan.delay + 1, orders)
+    filters = Filters.start(kernel, np.ones((config.num_bins, num_mics)), orders, plan.delay)
+    cost = np.array([kernel.taps(num_mics, int(o), plan.delay) for o in orders]) + num_mics
+    for count in (*range(1, 8), config.num_bins - 1, config.num_bins, config.num_bins + 1):
+        spans = engine._spans(kernel, filters, num_mics, count)
+        assert 1 <= len(spans) <= min(count, config.num_bins)
+        assert spans[0][0] == 0 and spans[-1][1] == config.num_bins
+        assert all(k0 < k1 for k0, k1 in spans)
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(spans, spans[1:]))
+        if len(spans) == count:
+            for k0, k1 in spans:
+                assert abs(cost[k0:k1].sum() - cost.sum() / count) <= cost.max()
+
+
+@pytest.mark.parametrize("prior_pass", [False, True])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, monkeypatch):
+    """Two bins go singular and the rest stay silent, so they take the
+    constraint row alone: bin 14, in the last span, from frame 0, and bin 3,
+    in the first, from frame 5.  Whatever the count, the error names bin 3 at
+    frame 5; with bin 3 silent too, bin 14 at frame 0."""
+    spec, a, _ = _scene({**PARTLY_SILENT, "quiet_bins": []})
+    params = dataclasses.replace(_params(PARTLY_SILENT), phi_b=1e300, phi_a=1e-300)
+    orders = params.band_plan.bin_orders(CONFIG)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+    filters = Filters.start(APA, a, orders, params.delay)
+    spans = engine._spans(APA, filters, spec.num_channels, count)
+    assert len(spans) == count and spans[0][1] > 3 and spans[-1][0] <= 14
+    data = np.zeros_like(spec.data)
+    data[:, 14], data[:, 3, 5:] = spec.data[:, 14], spec.data[:, 3, 5:]
+    only_14 = data.copy()
+    only_14[:, 3] = 0.0
+    for live, where in ((data, "bin 3, frame 5"), (only_14, "bin 14, frame 0")):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"^singular 2x2 innovation covariance at {where}$"):
+            drive(APA, live, Filters.start(APA, a, orders, params.delay), a, params,
+                  prior_pass=prior_pass)
+
+
+class PlantedLibrary:
+    """A stand-in kernel library whose calls fail bin 14 at frame 0 in the prior pass and bin 3
+    at frame 0 in the main pass, when the call's range holds that bin, and move nothing."""
+
+    def __getattr__(self, name):
+        def run(bins, k0, k1, nf, m, d, ws, hs, keep, *pointers):
+            k = 3 if keep else 14
+            return 1 + k * nf if k0 <= k < k1 else 0
+        return run
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_prior_pass_failure_outranks_a_lower_bin_of_the_main_pass(count, monkeypatch):
+    """As one span would, ``drive`` names a bin that fails in the prior pass
+    before a lower bin that fails only in the main pass, even when another
+    span has run its main pass to that lower bin; without the prior pass it
+    names the lower bin."""
+    spec, a, _ = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
+    monkeypatch.setattr(engine, "LIBRARY", PlantedLibrary())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+    spans = engine._spans(APA, filters, spec.num_channels, count)
+    assert len(spans) == count and (count == 1 or spans[0][1] <= 14)
+    for prior_pass, k in ((True, 14), (False, 3)):
+        with pytest.raises(np.linalg.LinAlgError, match=f"at bin {k}, frame 0$"):
+            drive(APA, spec.data, filters, a, params, prior_pass=prior_pass)
+
+
+def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
+    """``drive`` binds every pass in the calling thread before it starts one:
+    a filter that does not fit the data raises ``bind``'s ``ValueError``
+    there, no thread is started and the kernel is never called."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
+    filters = filters._replace(w=filters.w[:, :-1].copy())
+    started = []
+    counting = CountingLibrary(engine.LIBRARY)
+    monkeypatch.setattr(engine, "LIBRARY", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3))
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    with pytest.raises(ValueError, match="^w has shape "):
+        drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
+    assert counting.calls == [] and started == []
