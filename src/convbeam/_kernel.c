@@ -17,11 +17,13 @@ complex entries apart:
   ys      (bins, nf, M)      the input, one row of frames per bin; y(n) is read in place
   gsq     (bins, nf)         squared gains that scale the PSD estimate
   a       (bins, M)          steering (apa) or fixed heads (rc)
-  out     (R, bins, nf)      output rows, written only when keep is nonzero
+  out     (R, bins, nf)      output rows
   p       phi_b, phi_r, phi_a, eta, alpha_r
 
-apa_run returns 0, or 1 + k*nf + n for the first singular 2x2 solve, at
-bin k and frame n, where the call stops; rc_run, which solves none, 0. */
+With prior nonzero, each bin runs its nf frames with no outputs, zeroes its
+history (not its filter) and runs them again.  apa_run returns 0, or
+1 + k*nf + n for the first singular 2x2 solve, at bin k and frame n of
+either pass, where the call stops; rc_run, which solves none, 0. */
 
 #include <complex.h>
 #include <math.h>
@@ -96,7 +98,7 @@ static double complex limited(double complex xb, double complex xr, double alpha
 
 /* apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b, x_r). */
 CLONES long apa_run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
-                    long keep, const long *orders, const double *p, const double *gsq,
+                    long prior, const long *orders, const double *p, const double *gsq,
                     double complex *w, double complex *hist, const double complex *ys,
                     const double complex *a, double complex *out)
 {
@@ -106,39 +108,43 @@ CLONES long apa_run(long bins, long k0, long k1, long nf, long m, long d, long w
         const long l = orders[k], tail = l ? (l - d + 1) * m : 0;
         const double complex *ak = a + k * m, *t = hist + (tail ? (d - 1) * m : 0);
         const double s11 = phi_b * norm2(ak, m) + phi_a;
-        for (long n = 0; n < nf; n++) {
-            const double complex *y = ys + (k * nf + n) * m;
-            const double ny = norm2(y, m), floor = eta * (ny / m);
-            const double complex wy = dotc(dotc(0.0, w, y, m), w + m, t, tail);
-            const double phi_x = gsq[k * nf + n] * norm2(&wy, 1);
-            const double s00 = phi_b * ny + phi_r * norm2(t, tail)
-                               + (phi_x > floor ? phi_x : floor);
-            const double complex s01 = phi_b * dotc(0.0, y, ak, m);
-            /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
-            const double complex e0 = -conj(wy), e1 = CMPLX(1.0, 0.0) - dotc(0.0, ak, w, m);
-            const double det = s00 * s11 - norm2(&s01, 1);
-            double complex g0 = 0.0, g1;
-            if (det > 0.0) {
-                g0 = (s11 * e0 - s01 * e1) / det;
-                g1 = (s00 * e1 - conj(s01) * e0) / det;
-            } else if (s00 == 0.0 && s11 > 0.0) { /* the constraint row alone */
-                g1 = e1 / s11;
-            } else {
-                return 1 + k * nf + n;
-            }
-            axpy(w, y, phi_b, g0, m);
-            axpy(w, ak, 1.0, phi_b * g1, m);
-            axpy(w + m, t, phi_r, g0, tail);
-            if (keep) { /* x_b = w_head^H y, x_r = x_b - w^H ytilde */
-                const double complex xb = dotc(0.0, w, y, m);
-                const double complex xr = xb - dotc(xb, w + m, t, tail);
-                out[k * nf + n] = limited(xb, xr, alpha);
-                out[(bins + k) * nf + n] = xb;
-                out[(2 * bins + k) * nf + n] = xr;
-            }
-            if (l) { /* apa.ApaState.push */
-                memmove(hist + m, hist, (l - 1) * m * sizeof *hist);
-                memcpy(hist, y, m * sizeof *y);
+        for (long pass = !prior; pass < 2; pass++) { /* pass 0: the prior pass */
+            if (pass && prior) /* it has run: zero the history, not the filter */
+                memset(hist, 0, hs * sizeof *hist);
+            for (long n = 0; n < nf; n++) {
+                const double complex *y = ys + (k * nf + n) * m;
+                const double ny = norm2(y, m), floor = eta * (ny / m);
+                const double complex wy = dotc(dotc(0.0, w, y, m), w + m, t, tail);
+                const double phi_x = gsq[k * nf + n] * norm2(&wy, 1);
+                const double s00 = phi_b * ny + phi_r * norm2(t, tail)
+                                   + (phi_x > floor ? phi_x : floor);
+                const double complex s01 = phi_b * dotc(0.0, y, ak, m);
+                /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
+                const double complex e0 = -conj(wy), e1 = CMPLX(1.0, 0.0) - dotc(0.0, ak, w, m);
+                const double det = s00 * s11 - norm2(&s01, 1);
+                double complex g0 = 0.0, g1;
+                if (det > 0.0) {
+                    g0 = (s11 * e0 - s01 * e1) / det;
+                    g1 = (s00 * e1 - conj(s01) * e0) / det;
+                } else if (s00 == 0.0 && s11 > 0.0) { /* the constraint row alone */
+                    g1 = e1 / s11;
+                } else {
+                    return 1 + k * nf + n;
+                }
+                axpy(w, y, phi_b, g0, m);
+                axpy(w, ak, 1.0, phi_b * g1, m);
+                axpy(w + m, t, phi_r, g0, tail);
+                if (pass) { /* x_b = w_head^H y, x_r = x_b - w^H ytilde */
+                    const double complex xb = dotc(0.0, w, y, m);
+                    const double complex xr = xb - dotc(xb, w + m, t, tail);
+                    out[k * nf + n] = limited(xb, xr, alpha);
+                    out[(bins + k) * nf + n] = xb;
+                    out[(2 * bins + k) * nf + n] = xr;
+                }
+                if (l) { /* apa.ApaState.push */
+                    memmove(hist + m, hist, (l - 1) * m * sizeof *hist);
+                    memcpy(hist, y, m * sizeof *y);
+                }
             }
         }
     }
@@ -147,7 +153,7 @@ CLONES long apa_run(long bins, long k0, long k1, long nf, long m, long d, long w
 
 /* sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
 CLONES long rc_run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
-                   long keep, const long *orders, const double *p, const double *gsq,
+                   long prior, const long *orders, const double *p, const double *gsq,
                    double complex *w, double complex *hist, const double complex *ys,
                    const double complex *a, double complex *out)
 {
@@ -156,19 +162,23 @@ CLONES long rc_run(long bins, long k0, long k1, long nf, long m, long d, long ws
     for (long k = k0; k < k1; k++, w += ws, hist += hs) {
         const long l = orders[k], q = (l - d + 1) * m;
         const double complex *head = a + k * m, *f = hist + (d - 1) * m;
-        for (long n = 0; n < nf; n++) {
-            const double complex *y = ys + (k * nf + n) * m;
-            const double floor = eta * (norm2(y, m) / m);
-            const double complex x_d = dotc(0.0, head, y, m), e = x_d - dotc(0.0, w, f, q);
-            const double phi_x = gsq[k * nf + n] * norm2(&e, 1);
-            /* a zero denominator (zero regressor, zero floor) means no update */
-            const double denom = phi_r * norm2(f, q) + (phi_x > floor ? phi_x : floor);
-            if (denom > 0.0)
-                axpy(w, f, 1.0, phi_r / denom * conj(e), q);
-            if (keep)
-                out[k * nf + n] = limited(x_d, dotc(0.0, w, f, q), alpha);
-            memmove(hist + m, hist, (l - 1) * m * sizeof *hist); /* sdmvdr.RcState.push */
-            memcpy(hist, y, m * sizeof *y);
+        for (long pass = !prior; pass < 2; pass++) {
+            if (pass && prior)
+                memset(hist, 0, hs * sizeof *hist);
+            for (long n = 0; n < nf; n++) {
+                const double complex *y = ys + (k * nf + n) * m;
+                const double floor = eta * (norm2(y, m) / m);
+                const double complex x_d = dotc(0.0, head, y, m), e = x_d - dotc(0.0, w, f, q);
+                const double phi_x = gsq[k * nf + n] * norm2(&e, 1);
+                /* a zero denominator (zero regressor, zero floor) means no update */
+                const double denom = phi_r * norm2(f, q) + (phi_x > floor ? phi_x : floor);
+                if (denom > 0.0)
+                    axpy(w, f, 1.0, phi_r / denom * conj(e), q);
+                if (pass)
+                    out[k * nf + n] = limited(x_d, dotc(0.0, w, f, q), alpha);
+                memmove(hist + m, hist, (l - 1) * m * sizeof *hist); /* sdmvdr.RcState.push */
+                memcpy(hist, y, m * sizeof *y);
+            }
         }
     }
     return 0;

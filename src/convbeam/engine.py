@@ -5,10 +5,10 @@ each bin at its own order, in the layout of the scalar states.  The kernel,
 ``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin recursion of
 either filter over every bin, one bin at a time through every frame, with the
 arithmetic of the scalar oracle of :mod:`convbeam.apa` and
-:mod:`convbeam.sdmvdr`.  :func:`bind` checks every array it points the kernel
-at; :func:`drive` runs an utterance, one call per pass on each span of bins in
-threads at once, and a :class:`Stream` (``apa.process_frame``), bound once,
-each frame as an utterance of one frame, so it equals the offline run.
+:mod:`convbeam.sdmvdr`.  :func:`bind` checks the arrays and returns a call that
+holds them; :func:`drive` calls it on each span of an utterance's bins in
+threads at once, and a :class:`Stream` (``apa.process_frame``) on each frame,
+as an utterance of one frame, so it equals the offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -156,12 +156,12 @@ def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame
 
 
 def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
-         gains_sq: np.ndarray, params: np.ndarray, out: np.ndarray, keep: int = 1) -> tuple:
-    """(entry, args) of ``kernel`` on the frames ``ys`` (bins, frames, M): its scalars, whose
-    bin range ``args[1:3]`` is every bin, then a pointer to each array of :data:`ARRAYS`, taken
-    once all have the dtype, C order and shape that ``ys`` and ``filters`` give (orders by
-    :meth:`Kernel.widest`) and those of :data:`WRITTEN` are writable; the first that is not
-    raises ``ValueError`` naming it.  The arrays must outlive the args, which do not hold them."""
+         gains_sq: np.ndarray, params: np.ndarray, out: np.ndarray, prior: bool = False):
+    """``kernel`` on the frames ``ys`` (bins, frames, M), with the prior pass if ``prior``, as
+    ``call(k0, k1)`` on bins k0 <= k < k1: 0, or 1 + k*frames + n at the first singular solve.
+    It holds the arrays of :data:`ARRAYS`, taken once all have the dtype, C order and shape
+    that ``ys`` and ``filters`` give (orders by :meth:`Kernel.widest`) and those of
+    :data:`WRITTEN` are writable; the first that is not raises ``ValueError`` naming it."""
     if isinstance(LIBRARY, ImportError):  # the build at import failed
         raise ImportError(*LIBRARY.args)
     (bins, frames, m), (orders, delay, w, history) = ys.shape, filters
@@ -176,8 +176,14 @@ def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
                  else None)
         if fault:
             raise ValueError(f"{name} {fault} for data of shape {(m, bins, frames)}")
-    scalars = (bins, 0, bins, frames, m, delay, w.shape[1], history.shape[1] * m, keep)
-    return getattr(LIBRARY, kernel.entry), scalars + tuple(a.ctypes.data for a in arrays)
+    entry = getattr(LIBRARY, kernel.entry)
+    args = (frames, m, delay, w.shape[1], history.shape[1] * m, int(prior),
+            *(a.ctypes.data for a in arrays))
+
+    def call(k0: int, k1: int) -> int:
+        return entry(bins, k0, k1, *args)
+    call.arrays = arrays  # so the memory its pointers address lives as long as it
+    return call
 
 
 def _spans(kernel: Kernel, filters: Filters, num_mics: int, count: int) -> list:
@@ -197,57 +203,44 @@ def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarr
     """Advance ``filters`` through ``data`` (M, bins, frames) on ``kernel``;
     returns the outputs, (``kernel.outputs``, bins, frames).
 
-    The filters end holding the final taps and histories.  ``steering`` is
-    the C-contiguous (bins, M) matrix the kernel reads (the fixed heads, for
-    the canceller), and ``gains`` None or (bins, frames) from
-    :func:`check_inputs`; an array that does not fit the data and orders
-    raises the ``ValueError`` of :func:`bind` before the kernel runs.  Each
-    span of bins (:func:`_spans`), one per CPU in the affinity set, runs in
-    its own thread, one kernel call per pass, to the bits of one span; with ``prior_pass``, a
-    first pass forms no outputs and keeps each filter but not its history.
-    A singular 2x2 solve raises ``LinAlgError`` naming the bin and frame of
-    the lowest failing bin in the first pass with one, as one span would;
-    the bins before it, and those of other spans, may have moved.
+    The filters end holding the final taps and histories.  ``steering`` is the C-contiguous
+    (bins, M) matrix the kernel reads (the fixed heads, for the canceller), and ``gains`` None
+    or (bins, frames) from :func:`check_inputs`; an array that does not fit the data and orders
+    raises the ``ValueError`` of :func:`bind` before the kernel runs.  With ``prior_pass`` each
+    bin first runs the frames with no outputs and keeps its filter but not its history.  Each
+    span of bins (:func:`_spans`), one per CPU in the affinity set, runs in its own thread, one
+    call of :func:`bind`'s, to the bits of one span.  A singular 2x2 solve raises
+    ``LinAlgError`` naming the bin and frame (in either pass) of the lowest failing bin; the
+    bins before it, and those of other spans, may have moved.
     """
     m, num_bins, num_frames = data.shape
     ys = np.ascontiguousarray(data.transpose(1, 2, 0), np.complex128)
     gains_sq = np.ones((num_bins, num_frames)) if gains is None else np.square(gains, order="C")
-    p = np.array(PARAMS(params))
     out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
-    keeps = (0, 1) if prior_pass else (1,)
-    bound = [bind(kernel, filters, ys, steering, gains_sq, p, out, keep) for keep in keeps]
-    failed = []  # (pass, status) of each span that met a singular solve
-
-    def run(k0: int, k1: int) -> None:  # every pass over bins [k0, k1), in this thread
-        for n, (entry, (bins, _, _, *args)) in enumerate(bound):
-            status = entry(bins, k0, k1, *args)
-            if status:
-                failed.append((n, status))
-                return
-            if not keeps[n]:
-                filters.history[k0:k1] = 0.0
-
+    call = bind(kernel, filters, ys, steering, gains_sq, np.array(PARAMS(params)), out, prior_pass)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     first, *others = _spans(kernel, filters, m, cpus or 1)
-    threads = [threading.Thread(target=run, args=span) for span in others]
+    statuses = []  # one per span; list.append is atomic
+    threads = [threading.Thread(target=lambda s=s: statuses.append(call(*s))) for s in others]
     for thread in threads:
         thread.start()
     try:
-        run(*first)
+        statuses.append(call(*first))
     finally:  # the other spans write the filters and out until they end
         for thread in threads:
             thread.join()
-    if failed:
-        k, n = divmod(min(failed)[1] - 1, num_frames)
+    if any(statuses):
+        k, n = divmod(min(filter(None, statuses)) - 1, num_frames)
         raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
     return out
 
 
 class Stream:
-    """A stream's kernel call, bound once per list of ``states`` to its own :class:`Filters`
-    (whose rows their ``w_hat`` and ``history`` become) and buffers.  A state listed at an earlier
-    bin too, or one that does not fit its order, ``len(history)``, and the steering's width M,
-    raises ``ValueError`` naming its bin before any state changes."""
+    """A stream: the call of :func:`bind` that :func:`drive` makes, bound once per list of
+    ``states`` to its own :class:`Filters` (whose rows their ``w_hat`` and ``history`` become)
+    and buffers, on every bin for one frame.  A state listed at an earlier bin too, or one that
+    does not fit its order, ``len(history)``, and the steering's width M, raises ``ValueError``
+    naming its bin before any state changes."""
 
     def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
         (bins, m), delay = steering.shape, states[0].delay
@@ -267,8 +260,8 @@ class Stream:
         self.ys, self.steering = np.empty((bins, 1, m), complex), np.empty((bins, m), complex)
         self.gains_sq, self.params = np.empty((bins, 1)), np.empty(5)
         self.out = np.empty((kernel.outputs, bins, 1), complex)
-        self.run, self.args = bind(kernel, self.filters, self.ys, self.steering, self.gains_sq,
-                                   self.params, self.out)
+        self.call = bind(kernel, self.filters, self.ys, self.steering, self.gains_sq,
+                         self.params, self.out)
         for s, order, w, history in zip(states, orders, self.filters.w, self.filters.history):
             w[: s.w_hat.size], history[:order] = s.w_hat, s.history
             s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], self
@@ -278,7 +271,6 @@ class Stream:
         """One frame, as :func:`check_inputs` returns it; a copy of output row 0."""
         self.ys[:, 0], self.steering[:], self.params[:] = frame, steering, PARAMS(params)
         np.square(1.0 if gains is None else gains, out=self.gains_sq[:, 0])
-        status = self.run(*self.args)
-        if status:
+        if status := self.call(0, len(self.ys)):
             raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {status - 1}")
         return self.out[0, :, 0].copy()

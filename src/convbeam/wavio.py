@@ -129,25 +129,12 @@ def write_wav(path, buf: AudioBuffer, encoding: str = "float32") -> None:
     else:
         raise ValueError(f"encoding must be 'pcm16' or 'float32', got {encoding!r}")
     block_align = buf.num_channels * bits // 8
-    header = b"RIFF"
-    header += struct.pack("<I", 4 + 8 + 16 + 8 + len(payload))
-    header += b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH",
-        16,
-        audio_format,
-        buf.num_channels,
-        buf.sample_rate,
-        buf.sample_rate * block_align,
-        block_align,
-        bits,
-    )
-    header += b"data" + struct.pack("<I", len(payload))
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 4 + 8 + 16 + 8 + len(payload), b"WAVE",
+                         b"fmt ", 16, audio_format, buf.num_channels, buf.sample_rate,
+                         buf.sample_rate * block_align, block_align, bits, b"data", len(payload))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-        if len(payload) & 1:
-            fh.write(b"\x00")
 
 
 def resample_check(buf: AudioBuffer, expected_rate: int) -> AudioBuffer:

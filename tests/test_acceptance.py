@@ -253,17 +253,26 @@ class TestAcceptance:
 
     def test_07_runtime_ordering(self):
         methods = ("delay-sum", "sd-mvdr", "conv-sdmvdr", "conv-mpdr-apa")
-        rows = wallclock_sweep(methods=methods, num_mics=8, audio_seconds=2.0, repeats=11)
-        secs = {row["method"]: row["seconds_per_audio_second"] for row in rows}
-        ordered = (
-            secs["delay-sum"] < secs["sd-mvdr"] < secs["conv-sdmvdr"] < secs["conv-mpdr-apa"]
-        )
+        # 11 sweeps of one round: a round times every method under the same host load, so the
+        # two adaptive filters, whose costs lie close, are ordered by their per-round ratios.
+        # The first adaptive run of a sweep is slower (fresh memory), so mpdr-apa runs before
+        # them, untested, and takes that cost
+        swept = ("delay-sum", "sd-mvdr", "mpdr-apa", "conv-sdmvdr", "conv-mpdr-apa")
+        rounds = [
+            {row["method"]: row["seconds_per_audio_second"]
+             for row in wallclock_sweep(methods=swept, num_mics=8, audio_seconds=2.0, repeats=1)}
+            for _ in range(11)
+        ]
+        secs = {m: float(np.median([r[m] for r in rounds])) for m in methods}
+        ratio = float(np.median([r["conv-mpdr-apa"] / r["conv-sdmvdr"] for r in rounds]))
+        ordered = secs["delay-sum"] < secs["sd-mvdr"] < secs["conv-sdmvdr"] and ratio > 1.0
         realtime = secs["conv-mpdr-apa"] < 1.0
         ok = ordered and realtime
         _verdict(
             7,
             ok,
             "s per audio s: " + ", ".join(f"{m} {secs[m]:.4f}" for m in methods)
+            + f"; median conv-mpdr-apa / conv-sdmvdr {ratio:.3f}"
             + f"; ordered: {ordered}, adaptive < 1.0: {realtime}",
         )
 

@@ -9,6 +9,7 @@ gives S = [[2, 1], [1, 2]], K = [1/3, 1/3], and an updated filter of 1/3.
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -74,6 +75,12 @@ class TestState:
             init_state(a, order=3, delay=0)
         with pytest.raises(ValueError, match="zero norm"):
             init_state(np.zeros(2, dtype=complex), order=0)
+
+    @pytest.mark.parametrize("a", [np.ones((2, 2), complex), np.ones(0, complex)])
+    def test_a_steering_vector_not_1d_and_non_empty_is_refused(self, a):
+        with pytest.raises(ValueError, match=re.escape(
+                f"steering vector must be 1-d and non-empty, got shape {a.shape}")):
+            init_state(a, order=0)
 
     def test_history_push_order(self):
         state = init_state(np.ones(1, dtype=complex), order=3)

@@ -71,6 +71,13 @@ class TestArgErrors:
             main(["enhance", "--input", "a.wav", "--output", "b.wav", "--method", "wiener"])
         assert info.value.code == 2
 
+    def test_a_circular_array_of_no_mics_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["enhance", "--input", "a.wav", "--output", "b.wav",
+                  "--geometry", "circular:0:0.1"])
+        assert info.value.code == 2
+        assert "argument --geometry: num_mics must be >= 1, got 0" in capsys.readouterr().err
+
     def test_runtime_error_is_one_line(self, tmp_path, capsys):
         rc = main(
             [

@@ -1,36 +1,39 @@
 """The engine of both adaptive filters against loops of the scalar functions.
 
 ``process_utterance``, ``process_frame`` and ``process_utterance_sdmvdr``
-run every bin on the compiled kernel: an utterance one call per pass on each
-span of bins, a frame one call.  These property tests draw small
-scenes (1-4 mics, with examples at 6 and 8, delay 1 or 2, band plans
-whose orders repeat in non-adjacent bands, order 0 for the full filter,
-gain columns with zeros, runs of all-zero frames, and a subset of bins
-silent over a run of frames) and require the engine to equal a per-bin
-loop of the public scalar functions to ``conftest.REL_TOL`` of the largest
-reference value (the kernel sums its dot products in another order), with
-x_r measured against the scale of x_b and the histories, which copy the
+run every bin on the compiled kernel: an utterance one call on each span of
+bins (each bin runs both passes of a prior pass in it), a frame one call.
+These property tests draw small scenes (1-4 mics, with examples at 6 and 8,
+delay 1 or 2, band plans whose orders repeat in non-adjacent bands, order 0
+for the full filter, gain columns with zeros, runs of all-zero frames, and a
+subset of bins silent over a run of frames) and require the engine to equal
+a per-bin loop of the public scalar functions to ``conftest.REL_TOL`` of the
+largest reference value (the kernel sums its dot products in another order),
+with x_r measured against the scale of x_b and the histories, which copy the
 input, equal bit for bit.  An all-zero frame after an all-zero history is
 where the two-row solve falls back to the constraint row alone
 (``s00 == 0``), where the limiter passes x_b through (``|x_r| == 0``) and
 where the canceller skips its update (``denom == 0``); silent bins take
-those branches in the same frames as live ones.  One driver runs every
-call, so a run split in two must equal one run bit for bit.  A stream
-reuses its filters and buffers between frames; the stream tests also change
-the states, steering, params and gains between frames, rebind a state's
-fields and copy the states mid-stream, and check that an output stays as it
-was returned.  The last tests cover fresh filters against the scalar states,
-the kernel's library cache and its argument types, the same bits from builds
-of every vector width, its build failures, a singular solve and the arrays
-``engine.bind`` refuses.  The last cover the split of an utterance's bins into
-spans run in threads at once, which must give the bits of one span whatever
-the count, name the lowest failing bin and refuse a bad array before any
-thread starts.
+those branches in the same frames as live ones.  One driver runs every call,
+so a run split in two must equal one run bit for bit.  A stream reuses its
+filters and buffers between frames; the stream tests also change the states,
+steering, params and gains between frames, rebind a state's fields and copy
+the states mid-stream, and check that an output stays as it was returned.
+The last tests cover fresh filters against the scalar states, a prior pass
+against a run whose outputs are dropped and whose histories are then zeroed,
+a bound call that outlives the caller's references to its arrays, the
+kernel's library cache and its argument types, the same bits from builds of
+every vector width, its build failures, a singular solve and the arrays
+``engine.bind`` refuses.  The last cover the split of an utterance's bins
+into spans run in threads at once, which must give the bits of one span
+whatever the count, name the lowest failing bin in either pass and refuse a
+bad array before any thread starts.
 """
 
 import copy
 import ctypes
 import dataclasses
+import gc
 import os
 import platform
 import re
@@ -38,6 +41,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -679,21 +683,20 @@ class CountingLibrary:
 @settings(max_examples=20, deadline=None)
 @given(case=cases(allow_order_zero=True))
 @example(case=PARTLY_SILENT)
-def test_drive_calls_the_kernel_once_per_pass(case):
-    """Whatever the band plan, an utterance makes one kernel call per pass
-    (two with the prior pass) on each of its spans, here at most 3, for
-    either filter (the canceller on plans without order 0), and a frame one."""
+def test_drive_calls_the_kernel_once_per_span(case):
+    """Whatever the band plan, an utterance makes one kernel call on each of
+    its spans, here at most 3, with the prior pass on or off, for either
+    filter (the canceller on plans without order 0), and a frame one."""
     spec, a, gains = _scene(case)
     params = _params(case)
     m = case["num_mics"]
     coherence = CoherenceMatrix(np.broadcast_to(np.eye(m), (CONFIG.num_bins, m, m)))
-    passes = 2 if case["prior_pass"] else 1
     orders = params.band_plan.bin_orders(CONFIG)
     states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
 
     def calls(kernel):
         filters = Filters.start(kernel, a, orders, params.delay)
-        return [kernel.entry] * passes * len(engine._spans(kernel, filters, m, 3))
+        return [kernel.entry] * len(engine._spans(kernel, filters, m, 3))
 
     with pytest.MonkeyPatch.context() as patch:
         counting = CountingLibrary(engine.LIBRARY)
@@ -709,6 +712,57 @@ def test_drive_calls_the_kernel_once_per_pass(case):
         del counting.calls[:]
         process_frame(states, spec.data[:, :, 0].T, a, params)
         assert counting.calls == [APA.entry]
+
+
+@pytest.mark.parametrize("num_frames", [0, 1, 5])
+@pytest.mark.parametrize("kernel", [APA, RC])
+def test_the_prior_pass_is_a_dropped_run_then_a_reset(kernel, num_frames):
+    """``drive`` with the prior pass, on filters that already hold taps and
+    history, equals bit for bit (outputs, filters, histories) a ``drive``
+    without it whose outputs are dropped, then histories set to zero, then a
+    second ``drive``: at 0 frames, too, the history ends zeroed."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = ApaParams(band_plan=SPLIT_PLAN if kernel is APA else BandPlan((2000.0,), (3, 6), 1))
+    orders = params.band_plan.bin_orders(CONFIG)
+    held = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
+    drive(kernel, spec.data[:, :, 5:], held, a, params, gains[:, 5:])
+    assert held.history.any()
+    once, twice = held, held._replace(w=held.w.copy(), history=held.history.copy())
+    data, part = spec.data[:, :, :num_frames], gains[:, :num_frames]
+    got = drive(kernel, data, once, a, params, part, prior_pass=True)
+    drive(kernel, data, twice, a, params, part)
+    twice.history[:] = 0.0
+    want = drive(kernel, data, twice, a, params, part)
+    assert got.tobytes() == want.tobytes()
+    assert once.w.tobytes() == twice.w.tobytes()
+    assert once.history.tobytes() == twice.history.tobytes()
+
+
+def test_a_bound_call_holds_its_arrays():
+    """The call ``bind`` returns keeps every array it points at: with the
+    caller's references dropped and garbage collected, and memory of their
+    sizes taken and filled with NaN, each array is still alive and the call
+    runs the frames to the outputs, filters and histories of a ``drive``."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    orders = params.band_plan.bin_orders(CONFIG)
+    filters = Filters.start(APA, a, orders, params.delay)
+    want = drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
+    bound = Filters.start(APA, a, orders, params.delay)
+    arrays = [bound.orders, np.array(engine.PARAMS(params)), gains ** 2, bound.w, bound.history,
+              np.ascontiguousarray(spec.data.transpose(1, 2, 0)), a.copy(), np.empty_like(want)]
+    call = engine.bind(APA, bound, arrays[5], arrays[6], arrays[2], arrays[1], arrays[7],
+                       prior=True)
+    refs = [weakref.ref(array) for array in arrays]
+    del bound, arrays
+    gc.collect()
+    # NaN-filled memory of the arrays' sizes, which would reuse the space of a freed one
+    noise = [np.full_like(array, np.nan) for array in (filters.w, filters.history, want) * 4]
+    assert all(ref() is not None for ref in refs) and len(noise) == 12
+    assert call(0, CONFIG.num_bins) == 0
+    assert refs[7]().tobytes() == want.tobytes()
+    assert refs[3]().tobytes() == filters.w.tobytes()
+    assert refs[4]().tobytes() == filters.history.tobytes()
 
 
 def test_the_kernel_signatures_match_the_loader():
@@ -1066,37 +1120,8 @@ def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, mo
                   prior_pass=prior_pass)
 
 
-class PlantedLibrary:
-    """A stand-in kernel library whose calls fail bin 14 at frame 0 in the prior pass and bin 3
-    at frame 0 in the main pass, when the call's range holds that bin, and move nothing."""
-
-    def __getattr__(self, name):
-        def run(bins, k0, k1, nf, m, d, ws, hs, keep, *pointers):
-            k = 3 if keep else 14
-            return 1 + k * nf if k0 <= k < k1 else 0
-        return run
-
-
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_a_prior_pass_failure_outranks_a_lower_bin_of_the_main_pass(count, monkeypatch):
-    """As one span would, ``drive`` names a bin that fails in the prior pass
-    before a lower bin that fails only in the main pass, even when another
-    span has run its main pass to that lower bin; without the prior pass it
-    names the lower bin."""
-    spec, a, _ = _scene(PARTLY_SILENT)
-    params = _params(PARTLY_SILENT)
-    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
-    monkeypatch.setattr(engine, "LIBRARY", PlantedLibrary())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
-    spans = engine._spans(APA, filters, spec.num_channels, count)
-    assert len(spans) == count and (count == 1 or spans[0][1] <= 14)
-    for prior_pass, k in ((True, 14), (False, 3)):
-        with pytest.raises(np.linalg.LinAlgError, match=f"at bin {k}, frame 0$"):
-            drive(APA, spec.data, filters, a, params, prior_pass=prior_pass)
-
-
 def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
-    """``drive`` binds every pass in the calling thread before it starts one:
+    """``drive`` binds its call in the calling thread before it starts one:
     a filter that does not fit the data raises ``bind``'s ``ValueError``
     there, no thread is started and the kernel is never called."""
     spec, a, gains = _scene(PARTLY_SILENT)

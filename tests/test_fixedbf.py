@@ -18,6 +18,11 @@ def _steering(num_mics=4, azimuth=0.7):
     return plane_wave_steering(circular_array(num_mics, 0.10), azimuth)
 
 
+def test_fixed_weights_must_be_bins_by_mics():
+    with pytest.raises(ValueError, match=r"^weights must have shape \(bins, M\), got \(4,\)$"):
+        FixedWeights(np.ones(4, dtype=complex))
+
+
 class TestDelayAndSum:
     def test_unit_modulus_steering_gives_average(self):
         steer = _steering(4)

@@ -31,6 +31,10 @@ class TestGeometryTypes:
         with pytest.raises(TypeError):  # the first mic is always the reference
             ArrayGeometry(np.zeros((2, 3)), reference_mic=2)
 
+    def test_circular_array_refuses_a_negative_radius(self):
+        with pytest.raises(ValueError, match=r"^radius must be >= 0, got -0\.1$"):
+            circular_array(4, -0.1)
+
     def test_circular_array_layout(self):
         geom = circular_array(8, 0.10)
         assert geom.num_mics == 8

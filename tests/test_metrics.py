@@ -220,6 +220,16 @@ class TestNonFiniteInput:
             metric(pair["ref"], pair["est"])
 
 
+class TestRefusals:
+    def test_a_2d_signal_is_refused(self):
+        with pytest.raises(ValueError, match="^metrics take single-channel signals$"):
+            fw_seg_snr(np.ones((2, 8000)), np.ones((2, 8000)))
+
+    def test_cepstral_distance_refuses_a_silent_reference(self):
+        with pytest.raises(ValueError, match="^reference has no energy in any frame$"):
+            cepstral_distance(np.zeros(8000), _speechish(8000, seed=3))
+
+
 class TestReports:
     def test_compute_and_format(self):
         ref = _speechish(16000, seed=14)

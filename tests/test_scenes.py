@@ -72,6 +72,11 @@ class TestSpectralRadius:
         c = np.array([[[0.25]]])
         assert mclp_spectral_radius(c[None], delay=2)[0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_non_square_coefficients_are_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "coefficients must be square, got shape (1, 1, 2, 3)")):
+            mclp_spectral_radius(np.zeros((1, 1, 2, 3)), delay=1)
+
     def test_matrix_case_matches_dense_eigensolve(self):
         rng = np.random.default_rng(0)
         m, blocks, delay = 3, 2, 1
@@ -339,6 +344,22 @@ class TestMeasureSrr:
         shape = scene.dry.data[0].shape
         est = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert measure_srr(scene, est) < 1.0
+
+    def test_a_silent_dry_signal_is_refused(self):
+        scene = self._scene()
+        scene.dry = Spectrogram(np.zeros_like(scene.dry.data), SMALL)
+        with pytest.raises(ValueError, match="^dry reference is identically zero$"):
+            measure_srr(scene, scene.mixture.channel(0))
+
+    def test_an_estimate_with_no_overlap_scores_minus_infinity(self):
+        """The dry signal is silent in the first half of the frames and the
+        estimate everywhere else, so no part of it projects onto the dry one."""
+        scene = self._scene()
+        half = scene.dry.num_frames // 2
+        scene.dry.data[:, :, :half] = 0.0
+        est = scene.mixture.data[0].copy()
+        est[:, half:] = 0.0
+        assert measure_srr(scene, est) == -np.inf
 
     def test_shape_mismatch_rejected(self):
         scene = self._scene()

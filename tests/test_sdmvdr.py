@@ -44,6 +44,10 @@ class TestRcState:
         with pytest.raises(ValueError, match="order"):
             init_rc_state(np.ones(2, dtype=complex), order=1, delay=1)
 
+    def test_a_2d_fixed_head_is_refused(self):
+        with pytest.raises(ValueError, match=r"^w_sd must be 1-d, got shape \(2, 2\)$"):
+            init_rc_state(np.ones((2, 2), dtype=complex), order=3)
+
     def test_stack_skips_delay_gap(self):
         state = init_rc_state(np.ones(1, dtype=complex), order=3, delay=2)
         for v in (1.0, 2.0, 3.0):

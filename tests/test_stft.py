@@ -4,6 +4,8 @@ Expected values that are checked exactly were computed by hand from the
 window definition; everything else is a structural or round-trip property.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,16 @@ class TestSpectrogram:
         cfg = StftConfig(window_len=32)
         with pytest.raises(ValueError, match="bin count"):
             Spectrogram(np.zeros((16, 5)), cfg)
+
+    def test_four_d_data_is_refused(self):
+        message = "expected 2-d or 3-d data, got shape (1, 1, 17, 5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Spectrogram(np.zeros((1, 1, 17, 5)), StftConfig(window_len=32))
+
+    def test_stft_refuses_a_3d_signal(self):
+        message = "expected 1-d or 2-d signal with equal-length channels, got shape (1, 2, 64)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stft(np.zeros((1, 2, 64)), StftConfig(window_len=32))
 
     def test_channel_view(self):
         cfg = StftConfig(window_len=32)

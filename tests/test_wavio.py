@@ -54,6 +54,18 @@ class TestRoundTrips:
         assert back.samples.shape == (3, 997)
         np.testing.assert_array_equal(back.samples, samples)
 
+    @pytest.mark.parametrize("encoding, width", [("pcm16", 2), ("float32", 4)])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_the_file_is_its_header_and_payload(self, tmp_path, encoding, width, channels):
+        """An odd sample count still gives an even payload, 2 or 4 bytes a
+        sample, so the file is the 44-byte header and the payload, no pad."""
+        path = tmp_path / "odd.wav"
+        write_wav(path, AudioBuffer(np.zeros((channels, 7)), 16000), encoding=encoding)
+        blob = path.read_bytes()
+        assert len(blob) == 44 + channels * 7 * width
+        assert struct.unpack_from("<I", blob, 4) == (len(blob) - 8,)
+        assert struct.unpack_from("<I", blob, 40) == (channels * 7 * width,)
+
     def test_pcm16_quantization_exact(self, tmp_path):
         samples = np.array([[0.0, 1.0 / 32768.0, -1.0, 0.5]])
         path = tmp_path / "p16.wav"
@@ -183,6 +195,12 @@ class TestParserErrors:
         body = struct.pack("<HHIIHH", 1, 1, 8000, 24000, 3, 24)
         p = _pcm16_file(tmp_path / "p24.wav", np.zeros(2, dtype=np.int16), fmt_body=body)
         with pytest.raises(WavError, match="unsupported encoding"):
+            read_wav(p)
+
+    def test_a_14_byte_fmt_chunk_is_refused(self, tmp_path):
+        body = struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)  # no bits-per-sample field
+        p = _pcm16_file(tmp_path / "fmt14.wav", np.zeros(2, dtype=np.int16), fmt_body=body)
+        with pytest.raises(WavError, match=r"offset 12: fmt chunk too small \(14 bytes\)$"):
             read_wav(p)
 
     def test_zero_channels(self, tmp_path):

@@ -36,6 +36,9 @@ scene and saves every result to an ``.npz``:
   the prior pass;
 - both adaptive filters on a band plan whose order repeats in non-adjacent
   bands (orders 3, 6, 3), with a gain mask and the prior pass;
+- ``engine.drive`` with the prior pass, for both kernels, on filters that
+  already hold taps and history from frames 10-39, over 0, 1 and 5 frames
+  with a gain mask: the outputs and the final filters and histories;
 - both adaptive filters with the default band plan, a gain mask and the
   prior pass on the first 61 frames of the scene (a prime count), with
   bins 20-39 and 120-129 silent on every channel over frames 15-34: the
@@ -109,6 +112,7 @@ def dump(src: str, out_file: str) -> None:
         process_utterance, psd_floor, speech_psd_estimate, stack_observation,
     )
     from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
+    from convbeam.engine import APA, RC, Filters, drive
     from convbeam.gains import apply_gain, write_gain_mask
     from convbeam.geometry import (
         circular_array, diffuse_coherence, plane_wave_steering, srp_phat_localize,
@@ -247,6 +251,18 @@ def dump(src: str, out_file: str) -> None:
     arrays["repeated/sdmvdr"] = process_utterance_sdmvdr(
         spec, steering, coherence, params, gains=mask, prior_pass=True
     ).data
+
+    params = ApaParams(band_plan=BandPlan((4000.0,), (3, 5), delay=2))
+    vectors = np.ascontiguousarray(steering.vectors)  # the fixed heads of the canceller too
+    for kernel in (APA, RC):
+        for frames in (0, 1, 5):
+            filters = Filters.start(kernel, vectors, params.band_plan.bin_orders(cfg), 2)
+            drive(kernel, spec.data[:, :, 10:40], filters, vectors, params, mask[:, 10:40])
+            key = f"drive/{kernel.entry}/F{frames}"
+            arrays[f"{key}/output"] = drive(kernel, spec.data[:, :, :frames], filters, vectors,
+                                            params, mask[:, :frames], prior_pass=True)
+            arrays[f"{key}/w"] = filters.w
+            arrays[f"{key}/history"] = filters.history
 
     quiet = spec.data[:, :, :61].copy()
     quiet[:, 20:40, 15:35] = 0.0
