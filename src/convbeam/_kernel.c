@@ -9,8 +9,9 @@ convbeam.sdmvdr, step for step; only the order of the sums in a dot product
 or norm differs.  Each such sum runs over the (re, im) doubles in 8 lanes
 added in a fixed tree, so a build that maps the lanes onto SSE2 or AVX2
 registers rounds as a scalar one: every clone and vector width gives the
-same bits.  Values are C99 double complex, in C order with rows ws and hs
-complex entries apart:
+same bits.  The helpers (HELPER) are inlined into each clone, so the AVX2
+clone runs their lanes in AVX2 registers.  Values are C99 double complex, in
+C order with rows ws and hs complex entries apart:
 
   w       (bins, ws)         filters, bin k's Q_k taps first; updated in place
   hist    (bins, hs / M, M)  slot l-1 holds y(n-l), l <= L_k, as the scalar states' history
@@ -35,15 +36,16 @@ either pass, where the call stops; rc_run, which solves none, 0. */
 #elif !defined(CLONES)
 #define CLONES
 #endif
+#define HELPER static inline __attribute__((always_inline))
 
 /* the sum of 8 lanes, in a fixed tree */
-static double tree(const double l[8])
+HELPER double tree(const double l[8])
 {
     return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
 }
 
 /* s + a^H b over n complex entries; im's odd lanes sum Im(a) Re(b), negated at last */
-static double complex dotc(double complex s, const double complex *a, const double complex *b,
+HELPER double complex dotc(double complex s, const double complex *a, const double complex *b,
                            long n)
 {
     const double *x = (const double *)a, *y = (const double *)b;
@@ -64,7 +66,7 @@ static double complex dotc(double complex s, const double complex *a, const doub
 }
 
 /* ||a||^2 over n complex entries; for one entry z, re^2 + im^2 exactly */
-static double norm2(const double complex *a, long n)
+HELPER double norm2(const double complex *a, long n)
 {
     const double *x = (const double *)a;
     double r[8] = {0.0};
@@ -78,7 +80,7 @@ static double norm2(const double complex *a, long n)
 }
 
 /* w += (c x) g over n complex entries */
-static void axpy(double complex *cw, const double complex *cx, double c, double complex g, long n)
+HELPER void axpy(double complex *cw, const double complex *cx, double c, double complex g, long n)
 {
     double *w = (double *)cw;
     const double *x = (const double *)cx, gr = creal(g), gi = cimag(g);

@@ -135,7 +135,8 @@ def wallclock_sweep(
 
     Each method runs through the pipeline's method table
     (:data:`convbeam.pipeline.TABLE`) with the prior pass off, one repeat
-    of each per round, so host contention hits every method alike.  Times
+    of each per round, so host contention hits every method alike, after
+    one untimed round (a fresh sweep's first adaptive run is slower).  Times
     cover weights and filtering on a prepared spectrogram, not analysis,
     synthesis or localization, which every method shares.  The input is
     white noise (seed 0) on a circular array of radius 0.10 m at the default
@@ -156,19 +157,19 @@ def wallclock_sweep(
     cfgs = {method: RunConfig(method=method, geometry=geom, doa=0.0, params=params,
                               stft_config=config, prior_pass=False) for method in methods}
     times = {method: [] for method in methods}
-    for _ in range(repeats):
+    for _ in range(repeats + 1):
         for method, cfg in cfgs.items():
             t0 = time.perf_counter()
             TABLE[method].runner(spec, steering, cfg, None)
             times[method].append(time.perf_counter() - t0)
     rows = []
     for method in methods:
-        row, delay = TABLE[method], params.delay
+        row, delay, timed = TABLE[method], params.delay, times[method][1:]
         order = int(max(row.plan(params).orders))
         q = row.kernel.taps(num_mics, order, delay) if row.kernel else num_mics
         macs = _TALLIES[row.kernel](num_mics, order, delay).total if row.kernel else num_mics
         rows.append({"method": method, "M": num_mics, "L": order, "D": delay, "Q": q, "macs": macs,
-                     "seconds_per_audio_second": float(np.median(times[method])) / audio_seconds})
+                     "seconds_per_audio_second": float(np.median(timed)) / audio_seconds})
     return rows
 
 

@@ -7,8 +7,9 @@ either filter over every bin, one bin at a time through every frame, with the
 arithmetic of the scalar oracle of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr`.  :func:`bind` checks the arrays and returns a call that
 holds them; :func:`drive` calls it on each span of an utterance's bins in
-threads at once, and a :class:`Stream` (``apa.process_frame``) on each frame,
-as an utterance of one frame, so it equals the offline run.
+threads at once (:func:`~convbeam.stft.fan_out`), and a :class:`Stream`
+(``apa.process_frame``) on each frame, as an utterance of one frame, so it
+equals the offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
 import zlib
 from operator import attrgetter
 from pathlib import Path
@@ -29,7 +29,7 @@ import numpy as np
 from .fixedbf import delay_and_sum
 from .gains import clamp_gain
 from .geometry import SteeringVector
-from .stft import Spectrogram, check_order
+from .stft import Spectrogram, check_order, fan_out, spans
 
 __all__ = ["APA", "RC", "Filters", "Kernel", "Stream", "bind", "check_inputs", "drive",
            "load_kernel"]
@@ -186,16 +186,11 @@ def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
     return call
 
 
-def _spans(kernel: Kernel, filters: Filters, num_mics: int, count: int) -> list:
-    """At most ``count`` contiguous bin ranges ``(k0, k1)``, in order and covering each bin once,
-    of near-equal cost: bin k costs its Q_k (:meth:`Kernel.taps`) + M, and goes to the span
-    in which the middle of its cost falls."""
+def _spans(kernel: Kernel, filters: Filters, num_mics: int, count: int | None = None) -> list:
+    """The bins' :func:`~convbeam.stft.spans`, bin k costing its Q_k (:meth:`Kernel.taps`) + M."""
     orders, index = np.unique(filters.orders, return_inverse=True)
     taps = np.array([kernel.taps(num_mics, order, filters.delay) for order in orders.tolist()])
-    cost = taps[index] + num_mics
-    shares = np.arange(count + 1) * cost.sum() / count
-    edges = np.unique(np.searchsorted(np.cumsum(cost) - cost / 2, shares)).tolist()
-    return list(zip(edges[:-1], edges[1:]))
+    return spans(taps[index] + num_mics, count)
 
 
 def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarray, params,
@@ -207,28 +202,23 @@ def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarr
     (bins, M) matrix the kernel reads (the fixed heads, for the canceller), and ``gains`` None
     or (bins, frames) from :func:`check_inputs`; an array that does not fit the data and orders
     raises the ``ValueError`` of :func:`bind` before the kernel runs.  With ``prior_pass`` each
-    bin first runs the frames with no outputs and keeps its filter but not its history.  Each
-    span of bins (:func:`_spans`), one per CPU in the affinity set, runs in its own thread, one
-    call of :func:`bind`'s, to the bits of one span.  A singular 2x2 solve raises
+    bin first runs the frames with no outputs and keeps its filter but not its history.  The
+    spans of bins (:func:`_spans`), one per CPU in the affinity set, run on
+    :func:`~convbeam.stft.fan_out`, each copying its bins' frames to the kernel's layout and
+    making one call of :func:`bind`'s, to the bits of one span.  A singular 2x2 solve raises
     ``LinAlgError`` naming the bin and frame (in either pass) of the lowest failing bin; the
     bins before it, and those of other spans, may have moved.
     """
     m, num_bins, num_frames = data.shape
-    ys = np.ascontiguousarray(data.transpose(1, 2, 0), np.complex128)
+    ys = np.empty((num_bins, num_frames, m), np.complex128)
     gains_sq = np.ones((num_bins, num_frames)) if gains is None else np.square(gains, order="C")
     out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
     call = bind(kernel, filters, ys, steering, gains_sq, np.array(PARAMS(params)), out, prior_pass)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    first, *others = _spans(kernel, filters, m, cpus or 1)
-    statuses = []  # one per span; list.append is atomic
-    threads = [threading.Thread(target=lambda s=s: statuses.append(call(*s))) for s in others]
-    for thread in threads:
-        thread.start()
-    try:
-        statuses.append(call(*first))
-    finally:  # the other spans write the filters and out until they end
-        for thread in threads:
-            thread.join()
+
+    def span(k0: int, k1: int) -> int:
+        ys[k0:k1] = data[:, k0:k1].transpose(1, 2, 0)
+        return call(k0, k1)
+    statuses = fan_out(span, _spans(kernel, filters, m))
     if any(statuses):
         k, n = divmod(min(filter(None, statuses)) - 1, num_frames)
         raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")

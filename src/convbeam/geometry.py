@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stft import Spectrogram, StftConfig
+from .stft import Spectrogram, StftConfig, fan_out, spans
 
 __all__ = [
     "SPEED_OF_SOUND",
@@ -188,7 +188,8 @@ def _srp_grid(positions: bytes, config: StftConfig) -> tuple:
 
 
 def _srp_map(spec: Spectrogram, geom: ArrayGeometry) -> np.ndarray:
-    """The steered response power at each azimuth of the grid; see :func:`srp_phat_localize`."""
+    """The steered response power at each azimuth of the grid (:func:`srp_phat_localize`); each
+    bin's PHAT cross-power runs in spans, one per CPU (:func:`~convbeam.stft.fan_out`)."""
     if geom.num_mics < 2:
         raise ValueError(f"localization requires at least 2 microphones, got {geom.num_mics}")
     if spec.num_channels != geom.num_mics:
@@ -200,13 +201,18 @@ def _srp_map(spec: Spectrogram, geom: ArrayGeometry) -> np.ndarray:
                          "and SRP-PHAT cannot tell azimuths apart; pass a DOA")
     band, steer = _srp_grid(geom.positions.tobytes(), spec.config)
     data = spec.data[:, band, :]
-    mags = np.abs(data)
-    phat = (data / np.where(mags > 0, mags, 1.0)).transpose(1, 0, 2)  # (bins, M, frames)
     # cross-power accumulated over frames; the grid search then only touches
     # (bins, M, M) instead of the full spectrogram
-    cross = phat @ np.conj(phat).transpose(0, 2, 1)
+    cross = np.empty((len(steer), geom.num_mics, geom.num_mics), complex)
+
+    def work(k0, k1):
+        part = data[:, k0:k1]
+        mags = np.abs(part)
+        phat = (part / np.where(mags > 0, mags, 1.0)).transpose(1, 0, 2)  # (bins, M, frames)
+        np.matmul(phat, np.conj(phat).transpose(0, 2, 1), out=cross[k0:k1])
+    fan_out(work, spans(np.ones(len(steer))))
     if not cross[:, ~np.eye(geom.num_mics, dtype=bool)].any():  # every direction steers alike
-        live = np.flatnonzero(mags.any(axis=(1, 2))).tolist()
+        live = np.flatnonzero(data.any(axis=(1, 2))).tolist()
         raise ValueError(f"flat SRP-PHAT map: channels {live} have energy in {_SRP_RANGE_HZ} Hz "
                          "but no two of them share a cell; pass a DOA")
     return np.einsum("kgp,kgp->g", np.conj(steer) @ cross, steer).real

@@ -7,6 +7,9 @@ rounding) for every sample covered by two windows.
 
 from __future__ import annotations
 
+import _thread
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +19,9 @@ __all__ = [
     "Spectrogram",
     "BandPlan",
     "check_order",
+    "fan_out",
     "seconds_to_samples",
+    "spans",
     "sqrt_hann",
     "stft",
     "istft",
@@ -181,6 +186,8 @@ def stft(signal: np.ndarray, config: StftConfig = StftConfig()) -> Spectrogram:
 
     Frame n covers samples [n*hop, n*hop + window_len); the tail is
     zero-padded so every input sample is covered by at least one frame.
+    The channels run in :func:`spans`, one per CPU (:func:`fan_out`), each a channel at a
+    time in its own (frames, window_len) buffer, to the bits of one span.
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim == 1:
@@ -194,13 +201,57 @@ def stft(signal: np.ndarray, config: StftConfig = StftConfig()) -> Spectrogram:
     win = sqrt_hann(config.window_len)
     frames = np.lib.stride_tricks.sliding_window_view(x, config.window_len, axis=1)
     frames = frames[:, :: config.hop, :]  # every frame that fits in the signal
-    windowed = np.zeros((num_ch, n_frames, config.window_len))
-    np.multiply(frames, win, out=windowed[:, : frames.shape[1]])
-    if frames.shape[1] < n_frames:  # at 50% overlap only the last frame runs past the end
-        tail = x[:, (n_frames - 1) * config.hop :]
-        windowed[:, -1, : tail.shape[1]] = tail * win[: tail.shape[1]]
-    spec = np.empty((num_ch, config.num_bins, n_frames), complex)  # rfft fills it in place
-    return Spectrogram(np.fft.rfft(windowed.transpose(0, 2, 1), axis=1, out=spec), config)
+    fit, tail = frames.shape[1], num_samples - (n_frames - 1) * config.hop
+    # each part's buffers come before the output: that order keeps the peak RSS of a long signal
+    parts = [(c0, c1, np.zeros((n_frames, config.window_len)),
+              np.empty((n_frames, config.num_bins), complex)) for c0, c1 in spans(np.ones(num_ch))]
+    spec = np.empty((num_ch, config.num_bins, n_frames), complex)
+
+    def work(c0, c1, windowed, spectra):
+        for c in range(c0, c1):
+            np.multiply(frames[c], win, out=windowed[:fit])
+            if fit < n_frames:  # at 50% overlap only the last frame runs past the end
+                windowed[-1, :tail] = x[c, -tail:] * win[:tail]
+            spec[c] = np.fft.rfft(windowed, out=spectra).T
+    fan_out(work, parts)
+    return Spectrogram(spec, config)
+
+
+def spans(cost, count: int | None = None) -> list:
+    """At most ``count`` contiguous ranges ``(i0, i1)`` of the items, in order and covering
+    each once, of near-equal cost: item i costs ``cost[i]`` > 0 and goes to the range in which
+    the middle of its cost falls.  ``count`` defaults to the CPUs in the process's affinity
+    set; no items give no ranges."""
+    count = count or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
+    cost = np.asarray(cost, dtype=np.float64)
+    shares = np.arange(count + 1) * cost.sum() / count
+    edges = np.unique(np.searchsorted(np.cumsum(cost) - cost / 2, shares)).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def fan_out(work, parts: list) -> list:
+    """``[work(*part) for part in parts]``: the caller and a new thread for each further part
+    take the next part left until none is, and the caller never waits for a thread to start.
+    The first exception of a part, in part order, is raised once every part has ended."""
+    results, errors = [None] * len(parts), [None] * len(parts)
+    todo, ended = iter(range(len(parts))), threading.Semaphore(0)
+
+    def run():
+        for i in todo:  # next() on a range iterator is atomic under the GIL
+            try:
+                results[i] = work(*parts[i])
+            except BaseException as exc:
+                errors[i] = exc
+            ended.release()
+    for _ in parts[1:]:
+        _thread.start_new_thread(run, ())
+    run()
+    for _ in parts:  # a part may write what the caller reads until it ends
+        ended.acquire()
+    for exc in filter(None, errors):
+        raise exc
+    return results
 
 
 def istft(spec: Spectrogram, *, length: int | None = None) -> np.ndarray:

@@ -30,6 +30,7 @@ whatever the count, name the lowest failing bin in either pass and refuse a
 bad array before any thread starts.
 """
 
+import _thread
 import copy
 import ctypes
 import dataclasses
@@ -40,7 +41,6 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
 import weakref
 from pathlib import Path
 
@@ -839,6 +839,27 @@ def test_every_vector_width_gives_the_same_bits(tmp_path, monkeypatch):
             np.testing.assert_array_equal(filters.history, first.history)
 
 
+def _cc_is_gcc() -> bool:
+    try:
+        return "Free Software Foundation" in subprocess.run(
+            ["cc", "--version"], capture_output=True, text=True).stdout
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or not shutil.which("objdump")
+                    or not _cc_is_gcc(), reason="reads a gcc build for x86-64 with objdump")
+def test_the_avx2_clones_inline_their_helpers():
+    """``tree``, ``dotc``, ``norm2`` and ``axpy`` are inlined into each clone, so
+    the AVX2 clone runs their lanes in AVX2: neither ``.avx2`` clone calls one."""
+    text = subprocess.run(["objdump", "-d", "--no-show-raw-insn", engine.LIBRARY._name],
+                          capture_output=True, text=True, check=True).stdout
+    bodies = dict(re.findall(r"^[0-9a-f]+ <([\w.]+)>:\n(.*?)(?=\n\n|\Z)", text, re.M | re.S))
+    for entry in ("apa_run.avx2", "rc_run.avx2"):
+        called = {name.split(".")[0] for name in re.findall(r"\scall\s.*<([\w.]+)", bodies[entry])}
+        assert called and not called & {"tree", "dotc", "norm2", "axpy"}
+
+
 @pytest.mark.parametrize("fault", ["compile error", "no compiler", "unwritable cache"])
 def test_a_failed_build_raises_import_error(fault, tmp_path, monkeypatch):
     """The error names the command and gives the compiler's messages; no
@@ -1132,7 +1153,7 @@ def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
     counting = CountingLibrary(engine.LIBRARY)
     monkeypatch.setattr(engine, "LIBRARY", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3))
-    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    monkeypatch.setattr(_thread, "start_new_thread", lambda *args: started.append(args))
     with pytest.raises(ValueError, match="^w has shape "):
         drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
     assert counting.calls == [] and started == []

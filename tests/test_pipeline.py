@@ -130,7 +130,7 @@ class TestLayerAttributes:
     def test_bench_sweep_is_intercepted(self, monkeypatch):
         calls = _tap(monkeypatch, "process_utterance")
         bench.wallclock_sweep(methods=("conv-mpdr-apa",), num_mics=2, audio_seconds=0.1, repeats=2)
-        assert len(calls) == 2
+        assert len(calls) == 3  # an untimed round, then the two timed ones
         assert all(kwargs["prior_pass"] is False for _, kwargs in calls)
 
 

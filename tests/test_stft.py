@@ -2,18 +2,32 @@
 
 Expected values that are checked exactly were computed by hand from the
 window definition; everything else is a structural or round-trip property.
+The last tests cover ``spans`` and ``fan_out``, which run the STFT, SRP-PHAT's
+cross-power, the fixed heads and the adaptive driver on every CPU: each stage
+must give the bits of one part whatever the CPU count.
 """
 
+import os
+import _thread
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from convbeam.apa import ApaParams
+from convbeam.engine import APA, RC, Filters, drive
+from convbeam.fixedbf import FixedWeights, apply_fixed
+from convbeam.geometry import _srp_map, circular_array
 from convbeam.stft import (
     BandPlan,
     Spectrogram,
     StftConfig,
+    fan_out,
     istft,
+    spans,
     sqrt_hann,
     stft,
 )
@@ -234,3 +248,110 @@ class TestBandPlan:
     def test_zero_order_allowed(self):
         orders = BandPlan((), (0,)).bin_orders(StftConfig())
         assert np.all(orders == 0)
+
+
+# ---------------------------------------------------------------------------
+# the fan-out over the CPUs
+# ---------------------------------------------------------------------------
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _drive(kernel):
+    """``drive`` with the prior pass on 3 mics, 33 bins of two orders and 40 frames: its outputs,
+    final filters and histories."""
+    rng, cfg = np.random.default_rng(11), StftConfig(64)
+    steering = np.exp(2j * np.pi * rng.uniform(size=(cfg.num_bins, 3)))
+    filters = Filters.start(kernel, steering, BandPlan((2000.0,), (4, 3)).bin_orders(cfg), 1)
+    out = drive(kernel, _complex(rng, (3, cfg.num_bins, 40)), filters, steering, ApaParams(),
+                rng.uniform(size=(cfg.num_bins, 40)), prior_pass=True)
+    return out, filters.w, filters.history
+
+
+def _stage(name):
+    """A call of one stage that fans out, returning the arrays it made."""
+    rng = np.random.default_rng(12)
+    if name.startswith("stft"):  # stft-<channels>-<tail or whole>
+        _, channels, tail = name.split("-")
+        x = rng.standard_normal((int(channels), 512 + 256 * 9 + (100 if tail == "tail" else 0)))
+        return lambda: (stft(x).data,)
+    spec = Spectrogram(_complex(rng, (4, 257, 30)), StftConfig())
+    if name == "srp":
+        return lambda: (_srp_map(spec, circular_array(4, 0.10)),)
+    if name == "fixed":
+        weights = FixedWeights(_complex(rng, (257, 4)))
+        return lambda: (apply_fixed(weights, spec).data,)
+    return lambda: _drive(APA if name == "drive-apa" else RC)
+
+
+@pytest.mark.parametrize("name", ["stft-1-whole", "stft-1-tail", "stft-8-whole", "stft-8-tail",
+                                  "srp", "fixed", "drive-apa", "drive-rc"])
+def test_every_cpu_count_gives_the_bits_of_one_part(name, monkeypatch):
+    """At 1 CPU a stage starts no thread; at 2, 3 and 9 (more parts than the
+    stft's channels) it starts some and gives the same bits, with the
+    interpreter switching threads as often as it can, and so does a repeat
+    run."""
+    started, start = [], _thread.start_new_thread
+    monkeypatch.setattr(_thread, "start_new_thread", lambda *a: (started.append(a), start(*a)))
+    run, runs, interval = _stage(name), {}, sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for count in (1, 2, 3, 9, 1):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+            del started[:]
+            runs[count] = [a.tobytes() for a in run()]
+            assert (len(started) > 0) == (count > 1 and not name.startswith("stft-1"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == runs[1] for got in runs.values())
+
+
+def test_no_parts_give_no_results():
+    """An empty split is no ranges, and no parts are no calls and no results."""
+    assert spans([], 3) == [] and spans(np.ones(0)) == []
+    assert fan_out(lambda *part: pytest.fail("called"), []) == []
+
+
+@pytest.mark.parametrize("failing", [(0,), (2,), (1, 2)])
+def test_a_failing_part_raises_once_every_part_has_ended(failing):
+    """The first failing part, in part order, raises in the caller, after the
+    slow part 3 has finished, whichever thread took it."""
+    finished = []
+
+    def work(i):
+        if i == 3:
+            time.sleep(0.05)
+        finished.append(i)
+        if i in failing:
+            raise ValueError(f"part {i}")
+        return i
+    with pytest.raises(ValueError, match=f"^part {failing[0]}$"):
+        fan_out(work, [(i,) for i in range(4)])
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert fan_out(lambda i: i * i, [(i,) for i in range(4)]) == [0, 1, 4, 9]
+
+
+def test_the_caller_takes_the_parts_of_a_thread_that_has_not_run(monkeypatch):
+    """A thread the host has not yet run leaves its parts to the caller, which
+    ends every part without waiting for it; the late thread then takes none."""
+    late, taken, got = [], [], []
+    monkeypatch.setattr(_thread, "start_new_thread", lambda run, args: late.append(run))
+    parts = [(i,) for i in range(3)]
+    caller = threading.Thread(target=lambda: got.append(fan_out(lambda i: taken.append(i) or i,
+                                                                parts)), daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive() and got == [[0, 1, 2]] and taken == [0, 1, 2] and len(late) == 2
+    for run in late:
+        run()
+    assert taken == [0, 1, 2]
+
+
+def test_spans_split_items_of_equal_cost_evenly():
+    """Equal costs split into near-equal counts of contiguous items."""
+    assert spans(np.ones(8), 2) == [(0, 4), (4, 8)]
+    assert spans(np.ones(8), 3) == [(0, 3), (3, 5), (5, 8)]
+    assert spans(np.ones(3), 9) == [(0, 1), (1, 2), (2, 3)]
+    assert spans(np.ones(119), 1) == [(0, 119)]

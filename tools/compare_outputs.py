@@ -11,6 +11,10 @@ scene and saves every result to an ``.npz``:
   SRP-PHAT} x {prior pass on, off}: the output samples, the DOA, and the
   summary without ``elapsed_s``, one ``key=value`` string per field, so a
   change to what a method reports counts as a differing array;
+- ``enhance`` for ``sd-mvdr`` and ``conv-mpdr-apa`` with SRP-PHAT, once with
+  ``os.sched_getaffinity`` returning 1 CPU and once 3, so the stages that
+  split their work by the CPU count run as one part and as three: the
+  output samples and the DOA;
 - ``process_utterance(..., return_components=True)`` on an order-0 +
   order-3 band plan with D=2, a gain mask and the prior pass: the output,
   ``x_b`` and ``x_r``;
@@ -93,6 +97,7 @@ identical and 1 otherwise.
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -161,6 +166,17 @@ def dump(src: str, out_file: str) -> None:
                         arrays[f"{key}/doa_deg"] = np.array(summary["doa_deg"])
                         arrays[f"{key}/summary"] = np.array(
                             [f"{k}={v!r}" for k, v in summary.items() if k != "elapsed_s"])
+
+    affinity = os.sched_getaffinity
+    try:
+        for cpus in (1, 3):
+            os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))
+            for method in ("sd-mvdr", "conv-mpdr-apa"):
+                out, summary = enhance(buf, RunConfig(method=method, geometry=geom, doa=None))
+                arrays[f"cpus{cpus}/{method}/samples"] = out.samples
+                arrays[f"cpus{cpus}/{method}/doa_deg"] = np.array(summary["doa_deg"])
+    finally:
+        os.sched_getaffinity = affinity
 
     params = ApaParams(band_plan=BandPlan((4000.0,), (0, 3), delay=2))
     out, extras = process_utterance(
