@@ -333,7 +333,8 @@ def process_frame(
     if not (held and len(held.states) == len(states) and held.steering.shape == steering.shape
             and all(map(is_, states, held.states))):
         held = Stream(APA, states, steering)
-    return held(frame, steering, gains, params)
+    gains = None if gains is None else gains[:, None]  # the frame and column as one-frame data
+    return held(frame.T[..., None], steering, gains, params)[0, :, 0].copy()
 
 
 def process_utterance(

@@ -1,15 +1,15 @@
-"""The engine behind both adaptive filters: per-bin filter arrays, one compiled kernel, one driver.
+"""The engine behind both adaptive filters: per-bin filter arrays, one compiled kernel, one run.
 
 :class:`Filters` holds the filter and frame history of every bin as arrays,
 each bin at its own order, in the layout of the scalar states.  The kernel,
 ``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin recursion of
 either filter over every bin, one bin at a time through every frame, with the
 arithmetic of the scalar oracle of :mod:`convbeam.apa` and
-:mod:`convbeam.sdmvdr`.  :func:`bind` checks the arrays and returns a call that
-holds them; :func:`drive` calls it on each span of an utterance's bins in
-threads at once (:func:`~convbeam.stft.fan_out`), and a :class:`Stream`
-(``apa.process_frame``) on each frame, as an utterance of one frame, so it
-equals the offline run.
+:mod:`convbeam.sdmvdr`.  A :class:`Run` is the one way to the kernel: it checks
+the filters once, owns every other array the kernel points at, and runs its spans
+of bins in threads at once (:func:`~convbeam.stft.fan_out`).  :func:`drive` is a
+run over an utterance, called once, and a :class:`Stream` (``apa.process_frame``)
+a run over one frame, called on each, so it equals the offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -31,7 +31,7 @@ from .gains import clamp_gain
 from .geometry import SteeringVector
 from .stft import Spectrogram, check_order, fan_out, spans
 
-__all__ = ["APA", "RC", "Filters", "Kernel", "Stream", "bind", "check_inputs", "drive",
+__all__ = ["APA", "RC", "Filters", "Kernel", "Run", "Stream", "check_inputs", "drive",
            "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -40,9 +40,8 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 # the kernel's params array, and its array arguments in order by name and dtype
 PARAMS = attrgetter("phi_b", "phi_r", "phi_a", "eta", "alpha_r")
-ARRAYS = tuple(zip(("orders", "params", "gains", "w", "history", "ys", "steering", "out"),
-                   map(np.dtype, (ctypes.c_long, np.float64, np.float64) + (np.complex128,) * 5)))
-WRITTEN = ("w", "history", "out")  # the arrays the kernel writes through its pointers
+ARRAYS = dict(zip(("orders", "params", "gains", "w", "history", "ys", "steering", "out"),
+                  map(np.dtype, (ctypes.c_long, np.float64, np.float64) + (np.complex128,) * 5)))
 
 
 def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache__"):
@@ -54,7 +53,7 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
     A failed build, a missing ``cc`` or a cache that cannot be written
     raises ``ImportError`` with the command and the compiler's or the file
     system's message.  The entry points take their arrays as bare pointers,
-    so only :func:`bind` may build their arguments.
+    so only :class:`Run` may build their arguments.
     """
     text = source.read_bytes()
     lib = cache / f"{source.stem}-{zlib.crc32(text + ' '.join(CFLAGS).encode()):08x}-{len(text)}.so"
@@ -93,14 +92,15 @@ class Kernel(NamedTuple):
         check_order(order, delay, bool(self.head))
         return num_mics * (self.head + (order - delay + 1 if order else 0))
 
-    def widest(self, num_mics: int, orders: np.ndarray, delay: int) -> int:
-        """Q_max over ``orders``, each checked by :meth:`taps`."""
-        return max(self.taps(num_mics, order, delay) for order in np.unique(orders).tolist())
+    def bin_taps(self, num_mics: int, orders: np.ndarray, delay: int) -> np.ndarray:
+        """Each bin's Q_k at ``orders``, each order checked by :meth:`taps`."""
+        unique, index = np.unique(orders, return_inverse=True)
+        return np.array([self.taps(num_mics, order, delay) for order in unique.tolist()])[index]
 
 
 try:  # built at import, so a first build falls in set-up rather than in a run
     LIBRARY = load_kernel()
-except ImportError as exc:  # raised by drive instead, so other paths need no cc
+except ImportError as exc:  # raised by a Run instead, so other paths need no cc
     LIBRARY = exc
 APA = Kernel("apa_run", 3, 1)
 RC = Kernel("rc_run", 1, 0)
@@ -120,7 +120,7 @@ class Filters(NamedTuple):
         """Fresh filters for the (bins, M) ``steering`` rows: the head of ``delay_and_sum``,
         if ``kernel`` has one, and zero taps and history."""
         orders, (bins, m) = np.asarray(orders, dtype=ctypes.c_long), steering.shape
-        w = np.zeros((bins, kernel.widest(m, orders, delay)), dtype=np.complex128)
+        w = np.zeros((bins, kernel.bin_taps(m, orders, delay).max()), dtype=np.complex128)
         if kernel.head:
             w[:, :m] = delay_and_sum(SteeringVector(steering, 0)).weights
         return cls(orders, delay, w, np.zeros((bins, orders.max(), m), np.complex128))
@@ -155,82 +155,86 @@ def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame
     return frame, steering, None if gains is None else clamp_gain(gains)
 
 
-def bind(kernel: Kernel, filters: Filters, ys: np.ndarray, steering: np.ndarray,
-         gains_sq: np.ndarray, params: np.ndarray, out: np.ndarray, prior: bool = False):
-    """``kernel`` on the frames ``ys`` (bins, frames, M), with the prior pass if ``prior``, as
-    ``call(k0, k1)`` on bins k0 <= k < k1: 0, or 1 + k*frames + n at the first singular solve.
-    It holds the arrays of :data:`ARRAYS`, taken once all have the dtype, C order and shape
-    that ``ys`` and ``filters`` give (orders by :meth:`Kernel.widest`) and those of
-    :data:`WRITTEN` are writable; the first that is not raises ``ValueError`` naming it."""
-    if isinstance(LIBRARY, ImportError):  # the build at import failed
-        raise ImportError(*LIBRARY.args)
-    (bins, frames, m), (orders, delay, w, history) = ys.shape, filters
-    arrays = (orders, params, gains_sq, w, history, ys, steering, out)
-    shapes = ((bins,), (5,), (bins, frames), (bins, kernel.widest(m, orders, delay)),
-              (bins, int(orders.max()), m), ys.shape, (bins, m), (kernel.outputs, bins, frames))
-    for (name, dtype), shape, array in zip(ARRAYS, shapes, arrays):
-        fault = (f"has dtype {array.dtype}, expected {dtype}" if array.dtype != dtype
-                 else "is not C-contiguous" if not array.flags.c_contiguous
-                 else f"has shape {array.shape}, expected {shape}" if array.shape != shape
-                 else "is read-only" if name in WRITTEN and not array.flags.writeable
-                 else None)
-        if fault:
-            raise ValueError(f"{name} {fault} for data of shape {(m, bins, frames)}")
-    entry = getattr(LIBRARY, kernel.entry)
-    args = (frames, m, delay, w.shape[1], history.shape[1] * m, int(prior),
-            *(a.ctypes.data for a in arrays))
+class Run:
+    """``kernel`` on ``filters`` for data of ``shape`` (M, bins, frames), with the prior pass if
+    ``prior``, in at most ``count`` spans of bins of near-equal cost, Q_k + M a bin
+    (:func:`~convbeam.stft.spans`; None: one per CPU).  It holds ``filters`` and owns every
+    other array the kernel points at.  ``orders``, ``w`` and ``history`` must have the dtype
+    (:data:`ARRAYS`), C order and shape that ``shape`` and the orders give, and ``w`` and
+    ``history`` be writable; the first that does not raises ``ValueError`` naming it."""
 
-    def call(k0: int, k1: int) -> int:
-        return entry(bins, k0, k1, *args)
-    call.arrays = arrays  # so the memory its pointers address lives as long as it
-    return call
+    def __init__(self, kernel: Kernel, filters: Filters, shape: tuple, prior: bool = False,
+                 count: int | None = None) -> None:
+        if isinstance(LIBRARY, ImportError):  # the build at import failed
+            raise ImportError(*LIBRARY.args)
+        (m, bins, frames), (orders, delay, w, history) = shape, filters
+        taps = kernel.bin_taps(m, orders, delay)
+        for name, array, expected in (("orders", orders, (bins,)),
+                                      ("w", w, (bins, int(taps.max()))),
+                                      ("history", history, (bins, int(orders.max()), m))):
+            dtype = ARRAYS[name]
+            fault = (f"has dtype {array.dtype}, expected {dtype}" if array.dtype != dtype
+                     else "is not C-contiguous" if not array.flags.c_contiguous
+                     else f"has shape {array.shape}, expected {expected}" if array.shape != expected
+                     else "is read-only" if name != "orders" and not array.flags.writeable
+                     else None)
+            if fault:
+                raise ValueError(f"{name} {fault} for data of shape {shape}")
+        self.shape, self.filters, self.spans = shape, filters, spans(taps + m, count)
+        self.params, self.gains_sq = np.empty(5), np.empty((bins, frames))
+        self.ys, self.steering = np.empty((bins, frames, m), complex), np.empty((bins, m), complex)
+        self.out = np.empty((kernel.outputs, bins, frames), complex)
+        entry, args = getattr(LIBRARY, kernel.entry), (
+            frames, m, delay, w.shape[1], history.shape[1] * m, int(prior),
+            *(a.ctypes.data for a in (orders, self.params, self.gains_sq, w, history, self.ys,
+                                      self.steering, self.out)))  # in the order of ARRAYS
+        self._call = lambda k0, k1: entry(bins, k0, k1, *args)  # 0, or 1 + k*frames + n
 
+    def __call__(self, data: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:
+        """The outputs, (``kernel.outputs``, bins, frames), on ``data`` (M, bins, frames), the
+        (bins, M) ``steering``, ``gains`` None or (bins, frames), and ``params``: the run's own
+        buffer, which its next call overwrites.  An array of another shape, which would
+        broadcast into a buffer, raises ``ValueError`` naming it.  Each span copies its bins'
+        frames and makes one kernel call, on :func:`~convbeam.stft.fan_out`, to the bits of one
+        span.  A singular 2x2 solve raises ``LinAlgError`` naming the lowest failing bin, and
+        its frame (in either pass) if the run has more than one; the bins before it, and those
+        of other spans, may have moved."""
+        (m, bins, frames), ys, call = self.shape, self.ys, self._call
+        for name, array, shape in (("data", data, self.shape), ("steering", steering, (bins, m)),
+                                   ("gains", gains, (bins, frames))):
+            if array is not None and array.shape != shape:
+                raise ValueError(f"{name} has shape {array.shape}, expected {shape} "
+                                 f"for data of shape {self.shape}")
+        self.steering[:], self.params[:] = steering, PARAMS(params)
+        np.square(1.0 if gains is None else gains, out=self.gains_sq)
 
-def _spans(kernel: Kernel, filters: Filters, num_mics: int, count: int | None = None) -> list:
-    """The bins' :func:`~convbeam.stft.spans`, bin k costing its Q_k (:meth:`Kernel.taps`) + M."""
-    orders, index = np.unique(filters.orders, return_inverse=True)
-    taps = np.array([kernel.taps(num_mics, order, filters.delay) for order in orders.tolist()])
-    return spans(taps[index] + num_mics, count)
+        def span(k0: int, k1: int) -> int:
+            ys[k0:k1] = data[:, k0:k1].transpose(1, 2, 0)
+            return call(k0, k1)
+        if any(statuses := fan_out(span, self.spans)):
+            k, n = divmod(min(filter(None, statuses)) - 1, frames)
+            raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}"
+                                        + (f", frame {n}" if frames > 1 else ""))
+        return self.out
 
 
 def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarray, params,
           gains=None, prior_pass: bool = False) -> np.ndarray:
-    """Advance ``filters`` through ``data`` (M, bins, frames) on ``kernel``;
-    returns the outputs, (``kernel.outputs``, bins, frames).
-
-    The filters end holding the final taps and histories.  ``steering`` is the C-contiguous
-    (bins, M) matrix the kernel reads (the fixed heads, for the canceller), and ``gains`` None
-    or (bins, frames) from :func:`check_inputs`; an array that does not fit the data and orders
-    raises the ``ValueError`` of :func:`bind` before the kernel runs.  With ``prior_pass`` each
-    bin first runs the frames with no outputs and keeps its filter but not its history.  The
-    spans of bins (:func:`_spans`), one per CPU in the affinity set, run on
-    :func:`~convbeam.stft.fan_out`, each copying its bins' frames to the kernel's layout and
-    making one call of :func:`bind`'s, to the bits of one span.  A singular 2x2 solve raises
-    ``LinAlgError`` naming the bin and frame (in either pass) of the lowest failing bin; the
-    bins before it, and those of other spans, may have moved.
-    """
-    m, num_bins, num_frames = data.shape
-    ys = np.empty((num_bins, num_frames, m), np.complex128)
-    gains_sq = np.ones((num_bins, num_frames)) if gains is None else np.square(gains, order="C")
-    out = np.empty((kernel.outputs, num_bins, num_frames), dtype=np.complex128)
-    call = bind(kernel, filters, ys, steering, gains_sq, np.array(PARAMS(params)), out, prior_pass)
-
-    def span(k0: int, k1: int) -> int:
-        ys[k0:k1] = data[:, k0:k1].transpose(1, 2, 0)
-        return call(k0, k1)
-    statuses = fan_out(span, _spans(kernel, filters, m))
-    if any(statuses):
-        k, n = divmod(min(filter(None, statuses)) - 1, num_frames)
-        raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}, frame {n}")
-    return out
+    """Advance ``filters`` through ``data`` (M, bins, frames) on ``kernel`` by a :class:`Run`
+    over the data, called once; returns its outputs.  The filters end holding the final taps
+    and histories.  ``steering`` is the (bins, M) matrix the kernel reads (the fixed heads, for
+    the canceller), and ``gains`` None or (bins, frames) from :func:`check_inputs`.  With
+    ``prior_pass`` each bin first runs the frames with no outputs and keeps its filter but not
+    its history."""
+    return Run(kernel, filters, data.shape, prior_pass)(data, steering, gains, params)
 
 
-class Stream:
-    """A stream: the call of :func:`bind` that :func:`drive` makes, bound once per list of
-    ``states`` to its own :class:`Filters` (whose rows their ``w_hat`` and ``history`` become)
-    and buffers, on every bin for one frame.  A state listed at an earlier bin too, or one that
-    does not fit its order, ``len(history)``, and the steering's width M, raises ``ValueError``
-    naming its bin before any state changes."""
+class Stream(Run):
+    """A stream: a :class:`Run` over one frame, in one span on the calling thread, built once per
+    list of ``states`` on its own :class:`Filters`, whose rows their ``w_hat`` and ``history``
+    become; each call takes a frame as (M, bins, 1) data.  A state listed at an earlier bin too,
+    or one that does not fit its order, ``len(history)``, and the steering's width M, raises
+    ``ValueError`` naming its bin before any state changes."""
 
     def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
         (bins, m), delay = steering.shape, states[0].delay
@@ -246,21 +250,9 @@ class Stream:
                                      f"{s.w_hat.shape} and {s.history.shape}")
             except ValueError as exc:
                 raise ValueError(f"bin {k}: {exc}") from None
-        self.filters = Filters.start(kernel, steering, orders, delay)
-        self.ys, self.steering = np.empty((bins, 1, m), complex), np.empty((bins, m), complex)
-        self.gains_sq, self.params = np.empty((bins, 1)), np.empty(5)
-        self.out = np.empty((kernel.outputs, bins, 1), complex)
-        self.call = bind(kernel, self.filters, self.ys, self.steering, self.gains_sq,
-                         self.params, self.out)
-        for s, order, w, history in zip(states, orders, self.filters.w, self.filters.history):
+        filters = Filters.start(kernel, steering, orders, delay)
+        super().__init__(kernel, filters, (m, bins, 1), count=1)
+        for s, order, w, history in zip(states, orders, filters.w, filters.history):
             w[: s.w_hat.size], history[:order] = s.w_hat, s.history
             s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], self
         self.states = tuple(states)  # emptied when a state reassigns a field
-
-    def __call__(self, frame: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:
-        """One frame, as :func:`check_inputs` returns it; a copy of output row 0."""
-        self.ys[:, 0], self.steering[:], self.params[:] = frame, steering, PARAMS(params)
-        np.square(1.0 if gains is None else gains, out=self.gains_sq[:, 0])
-        if status := self.call(0, len(self.ys)):
-            raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {status - 1}")
-        return self.out[0, :, 0].copy()

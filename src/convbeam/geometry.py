@@ -177,14 +177,15 @@ def diffuse_coherence(geom: ArrayGeometry, config: StftConfig = StftConfig()) ->
 
 @functools.lru_cache(maxsize=16)
 def _srp_grid(positions: bytes, config: StftConfig) -> tuple:
-    """The band's bin slice and the grid's read-only steering, shaped (bins, grid, M)."""
+    """The band's bin slice and the grid's read-only steering and its conjugate, (bins, grid, M)."""
     geom = ArrayGeometry(np.frombuffer(positions).reshape(-1, 3))
     lo, hi = _SRP_RANGE_HZ
     band = slice(np.searchsorted(config.freqs, lo), np.searchsorted(config.freqs, hi, "right"))
     delays = np.stack([plane_wave_delays(geom, az) for az in _SRP_GRID])  # (grid, M)
     steer = np.exp(-2j * np.pi * config.freqs[band, None, None] * delays[None, :, :])
-    steer.flags.writeable = False  # every caller shares it
-    return band, steer
+    conj = np.conj(steer)
+    steer.flags.writeable = conj.flags.writeable = False  # every caller shares them
+    return band, steer, conj
 
 
 def _srp_map(spec: Spectrogram, geom: ArrayGeometry) -> np.ndarray:
@@ -199,7 +200,7 @@ def _srp_map(spec: Spectrogram, geom: ArrayGeometry) -> np.ndarray:
     if not np.ptp(geom.positions[:, :2], axis=0).any():  # every azimuth steers alike
         raise ValueError("the mics share one (x, y), so the array has no horizontal aperture "
                          "and SRP-PHAT cannot tell azimuths apart; pass a DOA")
-    band, steer = _srp_grid(geom.positions.tobytes(), spec.config)
+    band, steer, conj = _srp_grid(geom.positions.tobytes(), spec.config)
     data = spec.data[:, band, :]
     # cross-power accumulated over frames; the grid search then only touches
     # (bins, M, M) instead of the full spectrogram
@@ -215,7 +216,7 @@ def _srp_map(spec: Spectrogram, geom: ArrayGeometry) -> np.ndarray:
         live = np.flatnonzero(data.any(axis=(1, 2))).tolist()
         raise ValueError(f"flat SRP-PHAT map: channels {live} have energy in {_SRP_RANGE_HZ} Hz "
                          "but no two of them share a cell; pass a DOA")
-    return np.einsum("kgp,kgp->g", np.conj(steer) @ cross, steer).real
+    return np.einsum("kgp,kgp->g", conj @ cross, steer).real
 
 
 def srp_phat_localize(spec: Spectrogram, geom: ArrayGeometry) -> float:

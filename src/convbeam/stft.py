@@ -234,6 +234,8 @@ def fan_out(work, parts: list) -> list:
     """``[work(*part) for part in parts]``: the caller and a new thread for each further part
     take the next part left until none is, and the caller never waits for a thread to start.
     The first exception of a part, in part order, is raised once every part has ended."""
+    if len(parts) == 1:
+        return [work(*parts[0])]
     results, errors = [None] * len(parts), [None] * len(parts)
     todo, ended = iter(range(len(parts))), threading.Semaphore(0)
 

@@ -21,13 +21,14 @@ steering, params and gains between frames, rebind a state's fields and copy
 the states mid-stream, and check that an output stays as it was returned.
 The last tests cover fresh filters against the scalar states, a prior pass
 against a run whose outputs are dropped and whose histories are then zeroed,
-a bound call that outlives the caller's references to its arrays, the
-kernel's library cache and its argument types, the same bits from builds of
-every vector width, its build failures, a singular solve and the arrays
-``engine.bind`` refuses.  The last cover the split of an utterance's bins
+a run that outlives the caller's references to its filters, the kernel's
+library cache and its argument types, the same bits from builds of every
+vector width, its build failures, a singular solve and the arrays an
+``engine.Run`` refuses.  The last cover the split of an utterance's bins
 into spans run in threads at once, which must give the bits of one span
 whatever the count, name the lowest failing bin in either pass and refuse a
-bad array before any thread starts.
+bad array before any thread starts, and a stream, which runs each frame on
+the calling thread whatever the count.
 """
 
 import _thread
@@ -696,7 +697,7 @@ def test_drive_calls_the_kernel_once_per_span(case):
 
     def calls(kernel):
         filters = Filters.start(kernel, a, orders, params.delay)
-        return [kernel.entry] * len(engine._spans(kernel, filters, m, 3))
+        return [kernel.entry] * len(engine.Run(kernel, filters, spec.data.shape, count=3).spans)
 
     with pytest.MonkeyPatch.context() as patch:
         counting = CountingLibrary(engine.LIBRARY)
@@ -738,38 +739,34 @@ def test_the_prior_pass_is_a_dropped_run_then_a_reset(kernel, num_frames):
     assert once.history.tobytes() == twice.history.tobytes()
 
 
-def test_a_bound_call_holds_its_arrays():
-    """The call ``bind`` returns keeps every array it points at: with the
-    caller's references dropped and garbage collected, and memory of their
-    sizes taken and filled with NaN, each array is still alive and the call
-    runs the frames to the outputs, filters and histories of a ``drive``."""
+def test_a_run_holds_the_callers_filters():
+    """A run keeps the filters it was built on, whose arrays its pointers
+    address: with the caller's references dropped and garbage collected, and
+    memory of their sizes taken and filled with NaN, each array is still alive
+    and the run gives the outputs, filters and histories of a ``drive``."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     orders = params.band_plan.bin_orders(CONFIG)
     filters = Filters.start(APA, a, orders, params.delay)
     want = drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
-    bound = Filters.start(APA, a, orders, params.delay)
-    arrays = [bound.orders, np.array(engine.PARAMS(params)), gains ** 2, bound.w, bound.history,
-              np.ascontiguousarray(spec.data.transpose(1, 2, 0)), a.copy(), np.empty_like(want)]
-    call = engine.bind(APA, bound, arrays[5], arrays[6], arrays[2], arrays[1], arrays[7],
-                       prior=True)
-    refs = [weakref.ref(array) for array in arrays]
-    del bound, arrays
+    held = Filters.start(APA, a, orders, params.delay)
+    run = engine.Run(APA, held, spec.data.shape, prior=True)
+    refs = [weakref.ref(array) for array in (held.w, held.history)]
+    del held
     gc.collect()
     # NaN-filled memory of the arrays' sizes, which would reuse the space of a freed one
     noise = [np.full_like(array, np.nan) for array in (filters.w, filters.history, want) * 4]
     assert all(ref() is not None for ref in refs) and len(noise) == 12
-    assert call(0, CONFIG.num_bins) == 0
-    assert refs[7]().tobytes() == want.tobytes()
-    assert refs[3]().tobytes() == filters.w.tobytes()
-    assert refs[4]().tobytes() == filters.history.tobytes()
+    assert run(spec.data, a, gains, params).tobytes() == want.tobytes()
+    assert refs[0]().tobytes() == filters.w.tobytes()
+    assert refs[1]().tobytes() == filters.history.tobytes()
 
 
 def test_the_kernel_signatures_match_the_loader():
     """Both entry points of ``_kernel.c`` take, in order, the nine ``long``
     scalars that ``load_kernel`` declares and then pointers to the dtypes
-    that ``bind`` checks, in its order: a drift between them would corrupt
-    memory instead of raising."""
+    of ``engine.ARRAYS``, in its order, which a run follows: a drift between
+    them would corrupt memory instead of raising."""
     source = engine.SOURCE.read_text()
     kinds = {np.dtype(ctypes.c_long): "long *", np.dtype(np.float64): "double *",
              np.dtype(np.complex128): "double complex *"}
@@ -778,7 +775,7 @@ def test_the_kernel_signatures_match_the_loader():
         declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
         argtypes = getattr(engine.LIBRARY, kernel.entry).argtypes
         assert argtypes == [ctypes.c_long] * 9 + [ctypes.c_void_p] * len(engine.ARRAYS)
-        built = ["long"] * 9 + [kinds[dtype] for _, dtype in engine.ARRAYS]
+        built = ["long"] * 9 + [kinds[dtype] for dtype in engine.ARRAYS.values()]
         assert [" ".join(d) for d in declared] == built
         assert len(built) == 17
 
@@ -923,65 +920,85 @@ def test_a_singular_solve_names_its_bin():
 
 @pytest.mark.parametrize("fault", ["strided", "complex64", "int32 orders"])
 def test_the_kernel_refuses_a_bad_array(fault):
-    """``bind`` checks the dtype and layout of every array before it takes a
-    pointer: a bad one raises ``ValueError`` naming it, the kernel never runs
-    and the filters are unchanged."""
-    spec, a, _ = _scene(PARTLY_SILENT)
+    """A run checks the dtype and layout of the caller's arrays before it
+    takes a pointer: a strided ``w``, a complex64 ``history`` or int32
+    ``orders`` raises ``ValueError`` naming it, the kernel never runs and
+    the filters are unchanged."""
+    spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
     w, history = filters.w.copy(), filters.history.copy()
-    ys = np.ascontiguousarray(spec.data.transpose(1, 2, 0))
-    if fault == "int32 orders":
-        filters = filters._replace(orders=filters.orders.astype(np.int32))
-    else:
-        ys = ys[:, ::2] if fault == "strided" else ys.astype(np.complex64)
-    p = np.array([params.phi_b, params.phi_r, params.phi_a, params.eta, params.alpha_r])
-    shape = (CONFIG.num_bins, ys.shape[1])
-    message = {"strided": "ys is not C-contiguous", "complex64": "ys has dtype complex64",
-               "int32 orders": "orders has dtype int32"}[fault]
+    bad, message = {
+        "strided": (filters._replace(w=np.stack([w, w], axis=-1)[..., 0]),
+                    "w is not C-contiguous"),
+        "complex64": (filters._replace(history=history.astype(np.complex64)),
+                      "history has dtype complex64"),
+        "int32 orders": (filters._replace(orders=filters.orders.astype(np.int32)),
+                         "orders has dtype int32"),
+    }[fault]
     with pytest.MonkeyPatch.context() as patch:
         counting = CountingLibrary(engine.LIBRARY)
         patch.setattr(engine, "LIBRARY", counting)
         with pytest.raises(ValueError, match=f"^{message}(, expected .*)? for data of shape "):
-            engine.bind(APA, filters, ys, a, np.ones(shape), p, np.empty((3,) + shape, complex))
+            drive(APA, spec.data, bad, a, params, gains)
         assert counting.calls == []
     np.testing.assert_array_equal(filters.w, w)
     np.testing.assert_array_equal(filters.history, history)
 
 
 @pytest.mark.parametrize("fault", ["dtype", "layout", "shape", "read-only"])
-def test_bind_checks_every_array_before_any_pointer(fault):
-    """Each of the kernel's eight arrays, given another dtype, a strided
-    layout or (all but the frames, whose shape sets the others') one more
-    row, and each array the kernel writes, made read-only, is refused by
-    ``bind`` with a ``ValueError`` naming it."""
+def test_a_run_checks_every_caller_array_before_any_pointer(fault):
+    """Each array of the filters, given another dtype, a strided layout or
+    one more row, and each the kernel writes (``w`` and ``history``), made
+    read-only, is refused by a run with a ``ValueError`` naming it."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
-    ys = np.ascontiguousarray(spec.data.transpose(1, 2, 0))
-    good = dict(zip([name for name, _ in engine.ARRAYS], (
-        filters.orders, np.array(engine.PARAMS(params)), gains ** 2, filters.w, filters.history,
-        ys, a, np.zeros((3,) + gains.shape, complex))))
-    for name, array in good.items():
-        if (fault == "shape" and name == "ys") or (fault == "read-only"
-                                                   and name not in ("w", "history", "out")):
+    for name in ("orders", "w", "history"):
+        array = getattr(filters, name)
+        if fault == "read-only" and name == "orders":
             continue
         if fault == "read-only":
             bad = array.copy()
             bad.flags.writeable = False
         elif fault == "dtype":
-            bad = array.astype({"i": np.int32, "f": np.float32, "c": np.complex64}[array.dtype.kind])
+            bad = array.astype({"i": np.int32, "c": np.complex64}[array.dtype.kind])
         elif fault == "layout":
             bad = np.empty(array.shape + (2,), array.dtype)[..., 0]
             bad[...] = array
         else:
             bad = np.concatenate([array, array[:1]])
-        args = {**good, name: bad}
-        bound = filters._replace(orders=args["orders"], w=args["w"], history=args["history"])
         with pytest.raises(ValueError,
                            match=f"^{name} (has dtype|is not C-contiguous|has shape|is read-only)"):
-            engine.bind(APA, bound, args["ys"], args["steering"], args["gains"], args["params"],
-                        args["out"])
+            engine.Run(APA, filters._replace(**{name: bad}), spec.data.shape)
+
+
+def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch):
+    """``drive`` refuses an (M,) steering and a (frames,) gain, and a run
+    refuses data of one frame where it was built for more, each with a
+    ``ValueError`` naming it, before any thread starts or the kernel runs:
+    assigned into the run's buffers, each would broadcast."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
+    w, history = filters.w.copy(), filters.history.copy()
+    (m, bins, frames), started = spec.data.shape, []
+    counting = CountingLibrary(engine.LIBRARY)
+    monkeypatch.setattr(engine, "LIBRARY", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3))
+    monkeypatch.setattr(_thread, "start_new_thread", lambda *args: started.append(args))
+    for steering, column, message in (
+        (a[0], gains, f"steering has shape \\({m},\\), expected \\({bins}, {m}\\)"),
+        (a, gains[0], f"gains has shape \\({frames},\\), expected \\({bins}, {frames}\\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message} for data of shape "):
+            drive(APA, spec.data, filters, steering, params, column)
+    run = engine.Run(APA, filters, spec.data.shape)
+    with pytest.raises(ValueError, match=f"^data has shape \\({m}, {bins}, 1\\), expected "):
+        run(spec.data[:, :, :1], a, gains[:, :1], params)
+    assert counting.calls == [] and started == []
+    np.testing.assert_array_equal(filters.w, w)
+    np.testing.assert_array_equal(filters.history, history)
 
 
 def test_filters_that_do_not_fit_the_kernel_are_refused():
@@ -1106,7 +1123,7 @@ def test_spans_cover_each_bin_once_at_near_equal_cost(kernel, num_mics, plan, co
     filters = Filters.start(kernel, np.ones((config.num_bins, num_mics)), orders, plan.delay)
     cost = np.array([kernel.taps(num_mics, int(o), plan.delay) for o in orders]) + num_mics
     for count in (*range(1, 8), config.num_bins - 1, config.num_bins, config.num_bins + 1):
-        spans = engine._spans(kernel, filters, num_mics, count)
+        spans = engine.Run(kernel, filters, (num_mics, config.num_bins, 1), count=count).spans
         assert 1 <= len(spans) <= min(count, config.num_bins)
         assert spans[0][0] == 0 and spans[-1][1] == config.num_bins
         assert all(k0 < k1 for k0, k1 in spans)
@@ -1128,7 +1145,7 @@ def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, mo
     orders = params.band_plan.bin_orders(CONFIG)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
     filters = Filters.start(APA, a, orders, params.delay)
-    spans = engine._spans(APA, filters, spec.num_channels, count)
+    spans = engine.Run(APA, filters, spec.data.shape, count=count).spans
     assert len(spans) == count and spans[0][1] > 3 and spans[-1][0] <= 14
     data = np.zeros_like(spec.data)
     data[:, 14], data[:, 3, 5:] = spec.data[:, 14], spec.data[:, 3, 5:]
@@ -1142,8 +1159,8 @@ def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, mo
 
 
 def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
-    """``drive`` binds its call in the calling thread before it starts one:
-    a filter that does not fit the data raises ``bind``'s ``ValueError``
+    """``drive`` builds its run in the calling thread before it starts one:
+    a filter that does not fit the data raises the run's ``ValueError``
     there, no thread is started and the kernel is never called."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
@@ -1157,3 +1174,23 @@ def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
     with pytest.raises(ValueError, match="^w has shape "):
         drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
     assert counting.calls == [] and started == []
+
+
+def test_a_stream_runs_each_frame_on_the_calling_thread(monkeypatch):
+    """With 3 CPUs in the affinity set a stream still runs each frame as one
+    span on the calling thread: it starts no thread, and gives the outputs,
+    filters and histories of a stream at 1 CPU, bit for bit."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    orders = params.band_plan.bin_orders(CONFIG)
+    started, start, runs = [], _thread.start_new_thread, {}
+    monkeypatch.setattr(_thread, "start_new_thread",
+                        lambda *args: (started.append(args), start(*args)))
+    for count in (3, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+        states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
+        outputs = [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n])
+                   for n in range(spec.num_frames)]
+        runs[count] = [x.tobytes() for x in outputs + [s.w_hat for s in states]
+                       + [s.history for s in states]]
+    assert started == [] and runs[3] == runs[1]

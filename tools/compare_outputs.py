@@ -14,7 +14,9 @@ scene and saves every result to an ``.npz``:
 - ``enhance`` for ``sd-mvdr`` and ``conv-mpdr-apa`` with SRP-PHAT, once with
   ``os.sched_getaffinity`` returning 1 CPU and once 3, so the stages that
   split their work by the CPU count run as one part and as three: the
-  output samples and the DOA;
+  output samples and the DOA; and under each count a stream, ``process_frame``
+  on every frame with the default band plan and a gain column: its outputs
+  and the final filters and histories of every bin;
 - ``process_utterance(..., return_components=True)`` on an order-0 +
   order-3 band plan with D=2, a gain mask and the prior pass: the output,
   ``x_b`` and ``x_r``;
@@ -175,6 +177,15 @@ def dump(src: str, out_file: str) -> None:
                 out, summary = enhance(buf, RunConfig(method=method, geometry=geom, doa=None))
                 arrays[f"cpus{cpus}/{method}/samples"] = out.samples
                 arrays[f"cpus{cpus}/{method}/doa_deg"] = np.array(summary["doa_deg"])
+            params = ApaParams()
+            states = [init_state(a, int(o), params.delay)
+                      for a, o in zip(steering.vectors, params.band_plan.bin_orders(cfg))]
+            arrays[f"cpus{cpus}/stream/output"] = np.stack(
+                [process_frame(states, spec.data[:, :, n].T, steering.vectors, params, mask[:, n])
+                 for n in range(spec.num_frames)], axis=1)
+            arrays[f"cpus{cpus}/stream/w_hat"] = np.concatenate([s.w_hat for s in states])
+            arrays[f"cpus{cpus}/stream/history"] = np.concatenate(
+                [s.history.ravel() for s in states])
     finally:
         os.sched_getaffinity = affinity
 
