@@ -33,7 +33,7 @@ from operator import is_
 
 import numpy as np
 
-from .engine import APA, Filters, Stream, check_inputs, drive
+from .engine import APA, Filters, Run, Stream, check_inputs
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -355,7 +355,7 @@ def process_utterance(
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     filters = Filters.start(APA, vectors, params.band_plan.bin_orders(spec.config), params.delay)
-    out = drive(APA, spec.data, filters, vectors, params, gains, prior_pass)
+    out = Run(APA, filters, spec.data.shape, prior_pass)(spec.data, vectors, gains, params)
     result = Spectrogram(out[0], spec.config)
     if return_components:
         return result, {"x_b": out[1], "x_r": out[2]}

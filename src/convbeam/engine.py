@@ -7,9 +7,10 @@ either filter over every bin, one bin at a time through every frame, with the
 arithmetic of the scalar oracle of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr`.  A :class:`Run` is the one way to the kernel: it checks
 the filters once, owns every other array the kernel points at, and runs its spans
-of bins in threads at once (:func:`~convbeam.stft.fan_out`).  :func:`drive` is a
-run over an utterance, called once, and a :class:`Stream` (``apa.process_frame``)
-a run over one frame, called on each, so it equals the offline run.
+of bins in threads at once (:func:`~convbeam.stft.fan_out`).  Each utterance
+driver builds a run over its data and calls it once; a :class:`Stream`
+(``apa.process_frame``) is a run over one frame, called on each, so it equals the
+offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -31,8 +32,7 @@ from .gains import clamp_gain
 from .geometry import SteeringVector
 from .stft import Spectrogram, check_order, fan_out, spans
 
-__all__ = ["APA", "RC", "Filters", "Kernel", "Run", "Stream", "check_inputs", "drive",
-           "load_kernel"]
+__all__ = ["APA", "RC", "Filters", "Kernel", "Run", "Stream", "check_inputs", "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
@@ -156,15 +156,16 @@ def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame
 
 
 class Run:
-    """``kernel`` on ``filters`` for data of ``shape`` (M, bins, frames), with the prior pass if
-    ``prior``, in at most ``count`` spans of bins of near-equal cost, Q_k + M a bin
-    (:func:`~convbeam.stft.spans`; None: one per CPU).  It holds ``filters`` and owns every
-    other array the kernel points at.  ``orders``, ``w`` and ``history`` must have the dtype
-    (:data:`ARRAYS`), C order and shape that ``shape`` and the orders give, and ``w`` and
-    ``history`` be writable; the first that does not raises ``ValueError`` naming it."""
+    """``kernel`` on ``filters`` for data of ``shape`` (M, bins, frames): one span of bins when
+    the data has one frame, else one per CPU of near-equal cost, Q_k + M a bin
+    (:func:`~convbeam.stft.spans`).  It holds ``filters``, which end each call holding the
+    final taps and histories, and owns every other array the kernel points at.  With ``prior``
+    each bin first runs the frames with no outputs and keeps its filter but not its history.
+    ``orders``, ``w`` and ``history`` must have the dtype (:data:`ARRAYS`), C order and shape
+    that ``shape`` and the orders give, and ``w`` and ``history`` be writable; the first that
+    does not raises ``ValueError`` naming it."""
 
-    def __init__(self, kernel: Kernel, filters: Filters, shape: tuple, prior: bool = False,
-                 count: int | None = None) -> None:
+    def __init__(self, kernel: Kernel, filters: Filters, shape: tuple, prior: bool = False):
         if isinstance(LIBRARY, ImportError):  # the build at import failed
             raise ImportError(*LIBRARY.args)
         (m, bins, frames), (orders, delay, w, history) = shape, filters
@@ -180,7 +181,8 @@ class Run:
                      else None)
             if fault:
                 raise ValueError(f"{name} {fault} for data of shape {shape}")
-        self.shape, self.filters, self.spans = shape, filters, spans(taps + m, count)
+        self.shape, self.filters = shape, filters
+        self.spans = [(0, bins)] if frames == 1 else spans(taps + m)
         self.params, self.gains_sq = np.empty(5), np.empty((bins, frames))
         self.ys, self.steering = np.empty((bins, frames, m), complex), np.empty((bins, m), complex)
         self.out = np.empty((kernel.outputs, bins, frames), complex)
@@ -192,7 +194,8 @@ class Run:
 
     def __call__(self, data: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:
         """The outputs, (``kernel.outputs``, bins, frames), on ``data`` (M, bins, frames), the
-        (bins, M) ``steering``, ``gains`` None or (bins, frames), and ``params``: the run's own
+        (bins, M) ``steering`` the kernel reads (the fixed heads, for the canceller), ``gains``
+        None or (bins, frames) from :func:`check_inputs`, and ``params``: the run's own
         buffer, which its next call overwrites.  An array of another shape, which would
         broadcast into a buffer, raises ``ValueError`` naming it.  Each span copies its bins'
         frames and makes one kernel call, on :func:`~convbeam.stft.fan_out`, to the bits of one
@@ -218,19 +221,8 @@ class Run:
         return self.out
 
 
-def drive(kernel: Kernel, data: np.ndarray, filters: Filters, steering: np.ndarray, params,
-          gains=None, prior_pass: bool = False) -> np.ndarray:
-    """Advance ``filters`` through ``data`` (M, bins, frames) on ``kernel`` by a :class:`Run`
-    over the data, called once; returns its outputs.  The filters end holding the final taps
-    and histories.  ``steering`` is the (bins, M) matrix the kernel reads (the fixed heads, for
-    the canceller), and ``gains`` None or (bins, frames) from :func:`check_inputs`.  With
-    ``prior_pass`` each bin first runs the frames with no outputs and keeps its filter but not
-    its history."""
-    return Run(kernel, filters, data.shape, prior_pass)(data, steering, gains, params)
-
-
 class Stream(Run):
-    """A stream: a :class:`Run` over one frame, in one span on the calling thread, built once per
+    """A stream: a :class:`Run` over one frame, so one span on the calling thread, built once per
     list of ``states`` on its own :class:`Filters`, whose rows their ``w_hat`` and ``history``
     become; each call takes a frame as (M, bins, 1) data.  A state listed at an earlier bin too,
     or one that does not fit its order, ``len(history)``, and the steering's width M, raises
@@ -251,7 +243,7 @@ class Stream(Run):
             except ValueError as exc:
                 raise ValueError(f"bin {k}: {exc}") from None
         filters = Filters.start(kernel, steering, orders, delay)
-        super().__init__(kernel, filters, (m, bins, 1), count=1)
+        super().__init__(kernel, filters, (m, bins, 1))
         for s, order, w, history in zip(states, orders, filters.w, filters.history):
             w[: s.w_hat.size], history[:order] = s.w_hat, s.history
             s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], self

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CoherenceMatrix, SteeringVector
-from .stft import Spectrogram, fan_out, spans
+from .stft import Spectrogram
 
 __all__ = ["FixedWeights", "delay_and_sum", "superdirective_mvdr", "apply_fixed"]
 
@@ -67,16 +67,12 @@ def superdirective_mvdr(
 
 
 def apply_fixed(weights: FixedWeights, spec: Spectrogram) -> Spectrogram:
-    """Apply per-bin weights to every frame, returning a single-channel result; the bins run
-    in spans, one per CPU (:func:`~convbeam.stft.fan_out`), to the bits of one span."""
+    """Apply per-bin weights to every frame, returning a single-channel result:
+    out[k, n] = w[k]^H y[:, k, n], one batched matmul on the calling thread."""
     if weights.num_bins != spec.num_bins or weights.num_mics != spec.num_channels:
         raise ValueError(
             f"weights ({weights.num_bins} bins, {weights.num_mics} mics) do not match "
             f"spectrogram ({spec.num_bins} bins, {spec.num_channels} channels)"
         )
-    conj, out = np.conj(weights.weights), np.empty(spec.data.shape[1:], complex)
-
-    def work(k0, k1):
-        np.einsum("km,mkn->kn", conj[k0:k1], spec.data[:, k0:k1], out=out[k0:k1])
-    fan_out(work, spans(np.ones(spec.num_bins)))
-    return Spectrogram(out, spec.config)
+    out = np.conj(weights.weights)[:, None, :] @ spec.data.transpose(1, 0, 2)
+    return Spectrogram(out[:, 0], spec.config)

@@ -46,6 +46,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.gain_mask is not None and TABLE[self.method].kernel is None:
+            adaptive = tuple(name for name, row in TABLE.items() if row.kernel is not None)
+            raise ValueError(f"method {self.method!r} takes no gain mask; only the adaptive "
+                             f"methods {adaptive} read one")
 
 
 # Runners take (spec, steering, cfg, gains) and return the enhanced

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apa import ApaParams, FrameHistory, limited_output, psd_floor
-from .engine import RC, Filters, check_inputs, drive
+from .engine import RC, Filters, Run, check_inputs
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix, SteeringVector
@@ -132,5 +132,5 @@ def process_utterance_sdmvdr(
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     filters = Filters.start(RC, vectors, params.band_plan.bin_orders(spec.config), params.delay)
     weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
-    out = drive(RC, spec.data, filters, weights, params, gains, prior_pass)
+    out = Run(RC, filters, spec.data.shape, prior_pass)(spec.data, weights, gains, params)
     return Spectrogram(out, spec.config)

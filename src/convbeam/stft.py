@@ -217,13 +217,12 @@ def stft(signal: np.ndarray, config: StftConfig = StftConfig()) -> Spectrogram:
     return Spectrogram(spec, config)
 
 
-def spans(cost, count: int | None = None) -> list:
-    """At most ``count`` contiguous ranges ``(i0, i1)`` of the items, in order and covering
-    each once, of near-equal cost: item i costs ``cost[i]`` > 0 and goes to the range in which
-    the middle of its cost falls.  ``count`` defaults to the CPUs in the process's affinity
-    set; no items give no ranges."""
-    count = count or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                      else os.cpu_count() or 1)
+def spans(cost) -> list:
+    """At most one contiguous range ``(i0, i1)`` of the items per CPU in the process's affinity
+    set, in order and covering each item once, of near-equal cost: item i costs ``cost[i]`` > 0
+    and goes to the range in which the middle of its cost falls; no items give no ranges."""
+    count = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     cost = np.asarray(cost, dtype=np.float64)
     shares = np.arange(count + 1) * cost.sum() / count
     edges = np.unique(np.searchsorted(np.cumsum(cost) - cost / 2, shares)).tolist()

@@ -14,7 +14,9 @@ from convbeam.cli import (
     _parse_geometry,
     main,
 )
+from convbeam.gains import write_gain_mask
 from convbeam.geometry import circular_array
+from convbeam.stft import stft
 from convbeam.wavio import AudioBuffer, read_wav, write_wav
 
 import argparse
@@ -252,6 +254,20 @@ class TestPipelineSmoke:
         assert "transition frequencies must lie in (0, 8000] Hz" in err
         assert bands.split("@")[1].split(",")[-1] in err
         assert not out_wav.exists()
+
+    def test_enhance_refuses_a_gain_mask_for_a_fixed_method(self, scene_dir, tmp_path, capsys):
+        """``--gain-mask`` with a fixed method exits 1 naming the method and
+        writes nothing; the same mask runs with an adaptive method."""
+        mixture = scene_dir / "mixture.wav"
+        mask = tmp_path / "mask.gmsk"
+        write_gain_mask(mask, np.full((257, stft(read_wav(mixture).samples).num_frames), 0.5))
+        out_wav = tmp_path / "enhanced.wav"
+        args = ["enhance", "--input", str(mixture), "--output", str(out_wav),
+                "--geometry", "circular:3:0.05", "--doa", "45", "--gain-mask", str(mask)]
+        assert main([*args, "--method", "delay-sum"]) == 1
+        assert "error: method 'delay-sum' takes no gain mask" in capsys.readouterr().err
+        assert not out_wav.exists()
+        assert main([*args, "--method", "conv-mpdr-apa"]) == 0 and out_wav.exists()
 
     def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
         rc = main(["simulate", "--output-dir", str(tmp_path / "scene"), "--duration", "0.5",

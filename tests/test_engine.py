@@ -26,9 +26,9 @@ library cache and its argument types, the same bits from builds of every
 vector width, its build failures, a singular solve and the arrays an
 ``engine.Run`` refuses.  The last cover the split of an utterance's bins
 into spans run in threads at once, which must give the bits of one span
-whatever the count, name the lowest failing bin in either pass and refuse a
-bad array before any thread starts, and a stream, which runs each frame on
-the calling thread whatever the count.
+whatever the CPU count, name the lowest failing bin in either pass and
+refuse a bad array before any thread starts, and a one-frame run and a
+stream, which run as one span on the calling thread whatever the count.
 """
 
 import _thread
@@ -64,7 +64,7 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
-from convbeam.engine import APA, RC, Filters, drive, load_kernel
+from convbeam.engine import APA, RC, Filters, Run, load_kernel
 from convbeam.fixedbf import superdirective_mvdr
 from convbeam.gains import apply_gain
 from convbeam.geometry import CoherenceMatrix, SteeringVector
@@ -480,7 +480,7 @@ def test_apa_stream_survives_caller_changes(case, data):
 
 
 def test_stream_continues_an_utterance_run_and_its_copies():
-    """States holding the rows of filters that ``drive`` ran (with the prior
+    """States holding the rows of filters that a run went through (with the prior
     pass) stream on through ``process_frame`` from where the run left them;
     a deep copy taken mid-stream owns its arrays and streams on by itself."""
     case = {
@@ -502,7 +502,7 @@ def test_stream_continues_an_utterance_run_and_its_copies():
         return [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]) for n in frames]
 
     filters, looped = Filters.start(APA, a, orders, params.delay), fresh()
-    out = drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
+    out = Run(APA, filters, spec.data.shape, prior=True)(spec.data, a, gains, params)
     want = _oracle(spec, looped, gains, True, step)
     m = case["num_mics"]
     streamed = [
@@ -576,8 +576,8 @@ def test_sdmvdr_engine_matches_scalar_loop(case):
 @SETTINGS
 @given(data=st.data())
 def test_a_run_split_in_two_equals_one_run(data):
-    """``drive`` over frames [0, k) and then [k, N) on the same bands equals
-    one ``drive`` over [0, N) bit for bit, for both kernels: outputs, final
+    """A run over frames [0, k) and then one over [k, N) on the same bands equal
+    one run over [0, N) bit for bit, for both kernels: outputs, final
     filters and histories.  A stream is this split taken at every frame."""
     kernel = data.draw(st.sampled_from([APA, RC]))
     case = data.draw(cases(allow_order_zero=kernel is APA))
@@ -587,12 +587,11 @@ def test_a_run_split_in_two_equals_one_run(data):
     orders = params.band_plan.bin_orders(CONFIG)
     # a stands in for the heads
     whole, halves = (Filters.start(kernel, a, orders, params.delay) for _ in range(2))
-    want = drive(kernel, spec.data, whole, a, params, gains)
-    got = np.concatenate([
-        drive(kernel, spec.data[:, :, part], halves, a, params,
-              None if gains is None else gains[:, part])
-        for part in (slice(0, split), slice(split, None))
-    ], axis=2)
+    want = Run(kernel, whole, spec.data.shape)(spec.data, a, gains, params)
+    parts = [(spec.data[:, :, part], None if gains is None else gains[:, part])
+             for part in (slice(0, split), slice(split, None))]
+    got = np.concatenate([Run(kernel, halves, chunk.shape)(chunk, a, part, params)
+                          for chunk, part in parts], axis=2)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(halves.w, whole.w)
     np.testing.assert_array_equal(halves.history, whole.history)
@@ -601,7 +600,7 @@ def test_a_run_split_in_two_equals_one_run(data):
 @SETTINGS
 @given(data=st.data())
 def test_drive_leaves_each_bin_its_scalar_state_history(data):
-    """After ``drive``, with or without the prior pass, ``history[k, :L_k]``
+    """After a run, with or without the prior pass, ``history[k, :L_k]``
     is, bit for bit, the ``history`` of bin k's scalar state run through the
     same frames, for both kernels (the canceller has no stream to pin it),
     and the slots past L_k stay zero."""
@@ -611,7 +610,7 @@ def test_drive_leaves_each_bin_its_scalar_state_history(data):
     params = _params(case)
     orders = params.band_plan.bin_orders(CONFIG)
     filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-    drive(kernel, spec.data, filters, a, params, gains, case["prior_pass"])
+    Run(kernel, filters, spec.data.shape, case["prior_pass"])(spec.data, a, gains, params)
     if kernel is APA:
         states = [init_state(a[k], int(o), params.delay) for k, o in enumerate(orders)]
         _oracle(spec, states, gains, case["prior_pass"],
@@ -697,7 +696,7 @@ def test_drive_calls_the_kernel_once_per_span(case):
 
     def calls(kernel):
         filters = Filters.start(kernel, a, orders, params.delay)
-        return [kernel.entry] * len(engine.Run(kernel, filters, spec.data.shape, count=3).spans)
+        return [kernel.entry] * len(engine.Run(kernel, filters, spec.data.shape).spans)
 
     with pytest.MonkeyPatch.context() as patch:
         counting = CountingLibrary(engine.LIBRARY)
@@ -718,22 +717,22 @@ def test_drive_calls_the_kernel_once_per_span(case):
 @pytest.mark.parametrize("num_frames", [0, 1, 5])
 @pytest.mark.parametrize("kernel", [APA, RC])
 def test_the_prior_pass_is_a_dropped_run_then_a_reset(kernel, num_frames):
-    """``drive`` with the prior pass, on filters that already hold taps and
-    history, equals bit for bit (outputs, filters, histories) a ``drive``
-    without it whose outputs are dropped, then histories set to zero, then a
-    second ``drive``: at 0 frames, too, the history ends zeroed."""
+    """A run with the prior pass, on filters that already hold taps and
+    history, equals bit for bit (outputs, filters, histories) a run without
+    it whose outputs are dropped, then histories set to zero, then a second
+    run: at 0 frames, too, the history ends zeroed."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = ApaParams(band_plan=SPLIT_PLAN if kernel is APA else BandPlan((2000.0,), (3, 6), 1))
     orders = params.band_plan.bin_orders(CONFIG)
     held = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-    drive(kernel, spec.data[:, :, 5:], held, a, params, gains[:, 5:])
+    Run(kernel, held, spec.data[:, :, 5:].shape)(spec.data[:, :, 5:], a, gains[:, 5:], params)
     assert held.history.any()
     once, twice = held, held._replace(w=held.w.copy(), history=held.history.copy())
     data, part = spec.data[:, :, :num_frames], gains[:, :num_frames]
-    got = drive(kernel, data, once, a, params, part, prior_pass=True)
-    drive(kernel, data, twice, a, params, part)
+    got = Run(kernel, once, data.shape, prior=True)(data, a, part, params)
+    Run(kernel, twice, data.shape)(data, a, part, params)
     twice.history[:] = 0.0
-    want = drive(kernel, data, twice, a, params, part)
+    want = Run(kernel, twice, data.shape)(data, a, part, params)
     assert got.tobytes() == want.tobytes()
     assert once.w.tobytes() == twice.w.tobytes()
     assert once.history.tobytes() == twice.history.tobytes()
@@ -743,12 +742,12 @@ def test_a_run_holds_the_callers_filters():
     """A run keeps the filters it was built on, whose arrays its pointers
     address: with the caller's references dropped and garbage collected, and
     memory of their sizes taken and filled with NaN, each array is still alive
-    and the run gives the outputs, filters and histories of a ``drive``."""
+    and the run gives the outputs, filters and histories of a fresh run."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     orders = params.band_plan.bin_orders(CONFIG)
     filters = Filters.start(APA, a, orders, params.delay)
-    want = drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
+    want = Run(APA, filters, spec.data.shape, prior=True)(spec.data, a, gains, params)
     held = Filters.start(APA, a, orders, params.delay)
     run = engine.Run(APA, held, spec.data.shape, prior=True)
     refs = [weakref.ref(array) for array in (held.w, held.history)]
@@ -827,8 +826,8 @@ def test_every_vector_width_gives_the_same_bits(tmp_path, monkeypatch):
         for library in libraries:
             monkeypatch.setattr(engine, "LIBRARY", library)
             filters = Filters.start(kernel, a, orders, params.delay)
-            runs.append((drive(kernel, spec.data, filters, a, params, gains, prior_pass=True),
-                         filters))
+            run = Run(kernel, filters, spec.data.shape, prior=True)
+            runs.append((run(spec.data, a, gains, params), filters))
         (want, first), *others = runs
         for got, filters in others:
             np.testing.assert_array_equal(got, want)
@@ -940,7 +939,7 @@ def test_the_kernel_refuses_a_bad_array(fault):
         counting = CountingLibrary(engine.LIBRARY)
         patch.setattr(engine, "LIBRARY", counting)
         with pytest.raises(ValueError, match=f"^{message}(, expected .*)? for data of shape "):
-            drive(APA, spec.data, bad, a, params, gains)
+            Run(APA, bad, spec.data.shape)(spec.data, a, gains, params)
         assert counting.calls == []
     np.testing.assert_array_equal(filters.w, w)
     np.testing.assert_array_equal(filters.history, history)
@@ -974,10 +973,10 @@ def test_a_run_checks_every_caller_array_before_any_pointer(fault):
 
 
 def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch):
-    """``drive`` refuses an (M,) steering and a (frames,) gain, and a run
-    refuses data of one frame where it was built for more, each with a
-    ``ValueError`` naming it, before any thread starts or the kernel runs:
-    assigned into the run's buffers, each would broadcast."""
+    """A run refuses an (M,) steering and a (frames,) gain, and data of one
+    frame where it was built for more, each with a ``ValueError`` naming it,
+    before any thread starts or the kernel runs: assigned into the run's
+    buffers, each would broadcast."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
@@ -992,7 +991,7 @@ def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch)
         (a, gains[0], f"gains has shape \\({frames},\\), expected \\({bins}, {frames}\\)"),
     ):
         with pytest.raises(ValueError, match=f"^{message} for data of shape "):
-            drive(APA, spec.data, filters, steering, params, column)
+            Run(APA, filters, spec.data.shape)(spec.data, steering, column, params)
     run = engine.Run(APA, filters, spec.data.shape)
     with pytest.raises(ValueError, match=f"^data has shape \\({m}, {bins}, 1\\), expected "):
         run(spec.data[:, :, :1], a, gains[:, :1], params)
@@ -1018,7 +1017,8 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
          "gains has shape \\(4, 2\\), expected \\(4, 1\\) for data of shape \\(2, 4, 1\\)"),
     ):
         with pytest.raises(ValueError, match=message):
-            drive(APA, data.astype(complex), fresh, steering.astype(complex), ApaParams(), gains)
+            Run(APA, fresh, data.shape)(data.astype(complex), steering.astype(complex), gains,
+                                        ApaParams())
     np.testing.assert_array_equal(fresh.w, w)
     data, ones = np.ones((2, 4, 1), complex), np.ones((4, 2), complex)
     for filters, message in (
@@ -1029,7 +1029,7 @@ def test_filters_that_do_not_fit_the_kernel_are_refused():
         (fresh._replace(orders=fresh.orders - 4), "order must be 0 or > delay \\(1\\), got -1"),
     ):
         with pytest.raises(ValueError, match=message):
-            drive(APA, data, filters, ones, ApaParams())
+            Run(APA, filters, data.shape)(data, ones, None, ApaParams())
         np.testing.assert_array_equal(filters.w[:, :6], w[:, :6])
     short = [init_state(np.ones(2), 3) for _ in range(4)]
     short[2].w_hat = short[2].w_hat[:6]
@@ -1080,7 +1080,7 @@ SPLIT_PLAN = BandPlan((2000.0, 4000.0, 6000.0), (3, 0, 6, 0), 1)
 
 
 def _split_run(kernel, count, prior_pass, monkeypatch):
-    """``drive`` on PARTLY_SILENT's data and ``SPLIT_PLAN`` (order 0 raised to 2 for the
+    """A run on PARTLY_SILENT's data and ``SPLIT_PLAN`` (order 0 raised to 2 for the
     canceller) with at most ``count`` spans; the filters and outputs it leaves."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = ApaParams(band_plan=SPLIT_PLAN)
@@ -1089,7 +1089,7 @@ def _split_run(kernel, count, prior_pass, monkeypatch):
         orders = np.where(orders == 0, SPLIT_PLAN.delay + 1, orders)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
     filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-    out = drive(kernel, spec.data, filters, a, params, gains, prior_pass)
+    out = Run(kernel, filters, spec.data.shape, prior_pass)(spec.data, a, gains, params)
     return out, filters
 
 
@@ -1113,17 +1113,20 @@ def test_any_split_of_the_bins_gives_the_same_bits(kernel, prior_pass, monkeypat
     (8, BandPlan(), StftConfig()), (3, SPLIT_PLAN, CONFIG),
     (1, BandPlan((500.0,), (8, 2), 1), CONFIG),
 ])
-def test_spans_cover_each_bin_once_at_near_equal_cost(kernel, num_mics, plan, config):
-    """At every count the spans are contiguous, in order, cover each bin once
-    and number at most the count and the bins; when they number the count,
-    each costs its share of the bins' Q_k + M to within one bin's cost."""
+def test_spans_cover_each_bin_once_at_near_equal_cost(kernel, num_mics, plan, config,
+                                                      monkeypatch):
+    """At every CPU count a run over more than one frame has spans that are
+    contiguous, in order, cover each bin once and number at most the count
+    and the bins; when they number the count, each costs its share of the
+    bins' Q_k + M to within one bin's cost."""
     orders = plan.bin_orders(config)
     if kernel is RC:
         orders = np.where(orders == 0, plan.delay + 1, orders)
     filters = Filters.start(kernel, np.ones((config.num_bins, num_mics)), orders, plan.delay)
     cost = np.array([kernel.taps(num_mics, int(o), plan.delay) for o in orders]) + num_mics
     for count in (*range(1, 8), config.num_bins - 1, config.num_bins, config.num_bins + 1):
-        spans = engine.Run(kernel, filters, (num_mics, config.num_bins, 1), count=count).spans
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+        spans = engine.Run(kernel, filters, (num_mics, config.num_bins, 2)).spans
         assert 1 <= len(spans) <= min(count, config.num_bins)
         assert spans[0][0] == 0 and spans[-1][1] == config.num_bins
         assert all(k0 < k1 for k0, k1 in spans)
@@ -1145,7 +1148,7 @@ def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, mo
     orders = params.band_plan.bin_orders(CONFIG)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
     filters = Filters.start(APA, a, orders, params.delay)
-    spans = engine.Run(APA, filters, spec.data.shape, count=count).spans
+    spans = engine.Run(APA, filters, spec.data.shape).spans
     assert len(spans) == count and spans[0][1] > 3 and spans[-1][0] <= 14
     data = np.zeros_like(spec.data)
     data[:, 14], data[:, 3, 5:] = spec.data[:, 14], spec.data[:, 3, 5:]
@@ -1154,14 +1157,14 @@ def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, mo
     for live, where in ((data, "bin 3, frame 5"), (only_14, "bin 14, frame 0")):
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"^singular 2x2 innovation covariance at {where}$"):
-            drive(APA, live, Filters.start(APA, a, orders, params.delay), a, params,
-                  prior_pass=prior_pass)
+            run = Run(APA, Filters.start(APA, a, orders, params.delay), live.shape, prior_pass)
+            run(live, a, None, params)
 
 
 def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
-    """``drive`` builds its run in the calling thread before it starts one:
-    a filter that does not fit the data raises the run's ``ValueError``
-    there, no thread is started and the kernel is never called."""
+    """A run is built in the calling thread before any span starts: a
+    filter that does not fit the data raises the run's ``ValueError`` there,
+    no thread is started and the kernel is never called."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
@@ -1172,7 +1175,7 @@ def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3))
     monkeypatch.setattr(_thread, "start_new_thread", lambda *args: started.append(args))
     with pytest.raises(ValueError, match="^w has shape "):
-        drive(APA, spec.data, filters, a, params, gains, prior_pass=True)
+        Run(APA, filters, spec.data.shape, prior=True)(spec.data, a, gains, params)
     assert counting.calls == [] and started == []
 
 
@@ -1193,4 +1196,28 @@ def test_a_stream_runs_each_frame_on_the_calling_thread(monkeypatch):
                    for n in range(spec.num_frames)]
         runs[count] = [x.tobytes() for x in outputs + [s.w_hat for s in states]
                        + [s.history for s in states]]
+    assert started == [] and runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("kernel", [APA, RC])
+def test_a_one_frame_run_is_one_span_on_the_calling_thread(kernel, monkeypatch):
+    """With 3 CPUs in the affinity set a run over one frame has one span: it
+    starts no thread and gives the outputs, filters and histories of a run
+    at 1 CPU, bit for bit."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = ApaParams(band_plan=SPLIT_PLAN)
+    orders = SPLIT_PLAN.bin_orders(CONFIG)
+    if kernel is RC:
+        orders = np.where(orders == 0, SPLIT_PLAN.delay + 1, orders)
+    data, column = spec.data[:, :, 4:5], gains[:, 4:5]
+    started, start, runs = [], _thread.start_new_thread, {}
+    monkeypatch.setattr(_thread, "start_new_thread",
+                        lambda *args: (started.append(args), start(*args)))
+    for count in (3, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+        filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
+        run = Run(kernel, filters, data.shape, prior=True)
+        assert run.spans == [(0, CONFIG.num_bins)]
+        runs[count] = [x.tobytes() for x in (run(data, a, column, params), filters.w,
+                                             filters.history)]
     assert started == [] and runs[3] == runs[1]

@@ -1,5 +1,8 @@
 """Fixed beamformer tests: hand-computable weights and exact constraints."""
 
+import _thread
+import os
+
 import numpy as np
 import pytest
 
@@ -132,3 +135,20 @@ class TestApplyFixed:
         out = apply_fixed(FixedWeights(w), spec)
         # conj(j) * 1 summed over two mics
         np.testing.assert_allclose(out.data[0], -2j, atol=0)
+
+    def test_is_its_definition_on_the_calling_thread(self, monkeypatch):
+        """out[k, n] = vdot(w[k], y[:, k, n]) at 257 bins and 8 mics, to 1e-14
+        of the largest value; under a 1- and a 3-CPU affinity, and on a
+        repeat, it gives the same bits and starts no thread."""
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((257, 8)) + 1j * rng.standard_normal((257, 8))
+        y = rng.standard_normal((8, 257, 20)) + 1j * rng.standard_normal((8, 257, 20))
+        want = np.array([[np.vdot(w[k], y[:, k, n]) for n in range(20)] for k in range(257)])
+        started, start, runs = [], _thread.start_new_thread, []
+        monkeypatch.setattr(_thread, "start_new_thread",
+                            lambda *args: (started.append(args), start(*args)))
+        for count in (1, 3, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+            runs.append(apply_fixed(FixedWeights(w), Spectrogram(y, StftConfig())).data)
+        assert np.abs(runs[0][0] - want).max() <= 1e-14 * np.abs(want).max()
+        assert started == [] and all(run.tobytes() == runs[0].tobytes() for run in runs)

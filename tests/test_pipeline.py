@@ -245,6 +245,19 @@ class TestInputContract:
         with pytest.raises(ValueError, match="mask.gmsk: mask is NaN at bin 40, frame 7$"):
             enhance(buf, cfg)
 
+    @pytest.mark.parametrize("method", ["ref-mic", "delay-sum", "sd-mvdr"])
+    def test_a_fixed_method_refuses_a_gain_mask(self, method):
+        """A fixed method reads no gain mask, so a config that gives it one,
+        built or replaced, is refused by name rather than run as if it had none."""
+        message = (f"^method '{method}' takes no gain mask; only the adaptive methods "
+                   r"\('mpdr-apa', 'conv-sdmvdr', 'conv-mpdr-apa'\) read one$")
+        with pytest.raises(ValueError, match=message):
+            RunConfig(method=method, geometry=circular_array(4, 0.10), gain_mask="mask.gmsk")
+        cfg = RunConfig(method="conv-mpdr-apa", geometry=circular_array(4, 0.10),
+                        gain_mask="mask.gmsk")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, method=method)
+
     @pytest.mark.parametrize("driver", ["apa", "sdmvdr"])
     def test_non_finite_steering_rejected_by_the_utterance_drivers(self, driver):
         """A NaN in the steering is named by bin and channel before any

@@ -3,8 +3,8 @@
 Expected values that are checked exactly were computed by hand from the
 window definition; everything else is a structural or round-trip property.
 The last tests cover ``spans`` and ``fan_out``, which run the STFT, SRP-PHAT's
-cross-power, the fixed heads and the adaptive driver on every CPU: each stage
-must give the bits of one part whatever the CPU count.
+cross-power and an adaptive run's spans of bins on every CPU: each stage must
+give the bits of one part whatever the CPU count.
 """
 
 import os
@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from convbeam.apa import ApaParams
-from convbeam.engine import APA, RC, Filters, drive
-from convbeam.fixedbf import FixedWeights, apply_fixed
+from convbeam.engine import APA, RC, Filters, Run
 from convbeam.geometry import _srp_map, circular_array
 from convbeam.stft import (
     BandPlan,
@@ -259,14 +258,15 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _drive(kernel):
-    """``drive`` with the prior pass on 3 mics, 33 bins of two orders and 40 frames: its outputs,
+def _run(kernel):
+    """A run with the prior pass on 3 mics, 33 bins of two orders and 40 frames: its outputs,
     final filters and histories."""
     rng, cfg = np.random.default_rng(11), StftConfig(64)
     steering = np.exp(2j * np.pi * rng.uniform(size=(cfg.num_bins, 3)))
     filters = Filters.start(kernel, steering, BandPlan((2000.0,), (4, 3)).bin_orders(cfg), 1)
-    out = drive(kernel, _complex(rng, (3, cfg.num_bins, 40)), filters, steering, ApaParams(),
-                rng.uniform(size=(cfg.num_bins, 40)), prior_pass=True)
+    data = _complex(rng, (3, cfg.num_bins, 40))
+    out = Run(kernel, filters, data.shape, prior=True)(
+        data, steering, rng.uniform(size=(cfg.num_bins, 40)), ApaParams())
     return out, filters.w, filters.history
 
 
@@ -277,17 +277,14 @@ def _stage(name):
         _, channels, tail = name.split("-")
         x = rng.standard_normal((int(channels), 512 + 256 * 9 + (100 if tail == "tail" else 0)))
         return lambda: (stft(x).data,)
-    spec = Spectrogram(_complex(rng, (4, 257, 30)), StftConfig())
     if name == "srp":
+        spec = Spectrogram(_complex(rng, (4, 257, 30)), StftConfig())
         return lambda: (_srp_map(spec, circular_array(4, 0.10)),)
-    if name == "fixed":
-        weights = FixedWeights(_complex(rng, (257, 4)))
-        return lambda: (apply_fixed(weights, spec).data,)
-    return lambda: _drive(APA if name == "drive-apa" else RC)
+    return lambda: _run(APA if name == "drive-apa" else RC)
 
 
 @pytest.mark.parametrize("name", ["stft-1-whole", "stft-1-tail", "stft-8-whole", "stft-8-tail",
-                                  "srp", "fixed", "drive-apa", "drive-rc"])
+                                  "srp", "drive-apa", "drive-rc"])
 def test_every_cpu_count_gives_the_bits_of_one_part(name, monkeypatch):
     """At 1 CPU a stage starts no thread; at 2, 3 and 9 (more parts than the
     stft's channels) it starts some and gives the same bits, with the
@@ -308,9 +305,10 @@ def test_every_cpu_count_gives_the_bits_of_one_part(name, monkeypatch):
     assert all(got == runs[1] for got in runs.values())
 
 
-def test_no_parts_give_no_results():
+def test_no_parts_give_no_results(monkeypatch):
     """An empty split is no ranges, and no parts are no calls and no results."""
-    assert spans([], 3) == [] and spans(np.ones(0)) == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3))
+    assert spans([]) == [] and spans(np.ones(0)) == []
     assert fan_out(lambda *part: pytest.fail("called"), []) == []
 
 
@@ -349,9 +347,10 @@ def test_the_caller_takes_the_parts_of_a_thread_that_has_not_run(monkeypatch):
     assert taken == [0, 1, 2]
 
 
-def test_spans_split_items_of_equal_cost_evenly():
-    """Equal costs split into near-equal counts of contiguous items."""
-    assert spans(np.ones(8), 2) == [(0, 4), (4, 8)]
-    assert spans(np.ones(8), 3) == [(0, 3), (3, 5), (5, 8)]
-    assert spans(np.ones(3), 9) == [(0, 1), (1, 2), (2, 3)]
-    assert spans(np.ones(119), 1) == [(0, 119)]
+def test_spans_split_items_of_equal_cost_evenly(monkeypatch):
+    """Equal costs split into near-equal counts of contiguous items, at most
+    one range per CPU in the affinity set."""
+    for items, count, want in ((8, 2, [(0, 4), (4, 8)]), (8, 3, [(0, 3), (3, 5), (5, 8)]),
+                               (3, 9, [(0, 1), (1, 2), (2, 3)]), (119, 1, [(0, 119)])):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
+        assert spans(np.ones(items)) == want

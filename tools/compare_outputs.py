@@ -7,10 +7,11 @@ SRC_A and SRC_B are directories that each contain the ``convbeam`` package
 subprocess, which runs a fixed set of calls on a 1 s, 4-mic reverberant
 scene and saves every result to an ``.npz``:
 
-- ``enhance`` for every method x {no mask, gain-mask file} x {fixed DOA,
-  SRP-PHAT} x {prior pass on, off}: the output samples, the DOA, and the
-  summary without ``elapsed_s``, one ``key=value`` string per field, so a
-  change to what a method reports counts as a differing array;
+- ``enhance`` for every method x {no mask, gain-mask file (the adaptive
+  methods only: a fixed one refuses a mask)} x {fixed DOA, SRP-PHAT} x
+  {prior pass on, off}: the output samples, the DOA, and the summary without
+  ``elapsed_s``, one ``key=value`` string per field, so a change to what a
+  method reports counts as a differing array;
 - ``enhance`` for ``sd-mvdr`` and ``conv-mpdr-apa`` with SRP-PHAT, once with
   ``os.sched_getaffinity`` returning 1 CPU and once 3, so the stages that
   split their work by the CPU count run as one part and as three: the
@@ -42,7 +43,7 @@ scene and saves every result to an ``.npz``:
   the prior pass;
 - both adaptive filters on a band plan whose order repeats in non-adjacent
   bands (orders 3, 6, 3), with a gain mask and the prior pass;
-- ``engine.drive`` with the prior pass, for both kernels, on filters that
+- an ``engine.Run`` with the prior pass, for both kernels, on filters that
   already hold taps and history from frames 10-39, over 0, 1 and 5 frames
   with a gain mask: the outputs and the final filters and histories;
 - both adaptive filters with the default band plan, a gain mask and the
@@ -119,13 +120,13 @@ def dump(src: str, out_file: str) -> None:
         process_utterance, psd_floor, speech_psd_estimate, stack_observation,
     )
     from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
-    from convbeam.engine import APA, RC, Filters, drive
+    from convbeam.engine import APA, RC, Filters, Run
     from convbeam.gains import apply_gain, write_gain_mask
     from convbeam.geometry import (
         circular_array, diffuse_coherence, plane_wave_steering, srp_phat_localize,
     )
     from convbeam.metrics import cepstral_distance, fw_seg_snr
-    from convbeam.pipeline import METHODS, RunConfig, enhance
+    from convbeam.pipeline import METHODS, TABLE, RunConfig, enhance
     from convbeam.scenes import (
         diffuse_noise_frames, exp_decay_rir_scene, mclp_scene, mclp_spectral_radius, random_mclp,
         synthetic_speech,
@@ -155,7 +156,10 @@ def dump(src: str, out_file: str) -> None:
         mask_path = str(Path(tmp) / "mask.gmsk")
         write_gain_mask(mask_path, mask)
         for method in METHODS:
-            for mask_name, gain_mask in (("nomask", None), ("mask", mask_path)):
+            masks = [("nomask", None)]
+            if TABLE[method].kernel is not None:  # a fixed method refuses a gain mask
+                masks.append(("mask", mask_path))
+            for mask_name, gain_mask in masks:
                 for doa_name, run_doa in (("doa45", doa), ("srp", None)):
                     for prior_pass in (True, False):
                         run_cfg = RunConfig(
@@ -284,10 +288,11 @@ def dump(src: str, out_file: str) -> None:
     for kernel in (APA, RC):
         for frames in (0, 1, 5):
             filters = Filters.start(kernel, vectors, params.band_plan.bin_orders(cfg), 2)
-            drive(kernel, spec.data[:, :, 10:40], filters, vectors, params, mask[:, 10:40])
-            key = f"drive/{kernel.entry}/F{frames}"
-            arrays[f"{key}/output"] = drive(kernel, spec.data[:, :, :frames], filters, vectors,
-                                            params, mask[:, :frames], prior_pass=True)
+            held = spec.data[:, :, 10:40]
+            Run(kernel, filters, held.shape)(held, vectors, mask[:, 10:40], params)
+            key, data = f"run/{kernel.entry}/F{frames}", spec.data[:, :, :frames]
+            arrays[f"{key}/output"] = Run(kernel, filters, data.shape, True)(
+                data, vectors, mask[:, :frames], params)
             arrays[f"{key}/w"] = filters.w
             arrays[f"{key}/history"] = filters.history
 
