@@ -1,6 +1,6 @@
-/* Per-bin kernels of both adaptive filters, loaded by convbeam.engine.
+/* The per-bin kernel of both adaptive filters, loaded by convbeam.engine.
 
-Each entry point runs bins k0 <= k < k1 of the arrays' bins through nf
+Its one entry point, run, runs bins k0 <= k < k1 of the arrays' bins through nf
 frames, one bin at a time, so a bin's filter and frame history stay in cache
 for the whole call; bin k has its own order L_k = orders[k] and all share
 the delay D.  Bins share no value, so calls on disjoint ranges may run at
@@ -17,20 +17,20 @@ C order with rows ws and hs complex entries apart:
   hist    (bins, hs / M, M)  slot l-1 holds y(n-l), l <= L_k, as the scalar states' history
   ys      (bins, nf, M)      the input, one row of frames per bin; y(n) is read in place
   gsq     (bins, nf)         squared gains that scale the PSD estimate
-  a       (bins, M)          steering (apa) or fixed heads (rc)
-  out     (R, bins, nf)      output rows
+  a       (bins, M)          steering (head 1) or fixed heads (head 0)
+  out     (R, bins, nf)      output rows, R = 3 (head 1) or 1 (head 0)
   p       phi_b, phi_r, phi_a, eta, alpha_r
 
 With prior nonzero, each bin runs its nf frames with no outputs, zeroes its
-history (not its filter) and runs them again.  apa_run returns 0, or
+history (not its filter) and runs them again.  run returns 0, or
 1 + k*nf + n for the first singular 2x2 solve, at bin k and frame n of
-either pass, where the call stops; rc_run, which solves none, 0. */
+either pass, where the call stops; only the head branch solves one. */
 
 #include <complex.h>
 #include <math.h>
 #include <string.h>
 
-/* apa_run and rc_run also get an AVX2 clone on x86-64; not one with FMA */
+/* run also gets an AVX2 clone on x86-64; not one with FMA */
 #if !defined(CLONES) && defined(__x86_64__) && defined(__GNUC__)
 #define CLONES __attribute__((target_clones("avx2", "default")))
 #elif !defined(CLONES)
@@ -98,11 +98,12 @@ static double complex limited(double complex xb, double complex xr, double alpha
     return mag_r == 0.0 ? xb : xb - alpha * fmin(mag_r, cabs(xb)) * (xr / mag_r);
 }
 
-/* apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b, x_r). */
-CLONES long apa_run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
-                    long prior, const long *orders, const double *p, const double *gsq,
-                    double complex *w, double complex *hist, const double complex *ys,
-                    const double complex *a, double complex *out)
+/* head 1, the full filter: apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b,
+   x_r); head 0, the canceller: sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
+CLONES long run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
+                long prior, long head, const long *orders, const double *p, const double *gsq,
+                double complex *w, double complex *hist, const double complex *ys,
+                const double complex *a, double complex *out)
 {
     const double phi_b = p[0], phi_r = p[1], phi_a = p[2], eta = p[3], alpha = p[4];
     w += k0 * ws, hist += k0 * hs;
@@ -116,70 +117,48 @@ CLONES long apa_run(long bins, long k0, long k1, long nf, long m, long d, long w
             for (long n = 0; n < nf; n++) {
                 const double complex *y = ys + (k * nf + n) * m;
                 const double ny = norm2(y, m), floor = eta * (ny / m);
-                const double complex wy = dotc(dotc(0.0, w, y, m), w + m, t, tail);
-                const double phi_x = gsq[k * nf + n] * norm2(&wy, 1);
-                const double s00 = phi_b * ny + phi_r * norm2(t, tail)
-                                   + (phi_x > floor ? phi_x : floor);
-                const double complex s01 = phi_b * dotc(0.0, y, ak, m);
-                /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
-                const double complex e0 = -conj(wy), e1 = CMPLX(1.0, 0.0) - dotc(0.0, ak, w, m);
-                const double det = s00 * s11 - norm2(&s01, 1);
-                double complex g0 = 0.0, g1;
-                if (det > 0.0) {
-                    g0 = (s11 * e0 - s01 * e1) / det;
-                    g1 = (s00 * e1 - conj(s01) * e0) / det;
-                } else if (s00 == 0.0 && s11 > 0.0) { /* the constraint row alone */
-                    g1 = e1 / s11;
+                if (head) {
+                    const double complex wy = dotc(dotc(0.0, w, y, m), w + m, t, tail);
+                    const double phi_x = gsq[k * nf + n] * norm2(&wy, 1);
+                    const double s00 = phi_b * ny + phi_r * norm2(t, tail)
+                                       + (phi_x > floor ? phi_x : floor);
+                    const double complex s01 = phi_b * dotc(0.0, y, ak, m);
+                    /* e0 = -ytilde^H w = -conj(w^H ytilde), e1 = 1 - a^H w_head */
+                    const double complex e0 = -conj(wy), e1 = CMPLX(1.0, 0.0) - dotc(0.0, ak, w, m);
+                    const double det = s00 * s11 - norm2(&s01, 1);
+                    double complex g0 = 0.0, g1;
+                    if (det > 0.0) {
+                        g0 = (s11 * e0 - s01 * e1) / det;
+                        g1 = (s00 * e1 - conj(s01) * e0) / det;
+                    } else if (s00 == 0.0 && s11 > 0.0) { /* the constraint row alone */
+                        g1 = e1 / s11;
+                    } else {
+                        return 1 + k * nf + n;
+                    }
+                    axpy(w, y, phi_b, g0, m);
+                    axpy(w, ak, 1.0, phi_b * g1, m);
+                    axpy(w + m, t, phi_r, g0, tail);
+                    if (pass) { /* x_b = w_head^H y, x_r = x_b - w^H ytilde */
+                        const double complex xb = dotc(0.0, w, y, m);
+                        const double complex xr = xb - dotc(xb, w + m, t, tail);
+                        out[k * nf + n] = limited(xb, xr, alpha);
+                        out[(bins + k) * nf + n] = xb;
+                        out[(2 * bins + k) * nf + n] = xr;
+                    }
                 } else {
-                    return 1 + k * nf + n;
+                    const double complex x_d = dotc(0.0, ak, y, m), e = x_d - dotc(0.0, w, t, tail);
+                    const double phi_x = gsq[k * nf + n] * norm2(&e, 1);
+                    /* a zero denominator (zero regressor, zero floor) means no update */
+                    const double denom = phi_r * norm2(t, tail) + (phi_x > floor ? phi_x : floor);
+                    if (denom > 0.0)
+                        axpy(w, t, 1.0, phi_r / denom * conj(e), tail);
+                    if (pass)
+                        out[k * nf + n] = limited(x_d, dotc(0.0, w, t, tail), alpha);
                 }
-                axpy(w, y, phi_b, g0, m);
-                axpy(w, ak, 1.0, phi_b * g1, m);
-                axpy(w + m, t, phi_r, g0, tail);
-                if (pass) { /* x_b = w_head^H y, x_r = x_b - w^H ytilde */
-                    const double complex xb = dotc(0.0, w, y, m);
-                    const double complex xr = xb - dotc(xb, w + m, t, tail);
-                    out[k * nf + n] = limited(xb, xr, alpha);
-                    out[(bins + k) * nf + n] = xb;
-                    out[(2 * bins + k) * nf + n] = xr;
-                }
-                if (l) { /* apa.ApaState.push */
+                if (l) { /* apa.ApaState.push, sdmvdr.RcState.push */
                     memmove(hist + m, hist, (l - 1) * m * sizeof *hist);
                     memcpy(hist, y, m * sizeof *y);
                 }
-            }
-        }
-    }
-    return 0;
-}
-
-/* sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
-CLONES long rc_run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
-                   long prior, const long *orders, const double *p, const double *gsq,
-                   double complex *w, double complex *hist, const double complex *ys,
-                   const double complex *a, double complex *out)
-{
-    const double phi_r = p[1], eta = p[3], alpha = p[4];
-    w += k0 * ws, hist += k0 * hs;
-    for (long k = k0; k < k1; k++, w += ws, hist += hs) {
-        const long l = orders[k], q = (l - d + 1) * m;
-        const double complex *head = a + k * m, *f = hist + (d - 1) * m;
-        for (long pass = !prior; pass < 2; pass++) {
-            if (pass && prior)
-                memset(hist, 0, hs * sizeof *hist);
-            for (long n = 0; n < nf; n++) {
-                const double complex *y = ys + (k * nf + n) * m;
-                const double floor = eta * (norm2(y, m) / m);
-                const double complex x_d = dotc(0.0, head, y, m), e = x_d - dotc(0.0, w, f, q);
-                const double phi_x = gsq[k * nf + n] * norm2(&e, 1);
-                /* a zero denominator (zero regressor, zero floor) means no update */
-                const double denom = phi_r * norm2(f, q) + (phi_x > floor ? phi_x : floor);
-                if (denom > 0.0)
-                    axpy(w, f, 1.0, phi_r / denom * conj(e), q);
-                if (pass)
-                    out[k * nf + n] = limited(x_d, dotc(0.0, w, f, q), alpha);
-                memmove(hist + m, hist, (l - 1) * m * sizeof *hist); /* sdmvdr.RcState.push */
-                memcpy(hist, y, m * sizeof *y);
             }
         }
     }

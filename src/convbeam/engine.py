@@ -52,8 +52,8 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
     place, so processes that build at once never load a partial library.
     A failed build, a missing ``cc`` or a cache that cannot be written
     raises ``ImportError`` with the command and the compiler's or the file
-    system's message.  The entry points take their arrays as bare pointers,
-    so only :class:`Run` may build their arguments.
+    system's message.  Its one entry point, ``run``, takes its arrays as bare
+    pointers, so only :class:`Run` may build its arguments.
     """
     text = source.read_bytes()
     lib = cache / f"{source.stem}-{zlib.crc32(text + ' '.join(CFLAGS).encode()):08x}-{len(text)}.so"
@@ -73,16 +73,14 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
                 tmp.unlink()
             raise ImportError(f"building the kernel failed: {' '.join(cmd)}\n{exc}") from None
     kernel = ctypes.CDLL(str(lib))
-    for fn in (kernel.apa_run, kernel.rc_run):
-        fn.argtypes = [ctypes.c_long] * 9 + [ctypes.c_void_p] * len(ARRAYS)
-        fn.restype = ctypes.c_long
+    kernel.run.argtypes = [ctypes.c_long] * 10 + [ctypes.c_void_p] * len(ARRAYS)
+    kernel.run.restype = ctypes.c_long
     return kernel
 
 
 class Kernel(NamedTuple):
-    """An entry point of ``_kernel.c`` and the filter it runs."""
+    """A filter of the kernel: ``_kernel.c``'s one entry point, ``run``, takes its ``head``."""
 
-    entry: str  # the function's name in the library
     outputs: int  # output rows per bin and frame
     head: int  # 1 when the filter has a beamforming head of M taps before its M*(L-D+1)
 
@@ -102,8 +100,8 @@ try:  # built at import, so a first build falls in set-up rather than in a run
     LIBRARY = load_kernel()
 except ImportError as exc:  # raised by a Run instead, so other paths need no cc
     LIBRARY = exc
-APA = Kernel("apa_run", 3, 1)
-RC = Kernel("rc_run", 1, 0)
+APA = Kernel(outputs=3, head=1)
+RC = Kernel(outputs=1, head=0)
 
 
 class Filters(NamedTuple):
@@ -186,8 +184,8 @@ class Run:
         self.params, self.gains_sq = np.empty(5), np.empty((bins, frames))
         self.ys, self.steering = np.empty((bins, frames, m), complex), np.empty((bins, m), complex)
         self.out = np.empty((kernel.outputs, bins, frames), complex)
-        entry, args = getattr(LIBRARY, kernel.entry), (
-            frames, m, delay, w.shape[1], history.shape[1] * m, int(prior),
+        entry, args = LIBRARY.run, (
+            frames, m, delay, w.shape[1], history.shape[1] * m, int(prior), kernel.head,
             *(a.ctypes.data for a in (orders, self.params, self.gains_sq, w, history, self.ys,
                                       self.steering, self.out)))  # in the order of ARRAYS
         self._call = lambda k0, k1: entry(bins, k0, k1, *args)  # 0, or 1 + k*frames + n

@@ -668,14 +668,14 @@ def test_the_utterance_drivers_make_no_states(monkeypatch):
 
 
 class CountingLibrary:
-    """The kernel library, recording the name of every entry point called."""
+    """The kernel library, recording the name and ``head`` argument of every call."""
 
     def __init__(self, library):
         self.library, self.calls = library, []
 
     def __getattr__(self, name):
         def call(*args):
-            self.calls.append(name)
+            self.calls.append((name, args[9]))  # run's tenth argument is head
             return getattr(self.library, name)(*args)
         return call
 
@@ -683,10 +683,11 @@ class CountingLibrary:
 @settings(max_examples=20, deadline=None)
 @given(case=cases(allow_order_zero=True))
 @example(case=PARTLY_SILENT)
-def test_drive_calls_the_kernel_once_per_span(case):
+def test_a_run_calls_the_kernel_once_per_span(case):
     """Whatever the band plan, an utterance makes one kernel call on each of
     its spans, here at most 3, with the prior pass on or off, for either
-    filter (the canceller on plans without order 0), and a frame one."""
+    filter (the canceller on plans without order 0), and a frame one; each
+    call passes its filter's ``head``."""
     spec, a, gains = _scene(case)
     params = _params(case)
     m = case["num_mics"]
@@ -696,7 +697,7 @@ def test_drive_calls_the_kernel_once_per_span(case):
 
     def calls(kernel):
         filters = Filters.start(kernel, a, orders, params.delay)
-        return [kernel.entry] * len(engine.Run(kernel, filters, spec.data.shape).spans)
+        return [("run", kernel.head)] * len(engine.Run(kernel, filters, spec.data.shape).spans)
 
     with pytest.MonkeyPatch.context() as patch:
         counting = CountingLibrary(engine.LIBRARY)
@@ -711,7 +712,7 @@ def test_drive_calls_the_kernel_once_per_span(case):
             assert counting.calls == calls(RC)
         del counting.calls[:]
         process_frame(states, spec.data[:, :, 0].T, a, params)
-        assert counting.calls == [APA.entry]
+        assert counting.calls == [("run", APA.head)]
 
 
 @pytest.mark.parametrize("num_frames", [0, 1, 5])
@@ -762,21 +763,31 @@ def test_a_run_holds_the_callers_filters():
 
 
 def test_the_kernel_signatures_match_the_loader():
-    """Both entry points of ``_kernel.c`` take, in order, the nine ``long``
+    """The one entry point of ``_kernel.c`` takes, in order, the ten ``long``
     scalars that ``load_kernel`` declares and then pointers to the dtypes
     of ``engine.ARRAYS``, in its order, which a run follows: a drift between
     them would corrupt memory instead of raising."""
     source = engine.SOURCE.read_text()
     kinds = {np.dtype(ctypes.c_long): "long *", np.dtype(np.float64): "double *",
              np.dtype(np.complex128): "double complex *"}
-    for kernel in (APA, RC):
-        params = re.search(rf"\blong {kernel.entry}\(([^)]*)\)", source).group(1)
-        declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
-        argtypes = getattr(engine.LIBRARY, kernel.entry).argtypes
-        assert argtypes == [ctypes.c_long] * 9 + [ctypes.c_void_p] * len(engine.ARRAYS)
-        built = ["long"] * 9 + [kinds[dtype] for dtype in engine.ARRAYS.values()]
-        assert [" ".join(d) for d in declared] == built
-        assert len(built) == 17
+    ((name, params),) = re.findall(r"^CLONES long (\w+)\(([^)]*)\)", source, re.M)
+    assert name == "run"
+    declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
+    argtypes = engine.LIBRARY.run.argtypes
+    assert argtypes == [ctypes.c_long] * 10 + [ctypes.c_void_p] * len(engine.ARRAYS)
+    built = ["long"] * 10 + [kinds[dtype] for dtype in engine.ARRAYS.values()]
+    assert [" ".join(d) for d in declared] == built
+    assert len(built) == 18
+
+
+@pytest.mark.skipif(not shutil.which("cc"), reason="builds the kernel with cc")
+def test_the_kernel_builds_without_warnings(tmp_path):
+    """``_kernel.c`` builds at ``CFLAGS`` as C11 with every warning of ``-Wall
+    -Wextra -Wpedantic`` an error, so an unused parameter fails here."""
+    cmd = ["cc", *engine.CFLAGS, "-Wall", "-Wextra", "-Wpedantic", "-std=c11", "-Werror",
+           str(engine.SOURCE), "-o", str(tmp_path / "kernel.so"), "-lm"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_kernel_library_is_cached_by_source(tmp_path, monkeypatch):
@@ -847,13 +858,13 @@ def _cc_is_gcc() -> bool:
                     or not _cc_is_gcc(), reason="reads a gcc build for x86-64 with objdump")
 def test_the_avx2_clones_inline_their_helpers():
     """``tree``, ``dotc``, ``norm2`` and ``axpy`` are inlined into each clone, so
-    the AVX2 clone runs their lanes in AVX2: neither ``.avx2`` clone calls one."""
+    the AVX2 clone runs their lanes in AVX2: ``run.avx2`` calls none of them."""
     text = subprocess.run(["objdump", "-d", "--no-show-raw-insn", engine.LIBRARY._name],
                           capture_output=True, text=True, check=True).stdout
     bodies = dict(re.findall(r"^[0-9a-f]+ <([\w.]+)>:\n(.*?)(?=\n\n|\Z)", text, re.M | re.S))
-    for entry in ("apa_run.avx2", "rc_run.avx2"):
-        called = {name.split(".")[0] for name in re.findall(r"\scall\s.*<([\w.]+)", bodies[entry])}
-        assert called and not called & {"tree", "dotc", "norm2", "axpy"}
+    calls = re.findall(r"\scall\s.*<([\w.]+)", bodies["run.avx2"])
+    called = {name.split(".")[0] for name in calls}
+    assert called and not called & {"tree", "dotc", "norm2", "axpy"}
 
 
 @pytest.mark.parametrize("fault", ["compile error", "no compiler", "unwritable cache"])

@@ -285,12 +285,12 @@ def dump(src: str, out_file: str) -> None:
 
     params = ApaParams(band_plan=BandPlan((4000.0,), (3, 5), delay=2))
     vectors = np.ascontiguousarray(steering.vectors)  # the fixed heads of the canceller too
-    for kernel in (APA, RC):
+    for name, kernel in (("apa_run", APA), ("rc_run", RC)):  # every tree dumps these keys
         for frames in (0, 1, 5):
             filters = Filters.start(kernel, vectors, params.band_plan.bin_orders(cfg), 2)
             held = spec.data[:, :, 10:40]
             Run(kernel, filters, held.shape)(held, vectors, mask[:, 10:40], params)
-            key, data = f"run/{kernel.entry}/F{frames}", spec.data[:, :, :frames]
+            key, data = f"run/{name}/F{frames}", spec.data[:, :, :frames]
             arrays[f"{key}/output"] = Run(kernel, filters, data.shape, True)(
                 data, vectors, mask[:, :frames], params)
             arrays[f"{key}/w"] = filters.w
