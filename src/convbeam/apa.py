@@ -29,7 +29,6 @@ the sums in a dot product differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
 
 import numpy as np
 
@@ -105,7 +104,7 @@ class FrameHistory:
         return self.history[self.delay - 1 :].ravel()
 
 
-@dataclass
+@dataclass(eq=False)
 class ApaState(FrameHistory):
     """Adaptive filter state of one frequency bin, of order L = ``len(history)``.
 
@@ -310,28 +309,26 @@ def process_frame(
 ) -> np.ndarray:
     """Process one STFT frame (bins, M) through every bin's filter.
 
-    Per bin: stack the observation, estimate and floor the PSD (optionally
-    scaled by an external gain), run the affine projection update, emit the
-    limited output from the updated filter, then push the frame into the
-    history.  The frame runs on the kernel as an utterance of one frame; a
-    singular 2x2 solve raises ``LinAlgError`` naming its bin, and the bins
-    run before it have moved.  ``steering`` is the (bins, M) steering matrix
-    and ``gains`` an optional per-bin gain column, clamped into [0, 1]; an
-    empty state list, a bad shape, a non-finite frame or steering value, a
-    zero-norm steering row, a NaN gain, a state listed at two bins, or one
-    whose delay (one for all states) or arrays do not fit its order,
-    ``len(history)``, and M, the steering's width, raises before any state
-    changes.  Steering and params are taken from each call.  The states are
-    bound once to a :class:`~convbeam.engine.Stream`, and again when the list
-    holds other states, a state reassigns a field or M changes.  A stream
-    equals process_utterance bitwise; each call returns a new array.
+    Per bin: stack the observation, estimate and floor the PSD (optionally scaled by an external
+    gain), run the affine projection update, emit the limited output from the updated filter, then
+    push the frame into the history.  The frame runs on the kernel as an utterance of one frame; a
+    singular 2x2 solve raises ``LinAlgError`` naming its bin, and the bins run before it have
+    moved.  ``steering`` is the (bins, M) steering matrix and ``gains`` an optional per-bin gain
+    column, clamped into [0, 1]; an empty state list, a bad shape, a non-finite frame or steering
+    value, a zero-norm steering row, a NaN gain, a state listed at two bins, or one whose delay
+    (one for all states) or arrays do not fit its order, ``len(history)``, and M, the steering's
+    width, raises before any state changes.  Steering and params are taken from each call; the
+    steering is checked on a stream's first frame and when its shape or bits change, as by an edit
+    in place.  The states are bound once to a :class:`~convbeam.engine.Stream`, and again when the
+    list holds other states, a state reassigns a field or M changes.  A stream equals
+    process_utterance bitwise; each call returns a new array.
     """
     if not states:
         raise ValueError("states is empty: process_frame needs one state per bin")
-    frame, steering, gains = check_inputs(steering, gains, None, (len(states),), frame)
     held = getattr(states[0], "_filters", None)  # an engine.Stream
-    if not (held and len(held.states) == len(states) and held.steering.shape == steering.shape
-            and all(map(is_, states, held.states))):
+    frame, steering, gains = check_inputs(steering, gains, None, (len(states),), frame,
+                                          held and held.steering)
+    if not (held and held.states == tuple(states) and held.steering.shape == steering.shape):
         held = Stream(APA, states, steering)
     gains = None if gains is None else gains[:, None]  # the frame and column as one-frame data
     return held(frame.T[..., None], steering, gains, params)[0, :, 0].copy()

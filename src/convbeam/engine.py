@@ -124,14 +124,15 @@ class Filters(NamedTuple):
         return cls(orders, delay, w, np.zeros((bins, orders.max(), m), np.complex128))
 
 
-def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None) -> tuple:
+def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None,
+                 known: np.ndarray | None = None) -> tuple:
     """(frame, steering, gains) as arrays, checked before any state changes.
 
     ``frame`` (when given) must be finite and ``steering`` a valid
-    :class:`~convbeam.geometry.SteeringVector`, both (bins, M), with bins =
-    ``gain_shape[0]`` and M = ``num_mics`` (None: the steering's width); ``gains``
-    must be of ``gain_shape`` and is clamped into [0, 1].  An utterance driver
-    passes its Spectrogram as ``frame``; that must be finite.  Anything else
+    :class:`~convbeam.geometry.SteeringVector` (unless it has the shape and bits of ``known``,
+    one that passed before), both (bins, M), with bins = ``gain_shape[0]`` and M = ``num_mics``
+    (None: the steering's width); ``gains`` must be of ``gain_shape`` and is clamped into [0, 1].
+    An utterance driver passes its Spectrogram as ``frame``; that must be finite.  Anything else
     raises ``ValueError`` naming the argument, and for a bad value where it is.
     """
     steering = np.ascontiguousarray(getattr(steering, "vectors", steering), np.complex128)
@@ -143,10 +144,11 @@ def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame
     for name, value, expected in named:
         if value is not None and value.shape != expected:
             raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
-    if frame is not None and not np.isfinite(frame).all():
+    if frame is not None and not np.isfinite(frame.view(np.float64)).all():  # both parts
         k, ch = np.argwhere(~np.isfinite(frame))[0]
         raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
-    SteeringVector(steering, 0)  # checked on every call: a caller may edit it in place
+    if known is None or (known.shape, known.tobytes()) != (steering.shape, steering.tobytes()):
+        SteeringVector(steering, 0)  # new bits, as after an edit in place
     if spec is not None and not np.isfinite(spec).all():
         ch, k, n = np.argwhere(~np.isfinite(spec))[0]
         raise ValueError(f"spectrogram has a non-finite value at channel {ch}, bin {k}, frame {n}")
@@ -224,15 +226,16 @@ class Stream(Run):
     list of ``states`` on its own :class:`Filters`, whose rows their ``w_hat`` and ``history``
     become; each call takes a frame as (M, bins, 1) data.  A state listed at an earlier bin too,
     or one that does not fit its order, ``len(history)``, and the steering's width M, raises
-    ``ValueError`` naming its bin before any state changes."""
+    ``ValueError`` naming its bin before any state changes.  Its steering buffer, filled here,
+    holds only steerings :func:`check_inputs` passed: it is the ``known`` of the next frame."""
 
     def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
         (bins, m), delay = steering.shape, states[0].delay
         orders, first = [len(s.history) for s in states], {}
         for k, (s, order) in enumerate(zip(states, orders)):
             try:
-                if first.setdefault(id(s), k) != k:
-                    raise ValueError(f"its state is bin {first[id(s)]}'s too")
+                if first.setdefault(s, k) != k:
+                    raise ValueError(f"its state is bin {first[s]}'s too")
                 q = kernel.taps(m, order, delay)
                 if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (order, m):
                     raise ValueError(f"at order {order} it needs delay {delay}, {q} taps and "
@@ -245,4 +248,4 @@ class Stream(Run):
         for s, order, w, history in zip(states, orders, filters.w, filters.history):
             w[: s.w_hat.size], history[:order] = s.w_hat, s.history
             s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], self
-        self.states = tuple(states)  # emptied when a state reassigns a field
+        self.states, self.steering[:] = tuple(states), steering  # states: emptied on a rebind

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class RcState(FrameHistory):
     """Reverb-canceller state of one bin: fixed head w_sd, adaptive taps w_rc.
 

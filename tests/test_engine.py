@@ -18,7 +18,10 @@ those branches in the same frames as live ones.  One driver runs every call,
 so a run split in two must equal one run bit for bit.  A stream reuses its
 filters and buffers between frames; the stream tests also change the states,
 steering, params and gains between frames, rebind a state's fields and copy
-the states mid-stream, and check that an output stays as it was returned.
+the states mid-stream, and check that an output stays as it was returned;
+they count the steering checks (the first frame's, and one after each change
+of bits) and the streams built (one per order of the same states), and
+states compare and hash by identity.
 The last tests cover fresh filters against the scalar states, a prior pass
 against a run whose outputs are dropped and whose histories are then zeroed,
 a run that outlives the caller's references to its filters, the kernel's
@@ -274,6 +277,69 @@ def test_stream_keeps_its_filters():
 
 def _stream_states(num_bins=4):
     return [init_state(np.exp(0.3j * np.arange(2) * k), 3) for k in range(num_bins)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: init_state(np.ones(1), 0), lambda: init_state(np.exp(0.3j * np.arange(2)), 3),
+    lambda: init_rc_state(np.ones(1), 2), lambda: init_rc_state(np.ones(3), 3, 2),
+], ids=["apa-order0-1mic", "apa-order3-2mics", "rc-order2-1mic", "rc-order3-3mics"])
+def test_a_state_equals_itself_alone_and_hashes(make):
+    """A state is equal only to itself and can key a dict or sit in a set,
+    also a single-mic state at order 0, whose history is empty: comparing
+    its arrays would raise on their truth value."""
+    state = make()
+    twin = copy.deepcopy(state)
+    assert state == state and state != twin
+    assert len({state, state, twin}) == 2 and {state: 0}[state] == 0
+
+
+def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
+    """A stream checks its steering's values on its first frame (the fresh
+    filters' heads check it once more) and afterwards only on a frame whose
+    steering differs in bits from the last one's: not for the same array or
+    a bitwise-equal copy, but after a valid edit in place by one ulp, whose
+    frame then runs, bit for bit, as in a stream restacked every frame."""
+    frames = np.random.default_rng(3).standard_normal((5, 4, 2)) + 0j
+    a = np.exp(0.3j * np.arange(2) * np.arange(4)[:, None])
+    states, restacked, callers = _stream_states(), _stream_states(), []
+
+    def counting(vectors, reference_mic):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return SteeringVector(vectors, reference_mic)
+    monkeypatch.setattr(engine, "SteeringVector", counting)
+    for n, want in enumerate([["check_inputs", "start"], [], [], ["check_inputs"], []]):
+        steering = a.copy() if n == 2 else a
+        if n == 3:
+            before = a.copy()
+            a[2, 1] = np.nextafter(a[2, 1].real, 2.0) + 1j * a[2, 1].imag
+            assert np.count_nonzero(a != before) == 1
+        del callers[:]
+        got = process_frame(states, frames[n], steering, ApaParams())
+        assert callers == want, n
+        for s in restacked:
+            vars(s).pop("_filters", None)
+        assert got.tobytes() == process_frame(restacked, frames[n], steering, ApaParams()).tobytes()
+        for s, r in zip(states, restacked):
+            assert s.w_hat.tobytes() == r.w_hat.tobytes()
+            assert s.history.tobytes() == r.history.tobytes()
+
+
+def test_a_stream_is_built_once_for_its_states(monkeypatch):
+    """One stream serves a list, a new list of the same states and a tuple of
+    them; a reordered list, or a list with one state replaced, builds another."""
+    frames = np.random.default_rng(4).standard_normal((8, 4, 2)) + 0j
+    states, built = _stream_states(), []
+    monkeypatch.setattr(apa, "Stream", lambda *args: built.append(args) or engine.Stream(*args))
+    for n, (pick, builds) in enumerate([
+        (lambda: states, 1), (lambda: states, 0), (lambda: list(states), 0),
+        (lambda: tuple(states), 0), (lambda: states[::-1], 1), (lambda: states, 1),
+        (lambda: states, 0), (lambda: states, 1),
+    ]):
+        if n == 7:
+            states[2] = _stream_states()[2]
+        del built[:]
+        process_frame(pick(), frames[n], np.ones((4, 2)), ApaParams())
+        assert len(built) == builds, n
 
 
 @pytest.mark.parametrize("field, value, message", [
