@@ -10,16 +10,15 @@ or norm differs.  Each such sum runs over the (re, im) doubles in 8 lanes
 added in a fixed tree, so a build that maps the lanes onto SSE2 or AVX2
 registers rounds as a scalar one: every clone and vector width gives the
 same bits.  The helpers (HELPER) are inlined into each clone, so the AVX2
-clone runs their lanes in AVX2 registers.  Values are C99 double complex, in
-C order with rows ws and hs complex entries apart:
+clone runs their lanes in AVX2 registers.  The params come by value; arrays are
+C99 double complex (g double), in C order with rows ws and hs entries apart:
 
   w       (bins, ws)         filters, bin k's Q_k taps first; updated in place
   hist    (bins, hs / M, M)  slot l-1 holds y(n-l), l <= L_k, as the scalar states' history
-  ys      (bins, nf, M)      the input, one row of frames per bin; y(n) is read in place
-  gsq     (bins, nf)         squared gains that scale the PSD estimate
+  data    (M, bins, nf)      the input, a Spectrogram's layout; y(n) is gathered per frame
+  g       (bins, nf)         gains whose squares scale the PSD estimate, or NULL for none
   a       (bins, M)          steering (head 1) or fixed heads (head 0)
   out     (R, bins, nf)      output rows, R = 3 (head 1) or 1 (head 0)
-  p       phi_b, phi_r, phi_a, eta, alpha_r
 
 With prior nonzero, each bin runs its nf frames with no outputs, zeroes its
 history (not its filter) and runs them again.  run returns 0, or
@@ -101,11 +100,12 @@ static double complex limited(double complex xb, double complex xr, double alpha
 /* head 1, the full filter: apa.apa_update with its PSD estimate, floor and outputs (x_hat, x_b,
    x_r); head 0, the canceller: sdmvdr.rc_speech_psd and sdmvdr.rc_update, with the output x_hat. */
 CLONES long run(long bins, long k0, long k1, long nf, long m, long d, long ws, long hs,
-                long prior, long head, const long *orders, const double *p, const double *gsq,
-                double complex *w, double complex *hist, const double complex *ys,
-                const double complex *a, double complex *out)
+                long prior, long head, double phi_b, double phi_r, double phi_a, double eta,
+                double alpha_r, const long *orders, const double *g, double complex *w,
+                double complex *hist, const double complex *data, const double complex *a,
+                double complex *out)
 {
-    const double phi_b = p[0], phi_r = p[1], phi_a = p[2], eta = p[3], alpha = p[4];
+    double complex y[m];
     w += k0 * ws, hist += k0 * hs;
     for (long k = k0; k < k1; k++, w += ws, hist += hs) {
         const long l = orders[k], tail = l ? (l - d + 1) * m : 0;
@@ -115,11 +115,12 @@ CLONES long run(long bins, long k0, long k1, long nf, long m, long d, long ws, l
             if (pass && prior) /* it has run: zero the history, not the filter */
                 memset(hist, 0, hs * sizeof *hist);
             for (long n = 0; n < nf; n++) {
-                const double complex *y = ys + (k * nf + n) * m;
-                const double ny = norm2(y, m), floor = eta * (ny / m);
+                for (long c = 0; c < m; c++)
+                    y[c] = data[(c * bins + k) * nf + n];
+                const double gn = g ? g[k * nf + n] : 1.0, ny = norm2(y, m), floor = eta * (ny / m);
                 if (head) {
                     const double complex wy = dotc(dotc(0.0, w, y, m), w + m, t, tail);
-                    const double phi_x = gsq[k * nf + n] * norm2(&wy, 1);
+                    const double phi_x = gn * gn * norm2(&wy, 1);
                     const double s00 = phi_b * ny + phi_r * norm2(t, tail)
                                        + (phi_x > floor ? phi_x : floor);
                     const double complex s01 = phi_b * dotc(0.0, y, ak, m);
@@ -141,19 +142,19 @@ CLONES long run(long bins, long k0, long k1, long nf, long m, long d, long ws, l
                     if (pass) { /* x_b = w_head^H y, x_r = x_b - w^H ytilde */
                         const double complex xb = dotc(0.0, w, y, m);
                         const double complex xr = xb - dotc(xb, w + m, t, tail);
-                        out[k * nf + n] = limited(xb, xr, alpha);
+                        out[k * nf + n] = limited(xb, xr, alpha_r);
                         out[(bins + k) * nf + n] = xb;
                         out[(2 * bins + k) * nf + n] = xr;
                     }
                 } else {
                     const double complex x_d = dotc(0.0, ak, y, m), e = x_d - dotc(0.0, w, t, tail);
-                    const double phi_x = gsq[k * nf + n] * norm2(&e, 1);
+                    const double phi_x = gn * gn * norm2(&e, 1);
                     /* a zero denominator (zero regressor, zero floor) means no update */
                     const double denom = phi_r * norm2(t, tail) + (phi_x > floor ? phi_x : floor);
                     if (denom > 0.0)
                         axpy(w, t, 1.0, phi_r / denom * conj(e), tail);
                     if (pass)
-                        out[k * nf + n] = limited(x_d, dotc(0.0, w, t, tail), alpha);
+                        out[k * nf + n] = limited(x_d, dotc(0.0, w, t, tail), alpha_r);
                 }
                 if (l) { /* apa.ApaState.push, sdmvdr.RcState.push */
                     memmove(hist + m, hist, (l - 1) * m * sizeof *hist);

@@ -6,9 +6,10 @@ each bin at its own order, in the layout of the scalar states.  The kernel,
 either filter over every bin, one bin at a time through every frame, with the
 arithmetic of the scalar oracle of :mod:`convbeam.apa` and
 :mod:`convbeam.sdmvdr`.  A :class:`Run` is the one way to the kernel: it checks
-the filters once, owns every other array the kernel points at, and runs its spans
-of bins in threads at once (:func:`~convbeam.stft.fan_out`).  Each utterance
-driver builds a run over its data and calls it once; a :class:`Stream`
+the filters once, owns only the steering and outputs, reads the data (in the
+Spectrogram's (M, bins, frames) layout), gains and params where the caller holds
+them, and runs its spans of bins in threads at once (:func:`~convbeam.stft.fan_out`).
+Each utterance driver builds a run over its data and calls it once; a :class:`Stream`
 (``apa.process_frame``) is a run over one frame, called on each, so it equals the
 offline run.
 The library is built, once per source, when this module is imported; a host
@@ -38,10 +39,10 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
 # library runs on any host of its architecture and every product rounds as the oracle's
 CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-# the kernel's params array, and its array arguments in order by name and dtype
+# the kernel's five double params, and its array arguments in order by name and dtype
 PARAMS = attrgetter("phi_b", "phi_r", "phi_a", "eta", "alpha_r")
-ARRAYS = dict(zip(("orders", "params", "gains", "w", "history", "ys", "steering", "out"),
-                  map(np.dtype, (ctypes.c_long, np.float64, np.float64) + (np.complex128,) * 5)))
+ARRAYS = dict(zip(("orders", "gains", "w", "history", "data", "steering", "out"),
+                  map(np.dtype, (ctypes.c_long, np.float64) + (np.complex128,) * 5)))
 
 
 def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache__"):
@@ -73,7 +74,7 @@ def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache_
                 tmp.unlink()
             raise ImportError(f"building the kernel failed: {' '.join(cmd)}\n{exc}") from None
     kernel = ctypes.CDLL(str(lib))
-    kernel.run.argtypes = [ctypes.c_long] * 10 + [ctypes.c_void_p] * len(ARRAYS)
+    kernel.run.argtypes = [ctypes.c_long] * 10 + [ctypes.c_double] * 5 + [ctypes.c_void_p] * 7
     kernel.run.restype = ctypes.c_long
     return kernel
 
@@ -120,7 +121,7 @@ class Filters(NamedTuple):
         orders, (bins, m) = np.asarray(orders, dtype=ctypes.c_long), steering.shape
         w = np.zeros((bins, kernel.bin_taps(m, orders, delay).max()), dtype=np.complex128)
         if kernel.head:
-            w[:, :m] = delay_and_sum(SteeringVector(steering, 0)).weights
+            w[:, :m] = delay_and_sum(steering).weights  # checked by check_inputs
         return cls(orders, delay, w, np.zeros((bins, orders.max(), m), np.complex128))
 
 
@@ -159,11 +160,11 @@ class Run:
     """``kernel`` on ``filters`` for data of ``shape`` (M, bins, frames): one span of bins when
     the data has one frame, else one per CPU of near-equal cost, Q_k + M a bin
     (:func:`~convbeam.stft.spans`).  It holds ``filters``, which end each call holding the
-    final taps and histories, and owns every other array the kernel points at.  With ``prior``
-    each bin first runs the frames with no outputs and keeps its filter but not its history.
-    ``orders``, ``w`` and ``history`` must have the dtype (:data:`ARRAYS`), C order and shape
-    that ``shape`` and the orders give, and ``w`` and ``history`` be writable; the first that
-    does not raises ``ValueError`` naming it."""
+    final taps and histories, and owns only the steering and outputs.  With ``prior`` each bin
+    first runs the frames with no outputs and keeps its filter but not its history.
+    ``orders``, ``w`` and ``history`` must have the dtype (:data:`ARRAYS`), C order, alignment
+    and shape that ``shape`` and the orders give, and ``w`` and ``history`` be writable; the
+    first that does not raises ``ValueError`` naming it."""
 
     def __init__(self, kernel: Kernel, filters: Filters, shape: tuple, prior: bool = False):
         if isinstance(LIBRARY, ImportError):  # the build at import failed
@@ -176,6 +177,7 @@ class Run:
             dtype = ARRAYS[name]
             fault = (f"has dtype {array.dtype}, expected {dtype}" if array.dtype != dtype
                      else "is not C-contiguous" if not array.flags.c_contiguous
+                     else "is not aligned" if not array.flags.aligned
                      else f"has shape {array.shape}, expected {expected}" if array.shape != expected
                      else "is read-only" if name != "orders" and not array.flags.writeable
                      else None)
@@ -183,38 +185,35 @@ class Run:
                 raise ValueError(f"{name} {fault} for data of shape {shape}")
         self.shape, self.filters = shape, filters
         self.spans = [(0, bins)] if frames == 1 else spans(taps + m)
-        self.params, self.gains_sq = np.empty(5), np.empty((bins, frames))
-        self.ys, self.steering = np.empty((bins, frames, m), complex), np.empty((bins, m), complex)
+        self.steering = np.empty((bins, m), complex)
         self.out = np.empty((kernel.outputs, bins, frames), complex)
-        entry, args = LIBRARY.run, (
-            frames, m, delay, w.shape[1], history.shape[1] * m, int(prior), kernel.head,
-            *(a.ctypes.data for a in (orders, self.params, self.gains_sq, w, history, self.ys,
-                                      self.steering, self.out)))  # in the order of ARRAYS
-        self._call = lambda k0, k1: entry(bins, k0, k1, *args)  # 0, or 1 + k*frames + n
+        entry, longs = LIBRARY.run, (frames, m, delay, w.shape[1], history.shape[1] * m,
+                                     int(prior), kernel.head)
+        o, w, h, a, out = (x.ctypes.data for x in (orders, w, history, self.steering, self.out))
+        self._call = lambda k0, k1, params, gains, data: entry(  # 0, or 1 + k*frames + n
+            bins, k0, k1, *longs, *params, o, gains, w, h, data, a, out)  # in the order of ARRAYS
 
     def __call__(self, data: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:
-        """The outputs, (``kernel.outputs``, bins, frames), on ``data`` (M, bins, frames), the
-        (bins, M) ``steering`` the kernel reads (the fixed heads, for the canceller), ``gains``
-        None or (bins, frames) from :func:`check_inputs`, and ``params``: the run's own
-        buffer, which its next call overwrites.  An array of another shape, which would
-        broadcast into a buffer, raises ``ValueError`` naming it.  Each span copies its bins'
-        frames and makes one kernel call, on :func:`~convbeam.stft.fan_out`, to the bits of one
-        span.  A singular 2x2 solve raises ``LinAlgError`` naming the lowest failing bin, and
-        its frame (in either pass) if the run has more than one; the bins before it, and those
-        of other spans, may have moved."""
-        (m, bins, frames), ys, call = self.shape, self.ys, self._call
+        """The outputs, (``kernel.outputs``, bins, frames), in the run's own array, which its
+        next call overwrites, on ``data`` (M, bins, frames), the (bins, M) ``steering`` the
+        kernel reads (the fixed heads, for the canceller), ``gains`` None or (bins, frames)
+        from :func:`check_inputs`, and ``params``.  An array of another shape raises
+        ``ValueError`` naming it.  The kernel reads ``data`` and ``gains`` where they lie if
+        they are C-contiguous, aligned complex128 and float64, else one copy of each that is
+        not.  Each span makes one kernel call, on :func:`~convbeam.stft.fan_out`, to the bits
+        of one span.  A singular 2x2 solve raises ``LinAlgError`` naming the lowest failing
+        bin, and its frame (in either pass) if the run has more than one; the bins before it,
+        and those of other spans, may have moved."""
+        (m, bins, frames), call = self.shape, self._call
         for name, array, shape in (("data", data, self.shape), ("steering", steering, (bins, m)),
                                    ("gains", gains, (bins, frames))):
             if array is not None and array.shape != shape:
                 raise ValueError(f"{name} has shape {array.shape}, expected {shape} "
                                  f"for data of shape {self.shape}")
-        self.steering[:], self.params[:] = steering, PARAMS(params)
-        np.square(1.0 if gains is None else gains, out=self.gains_sq)
-
-        def span(k0: int, k1: int) -> int:
-            ys[k0:k1] = data[:, k0:k1].transpose(1, 2, 0)
-            return call(k0, k1)
-        if any(statuses := fan_out(span, self.spans)):
+        self.steering[:], data = steering, np.require(data, np.complex128, "CA")
+        gains = None if gains is None else np.require(gains, np.float64, "CA")
+        args = PARAMS(params), None if gains is None else gains.ctypes.data, data.ctypes.data
+        if any(statuses := fan_out(lambda k0, k1: call(k0, k1, *args), self.spans)):
             k, n = divmod(min(filter(None, statuses)) - 1, frames)
             raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}"
                                         + (f", frame {n}" if frames > 1 else ""))

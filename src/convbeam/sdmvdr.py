@@ -23,7 +23,7 @@ from .apa import ApaParams, FrameHistory, limited_output, psd_floor
 from .engine import RC, Filters, Run, check_inputs
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
-from .geometry import CoherenceMatrix, SteeringVector
+from .geometry import CoherenceMatrix
 from .stft import Spectrogram
 
 __all__ = [
@@ -131,6 +131,6 @@ def process_utterance_sdmvdr(
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     filters = Filters.start(RC, vectors, params.band_plan.bin_orders(spec.config), params.delay)
-    weights = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
+    weights = superdirective_mvdr(vectors, coherence).weights
     out = Run(RC, filters, spec.data.shape, prior_pass)(spec.data, weights, gains, params)
     return Spectrogram(out, spec.config)

@@ -32,6 +32,9 @@ into spans run in threads at once, which must give the bits of one span
 whatever the CPU count, name the lowest failing bin in either pass and
 refuse a bad array before any thread starts, and a one-frame run and a
 stream, which run as one span on the calling thread whatever the count.
+Last, a run reads data and gains of any layout or dtype as their
+contiguous complex128 and float64 values, bit for bit, and an utterance
+allocates less than its spectrogram's size: the kernel reads it in place.
 """
 
 import _thread
@@ -45,6 +48,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -294,11 +298,12 @@ def test_a_state_equals_itself_alone_and_hashes(make):
 
 
 def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
-    """A stream checks its steering's values on its first frame (the fresh
-    filters' heads check it once more) and afterwards only on a frame whose
-    steering differs in bits from the last one's: not for the same array or
-    a bitwise-equal copy, but after a valid edit in place by one ulp, whose
-    frame then runs, bit for bit, as in a stream restacked every frame."""
+    """A stream checks its steering's values once on its first frame (the
+    fresh filters' heads do not check it again) and afterwards only on a
+    frame whose steering differs in bits from the last one's: not for the
+    same array or a bitwise-equal copy, but after a valid edit in place by
+    one ulp, whose frame then runs, bit for bit, as in a stream restacked
+    every frame."""
     frames = np.random.default_rng(3).standard_normal((5, 4, 2)) + 0j
     a = np.exp(0.3j * np.arange(2) * np.arange(4)[:, None])
     states, restacked, callers = _stream_states(), _stream_states(), []
@@ -307,7 +312,7 @@ def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return SteeringVector(vectors, reference_mic)
     monkeypatch.setattr(engine, "SteeringVector", counting)
-    for n, want in enumerate([["check_inputs", "start"], [], [], ["check_inputs"], []]):
+    for n, want in enumerate([["check_inputs"], [], [], ["check_inputs"], []]):
         steering = a.copy() if n == 2 else a
         if n == 3:
             before = a.copy()
@@ -830,9 +835,10 @@ def test_a_run_holds_the_callers_filters():
 
 def test_the_kernel_signatures_match_the_loader():
     """The one entry point of ``_kernel.c`` takes, in order, the ten ``long``
-    scalars that ``load_kernel`` declares and then pointers to the dtypes
-    of ``engine.ARRAYS``, in its order, which a run follows: a drift between
-    them would corrupt memory instead of raising."""
+    scalars that ``load_kernel`` declares, the five ``double`` params named
+    as ``engine.PARAMS`` reads them, in its order, and then pointers to the
+    dtypes of ``engine.ARRAYS``, in its order, which a run follows: a drift
+    between them would corrupt memory instead of raising."""
     source = engine.SOURCE.read_text()
     kinds = {np.dtype(ctypes.c_long): "long *", np.dtype(np.float64): "double *",
              np.dtype(np.complex128): "double complex *"}
@@ -840,10 +846,17 @@ def test_the_kernel_signatures_match_the_loader():
     assert name == "run"
     declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
     argtypes = engine.LIBRARY.run.argtypes
-    assert argtypes == [ctypes.c_long] * 10 + [ctypes.c_void_p] * len(engine.ARRAYS)
-    built = ["long"] * 10 + [kinds[dtype] for dtype in engine.ARRAYS.values()]
+    assert argtypes == ([ctypes.c_long] * 10 + [ctypes.c_double] * 5
+                        + [ctypes.c_void_p] * len(engine.ARRAYS))
+    built = ["long"] * 10 + ["double"] * 5 + [kinds[dtype] for dtype in engine.ARRAYS.values()]
     assert [" ".join(d) for d in declared] == built
-    assert len(built) == 18
+    assert len(built) == 22
+
+    class Names:
+        def __getattr__(self, name):
+            return name
+    doubles = [p.split()[-1] for p in params.split(",")[10:15]]
+    assert doubles == list(engine.PARAMS(Names())) == ["phi_b", "phi_r", "phi_a", "eta", "alpha_r"]
 
 
 @pytest.mark.skipif(not shutil.which("cc"), reason="builds the kernel with cc")
@@ -1022,11 +1035,21 @@ def test_the_kernel_refuses_a_bad_array(fault):
     np.testing.assert_array_equal(filters.history, history)
 
 
-@pytest.mark.parametrize("fault", ["dtype", "layout", "shape", "read-only"])
+def _misaligned(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``array`` one byte past an aligned address."""
+    raw = bytearray(array.nbytes + 1)
+    copy = np.frombuffer(raw, array.dtype, array.size, offset=1).reshape(array.shape)
+    copy[...] = array
+    assert copy.flags.c_contiguous and copy.flags.writeable and not copy.flags.aligned
+    return copy
+
+
+@pytest.mark.parametrize("fault", ["dtype", "layout", "misaligned", "shape", "read-only"])
 def test_a_run_checks_every_caller_array_before_any_pointer(fault):
-    """Each array of the filters, given another dtype, a strided layout or
-    one more row, and each the kernel writes (``w`` and ``history``), made
-    read-only, is refused by a run with a ``ValueError`` naming it."""
+    """Each array of the filters, given another dtype, a strided layout, an
+    address one byte off its alignment or one more row, and each the kernel
+    writes (``w`` and ``history``), made read-only, is refused by a run with
+    a ``ValueError`` naming it."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
@@ -1042,18 +1065,22 @@ def test_a_run_checks_every_caller_array_before_any_pointer(fault):
         elif fault == "layout":
             bad = np.empty(array.shape + (2,), array.dtype)[..., 0]
             bad[...] = array
+        elif fault == "misaligned":
+            bad = _misaligned(array)
         else:
             bad = np.concatenate([array, array[:1]])
         with pytest.raises(ValueError,
-                           match=f"^{name} (has dtype|is not C-contiguous|has shape|is read-only)"):
+                           match=f"^{name} (has dtype|is not C-contiguous|is not aligned"
+                                 "|has shape|is read-only)"):
             engine.Run(APA, filters._replace(**{name: bad}), spec.data.shape)
 
 
 def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch):
     """A run refuses an (M,) steering and a (frames,) gain, and data of one
     frame where it was built for more, each with a ``ValueError`` naming it,
-    before any thread starts or the kernel runs: assigned into the run's
-    buffers, each would broadcast."""
+    before any thread starts or the kernel runs: the steering would
+    broadcast into the run's buffer, and the kernel would read the gains and
+    data out of bounds."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
@@ -1298,3 +1325,60 @@ def test_a_one_frame_run_is_one_span_on_the_calling_thread(kernel, monkeypatch):
         runs[count] = [x.tobytes() for x in (run(data, a, column, params), filters.w,
                                              filters.history)]
     assert started == [] and runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("kernel", [APA, RC])
+def test_a_run_reads_data_and_gains_of_any_layout_as_their_contiguous_values(kernel):
+    """The kernel reads the data and gains where they lie, or one copy of
+    them: a frame-sliced view of the data, a (bins, M) frame transposed,
+    complex64 or float64 data, a misaligned complex128 copy, and gains as a
+    column slice or float32, each give the outputs, filters and histories of
+    a run on C-contiguous complex128 data and float64 gains of the same
+    values, bit for bit, with the prior pass on."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = ApaParams(band_plan=SPLIT_PLAN)
+    orders = SPLIT_PLAN.bin_orders(CONFIG)
+    if kernel is RC:
+        orders = np.where(orders == 0, SPLIT_PLAN.delay + 1, orders)
+    frame = np.ascontiguousarray(spec.data[:, :, 4].T)  # (bins, M), as process_frame has it
+    cases = {
+        "frame-sliced view": (spec.data[:, :, 3:], gains[:, 3:]),
+        "transposed frame": (frame.T[..., None], gains[:, 4:5]),
+        "complex64": (spec.data.astype(np.complex64), gains.astype(np.float32)),
+        "float64": (spec.data.real, gains),
+        "misaligned": (_misaligned(spec.data), _misaligned(gains)),
+    }
+    for name, given in cases.items():
+        runs, contiguous = [], (np.array(given[0], np.complex128), np.array(given[1], float))
+        for data, part in (given, contiguous):
+            filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
+            out = Run(kernel, filters, data.shape, prior=True)(data, a, part, params)
+            runs.append([x.tobytes() for x in (out, filters.w, filters.history)])
+        assert runs[0] == runs[1], name
+
+
+@pytest.mark.parametrize("kernel", [APA, RC])
+def test_an_utterance_run_keeps_no_copy_of_its_spectrogram(kernel):
+    """At 8 mics, 257 bins and the default plan with the prior pass, an
+    utterance's traced peak of allocations stays below the spectrogram's own
+    size: the kernel reads the data, gains and params where they lie, so the
+    run allocates only its outputs, filters and steering."""
+    rng = np.random.default_rng(0)
+    shape = (8, StftConfig().num_bins, 100)
+    spec = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), StftConfig())
+    a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (shape[1], 8)))
+    gains = rng.uniform(0.0, 1.0, shape[1:])
+    coherence = CoherenceMatrix(np.broadcast_to(np.eye(8), (shape[1], 8, 8)))
+
+    def run():
+        if kernel is APA:
+            return process_utterance(spec, a, ApaParams(), gains, prior_pass=True)
+        return process_utterance_sdmvdr(spec, a, coherence, ApaParams(), gains, prior_pass=True)
+    run()  # the kernel loaded, caches warm
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.data.nbytes, (peak, spec.data.nbytes)

@@ -46,6 +46,10 @@ scene and saves every result to an ``.npz``:
 - an ``engine.Run`` with the prior pass, for both kernels, on filters that
   already hold taps and history from frames 10-39, over 0, 1 and 5 frames
   with a gain mask: the outputs and the final filters and histories;
+- the same ``engine.Run`` on fresh filters over the view ``spec.data[:, :, 3:]``
+  with the gain mask's column slice ``mask[:, 3:]``, neither C-contiguous, so
+  the run's conversion of its inputs is compared too: the outputs and the
+  final filters and histories;
 - both adaptive filters with the default band plan, a gain mask and the
   prior pass on the first 61 frames of the scene (a prime count), with
   bins 20-39 and 120-129 silent on every channel over frames 15-34: the
@@ -295,6 +299,12 @@ def dump(src: str, out_file: str) -> None:
                 data, vectors, mask[:, :frames], params)
             arrays[f"{key}/w"] = filters.w
             arrays[f"{key}/history"] = filters.history
+        filters = Filters.start(kernel, vectors, params.band_plan.bin_orders(cfg), 2)
+        key, data = f"run/{name}/view", spec.data[:, :, 3:]
+        arrays[f"{key}/output"] = Run(kernel, filters, data.shape, True)(
+            data, vectors, mask[:, 3:], params)
+        arrays[f"{key}/w"] = filters.w
+        arrays[f"{key}/history"] = filters.history
 
     quiet = spec.data[:, :, :61].copy()
     quiet[:, 20:40, 15:35] = 0.0
