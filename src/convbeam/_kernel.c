@@ -11,7 +11,8 @@ added in a fixed tree, so a build that maps the lanes onto SSE2 or AVX2
 registers rounds as a scalar one: every clone and vector width gives the
 same bits.  The helpers (HELPER) are inlined into each clone, so the AVX2
 clone runs their lanes in AVX2 registers.  The params come by value; arrays are
-C99 double complex (g double), in C order with rows ws and hs entries apart:
+C99 double complex (g double), in C order with rows ws and hs entries apart;
+w and hist are the calling run's own, which it builds and keeps between calls:
 
   w       (bins, ws)         filters, bin k's Q_k taps first; updated in place
   hist    (bins, hs / M, M)  slot l-1 holds y(n-l), l <= L_k, as the scalar states' history
@@ -64,19 +65,8 @@ HELPER double complex dotc(double complex s, const double complex *a, const doub
     return s + CMPLX(tree(re), tree(im));
 }
 
-/* ||a||^2 over n complex entries; for one entry z, re^2 + im^2 exactly */
-HELPER double norm2(const double complex *a, long n)
-{
-    const double *x = (const double *)a;
-    double r[8] = {0.0};
-    long i = 0;
-    for (; i + 8 <= 2 * n; i += 8)
-        for (int j = 0; j < 8; j++)
-            r[j] += x[i + j] * x[i + j];
-    for (; i < 2 * n; i++)
-        r[i & 1] += x[i] * x[i];
-    return tree(r);
-}
+/* ||a||^2 over n complex entries, the real part of a^H a: the imaginary lanes go unused */
+HELPER double norm2(const double complex *a, long n) { return creal(dotc(0.0, a, a, n)); }
 
 /* w += (c x) g over n complex entries */
 HELPER void axpy(double complex *cw, const double complex *cx, double c, double complex g, long n)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import APA, Filters, Run, Stream, check_inputs
+from .engine import APA, Run, Stream, check_inputs
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -351,8 +351,9 @@ def process_utterance(
     estimate come back too, as ``(output, {"x_b": ..., "x_r": ...})``.
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
-    filters = Filters.start(APA, vectors, params.band_plan.bin_orders(spec.config), params.delay)
-    out = Run(APA, filters, spec.data.shape, prior_pass)(spec.data, vectors, gains, params)
+    orders = params.band_plan.bin_orders(spec.config)
+    run = Run(APA, vectors, orders, params.delay, spec.num_frames, prior_pass)
+    out = run(spec.data, vectors, gains, params)
     result = Spectrogram(out[0], spec.config)
     if return_components:
         return result, {"x_b": out[1], "x_r": out[2]}

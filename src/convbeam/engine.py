@@ -1,17 +1,16 @@
-"""The engine behind both adaptive filters: per-bin filter arrays, one compiled kernel, one run.
+"""The engine behind both adaptive filters: one compiled kernel and one run that owns its filters.
 
-:class:`Filters` holds the filter and frame history of every bin as arrays,
-each bin at its own order, in the layout of the scalar states.  The kernel,
-``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin recursion of
-either filter over every bin, one bin at a time through every frame, with the
-arithmetic of the scalar oracle of :mod:`convbeam.apa` and
-:mod:`convbeam.sdmvdr`.  A :class:`Run` is the one way to the kernel: it checks
-the filters once, owns only the steering and outputs, reads the data (in the
-Spectrogram's (M, bins, frames) layout), gains and params where the caller holds
-them, and runs its spans of bins in threads at once (:func:`~convbeam.stft.fan_out`).
-Each utterance driver builds a run over its data and calls it once; a :class:`Stream`
-(``apa.process_frame``) is a run over one frame, called on each, so it equals the
-offline run.
+The kernel, ``_kernel.c`` (built by :func:`load_kernel`), runs the per-bin
+recursion of either filter over every bin, one bin at a time through every
+frame, with the arithmetic of the scalar oracle of :mod:`convbeam.apa` and
+:mod:`convbeam.sdmvdr`.  A :class:`Run` is the one way to the kernel: it builds
+and owns every bin's filter and frame history, each bin at its own order in the
+layout of the scalar states, and its steering and outputs, reads the data (in
+the Spectrogram's (M, bins, frames) layout), gains and params where the caller
+holds them, and runs its spans of bins in threads at once
+(:func:`~convbeam.stft.fan_out`).  Each utterance driver builds a run over its
+data and calls it once; a :class:`Stream` (``apa.process_frame``) is a run over
+one frame, called on each, so it equals the offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -33,16 +32,14 @@ from .gains import clamp_gain
 from .geometry import SteeringVector
 from .stft import Spectrogram, check_order, fan_out, spans
 
-__all__ = ["APA", "RC", "Filters", "Kernel", "Run", "Stream", "check_inputs", "load_kernel"]
+__all__ = ["APA", "RC", "Kernel", "Run", "Stream", "check_inputs", "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
 # library runs on any host of its architecture and every product rounds as the oracle's
 CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-# the kernel's five double params, and its array arguments in order by name and dtype
+# the kernel's five double params, in its order
 PARAMS = attrgetter("phi_b", "phi_r", "phi_a", "eta", "alpha_r")
-ARRAYS = dict(zip(("orders", "gains", "w", "history", "data", "steering", "out"),
-                  map(np.dtype, (ctypes.c_long, np.float64) + (np.complex128,) * 5)))
 
 
 def load_kernel(source: Path = SOURCE, cache: Path = SOURCE.parent / "__pycache__"):
@@ -92,7 +89,7 @@ class Kernel(NamedTuple):
         return num_mics * (self.head + (order - delay + 1 if order else 0))
 
     def bin_taps(self, num_mics: int, orders: np.ndarray, delay: int) -> np.ndarray:
-        """Each bin's Q_k at ``orders``, each order checked by :meth:`taps`."""
+        """Each bin's Q_k at ``orders``, each distinct order checked once by :meth:`taps`."""
         unique, index = np.unique(orders, return_inverse=True)
         return np.array([self.taps(num_mics, order, delay) for order in unique.tolist()])[index]
 
@@ -103,26 +100,6 @@ except ImportError as exc:  # raised by a Run instead, so other paths need no cc
     LIBRARY = exc
 APA = Kernel(outputs=3, head=1)
 RC = Kernel(outputs=1, head=0)
-
-
-class Filters(NamedTuple):
-    """Every bin's filter and frame history: bin k, of order L_k = ``orders[k]``, holds its Q_k
-    taps (:meth:`Kernel.taps`) in ``w[k, :Q_k]`` and y(n-l) in ``history[k, l-1]``, l <= L_k."""
-
-    orders: np.ndarray  # (bins,) of C long
-    delay: int
-    w: np.ndarray  # (bins, Q_max)
-    history: np.ndarray  # (bins, L_max, M)
-
-    @classmethod
-    def start(cls, kernel: Kernel, steering: np.ndarray, orders, delay: int) -> "Filters":
-        """Fresh filters for the (bins, M) ``steering`` rows: the head of ``delay_and_sum``,
-        if ``kernel`` has one, and zero taps and history."""
-        orders, (bins, m) = np.asarray(orders, dtype=ctypes.c_long), steering.shape
-        w = np.zeros((bins, kernel.bin_taps(m, orders, delay).max()), dtype=np.complex128)
-        if kernel.head:
-            w[:, :m] = delay_and_sum(steering).weights  # checked by check_inputs
-        return cls(orders, delay, w, np.zeros((bins, orders.max(), m), np.complex128))
 
 
 def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None,
@@ -157,41 +134,37 @@ def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame
 
 
 class Run:
-    """``kernel`` on ``filters`` for data of ``shape`` (M, bins, frames): one span of bins when
-    the data has one frame, else one per CPU of near-equal cost, Q_k + M a bin
-    (:func:`~convbeam.stft.spans`).  It holds ``filters``, which end each call holding the
-    final taps and histories, and owns only the steering and outputs.  With ``prior`` each bin
-    first runs the frames with no outputs and keeps its filter but not its history.
-    ``orders``, ``w`` and ``history`` must have the dtype (:data:`ARRAYS`), C order, alignment
-    and shape that ``shape`` and the orders give, and ``w`` and ``history`` be writable; the
-    first that does not raises ``ValueError`` naming it."""
+    """``kernel`` over data of ``frames`` frames on filters it owns for the (bins, M) ``steering``
+    rows: one span of bins when ``frames`` is 1, else one per CPU of near-equal cost, Q_k + M a bin
+    (:func:`~convbeam.stft.spans`).  Bin k, of order L_k = ``orders[k]``, holds its Q_k taps
+    (:meth:`Kernel.taps`) in ``w[k, :Q_k]``, starting at the head of ``delay_and_sum`` if
+    ``kernel`` has one and at zero otherwise, and y(n-l) in ``history[k, l-1]``, l <= L_k; both
+    end each call holding the final taps and histories.  With ``prior`` each bin first runs the
+    frames with no outputs and keeps its filter but not its history.  ``orders`` of a shape other
+    than (bins,) raises ``ValueError``, as does an order :meth:`Kernel.bin_taps` refuses."""
 
-    def __init__(self, kernel: Kernel, filters: Filters, shape: tuple, prior: bool = False):
+    def __init__(self, kernel: Kernel, steering: np.ndarray, orders, delay: int, frames: int,
+                 prior: bool = False):
         if isinstance(LIBRARY, ImportError):  # the build at import failed
             raise ImportError(*LIBRARY.args)
-        (m, bins, frames), (orders, delay, w, history) = shape, filters
+        (bins, m), orders = steering.shape, np.array(orders, dtype=ctypes.c_long)
+        if orders.shape != (bins,):
+            raise ValueError(f"orders has shape {orders.shape}, expected {(bins,)}")
         taps = kernel.bin_taps(m, orders, delay)
-        for name, array, expected in (("orders", orders, (bins,)),
-                                      ("w", w, (bins, int(taps.max()))),
-                                      ("history", history, (bins, int(orders.max()), m))):
-            dtype = ARRAYS[name]
-            fault = (f"has dtype {array.dtype}, expected {dtype}" if array.dtype != dtype
-                     else "is not C-contiguous" if not array.flags.c_contiguous
-                     else "is not aligned" if not array.flags.aligned
-                     else f"has shape {array.shape}, expected {expected}" if array.shape != expected
-                     else "is read-only" if name != "orders" and not array.flags.writeable
-                     else None)
-            if fault:
-                raise ValueError(f"{name} {fault} for data of shape {shape}")
-        self.shape, self.filters = shape, filters
+        self.orders, self.delay, self.shape = orders, delay, (m, bins, frames)
+        self.w = np.zeros((bins, taps.max()), complex)
+        if kernel.head:
+            self.w[:, :m] = delay_and_sum(steering).weights  # checked by check_inputs
+        self.history = np.zeros((bins, orders.max(), m), complex)
         self.spans = [(0, bins)] if frames == 1 else spans(taps + m)
-        self.steering = np.empty((bins, m), complex)
+        self.steering = np.array(steering, complex)
         self.out = np.empty((kernel.outputs, bins, frames), complex)
-        entry, longs = LIBRARY.run, (frames, m, delay, w.shape[1], history.shape[1] * m,
+        entry, longs = LIBRARY.run, (frames, m, delay, self.w.shape[1], self.history.shape[1] * m,
                                      int(prior), kernel.head)
-        o, w, h, a, out = (x.ctypes.data for x in (orders, w, history, self.steering, self.out))
+        o, w, h, a, out = (x.ctypes.data for x in (orders, self.w, self.history, self.steering,
+                                                   self.out))
         self._call = lambda k0, k1, params, gains, data: entry(  # 0, or 1 + k*frames + n
-            bins, k0, k1, *longs, *params, o, gains, w, h, data, a, out)  # in the order of ARRAYS
+            bins, k0, k1, *longs, *params, o, gains, w, h, data, a, out)  # in the kernel's order
 
     def __call__(self, data: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:
         """The outputs, (``kernel.outputs``, bins, frames), in the run's own array, which its
@@ -222,14 +195,14 @@ class Run:
 
 class Stream(Run):
     """A stream: a :class:`Run` over one frame, so one span on the calling thread, built once per
-    list of ``states`` on its own :class:`Filters`, whose rows their ``w_hat`` and ``history``
-    become; each call takes a frame as (M, bins, 1) data.  A state listed at an earlier bin too,
-    or one that does not fit its order, ``len(history)``, and the steering's width M, raises
-    ``ValueError`` naming its bin before any state changes.  Its steering buffer, filled here,
-    holds only steerings :func:`check_inputs` passed: it is the ``known`` of the next frame."""
+    list of ``states``, whose ``w_hat`` and ``history`` become rows of its ``w`` and ``history``;
+    each call takes a frame as (M, bins, 1) data.  A state listed at an earlier bin too, or one
+    that does not fit its order, ``len(history)``, and the steering's width M, raises
+    ``ValueError`` naming its bin before any state changes.  Its steering buffer holds only
+    steerings :func:`check_inputs` passed: it is the ``known`` of the next frame."""
 
     def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
-        (bins, m), delay = steering.shape, states[0].delay
+        m, delay = steering.shape[1], states[0].delay
         orders, first = [len(s.history) for s in states], {}
         for k, (s, order) in enumerate(zip(states, orders)):
             try:
@@ -242,9 +215,8 @@ class Stream(Run):
                                      f"{s.w_hat.shape} and {s.history.shape}")
             except ValueError as exc:
                 raise ValueError(f"bin {k}: {exc}") from None
-        filters = Filters.start(kernel, steering, orders, delay)
-        super().__init__(kernel, filters, (m, bins, 1))
-        for s, order, w, history in zip(states, orders, filters.w, filters.history):
+        super().__init__(kernel, steering, orders, delay, 1)
+        for s, order, w, history in zip(states, orders, self.w, self.history):
             w[: s.w_hat.size], history[:order] = s.w_hat, s.history
             s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], self
-        self.states, self.steering[:] = tuple(states), steering  # states: emptied on a rebind
+        self.states = tuple(states)  # emptied on a rebind

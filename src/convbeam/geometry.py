@@ -76,7 +76,7 @@ class SteeringVector:
 
 @dataclass(frozen=True)
 class CoherenceMatrix:
-    """Real spatial coherence per bin, shape (bins, M, M)."""
+    """Real spatial coherence per bin, shape (bins, M, M), finite."""
 
     gamma: np.ndarray
 
@@ -84,6 +84,9 @@ class CoherenceMatrix:
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.ndim != 3 or g.shape[1] != g.shape[2]:
             raise ValueError(f"gamma must have shape (bins, M, M), got {g.shape}")
+        if not np.isfinite(g).all():
+            k, i, j = np.argwhere(~np.isfinite(g))[0]
+            raise ValueError(f"gamma has a non-finite value at bin {k}, entry ({i}, {j})")
         object.__setattr__(self, "gamma", g)
 
 

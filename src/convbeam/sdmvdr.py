@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apa import ApaParams, FrameHistory, limited_output, psd_floor
-from .engine import RC, Filters, Run, check_inputs
+from .engine import RC, Run, check_inputs
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
 from .geometry import CoherenceMatrix
@@ -130,7 +130,8 @@ def process_utterance_sdmvdr(
     refuses, with ``ValueError``, any order not above the delay, order 0 included.
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
-    filters = Filters.start(RC, vectors, params.band_plan.bin_orders(spec.config), params.delay)
+    orders = params.band_plan.bin_orders(spec.config)
+    run = Run(RC, vectors, orders, params.delay, spec.num_frames, prior_pass)
     weights = superdirective_mvdr(vectors, coherence).weights
-    out = Run(RC, filters, spec.data.shape, prior_pass)(spec.data, weights, gains, params)
+    out = run(spec.data, weights, gains, params)
     return Spectrogram(out, spec.config)

@@ -1,13 +1,18 @@
 """End-to-end command-line tests: simulate, enhance, metrics, bench."""
 
 import csv
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from convbeam.apa import ApaParams
+from convbeam.bench import wallclock_sweep
 from convbeam.cli import (
     _build_parser,
+    _params_from_args,
     _parse_bands,
     _parse_bool,
     _parse_doa,
@@ -16,7 +21,8 @@ from convbeam.cli import (
 )
 from convbeam.gains import write_gain_mask
 from convbeam.geometry import circular_array
-from convbeam.stft import stft
+from convbeam.pipeline import RunConfig
+from convbeam.stft import BandPlan, stft
 from convbeam.wavio import AudioBuffer, read_wav, write_wav
 
 import argparse
@@ -60,6 +66,25 @@ class TestParsers:
         assert _parse_bool("0") is False
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_bool("maybe")
+
+    def test_the_defaults_are_the_librarys(self):
+        """``enhance`` given only its paths parses to ``ApaParams()``, so to the
+        variances, ``alpha_r``, ``BandPlan()`` and its delay, and to ``RunConfig``'s
+        ``prior_pass`` and ``write_wav``'s encoding; ``bench`` given only its CSV
+        parses to ``wallclock_sweep``'s mics, seconds and repeats.  A default moved
+        on one side only fails here."""
+        parser = _build_parser()
+        args = parser.parse_args(["enhance", "--input", "x", "--output", "y"])
+        assert _params_from_args(args) == ApaParams()
+        plan = BandPlan()
+        assert args.bands == (plan.orders, plan.transition_freqs) and args.delay == plan.delay
+        run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        assert args.prior_pass is run_defaults["prior_pass"]
+        assert args.encoding == inspect.signature(write_wav).parameters["encoding"].default
+        args = parser.parse_args(["bench", "--csv", "c"])
+        sweep = inspect.signature(wallclock_sweep).parameters
+        assert (args.mics, args.audio_seconds, args.repeats) == tuple(
+            sweep[name].default for name in ("num_mics", "audio_seconds", "repeats"))
 
 
 class TestArgErrors:

@@ -22,16 +22,18 @@ the states mid-stream, and check that an output stays as it was returned;
 they count the steering checks (the first frame's, and one after each change
 of bits) and the streams built (one per order of the same states), and
 states compare and hash by identity.
-The last tests cover fresh filters against the scalar states, a prior pass
-against a run whose outputs are dropped and whose histories are then zeroed,
-a run that outlives the caller's references to its filters, the kernel's
-library cache and its argument types, the same bits from builds of every
-vector width, its build failures, a singular solve and the arrays an
-``engine.Run`` refuses.  The last cover the split of an utterance's bins
-into spans run in threads at once, which must give the bits of one span
-whatever the CPU count, name the lowest failing bin in either pass and
-refuse a bad array before any thread starts, and a one-frame run and a
-stream, which run as one span on the calling thread whatever the count.
+The last tests cover a new run's filters against the scalar states, a prior
+pass against a run whose outputs are dropped and whose histories are then
+zeroed, a run that outlives the caller's references to its steering and
+orders, the kernel's library cache and its argument types and the arrays a
+run passes it, the same bits from builds of every vector width, its build
+failures, a singular solve, the orders a run copies and the arrays and
+orders an ``engine.Run`` refuses.  The last cover the split of an
+utterance's bins into spans run in threads at once, which must give the
+bits of one span whatever the CPU count, name the lowest failing bin in
+either pass and refuse a bad order before any thread starts, and a
+one-frame run and a stream, which run as one span on the calling thread
+whatever the count.
 Last, a run reads data and gains of any layout or dtype as their
 contiguous complex128 and float64 values, bit for bit, and an utterance
 allocates less than its spectrogram's size: the kernel reads it in place.
@@ -71,7 +73,7 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
-from convbeam.engine import APA, RC, Filters, Run, load_kernel
+from convbeam.engine import APA, RC, Run, load_kernel
 from convbeam.fixedbf import superdirective_mvdr
 from convbeam.gains import apply_gain
 from convbeam.geometry import CoherenceMatrix, SteeringVector
@@ -551,8 +553,8 @@ def test_apa_stream_survives_caller_changes(case, data):
 
 
 def test_stream_continues_an_utterance_run_and_its_copies():
-    """States holding the rows of filters that a run went through (with the prior
-    pass) stream on through ``process_frame`` from where the run left them;
+    """States holding the rows of the filters of a run (with the prior pass)
+    stream on through ``process_frame`` from where the run left them;
     a deep copy taken mid-stream owns its arrays and streams on by itself."""
     case = {
         "num_mics": 2, "plan": BandPlan((2000.0, 5000.0), (3, 0, 4), 1), "num_frames": 12,
@@ -572,13 +574,13 @@ def test_stream_continues_an_utterance_run_and_its_copies():
     def stream(states, frames):
         return [process_frame(states, spec.data[:, :, n].T, a, params, gains[:, n]) for n in frames]
 
-    filters, looped = Filters.start(APA, a, orders, params.delay), fresh()
-    out = Run(APA, filters, spec.data.shape, prior=True)(spec.data, a, gains, params)
+    run, looped = Run(APA, a, orders, params.delay, spec.num_frames, prior=True), fresh()
+    out = run(spec.data, a, gains, params)
     want = _oracle(spec, looped, gains, True, step)
     m = case["num_mics"]
     streamed = [
         ApaState(w[: APA.taps(m, int(o), params.delay)], history[:o], params.delay)
-        for o, w, history in zip(orders, filters.w, filters.history)
+        for o, w, history in zip(orders, run.w, run.history)
     ]
     for got_row, want_row, scale in zip(out, want, (want[0], want[1], want[1])):
         assert_close(got_row, want_row, scale)
@@ -647,25 +649,29 @@ def test_sdmvdr_engine_matches_scalar_loop(case):
 @SETTINGS
 @given(data=st.data())
 def test_a_run_split_in_two_equals_one_run(data):
-    """A run over frames [0, k) and then one over [k, N) on the same bands equal
-    one run over [0, N) bit for bit, for both kernels: outputs, final
-    filters and histories.  A stream is this split taken at every frame."""
+    """A run over frames [0, k) and then one over [k, N) on the same bands, given
+    copies of the first run's filters and histories, equal one run over
+    [0, N) bit for bit, for both kernels: outputs, final filters and
+    histories.  A stream is this split taken at every frame."""
     kernel = data.draw(st.sampled_from([APA, RC]))
     case = data.draw(cases(allow_order_zero=kernel is APA))
     spec, a, gains = _scene(case)
     params = _params(case)
     split = data.draw(st.integers(0, spec.num_frames))
     orders = params.band_plan.bin_orders(CONFIG)
-    # a stands in for the heads
-    whole, halves = (Filters.start(kernel, a, orders, params.delay) for _ in range(2))
-    want = Run(kernel, whole, spec.data.shape)(spec.data, a, gains, params)
-    parts = [(spec.data[:, :, part], None if gains is None else gains[:, part])
-             for part in (slice(0, split), slice(split, None))]
-    got = np.concatenate([Run(kernel, halves, chunk.shape)(chunk, a, part, params)
-                          for chunk, part in parts], axis=2)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(halves.w, whole.w)
-    np.testing.assert_array_equal(halves.history, whole.history)
+    whole = Run(kernel, a, orders, params.delay, spec.num_frames)  # a stands in for the heads
+    want = whole(spec.data, a, gains, params)
+    got, last = [], None
+    for part in (slice(0, split), slice(split, None)):
+        chunk = spec.data[:, :, part]
+        run = Run(kernel, a, orders, params.delay, chunk.shape[2])
+        if last is not None:
+            run.w[:], run.history[:] = last.w, last.history
+        got.append(run(chunk, a, None if gains is None else gains[:, part], params))
+        last = run
+    np.testing.assert_array_equal(np.concatenate(got, axis=2), want)
+    np.testing.assert_array_equal(last.w, whole.w)
+    np.testing.assert_array_equal(last.history, whole.history)
 
 
 @SETTINGS
@@ -680,8 +686,8 @@ def test_drive_leaves_each_bin_its_scalar_state_history(data):
     spec, a, gains = _scene(case)
     params = _params(case)
     orders = params.band_plan.bin_orders(CONFIG)
-    filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-    Run(kernel, filters, spec.data.shape, case["prior_pass"])(spec.data, a, gains, params)
+    run = Run(kernel, a, orders, params.delay, spec.num_frames, case["prior_pass"])
+    run(spec.data, a, gains, params)  # a stands in for the heads
     if kernel is APA:
         states = [init_state(a[k], int(o), params.delay) for k, o in enumerate(orders)]
         _oracle(spec, states, gains, case["prior_pass"],
@@ -690,7 +696,7 @@ def test_drive_leaves_each_bin_its_scalar_state_history(data):
         states = [init_rc_state(a[k], int(o), params.delay) for k, o in enumerate(orders)]
         _oracle(spec, states, gains, case["prior_pass"],
                 lambda state, y_now, k, gain: _rc_step(state, y_now, params, gain))
-    for order, row, state in zip(orders, filters.history, states):
+    for order, row, state in zip(orders, run.history, states):
         np.testing.assert_array_equal(row[:order], state.history)
         assert not row[order:].any()
 
@@ -699,7 +705,7 @@ def test_drive_leaves_each_bin_its_scalar_state_history(data):
 @pytest.mark.parametrize("plan", [BandPlan((2000.0, 4000.0, 6000.0), (3, 0, 6, 0), 1),
                                   BandPlan((2000.0, 5000.0), (4, 6, 4), 2)])
 def test_fresh_filters_equal_the_scalar_states(num_mics, plan):
-    """``Filters.start`` gives every bin the bits of ``init_state`` (or,
+    """A new run gives every bin the bits of ``init_state`` (or,
     with no head, ``init_rc_state``) in its row, and zeros past its taps
     and in every history slot, on plans with order 0 and with one order in
     bands that do not touch."""
@@ -710,11 +716,11 @@ def test_fresh_filters_equal_the_scalar_states(num_mics, plan):
     for kernel, init, name in ((APA, init_state, "w_hat"), (RC, init_rc_state, "w_rc")):
         if kernel is RC:
             orders = np.where(orders == 0, plan.delay + 1, orders)
-        filters = Filters.start(kernel, a, orders, plan.delay)
-        assert filters.history.shape == (CONFIG.num_bins, orders.max(), num_mics)
-        assert not filters.history.any()
-        np.testing.assert_array_equal(filters.orders, orders)
-        for k, row in enumerate(filters.w):
+        run = Run(kernel, a, orders, plan.delay, 1)
+        assert run.history.shape == (CONFIG.num_bins, orders.max(), num_mics)
+        assert not run.history.any() and run.delay == plan.delay
+        np.testing.assert_array_equal(run.orders, orders)
+        for k, row in enumerate(run.w):
             w = getattr(init(a[k], int(orders[k]), plan.delay), name)
             np.testing.assert_array_equal(row[: w.size], w)
             assert not row[w.size :].any()
@@ -767,8 +773,8 @@ def test_a_run_calls_the_kernel_once_per_span(case):
     states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
 
     def calls(kernel):
-        filters = Filters.start(kernel, a, orders, params.delay)
-        return [("run", kernel.head)] * len(engine.Run(kernel, filters, spec.data.shape).spans)
+        run = engine.Run(kernel, a, orders, params.delay, spec.num_frames)
+        return [("run", kernel.head)] * len(run.spans)
 
     with pytest.MonkeyPatch.context() as patch:
         counting = CountingLibrary(engine.LIBRARY)
@@ -789,74 +795,86 @@ def test_a_run_calls_the_kernel_once_per_span(case):
 @pytest.mark.parametrize("num_frames", [0, 1, 5])
 @pytest.mark.parametrize("kernel", [APA, RC])
 def test_the_prior_pass_is_a_dropped_run_then_a_reset(kernel, num_frames):
-    """A run with the prior pass, on filters that already hold taps and
+    """A run with the prior pass, given filters that already hold taps and
     history, equals bit for bit (outputs, filters, histories) a run without
     it whose outputs are dropped, then histories set to zero, then a second
     run: at 0 frames, too, the history ends zeroed."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = ApaParams(band_plan=SPLIT_PLAN if kernel is APA else BandPlan((2000.0,), (3, 6), 1))
     orders = params.band_plan.bin_orders(CONFIG)
-    held = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-    Run(kernel, held, spec.data[:, :, 5:].shape)(spec.data[:, :, 5:], a, gains[:, 5:], params)
+    held = Run(kernel, a, orders, params.delay, spec.num_frames - 5)  # a stands in for the heads
+    held(spec.data[:, :, 5:], a, gains[:, 5:], params)
     assert held.history.any()
-    once, twice = held, held._replace(w=held.w.copy(), history=held.history.copy())
+    once, twice = (Run(kernel, a, orders, params.delay, num_frames, prior) for prior in (1, 0))
+    for run in (once, twice):
+        run.w[:], run.history[:] = held.w, held.history
     data, part = spec.data[:, :, :num_frames], gains[:, :num_frames]
-    got = Run(kernel, once, data.shape, prior=True)(data, a, part, params)
-    Run(kernel, twice, data.shape)(data, a, part, params)
+    got = once(data, a, part, params)
+    twice(data, a, part, params)
     twice.history[:] = 0.0
-    want = Run(kernel, twice, data.shape)(data, a, part, params)
+    want = twice(data, a, part, params)
     assert got.tobytes() == want.tobytes()
     assert once.w.tobytes() == twice.w.tobytes()
     assert once.history.tobytes() == twice.history.tobytes()
 
 
-def test_a_run_holds_the_callers_filters():
-    """A run keeps the filters it was built on, whose arrays its pointers
-    address: with the caller's references dropped and garbage collected, and
-    memory of their sizes taken and filled with NaN, each array is still alive
-    and the run gives the outputs, filters and histories of a fresh run."""
+def test_a_run_holds_every_array_it_points_to():
+    """A run's pointers address only arrays it holds: with the caller's steering and
+    orders dropped and garbage collected, and memory of their sizes taken and filled
+    with NaN, it gives the outputs, filters and histories of a run whose caller kept them."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     orders = params.band_plan.bin_orders(CONFIG)
-    filters = Filters.start(APA, a, orders, params.delay)
-    want = Run(APA, filters, spec.data.shape, prior=True)(spec.data, a, gains, params)
-    held = Filters.start(APA, a, orders, params.delay)
-    run = engine.Run(APA, held, spec.data.shape, prior=True)
-    refs = [weakref.ref(array) for array in (held.w, held.history)]
-    del held
+    kept = Run(APA, a, orders, params.delay, spec.num_frames, prior=True)
+    want = kept(spec.data, a, gains, params)
+    steering, given = a.copy(), orders.astype(ctypes.c_long)
+    refs = [weakref.ref(array) for array in (steering, given)]
+    run = Run(APA, steering, given, params.delay, spec.num_frames, prior=True)
+    del steering, given
     gc.collect()
     # NaN-filled memory of the arrays' sizes, which would reuse the space of a freed one
-    noise = [np.full_like(array, np.nan) for array in (filters.w, filters.history, want) * 4]
-    assert all(ref() is not None for ref in refs) and len(noise) == 12
+    noise = [np.full(array.shape, np.nan, array.dtype) for array in (a, orders.astype(float)) * 4]
+    assert all(ref() is None for ref in refs) and len(noise) == 8
     assert run(spec.data, a, gains, params).tobytes() == want.tobytes()
-    assert refs[0]().tobytes() == filters.w.tobytes()
-    assert refs[1]().tobytes() == filters.history.tobytes()
+    assert run.w.tobytes() == kept.w.tobytes()
+    assert run.history.tobytes() == kept.history.tobytes()
 
 
 def test_the_kernel_signatures_match_the_loader():
     """The one entry point of ``_kernel.c`` takes, in order, the ten ``long``
     scalars that ``load_kernel`` declares, the five ``double`` params named
-    as ``engine.PARAMS`` reads them, in its order, and then pointers to the
-    dtypes of ``engine.ARRAYS``, in its order, which a run follows: a drift
-    between them would corrupt memory instead of raising."""
+    as ``engine.PARAMS`` reads them, in its order, and then seven pointers:
+    the orders, gains, filters, histories, data, steering and outputs, which
+    a run passes in that order, as the addresses of its own arrays and of the
+    data and gains: a drift between them would corrupt memory instead of
+    raising."""
     source = engine.SOURCE.read_text()
-    kinds = {np.dtype(ctypes.c_long): "long *", np.dtype(np.float64): "double *",
-             np.dtype(np.complex128): "double complex *"}
     ((name, params),) = re.findall(r"^CLONES long (\w+)\(([^)]*)\)", source, re.M)
     assert name == "run"
     declared = [re.sub(r"\bconst\b|\w+$", "", p).split() for p in params.split(",")]
     argtypes = engine.LIBRARY.run.argtypes
-    assert argtypes == ([ctypes.c_long] * 10 + [ctypes.c_double] * 5
-                        + [ctypes.c_void_p] * len(engine.ARRAYS))
-    built = ["long"] * 10 + ["double"] * 5 + [kinds[dtype] for dtype in engine.ARRAYS.values()]
-    assert [" ".join(d) for d in declared] == built
-    assert len(built) == 22
+    assert argtypes == [ctypes.c_long] * 10 + [ctypes.c_double] * 5 + [ctypes.c_void_p] * 7
+    pointers = ["long *", "double *"] + ["double complex *"] * 5
+    assert [" ".join(d) for d in declared] == ["long"] * 10 + ["double"] * 5 + pointers
 
     class Names:
         def __getattr__(self, name):
             return name
     doubles = [p.split()[-1] for p in params.split(",")[10:15]]
     assert doubles == list(engine.PARAMS(Names())) == ["phi_b", "phi_r", "phi_a", "eta", "alpha_r"]
+
+    spec, a, gains = _scene(PARTLY_SILENT)
+    values, calls = _params(PARTLY_SILENT), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "LIBRARY", type("Recording", (), {
+            "run": staticmethod(lambda *args: calls.append(args) or 0)}))
+        run = Run(APA, a, values.band_plan.bin_orders(CONFIG), values.delay, 1)
+        data, column = (np.ascontiguousarray(x[..., :1]) for x in (spec.data, gains))
+        run(data, a, column, values)
+    addresses = [x.ctypes.data for x in (run.orders, column, run.w, run.history, data,
+                                         run.steering, run.out)]
+    ((*_, o, g, w, h, d, s, out),) = calls
+    assert [o, g, w, h, d, s, out] == addresses
 
 
 @pytest.mark.skipif(not shutil.which("cc"), reason="builds the kernel with cc")
@@ -915,14 +933,13 @@ def test_every_vector_width_gives_the_same_bits(tmp_path, monkeypatch):
         runs = []
         for library in libraries:
             monkeypatch.setattr(engine, "LIBRARY", library)
-            filters = Filters.start(kernel, a, orders, params.delay)
-            run = Run(kernel, filters, spec.data.shape, prior=True)
-            runs.append((run(spec.data, a, gains, params), filters))
+            run = Run(kernel, a, orders, params.delay, spec.num_frames, prior=True)
+            runs.append((run(spec.data, a, gains, params), run))
         (want, first), *others = runs
-        for got, filters in others:
+        for got, run in others:
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(filters.w, first.w)
-            np.testing.assert_array_equal(filters.history, first.history)
+            np.testing.assert_array_equal(run.w, first.w)
+            np.testing.assert_array_equal(run.history, first.history)
 
 
 def _cc_is_gcc() -> bool:
@@ -1007,32 +1024,23 @@ def test_a_singular_solve_names_its_bin():
         np.testing.assert_array_equal(state.w_hat, init_state(a[k], int(orders[k])).w_hat)
 
 
-@pytest.mark.parametrize("fault", ["strided", "complex64", "int32 orders"])
-def test_the_kernel_refuses_a_bad_array(fault):
-    """A run checks the dtype and layout of the caller's arrays before it
-    takes a pointer: a strided ``w``, a complex64 ``history`` or int32
-    ``orders`` raises ``ValueError`` naming it, the kernel never runs and
-    the filters are unchanged."""
+def test_a_run_owns_a_c_long_copy_of_any_orders():
+    """A run keeps its own C-long, C-contiguous copy of the orders: int32
+    orders, a strided view and a list give the outputs, filters and
+    histories of the band plan's own orders, bit for bit, and a later edit
+    of the caller's orders does not reach the run."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
-    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
-    w, history = filters.w.copy(), filters.history.copy()
-    bad, message = {
-        "strided": (filters._replace(w=np.stack([w, w], axis=-1)[..., 0]),
-                    "w is not C-contiguous"),
-        "complex64": (filters._replace(history=history.astype(np.complex64)),
-                      "history has dtype complex64"),
-        "int32 orders": (filters._replace(orders=filters.orders.astype(np.int32)),
-                         "orders has dtype int32"),
-    }[fault]
-    with pytest.MonkeyPatch.context() as patch:
-        counting = CountingLibrary(engine.LIBRARY)
-        patch.setattr(engine, "LIBRARY", counting)
-        with pytest.raises(ValueError, match=f"^{message}(, expected .*)? for data of shape "):
-            Run(APA, bad, spec.data.shape)(spec.data, a, gains, params)
-        assert counting.calls == []
-    np.testing.assert_array_equal(filters.w, w)
-    np.testing.assert_array_equal(filters.history, history)
+    orders = params.band_plan.bin_orders(CONFIG)
+    runs = []
+    for given in (orders, orders.astype(np.int32), np.repeat(orders, 2)[::2], orders.tolist()):
+        run = Run(APA, a, given, params.delay, spec.num_frames, prior=True)
+        if isinstance(given, np.ndarray):
+            given[:] = 0
+        assert run.orders.dtype == np.dtype(ctypes.c_long) and run.orders.flags.c_contiguous
+        runs.append([x.tobytes() for x in (run(spec.data, a, gains, params), run.w,
+                                           run.history)])
+    assert all(r == runs[0] for r in runs[1:])
 
 
 def _misaligned(array: np.ndarray) -> np.ndarray:
@@ -1044,37 +1052,6 @@ def _misaligned(array: np.ndarray) -> np.ndarray:
     return copy
 
 
-@pytest.mark.parametrize("fault", ["dtype", "layout", "misaligned", "shape", "read-only"])
-def test_a_run_checks_every_caller_array_before_any_pointer(fault):
-    """Each array of the filters, given another dtype, a strided layout, an
-    address one byte off its alignment or one more row, and each the kernel
-    writes (``w`` and ``history``), made read-only, is refused by a run with
-    a ``ValueError`` naming it."""
-    spec, a, gains = _scene(PARTLY_SILENT)
-    params = _params(PARTLY_SILENT)
-    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
-    for name in ("orders", "w", "history"):
-        array = getattr(filters, name)
-        if fault == "read-only" and name == "orders":
-            continue
-        if fault == "read-only":
-            bad = array.copy()
-            bad.flags.writeable = False
-        elif fault == "dtype":
-            bad = array.astype({"i": np.int32, "c": np.complex64}[array.dtype.kind])
-        elif fault == "layout":
-            bad = np.empty(array.shape + (2,), array.dtype)[..., 0]
-            bad[...] = array
-        elif fault == "misaligned":
-            bad = _misaligned(array)
-        else:
-            bad = np.concatenate([array, array[:1]])
-        with pytest.raises(ValueError,
-                           match=f"^{name} (has dtype|is not C-contiguous|is not aligned"
-                                 "|has shape|is read-only)"):
-            engine.Run(APA, filters._replace(**{name: bad}), spec.data.shape)
-
-
 def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch):
     """A run refuses an (M,) steering and a (frames,) gain, and data of one
     frame where it was built for more, each with a ``ValueError`` naming it,
@@ -1083,58 +1060,54 @@ def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch)
     data out of bounds."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
-    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
-    w, history = filters.w.copy(), filters.history.copy()
     (m, bins, frames), started = spec.data.shape, []
     counting = CountingLibrary(engine.LIBRARY)
     monkeypatch.setattr(engine, "LIBRARY", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3))
     monkeypatch.setattr(_thread, "start_new_thread", lambda *args: started.append(args))
+    run = Run(APA, a, params.band_plan.bin_orders(CONFIG), params.delay, spec.num_frames)
+    w, history = run.w.copy(), run.history.copy()
     for steering, column, message in (
         (a[0], gains, f"steering has shape \\({m},\\), expected \\({bins}, {m}\\)"),
         (a, gains[0], f"gains has shape \\({frames},\\), expected \\({bins}, {frames}\\)"),
     ):
         with pytest.raises(ValueError, match=f"^{message} for data of shape "):
-            Run(APA, filters, spec.data.shape)(spec.data, steering, column, params)
-    run = engine.Run(APA, filters, spec.data.shape)
+            run(spec.data, steering, column, params)
     with pytest.raises(ValueError, match=f"^data has shape \\({m}, {bins}, 1\\), expected "):
         run(spec.data[:, :, :1], a, gains[:, :1], params)
     assert counting.calls == [] and started == []
-    np.testing.assert_array_equal(filters.w, w)
-    np.testing.assert_array_equal(filters.history, history)
+    np.testing.assert_array_equal(run.w, w)
+    np.testing.assert_array_equal(run.history, history)
 
 
 def test_filters_that_do_not_fit_the_kernel_are_refused():
-    """Orders, filters or frame rows of the wrong shape for the data, an
-    order at or below the delay, and steering or gains with other bins than
-    the data never reach the kernel; a stream refuses a state whose filter
-    or history does not fit its order, or whose delay is not bin 0's,
-    before any state changes, as it does a state listed at two bins or a
-    history that is not (order, M), with M the steering's width, bin 0's as
-    any other's."""
-    fresh = Filters.start(APA, np.ones((4, 2)), [3] * 4, 1)
-    w = fresh.w.copy()
+    """Orders of another shape than the steering's bins and an order at or
+    below the delay are refused when a run is built; data, steering or gains
+    with other bins than the run's never reach the kernel; a stream refuses a
+    state whose filter or history does not fit its order, or whose delay is
+    not bin 0's, before any state changes, as it does a state listed at two
+    bins or a history that is not (order, M), with M the steering's width,
+    bin 0's as any other's."""
+    ones = np.ones((4, 2), complex)
+    for steering, orders, delay, message in (
+        (ones[:3], [3] * 4, 1, "orders has shape \\(4,\\), expected \\(3,\\)$"),
+        (ones, [[3] * 4], 1, "orders has shape \\(1, 4\\), expected \\(4,\\)$"),
+        (ones, [3] * 4, 3, "order must be 0 or > delay \\(3\\), got 3$"),
+        (ones, [-1] * 4, 1, "order must be 0 or > delay \\(1\\), got -1$"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Run(APA, steering, orders, delay, 1)
+    run = Run(APA, ones, [3] * 4, 1, 1)
+    w = run.w.copy()
     for data, steering, gains, message in (
-        (np.ones((2, 3, 1)), np.ones((3, 2)), None, "orders has shape \\(4,\\), expected \\(3,"),
-        (np.ones((2, 4, 1)), np.ones((3, 2)), None, "steering has shape \\(3, 2\\), expected \\(4"),
-        (np.ones((2, 4, 1)), np.ones((4, 2)), np.ones((4, 2)),
+        (np.ones((2, 3, 1)), ones, None, "data has shape \\(2, 3, 1\\), expected \\(2, 4, 1"),
+        (np.ones((2, 4, 1)), ones[:3], None, "steering has shape \\(3, 2\\), expected \\(4"),
+        (np.ones((2, 4, 1)), ones, np.ones((4, 2)),
          "gains has shape \\(4, 2\\), expected \\(4, 1\\) for data of shape \\(2, 4, 1\\)"),
     ):
         with pytest.raises(ValueError, match=message):
-            Run(APA, fresh, data.shape)(data.astype(complex), steering.astype(complex), gains,
-                                        ApaParams())
-    np.testing.assert_array_equal(fresh.w, w)
-    data, ones = np.ones((2, 4, 1), complex), np.ones((4, 2), complex)
-    for filters, message in (
-        (fresh._replace(w=fresh.w[:, :6].copy()), "w has shape \\(4, 6\\), expected \\(4, 8\\)"),
-        (fresh._replace(history=fresh.history[:, :2].copy()),
-         "history has shape \\(4, 2, 2\\), expected \\(4, 3, 2\\)"),
-        (fresh._replace(delay=3), "order must be 0 or > delay \\(3\\), got 3"),
-        (fresh._replace(orders=fresh.orders - 4), "order must be 0 or > delay \\(1\\), got -1"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            Run(APA, filters, data.shape)(data, ones, None, ApaParams())
-        np.testing.assert_array_equal(filters.w[:, :6], w[:, :6])
+            run(data.astype(complex), steering, gains, ApaParams())
+    np.testing.assert_array_equal(run.w, w)
     short = [init_state(np.ones(2), 3) for _ in range(4)]
     short[2].w_hat = short[2].w_hat[:6]
     below = [ApaState(np.zeros(0, complex), np.zeros((1, 2), complex), 3) for _ in range(4)]
@@ -1185,16 +1158,15 @@ SPLIT_PLAN = BandPlan((2000.0, 4000.0, 6000.0), (3, 0, 6, 0), 1)
 
 def _split_run(kernel, count, prior_pass, monkeypatch):
     """A run on PARTLY_SILENT's data and ``SPLIT_PLAN`` (order 0 raised to 2 for the
-    canceller) with at most ``count`` spans; the filters and outputs it leaves."""
+    canceller) with at most ``count`` spans: its outputs, and the run."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = ApaParams(band_plan=SPLIT_PLAN)
     orders = SPLIT_PLAN.bin_orders(CONFIG)
     if kernel is RC:
         orders = np.where(orders == 0, SPLIT_PLAN.delay + 1, orders)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
-    filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-    out = Run(kernel, filters, spec.data.shape, prior_pass)(spec.data, a, gains, params)
-    return out, filters
+    run = Run(kernel, a, orders, params.delay, spec.num_frames, prior_pass)
+    return run(spec.data, a, gains, params), run  # a stands in for the heads
 
 
 @pytest.mark.parametrize("prior_pass", [False, True])
@@ -1206,10 +1178,10 @@ def test_any_split_of_the_bins_gives_the_same_bits(kernel, prior_pass, monkeypat
     (want, first), bins = _split_run(kernel, 1, prior_pass, monkeypatch), CONFIG.num_bins
     for count in (1, 2, 3, bins + 5):
         for _ in range(2):
-            got, filters = _split_run(kernel, count, prior_pass, monkeypatch)
+            got, run = _split_run(kernel, count, prior_pass, monkeypatch)
             assert got.tobytes() == want.tobytes()
-            assert filters.w.tobytes() == first.w.tobytes()
-            assert filters.history.tobytes() == first.history.tobytes()
+            assert run.w.tobytes() == first.w.tobytes()
+            assert run.history.tobytes() == first.history.tobytes()
 
 
 @pytest.mark.parametrize("kernel", [APA, RC])
@@ -1226,11 +1198,11 @@ def test_spans_cover_each_bin_once_at_near_equal_cost(kernel, num_mics, plan, co
     orders = plan.bin_orders(config)
     if kernel is RC:
         orders = np.where(orders == 0, plan.delay + 1, orders)
-    filters = Filters.start(kernel, np.ones((config.num_bins, num_mics)), orders, plan.delay)
+    ones = np.ones((config.num_bins, num_mics))
     cost = np.array([kernel.taps(num_mics, int(o), plan.delay) for o in orders]) + num_mics
     for count in (*range(1, 8), config.num_bins - 1, config.num_bins, config.num_bins + 1):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
-        spans = engine.Run(kernel, filters, (num_mics, config.num_bins, 2)).spans
+        spans = engine.Run(kernel, ones, orders, plan.delay, 2).spans
         assert 1 <= len(spans) <= min(count, config.num_bins)
         assert spans[0][0] == 0 and spans[-1][1] == config.num_bins
         assert all(k0 < k1 for k0, k1 in spans)
@@ -1251,8 +1223,7 @@ def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, mo
     params = dataclasses.replace(_params(PARTLY_SILENT), phi_b=1e300, phi_a=1e-300)
     orders = params.band_plan.bin_orders(CONFIG)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
-    filters = Filters.start(APA, a, orders, params.delay)
-    spans = engine.Run(APA, filters, spec.data.shape).spans
+    spans = engine.Run(APA, a, orders, params.delay, spec.num_frames).spans
     assert len(spans) == count and spans[0][1] > 3 and spans[-1][0] <= 14
     data = np.zeros_like(spec.data)
     data[:, 14], data[:, 3, 5:] = spec.data[:, 14], spec.data[:, 3, 5:]
@@ -1261,25 +1232,24 @@ def test_a_singular_solve_names_the_lowest_bin_of_any_span(count, prior_pass, mo
     for live, where in ((data, "bin 3, frame 5"), (only_14, "bin 14, frame 0")):
         with pytest.raises(np.linalg.LinAlgError,
                            match=f"^singular 2x2 innovation covariance at {where}$"):
-            run = Run(APA, Filters.start(APA, a, orders, params.delay), live.shape, prior_pass)
-            run(live, a, None, params)
+            Run(APA, a, orders, params.delay, spec.num_frames, prior_pass)(live, a, None, params)
 
 
 def test_a_refused_array_raises_in_the_caller_before_any_thread(monkeypatch):
-    """A run is built in the calling thread before any span starts: a
-    filter that does not fit the data raises the run's ``ValueError`` there,
-    no thread is started and the kernel is never called."""
+    """A run is built in the calling thread before any span starts: an order
+    the kernel does not take raises the run's ``ValueError`` there, no
+    thread is started and the kernel is never called."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
-    filters = Filters.start(APA, a, params.band_plan.bin_orders(CONFIG), params.delay)
-    filters = filters._replace(w=filters.w[:, :-1].copy())
+    orders = params.band_plan.bin_orders(CONFIG)
+    orders[5] = params.delay
     started = []
     counting = CountingLibrary(engine.LIBRARY)
     monkeypatch.setattr(engine, "LIBRARY", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3))
     monkeypatch.setattr(_thread, "start_new_thread", lambda *args: started.append(args))
-    with pytest.raises(ValueError, match="^w has shape "):
-        Run(APA, filters, spec.data.shape, prior=True)(spec.data, a, gains, params)
+    with pytest.raises(ValueError, match="^order must be 0 or > delay "):
+        Run(APA, a, orders, params.delay, spec.num_frames, prior=True)(spec.data, a, gains, params)
     assert counting.calls == [] and started == []
 
 
@@ -1319,11 +1289,9 @@ def test_a_one_frame_run_is_one_span_on_the_calling_thread(kernel, monkeypatch):
                         lambda *args: (started.append(args), start(*args)))
     for count in (3, 1):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count))
-        filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-        run = Run(kernel, filters, data.shape, prior=True)
+        run = Run(kernel, a, orders, params.delay, 1, prior=True)  # a stands in for the heads
         assert run.spans == [(0, CONFIG.num_bins)]
-        runs[count] = [x.tobytes() for x in (run(data, a, column, params), filters.w,
-                                             filters.history)]
+        runs[count] = [x.tobytes() for x in (run(data, a, column, params), run.w, run.history)]
     assert started == [] and runs[3] == runs[1]
 
 
@@ -1351,9 +1319,9 @@ def test_a_run_reads_data_and_gains_of_any_layout_as_their_contiguous_values(ker
     for name, given in cases.items():
         runs, contiguous = [], (np.array(given[0], np.complex128), np.array(given[1], float))
         for data, part in (given, contiguous):
-            filters = Filters.start(kernel, a, orders, params.delay)  # a stands in for the heads
-            out = Run(kernel, filters, data.shape, prior=True)(data, a, part, params)
-            runs.append([x.tobytes() for x in (out, filters.w, filters.history)])
+            run = Run(kernel, a, orders, params.delay, data.shape[2], prior=True)
+            out = run(data, a, part, params)  # a stands in for the heads
+            runs.append([x.tobytes() for x in (out, run.w, run.history)])
         assert runs[0] == runs[1], name
 
 

@@ -21,8 +21,13 @@ from convbeam.apa import (
     psd_floor,
     stack_observation,
 )
-from convbeam.fixedbf import superdirective_mvdr
-from convbeam.geometry import circular_array, diffuse_coherence, plane_wave_steering
+from convbeam.fixedbf import apply_fixed, superdirective_mvdr
+from convbeam.geometry import (
+    CoherenceMatrix,
+    circular_array,
+    diffuse_coherence,
+    plane_wave_steering,
+)
 from convbeam.sdmvdr import (
     RcState,
     init_rc_state,
@@ -235,3 +240,18 @@ class TestUtteranceDriver:
         warm2 = process_utterance_sdmvdr(spec, steer, coh, params, prior_pass=True)
         assert not np.array_equal(cold.data, warm.data)
         np.testing.assert_array_equal(warm.data, warm2.data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_coherence_is_refused_by_both_sd_paths(self, value):
+        """A NaN or inf in the coherence, at bin 5, entry (0, 1), is refused by bin
+        and entry when the matrix is built, so neither superdirective path
+        gives NaN outputs in that bin: the canceller and the fixed head alike."""
+        spec, steer, coh = self._scene()
+        gamma = coh.gamma.copy()
+        gamma[5, 0, 1] = value
+        params = ApaParams(band_plan=BandPlan((), (3,)))
+        message = r"^gamma has a non-finite value at bin 5, entry \(0, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            process_utterance_sdmvdr(spec, steer, CoherenceMatrix(gamma), params)
+        with pytest.raises(ValueError, match=message):
+            apply_fixed(superdirective_mvdr(steer, CoherenceMatrix(gamma)), spec)

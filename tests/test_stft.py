@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from convbeam.apa import ApaParams
-from convbeam.engine import APA, RC, Filters, Run
+from convbeam.engine import APA, RC, Run
 from convbeam.geometry import _srp_map, circular_array
 from convbeam.stft import (
     BandPlan,
@@ -263,11 +263,10 @@ def _run(kernel):
     final filters and histories."""
     rng, cfg = np.random.default_rng(11), StftConfig(64)
     steering = np.exp(2j * np.pi * rng.uniform(size=(cfg.num_bins, 3)))
-    filters = Filters.start(kernel, steering, BandPlan((2000.0,), (4, 3)).bin_orders(cfg), 1)
+    run = Run(kernel, steering, BandPlan((2000.0,), (4, 3)).bin_orders(cfg), 1, 40, prior=True)
     data = _complex(rng, (3, cfg.num_bins, 40))
-    out = Run(kernel, filters, data.shape, prior=True)(
-        data, steering, rng.uniform(size=(cfg.num_bins, 40)), ApaParams())
-    return out, filters.w, filters.history
+    out = run(data, steering, rng.uniform(size=(cfg.num_bins, 40)), ApaParams())
+    return out, run.w, run.history
 
 
 def _stage(name):

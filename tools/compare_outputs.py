@@ -1,11 +1,15 @@
 """Compare convbeam's outputs between two source trees, array by array.
 
     python3 tools/compare_outputs.py SRC_A SRC_B
+    python3 tools/compare_outputs.py --dump SRC OUT.npz
 
-SRC_A and SRC_B are directories that each contain the ``convbeam`` package
-(for example ``src`` of two checkouts).  Each tree is imported in a fresh
-subprocess, which runs a fixed set of calls on a 1 s, 4-mic reverberant
-scene and saves every result to an ``.npz``:
+SRC_A and SRC_B are each a directory that contains the ``convbeam`` package
+(for example ``src`` of a checkout), or an ``.npz`` that ``--dump`` saved.
+Each tree is imported in a fresh subprocess, which runs a fixed set of calls
+on a 1 s, 4-mic reverberant scene and saves every result to an ``.npz``.
+``--dump`` saves that file alone, so a tree whose API this tool no longer
+calls can be dumped by its own copy of the tool and compared as a file.
+The calls are:
 
 - ``enhance`` for every method x {no mask, gain-mask file (the adaptive
   methods only: a fixed one refuses a mask)} x {fixed DOA, SRP-PHAT} x
@@ -43,10 +47,10 @@ scene and saves every result to an ``.npz``:
   the prior pass;
 - both adaptive filters on a band plan whose order repeats in non-adjacent
   bands (orders 3, 6, 3), with a gain mask and the prior pass;
-- an ``engine.Run`` with the prior pass, for both kernels, on filters that
-  already hold taps and history from frames 10-39, over 0, 1 and 5 frames
-  with a gain mask: the outputs and the final filters and histories;
-- the same ``engine.Run`` on fresh filters over the view ``spec.data[:, :, 3:]``
+- an ``engine.Run`` with the prior pass, for both kernels, given copies of
+  the filters and histories of a run over frames 10-39, over 0, 1 and 5
+  frames with a gain mask: the outputs and the final filters and histories;
+- the same ``engine.Run`` on new filters over the view ``spec.data[:, :, 3:]``
   with the gain mask's column slice ``mask[:, 3:]``, neither C-contiguous, so
   the run's conversion of its inputs is compared too: the outputs and the
   final filters and histories;
@@ -93,7 +97,7 @@ scene and saves every result to an ``.npz``:
   frame is zero-padded), and ``read_wav`` of that signal written as PCM16
   and as float32.
 
-The two files are then compared with ``np.array_equal``.  The names of the
+The two files (saved or given) are then compared with ``np.array_equal``.  The names of the
 arrays that differ, or exist on one side only, are printed, each numeric
 one of equal shape with the size of its difference, max|d| / max|ref| with
 SRC_A's array as the reference (the rule of perfbench's ``checks.rel_err``),
@@ -124,7 +128,7 @@ def dump(src: str, out_file: str) -> None:
         process_utterance, psd_floor, speech_psd_estimate, stack_observation,
     )
     from convbeam.bench import count_apa_update, count_rc_update, reference_curves, wallclock_sweep
-    from convbeam.engine import APA, RC, Filters, Run
+    from convbeam.engine import APA, RC, Run
     from convbeam.gains import apply_gain, write_gain_mask
     from convbeam.geometry import (
         circular_array, diffuse_coherence, plane_wave_steering, srp_phat_localize,
@@ -289,22 +293,21 @@ def dump(src: str, out_file: str) -> None:
 
     params = ApaParams(band_plan=BandPlan((4000.0,), (3, 5), delay=2))
     vectors = np.ascontiguousarray(steering.vectors)  # the fixed heads of the canceller too
+    run_orders = params.band_plan.bin_orders(cfg)
     for name, kernel in (("apa_run", APA), ("rc_run", RC)):  # every tree dumps these keys
         for frames in (0, 1, 5):
-            filters = Filters.start(kernel, vectors, params.band_plan.bin_orders(cfg), 2)
-            held = spec.data[:, :, 10:40]
-            Run(kernel, filters, held.shape)(held, vectors, mask[:, 10:40], params)
-            key, data = f"run/{name}/F{frames}", spec.data[:, :, :frames]
-            arrays[f"{key}/output"] = Run(kernel, filters, data.shape, True)(
-                data, vectors, mask[:, :frames], params)
-            arrays[f"{key}/w"] = filters.w
-            arrays[f"{key}/history"] = filters.history
-        filters = Filters.start(kernel, vectors, params.band_plan.bin_orders(cfg), 2)
-        key, data = f"run/{name}/view", spec.data[:, :, 3:]
-        arrays[f"{key}/output"] = Run(kernel, filters, data.shape, True)(
-            data, vectors, mask[:, 3:], params)
-        arrays[f"{key}/w"] = filters.w
-        arrays[f"{key}/history"] = filters.history
+            held = Run(kernel, vectors, run_orders, 2, 30)
+            held(spec.data[:, :, 10:40], vectors, mask[:, 10:40], params)
+            run = Run(kernel, vectors, run_orders, 2, frames, True)
+            run.w[:], run.history[:] = held.w, held.history
+            key = f"run/{name}/F{frames}"
+            arrays[f"{key}/output"] = run(
+                spec.data[:, :, :frames], vectors, mask[:, :frames], params)
+            arrays[f"{key}/w"], arrays[f"{key}/history"] = run.w, run.history
+        run = Run(kernel, vectors, run_orders, 2, spec.num_frames - 3, True)
+        key = f"run/{name}/view"
+        arrays[f"{key}/output"] = run(spec.data[:, :, 3:], vectors, mask[:, 3:], params)
+        arrays[f"{key}/w"], arrays[f"{key}/history"] = run.w, run.history
 
     quiet = spec.data[:, :, :61].copy()
     quiet[:, 20:40, 15:35] = 0.0
@@ -437,8 +440,9 @@ def compare(src_a: str, src_b: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         saved = []
         for tag, src in (("a", src_a), ("b", src_b)):
-            path = str(Path(tmp) / f"{tag}.npz")
-            subprocess.run([sys.executable, __file__, "--dump", src, path], check=True)
+            path = src if Path(src).is_file() else str(Path(tmp) / f"{tag}.npz")
+            if path != src:
+                subprocess.run([sys.executable, __file__, "--dump", src, path], check=True)
             saved.append(np.load(path))
         a, b = saved
         names = sorted(set(a.files) | set(b.files))
@@ -473,7 +477,8 @@ def main(argv: list) -> int:
         dump(argv[2], argv[3])
         return 0
     if len(argv) != 3:
-        print("usage: python3 tools/compare_outputs.py SRC_A SRC_B", file=sys.stderr)
+        print("usage: python3 tools/compare_outputs.py SRC_A SRC_B\n"
+              "       python3 tools/compare_outputs.py --dump SRC OUT.npz", file=sys.stderr)
         return 2
     return compare(argv[1], argv[2])
 
