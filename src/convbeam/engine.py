@@ -152,12 +152,12 @@ class Run:
             raise ValueError(f"orders has shape {orders.shape}, expected {(bins,)}")
         taps = kernel.bin_taps(m, orders, delay)
         self.orders, self.delay, self.shape = orders, delay, (m, bins, frames)
+        self.steering = np.array(steering, complex)
         self.w = np.zeros((bins, taps.max()), complex)
-        if kernel.head:
-            self.w[:, :m] = delay_and_sum(steering).weights  # checked by check_inputs
+        if kernel.head:  # on the run's complex128 copy, checked by check_inputs
+            self.w[:, :m] = delay_and_sum(self.steering).weights
         self.history = np.zeros((bins, orders.max(), m), complex)
         self.spans = [(0, bins)] if frames == 1 else spans(taps + m)
-        self.steering = np.array(steering, complex)
         self.out = np.empty((kernel.outputs, bins, frames), complex)
         entry, longs = LIBRARY.run, (frames, m, delay, self.w.shape[1], self.history.shape[1] * m,
                                      int(prior), kernel.head)

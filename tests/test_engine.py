@@ -27,8 +27,9 @@ pass against a run whose outputs are dropped and whose histories are then
 zeroed, a run that outlives the caller's references to its steering and
 orders, the kernel's library cache and its argument types and the arrays a
 run passes it, the same bits from builds of every vector width, its build
-failures, a singular solve, the orders a run copies and the arrays and
-orders an ``engine.Run`` refuses.  The last cover the split of an
+failures, a singular solve, the orders a run copies, the caller's arrays
+of any dtype, layout, alignment or writability it reads as their values,
+and the arrays and orders an ``engine.Run`` refuses.  The last cover the split of an
 utterance's bins into spans run in threads at once, which must give the
 bits of one span whatever the CPU count, name the lowest failing bin in
 either pass and refuse a bad order before any thread starts, and a
@@ -1050,6 +1051,51 @@ def _misaligned(array: np.ndarray) -> np.ndarray:
     copy[...] = array
     assert copy.flags.c_contiguous and copy.flags.writeable and not copy.flags.aligned
     return copy
+
+
+@pytest.mark.parametrize("fault", ["dtype", "layout", "misaligned", "shape", "read-only"])
+def test_a_run_checks_every_caller_array_before_any_pointer(fault):
+    """A run takes no pointer to a caller's array as given: its orders and
+    steering, and a call's data and gains, each given another dtype, a
+    strided layout, an address one byte off its alignment or made read-only,
+    give the outputs, filters and histories of C-contiguous arrays of the
+    kernel's dtypes holding the same values, bit for bit; each given one more
+    row is refused with a ``ValueError`` naming it before the kernel runs."""
+    spec, a, gains = _scene(PARTLY_SILENT)
+    params = _params(PARTLY_SILENT)
+    clean = {"orders": params.band_plan.bin_orders(CONFIG), "steering": a,
+             "data": spec.data, "gains": gains}
+    kinds = {"orders": ctypes.c_long, "steering": complex, "data": complex, "gains": float}
+
+    def run(arrays, built):
+        run = Run(APA, built["steering"], built["orders"], params.delay, spec.num_frames, True)
+        out = run(arrays["data"], arrays["steering"], arrays["gains"], params)
+        return [x.tobytes() for x in (out, run.w, run.history)]
+
+    for name, array in clean.items():
+        if fault == "read-only":
+            bad = array.copy()
+            bad.flags.writeable = False
+        elif fault == "dtype":
+            bad = array.astype({"i": np.int32, "c": np.complex64, "f": np.float32}[array.dtype.kind])
+        elif fault == "layout":
+            bad = np.empty(array.shape + (2,), array.dtype)[..., 0]
+            bad[...] = array
+        elif fault == "misaligned":
+            bad = _misaligned(array)
+        else:
+            bad = np.concatenate([array, array[:1]])
+        given = {**clean, name: bad}
+        if fault != "shape":
+            same = {**clean, name: np.array(bad, kinds[name])}
+            assert run(given, given) == run(same, same), name
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            counting = CountingLibrary(engine.LIBRARY)
+            patch.setattr(engine, "LIBRARY", counting)
+            with pytest.raises(ValueError, match=f"^{name} has shape {re.escape(str(bad.shape))}"):
+                run(given, given if name == "orders" else clean)
+            assert counting.calls == []
 
 
 def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch):
