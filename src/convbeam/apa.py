@@ -326,8 +326,7 @@ def process_frame(
     if not states:
         raise ValueError("states is empty: process_frame needs one state per bin")
     held = getattr(states[0], "_filters", None)  # an engine.Stream
-    frame, steering, gains = check_inputs(steering, gains, None, (len(states),), frame,
-                                          held and held.steering)
+    frame, steering, gains = check_inputs(steering, gains, None, (len(states),), frame, held)
     if not (held and held.states == tuple(states) and held.steering.shape == steering.shape):
         held = Stream(APA, states, steering)
     gains = None if gains is None else gains[:, None]  # the frame and column as one-frame data

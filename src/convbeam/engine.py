@@ -36,7 +36,8 @@ __all__ = ["APA", "RC", "Kernel", "Run", "Stream", "check_inputs", "load_kernel"
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
-# library runs on any host of its architecture and every product rounds as the oracle's
+# library runs on any host of its architecture and every product rounds as the oracle's; the
+# source writes its lanes as explicit 4-double vectors, which each clone runs at its own width
 CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 # the kernel's five double params, in its order
 PARAMS = attrgetter("phi_b", "phi_r", "phi_a", "eta", "alpha_r")
@@ -103,13 +104,15 @@ RC = Kernel(outputs=1, head=0)
 
 
 def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None,
-                 known: np.ndarray | None = None) -> tuple:
+                 known: Run | None = None) -> tuple:
     """(frame, steering, gains) as arrays, checked before any state changes.
 
     ``frame`` (when given) must be finite and ``steering`` a valid
-    :class:`~convbeam.geometry.SteeringVector` (unless it has the shape and bits of ``known``,
-    one that passed before), both (bins, M), with bins = ``gain_shape[0]`` and M = ``num_mics``
-    (None: the steering's width); ``gains`` must be of ``gain_shape`` and is clamped into [0, 1].
+    :class:`~convbeam.geometry.SteeringVector`, both (bins, M), with bins = ``gain_shape[0]``
+    and M = ``num_mics`` (None: the steering's width); ``gains`` must be of ``gain_shape`` and
+    is clamped into [0, 1].  A steering with the bits of ``known``'s (:attr:`Run.bits`), one
+    that passed before, is not checked again and comes back as ``known.steering`` itself, which
+    the run then need not copy; the shape check makes equal bits mean an equal shape.
     An utterance driver passes its Spectrogram as ``frame``; that must be finite.  Anything else
     raises ``ValueError`` naming the argument, and for a bad value where it is.
     """
@@ -125,7 +128,9 @@ def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame
     if frame is not None and not np.isfinite(frame.view(np.float64)).all():  # both parts
         k, ch = np.argwhere(~np.isfinite(frame))[0]
         raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
-    if known is None or (known.shape, known.tobytes()) != (steering.shape, steering.tobytes()):
+    if known is not None and steering.tobytes() == known.bits:
+        steering = known.steering
+    else:
         SteeringVector(steering, 0)  # new bits, as after an edit in place
     if spec is not None and not np.isfinite(spec).all():
         ch, k, n = np.argwhere(~np.isfinite(spec))[0]
@@ -152,7 +157,7 @@ class Run:
             raise ValueError(f"orders has shape {orders.shape}, expected {(bins,)}")
         taps = kernel.bin_taps(m, orders, delay)
         self.orders, self.delay, self.shape = orders, delay, (m, bins, frames)
-        self.steering = np.array(steering, complex)
+        self.steering, self.bits = np.array(steering, complex), None  # bits: set by a call
         self.w = np.zeros((bins, taps.max()), complex)
         if kernel.head:  # on the run's complex128 copy, checked by check_inputs
             self.w[:, :m] = delay_and_sum(self.steering).weights
@@ -170,20 +175,24 @@ class Run:
         """The outputs, (``kernel.outputs``, bins, frames), in the run's own array, which its
         next call overwrites, on ``data`` (M, bins, frames), the (bins, M) ``steering`` the
         kernel reads (the fixed heads, for the canceller), ``gains`` None or (bins, frames)
-        from :func:`check_inputs`, and ``params``.  An array of another shape raises
-        ``ValueError`` naming it.  The kernel reads ``data`` and ``gains`` where they lie if
-        they are C-contiguous, aligned complex128 and float64, else one copy of each that is
-        not.  Each span makes one kernel call, on :func:`~convbeam.stft.fan_out`, to the bits
-        of one span.  A singular 2x2 solve raises ``LinAlgError`` naming the lowest failing
-        bin, and its frame (in either pass) if the run has more than one; the bins before it,
-        and those of other spans, may have moved."""
+        from :func:`check_inputs`, and ``params``.  A steering other than the run's own
+        buffer is copied into it, and its bytes become :attr:`bits`.  An array of another
+        shape raises ``ValueError`` naming it.  The kernel reads ``data`` and ``gains`` where
+        they lie if they are C-contiguous, aligned complex128 and float64, else one copy of
+        each that is not.  Each span makes one kernel call, on :func:`~convbeam.stft.fan_out`,
+        to the bits of one span.  A singular 2x2 solve raises ``LinAlgError`` naming the
+        lowest failing bin, and its frame (in either pass) if the run has more than one; the
+        bins before it, and those of other spans, may have moved."""
         (m, bins, frames), call = self.shape, self._call
         for name, array, shape in (("data", data, self.shape), ("steering", steering, (bins, m)),
                                    ("gains", gains, (bins, frames))):
             if array is not None and array.shape != shape:
                 raise ValueError(f"{name} has shape {array.shape}, expected {shape} "
                                  f"for data of shape {self.shape}")
-        self.steering[:], data = steering, np.require(data, np.complex128, "CA")
+        if steering is not self.steering:  # else check_inputs found the bits it holds
+            self.steering[:] = steering
+            self.bits = self.steering.tobytes()
+        data = np.require(data, np.complex128, "CA")
         gains = None if gains is None else np.require(gains, np.float64, "CA")
         args = PARAMS(params), None if gains is None else gains.ctypes.data, data.ctypes.data
         if any(statuses := fan_out(lambda k0, k1: call(k0, k1, *args), self.spans)):
@@ -199,7 +208,8 @@ class Stream(Run):
     each call takes a frame as (M, bins, 1) data.  A state listed at an earlier bin too, or one
     that does not fit its order, ``len(history)``, and the steering's width M, raises
     ``ValueError`` naming its bin before any state changes.  Its steering buffer holds only
-    steerings :func:`check_inputs` passed: it is the ``known`` of the next frame."""
+    steerings :func:`check_inputs` passed, so the stream is the ``known`` of the next frame: a
+    frame whose steering keeps its bits costs one ``tobytes()`` and no check or copy."""
 
     def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
         m, delay = steering.shape[1], states[0].delay

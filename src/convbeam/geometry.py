@@ -166,10 +166,22 @@ def diffuse_coherence(geom: ArrayGeometry, config: StftConfig = StftConfig()) ->
     """Spherically isotropic (diffuse) coherence sinc(2 pi f d / c) per bin.
 
     Here sinc is the unnormalized sin(x)/x, so np.sinc gets the argument
-    without the pi factor.
+    without the pi factor.  The matrix, whose ``gamma`` is read-only, is kept
+    in a bounded cache keyed by the bytes of ``geom.positions`` and by
+    ``config``, so every call for one array and STFT shares it and an in-place
+    edit of the positions builds it afresh.  A non-finite ``gamma``, from
+    positions so far apart that their distance overflows, raises ``ValueError``
+    on every call.
     """
-    dists = geom.pairwise_distances()
+    return _coherence(geom.positions.tobytes(), config)
+
+
+@functools.lru_cache(maxsize=16)
+def _coherence(positions: bytes, config: StftConfig) -> CoherenceMatrix:
+    """:func:`diffuse_coherence` of the (M, 3) float64 ``positions``, with a read-only ``gamma``."""
+    dists = ArrayGeometry(np.frombuffer(positions).reshape(-1, 3)).pairwise_distances()
     gamma = np.sinc(2.0 * config.freqs[:, None, None] * dists[None, :, :] / SPEED_OF_SOUND)
+    gamma.flags.writeable = False  # every caller shares it
     return CoherenceMatrix(gamma)
 
 

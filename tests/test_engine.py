@@ -45,6 +45,7 @@ import copy
 import ctypes
 import dataclasses
 import gc
+import itertools
 import os
 import platform
 import re
@@ -306,7 +307,8 @@ def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
     frame whose steering differs in bits from the last one's: not for the
     same array or a bitwise-equal copy, but after a valid edit in place by
     one ulp, whose frame then runs, bit for bit, as in a stream restacked
-    every frame."""
+    every frame.  Only such a frame copies the steering into the stream's
+    buffer and takes its bytes anew."""
     frames = np.random.default_rng(3).standard_normal((5, 4, 2)) + 0j
     a = np.exp(0.3j * np.arange(2) * np.arange(4)[:, None])
     states, restacked, callers = _stream_states(), _stream_states(), []
@@ -322,8 +324,12 @@ def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
             a[2, 1] = np.nextafter(a[2, 1].real, 2.0) + 1j * a[2, 1].imag
             assert np.count_nonzero(a != before) == 1
         del callers[:]
+        held = getattr(states[0], "_filters", None)
+        bits = held and held.bits
         got = process_frame(states, frames[n], steering, ApaParams())
         assert callers == want, n
+        assert (states[0]._filters.bits is bits) == (n in (1, 2, 4)), n
+        assert states[0]._filters.bits == a.tobytes()
         for s in restacked:
             vars(s).pop("_filters", None)
         assert got.tobytes() == process_frame(restacked, frames[n], steering, ApaParams()).tobytes()
@@ -919,18 +925,20 @@ CPUINFO = Path("/proc/cpuinfo")
 def test_every_vector_width_gives_the_same_bits(tmp_path, monkeypatch):
     """The kernel built without clones at ``CFLAGS``, built again with
     ``-mavx2``, and the library the engine loaded (with its AVX2 clone) run
-    both filters over 8 mics to the same outputs, filters and histories, bit
-    for bit: each sum runs in fixed lanes, whatever the vector width."""
-    case = {**PARTLY_SILENT, "num_mics": 8}
-    spec, a, gains = _scene(case)
-    params = _params(case)
-    orders = params.band_plan.bin_orders(CONFIG)
+    both filters over 8 and over 5 mics to the same outputs, filters and
+    histories, bit for bit: each sum runs in fixed lanes, whatever the vector
+    width.  At 8 mics every sum spans whole vectors; at 5 (10 doubles a frame)
+    ``dotc``'s and ``axpy``'s remainder loops run on every head and history."""
     flags, libraries = engine.CFLAGS, [engine.LIBRARY]
     for extra in ((), ("-mavx2",)):
         monkeypatch.setattr(engine, "CFLAGS", (*flags, *extra, "-DCLONES="))
         libraries.append(load_kernel(engine.SOURCE, tmp_path))
     assert len(list(tmp_path.glob("*.so"))) == 2
-    for kernel in (APA, RC):
+    for num_mics, kernel in itertools.product((8, 5), (APA, RC)):
+        case = {**PARTLY_SILENT, "num_mics": num_mics}
+        spec, a, gains = _scene(case)
+        params = _params(case)
+        orders = params.band_plan.bin_orders(CONFIG)
         runs = []
         for library in libraries:
             monkeypatch.setattr(engine, "LIBRARY", library)

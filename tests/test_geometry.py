@@ -159,6 +159,28 @@ class TestDiffuseCoherence:
         with pytest.raises(ValueError):
             CoherenceMatrix(np.zeros((5, 3, 4)))
 
+    def test_coherence_is_cached_per_geometry_and_config(self):
+        """Calls for one array and STFT share one read-only matrix; another
+        geometry, an in-place edit of the positions and another STFT each get
+        their own; a non-finite gamma is refused on every call."""
+        geom = circular_array(4, 0.1)
+        first = diffuse_coherence(geom)
+        assert diffuse_coherence(circular_array(4, 0.1)) is first
+        assert not first.gamma.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.gamma[0, 0, 1] = 0.5
+        other = diffuse_coherence(circular_array(4, 0.2))
+        assert other is not first and not np.array_equal(other.gamma, first.gamma)
+        geom.positions[:] *= 2.0  # edited in place to the bits of the 0.2 m array
+        assert diffuse_coherence(geom) is other
+        short = diffuse_coherence(circular_array(4, 0.1), StftConfig(window_len=32))
+        assert short.gamma.shape == (17, 4, 4)
+        far = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0]]))
+        for _ in range(2):  # d overflows to inf, and 2 f d / c is NaN at f = 0
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    ValueError, match=r"non-finite value at bin 0, entry \(0, 1\)"):
+                diffuse_coherence(far)
+
 
 # ---------------------------------------------------------------------------
 # localization
