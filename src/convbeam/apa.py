@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import APA, Run, Stream, check_inputs
+from .engine import APA, Run, check_inputs
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -109,8 +109,8 @@ class ApaState(FrameHistory):
     """Adaptive filter state of one frequency bin, of order L = ``len(history)``.
 
     For order 0 the history is empty and the filter reduces to its beamforming
-    head.  After a stream's frame, ``w_hat`` and ``history`` are views of its
-    filters: hold the state, not them.
+    head.  After a stream's frame, ``w_hat`` and ``history`` are views of the
+    filters of the run :func:`process_frame` bound it to: hold the state, not them.
     """
 
     w_hat: np.ndarray
@@ -123,7 +123,7 @@ class ApaState(FrameHistory):
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
-        if "_filters" in self.__dict__:  # a reassigned field: its stream holds the states no more
+        if "_filters" in self.__dict__:  # a reassigned field: its run holds the states no more
             self._filters.states = ()
 
     def __getstate__(self) -> dict:  # copies and pickles leave process_frame's filters behind
@@ -300,6 +300,31 @@ def limited_output(x_b: complex, x_r: complex, alpha_r: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _bind(states: list, steering: np.ndarray) -> Run:
+    """A new one-frame :class:`~convbeam.engine.Run` on ``steering``, each state's ``_filters``,
+    whose rows the state's ``w_hat`` and ``history`` then view.  A state listed twice, or one that
+    does not fit its order and M, raises ``ValueError`` naming its bin before any state changes."""
+    m, delay = steering.shape[1], states[0].delay
+    orders, first = [len(s.history) for s in states], {}
+    for k, (s, order) in enumerate(zip(states, orders)):
+        try:
+            if first.setdefault(s, k) != k:
+                raise ValueError(f"its state is bin {first[s]}'s too")
+            q = APA.taps(m, order, delay)
+            if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (order, m):
+                raise ValueError(f"at order {order} it needs delay {delay}, {q} taps and "
+                                 f"history ({order}, {m}); it has {s.delay}, "
+                                 f"{s.w_hat.shape} and {s.history.shape}")
+        except ValueError as exc:
+            raise ValueError(f"bin {k}: {exc}") from None
+    run = Run(APA, steering, orders, delay, 1)
+    for s, order, w, history in zip(states, orders, run.w, run.history):
+        w[: s.w_hat.size], history[:order] = s.w_hat, s.history
+        s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], run
+    run.states = tuple(states)  # emptied on a rebind
+    return run
+
+
 def process_frame(
     states: list,
     frame: np.ndarray,
@@ -317,20 +342,20 @@ def process_frame(
     column, clamped into [0, 1]; an empty state list, a bad shape, a non-finite frame or steering
     value, a zero-norm steering row, a NaN gain, a state listed at two bins, or one whose delay
     (one for all states) or arrays do not fit its order, ``len(history)``, and M, the steering's
-    width, raises before any state changes.  Steering and params are taken from each call; the
-    steering is checked on a stream's first frame and when its shape or bits change, as by an edit
-    in place.  The states are bound once to a :class:`~convbeam.engine.Stream`, and again when the
-    list holds other states, a state reassigns a field or M changes.  A stream equals
-    process_utterance bitwise; each call returns a new array.
+    width, raises before any state changes.  Steering and params are taken from each call.  The
+    states are bound once to a one-frame :class:`~convbeam.engine.Run` (again when the list holds
+    other states, a state reassigns a field or M changes), which checks the steering when it is
+    built and when its bits change.  A stream equals process_utterance bitwise; each call returns a
+    new array.
     """
     if not states:
         raise ValueError("states is empty: process_frame needs one state per bin")
-    held = getattr(states[0], "_filters", None)  # an engine.Stream
-    frame, steering, gains = check_inputs(steering, gains, None, (len(states),), frame, held)
-    if not (held and held.states == tuple(states) and held.steering.shape == steering.shape):
-        held = Stream(APA, states, steering)
+    frame, steering, gains = check_inputs(steering, gains, None, (len(states),), frame)
+    run = getattr(states[0], "_filters", None)
+    if not (run and run.states == tuple(states) and run.steering.shape == steering.shape):
+        run = _bind(states, steering)
     gains = None if gains is None else gains[:, None]  # the frame and column as one-frame data
-    return held(frame.T[..., None], steering, gains, params)[0, :, 0].copy()
+    return run(frame.T[..., None], steering, gains, params)[0, :, 0].copy()
 
 
 def process_utterance(

@@ -9,8 +9,8 @@ layout of the scalar states, and its steering and outputs, reads the data (in
 the Spectrogram's (M, bins, frames) layout), gains and params where the caller
 holds them, and runs its spans of bins in threads at once
 (:func:`~convbeam.stft.fan_out`).  Each utterance driver builds a run over its
-data and calls it once; a :class:`Stream` (``apa.process_frame``) is a run over
-one frame, called on each, so it equals the offline run.
+data and calls it once; ``apa.process_frame`` binds its states to a run over
+one frame and calls it on each, so a stream equals the offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -32,7 +32,7 @@ from .gains import clamp_gain
 from .geometry import SteeringVector
 from .stft import Spectrogram, check_order, fan_out, spans
 
-__all__ = ["APA", "RC", "Kernel", "Run", "Stream", "check_inputs", "load_kernel"]
+__all__ = ["APA", "RC", "Kernel", "Run", "check_inputs", "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
@@ -103,17 +103,13 @@ APA = Kernel(outputs=3, head=1)
 RC = Kernel(outputs=1, head=0)
 
 
-def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None,
-                 known: Run | None = None) -> tuple:
+def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None) -> tuple:
     """(frame, steering, gains) as arrays, checked before any state changes.
 
-    ``frame`` (when given) must be finite and ``steering`` a valid
-    :class:`~convbeam.geometry.SteeringVector`, both (bins, M), with bins = ``gain_shape[0]``
-    and M = ``num_mics`` (None: the steering's width); ``gains`` must be of ``gain_shape`` and
-    is clamped into [0, 1].  A steering with the bits of ``known``'s (:attr:`Run.bits`), one
-    that passed before, is not checked again and comes back as ``known.steering`` itself, which
-    the run then need not copy; the shape check makes equal bits mean an equal shape.
-    An utterance driver passes its Spectrogram as ``frame``; that must be finite.  Anything else
+    ``frame`` (when given) must be finite and ``steering`` (bins, M), with bins = ``gain_shape[0]``
+    and M = ``num_mics`` (None: the steering's width); ``gains`` must be of ``gain_shape`` and is
+    clamped into [0, 1].  The :class:`Run` that takes the steering checks its values.  An
+    utterance driver passes its Spectrogram as ``frame``; that must be finite.  Anything else
     raises ``ValueError`` naming the argument, and for a bad value where it is.
     """
     steering = np.ascontiguousarray(getattr(steering, "vectors", steering), np.complex128)
@@ -128,11 +124,7 @@ def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame
     if frame is not None and not np.isfinite(frame.view(np.float64)).all():  # both parts
         k, ch = np.argwhere(~np.isfinite(frame))[0]
         raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
-    if known is not None and steering.tobytes() == known.bits:
-        steering = known.steering
-    else:
-        SteeringVector(steering, 0)  # new bits, as after an edit in place
-    if spec is not None and not np.isfinite(spec).all():
+    if spec is not None and not np.isfinite(spec.view(np.float64)).all():  # both parts
         ch, k, n = np.argwhere(~np.isfinite(spec))[0]
         raise ValueError(f"spectrogram has a non-finite value at channel {ch}, bin {k}, frame {n}")
     return frame, steering, None if gains is None else clamp_gain(gains)
@@ -143,90 +135,63 @@ class Run:
     rows: one span of bins when ``frames`` is 1, else one per CPU of near-equal cost, Q_k + M a bin
     (:func:`~convbeam.stft.spans`).  Bin k, of order L_k = ``orders[k]``, holds its Q_k taps
     (:meth:`Kernel.taps`) in ``w[k, :Q_k]``, starting at the head of ``delay_and_sum`` if
-    ``kernel`` has one and at zero otherwise, and y(n-l) in ``history[k, l-1]``, l <= L_k; both
-    end each call holding the final taps and histories.  With ``prior`` each bin first runs the
-    frames with no outputs and keeps its filter but not its history.  ``orders`` of a shape other
-    than (bins,) raises ``ValueError``, as does an order :meth:`Kernel.bin_taps` refuses."""
+    ``kernel`` has one and at zero otherwise, and y(n-l) in ``history[k, l-1]``, l <= L_k; both end
+    each call holding the final taps and histories.  With ``prior`` each bin first runs the frames
+    with no outputs and keeps its filter but not its history.  ``steering`` becomes the run's
+    C-ordered copy, of bytes :attr:`bits`; a steering ``SteeringVector`` refuses, ``orders`` not
+    (bins,) and an order :meth:`Kernel.bin_taps` refuses raise ``ValueError``."""
 
     def __init__(self, kernel: Kernel, steering: np.ndarray, orders, delay: int, frames: int,
                  prior: bool = False):
         if isinstance(LIBRARY, ImportError):  # the build at import failed
             raise ImportError(*LIBRARY.args)
-        (bins, m), orders = steering.shape, np.array(orders, dtype=ctypes.c_long)
+        self.steering = np.array(SteeringVector(steering, 0).vectors, order="C")
+        (bins, m), orders = self.steering.shape, np.array(orders, dtype=ctypes.c_long)
         if orders.shape != (bins,):
             raise ValueError(f"orders has shape {orders.shape}, expected {(bins,)}")
         taps = kernel.bin_taps(m, orders, delay)
         self.orders, self.delay, self.shape = orders, delay, (m, bins, frames)
-        self.steering, self.bits = np.array(steering, complex), None  # bits: set by a call
-        self.w = np.zeros((bins, taps.max()), complex)
-        if kernel.head:  # on the run's complex128 copy, checked by check_inputs
+        self.bits, self.w = self.steering.tobytes(), np.zeros((bins, taps.max()), complex)
+        if kernel.head:
             self.w[:, :m] = delay_and_sum(self.steering).weights
         self.history = np.zeros((bins, orders.max(), m), complex)
         self.spans = [(0, bins)] if frames == 1 else spans(taps + m)
         self.out = np.empty((kernel.outputs, bins, frames), complex)
-        entry, longs = LIBRARY.run, (frames, m, delay, self.w.shape[1], self.history.shape[1] * m,
-                                     int(prior), kernel.head)
-        o, w, h, a, out = (x.ctypes.data for x in (orders, self.w, self.history, self.steering,
-                                                   self.out))
-        self._call = lambda k0, k1, params, gains, data: entry(  # 0, or 1 + k*frames + n
-            bins, k0, k1, *longs, *params, o, gains, w, h, data, a, out)  # in the kernel's order
+        entry, c_long = LIBRARY.run, ctypes.c_long  # all but the params, gains and data made C once
+        longs = [c_long(x) for x in (frames, m, delay, self.w.shape[1], self.history.shape[1] * m,
+                                     int(prior), kernel.head)]
+        o, w, h, a, out = (ctypes.c_void_p(x.ctypes.data)
+                           for x in (orders, self.w, self.history, self.steering, self.out))
+        self._spans = [(c_long(bins), c_long(k0), c_long(k1)) for k0, k1 in self.spans]
+        self._call = lambda span, params, gains, data: entry(  # 0, or 1 + k*frames + n
+            *span, *longs, *params, o, gains, w, h, data, a, out)  # in the kernel's order
 
     def __call__(self, data: np.ndarray, steering: np.ndarray, gains, params) -> np.ndarray:
-        """The outputs, (``kernel.outputs``, bins, frames), in the run's own array, which its
-        next call overwrites, on ``data`` (M, bins, frames), the (bins, M) ``steering`` the
-        kernel reads (the fixed heads, for the canceller), ``gains`` None or (bins, frames)
-        from :func:`check_inputs`, and ``params``.  A steering other than the run's own
-        buffer is copied into it, and its bytes become :attr:`bits`.  An array of another
-        shape raises ``ValueError`` naming it.  The kernel reads ``data`` and ``gains`` where
-        they lie if they are C-contiguous, aligned complex128 and float64, else one copy of
-        each that is not.  Each span makes one kernel call, on :func:`~convbeam.stft.fan_out`,
-        to the bits of one span.  A singular 2x2 solve raises ``LinAlgError`` naming the
-        lowest failing bin, and its frame (in either pass) if the run has more than one; the
-        bins before it, and those of other spans, may have moved."""
+        """The outputs, (``kernel.outputs``, bins, frames), in the run's own array, which its next
+        call overwrites, on ``data`` (M, bins, frames), the (bins, M) ``steering`` the kernel reads
+        (the fixed heads, for the canceller), ``gains`` None or (bins, frames) from
+        :func:`check_inputs`, and ``params``.  A steering of bytes other than :attr:`bits` is
+        checked as at construction and copied into the run's own.  An array of another shape, or a
+        bad steering, raises ``ValueError`` naming it before the kernel runs.  The kernel reads
+        ``data`` and ``gains`` where they lie if they are C-contiguous, aligned complex128 and
+        float64, else one copy of each that is not.  Each span makes one kernel call, on
+        :func:`~convbeam.stft.fan_out`, to the bits of one span.  A singular 2x2 solve raises
+        ``LinAlgError`` naming the lowest failing bin, and its frame (in either pass) if the run
+        has more than one; the bins before it, and those of other spans, may have moved."""
         (m, bins, frames), call = self.shape, self._call
         for name, array, shape in (("data", data, self.shape), ("steering", steering, (bins, m)),
                                    ("gains", gains, (bins, frames))):
             if array is not None and array.shape != shape:
                 raise ValueError(f"{name} has shape {array.shape}, expected {shape} "
                                  f"for data of shape {self.shape}")
-        if steering is not self.steering:  # else check_inputs found the bits it holds
-            self.steering[:] = steering
+        if steering.tobytes() != self.bits:  # new bits, as after an edit in place
+            self.steering[:] = SteeringVector(steering, 0).vectors
             self.bits = self.steering.tobytes()
         data = np.require(data, np.complex128, "CA")
         gains = None if gains is None else np.require(gains, np.float64, "CA")
         args = PARAMS(params), None if gains is None else gains.ctypes.data, data.ctypes.data
-        if any(statuses := fan_out(lambda k0, k1: call(k0, k1, *args), self.spans)):
+        if any(statuses := fan_out(lambda *span: call(span, *args), self._spans)):
             k, n = divmod(min(filter(None, statuses)) - 1, frames)
             raise np.linalg.LinAlgError(f"singular 2x2 innovation covariance at bin {k}"
                                         + (f", frame {n}" if frames > 1 else ""))
         return self.out
-
-
-class Stream(Run):
-    """A stream: a :class:`Run` over one frame, so one span on the calling thread, built once per
-    list of ``states``, whose ``w_hat`` and ``history`` become rows of its ``w`` and ``history``;
-    each call takes a frame as (M, bins, 1) data.  A state listed at an earlier bin too, or one
-    that does not fit its order, ``len(history)``, and the steering's width M, raises
-    ``ValueError`` naming its bin before any state changes.  Its steering buffer holds only
-    steerings :func:`check_inputs` passed, so the stream is the ``known`` of the next frame: a
-    frame whose steering keeps its bits costs one ``tobytes()`` and no check or copy."""
-
-    def __init__(self, kernel: Kernel, states: list, steering: np.ndarray) -> None:
-        m, delay = steering.shape[1], states[0].delay
-        orders, first = [len(s.history) for s in states], {}
-        for k, (s, order) in enumerate(zip(states, orders)):
-            try:
-                if first.setdefault(s, k) != k:
-                    raise ValueError(f"its state is bin {first[s]}'s too")
-                q = kernel.taps(m, order, delay)
-                if s.delay != delay or s.w_hat.shape != (q,) or s.history.shape != (order, m):
-                    raise ValueError(f"at order {order} it needs delay {delay}, {q} taps and "
-                                     f"history ({order}, {m}); it has {s.delay}, "
-                                     f"{s.w_hat.shape} and {s.history.shape}")
-            except ValueError as exc:
-                raise ValueError(f"bin {k}: {exc}") from None
-        super().__init__(kernel, steering, orders, delay, 1)
-        for s, order, w, history in zip(states, orders, self.w, self.history):
-            w[: s.w_hat.size], history[:order] = s.w_hat, s.history
-            s.w_hat, s.history, s._filters = w[: s.w_hat.size], history[:order], self
-        self.states = tuple(states)  # emptied on a rebind

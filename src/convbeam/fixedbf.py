@@ -35,7 +35,7 @@ class FixedWeights:
 
 def delay_and_sum(steering: SteeringVector) -> FixedWeights:
     """Phase-aligned averaging, w = a / ||a||^2, distortionless by construction."""
-    a = getattr(steering, "vectors", steering)  # or vectors engine.check_inputs has checked
+    a = getattr(steering, "vectors", steering)  # or vectors an engine.Run has checked
     return FixedWeights(a / np.sum(np.abs(a) ** 2, axis=1)[:, None])
 
 
@@ -51,7 +51,7 @@ def superdirective_mvdr(
     Diagonal loading keeps the solve well conditioned at low frequencies where
     the coherence matrix approaches all-ones.
     """
-    a = getattr(steering, "vectors", steering)  # or vectors engine.check_inputs has checked
+    a = getattr(steering, "vectors", steering)  # or vectors an engine.Run has checked
     gamma = coherence.gamma
     if gamma.shape[0] != a.shape[0] or gamma.shape[1] != a.shape[1]:
         raise ValueError(

@@ -302,22 +302,22 @@ def test_a_state_equals_itself_alone_and_hashes(make):
 
 
 def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
-    """A stream checks its steering's values once on its first frame (the
-    fresh filters' heads do not check it again) and afterwards only on a
-    frame whose steering differs in bits from the last one's: not for the
-    same array or a bitwise-equal copy, but after a valid edit in place by
-    one ulp, whose frame then runs, bit for bit, as in a stream restacked
-    every frame.  Only such a frame copies the steering into the stream's
-    buffer and takes its bytes anew."""
+    """A stream checks its steering's values once on its first frame, when
+    its run is built (the fresh filters' heads do not check it again), and
+    afterwards only in a run's call on a frame whose steering differs in bits
+    from the last one's: not for the same array or a bitwise-equal copy, but
+    after a valid edit in place by one ulp, whose frame then runs, bit for
+    bit, as in a stream restacked every frame.  Only such a frame copies the
+    steering into the run's buffer and takes its bytes anew."""
     frames = np.random.default_rng(3).standard_normal((5, 4, 2)) + 0j
     a = np.exp(0.3j * np.arange(2) * np.arange(4)[:, None])
     states, restacked, callers = _stream_states(), _stream_states(), []
 
     def counting(vectors, reference_mic):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers.append(sys._getframe(1).f_code.co_qualname)
         return SteeringVector(vectors, reference_mic)
     monkeypatch.setattr(engine, "SteeringVector", counting)
-    for n, want in enumerate([["check_inputs"], [], [], ["check_inputs"], []]):
+    for n, want in enumerate([["Run.__init__"], [], [], ["Run.__call__"], []]):
         steering = a.copy() if n == 2 else a
         if n == 3:
             before = a.copy()
@@ -339,11 +339,13 @@ def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
 
 
 def test_a_stream_is_built_once_for_its_states(monkeypatch):
-    """One stream serves a list, a new list of the same states and a tuple of
-    them; a reordered list, or a list with one state replaced, builds another."""
+    """One run, bound to the states once, serves a list, a new list of the same
+    states and a tuple of them; a reordered list, or a list with one state
+    replaced, binds another."""
     frames = np.random.default_rng(4).standard_normal((8, 4, 2)) + 0j
     states, built = _stream_states(), []
-    monkeypatch.setattr(apa, "Stream", lambda *args: built.append(args) or engine.Stream(*args))
+    bind = apa._bind
+    monkeypatch.setattr(apa, "_bind", lambda *args: built.append(args) or bind(*args))
     for n, (pick, builds) in enumerate([
         (lambda: states, 1), (lambda: states, 0), (lambda: list(states), 0),
         (lambda: tuple(states), 0), (lambda: states[::-1], 1), (lambda: states, 1),
@@ -759,7 +761,7 @@ class CountingLibrary:
 
     def __getattr__(self, name):
         def call(*args):
-            self.calls.append((name, args[9]))  # run's tenth argument is head
+            self.calls.append((name, args[9].value))  # run's tenth argument is head
             return getattr(self.library, name)(*args)
         return call
 
@@ -880,8 +882,8 @@ def test_the_kernel_signatures_match_the_loader():
         run(data, a, column, values)
     addresses = [x.ctypes.data for x in (run.orders, column, run.w, run.history, data,
                                          run.steering, run.out)]
-    ((*_, o, g, w, h, d, s, out),) = calls
-    assert [o, g, w, h, d, s, out] == addresses
+    ((*_, o, g, w, h, d, s, out),) = calls  # the run's own arrays as prebuilt c_void_p
+    assert [o.value, g, w.value, h.value, d, s.value, out.value] == addresses
 
 
 @pytest.mark.skipif(not shutil.which("cc"), reason="builds the kernel with cc")
@@ -1061,14 +1063,16 @@ def _misaligned(array: np.ndarray) -> np.ndarray:
     return copy
 
 
-@pytest.mark.parametrize("fault", ["dtype", "layout", "misaligned", "shape", "read-only"])
+@pytest.mark.parametrize("fault", ["dtype", "layout", "fortran", "misaligned", "shape",
+                                   "read-only"])
 def test_a_run_checks_every_caller_array_before_any_pointer(fault):
     """A run takes no pointer to a caller's array as given: its orders and
     steering, and a call's data and gains, each given another dtype, a
-    strided layout, an address one byte off its alignment or made read-only,
-    give the outputs, filters and histories of C-contiguous arrays of the
-    kernel's dtypes holding the same values, bit for bit; each given one more
-    row is refused with a ``ValueError`` naming it before the kernel runs."""
+    strided or Fortran-ordered layout, an address one byte off its alignment
+    or made read-only, give the outputs, filters and histories of C-contiguous
+    arrays of the kernel's dtypes holding the same values, bit for bit; each
+    given one more row is refused with a ``ValueError`` naming it before the
+    kernel runs."""
     spec, a, gains = _scene(PARTLY_SILENT)
     params = _params(PARTLY_SILENT)
     clean = {"orders": params.band_plan.bin_orders(CONFIG), "steering": a,
@@ -1089,13 +1093,15 @@ def test_a_run_checks_every_caller_array_before_any_pointer(fault):
         elif fault == "layout":
             bad = np.empty(array.shape + (2,), array.dtype)[..., 0]
             bad[...] = array
+        elif fault == "fortran":
+            bad = np.asfortranarray(array)
         elif fault == "misaligned":
             bad = _misaligned(array)
         else:
             bad = np.concatenate([array, array[:1]])
         given = {**clean, name: bad}
         if fault != "shape":
-            same = {**clean, name: np.array(bad, kinds[name])}
+            same = {**clean, name: np.ascontiguousarray(bad, kinds[name])}
             assert run(given, given) == run(same, same), name
             continue
         with pytest.MonkeyPatch.context() as patch:
@@ -1132,6 +1138,39 @@ def test_a_run_refuses_arrays_that_would_broadcast_into_its_buffers(monkeypatch)
     assert counting.calls == [] and started == []
     np.testing.assert_array_equal(run.w, w)
     np.testing.assert_array_equal(run.history, history)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "steering has a non-finite value at bin 2, channel 1"),
+    ("inf", "steering has a non-finite value at bin 2, channel 1"),
+    ("zero", "steering vector of bin 2 has zero norm"),
+])
+@pytest.mark.parametrize("kernel", [APA, RC])
+def test_a_run_refuses_a_bad_steering_when_built_and_when_its_bits_change(kernel, fault, message,
+                                                                         monkeypatch):
+    """A steering given straight to a run, for either filter, is checked as a
+    ``SteeringVector``: a NaN, an infinite value or a zero-norm row is refused
+    naming its bin (and channel) when the run is built, before any head is
+    formed and so with no warning, and again in a call whose steering's bits
+    differ from the run's, before the kernel runs; the filters, histories,
+    steering and bits stay as they were."""
+    ones = np.ones((4, 2), complex)
+    bad = ones.copy()
+    bad[2, 1:] = {"nan": np.nan, "inf": np.inf, "zero": 0.0}[fault]
+    if fault == "zero":
+        bad[2] = 0.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Run(kernel, bad, [3] * 4, 1, 1)
+    counting = CountingLibrary(engine.LIBRARY)
+    monkeypatch.setattr(engine, "LIBRARY", counting)
+    run = Run(kernel, ones, [3] * 4, 1, 1)
+    w, history, bits = run.w.copy(), run.history.copy(), run.bits
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(np.ones((2, 4, 1), complex), bad, None, ApaParams())
+    assert counting.calls == []
+    np.testing.assert_array_equal(run.w, w)
+    np.testing.assert_array_equal(run.history, history)
+    assert run.bits is bits and run.steering.tobytes() == bits == ones.tobytes()
 
 
 def test_filters_that_do_not_fit_the_kernel_are_refused():
