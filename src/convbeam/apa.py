@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import APA, Run, check_inputs
+from .engine import APA, Run
+from .gains import clamp_gain
 from .stft import BandPlan, Spectrogram
 
 __all__ = [
@@ -300,6 +301,33 @@ def limited_output(x_b: complex, x_r: complex, alpha_r: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None) -> tuple:
+    """(frame, steering, gains) as arrays, checked before any state changes.
+
+    ``frame`` (when given) must be finite and ``steering`` (bins, M), with bins = ``gain_shape[0]``
+    and M = ``num_mics`` (None: the steering's width); ``gains`` must be of ``gain_shape`` and is
+    clamped into [0, 1].  The engine's ``Run`` that takes the steering checks its values.  An
+    utterance driver passes its Spectrogram as ``frame``; that must be finite.  Anything else
+    raises ``ValueError`` naming the argument, and for a bad value where it is.
+    """
+    steering = np.ascontiguousarray(getattr(steering, "vectors", steering), np.complex128)
+    spec, frame = (frame.data, None) if isinstance(frame, Spectrogram) else (None, frame)
+    frame = None if frame is None else np.ascontiguousarray(frame, dtype=np.complex128)
+    gains = None if gains is None else np.asarray(gains, dtype=np.float64)
+    shape = (gain_shape[0], steering.shape[-1] if num_mics is None else num_mics)
+    named = (("frame", frame, shape), ("steering", steering, shape), ("gains", gains, gain_shape))
+    for name, value, expected in named:
+        if value is not None and value.shape != expected:
+            raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
+    if frame is not None and not np.isfinite(frame.view(np.float64)).all():  # both parts
+        k, ch = np.argwhere(~np.isfinite(frame))[0]
+        raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
+    if spec is not None and not np.isfinite(spec.view(np.float64)).all():  # both parts
+        ch, k, n = np.argwhere(~np.isfinite(spec))[0]
+        raise ValueError(f"spectrogram has a non-finite value at channel {ch}, bin {k}, frame {n}")
+    return frame, steering, None if gains is None else clamp_gain(gains)
+
+
 def _bind(states: list, steering: np.ndarray) -> Run:
     """A new one-frame :class:`~convbeam.engine.Run` on ``steering``, each state's ``_filters``,
     whose rows the state's ``w_hat`` and ``history`` then view.  A state listed twice, or one that
@@ -364,21 +392,15 @@ def process_utterance(
     params: ApaParams,
     gains: np.ndarray | None = None,
     prior_pass: bool = False,
-    return_components: bool = False,
-):
+) -> Spectrogram:
     """Run the adaptive beamformer over a whole utterance.
 
     ``steering`` (bins, M) and the optional (bins, frames) ``gains`` are
     checked as in :func:`process_frame`; with ``prior_pass`` every bin first
-    runs the utterance once and keeps its filter but not its history.  With
-    ``return_components`` the beamformer branch and the reverberation
-    estimate come back too, as ``(output, {"x_b": ..., "x_r": ...})``.
+    runs the utterance once and keeps its filter but not its history.  Its
+    run's outputs hold x_b and x_r too, in rows 1 and 2 (``engine.Run``).
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
     orders = params.band_plan.bin_orders(spec.config)
     run = Run(APA, vectors, orders, params.delay, spec.num_frames, prior_pass)
-    out = run(spec.data, vectors, gains, params)
-    result = Spectrogram(out[0], spec.config)
-    if return_components:
-        return result, {"x_b": out[1], "x_r": out[2]}
-    return result
+    return Spectrogram(run(spec.data, vectors, gains, params)[0], spec.config)

@@ -8,9 +8,9 @@ and owns every bin's filter and frame history, each bin at its own order in the
 layout of the scalar states, and its steering and outputs, reads the data (in
 the Spectrogram's (M, bins, frames) layout), gains and params where the caller
 holds them, and runs its spans of bins in threads at once
-(:func:`~convbeam.stft.fan_out`).  Each utterance driver builds a run over its
-data and calls it once; ``apa.process_frame`` binds its states to a run over
-one frame and calls it on each, so a stream equals the offline run.
+(:func:`~convbeam.stft.fan_out`).  Each utterance driver builds a run on the rows its kernel
+reads, the steering or the canceller's fixed heads, and calls it once; ``apa.process_frame``
+binds its states to a run over one frame and calls it on each, so a stream equals the offline run.
 The library is built, once per source, when this module is imported; a host
 without ``cc`` imports it all the same and gets the build's ``ImportError``
 from the first run of an adaptive filter.
@@ -28,11 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .fixedbf import delay_and_sum
-from .gains import clamp_gain
 from .geometry import SteeringVector
-from .stft import Spectrogram, check_order, fan_out, spans
+from .stft import check_order, fan_out, spans
 
-__all__ = ["APA", "RC", "Kernel", "Run", "check_inputs", "load_kernel"]
+__all__ = ["APA", "RC", "Kernel", "Run", "load_kernel"]
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -march and no FMA target (the source's one clone is AVX2, without FMA), so a cached
@@ -103,43 +102,17 @@ APA = Kernel(outputs=3, head=1)
 RC = Kernel(outputs=1, head=0)
 
 
-def check_inputs(steering, gains, num_mics: int | None, gain_shape: tuple, frame=None) -> tuple:
-    """(frame, steering, gains) as arrays, checked before any state changes.
-
-    ``frame`` (when given) must be finite and ``steering`` (bins, M), with bins = ``gain_shape[0]``
-    and M = ``num_mics`` (None: the steering's width); ``gains`` must be of ``gain_shape`` and is
-    clamped into [0, 1].  The :class:`Run` that takes the steering checks its values.  An
-    utterance driver passes its Spectrogram as ``frame``; that must be finite.  Anything else
-    raises ``ValueError`` naming the argument, and for a bad value where it is.
-    """
-    steering = np.ascontiguousarray(getattr(steering, "vectors", steering), np.complex128)
-    spec, frame = (frame.data, None) if isinstance(frame, Spectrogram) else (None, frame)
-    frame = None if frame is None else np.ascontiguousarray(frame, dtype=np.complex128)
-    gains = None if gains is None else np.asarray(gains, dtype=np.float64)
-    shape = (gain_shape[0], steering.shape[-1] if num_mics is None else num_mics)
-    named = (("frame", frame, shape), ("steering", steering, shape), ("gains", gains, gain_shape))
-    for name, value, expected in named:
-        if value is not None and value.shape != expected:
-            raise ValueError(f"{name} has shape {value.shape}, expected {expected}")
-    if frame is not None and not np.isfinite(frame.view(np.float64)).all():  # both parts
-        k, ch = np.argwhere(~np.isfinite(frame))[0]
-        raise ValueError(f"frame has a non-finite value at bin {k}, channel {ch}")
-    if spec is not None and not np.isfinite(spec.view(np.float64)).all():  # both parts
-        ch, k, n = np.argwhere(~np.isfinite(spec))[0]
-        raise ValueError(f"spectrogram has a non-finite value at channel {ch}, bin {k}, frame {n}")
-    return frame, steering, None if gains is None else clamp_gain(gains)
-
-
 class Run:
     """``kernel`` over data of ``frames`` frames on filters it owns for the (bins, M) ``steering``
-    rows: one span of bins when ``frames`` is 1, else one per CPU of near-equal cost, Q_k + M a bin
-    (:func:`~convbeam.stft.spans`).  Bin k, of order L_k = ``orders[k]``, holds its Q_k taps
-    (:meth:`Kernel.taps`) in ``w[k, :Q_k]``, starting at the head of ``delay_and_sum`` if
-    ``kernel`` has one and at zero otherwise, and y(n-l) in ``history[k, l-1]``, l <= L_k; both end
-    each call holding the final taps and histories.  With ``prior`` each bin first runs the frames
-    with no outputs and keeps its filter but not its history.  ``steering`` becomes the run's
-    C-ordered copy, of bytes :attr:`bits`; a steering ``SteeringVector`` refuses, ``orders`` not
-    (bins,) and an order :meth:`Kernel.bin_taps` refuses raise ``ValueError``."""
+    rows it reads (the canceller's fixed heads): one span of bins when ``frames`` is 1, else one
+    per CPU of near-equal cost, Q_k + M a bin (:func:`~convbeam.stft.spans`).  Bin k, of order
+    L_k = ``orders[k]``, holds its Q_k taps (:meth:`Kernel.taps`) in ``w[k, :Q_k]``, starting at
+    the head of ``delay_and_sum`` if ``kernel`` has one and at zero otherwise, and y(n-l) in
+    ``history[k, l-1]``, l <= L_k; both end each call holding the final taps and histories.  With
+    ``prior`` each bin first runs the frames with no outputs and keeps its filter but not its
+    history.  ``steering`` becomes the run's C-ordered copy, of bytes :attr:`bits`; a steering
+    ``SteeringVector`` refuses, ``orders`` not (bins,) and an order :meth:`Kernel.bin_taps` refuses
+    raise ``ValueError``."""
 
     def __init__(self, kernel: Kernel, steering: np.ndarray, orders, delay: int, frames: int,
                  prior: bool = False):
@@ -170,7 +143,7 @@ class Run:
         """The outputs, (``kernel.outputs``, bins, frames), in the run's own array, which its next
         call overwrites, on ``data`` (M, bins, frames), the (bins, M) ``steering`` the kernel reads
         (the fixed heads, for the canceller), ``gains`` None or (bins, frames) from
-        :func:`check_inputs`, and ``params``.  A steering of bytes other than :attr:`bits` is
+        ``apa.check_inputs``, and ``params``.  A steering of bytes other than :attr:`bits` is
         checked as at construction and copied into the run's own.  An array of another shape, or a
         bad steering, raises ``ValueError`` naming it before the kernel runs.  The kernel reads
         ``data`` and ``gains`` where they lie if they are C-contiguous, aligned complex128 and

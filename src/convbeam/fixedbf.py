@@ -51,7 +51,7 @@ def superdirective_mvdr(
     Diagonal loading keeps the solve well conditioned at low frequencies where
     the coherence matrix approaches all-ones.
     """
-    a = getattr(steering, "vectors", steering)  # or vectors an engine.Run has checked
+    a = steering.vectors
     gamma = coherence.gamma
     if gamma.shape[0] != a.shape[0] or gamma.shape[1] != a.shape[1]:
         raise ValueError(

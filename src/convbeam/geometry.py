@@ -55,8 +55,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class SteeringVector:
-    """Relative plane-wave transfer functions, shape (bins, M), finite and with no row of zero
-    norm; the reference-microphone entry is exactly 1 in every bin."""
+    """Rows of M weights per bin, (bins, M), a steering or fixed heads, checked to be finite with
+    no row of zero norm; :func:`plane_wave_steering` makes the ``reference_mic`` entry exactly 1."""
 
     vectors: np.ndarray
     reference_mic: int

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apa import ApaParams, FrameHistory, limited_output, psd_floor
-from .engine import RC, Run, check_inputs
+from .apa import ApaParams, FrameHistory, check_inputs, limited_output, psd_floor
+from .engine import RC, Run
 from .fixedbf import superdirective_mvdr
 from .gains import apply_gain
-from .geometry import CoherenceMatrix
+from .geometry import CoherenceMatrix, SteeringVector
 from .stft import Spectrogram
 
 __all__ = [
@@ -123,15 +123,14 @@ def process_utterance_sdmvdr(
 ) -> Spectrogram:
     """Run the fixed-beamformer variant over a whole utterance.
 
-    The head of every bin is the superdirective MVDR solution for
-    ``coherence`` at its default diagonal loading; the steering, the gain
-    mask and ``prior_pass`` behave as in :func:`convbeam.apa.process_utterance`.
-    This variant has no beamformer-only case: :meth:`convbeam.engine.Kernel.taps`
-    refuses, with ``ValueError``, any order not above the delay, order 0 included.
+    The head of every bin is the superdirective MVDR solution for ``coherence`` at its default
+    diagonal loading, and the run is built on these heads, from a steering checked once; the
+    steering, the gain mask and ``prior_pass`` behave as in :func:`convbeam.apa.process_utterance`.
+    This variant has no beamformer-only case: :meth:`convbeam.engine.Kernel.taps` refuses, with
+    ``ValueError``, any order not above the delay, order 0 included.
     """
     _, vectors, gains = check_inputs(steering, gains, spec.num_channels, spec.data.shape[1:], spec)
+    heads = superdirective_mvdr(SteeringVector(vectors, 0), coherence).weights
     orders = params.band_plan.bin_orders(spec.config)
-    run = Run(RC, vectors, orders, params.delay, spec.num_frames, prior_pass)
-    weights = superdirective_mvdr(vectors, coherence).weights
-    out = run(spec.data, weights, gains, params)
-    return Spectrogram(out, spec.config)
+    run = Run(RC, heads, orders, params.delay, spec.num_frames, prior_pass)
+    return Spectrogram(run(spec.data, heads, gains, params), spec.config)

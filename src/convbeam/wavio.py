@@ -81,7 +81,7 @@ def read_wav(path) -> AudioBuffer:
         if cid == b"fmt ":
             if size < 16:
                 raise WavError(f"{path}: offset {pos}: fmt chunk too small ({size} bytes)")
-            fmt = (struct.unpack_from("<HHIIHH", body), body)
+            fmt = (struct.unpack_from("<HHIIHH", body), body, pos)
         elif cid == b"data":
             data = (pos + 8, body)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -90,7 +90,7 @@ def read_wav(path) -> AudioBuffer:
         raise WavError(f"{path}: no fmt chunk found")
     if data is None:
         raise WavError(f"{path}: no data chunk found")
-    (audio_format, num_channels, sample_rate, _, block_align, bits), fmt_body = fmt
+    (audio_format, num_channels, sample_rate, _, block_align, bits), fmt_body, fmt_pos = fmt
     if audio_format == _FMT_EXTENSIBLE and len(fmt_body) >= 26:
         # WAVE_FORMAT_EXTENSIBLE: the real format code leads the subformat GUID
         (audio_format,) = struct.unpack_from("<H", fmt_body, 24)
@@ -104,7 +104,9 @@ def read_wav(path) -> AudioBuffer:
             f"{path}: offset {offset}: unsupported encoding "
             f"(format {audio_format}, {bits} bits); only PCM16 and float32 are readable"
         )
-    raw = np.frombuffer(body[: len(body) - len(body) % (bits // 8 * num_channels)], dtype=dtype)
+    if block_align != (frame := num_channels * bits // 8):
+        raise WavError(f"{path}: offset {fmt_pos}: fmt block_align {block_align}, expected {frame}")
+    raw = np.frombuffer(body[: len(body) - len(body) % frame], dtype=dtype)
     # one cast into (channels, samples) order; a power-of-two scale rounds as a division would
     samples = np.empty((num_channels, raw.size // num_channels))
     np.multiply(raw.reshape(-1, num_channels).T, 1.0 / _PCM16_SCALE if bits == 16 else 1.0,
@@ -115,9 +117,12 @@ def read_wav(path) -> AudioBuffer:
 def write_wav(path, buf: AudioBuffer, encoding: str = "float32") -> None:
     """Write an AudioBuffer as 'float32' (default) or 'pcm16'.
 
-    PCM16 clips into the representable range before rounding, so values at
-    exactly -1.0 survive a round trip bit-for-bit.
+    PCM16 clips into the representable range before rounding, so values at exactly -1.0 survive
+    a round trip bit-for-bit.  A non-finite sample raises ``ValueError`` before the file opens.
     """
+    if not (finite := np.isfinite(buf.samples)).all():
+        ch, i = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: sample {i} of channel {ch} is not finite")
     interleaved = np.ascontiguousarray(buf.samples.T)
     if encoding == "pcm16":
         clipped = np.clip(interleaved, -1.0, 32767.0 / _PCM16_SCALE)

@@ -32,6 +32,7 @@ from convbeam.apa import (
     speech_psd_estimate,
     stack_observation,
 )
+from convbeam.engine import APA, Run
 from convbeam.gains import apply_gain
 from convbeam.geometry import SteeringVector, circular_array, plane_wave_steering
 from convbeam.scenes import exp_decay_rir_scene, synthetic_speech
@@ -303,6 +304,16 @@ def _flat_steering(num_bins, num_mics, seed=0):
     return a
 
 
+def _branches(spec, a, params):
+    """process_utterance's output, then x_b and x_r: rows 1 and 2 of an APA run's outputs,
+    whose row 0 is that output."""
+    out = process_utterance(spec, a, params).data[0]
+    run = Run(APA, a, params.band_plan.bin_orders(spec.config), params.delay, spec.num_frames)
+    rows = run(spec.data, a, None, params)
+    np.testing.assert_array_equal(rows[0], out)
+    return out, rows[1], rows[2]
+
+
 class TestDrivers:
     def test_process_frame_matches_utterance(self):
         spec = _small_spec()
@@ -462,16 +473,16 @@ class TestDrivers:
         spec = _small_spec()
         a = _flat_steering(spec.num_bins, 2)
         params = ApaParams(band_plan=BandPlan((), (0,)))
-        out, extras = process_utterance(spec, a, params, return_components=True)
-        assert np.all(extras["x_r"] == 0.0)
-        np.testing.assert_array_equal(out.data[0], extras["x_b"])
+        out, x_b, x_r = _branches(spec, a, params)
+        assert np.all(x_r == 0.0)
+        np.testing.assert_array_equal(out, x_b)
 
     def test_alpha_zero_output_equals_beamformer_branch(self):
         spec = _small_spec(seed=4)
         a = _flat_steering(spec.num_bins, 2)
         params = ApaParams(alpha_r=0.0, band_plan=BandPlan((), (4,)))
-        out, extras = process_utterance(spec, a, params, return_components=True)
-        np.testing.assert_array_equal(out.data[0], extras["x_b"])
+        out, x_b, _ = _branches(spec, a, params)
+        np.testing.assert_array_equal(out, x_b)
 
     def test_prior_pass_changes_early_frames(self):
         spec = _small_spec(num_frames=40, seed=6)

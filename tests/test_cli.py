@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import write_non_finite_wav
 
 from convbeam.apa import ApaParams
 from convbeam.bench import wallclock_sweep
@@ -384,8 +385,7 @@ class TestPipelineSmoke:
         ref, est = tmp_path / "ref.wav", tmp_path / "est.wav"
         samples = 0.1 * np.random.default_rng(5).standard_normal(8000)
         write_wav(ref, AudioBuffer(samples, 16000))
-        samples[777] = np.nan
-        write_wav(est, AudioBuffer(samples, 16000))
+        write_non_finite_wav(est, AudioBuffer(samples, 16000), 0, 777, np.nan)
         assert main(["metrics", "--ref", str(ref), "--est", str(est)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

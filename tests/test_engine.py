@@ -21,7 +21,8 @@ steering, params and gains between frames, rebind a state's fields and copy
 the states mid-stream, and check that an output stays as it was returned;
 they count the steering checks (the first frame's, and one after each change
 of bits) and the streams built (one per order of the same states), and
-states compare and hash by identity.
+states compare and hash by identity.  A canceller's run is built on the heads
+it is called with, so its call checks no steering.
 The last tests cover a new run's filters against the scalar states, a prior
 pass against a run whose outputs are dropped and whose histories are then
 zeroed, a run that outlives the caller's references to its steering and
@@ -218,17 +219,18 @@ def test_apa_engine_matches_scalar_loop(case):
     spec, a, gains = _scene(case)
     params = _params(case)
     orders = params.band_plan.bin_orders(CONFIG)
-    got, extras = process_utterance(
-        spec, a, params, gains=gains, prior_pass=case["prior_pass"], return_components=True
-    )
+    got = process_utterance(spec, a, params, gains=gains, prior_pass=case["prior_pass"])
+    run = Run(APA, a, orders, params.delay, spec.num_frames, case["prior_pass"])
+    out = run(spec.data, a, gains, params)  # the driver's run, with x_b and x_r in rows 1 and 2
+    assert np.array_equal(got.data[0], out[0])
     states = [init_state(a[k], int(orders[k]), params.delay) for k in range(CONFIG.num_bins)]
     want = _oracle(
         spec, states, gains, case["prior_pass"],
         lambda state, y_now, k, gain: _apa_step(state, y_now, a[k], params, gain),
     )
     assert_close(got.data[0], want[0])
-    assert_close(extras["x_b"], want[1])
-    assert_close(extras["x_r"], want[2], scale=want[1])
+    assert_close(out[1], want[1])
+    assert_close(out[2], want[2], scale=want[1])
 
 
 @SETTINGS
@@ -336,6 +338,48 @@ def test_a_stream_checks_its_steering_when_its_bits_change(monkeypatch):
         for s, r in zip(states, restacked):
             assert s.w_hat.tobytes() == r.w_hat.tobytes()
             assert s.history.tobytes() == r.history.tobytes()
+
+
+def test_a_canceller_run_is_built_on_its_heads(monkeypatch):
+    """process_utterance_sdmvdr checks its steering once, builds its run on the
+    heads that superdirective_mvdr returned and calls it with those heads: the
+    run checks them when it is built, and its call, on the same bits, checks no
+    steering.  The output is the bits of the unrecorded driver's."""
+    rng = np.random.default_rng(5)
+    spec = Spectrogram(rng.standard_normal((2, CONFIG.num_bins, 6)) + 0j, CONFIG)
+    a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (CONFIG.num_bins, 2)))
+    b = rng.standard_normal((CONFIG.num_bins, 2, 2))
+    coherence, params = CoherenceMatrix(b @ b.transpose(0, 2, 1) / 2), ApaParams()
+    want = process_utterance_sdmvdr(spec, a, coherence, params).data.tobytes()
+    callers, heads, built, called = [], [], [], []
+
+    def counting(vectors, reference_mic):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return SteeringVector(vectors, reference_mic)
+
+    def forming(*args, **kwargs):
+        weights = superdirective_mvdr(*args, **kwargs)
+        heads.append(weights.weights)
+        return weights
+
+    class Recorded(Run):
+        def __init__(self, kernel, steering, *args):
+            built.append((kernel, steering))
+            super().__init__(kernel, steering, *args)
+
+        def __call__(self, data, steering, gains, params):
+            called.append(steering)
+            return super().__call__(data, steering, gains, params)
+
+    monkeypatch.setattr(engine, "SteeringVector", counting)
+    monkeypatch.setattr(sdmvdr, "SteeringVector", counting, raising=False)
+    monkeypatch.setattr(sdmvdr, "superdirective_mvdr", forming)
+    monkeypatch.setattr(sdmvdr, "Run", Recorded)
+    got = process_utterance_sdmvdr(spec, a, coherence, params)
+    assert callers == ["process_utterance_sdmvdr", "Run.__init__"]
+    assert len(heads) == 1 and len(built) == 1 and len(called) == 1
+    assert built[0][0] is RC and built[0][1] is heads[0] and called[0] is heads[0]
+    assert got.data.tobytes() == want
 
 
 def test_a_stream_is_built_once_for_its_states(monkeypatch):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_non_finite_wav
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from convbeam.gains import write_gain_mask
 from convbeam.geometry import CoherenceMatrix, SteeringVector, circular_array
 from convbeam.pipeline import METHODS, TABLE, RunConfig, enhance
 from convbeam.stft import BandPlan, Spectrogram, StftConfig, istft
-from convbeam.wavio import AudioBuffer, write_wav
+from convbeam.wavio import AudioBuffer
 
 
 class TestMethodTable:
@@ -168,7 +169,7 @@ class TestOptionSurface:
 
         assert names(apa.process_frame) == ["states", "frame", "steering", "params", "gains"]
         assert names(pipeline.process_utterance) == [
-            "spec", "steering", "params", "gains", "prior_pass", "return_components",
+            "spec", "steering", "params", "gains", "prior_pass",
         ]
         assert names(pipeline.process_utterance_sdmvdr) == [
             "spec", "steering", "coherence", "params", "gains", "prior_pass",
@@ -211,9 +212,8 @@ class TestInputContract:
             enhance(AudioBuffer(samples, 16000), cfg)
 
         samples[2, 1234] = 0.0
-        samples[0, 99] = np.inf
         path = tmp_path / "bad.wav"
-        write_wav(path, AudioBuffer(samples, 16000))
+        write_non_finite_wav(path, AudioBuffer(samples, 16000), 0, 99, np.inf)
         rc = cli.main(
             ["enhance", "--input", str(path), "--output", str(tmp_path / "out.wav"),
              "--geometry", "circular:4:0.10"]

@@ -133,6 +133,18 @@ class TestRoundTrips:
         assert got.flags.c_contiguous and got.dtype == np.float64
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    def test_a_non_finite_sample_is_refused_before_the_file_opens(self, tmp_path, encoding, value):
+        """NaN would be written as 0 by PCM16 and kept by float32; both refuse
+        it, naming its channel and index, and create no file."""
+        samples = np.zeros((2, 9))
+        samples[1, 5] = value
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError, match="sample 5 of channel 1 is not finite$"):
+            write_wav(path, AudioBuffer(samples, 16000), encoding=encoding)
+        assert not path.exists()
+
     def test_bad_encoding_name(self, tmp_path):
         with pytest.raises(ValueError, match="pcm16"):
             write_wav(tmp_path / "x.wav", AudioBuffer(np.zeros(4), 8000), encoding="mp3")
@@ -201,6 +213,14 @@ class TestParserErrors:
         body = struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)  # no bits-per-sample field
         p = _pcm16_file(tmp_path / "fmt14.wav", np.zeros(2, dtype=np.int16), fmt_body=body)
         with pytest.raises(WavError, match=r"offset 12: fmt chunk too small \(14 bytes\)$"):
+            read_wav(p)
+
+    def test_a_block_align_other_than_the_frame_size_is_refused(self, tmp_path):
+        """PCM16 stereo frames are 4 bytes; a fmt chunk that declares 8 would
+        have its 16 data bytes read as 4 frames without a word."""
+        body = struct.pack("<HHIIHH", 1, 2, 8000, 64000, 8, 16)
+        p = _pcm16_file(tmp_path / "align.wav", np.zeros((4, 2), dtype=np.int16), fmt_body=body)
+        with pytest.raises(WavError, match=r"offset 12: fmt block_align 8, expected 4$"):
             read_wav(p)
 
     def test_zero_channels(self, tmp_path):

@@ -4,12 +4,15 @@
     python3 tools/compare_outputs.py --dump SRC OUT.npz
 
 SRC_A and SRC_B are each a directory that contains the ``convbeam`` package
-(for example ``src`` of a checkout), or an ``.npz`` that ``--dump`` saved.
-Each tree is imported in a fresh subprocess, which runs a fixed set of calls
-on a 1 s, 4-mic reverberant scene and saves every result to an ``.npz``.
-``--dump`` saves that file alone, so a tree whose API this tool no longer
-calls can be dumped by its own copy of the tool and compared as a file.
-The calls are:
+(for example ``src`` of a checkout), an ``.npz`` that ``--dump`` saved, or a
+git revision of this repository (``HEAD``, ``HEAD~1``, a hash).  Each tree is
+imported in a fresh subprocess, which runs a fixed set of calls on a 1 s,
+4-mic reverberant scene and saves every result to an ``.npz``.  ``--dump``
+saves that file alone, so a tree whose API this tool no longer calls can be
+dumped by its own copy of the tool and compared as a file.  A revision is
+dumped that way: its ``src/`` and ``tools/compare_outputs.py`` are extracted
+with ``git archive`` into a temporary directory and its own tool dumps its
+tree.  The calls are:
 
 - ``enhance`` for every method x {no mask, gain-mask file (the adaptive
   methods only: a fixed one refuses a mask)} x {fixed DOA, SRP-PHAT} x
@@ -22,9 +25,9 @@ The calls are:
   output samples and the DOA; and under each count a stream, ``process_frame``
   on every frame with the default band plan and a gain column: its outputs
   and the final filters and histories of every bin;
-- ``process_utterance(..., return_components=True)`` on an order-0 +
-  order-3 band plan with D=2, a gain mask and the prior pass: the output,
-  ``x_b`` and ``x_r``;
+- ``process_utterance`` on an order-0 + order-3 band plan with D=2, a gain
+  mask and the prior pass: the output, and ``x_b`` and ``x_r``, rows 1 and 2
+  of the outputs of an ``engine.Run`` on ``APA`` over the same inputs;
 - a stream: ``process_frame`` on every frame with the default band plan
   and a gain column, and the final filters and histories of every bin;
 - the stream without a gain column (as perfbench streams), once at the
@@ -57,7 +60,7 @@ The calls are:
 - both adaptive filters with the default band plan, a gain mask and the
   prior pass on the first 61 frames of the scene (a prime count), with
   bins 20-39 and 120-129 silent on every channel over frames 15-34: the
-  output, and ``x_b`` and ``x_r`` of the full filter;
+  output, and ``x_b`` and ``x_r`` of the full filter, as above;
 - the method, M, L, D, Q and MAC columns of ``bench.wallclock_sweep``
   with ``num_mics=4``;
 - the (complex MACs, real MACs, divisions) of ``bench.count_apa_update``
@@ -107,10 +110,12 @@ identical and 1 otherwise.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -159,6 +164,15 @@ def dump(src: str, out_file: str) -> None:
     spec = scene.mixture
     mask = np.random.default_rng(4).uniform(0.0, 1.0, (spec.num_bins, spec.num_frames))
 
+    def components(spec, params, gains):
+        """process_utterance's output with the prior pass, then x_b and x_r: rows 1 and 2 of
+        the outputs of its run."""
+        out = process_utterance(spec, steering, params, gains=gains, prior_pass=True).data
+        orders = params.band_plan.bin_orders(cfg)
+        run = Run(APA, steering.vectors, orders, params.delay, spec.num_frames, True)
+        rows = run(spec.data, steering.vectors, gains, params)
+        return out, rows[1], rows[2]
+
     arrays = {}
     with tempfile.TemporaryDirectory() as tmp:
         mask_path = str(Path(tmp) / "mask.gmsk")
@@ -202,12 +216,8 @@ def dump(src: str, out_file: str) -> None:
         os.sched_getaffinity = affinity
 
     params = ApaParams(band_plan=BandPlan((4000.0,), (0, 3), delay=2))
-    out, extras = process_utterance(
-        spec, steering, params, gains=mask, prior_pass=True, return_components=True
-    )
-    arrays["components/output"] = out.data
-    arrays["components/x_b"] = extras["x_b"]
-    arrays["components/x_r"] = extras["x_r"]
+    for name, array in zip(("output", "x_b", "x_r"), components(spec, params, mask)):
+        arrays[f"components/{name}"] = array
 
     params = ApaParams()
     orders = params.band_plan.bin_orders(cfg)
@@ -281,12 +291,8 @@ def dump(src: str, out_file: str) -> None:
     ).data
 
     params = ApaParams(band_plan=BandPlan((1000.0, 3000.0), (3, 6, 3)))
-    out, extras = process_utterance(
-        spec, steering, params, gains=mask, prior_pass=True, return_components=True
-    )
-    arrays["repeated/apa/output"] = out.data
-    arrays["repeated/apa/x_b"] = extras["x_b"]
-    arrays["repeated/apa/x_r"] = extras["x_r"]
+    for name, array in zip(("output", "x_b", "x_r"), components(spec, params, mask)):
+        arrays[f"repeated/apa/{name}"] = array
     arrays["repeated/sdmvdr"] = process_utterance_sdmvdr(
         spec, steering, coherence, params, gains=mask, prior_pass=True
     ).data
@@ -314,12 +320,8 @@ def dump(src: str, out_file: str) -> None:
     quiet[:, 120:130, 15:35] = 0.0
     quiet = Spectrogram(quiet, cfg)
     params = ApaParams()
-    out, extras = process_utterance(
-        quiet, steering, params, gains=mask[:, :61], prior_pass=True, return_components=True
-    )
-    arrays["blocks/apa/output"] = out.data
-    arrays["blocks/apa/x_b"] = extras["x_b"]
-    arrays["blocks/apa/x_r"] = extras["x_r"]
+    for name, array in zip(("output", "x_b", "x_r"), components(quiet, params, mask[:, :61])):
+        arrays[f"blocks/apa/{name}"] = array
     arrays["blocks/sdmvdr"] = process_utterance_sdmvdr(
         quiet, steering, coherence, params, gains=mask[:, :61], prior_pass=True
     ).data
@@ -436,13 +438,31 @@ def dump(src: str, out_file: str) -> None:
     np.savez(out_file, **arrays)
 
 
+def extract(rev: str, into: Path) -> tuple:
+    """(src, tool): the ``src/`` and ``tools/compare_outputs.py`` of git revision ``rev``,
+    extracted into the new directory ``into``; a revision without them exits with git's error.
+    Every version of the tool takes ``--dump SRC OUT``, which it runs on itself."""
+    root = Path(__file__).resolve().parent.parent
+    archive = subprocess.run(
+        ["git", "-C", str(root), "archive", rev, "src", "tools/compare_outputs.py"],
+        capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return str(into / "src"), str(into / "tools" / "compare_outputs.py")
+
+
 def compare(src_a: str, src_b: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         saved = []
         for tag, src in (("a", src_a), ("b", src_b)):
             path = src if Path(src).is_file() else str(Path(tmp) / f"{tag}.npz")
             if path != src:
-                subprocess.run([sys.executable, __file__, "--dump", src, path], check=True)
+                tool = __file__
+                if not Path(src).is_dir():  # a git revision, dumped by its own tool
+                    src, tool = extract(src, Path(tmp) / tag)
+                subprocess.run([sys.executable, tool, "--dump", src, path], check=True)
             saved.append(np.load(path))
         a, b = saved
         names = sorted(set(a.files) | set(b.files))
@@ -477,7 +497,7 @@ def main(argv: list) -> int:
         dump(argv[2], argv[3])
         return 0
     if len(argv) != 3:
-        print("usage: python3 tools/compare_outputs.py SRC_A SRC_B\n"
+        print("usage: python3 tools/compare_outputs.py SRC_A SRC_B  (a tree, .npz or revision)\n"
               "       python3 tools/compare_outputs.py --dump SRC OUT.npz", file=sys.stderr)
         return 2
     return compare(argv[1], argv[2])
